@@ -45,7 +45,7 @@ buffer pool and the flow-control schemes and validates, *while a job runs*:
 
 The auditor is *pluggable and zero-cost when disabled*: every hook site is
 guarded by ``if self._audit is not None`` and the default is ``None``
-(verified against ``BENCH_perf.json`` by the PR-1 perf harness).  Enable
+(verified by ``tests/test_inertness.py``).  Enable
 it with ``run_job(..., audit=True)`` or attach an instance for custom
 settings.  Watchdog ticks are ordinary agenda events: they shift sequence
 numbers but mutate no simulation state, so an audited run computes the

@@ -189,54 +189,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro import perf
-
-    if args.workloads:
-        unknown = [w for w in args.workloads if w not in perf.WORKLOADS]
-        if unknown:
-            print(f"error: unknown workload(s) {', '.join(unknown)} "
-                  f"(available: {', '.join(perf.WORKLOADS)})", file=sys.stderr)
-            return 2
-    if args.profile:
-        # Profiling overhead poisons wall timings, so this mode replaces
-        # the measured suite instead of decorating it.
-        for name in args.workloads or list(perf.WORKLOADS):
-            print(f"=== cProfile: {name} (top 20 by cumulative time) ===")
-            print(perf.profile_workload(name, top=20))
-        return 0
-    if args.check:
-        try:
-            baseline = perf.load_report(args.check)
-        except (OSError, ValueError) as err:
-            print(f"error: cannot read baseline {args.check}: {err}",
-                  file=sys.stderr)
-            return 2
-    report = perf.run_suite(workloads=args.workloads, repeats=args.repeats)
-    table = Table(
-        f"Kernel throughput (best of {args.repeats})",
-        ["events", "sim_ns", "wall_s", "events/s"],
-    )
-    for name, w in report["workloads"].items():
-        table.add_row(name, w["events_executed"], w["sim_now_ns"],
-                      w["wall_s"], w["events_per_sec"])
-    print(table.render())
-    if report["peak_rss_kb"] is not None:
-        print(f"peak RSS: {report['peak_rss_kb']} KiB")
-    if args.out:
-        perf.write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        problems = perf.compare(report, baseline, tolerance=args.tolerance)
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _chaos_report(args: argparse.Namespace) -> dict:
     specs = grids.chaos_grid(scenarios=[args.scenario], schemes=args.schemes,
                              seed=args.seed, prepost=args.prepost,
@@ -479,26 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(KERNEL_ORDER))
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_nas)
-
-    p = sub.add_parser(
-        "perf",
-        help="simulator-throughput benchmark (events/sec; BENCH_perf.json)",
-    )
-    p.add_argument("--workloads", nargs="+", default=None,
-                   help="subset of workloads (default: all)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="wall-time repeats per workload (best is reported)")
-    p.add_argument("--out", default="BENCH_perf.json",
-                   help="report path ('' to skip writing)")
-    p.add_argument("--check", default=None, metavar="BASELINE",
-                   help="compare against a baseline report; exit 1 on "
-                        "determinism drift or >tolerance throughput drop")
-    p.add_argument("--tolerance", type=float, default=0.20,
-                   help="allowed fractional events/sec regression for --check")
-    p.add_argument("--profile", action="store_true",
-                   help="run each workload under cProfile and print the "
-                        "top 20 functions by cumulative time (no report)")
-    p.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser(
         "scaling",

@@ -220,14 +220,5 @@ class ConnectionManager:
             self.established += 1
         sig.fire(self.cluster.sim, None)
 
-    def total_posted_buffers(self) -> int:
-        """Receive vbufs currently posted across every live connection —
-        the memory-scaling metric of the paper's conclusion."""
-        return sum(
-            conn.recv_posted
-            for ep in self.cluster.endpoints
-            for conn in ep.connections.values()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ConnectionManager established={self.established}>"

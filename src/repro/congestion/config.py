@@ -20,7 +20,7 @@ subsystem; ``None`` (the default) keeps the fabric's straight-line path
 model and is bit-identity inert (one attribute check per transmit).
 With both ``pfc`` and ``ecn`` False the egress queues still apply —
 that is the tail-drop baseline (drops are recovered by the transport
-ACK-timeout retry, so arm it via a fault plan).
+ACK-timeout retry, which the first drop arms on the affected QP).
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.units import us
+
+#: Requester ACK-timeout armed on a QP when one of its messages is
+#: tail-dropped — far above any queueing delay congestion produces; the
+#: fault plans' default 200 us would fire spuriously while messages sit
+#: in paused switch queues.
+DROP_RETRY_TIMEOUT_NS = us(20_000)
 
 
 @dataclass(slots=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.congestion.config import CongestionConfig
+from repro.congestion.config import DROP_RETRY_TIMEOUT_NS, CongestionConfig
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
 
@@ -125,7 +125,19 @@ class PortQueue:
             tr = state.tracer
             tr.count("cong.drop", self.key)
             tr.record(state.sim.now, "cong.drop", self.key, item.dst)
-            return  # tail drop: the transport retry recovers it
+            # tail drop: the requester's ACK-timeout retry recovers it
+            msg = item.message
+            if msg.is_read_response:  # the requester is the one waiting
+                qp = state.fabric.hca_at(msg.dst_lid).qp(msg.dst_qpn)
+            else:
+                qp = state.fabric.hca_at(msg.src_lid).qp(msg.src_qpn)
+            qp.on_wire_loss(DROP_RETRY_TIMEOUT_NS)
+            aud = state.audit
+            if aud is not None:
+                # the replay comes at the first ACK-less timer period,
+                # at most two periods away: not a hang until then
+                aud.extend_grace(state.sim.now + 2 * DROP_RETRY_TIMEOUT_NS)
+            return
         depth = self.depth = self.depth + wire
         if depth > self.peak_depth:
             self.peak_depth = depth
@@ -229,7 +241,8 @@ class PortQueue:
             sim.call_at(sim.now + state.hop_ns, nxt.admit, item)
         else:
             arrival = sim.now + state.link_prop_ns + item.extra
-            state.fabric._enqueue_data(item.dst, arrival, item.message)
+            sim.call_at(arrival, state.fabric.hca_at(item.dst)._deliver,
+                        item.message)
             if item.marked:
                 flow = item.flow
                 if flow is not None:
@@ -262,8 +275,6 @@ class CongestionState:
         ib = fabric.config
         self.hop_ns = ib.link_prop_ns + ib.switch_delay_ns
         self.link_prop_ns = ib.link_prop_ns
-        # fat-tree detection without importing the subclass (no cycle)
-        self.fattree = hasattr(fabric, "leaf_of")
         self.ports: Dict[PortKey, PortQueue] = {}
         self._paths: Dict[tuple, tuple] = {}
         self.flows: Dict[tuple, _Flow] = {}
@@ -281,12 +292,11 @@ class CongestionState:
 
     def _build_path(self, src: int, dst: int) -> tuple:
         hops = [self._port(("hup", src), finite=False)]
-        if self.fattree:
-            # one finite egress queue per interior link the fabric's
-            # d-mod-k route traverses (leaf-up, spine-up, core-down,
-            # spine-down) — however many levels the tree has
-            for link in self.fabric.path_links(src, dst):
-                hops.append(self._port(link, finite=True))
+        # one finite egress queue per interior link the fabric's route
+        # traverses (fat tree: leaf-up, spine-up, core-down, spine-down;
+        # none on a crossbar)
+        for link in self.fabric.path_links(src, dst):
+            hops.append(self._port(link, finite=True))
         hops.append(self._port(("down", dst), finite=True))
         return tuple(hops)
 
@@ -303,6 +313,12 @@ class CongestionState:
     def inject(self, src: int, dst: int, wire: int, ser: int,
                message: Any, extra: int) -> None:
         path = self.path_for(src, dst)
+        # A message bigger than a whole port buffer is packetised on the
+        # real wire and streams through; here it is charged as one full
+        # buffer, so an empty port admits it — charged in full, every
+        # retry of it would be tail-dropped again, forever.
+        if wire > self.cfg.buffer_bytes:
+            wire = self.cfg.buffer_bytes
         item = _Transit(message, dst, wire, ser, extra, path)
         entry = path[0]
         if self.ecn_on:

@@ -108,15 +108,5 @@ class FlowControlScheme:
         explicit credit message carrying ``pending_credit_return``."""
         return False
 
-    # ------------------------------------------------------------------
-    # introspection (used by repro.check)
-    # ------------------------------------------------------------------
-    def credit_pool_size(self, conn: "Connection") -> "int | None":
-        """The total number of credit tokens the ``conn`` receiver side
-        currently backs — the conserved quantity the runtime auditor
-        balances its ledger against.  ``None`` when the scheme runs no
-        MPI-level credit machinery."""
-        return conn.prepost_target if self.uses_credits else None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__}>"

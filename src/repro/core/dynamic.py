@@ -108,14 +108,6 @@ class DynamicScheme(StaticScheme):
             grown = self._maybe_decay(conn, header)
         return grown
 
-    def credit_pool_size(self, conn: "Connection") -> int:
-        """Dynamic scheme: the pool follows ``prepost_target``.  Growth
-        mints ``delta`` new credits *atomically* with raising the target
-        (paper §4.3 step 3), so the conservation ledger stays balanced at
-        every instant; decay shrinks only the target, with the surplus
-        swallowed as buffers cycle (see :meth:`_maybe_decay`)."""
-        return conn.prepost_target
-
     def _maybe_decay(self, conn: "Connection", header: "Header") -> int:
         """Future-work extension: shrink after a long quiet streak.
 

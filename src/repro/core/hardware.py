@@ -66,9 +66,3 @@ class HardwareScheme(FlowControlScheme):
 
     def should_send_ecm(self, conn: "Connection") -> bool:
         return False
-
-    def credit_pool_size(self, conn: "Connection") -> None:
-        """No MPI-level credit tokens exist; the runtime auditor skips
-        credit-conservation checks and relies on the QP structural audit
-        (RNR NAK + retry is the only flow control — paper §4.1)."""
-        return None

@@ -89,8 +89,3 @@ class RdmaEagerScheme(FlowControlScheme):
         # handles everything before then.
         floor = max(1, conn.prepost_target - self.reclaim_watermark)
         return conn.pending_credit_return >= floor
-
-    def credit_pool_size(self, conn: "Connection") -> int:
-        """One token per ring slot: the pool is the ring size fixed at
-        connect time — slots circulate, they are never minted."""
-        return conn.prepost_target

@@ -69,9 +69,3 @@ class StaticScheme(FlowControlScheme):
         # rendezvous fallback's handshake (§4.2) — which is why the
         # fallback must pipeline (see Endpoint._drain).
         return conn.pending_credit_return >= self.ecm_threshold
-
-    def credit_pool_size(self, conn: "Connection") -> int:
-        """Static scheme: the credit pool is exactly the fixed pre-post
-        budget chosen at MPI_Init (paper §4.2) — credits circulate
-        between sender, wire and receiver but are never minted."""
-        return conn.prepost_target

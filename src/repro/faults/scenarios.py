@@ -64,6 +64,7 @@ from typing import Callable, Dict, Generator, Iterable, Optional
 
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
+from repro.congestion.config import DROP_RETRY_TIMEOUT_NS
 from repro.faults.plan import FaultPlan
 from repro.sim.units import to_us, us
 from repro.workloads.microbench import manyflows_program
@@ -249,10 +250,8 @@ def _cm_chaos_kwargs(seed: int) -> Dict:
 
 def _congestion_plan(seed: int) -> FaultPlan:
     # No fault events — the plan only arms the transport ACK-timeout retry
-    # (so tail-dropped packets are recovered) with a timeout far above any
-    # queueing delay these scenarios produce; the default 200 us timeout
-    # would fire spuriously while messages sit in paused switch queues.
-    return FaultPlan(seed=seed, transport_timeout_ns=us(20_000))
+    # up front, with the same timeout a congestion drop would arm.
+    return FaultPlan(seed=seed, transport_timeout_ns=DROP_RETRY_TIMEOUT_NS)
 
 
 def _incast_flows():

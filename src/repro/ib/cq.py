@@ -56,9 +56,6 @@ class CompletionQueue:
             return out
         return [self._entries.popleft() for _ in range(max_entries)]
 
-    def poll_one(self) -> Optional[WC]:
-        return self._entries.popleft() if self._entries else None
-
     def wait_nonempty(self) -> Signal:
         """Return a signal that fires when the CQ has (or already has) an
         entry.  Each call arms a fresh signal, so the usual loop is::

@@ -36,67 +36,36 @@ class FabricError(RuntimeError):
     pass
 
 
-class _DeliveryTrain:
-    """Burst-batched data deliveries to one destination LID.
+class _Train:
+    """Burst-batched deliveries to one destination LID.
 
-    The fabric still assigns every in-flight message its exact
+    The fabric still assigns every in-flight packet its exact
     ``(arrival, seq)`` key at transmit time, but only the *head* of this
-    FIFO occupies an agenda entry; when it fires, the next message re-arms
+    FIFO occupies an agenda entry; when it fires, the next packet re-arms
     the agenda under its own original key.  Execution is therefore
-    bit-identical to scheduling each message individually — same events,
+    bit-identical to scheduling each packet individually — same events,
     same count, same ``(time, seq)`` order — while agenda occupancy per
-    destination drops from one entry per in-flight message to one per
-    train.  Messages whose arrival would break the FIFO's monotonicity
-    (a fault window adding latency, loopback traffic interleaved with
-    switched traffic) split the burst and take a direct agenda entry
-    instead (see :meth:`Fabric.transmit`).
+    destination drops from one entry per in-flight packet to one per
+    train.  Packets whose arrival would break the FIFO's monotonicity
+    (a fault window adding latency, fat-tree hop-count differences)
+    split the burst and take a direct agenda entry instead.  Each LID has
+    one train for data messages and one for control packets
+    (ACK/NAK/credit), whose latencies differ.
     """
-
-    __slots__ = ("sim", "deliver", "q", "fire")
-
-    def __init__(self, sim: Simulator, deliver: Callable):
-        self.sim = sim
-        self.deliver = deliver
-        self.q: Deque[tuple] = deque()  # (arrival, seq, message), armed iff non-empty
-        self.fire = self._fire  # prebound: re-armed once per delivery
-
-    def _fire(self) -> None:
-        q = self.q
-        message = q.popleft()[2]
-        # Re-arm before delivering: the delivery callback can transmit new
-        # messages, and the armed-iff-non-empty invariant must hold then.
-        if q:
-            head = q[0]
-            t = head[0]
-            sim = self.sim
-            entry = (t, head[1], self.fire, ())
-            idx = t >> _SHIFT
-            if idx <= sim._cur:
-                insort(sim._active, entry, sim._head)
-                sim._count += 1
-            elif idx < sim._limit:
-                sim._buckets[idx & _MASK].append(entry)
-                sim._count += 1
-            else:
-                heappush(sim._over, entry)
-        self.deliver(message)
-
-
-class _ControlTrain:
-    """Burst-batched control deliveries (ACK/NAK/credit) to one LID —
-    same original-key re-arming scheme as :class:`_DeliveryTrain`, but
-    each queued packet carries its own callback."""
 
     __slots__ = ("sim", "q", "fire")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.q: Deque[tuple] = deque()  # (arrival, seq, callback, args)
-        self.fire = self._fire
+        #: (arrival, seq, callback, args), armed iff non-empty
+        self.q: Deque[tuple] = deque()
+        self.fire = self._fire  # prebound: re-armed once per delivery
 
     def _fire(self) -> None:
         q = self.q
         _, _, callback, args = q.popleft()
+        # Re-arm before delivering: the delivery callback can transmit new
+        # packets, and the armed-iff-non-empty invariant must hold then.
         if q:
             head = q[0]
             t = head[0]
@@ -115,28 +84,42 @@ class _ControlTrain:
 
 
 class Fabric:
-    """Single-switch IBA subnet with per-link FIFO contention."""
+    """Single-switch IBA subnet with per-link FIFO contention.
+
+    Also the one implementation of link reservation and control-path
+    latency for multi-switch topologies: a subclass supplies
+    :meth:`path_links` (the interior links between the two host access
+    links) and the per-message :attr:`_route` hook; a crossbar is the
+    topology whose interior path is always empty.
+    """
+
+    #: Per-message routing hook ``(src_lid, dst_lid) -> interior links`` of
+    #: topologies that have switch-to-switch links.  ``None`` on the
+    #: crossbar, so its hot paths pay one identity check and no call.
+    _route: Optional[Callable[[int, int], tuple]] = None
 
     def __init__(self, sim: Simulator, config: IBConfig, tracer: Optional[Tracer] = None):
         self.sim = sim
         self.config = config
         self.tracer = tracer or Tracer(enabled=False)
-        # busy_until per unidirectional link, keyed by LID
+        # busy_until per unidirectional host link, keyed by LID, and per
+        # interior link, keyed as path_links() names it
         self._up_busy: Dict[int, int] = {}
         self._down_busy: Dict[int, int] = {}
+        self._link_busy: Dict[tuple, int] = {}
         self._lids: Dict[int, Any] = {}  # lid -> HCA (deliver target)
         self._deliver_cb: Dict[int, Callable] = {}  # lid -> HCA._deliver, prebound
         # Per-destination burst trains: one armed agenda entry per train
-        # instead of one per in-flight message (see _DeliveryTrain).
-        self._trains: Dict[int, _DeliveryTrain] = {}
-        self._ctrains: Dict[int, _ControlTrain] = {}
+        # instead of one per in-flight packet (see _Train).
+        self._trains: Dict[int, _Train] = {}
+        self._ctrains: Dict[int, _Train] = {}
         # Per-size timing caches.  A fabric is built per job from a frozen
         # view of the config (nothing mutates IBConfig once traffic flows),
         # and real workloads reuse a handful of message sizes thousands of
         # times, so (wire bytes, serialisation ns) become one dict hit.
         self._ser_cache: Dict[int, tuple] = {}  # payload -> (wire, ser)
         self._lo_cache: Dict[int, int] = {}  # payload -> loopback ser
-        self._ctrl_remote_ns: Optional[int] = None
+        self._ctrl_ser_ns: Optional[int] = None
         #: Optional :class:`repro.faults.injector.FabricFaultState`.  Left
         #: ``None`` on healthy runs so the hot path pays one identity check.
         self.fault = None
@@ -161,8 +144,8 @@ class Fabric:
             raise FabricError(f"LID {lid} already attached")
         self._lids[lid] = hca
         self._deliver_cb[lid] = hca._deliver
-        self._trains[lid] = _DeliveryTrain(self.sim, hca._deliver)
-        self._ctrains[lid] = _ControlTrain(self.sim)
+        self._trains[lid] = _Train(self.sim)
+        self._ctrains[lid] = _Train(self.sim)
         self._up_busy[lid] = 0
         self._down_busy[lid] = 0
 
@@ -172,57 +155,15 @@ class Fabric:
         except KeyError:
             raise FabricError(f"no HCA at LID {lid}") from None
 
+    def path_links(self, src_lid: int, dst_lid: int) -> tuple:
+        """The interior (switch-to-switch) links a ``src→dst`` message
+        traverses, as stable keys in traversal order; host access links
+        are not included.  Always empty on a single crossbar."""
+        return ()
+
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
-    def _schedule_delivery(self, at: int, callback: Callable, arg: Any) -> None:
-        """``sim.call_at(at, callback, arg)`` open-coded against the kernel
-        internals — every message and every control packet passes through
-        here, and the call frame + ``*args`` packing were measurable.
-        ``at`` is already integral and ``>= now`` by construction."""
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        if at == sim.now:
-            sim._now_q.append((seq, callback, (arg,)))
-            return
-        idx = at >> _SHIFT
-        if idx <= sim._cur:
-            insort(sim._active, (at, seq, callback, (arg,)), sim._head)
-            sim._count += 1
-        elif idx < sim._limit:
-            sim._buckets[idx & _MASK].append((at, seq, callback, (arg,)))
-            sim._count += 1
-        else:
-            heappush(sim._over, (at, seq, callback, (arg,)))
-
-    def _enqueue_data(self, dst_lid: int, arrival: int, message: Any) -> None:
-        """Hand a data message to ``dst_lid``'s delivery train (or split
-        the burst with a direct agenda entry when ``arrival`` breaks the
-        train's FIFO monotonicity).  The message's ``(arrival, seq)`` key
-        is fixed here, at transmit time, whichever path it takes."""
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        train = self._trains[dst_lid]
-        q = train.q
-        if q:
-            if arrival >= q[-1][0]:
-                q.append((arrival, seq, message))
-                return
-            # burst split: out-of-order arrival goes straight to the agenda
-            entry = (arrival, seq, train.deliver, (message,))
-        else:
-            q.append((arrival, seq, message))
-            entry = (arrival, seq, train.fire, ())
-        idx = arrival >> _SHIFT
-        if idx <= sim._cur:
-            insort(sim._active, entry, sim._head)
-            sim._count += 1
-        elif idx < sim._limit:
-            sim._buckets[idx & _MASK].append(entry)
-            sim._count += 1
-        else:
-            heappush(sim._over, entry)
-
     def transmit(self, src_lid: int, dst_lid: int, payload_bytes: int, message: Any) -> int:
         """Inject a message; returns (and schedules delivery at) the arrival
         time of its last byte at the destination HCA.
@@ -233,7 +174,8 @@ class Fabric:
         cfg = self.config
         if dst_lid not in self._lids:
             raise FabricError(f"no HCA at LID {dst_lid}")
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         self.messages_sent += 1
         self.payload_bytes += max(0, payload_bytes)
 
@@ -244,7 +186,7 @@ class Fabric:
                 ser = transfer_ns(cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
                 self._lo_cache[payload_bytes] = ser
             arrival = now + cfg.loopback_ns + ser
-            self._enqueue_data(dst_lid, arrival, message)
+            sim.call_at(arrival, self._deliver_cb[dst_lid], message)
             return arrival
 
         extra = 0
@@ -266,43 +208,54 @@ class Fabric:
         self.wire_bytes += wire
         if scale:
             ser = max(1, int(ser * scale))  # degraded-link serialisation
+        route = self._route
+        links = route(src_lid, dst_lid) if route is not None else ()
 
         cong = self.congestion
         if cong is not None:
-            # Congested path: per-egress-port queues own the timing from
-            # here (store-and-forward, pause frames, ECN).  Delivery comes
-            # back through _enqueue_data when the last port drains.
+            # Congested path: per-egress-port queues (one PortQueue per
+            # port, however many routes share it) own the timing from
+            # here — store-and-forward, pause frames, ECN — and schedule
+            # the delivery themselves when the last port drains.
             cong.inject(src_lid, dst_lid, wire, ser, message, extra)
             self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
                                payload_bytes, -1)
             return now
 
         # host -> switch link (FIFO)
-        start_up = max(now, self._up_busy[src_lid])
-        self._up_busy[src_lid] = start_up + ser
-        head_at_output = start_up + cfg.link_prop_ns + cfg.switch_delay_ns
+        hop_ns = cfg.link_prop_ns + cfg.switch_delay_ns
+        start = max(now, self._up_busy[src_lid])
+        self._up_busy[src_lid] = start + ser
+        head = start + hop_ns
 
-        # switch -> host link (FIFO, cut-through from head arrival)
-        start_down = max(head_at_output, self._down_busy[dst_lid])
-        self._down_busy[dst_lid] = start_down + ser
+        # interior links (FIFO, cut-through from head arrival)
+        busy = self._link_busy
+        for link in links:
+            start = max(head, busy.get(link, 0))
+            busy[link] = start + ser
+            head = start + hop_ns
 
-        arrival = start_down + ser + cfg.link_prop_ns + extra
-        # Open-coded _enqueue_data (this is the per-message hot path).
-        # Switched arrivals to one LID are monotone by construction —
-        # _down_busy[dst] is FIFO — so the common case is a plain append
-        # onto the armed train; only fault-window ``extra`` latency or a
-        # loopback/switched mix ever splits the burst.
-        sim = self.sim
+        # switch -> host link
+        start = max(head, self._down_busy[dst_lid])
+        self._down_busy[dst_lid] = start + ser
+
+        arrival = start + ser + cfg.link_prop_ns + extra
+        # The message's (arrival, seq) key is fixed here, whichever way it
+        # reaches the agenda.  Switched arrivals to one LID are monotone
+        # by construction — _down_busy[dst] is FIFO — so the common case
+        # is a plain append onto the armed train; only fault-window
+        # ``extra`` latency ever splits the burst with a direct entry.
         seq = sim._seq = sim._seq + 1
+        item = (arrival, seq, self._deliver_cb[dst_lid], (message,))
         train = self._trains[dst_lid]
         q = train.q
         if q and arrival >= q[-1][0]:
-            q.append((arrival, seq, message))
+            q.append(item)
         else:
             if q:
-                entry = (arrival, seq, train.deliver, (message,))
+                entry = item  # burst split: straight to the agenda
             else:
-                q.append((arrival, seq, message))
+                q.append(item)
                 entry = (arrival, seq, train.fire, ())
             idx = arrival >> _SHIFT
             if idx <= sim._cur:
@@ -324,11 +277,12 @@ class Fabric:
         cfg = self.config
         if src_lid == dst_lid:
             return cfg.loopback_ns
-        ns = self._ctrl_remote_ns
-        if ns is None:
-            ser = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
-            ns = self._ctrl_remote_ns = 2 * cfg.link_prop_ns + cfg.switch_delay_ns + ser
-        return ns
+        ser = self._ctrl_ser_ns
+        if ser is None:
+            ser = self._ctrl_ser_ns = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
+        # switches on the path: one more than the interior link count
+        hops = 1 if self._route is None else 1 + len(self.path_links(src_lid, dst_lid))
+        return (hops + 1) * cfg.link_prop_ns + hops * cfg.switch_delay_ns + ser
 
     def send_control(
         self, src_lid: int, dst_lid: int, callback: Callable, *args: Any
@@ -352,15 +306,16 @@ class Fabric:
         if arrival == sim.now:
             sim._now_q.append((seq, callback, args))
             return arrival
+        item = (arrival, seq, callback, args)
         train = self._ctrains[dst_lid]
         q = train.q
         if q and arrival >= q[-1][0]:
-            q.append((arrival, seq, callback, args))
+            q.append(item)
             return arrival
         if q:
-            entry = (arrival, seq, callback, args)
+            entry = item  # burst split: straight to the agenda
         else:
-            q.append((arrival, seq, callback, args))
+            q.append(item)
             entry = (arrival, seq, train.fire, ())
         idx = arrival >> _SHIFT
         if idx <= sim._cur:
@@ -372,13 +327,6 @@ class Fabric:
         else:
             heappush(sim._over, entry)
         return arrival
-
-    def idle(self) -> bool:
-        """True when no link reservation extends past the current time."""
-        now = self.sim.now
-        return all(b <= now for b in self._up_busy.values()) and all(
-            b <= now for b in self._down_busy.values()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Fabric lids={sorted(self._lids)} msgs={self.messages_sent}>"

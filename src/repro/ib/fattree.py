@@ -20,10 +20,12 @@ the destination pod on the way down — the same index, so the route is
 symmetric about the core) and the core is ``dst_lid % cores``.  All
 choices depend only on the destination, so every flow stays ordered.
 
-Every traversed link carries FIFO busy-until contention; switch hops add
-pipeline latency.  :meth:`path_links` enumerates the interior links of a
-path as stable keys — the congestion subsystem keys its egress-port
-queues on them, and ``link_msgs`` counts per-link data messages for hop
+This class is topology arithmetic and counters only.  The timing model
+is :class:`~repro.ib.fabric.Fabric`'s: every traversed link carries FIFO
+busy-until contention and every switch hop adds pipeline latency, over
+whatever :meth:`path_links` enumerates — the interior links of a path as
+stable keys.  The congestion subsystem keys its egress-port queues on
+the same keys, and ``link_msgs`` counts per-link data messages for hop
 accounting (``tests/test_fattree_property.py``).
 
 This keeps every transport/MPI layer byte-for-byte identical — only path
@@ -34,13 +36,12 @@ on big simulated clusters unchanged (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ib.fabric import Fabric, FabricError
 from repro.ib.types import IBConfig
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
-from repro.sim.units import transfer_ns
 
 #: Interior-link keys (see :meth:`FatTreeFabric.path_links`):
 #: ``("up", leaf, spine)`` leaf→spine, ``("sdown", spine, leaf)``
@@ -82,8 +83,6 @@ class FatTreeFabric(Fabric):
         self.levels = levels
         self.pod_leaves = pod_leaves
         self.cores = cores
-        #: busy-until horizon per interior unidirectional link
-        self._link_busy: Dict[LinkKey, int] = {}
         #: (src, dst) -> interior link tuple, memoized (paths are static)
         self._path_cache: Dict[Tuple[int, int], tuple] = {}
         # observability
@@ -143,87 +142,18 @@ class FatTreeFabric(Fabric):
             ("sdown", s_dst, dst_leaf),
         )
 
-    # ------------------------------------------------------------------
-    def transmit(self, src_lid: int, dst_lid: int, payload_bytes: int, message: Any) -> int:
-        cfg = self.config
-        if dst_lid not in self._lids:
-            raise FabricError(f"no HCA at LID {dst_lid}")
-        now = self.sim.now
-        self.messages_sent += 1
-        self.payload_bytes += max(0, payload_bytes)
-
-        if src_lid == dst_lid:
-            ser = transfer_ns(cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
-            arrival = now + cfg.loopback_ns + ser
-            self._enqueue_data(dst_lid, arrival, message)
-            return arrival
-
-        extra = 0
-        fault = self.fault
-        if fault is not None:
-            verdict = fault.on_data(src_lid, dst_lid, payload_bytes)
-            if verdict is None:
-                return now  # lost on the wire
-            extra, scale = verdict
-        else:
-            scale = 0
-
-        wire = cfg.wire_bytes(payload_bytes)
-        self.wire_bytes += wire
-        ser = transfer_ns(wire, cfg.effective_bytes_per_ns())
-        if scale:
-            ser = max(1, int(ser * scale))
+    def _route(self, src_lid: int, dst_lid: int) -> tuple:
+        """:meth:`Fabric.transmit`'s per-message hook: the interior links
+        of the route, with the message counted on every link it takes."""
         links = self.path_links(src_lid, dst_lid)
+        lm = self.link_msgs
+        for link in (("hup", src_lid), *links, ("down", dst_lid)):
+            lm[link] = lm.get(link, 0) + 1
         if links:
             self.cross_leaf_msgs += 1
             if len(links) == 4:
                 self.cross_pod_msgs += 1
-
-        cong = self.congestion
-        if cong is not None:
-            # Congested path: the shared interior egress queues (one
-            # PortQueue per port, however many routes share it) own the
-            # timing; see repro.congestion.switch.
-            cong.inject(src_lid, dst_lid, wire, ser, message, extra)
-            self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
-                               payload_bytes, -1)
-            return now
-
-        lm = self.link_msgs
-        lm[("hup", src_lid)] = lm.get(("hup", src_lid), 0) + 1
-        # host -> leaf
-        start = max(now, self._up_busy[src_lid])
-        self._up_busy[src_lid] = start + ser
-        head = start + cfg.link_prop_ns + cfg.switch_delay_ns
-
-        # interior tiers (leaf->spine[->core->spine]->leaf)
-        busy = self._link_busy
-        hop_ns = cfg.link_prop_ns + cfg.switch_delay_ns
-        for link in links:
-            t = max(head, busy.get(link, 0))
-            busy[link] = t + ser
-            lm[link] = lm.get(link, 0) + 1
-            head = t + hop_ns
-
-        # leaf -> host
-        lm[("down", dst_lid)] = lm.get(("down", dst_lid), 0) + 1
-        start_down = max(head, self._down_busy[dst_lid])
-        self._down_busy[dst_lid] = start_down + ser
-        arrival = start_down + ser + cfg.link_prop_ns + extra
-        self._enqueue_data(dst_lid, arrival, message)
-        self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
-        return arrival
-
-    # ------------------------------------------------------------------
-    def control_path_ns(self, src_lid: int, dst_lid: int) -> int:
-        cfg = self.config
-        if src_lid == dst_lid:
-            return cfg.loopback_ns
-        ser = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
-        # switches on the path: 1 same-leaf, 3 through a spine, 5 through
-        # a core — one more than the interior link count
-        hops = 1 + len(self.path_links(src_lid, dst_lid))
-        return (hops + 1) * cfg.link_prop_ns + hops * cfg.switch_delay_ns + ser
+        return links
 
     def __repr__(self) -> str:  # pragma: no cover
         shape = f"leaf_ports={self.leaf_ports} spines={self.spines}"

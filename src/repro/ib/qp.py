@@ -399,7 +399,8 @@ class QueuePair:
         self.hca._kick(self)
 
     # ------------------------------------------------------------------
-    # requester: transport (ACK timeout) retries — fault mode only
+    # requester: transport (ACK timeout) retries — armed by a fault plan or
+    # by the first congestion drop
     # ------------------------------------------------------------------
     def enable_transport_retry(self, timeout_ns: int, retry_limit: int) -> None:
         """Arm the RC local-ACK-timeout timer (used by ``repro.faults``
@@ -411,6 +412,19 @@ class QueuePair:
         self._xport_timeout_ns = int(timeout_ns)
         self._xport_limit = retry_limit
         self.reack_stale = True
+
+    def on_wire_loss(self, timeout_ns: int) -> None:
+        """The fabric dropped one of this QP's requests (congestion tail
+        drop): nothing will ever acknowledge it, so the ACK timeout must
+        be running.  A QP some fault plan already armed keeps its own
+        settings; otherwise arm with ``timeout_ns`` and no retry limit."""
+        if not self._xport_enabled:
+            self.enable_transport_retry(timeout_ns, INFINITE_RETRY)
+        if self._xport_timer is None and self._inflight:
+            self._xport_seen = self._xport_acks
+            self._xport_timer = self.hca.sim.schedule(
+                self._xport_timeout_ns, self._xport_expire
+            )
 
     def _xport_expire(self) -> None:
         self._xport_timer = None

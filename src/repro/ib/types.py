@@ -127,8 +127,6 @@ class IBConfig:
     hca_send_wqe_ns: int = 2700  # doorbell + WQE fetch + processing
     hca_recv_wqe_ns: int = 2500  # WQE consume + CQE generation
     hca_rdma_rx_ns: int = 1500  # inbound RDMA write: DMA placement only
-    ack_gen_ns: int = 200
-    ack_proc_ns: int = 200
     loopback_ns: int = 250  # same-HCA QP-to-QP path (two ranks per node)
 
     # --- reliability ---------------------------------------------------
@@ -188,15 +186,3 @@ class IBConfig:
     def deregistration_ns(self, nbytes: int) -> int:
         pages = max(1, -(-nbytes // self.page_bytes))
         return self.dereg_base_ns + pages * (self.reg_per_page_ns // 4)
-
-
-@dataclass(slots=True)
-class PathTimes:
-    """Pre-computed fixed latencies for a fabric path (derived from
-    :class:`IBConfig` by the fabric builder; kept separate so multi-switch
-    topologies can extend it)."""
-
-    fixed_ns: int = 0  # propagation + switching, head latency
-    ack_path_ns: int = 0  # full ACK/NAK return path incl. generation
-    hops: int = 2
-    loopback: bool = False

@@ -44,9 +44,6 @@ class MPIConfig:
     memcpy_bytes_per_ns:
         Host memcpy bandwidth for the two eager copies (user buffer ↔
         vbuf); ~2 GB/s for the testbed's Xeons.
-    rndv_min_bytes:
-        Messages at or above this go through rendezvous even when credits
-        are plentiful (equals the eager payload limit by default).
     """
 
     vbuf_bytes: int = 2048
@@ -57,7 +54,6 @@ class MPIConfig:
     poll_overhead_ns: int = 250
     header_proc_ns: int = 150
     memcpy_bytes_per_ns: float = 2.0
-    rndv_min_bytes: int = 0  # 0 → use eager_max()
 
     # --- RDMA-based eager channel (the companion design, [13]) ----------
     #: route eager data through per-connection RDMA rings instead of
@@ -75,10 +71,6 @@ class MPIConfig:
     def eager_max(self) -> int:
         """Largest payload that fits an eager vbuf."""
         return self.vbuf_bytes - self.header_bytes
-
-    def rndv_threshold(self) -> int:
-        """Payload size at which the rendezvous protocol takes over."""
-        return self.rndv_min_bytes or self.eager_max()
 
     def copy_ns(self, nbytes: int) -> int:
         """Duration of one host memcpy of ``nbytes`` (memoized — this sits

@@ -119,6 +119,8 @@ class Endpoint:
         # progress hot path yields these thousands of times per run)
         self._t_call = Timeout(config.call_overhead_ns)
         self._t_poll = Timeout(config.poll_overhead_ns)
+        #: largest eager payload; anything bigger goes through rendezvous
+        self._eager_max = config.eager_max()
         #: runtime invariant auditor (repro.check); None = disabled, and
         #: every hook site below is guarded so the disabled cost is one
         #: attribute load + None test.
@@ -216,7 +218,7 @@ class Endpoint:
         self._check_peer(dest)
         if size < 0:
             raise MPIError(f"negative message size {size}")
-        req = Request(self.sim, "send")
+        req = Request("send")
         if self._ft is not None:
             if self._ft.fail_if_dead(self, req, dest):
                 return req
@@ -239,8 +241,7 @@ class Endpoint:
         if req.done:  # dest declared dead while this call was parked
             return req
 
-        cfg = self.config
-        if mode != "sync" and size <= (cfg.rndv_min_bytes or cfg.vbuf_bytes - cfg.header_bytes):
+        if mode != "sync" and size <= self._eager_max:
             header = Header(
                 kind=MsgKind.EAGER,
                 src=self.rank,
@@ -279,7 +280,7 @@ class Endpoint:
             # the CTS proves the receive is matched).  Small synchronous
             # payloads ride the pre-registered bounce region instead of
             # paying a pin.
-            bounce = size <= self.config.eager_max()
+            bounce = size <= self._eager_max
             if bounce:
                 mr, pin_cost = None, 0
             else:
@@ -354,7 +355,7 @@ class Endpoint:
         """Non-blocking receive; returns a :class:`Request`."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        req = Request(self.sim, "recv")
+        req = Request("recv")
         if (
             self._ft is not None
             and source != ANY_SOURCE
@@ -1419,7 +1420,7 @@ class Endpoint:
     # ------------------------------------------------------------------
     def _rndv_recv_start(self, h: Header, posted: PostedRecv) -> int:
         conn = self.connections[h.src]
-        bounce = h.size <= self.config.eager_max()
+        bounce = h.size <= self._eager_max
         cost = 0
         if bounce:
             mr = self.bounce.mr

@@ -39,24 +39,6 @@ class MsgKind(enum.Enum):
 UNEXPECTED_KINDS = frozenset({MsgKind.EAGER, MsgKind.RNDV_RTS})
 
 
-@dataclass
-class Envelope:
-    """The MPI matching triple."""
-
-    src: int
-    tag: int
-    context: int
-
-    def matches(self, source: int, tag: int, context: int) -> bool:
-        if context != self.context:
-            return False
-        if source != ANY_SOURCE and source != self.src:
-            return False
-        if tag != ANY_TAG and tag != self.tag:
-            return False
-        return True
-
-
 @dataclass(slots=True)
 class Header:
     """Protocol header occupying ``MPIConfig.header_bytes`` on the wire.
@@ -91,13 +73,9 @@ class Header:
     # --- payload (opaque; only eager carries data in the header's vbuf) --
     payload: Any = None
 
-    @property
-    def envelope(self) -> Envelope:
-        return Envelope(self.src, self.tag, self.context)
-
     def matches(self, source: int, tag: int, context: int) -> bool:
-        """Envelope match without materialising an :class:`Envelope` —
-        the matching engine calls this once per scanned queue entry."""
+        """Match against the MPI envelope triple — the matching engine
+        calls this once per scanned queue entry."""
         if context != self.context:
             return False
         if source != ANY_SOURCE and source != self.src:
@@ -105,12 +83,6 @@ class Header:
         if tag != ANY_TAG and tag != self.tag:
             return False
         return True
-
-    def wire_payload_bytes(self, header_bytes: int) -> int:
-        """Bytes this message occupies on the wire (header + eager body)."""
-        if self.kind is MsgKind.EAGER:
-            return header_bytes + self.size
-        return header_bytes
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

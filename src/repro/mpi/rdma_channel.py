@@ -20,8 +20,9 @@ sender to switch (a RING_RESIZE control message); messages in flight to
 the old ring drain by sequence number.
 
 Simulation note: the receiver's memory polling is modelled by a one-shot
-signal fired when an RDMA-written message becomes visible — equivalent to
-a sub-microsecond spin loop without flooding the event queue.
+signal (owned by the endpoint) fired when an RDMA-written message becomes
+visible — equivalent to a sub-microsecond spin loop without flooding the
+event queue.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import heapq
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.ib.mr import MemoryRegion
-from repro.sim import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
@@ -87,31 +87,16 @@ def slot_message_ready(slot: bytes) -> bool:
     return len(slot) > tail and slot[tail] == SLOT_TAIL_FLAG
 
 
-def tail_byte_poll(payload: bytes) -> bool:
-    """The legacy detection the two-flag layout replaces: spin on the
-    payload's trailing byte becoming non-zero.  Kept only so the
-    regression test can demonstrate the miss — a zero-length message has
-    no trailing byte and a payload ending in ``\\x00`` never reads as
-    arrived."""
-    return bool(payload) and payload[-1] != 0
-
-
 class RingBuffer:
     """One generation of a connection's receive ring."""
 
-    __slots__ = ("mr", "slots", "slot_bytes", "next_slot", "generation")
+    __slots__ = ("mr", "slots", "slot_bytes", "generation")
 
     def __init__(self, mr: MemoryRegion, slots: int, slot_bytes: int, generation: int):
         self.mr = mr
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self.next_slot = 0
         self.generation = generation
-
-    def next_addr(self) -> int:
-        addr = self.mr.addr + self.next_slot * self.slot_bytes
-        self.next_slot = (self.next_slot + 1) % self.slots
-        return addr
 
 
 class RDMAChannel:
@@ -130,13 +115,10 @@ class RDMAChannel:
         #: arrived-but-unprocessed headers, ordered by sequence number (two
         #: ring generations can be in flight during a resize)
         self._arrived: List[Tuple[int, "Header"]] = []
-        self._notify: Optional[Signal] = None
         # observability
         self.messages = 0
         self.resizes = 0
         self.reestablishments = 0
-        #: arrivals the replaced tail-byte poll would never have seen
-        self.tail_poll_misses = 0
 
     def _allocate(self, slots: int) -> RingBuffer:
         mr = self.endpoint.hca.reg_mr(max(1, slots) * self.slot_bytes)
@@ -150,13 +132,9 @@ class RDMAChannel:
     def deposit(self, header: "Header") -> None:
         """An RDMA-written eager message became visible in some slot (the
         simulator routes it here from the MR landing)."""
-        # Detect the arrival through the two-flag slot image; record when
-        # the replaced tail-byte poll would have spun forever instead.
-        slot = encode_slot(header)
-        if not slot_message_ready(slot):  # pragma: no cover - layout is total
+        # Detect the arrival through the two-flag slot image.
+        if not slot_message_ready(encode_slot(header)):  # pragma: no cover - layout is total
             raise RuntimeError(f"ring slot arrival not detectable: {header!r}")
-        if not tail_byte_poll(_payload_bytes(header)):
-            self.tail_poll_misses += 1
         heapq.heappush(self._arrived, (header.seq, header))
         self.messages += 1
         aud = self.endpoint._audit
@@ -174,17 +152,6 @@ class RDMAChannel:
     def poll_peek(self, expected_seq: int) -> bool:
         """Would :meth:`poll` return a header right now?"""
         return bool(self._arrived) and self._arrived[0][0] == expected_seq
-
-    def wait_signal(self) -> Signal:
-        """One-shot arrival notification (the spin-loop stand-in)."""
-        sig = Signal(f"rdmach.{self.endpoint.rank}<-{self.peer}")
-        if self._arrived:
-            sig.fire(self.endpoint.sim, None)
-        else:
-            if self._notify is not None:
-                return self._notify
-            self._notify = sig
-        return sig
 
     @property
     def has_arrivals(self) -> bool:

@@ -1,7 +1,7 @@
 """Requests and statuses — the user-visible handles of non-blocking MPI.
 
-A :class:`Request` completes at most once; waiters block on its signal via
-the endpoint's progress engine.  :class:`Status` mirrors ``MPI_Status``
+A :class:`Request` completes at most once; waiters poll :attr:`Request.done`
+from the endpoint's progress engine.  :class:`Status` mirrors ``MPI_Status``
 (source/tag/size) plus the delivered payload object, which lets tests
 verify end-to-end data integrity through both protocols.
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-from repro.sim import Signal, Simulator
 
 _req_ids = itertools.count(1)
 
@@ -50,36 +48,19 @@ class Request:
         Completion flag; once True, :attr:`status` is valid.
     """
 
-    __slots__ = ("req_id", "kind", "sim", "done", "status", "_signal")
+    __slots__ = ("req_id", "kind", "done", "status")
 
-    def __init__(self, sim: Simulator, kind: str):
+    def __init__(self, kind: str):
         self.req_id = next(_req_ids)
         self.kind = kind
-        self.sim = sim
         self.done = False
         self.status: Optional[Status] = None
-        self._signal: Optional[Signal] = None
 
     def complete(self, status: Optional[Status] = None) -> None:
         if self.done:
             raise RuntimeError(f"request {self.req_id} completed twice")
         self.done = True
         self.status = status or Status()
-        if self._signal is not None:
-            sig, self._signal = self._signal, None
-            sig.fire(self.sim, self.status)
-
-    def completion_signal(self) -> Signal:
-        """A signal that fires when (or immediately if) the request is done.
-
-        Used by ``MPI.wait`` — but note the progress engine must still run;
-        the endpoint's wait loop interleaves polling with this signal.
-        """
-        if self._signal is None:
-            self._signal = Signal(f"req{self.req_id}")
-            if self.done:
-                self._signal.fire(self.sim, self.status)
-        return self._signal
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Request {self.kind} #{self.req_id} {'done' if self.done else 'pending'}>"

@@ -61,20 +61,6 @@ def test_invariants_hold_under_receiver_stall(scheme_name):
     assert auditor.violations == []
 
 
-def test_auditor_is_dormant_by_default():
-    """Unaudited runs must not touch the auditor (the zero-cost guard)."""
-    spec = fuzz.generate_spec(5, None)
-    r = run_job(
-        fuzz.build_program(spec),
-        spec["nranks"],
-        "static",
-        prepost=spec["prepost"],
-        config=TestbedConfig(nodes=spec["nranks"]),
-    )
-    assert r.audit is None
-    assert all(ep._audit is None for ep in r.endpoints)
-
-
 def test_pool_release_counter_balances():
     spec = fuzz.generate_spec(6, None)
     r = run_job(

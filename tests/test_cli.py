@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
-
 from repro.cli import build_parser, main
 
 
@@ -47,50 +45,6 @@ def test_scaling_command(capsys):
     out = capsys.readouterr().out
     assert "on-demand" in out
     assert "full mesh" in out
-
-
-def test_perf_command_writes_and_checks_report(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_perf.json"
-    rc = main(["perf", "--workloads", "ring64", "--repeats", "1",
-               "--out", str(out_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "events/s" in out and "ring64" in out
-    report = json.loads(out_path.read_text())
-    w = report["workloads"]["ring64"]
-    assert w["events_executed"] > 0
-    assert w["events_per_sec"] > 0
-
-    # Self-comparison passes the regression gate (generous tolerance:
-    # this asserts the plumbing + determinism check, not machine speed).
-    rc = main(["perf", "--workloads", "ring64", "--repeats", "1",
-               "--out", "", "--check", str(out_path), "--tolerance", "0.95"])
-    assert rc == 0
-    assert "no regression" in capsys.readouterr().out
-
-
-def test_perf_profile_prints_hotspots(capsys):
-    rc = main(["perf", "--profile", "--workloads", "ring64"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "cProfile: ring64" in out
-    assert "cumulative" in out
-    # the event loop itself must show up in the top functions
-    assert "engine.py" in out and "(run)" in out
-
-
-def test_perf_check_fails_on_determinism_drift(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_perf.json"
-    assert main(["perf", "--workloads", "ring64", "--repeats", "1",
-                 "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    doctored = json.loads(out_path.read_text())
-    doctored["workloads"]["ring64"]["events_executed"] += 1
-    out_path.write_text(json.dumps(doctored))
-    rc = main(["perf", "--workloads", "ring64", "--repeats", "1",
-               "--out", "", "--check", str(out_path), "--tolerance", "0.95"])
-    assert rc == 1
-    assert "determinism" in capsys.readouterr().err
 
 
 def test_latency_command_parallel_workers_match_sequential(capsys):

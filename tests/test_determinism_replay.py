@@ -1,7 +1,7 @@
 """Golden-replay determinism tests.
 
-The simulator's regression story (and the perf harness in
-``benchmarks/perf/``) rests on bit-identical replay: the same workload must
+The simulator's regression story (and the performance ledger in
+``benchmarks/ledger/``) rests on bit-identical replay: the same workload must
 execute the same number of events, end at the same simulated instant, and
 produce the same tracer statistics on every run — across processes,
 machines, and kernel optimizations.  ``tests/golden/replay_golden.json``

@@ -165,15 +165,6 @@ def test_fixed_seed_is_bit_identical_and_seeds_differ():
     assert other != runs[0]
 
 
-def test_empty_plan_leaves_timing_untouched():
-    """Arming the fault machinery without any fault events must not perturb
-    the simulation: the hooks are inert until a window opens."""
-    healthy = run_job(_flood(40), 2, "static", prepost=8)
-    armed = run_job(_flood(40), 2, "static", prepost=8, faults=FaultPlan(seed=7))
-    assert armed.elapsed_ns == healthy.elapsed_ns
-    assert dataclasses.asdict(armed.fc) == dataclasses.asdict(healthy.fc)
-
-
 def test_link_flap_recovers_via_transport_replay():
     plan = (FaultPlan(seed=5)
             .link_flap(lid=1, at_ns=us(20), duration_ns=us(150)))

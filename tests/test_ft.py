@@ -336,34 +336,3 @@ def test_rank_death_plan_spec_roundtrip():
     ev = again.events[0]
     assert ev.kind == "rank_death" and ev.rank == VICTIM
     assert ev.at_ns == us(40)
-
-
-# ----------------------------------------------------------------------
-# inertness: disabled == bit-identical to the pre-ft fabric
-# ----------------------------------------------------------------------
-def test_ft_disabled_is_bit_identity_inert():
-    def run_plain():
-        return run_job(_rank_death_program(4, VICTIM), 4, "dynamic", 8)
-
-    # the program "as written" (no death): victim receives and replies
-    before_armed = run_plain()
-    armed = run_job(_rank_death_program(4, VICTIM), 4, "dynamic", 8,
-                    faults=_death_plan(), audit=True, ft=True)
-    assert armed.failures and armed.ft is not None
-    after = run_plain()
-    assert after.ft is None
-    assert after.elapsed_ns == before_armed.elapsed_ns
-    assert after.rank_finish_ns == before_armed.rank_finish_ns
-    assert json.dumps(after.fc_dict(), sort_keys=True) == \
-        json.dumps(before_armed.fc_dict(), sort_keys=True)
-
-
-def test_cm_chaos_unarmed_is_bit_identity_inert():
-    before = _cm_chaos_job(0)
-    chaotic = _cm_chaos_job(0, loss_prob=0.9, delay_ns=us(100), seed=3)
-    after = _cm_chaos_job(0)
-    assert before.completed and chaotic.completed and after.completed
-    assert after.elapsed_ns == before.elapsed_ns
-    assert json.dumps(after.fc_dict(), sort_keys=True) == \
-        json.dumps(before.fc_dict(), sort_keys=True)
-    assert chaotic.elapsed_ns > before.elapsed_ns  # proof it engaged

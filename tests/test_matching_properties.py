@@ -11,7 +11,6 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.request import Request
-from repro.sim import Simulator
 
 
 class ReferenceModel:
@@ -72,7 +71,6 @@ ops_strategy = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(ops=ops_strategy)
 def test_matching_engine_equals_reference(ops):
-    sim = Simulator()
     engine = MatchingEngine()
     model = ReferenceModel()
     recv_keys = {}  # id(request) -> op key
@@ -81,7 +79,7 @@ def test_matching_engine_equals_reference(ops):
         kind = op[0]
         if kind == "post":
             _, source, tag, ctx = op
-            recv = PostedRecv(source, tag, ctx, 1 << 20, Request(sim, "recv"))
+            recv = PostedRecv(source, tag, ctx, 1 << 20, Request("recv"))
             recv_keys[id(recv.request)] = key
             got = engine.post_recv(recv)
             expected = model.post((source, tag, ctx, key))
@@ -104,12 +102,11 @@ def test_matching_engine_equals_reference(ops):
 @given(ops=ops_strategy)
 def test_unexpected_peak_monotone_bounds(ops):
     engine = MatchingEngine()
-    sim = Simulator()
     peak_seen = 0
     for key, op in enumerate(ops):
         if op[0] == "post":
             _, source, tag, ctx = op
-            engine.post_recv(PostedRecv(source, tag, ctx, 1 << 20, Request(sim, "recv")))
+            engine.post_recv(PostedRecv(source, tag, ctx, 1 << 20, Request("recv")))
         else:
             _, src, tag, ctx = op
             engine.arrived(

@@ -30,7 +30,6 @@ from repro.mpi.rdma_channel import (
     SLOT_OVERHEAD_BYTES,
     encode_slot,
     slot_message_ready,
-    tail_byte_poll,
 )
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import to_us, us
@@ -98,14 +97,12 @@ def test_slot_layout_detects_zero_length_message():
     h = _eager(0)
     slot = encode_slot(h)
     assert len(slot) == SLOT_OVERHEAD_BYTES
-    assert slot_message_ready(slot)
-    assert not tail_byte_poll(b"")  # the legacy poll spins forever
+    assert slot_message_ready(slot)  # no trailing payload byte to poll
 
 
 def test_slot_layout_detects_nul_tailed_payload():
     h = _eager(4, payload=b"ab\x00\x00")
-    assert slot_message_ready(encode_slot(h))
-    assert not tail_byte_poll(b"ab\x00\x00")  # legacy reads "not arrived"
+    assert slot_message_ready(encode_slot(h))  # a NUL tail still reads "arrived"
 
 
 def test_slot_layout_rejects_partial_write():
@@ -117,9 +114,8 @@ def test_slot_layout_rejects_partial_write():
 
 
 def test_zero_byte_and_nul_tail_deliver_over_the_ring():
-    """End-to-end regression: both adversarial shapes cross the ring, and
-    the channel records that the replaced tail-byte poll would have
-    missed them."""
+    """End-to-end regression: both shapes a trailing-byte poll would
+    miss cross the ring."""
 
     def prog(mpi):
         if mpi.rank == 0:
@@ -135,7 +131,6 @@ def test_zero_byte_and_nul_tail_deliver_over_the_ring():
                 config=TestbedConfig(nodes=2))
     ch = r.endpoints[1].connections[0].rx_channel
     assert ch.messages >= 2
-    assert ch.tail_poll_misses >= 2
 
 
 # ----------------------------------------------------------------------

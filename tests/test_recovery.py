@@ -273,22 +273,6 @@ def test_rnr_backoff_resets_after_delivery():
     assert sim.now - start < 2 * cfg.rnr_timer_ns
 
 
-# ----------------------------------------------------------------------
-# satellite: zero cost when disabled / inert when unused
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_recovery_is_inert_on_clean_runs(scheme):
-    sc = CHAOS_SCENARIOS["link-down-permanent"]  # fault-free program reuse
-    off = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                  config=TestbedConfig(nodes=sc.nranks))
-    on = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                 config=TestbedConfig(nodes=sc.nranks), recovery=True)
-    assert off.elapsed_ns == on.elapsed_ns  # bit-identical timeline
-    assert off.fc_dict() == on.fc_dict()
-    assert on.recovery.summary()["recoveries"] == 0
-    assert off.recovery is None
-
-
 def test_recovery_failures_are_deterministic():
     sc = CHAOS_SCENARIOS["link-down-permanent"]
 

@@ -41,7 +41,6 @@ from repro.mpi.request import Status
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
     from repro.ib.cq import WC
-    from repro.mpi.connection import Connection
     from repro.mpi.endpoint import Endpoint
     from repro.mpi.request import Request
 
@@ -291,7 +290,10 @@ class FTManager:
         conn = ep.connections.get(rank)
         if conn is not None:
             conn.qp.force_error()  # idempotent
-            self._drain_dead_wcs(ep, conn)
+            # un-polled flushes of the dead QP: reclaim their vbuf /
+            # posted-recv bookkeeping now (same contract as recovery)
+            for wc in ep.cq.remove_errors(conn.qp.qp_num):
+                ep._reclaim_error_wc(wc)
             for pending in conn.backlog:
                 ref = pending.request
                 req = getattr(ref, "request", ref)  # RndvSendOp carries .request
@@ -315,22 +317,6 @@ class FTManager:
             self.fail_request(ep, req, rank)
         self._rounds.pop((ep.rank, rank), None)
         self._wake(ep)
-
-    def _drain_dead_wcs(self, ep: "Endpoint", conn: "Connection") -> None:
-        """Remove the dead QP's un-polled error completions from the
-        survivor's CQ, reclaiming vbuf/posted-recv bookkeeping.  Success
-        completions stay: they are real pre-death deliveries and must be
-        processed in FIFO order (same contract as connection recovery)."""
-        from collections import deque
-
-        qpn = conn.qp.qp_num
-        kept = deque()
-        for wc in ep.cq._entries:
-            if not wc.ok and wc.qp_num == qpn:
-                ep._reclaim_error_wc(wc)
-            else:
-                kept.append(wc)
-        ep.cq._entries = kept
 
     def _wake(self, ep: "Endpoint") -> None:
         """Fire the survivor's progress-wait signals so a program parked

@@ -56,6 +56,21 @@ class CompletionQueue:
             return out
         return [self._entries.popleft() for _ in range(max_entries)]
 
+    def remove_errors(self, qp_num: int) -> List[WC]:
+        """Remove and return ``qp_num``'s un-polled error completions
+        (the flushes of a QP being re-established or severed).  Success
+        completions stay put: they are real deliveries from before the
+        fault and must still be polled in FIFO order."""
+        removed: List[WC] = []
+        kept: Deque[WC] = deque()
+        for wc in self._entries:
+            if not wc.ok and wc.qp_num == qp_num:
+                removed.append(wc)
+            else:
+                kept.append(wc)
+        self._entries = kept
+        return removed
+
     def wait_nonempty(self) -> Signal:
         """Return a signal that fires when the CQ has (or already has) an
         entry.  Each call arms a fresh signal, so the usual loop is::

@@ -70,7 +70,7 @@ def barrier(ep: "Endpoint") -> Generator:
 # ----------------------------------------------------------------------
 # broadcast: binomial tree
 # ----------------------------------------------------------------------
-def bcast(ep: "Endpoint", root: int, size_bytes: int, payload: Any = None) -> Generator:
+def bcast(ep: "Endpoint", root: int, size: int, payload: Any = None) -> Generator:
     """Binomial-tree broadcast; returns the payload at every rank."""
     P, rank = ep.world_size, ep.rank
     if P == 1:
@@ -85,7 +85,7 @@ def bcast(ep: "Endpoint", root: int, size_bytes: int, payload: Any = None) -> Ge
             mask <<= 1
         mask >>= 1
         parent = (rel - mask + root) % P
-        status = yield from ep.recv(source=parent, capacity=size_bytes, tag=tag,
+        status = yield from ep.recv(source=parent, capacity=size, tag=tag,
                                     buffer_id=("bcast", tag))
         value = status.payload
     # Send to children.
@@ -95,7 +95,7 @@ def bcast(ep: "Endpoint", root: int, size_bytes: int, payload: Any = None) -> Ge
     while mask < P:
         if rel + mask < P:
             child = (rel + mask + root) % P
-            yield from ep.send(child, size=size_bytes, tag=tag, payload=value,
+            yield from ep.send(child, size=size, tag=tag, payload=value,
                                buffer_id=("bcast", tag))
         mask <<= 1
     return value
@@ -107,7 +107,7 @@ def bcast(ep: "Endpoint", root: int, size_bytes: int, payload: Any = None) -> Ge
 def reduce(
     ep: "Endpoint",
     root: int,
-    size_bytes: int,
+    size: int,
     value: Any = None,
     op: Optional[Callable[[Any, Any], Any]] = None,
 ) -> Generator:
@@ -125,13 +125,13 @@ def reduce(
     while mask < P:
         if rel & mask:
             parent = (rel - mask + root) % P
-            yield from ep.send(parent, size=size_bytes, tag=tag, payload=acc,
+            yield from ep.send(parent, size=size, tag=tag, payload=acc,
                                buffer_id=("reduce", tag))
             return None
         partner = rel + mask
         if partner < P:
             status = yield from ep.recv(
-                source=(partner + root) % P, capacity=size_bytes, tag=tag,
+                source=(partner + root) % P, capacity=size, tag=tag,
                 buffer_id=("reduce", tag),
             )
             if acc is not None or status.payload is not None:
@@ -145,7 +145,7 @@ def reduce(
 # ----------------------------------------------------------------------
 def allreduce(
     ep: "Endpoint",
-    size_bytes: int,
+    size: int,
     value: Any = None,
     op: Optional[Callable[[Any, Any], Any]] = None,
 ) -> Generator:
@@ -154,8 +154,8 @@ def allreduce(
     if P == 1:
         return value
     if P & (P - 1):  # not a power of two
-        acc = yield from reduce(ep, 0, size_bytes, value, op)
-        result = yield from bcast(ep, 0, size_bytes, acc)
+        acc = yield from reduce(ep, 0, size, value, op)
+        result = yield from bcast(ep, 0, size, acc)
         return result
     tag = _coll_tag(ep)
     combine = op or (lambda a, b: (a, b))
@@ -163,9 +163,9 @@ def allreduce(
     mask = 1
     while mask < P:
         partner = rank ^ mask
-        rreq = yield from ep.irecv(source=partner, capacity=size_bytes, tag=tag,
+        rreq = yield from ep.irecv(source=partner, capacity=size, tag=tag,
                                    buffer_id=("allred", tag, mask))
-        sreq = yield from ep.isend(partner, size=size_bytes, tag=tag, payload=acc,
+        sreq = yield from ep.isend(partner, size=size, tag=tag, payload=acc,
                                    buffer_id=("allred", tag, mask))
         statuses = yield from ep.waitall([rreq, sreq])
         other = statuses[0].payload
@@ -178,7 +178,7 @@ def allreduce(
 # ----------------------------------------------------------------------
 # allgather: ring
 # ----------------------------------------------------------------------
-def allgather(ep: "Endpoint", size_bytes: int, value: Any = None) -> Generator:
+def allgather(ep: "Endpoint", size: int, value: Any = None) -> Generator:
     """Ring allgather; returns the list of every rank's value."""
     P, rank = ep.world_size, ep.rank
     result: List[Any] = [None] * P
@@ -191,9 +191,9 @@ def allgather(ep: "Endpoint", size_bytes: int, value: Any = None) -> Generator:
     carry = value
     carry_rank = rank
     for _ in range(P - 1):
-        rreq = yield from ep.irecv(source=left, capacity=size_bytes, tag=tag,
+        rreq = yield from ep.irecv(source=left, capacity=size, tag=tag,
                                    buffer_id=("ag", tag))
-        sreq = yield from ep.isend(right, size=size_bytes, tag=tag,
+        sreq = yield from ep.isend(right, size=size, tag=tag,
                                    payload=(carry_rank, carry), buffer_id=("ag", tag))
         statuses = yield from ep.waitall([rreq, sreq])
         got = statuses[0].payload
@@ -273,19 +273,19 @@ def alltoallv(
 # ----------------------------------------------------------------------
 # gather / scatter: linear
 # ----------------------------------------------------------------------
-def gather(ep: "Endpoint", root: int, size_bytes: int, value: Any = None) -> Generator:
+def gather(ep: "Endpoint", root: int, size: int, value: Any = None) -> Generator:
     """Linear gather; returns the list at the root, None elsewhere."""
     P, rank = ep.world_size, ep.rank
     tag = _coll_tag(ep)
     if rank != root:
-        yield from ep.send(root, size=size_bytes, tag=tag, payload=value)
+        yield from ep.send(root, size=size, tag=tag, payload=value)
         return None
     result: List[Any] = [None] * P
     result[root] = value
     reqs = []
     for src in range(P):
         if src != root:
-            r = yield from ep.irecv(source=src, capacity=size_bytes, tag=tag)
+            r = yield from ep.irecv(source=src, capacity=size, tag=tag)
             reqs.append((src, r))
     for src, r in reqs:
         status = yield from ep.wait(r)
@@ -294,7 +294,7 @@ def gather(ep: "Endpoint", root: int, size_bytes: int, value: Any = None) -> Gen
 
 
 def scatter(
-    ep: "Endpoint", root: int, size_bytes: int, values: Optional[List[Any]] = None
+    ep: "Endpoint", root: int, size: int, values: Optional[List[Any]] = None
 ) -> Generator:
     """Linear scatter; returns this rank's piece."""
     P, rank = ep.world_size, ep.rank
@@ -304,11 +304,11 @@ def scatter(
         for dst in range(P):
             if dst != root:
                 r = yield from ep.isend(
-                    dst, size=size_bytes, tag=tag,
+                    dst, size=size, tag=tag,
                     payload=values[dst] if values else None,
                 )
                 reqs.append(r)
         yield from ep.waitall(reqs)
         return values[root] if values else None
-    status = yield from ep.recv(source=root, capacity=size_bytes, tag=tag)
+    status = yield from ep.recv(source=root, capacity=size, tag=tag)
     return status.payload

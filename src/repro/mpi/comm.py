@@ -16,8 +16,9 @@ the same order by every member.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Generator, List, Optional
 
+from repro.mpi import collectives
 from repro.mpi.constants import ANY_SOURCE, WORLD_CONTEXT
 from repro.mpi.endpoint import Endpoint, MPIError
 from repro.mpi.request import Request, Status
@@ -129,59 +130,15 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives (the algorithms see this object as their "endpoint")
     # ------------------------------------------------------------------
-    def barrier(self) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.barrier(self)
-
-    def bcast(self, root: int, size: int, payload: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.bcast(self, root, size, payload)
-        return result
-
-    def reduce(self, root: int, size: int, value: Any = None, op=None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.reduce(self, root, size, value, op)
-        return result
-
-    def allreduce(self, size: int, value: Any = None, op=None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.allreduce(self, size, value, op)
-        return result
-
-    def allgather(self, size: int, value: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.allgather(self, size, value)
-        return result
-
-    def alltoall(self, size_per_peer: int, payloads: Optional[list] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.alltoall(self, size_per_peer, payloads)
-        return result
-
-    def alltoallv(self, sizes: List[int], payloads: Optional[list] = None,
-                  recv_sizes: Optional[List[int]] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.alltoallv(self, sizes, payloads, recv_sizes)
-        return result
-
-    def gather(self, root: int, size: int, value: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.gather(self, root, size, value)
-        return result
-
-    def scatter(self, root: int, size: int, values: Optional[list] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.scatter(self, root, size, values)
-        return result
+    barrier = collectives.barrier
+    bcast = collectives.bcast
+    reduce = collectives.reduce
+    allreduce = collectives.allreduce
+    allgather = collectives.allgather
+    alltoall = collectives.alltoall
+    alltoallv = collectives.alltoallv
+    gather = collectives.gather
+    scatter = collectives.scatter
 
     # ------------------------------------------------------------------
     # construction

@@ -96,8 +96,8 @@ class Connection:
         #: True while the underlying QP pair is being re-established; new
         #: emissions park in ``deferred`` instead of touching the QP
         self.recovering = False
-        #: (header, ctx_kind, ref, control) tuples parked during recovery,
-        #: re-emitted FIFO (after replays) once the QP re-arms
+        #: ``Endpoint._emit`` arguments ``(header, ref)`` parked during
+        #: recovery, re-emitted FIFO (after replays) once the QP re-arms
         self.deferred: Deque[tuple] = deque()
 
         self.stats = ConnStats()
@@ -131,12 +131,7 @@ class Connection:
 
     def refill_recv_buffers(self) -> int:
         """Post receive vbufs up to the budget; returns how many were
-        posted (the endpoint charges the CPU cost).
-
-        In RDMA-channel mode the "buffers" governed by credits are ring
-        slots, not WQEs; the posted WQEs only serve optimistic control
-        traffic and stay at a small fixed budget.
-        """
+        posted (the endpoint charges the CPU cost)."""
         if self.endpoint._stall_until > self.endpoint.sim.now:
             return 0  # receiver stalled (fault injection): no reposts
         if self.qp.state is not QPState.READY:
@@ -144,15 +139,32 @@ class Connection:
             # raise in ERROR state).  The resync refill restores the
             # population once the QP is re-armed.
             return 0
-        if self.rdma_eager:
-            budget = self.endpoint.config.rdma_control_bufs
-        else:
-            budget = self.prepost_target + self.headroom
+        budget = self.recv_budget
         posted = 0
         while self.recv_posted < budget:
             self.endpoint._post_recv_vbuf(self)
             posted += 1
         return posted
+
+    @property
+    def recv_budget(self) -> int:
+        """How many receive WQEs this connection keeps posted.
+
+        In RDMA-channel mode the "buffers" governed by credits are ring
+        slots, not WQEs; the posted WQEs only serve optimistic control
+        traffic and stay at a small fixed budget.
+        """
+        if self.rdma_eager:
+            return self.endpoint.config.rdma_control_bufs
+        return self.prepost_target + self.headroom
+
+    def point_tx_ring(self, addr: int, rkey: int, slots: int) -> None:
+        """Sender half: aim at the peer's current ring (coordinates from
+        connection setup or a RING_RESIZE), cursor at slot 0."""
+        self.tx_ring_addr = addr
+        self.tx_ring_rkey = rkey
+        self.tx_ring_slots = slots
+        self.tx_ring_next = 0
 
     def next_ring_addr(self) -> int:
         """Sender half: the next slot address in the peer's current ring."""

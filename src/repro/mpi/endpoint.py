@@ -28,6 +28,7 @@ from repro.core.base import FlowControlScheme
 from repro.ib.hca import HCA
 from repro.ib.types import Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR, WC
+from repro.mpi import collectives
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
 from repro.mpi.connection import Connection, PendingSend
@@ -35,10 +36,11 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
 from repro.mpi.protocol import Header, MsgKind
+from repro.mpi.rdma_channel import RDMAChannel
 from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp, next_op_id
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
-from repro.sim import AnyOf, Simulator, Timeout
+from repro.sim import AnyOf, Signal, Simulator, Timeout
 from repro.sim.trace import Tracer
 
 
@@ -148,27 +150,21 @@ class Endpoint:
     def add_connection(self, peer: int, conn: Connection) -> None:
         self.connections[peer] = conn
         if self._ring_mode:
-            from repro.mpi.rdma_channel import RDMAChannel
-
             conn.rdma_eager = True
-            channel = RDMAChannel(
+            conn.rx_channel = RDMAChannel(
                 self, peer, slots=self.requested_prepost,
                 slot_bytes=self.config.vbuf_bytes,
             )
-            channel.ring.mr.on_write = lambda addr, payload, ch=channel: ch.deposit(payload)
-            conn.rx_channel = channel
         self.scheme.setup_connection(conn, self.requested_prepost)
 
     @staticmethod
     def wire_rdma_rings(conn_ab: Connection, conn_ba: Connection) -> None:
         """Exchange ring coordinates between the two halves of a freshly
-        established connection (part of connection setup in RDMA mode)."""
+        (re-)established connection (part of connection setup in RDMA
+        mode, and of recovery after both sides allocated fresh rings)."""
         for tx, rx in ((conn_ab, conn_ba), (conn_ba, conn_ab)):
             ring = rx.rx_channel.ring
-            tx.tx_ring_addr = ring.mr.addr
-            tx.tx_ring_rkey = ring.mr.rkey
-            tx.tx_ring_slots = ring.slots
-            tx.tx_ring_next = 0
+            tx.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
 
     def _post_recv_vbuf(self, conn: Connection) -> None:
         if conn.qp.state is not QPState.READY:
@@ -242,6 +238,7 @@ class Endpoint:
             return req
 
         if mode != "sync" and size <= self._eager_max:
+            ref = req  # an eager send completes at emission
             header = Header(
                 kind=MsgKind.EAGER,
                 src=self.rank,
@@ -253,28 +250,6 @@ class Endpoint:
                 paid=True,
                 ready=(mode == "ready"),
             )
-            # A non-empty backlog forces FIFO (MPI non-overtaking): new
-            # sends may not jump the queue even if a credit is available.
-            # A recovering connection parks everything in the backlog too —
-            # its credit state is stale until the resync.
-            if (
-                not conn.backlog
-                and not conn.recovering
-                and self.scheme.try_consume_credit(conn)
-            ):
-                if self._audit is not None:
-                    self._audit.on_consume(conn)
-                if conn.rdma_eager:
-                    cost = self._emit_ring(conn, header, req)
-                else:
-                    yield from self._await_pool(control=False)
-                    if req.done:  # dest declared dead during the pool wait
-                        return req
-                    cost = self._emit(conn, header, "eager", req, control=False)
-                yield Timeout(cost)
-            else:
-                self._enqueue_backlog(conn, PendingSend(header, req, self.sim.now))
-                yield Timeout(self._drain(conn))
         else:
             # Rendezvous path (large messages, and every "sync" send —
             # the CTS proves the receive is matched).  Small synchronous
@@ -290,7 +265,7 @@ class Endpoint:
                 if mr is not None:
                     self.pindown.release(buffer_id, mr)
                 return req
-            op = RndvSendOp(
+            ref = RndvSendOp(
                 sreq_id=next_op_id(),
                 request=req,
                 dst=dest,
@@ -302,7 +277,7 @@ class Endpoint:
                 mr=mr,
                 bounce=bounce,
             )
-            self._rndv_send[op.sreq_id] = op
+            self._rndv_send[ref.sreq_id] = ref
             header = Header(
                 kind=MsgKind.RNDV_RTS,
                 src=self.rank,
@@ -310,25 +285,24 @@ class Endpoint:
                 tag=tag,
                 context=context,
                 size=size,
-                sreq_id=op.sreq_id,
+                sreq_id=ref.sreq_id,
                 paid=True,
             )
-            if (
-                not conn.backlog
-                and not conn.recovering
-                and self.scheme.try_consume_credit(conn)
-            ):
-                if self._audit is not None:
-                    self._audit.on_consume(conn)
-                yield from self._await_pool(control=False)
+        # A non-empty backlog forces FIFO (MPI non-overtaking): new sends
+        # may not jump the queue even if a credit is available.  A
+        # recovering connection parks everything in the backlog too — its
+        # credit state is stale until the resync.
+        if not conn.backlog and not conn.recovering and self._take_credit(conn):
+            # Everything but an eager ring write is staged in a pool vbuf.
+            ring = conn.rdma_eager and header.kind is MsgKind.EAGER
+            if not ring and not self._pool_ok(control=False):
+                yield from self._progress_until(lambda: self._pool_ok(control=False))
                 if req.done:  # dest declared dead during the pool wait
                     return req
-                cost = self._emit(conn, header, "ctl", None, control=False)
-                op.rts_sent = True
-                yield Timeout(cost)
-            else:
-                self._enqueue_backlog(conn, PendingSend(header, op, self.sim.now))
-                yield Timeout(self._drain(conn))
+            yield Timeout(self._emit(conn, header, ref))
+        else:
+            self._enqueue_backlog(conn, PendingSend(header, ref, self.sim.now))
+            yield Timeout(self._drain(conn))
         # Opportunistic progress poke: every MPI call advances the engine
         # (as MPICH's ADI does) — without it, a rank that only isends would
         # never see CTSs or credit updates (user-level flow control "relies
@@ -370,20 +344,17 @@ class Endpoint:
             h = unexpected.header
             if self._audit is not None:
                 self._audit.on_match(h)
+            self._check_capacity(h, capacity)
             if h.kind is MsgKind.EAGER:
-                self._check_capacity(h, capacity)
                 yield Timeout(self.config.copy_ns(h.size))
-                self.bytes_received += h.size
                 self._complete_recv(req, h.src, h.tag, h.size, h.payload)
                 if not h.via_ring:
                     # The message's vbuf was pinned while it sat unexpected;
                     # copy-out releases it now (ring slots were already
                     # freed at arrival).
-                    yield Timeout(self._repost_after(self.connections[h.src], h.paid))
+                    yield Timeout(self._release(self.connections[h.src], h))
             else:  # RNDV_RTS
-                self._check_capacity(h, capacity)
-                cost = self._rndv_recv_start(h, posted)
-                yield Timeout(cost)
+                yield Timeout(self._rndv_recv_start(h, posted))
         elif self._ft is not None and source != ANY_SOURCE:
             # nothing arrived yet: the peer's liveness now gates this
             # request, so the failure detector watches it
@@ -507,61 +478,19 @@ class Endpoint:
             yield Timeout(int(ns))
 
     # ------------------------------------------------------------------
-    # public API: collectives (thin delegation; see repro.mpi.collectives)
+    # public API: collectives — the algorithms in repro.mpi.collectives
+    # take the endpoint (or a Communicator) as their first argument, so
+    # binding them as methods is the whole delegation
     # ------------------------------------------------------------------
-    def barrier(self) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.barrier(self)
-
-    def bcast(self, root: int, size: int, payload: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.bcast(self, root, size, payload)
-        return result
-
-    def reduce(self, root: int, size: int, value: Any = None, op: Callable = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.reduce(self, root, size, value, op)
-        return result
-
-    def allreduce(self, size: int, value: Any = None, op: Callable = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.allreduce(self, size, value, op)
-        return result
-
-    def alltoall(self, size_per_peer: int, payloads: Optional[list] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.alltoall(self, size_per_peer, payloads)
-        return result
-
-    def alltoallv(self, sizes: List[int], payloads: Optional[list] = None,
-                  recv_sizes: Optional[List[int]] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.alltoallv(self, sizes, payloads, recv_sizes)
-        return result
-
-    def allgather(self, size: int, value: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.allgather(self, size, value)
-        return result
-
-    def gather(self, root: int, size: int, value: Any = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.gather(self, root, size, value)
-        return result
-
-    def scatter(self, root: int, size: int, values: Optional[list] = None) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from collectives.scatter(self, root, size, values)
-        return result
+    barrier = collectives.barrier
+    bcast = collectives.bcast
+    reduce = collectives.reduce
+    allreduce = collectives.allreduce
+    alltoall = collectives.alltoall
+    alltoallv = collectives.alltoallv
+    allgather = collectives.allgather
+    gather = collectives.gather
+    scatter = collectives.scatter
 
     # ------------------------------------------------------------------
     # finalize
@@ -608,8 +537,6 @@ class Endpoint:
             sig.fire(self.sim, None)
 
     def _ring_wait(self):
-        from repro.sim import Signal
-
         if self._ring_notify is None:
             self._ring_notify = Signal(f"ring.{self.rank}")
         return self._ring_notify
@@ -626,8 +553,6 @@ class Endpoint:
         return False
 
     def _progress_until(self, pred: Callable[[], bool]) -> Generator:
-        from repro.sim import AnyOf
-
         while not pred():
             if self._halted:
                 yield self._halt_signal  # never fires: this rank is dead
@@ -705,7 +630,7 @@ class Endpoint:
                                 dirty.discard(peer)
                             break
                         progressed = True
-                        cost = self._handle_ring_eager(conn, h)
+                        cost = self.config.rdma_poll_ns + self._deliver(conn, h)
                         if conn.cq_stash:
                             # ring progress may unpark overtaking CQ headers
                             cost += self._drain_cq_stash(conn)
@@ -752,9 +677,7 @@ class Endpoint:
         if ctx is None:
             return None
         if ctx[0] in ("eager", "ctl"):
-            self.pool.release()
-            if self._audit is not None:
-                self._audit.on_send_done(self)
+            self._release_send_vbuf()
         return ctx
 
     def _handle_error_wc(self, wc: WC) -> int:
@@ -810,7 +733,7 @@ class Endpoint:
                 f"rank {self.rank}: out-of-order delivery from {h.src}: "
                 f"seq {h.seq} != expected {conn.seq_in_expected}"
             )
-        cost = self._deliver_cq(conn, h)
+        cost = self._deliver(conn, h)
         if conn.cq_stash:
             cost += self._drain_cq_stash(conn)
         return cost
@@ -819,12 +742,14 @@ class Endpoint:
         """Deliver parked CQ headers made in-sequence by ring progress."""
         cost = 0
         while conn.cq_stash and conn.cq_stash[0].seq == conn.seq_in_expected:
-            cost += self._deliver_cq(conn, conn.cq_stash.pop(0))
+            cost += self._deliver(conn, conn.cq_stash.pop(0))
         return cost
 
-    def _deliver_cq(self, conn: Connection, h: Header) -> int:
-        """The in-sequence body of :meth:`_handle_recv` (the vbuf's
-        ``recv_posted`` decrement already happened at poll time)."""
+    def _deliver(self, conn: Connection, h: Header) -> int:
+        """Process one in-sequence arrival, whichever channel carried it:
+        a SEND polled from the CQ (its vbuf's ``recv_posted`` decrement
+        already happened at poll time) or an eager write drained from the
+        RDMA ring (``h.via_ring``; the caller charges the ring poll)."""
         cost = self.config.header_proc_ns
         conn.seq_in_expected += 1
 
@@ -836,61 +761,38 @@ class Endpoint:
         if self._audit is not None:
             self._audit.on_deliver(conn, h)
 
-        # Dispatch.  ``absorbed`` is False only for unexpected eager data:
-        # its payload stays parked in the vbuf until the application posts
-        # the matching receive (the vbuf IS the storage — MVICH design),
-        # so that buffer cannot be re-posted yet.  This is precisely how a
-        # fast sender exhausts a slow receiver (paper §3.2).
-        absorbed = True
-        if h.kind is MsgKind.EAGER:
-            posted = self.matching.arrived(h, self.sim.now)
-            if posted is not None:
-                if self._audit is not None:
-                    self._audit.on_match(h)
-                self._check_capacity(h, posted.capacity)
-                cost += self.config.copy_ns(h.size)  # vbuf -> user buffer
-                self.bytes_received += h.size
-                self._complete_recv(posted.request, h.src, h.tag, h.size, h.payload)
-            else:
-                if h.ready:
-                    raise MPIError(
-                        f"rank {self.rank}: ready-mode message from {h.src} "
-                        f"(tag {h.tag}) arrived with no matching receive "
-                        "posted — MPI_Rsend contract violated"
-                    )
-                absorbed = False  # vbuf pinned until matched
-        elif h.kind is MsgKind.RNDV_RTS:
-            posted = self.matching.arrived(h, self.sim.now)
-            if posted is not None:
-                if self._audit is not None:
-                    self._audit.on_match(h)
-                self._check_capacity(h, posted.capacity)
-                cost += self._rndv_recv_start(h, posted)
-            # an unexpected RTS is fully parsed here; its vbuf is reusable
-        elif h.kind is MsgKind.RNDV_CTS:
-            cost += self._handle_cts(conn, h)
-        elif h.kind is MsgKind.RNDV_FIN:
-            cost += self._handle_fin(h)
-        elif h.kind is MsgKind.CREDIT:
-            pass  # credits already folded in above
-        elif h.kind is MsgKind.RING_RESIZE:
-            # switch the sender half to the peer's next-generation ring
-            conn.tx_ring_addr = h.remote_addr
-            conn.tx_ring_rkey = h.rkey
-            conn.tx_ring_slots = h.size
-            conn.tx_ring_next = 0
-        else:  # pragma: no cover - exhaustive
-            raise MPIError(f"unknown message kind {h.kind}")
+        # Dispatch.  A handler returns None only for unexpected eager data
+        # on the send/recv channel: its payload stays parked in the vbuf
+        # until the application posts the matching receive (the vbuf IS
+        # the storage — MVICH design), so that buffer cannot be released
+        # yet.  This is precisely how a fast sender exhausts a slow
+        # receiver (paper §3.2).
+        handled = self._HANDLERS[h.kind](self, conn, h)
+        if handled is not None:
+            cost += handled + self._release(conn, h)
 
-        if absorbed:
-            cost += self._repost_after(conn, h.paid)
-
-        # Feedback hook (dynamic growth); charges posting of new buffers.
+        # Feedback hook (dynamic growth).
         if self._audit is not None:
             grown = self._audit.observe_recv_header(self.scheme, conn, h)
         else:
             grown = self.scheme.on_recv_header(conn, h)
-        if grown:
+        if h.via_ring:
+            # growing a ring is the two-sided resize (paper §7): allocate
+            # the next generation, tell the sender to switch
+            if conn.prepost_target > conn.rx_channel.ring.slots:
+                ring = conn.rx_channel.grow(conn.prepost_target)
+                resize = Header(
+                    kind=MsgKind.RING_RESIZE,
+                    src=self.rank,
+                    dst=conn.peer,
+                    size=ring.slots,
+                    remote_addr=ring.mr.addr,
+                    rkey=ring.mr.rkey,
+                    paid=False,
+                )
+                cost += self._emit(conn, resize)
+        elif grown:
+            # growing a WQE population charges posting of the new buffers
             cost += grown * self.config.post_overhead_ns
             if self.scheme.should_send_ecm(conn):
                 cost += self._emit_ecm(conn)
@@ -899,109 +801,139 @@ class Endpoint:
             cost += self._drain(conn)
         return cost
 
-    def _repost_after(self, conn: Connection, paid: bool) -> int:
-        """Re-post a vbuf whose message has been fully processed, granting
-        the credit back for paid messages (unpaid traffic occupies the
-        non-credited headroom — see protocol.Header.paid).
+    def _handle_data(self, conn: Connection, h: Header) -> Optional[int]:
+        """EAGER and RNDV_RTS, the kinds a sender pushes unasked: match
+        against the posted receives, or queue as unexpected."""
+        posted = self.matching.arrived(h, self.sim.now)
+        if posted is None:
+            if h.kind is MsgKind.RNDV_RTS:
+                return 0  # fully parsed here; its vbuf is reusable
+            if h.ready:
+                raise MPIError(
+                    f"rank {self.rank}: ready-mode message from {h.src} "
+                    f"(tag {h.tag}) arrived with no matching receive "
+                    "posted — MPI_Rsend contract violated"
+                )
+            if h.via_ring:
+                # Unlike a vbuf, a ring slot cannot hold an unexpected
+                # message (the [13] design — rings must free in order):
+                # it is copied out to a temporary buffer immediately.
+                return self.config.copy_ns(h.size)
+            return None  # vbuf pinned until matched
+        if self._audit is not None:
+            self._audit.on_match(h)
+        self._check_capacity(h, posted.capacity)
+        if h.kind is MsgKind.RNDV_RTS:
+            return self._rndv_recv_start(h, posted)
+        self._complete_recv(posted.request, h.src, h.tag, h.size, h.payload)
+        return self.config.copy_ns(h.size)  # vbuf / slot -> user buffer
+
+    def _release(self, conn: Connection, h: Header) -> int:
+        """Release the buffer of a fully processed message — a ring slot
+        or a receive vbuf — and grant the credit back for paid messages
+        (unpaid traffic occupies the non-credited headroom — see
+        protocol.Header.paid).
 
         The grant is decoupled from the physical repost: if dynamic growth
         already refilled the population while this message's vbuf was
         pinned in the unexpected queue, the buffer was replaced but the
         paid credit must still return.  Only an *over*-full population
-        (decay contraction) swallows the credit.
+        (decay contraction) swallows the credit.  In ring mode the WQE
+        population is the fixed control reserve, disjoint from the credit
+        population (ring slots): it never decay-contracts, so a paid
+        credit that rode a control-channel message (a rendezvous RTS
+        borrowing a slot token) always returns.
 
-        During a fault-injected receiver stall the vbuf stays consumed and
+        During a fault-injected receiver stall a vbuf stays consumed and
         the paid credit is withheld; :meth:`fault_release_stall` settles
         both once the window closes.
         """
-        if self._stall_until > self.sim.now:
-            if paid:
-                self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
+        stalled = self._stall_until > self.sim.now
+        if stalled:
             self.tracer.count("faults.stall_deferred", conn.peer)
-            return self._drain(conn) if conn.backlog else 0
         cost = 0
-        if conn.rdma_eager:
-            # Ring mode: the WQE population is the fixed control reserve,
-            # disjoint from the credit population (ring slots).  A paid
-            # credit here rode a control-channel message (a rendezvous
-            # RTS borrowing a slot token) and always returns — the ring
-            # never decay-contracts, so there is no swallow case, and the
-            # slot-count cap must not be compared against WQE counts.
-            if conn.recv_posted < self.config.rdma_control_bufs:
+        paid = h.paid
+        if h.via_ring:
+            # The slot itself is free the moment the copy-out lands (even
+            # when a fault stall withholds the *credit* below).
+            if self._audit is not None:
+                self._audit.on_ring_free(conn.rx_channel, h)
+        elif not stalled:
+            budget = conn.recv_budget
+            if conn.recv_posted < budget:
                 self._post_recv_vbuf(conn)
-                cost += self.config.post_overhead_ns
-            if paid:
-                conn.pending_credit_return += 1
+                cost = self.config.post_overhead_ns
+            elif paid and conn.recv_posted > budget:
+                paid = False  # swallowed (see the docstring above)
                 if self._audit is not None:
-                    self._audit.on_grant(conn, 1)
-                if self.scheme.should_send_ecm(conn):
-                    cost += self._emit_ecm(conn)
-            if conn.backlog:
-                cost += self._drain(conn)
-            return cost
-        cap = conn.prepost_target + conn.headroom
-        reposted = False
-        if conn.recv_posted < cap:
-            self._post_recv_vbuf(conn)
-            cost += self.config.post_overhead_ns
-            reposted = True
+                    self._audit.on_swallow(conn)
         if paid:
-            if reposted or conn.recv_posted == cap:
-                conn.pending_credit_return += 1
-                if self._audit is not None:
-                    self._audit.on_grant(conn, 1)
-                if self.scheme.should_send_ecm(conn):
-                    cost += self._emit_ecm(conn)
-            elif self._audit is not None:
-                # over-full population after a decay contraction: the
-                # credit is swallowed (see the docstring above)
-                self._audit.on_swallow(conn)
-        if conn.backlog:
+            cost += self._grant(conn, 1)
+        # A vbuf release drains here, ahead of the growth feedback; a ring
+        # arrival leaves it to :meth:`_deliver`'s tail, behind a possible
+        # RING_RESIZE.
+        if conn.backlog and not h.via_ring:
             cost += self._drain(conn)
         return cost
+
+    def _grant(self, conn: Connection, n: int) -> int:
+        """Return ``n`` paid credits to the peer (they ride the next
+        outgoing header, or an explicit credit message when the scheme
+        asks for one) — or withhold them while a fault stall is open.
+        Returns the CPU cost."""
+        if self._stall_until > self.sim.now:
+            self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + n
+            return 0
+        conn.pending_credit_return += n
+        if self._audit is not None:
+            self._audit.on_grant(conn, n)
+        if self.scheme.should_send_ecm(conn):
+            return self._emit_ecm(conn)
+        return 0
 
     def _handle_cts(self, conn: Connection, h: Header) -> int:
         op = self._rndv_send.get(h.sreq_id)
         if op is None:
             raise MPIError(f"rank {self.rank}: CTS for unknown sreq {h.sreq_id}")
-        op.cts_seen = True
         op.fin_rreq_id = h.rreq_id
         op.cts_remote_addr = h.remote_addr
         op.cts_rkey = h.rkey
         if op.fallback:
             conn.fallback_inflight -= 1
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = ("rdma", conn, op, None)
-        conn.qp.post_send(
-            SendWR(
-                wr_id=ctx_id,
-                opcode=Opcode.RDMA_WRITE,
-                length=op.size,
-                payload=op.payload,
-                remote_addr=h.remote_addr,
-                rkey=h.rkey,
-            )
-        )
-        conn.stats.msgs_sent += 1
-        conn.stats.data_msgs_sent += 1
-        cost = self.config.post_overhead_ns
+        cost = self._emit_data(conn, op)
         if op.bounce:
             cost += self.config.copy_ns(op.size)  # stage into pinned scratch
         return cost
 
-    def _handle_fin(self, h: Header) -> int:
+    def _handle_fin(self, conn: Connection, h: Header) -> int:
         op = self._rndv_recv.pop(h.rreq_id, None)
         if op is None:
             raise MPIError(f"rank {self.rank}: FIN for unknown rreq {h.rreq_id}")
         payload = op.mr.load(op.landing_addr)
-        cost = 0
         if op.bounce:
-            cost += self.config.copy_ns(op.size)  # bounce slot -> user buffer
+            cost = self.config.copy_ns(op.size)  # bounce slot -> user buffer
         else:
-            cost += self.pindown.release(op.buffer_id, op.mr)
-        self.bytes_received += op.size
+            cost = self.pindown.release(op.buffer_id, op.mr)
         self._complete_recv(op.request, op.src, op.tag, op.size, payload)
         return cost
+
+    def _handle_resize(self, conn: Connection, h: Header) -> int:
+        # switch the sender half to the peer's next-generation ring
+        conn.point_tx_ring(h.remote_addr, h.rkey, h.size)
+        return 0
+
+    #: arrival dispatch of :meth:`_deliver`: ``handler(self, conn, h)``
+    #: returns its CPU cost (None: the message still occupies its vbuf)
+    _HANDLERS = {
+        MsgKind.EAGER: _handle_data,
+        MsgKind.RNDV_RTS: _handle_data,
+        MsgKind.RNDV_CTS: _handle_cts,
+        MsgKind.RNDV_FIN: _handle_fin,
+        # an explicit credit message is all prologue: its credits were
+        # folded in before the dispatch
+        MsgKind.CREDIT: lambda self, conn, h: 0,
+        MsgKind.RING_RESIZE: _handle_resize,
+    }
 
     # --- outbound completions --------------------------------------------
     def _handle_send_done(self, wc: WC) -> int:
@@ -1013,12 +945,9 @@ class Endpoint:
         if kind == "ring":
             pass  # no vbuf was consumed; the request completed at emission
         elif kind in ("eager", "ctl"):
-            self.pool.release()
-            if self._audit is not None:
-                self._audit.on_send_done(self)
+            self._release_send_vbuf()
         elif kind == "rdma":
             op: RndvSendOp = ref
-            op.data_done = True
             cost += self._emit_fin(conn, op)
             if op.mr is not None:
                 cost += self.pindown.release(op.buffer_id, op.mr)
@@ -1028,6 +957,13 @@ class Endpoint:
             raise MPIError(f"unknown send ctx kind {kind}")
         return cost
 
+    def _release_send_vbuf(self) -> None:
+        """An eager/control SEND is over — completed, flushed or errored:
+        its vbuf returns to the pool."""
+        self.pool.release()
+        if self._audit is not None:
+            self._audit.on_send_done(self)
+
     # ------------------------------------------------------------------
     # emission paths
     # ------------------------------------------------------------------
@@ -1035,256 +971,135 @@ class Endpoint:
         floor = 0 if control else CONTROL_RESERVE
         return self.pool.free > floor
 
-    def _await_pool(self, control: bool) -> Generator:
-        while not self._pool_ok(control):
-            yield from self._progress_until(lambda: self._pool_ok(control))
+    def _take_credit(self, conn: Connection) -> bool:
+        """Consume one credit toward ``conn.peer`` if the scheme has one
+        to give; the paid header it buys may be emitted later (a vbuf
+        wait can sit in between)."""
+        if not self.scheme.try_consume_credit(conn):
+            return False
+        if self._audit is not None:
+            self._audit.on_consume(conn)
+        return True
+
+    def _post(self, conn: Connection, ctx: tuple, opcode: Opcode, length: int,
+              payload: Any, remote_addr: int = 0, rkey: int = 0) -> None:
+        """Post one send work request, keyed to ``ctx`` — ``(kind, conn,
+        ref, header)``, handed back by :meth:`_handle_send_done` on
+        completion and by :meth:`_reclaim_error_wc` on a flush."""
+        ctx_id = next(self._ctx_ids)
+        self._send_ctx[ctx_id] = ctx
+        conn.qp.post_send(
+            SendWR(
+                wr_id=ctx_id,
+                opcode=opcode,
+                length=length,
+                payload=payload,
+                remote_addr=remote_addr,
+                rkey=rkey,
+            )
+        )
 
     def _emit(
         self,
         conn: Connection,
         header: Header,
-        ctx_kind: str,
-        ref: Any,
-        control: bool,
+        ref: Any = None,
+        replay: bool = False,
     ) -> int:
-        """Stage a protocol message into a vbuf and post it.  The caller
-        must have verified pool availability (``_pool_ok``).  Returns CPU
-        cost."""
-        if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
-            # A dead rank emits nothing; toward a dead peer there is no
-            # one to emit to (the QP is in ERROR — post_send would raise).
-            # Any request this message carried was already completed with
-            # PROC_FAILED by the failure manager.
-            return 0
-        if conn.recovering:
-            # QP pair mid-re-establishment: park the emission (no vbuf, no
-            # sequence number) — the manager re-emits deferred messages
-            # FIFO after the un-acked replays once the QP re-arms.
-            conn.deferred.append((header, ctx_kind, ref, control))
-            return 0
-        if not self.pool.try_acquire():
-            raise MPIError(f"rank {self.rank}: vbuf pool exhausted (control reserve breached)")
-        piggy = conn.take_piggyback_credits()
-        header.credits += piggy
-        header.seq = conn.next_seq()
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = (ctx_kind, conn, ref, header)
-        cfg = self.config
-        eager = header.kind is MsgKind.EAGER
-        wire = cfg.header_bytes + header.size if eager else cfg.header_bytes
-        conn.qp.post_send(
-            SendWR(wr_id=ctx_id, opcode=Opcode.SEND, length=wire, payload=header)
-        )
-        conn.stats.msgs_sent += 1
-        cost = cfg.post_overhead_ns
-        if eager:
-            conn.stats.data_msgs_sent += 1
-            cost += cfg.copy_ns(header.size)  # user -> vbuf copy
-            if ref is not None:
-                # Buffered-send semantics: the user buffer is reusable the
-                # moment the payload is staged into the vbuf, so the send
-                # request completes at emission (not at the ACK).  A send
-                # that had to wait in the backlog therefore blocks its
-                # MPI_Send until credits/handshake let it out — which is
-                # exactly how blocking tests "get more credits through the
-                # handshaking procedure" (paper §6.2.2).
-                ref.complete(Status())
-        if header.kind is MsgKind.CREDIT:
-            conn.stats.ecm_sent += 1
-            conn.stats.ecm_credits += header.credits
-        else:
-            conn.stats.piggybacked_credits += piggy
-            if not eager:
-                # Control-plane send (RTS/CTS/FIN/RING_RESIZE): counted
-                # apart from data so the Figure-8 control-overhead split
-                # doesn't attribute handshake traffic to data messages.
-                conn.stats.ctl_msgs_sent += 1
-        if self._audit is not None:
-            self._audit.on_emit(conn, header, ctx_kind)
-        return cost
+        """Emit one protocol message: staged into a pool vbuf and SENT —
+        the caller must have verified pool availability (``_pool_ok``) —
+        or, for eager data on a ring connection, RDMA-written into the
+        peer's ring (no vbuf, no remote WQE).  ``ref`` is what the message
+        belongs to: the :class:`Request` of an eager send, the
+        :class:`RndvSendOp` of an RTS.  Returns CPU cost.
 
-    def _replay_emit(self, conn: Connection, header: Header, ctx_kind: str, ref: Any) -> int:
-        """Re-post one un-acked protocol message after QP re-establishment
-        (recovery manager only).  Unlike :meth:`_emit` the header keeps its
-        original sequence number (the receiver never consumed it), carries
-        no credits (pre-fault piggybacked grants are re-minted by the
-        resync), and never re-completes the request — eager requests
-        completed at first emission."""
-        if not self.pool.try_acquire():
-            raise MPIError(
-                f"rank {self.rank}: vbuf pool exhausted during recovery replay"
-            )
-        header.credits = 0
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = (ctx_kind, conn, ref, header)
-        cfg = self.config
-        eager = header.kind is MsgKind.EAGER
-        wire = cfg.header_bytes + header.size if eager else cfg.header_bytes
-        conn.qp.post_send(
-            SendWR(wr_id=ctx_id, opcode=Opcode.SEND, length=wire, payload=header)
-        )
-        cost = cfg.post_overhead_ns
-        if eager:
-            cost += cfg.copy_ns(header.size)  # user -> vbuf staging again
-        if self._audit is not None:
-            self._audit.on_emit(conn, header, ctx_kind, replay=True)
-        return cost
-
-    def _replay_rdma(self, conn: Connection, op: RndvSendOp) -> int:
-        """Re-post a flushed rendezvous RDMA write (recovery manager only).
-        Idempotent at the receiver: the landing coordinates from the CTS
-        are stable and ``mr.store`` overwrites in place."""
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = ("rdma", conn, op, None)
-        conn.qp.post_send(
-            SendWR(
-                wr_id=ctx_id,
-                opcode=Opcode.RDMA_WRITE,
-                length=op.size,
-                payload=op.payload,
-                remote_addr=op.cts_remote_addr,
-                rkey=op.cts_rkey,
-            )
-        )
-        return self.config.post_overhead_ns
-
-    def _replay_ring(self, conn: Connection, header: Header) -> int:
-        """Re-write a flushed ring eager message after QP re-establishment
-        (recovery manager only).  The receiver's ring was re-established
-        empty at slot 0, so replays land in the fresh ring in their
-        original order; like :meth:`_replay_emit` the header keeps its
-        original sequence number, carries no credits, and never
-        re-completes the request."""
-        header.credits = 0
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = ("ring", conn, None, header)
-        conn.qp.post_send(
-            SendWR(
-                wr_id=ctx_id,
-                opcode=Opcode.RDMA_WRITE,
-                length=self.config.header_bytes + header.size,
-                payload=header,
-                remote_addr=conn.next_ring_addr(),
-                rkey=conn.tx_ring_rkey,
-            )
-        )
-        if self._audit is not None:
-            self._audit.on_emit(conn, header, "ring", replay=True)
-        return self.config.post_overhead_ns + self.config.copy_ns(header.size)
-
-    def _emit_ring(self, conn: Connection, header: Header, req) -> int:
-        """Write an eager message into the peer's RDMA ring (no vbuf, no
-        remote WQE).  Buffered-send semantics: the request completes at
-        emission."""
-        if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
-            return 0  # see _emit: dead rank / dead peer, nothing to post
-        if conn.recovering:
-            # Same parking rule as _emit: no slot, no sequence number; the
-            # recovery manager re-emits deferred ring writes FIFO after
-            # the un-acked replays once the fresh ring is wired.
-            conn.deferred.append((header, "ring", req, False))
-            return 0
-        piggy = conn.take_piggyback_credits()
-        header.credits += piggy
-        header.seq = conn.next_seq()
-        header.via_ring = True
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = ("ring", conn, None, header)
-        conn.qp.post_send(
-            SendWR(
-                wr_id=ctx_id,
-                opcode=Opcode.RDMA_WRITE,
-                length=self.config.header_bytes + header.size,
-                payload=header,
-                remote_addr=conn.next_ring_addr(),
-                rkey=conn.tx_ring_rkey,
-            )
-        )
-        conn.stats.msgs_sent += 1
-        conn.stats.data_msgs_sent += 1
-        conn.stats.piggybacked_credits += piggy
-        if req is not None:
-            req.complete(Status())
-        if self._audit is not None:
-            self._audit.on_emit(conn, header, "ring")
-        return self.config.post_overhead_ns + self.config.copy_ns(header.size)
-
-    def _handle_ring_eager(self, conn: Connection, h: Header) -> int:
-        """Process one in-sequence arrival from the RDMA eager ring.
-
-        Unlike the send/recv channel, unexpected ring messages are copied
-        out of the slot immediately (the [13] design — rings must free in
-        order), so the slot credit returns at processing time either way.
+        ``replay=True`` (recovery manager only) re-posts an un-acked
+        message after QP re-establishment: the header keeps its original
+        sequence number (the receiver never consumed it), carries no
+        credits (pre-fault piggybacked grants are re-minted by the
+        resync), and neither the stats nor the request are touched —
+        eager requests completed at first emission.  A ring replay lands
+        in the fresh ring, re-established empty at slot 0, in its
+        original order.
         """
-        cost = self.config.rdma_poll_ns + self.config.header_proc_ns
-        conn.seq_in_expected += 1
-        if self._ft is not None:
-            # liveness piggyback: any ring arrival proves the peer alive
-            self._ft.on_heard(self.rank, conn.peer)
-        if h.credits:
-            self.scheme.on_credits_received(conn, h.credits)
-        if self._audit is not None:
-            self._audit.on_deliver(conn, h)
-
-        cost += self.config.copy_ns(h.size)  # slot -> user/temp copy
-        self.bytes_received += h.size
-        posted = self.matching.arrived(h, self.sim.now)
-        if posted is not None:
-            if self._audit is not None:
-                self._audit.on_match(h)
-            self._check_capacity(h, posted.capacity)
-            self._complete_recv(posted.request, h.src, h.tag, h.size, h.payload)
-        elif h.ready:
-            raise MPIError(
-                f"rank {self.rank}: ready-mode message from {h.src} arrived "
-                "with no matching receive posted"
-            )
-
-        # The slot itself is free the moment the copy-out lands (even when
-        # a fault stall withholds the *credit* below).
-        self._free_ring_slot(conn, h)
-
-        # slot freed -> credit grant (withheld while a fault stall is on)
-        if self._stall_until > self.sim.now:
-            self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
-            self.tracer.count("faults.stall_deferred", conn.peer)
+        if replay:
+            header.credits = 0
         else:
-            conn.pending_credit_return += 1
-            if self._audit is not None:
-                self._audit.on_grant(conn, 1)
-            if self.scheme.should_send_ecm(conn):
-                cost += self._emit_ecm(conn)
-
-        # dynamic growth: the two-sided resize (paper §7)
-        if self._audit is not None:
-            self._audit.observe_recv_header(self.scheme, conn, h)
+            if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
+                # A dead rank emits nothing; toward a dead peer there is no
+                # one to emit to (the QP is in ERROR — post_send would
+                # raise).  Any request this message carried was already
+                # completed with PROC_FAILED by the failure manager.
+                return 0
+            if conn.recovering:
+                # QP pair mid-re-establishment: park the emission (no vbuf,
+                # no ring slot, no sequence number) — the manager re-emits
+                # deferred messages FIFO after the un-acked replays once
+                # the QP re-arms (and the fresh ring is wired).
+                conn.deferred.append((header, ref))
+                return 0
+            piggy = conn.take_piggyback_credits()
+            header.credits += piggy
+            header.seq = conn.next_seq()
+        cfg = self.config
+        eager = header.kind is MsgKind.EAGER
+        ring = eager and conn.rdma_eager
+        if not ring and not self.pool.try_acquire():
+            raise MPIError(f"rank {self.rank}: vbuf pool exhausted (control reserve breached)")
+        cost = cfg.post_overhead_ns
+        wire = cfg.header_bytes
+        if eager:
+            wire += header.size
+            cost += cfg.copy_ns(header.size)  # user -> vbuf / ring-slot copy
+        if ring:
+            kind = "ring"
+            header.via_ring = True
+            self._post(conn, (kind, conn, ref, header), Opcode.RDMA_WRITE, wire,
+                       header, conn.next_ring_addr(), conn.tx_ring_rkey)
         else:
-            self.scheme.on_recv_header(conn, h)
-        ch = conn.rx_channel
-        if conn.prepost_target > ch.ring.slots:
-            ring = ch.grow(conn.prepost_target)
-            ring.mr.on_write = lambda addr, payload, c=ch: c.deposit(payload)
-            resize = Header(
-                kind=MsgKind.RING_RESIZE,
-                src=self.rank,
-                dst=conn.peer,
-                size=ring.slots,
-                remote_addr=ring.mr.addr,
-                rkey=ring.mr.rkey,
-                paid=False,
-            )
-            cost += self._emit(conn, resize, "ctl", None, control=True)
-
-        if conn.backlog:
-            cost += self._drain(conn)
+            kind = "eager" if eager else "ctl"
+            self._post(conn, (kind, conn, ref, header), Opcode.SEND, wire, header)
+        if not replay:
+            stats = conn.stats
+            stats.msgs_sent += 1
+            if eager:
+                stats.data_msgs_sent += 1
+                if ref is not None:
+                    # Buffered-send semantics: the user buffer is reusable
+                    # the moment the payload is staged into the vbuf (or
+                    # ring slot), so the send request completes at emission
+                    # (not at the ACK).  A send that had to wait in the
+                    # backlog therefore blocks its MPI_Send until
+                    # credits/handshake let it out — which is exactly how
+                    # blocking tests "get more credits through the
+                    # handshaking procedure" (paper §6.2.2).
+                    ref.complete(Status())
+            if header.kind is MsgKind.CREDIT:
+                stats.ecm_sent += 1
+                stats.ecm_credits += header.credits
+            else:
+                stats.piggybacked_credits += piggy
+                if not eager:
+                    # Control-plane send (RTS/CTS/FIN/RING_RESIZE): counted
+                    # apart from data so the Figure-8 control-overhead
+                    # split doesn't attribute handshake traffic to data
+                    # messages.
+                    stats.ctl_msgs_sent += 1
+        if self._audit is not None:
+            self._audit.on_emit(conn, header, kind, replay)
         return cost
 
-    def _free_ring_slot(self, conn: Connection, h: Header) -> None:
-        """Reclaim ``h``'s ring slot after its copy-out.  Distinct from
-        the credit *grant*: a fault stall withholds the grant but never
-        the slot (the bytes have left the ring either way)."""
-        if self._audit is not None:
-            self._audit.on_ring_free(conn.rx_channel, h)
+    def _emit_data(self, conn: Connection, op: RndvSendOp, replay: bool = False) -> int:
+        """RDMA-write a rendezvous payload to the landing coordinates its
+        CTS announced.  Idempotent at the receiver — the coordinates are
+        stable and ``mr.store`` overwrites in place — so recovery re-runs
+        a flushed write (``replay=True``: stats untouched)."""
+        self._post(conn, ("rdma", conn, op, None), Opcode.RDMA_WRITE, op.size,
+                   op.payload, op.cts_remote_addr, op.cts_rkey)
+        if not replay:
+            conn.stats.msgs_sent += 1
+            conn.stats.data_msgs_sent += 1
+        return self.config.post_overhead_ns
 
     def _emit_ecm(self, conn: Connection) -> int:
         """Explicit credit message — optimistic, never flow-controlled
@@ -1292,7 +1107,7 @@ class Endpoint:
         ecm = Header(
             kind=MsgKind.CREDIT, src=self.rank, dst=conn.peer, paid=False
         )
-        return self._emit(conn, ecm, "ctl", None, control=True)
+        return self._emit(conn, ecm)
 
     def _emit_fin(self, conn: Connection, op: RndvSendOp) -> int:
         fin = Header(
@@ -1302,7 +1117,7 @@ class Endpoint:
             rreq_id=op.fin_rreq_id,
             paid=False,
         )
-        return self._emit(conn, fin, "ctl", None, control=True)
+        return self._emit(conn, fin)
 
     # ------------------------------------------------------------------
     # backlog / flow-control plumbing
@@ -1342,22 +1157,14 @@ class Endpoint:
             and (conn.credits > 0 or not self.scheme.uses_credits)
             and self._pool_ok(control=False)
         ):
-            if not self.scheme.try_consume_credit(conn):  # pragma: no cover
+            if not self._take_credit(conn):  # pragma: no cover
                 break
             p = conn.backlog.popleft()
             if self._audit is not None:
-                self._audit.on_consume(conn)
                 self._audit.on_backlog_dequeue(conn, p.header)
             p.header.went_backlog = True
             conn.stats.credit_stalled_ns += self.sim.now - p.enqueue_ns
-            if p.header.kind is MsgKind.EAGER:
-                if conn.rdma_eager:
-                    cost += self._emit_ring(conn, p.header, p.request)
-                else:
-                    cost += self._emit(conn, p.header, "eager", p.request, control=False)
-            else:  # RNDV_RTS
-                cost += self._emit(conn, p.header, "ctl", None, control=False)
-                p.request.rts_sent = True  # p.request is the RndvSendOp
+            cost += self._emit(conn, p.header, p.request)
         while (
             conn.backlog
             and conn.credits == 0
@@ -1412,8 +1219,7 @@ class Endpoint:
             paid=False,
             went_backlog=True,
         )
-        op.rts_sent = True
-        return self._emit(conn, rts, "ctl", None, control=True)
+        return self._emit(conn, rts)
 
     # ------------------------------------------------------------------
     # rendezvous receiver side
@@ -1453,9 +1259,7 @@ class Endpoint:
             rkey=mr.rkey,
             paid=False,
         )
-        op.cts_sent = True
-        cost += self._emit(conn, cts, "ctl", None, control=True)
-        return cost
+        return cost + self._emit(conn, cts)
 
     # ------------------------------------------------------------------
     # fault-injection hooks (driven by repro.faults.FaultInjector)
@@ -1465,8 +1269,6 @@ class Endpoint:
         The progress loops park on a signal that never fires, stray
         timer-driven resumptions fall through emission guards, and no
         state mutates after this point — the rank is simply gone."""
-        from repro.sim import Signal
-
         self._halted = True
         if self._halt_signal is None:
             self._halt_signal = Signal(f"halted.{self.rank}")
@@ -1493,9 +1295,7 @@ class Endpoint:
             conn.refill_recv_buffers()
             paid = held.get(peer, 0)
             if paid:
-                conn.pending_credit_return += paid
-                if self._audit is not None:
-                    self._audit.on_grant(conn, paid)
+                self._grant(conn, paid)
                 released += paid
                 self.tracer.count("faults.stall_released", peer, paid)
             if (
@@ -1510,6 +1310,9 @@ class Endpoint:
     # misc helpers
     # ------------------------------------------------------------------
     def _complete_recv(self, req: Request, src: int, tag: int, size: int, payload: Any) -> None:
+        """The user buffer has the data: the one place a received message
+        is counted, whichever channel and however late the match."""
+        self.bytes_received += size
         req.complete(Status(source=src, tag=tag, size=size, payload=payload))
 
     def _check_peer(self, peer: int) -> None:

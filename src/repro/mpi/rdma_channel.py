@@ -122,6 +122,8 @@ class RDMAChannel:
 
     def _allocate(self, slots: int) -> RingBuffer:
         mr = self.endpoint.hca.reg_mr(max(1, slots) * self.slot_bytes)
+        # the simulator routes an RDMA write's landing to deposit()
+        mr.on_write = lambda addr, payload: self.deposit(payload)
         ring = RingBuffer(mr, slots, self.slot_bytes, self.generation)
         self.generation += 1
         return ring

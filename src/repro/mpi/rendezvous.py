@@ -51,24 +51,11 @@ class RndvSendOp:
     mr: Optional[MemoryRegion]  # None in bounce (fallback) mode
     bounce: bool = False
     fallback: bool = False  # sent via the optimistic no-credit path
-    rts_sent: bool = False
-    cts_seen: bool = False
-    data_done: bool = False
     fin_rreq_id: int = -1  # receiver op id, learned from the CTS
     # landing coordinates from the CTS, kept so connection recovery can
     # re-post the (idempotent) RDMA write after a QP flush
     cts_remote_addr: int = 0
     cts_rkey: int = 0
-
-    @property
-    def state(self) -> str:
-        if self.data_done:
-            return "fin"
-        if self.cts_seen:
-            return "data"
-        if self.rts_sent:
-            return "await_cts"
-        return "init"
 
 
 @dataclass
@@ -85,7 +72,6 @@ class RndvRecvOp:
     mr: MemoryRegion
     landing_addr: int
     bounce: bool = False
-    cts_sent: bool = False
 
 
 class BounceRegion:

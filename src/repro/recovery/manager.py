@@ -56,7 +56,6 @@ from the lost wire traffic.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.mpi.protocol import MsgKind
@@ -213,7 +212,9 @@ class RecoveryManager:
         #     allocates a fresh ring and re-advertises its coordinates;
         #     replays then land from slot 0 in their original order.
         if conn_ab.rdma_eager:
-            self._reestablish_rings(conn_ab, conn_ba)
+            conn_ba.rx_channel.reestablish()
+            conn_ab.rx_channel.reestablish()
+            ep_a.wire_rdma_rings(conn_ab, conn_ba)
         # 5. per-direction credit resynchronization + replay planning
         plan_ab = self._resync(ep_a, conn_ab, ep_b, conn_ba, rec)
         plan_ba = self._resync(ep_b, conn_ba, ep_a, conn_ab, rec)
@@ -231,35 +232,13 @@ class RecoveryManager:
             self.reconnect_ns_max = dt
         ep_a.tracer.count("recovery.rearm", f"{a}-{b}")
 
-    @staticmethod
-    def _reestablish_rings(conn_ab: "Connection", conn_ba: "Connection") -> None:
-        """Allocate next-generation rings on both receivers and rewire the
-        senders' (addr, rkey, slots, cursor) advertisements — the recovery
-        analogue of :meth:`Endpoint.wire_rdma_rings` at connect time."""
-        for tx, rx in ((conn_ab, conn_ba), (conn_ba, conn_ab)):
-            ch = rx.rx_channel
-            ring = ch.reestablish()
-            ring.mr.on_write = lambda addr, payload, c=ch: c.deposit(payload)
-            tx.tx_ring_addr = ring.mr.addr
-            tx.tx_ring_rkey = ring.mr.rkey
-            tx.tx_ring_slots = ring.slots
-            tx.tx_ring_next = 0
-
     def _drain_error_wcs(self, ep: "Endpoint", conn: "Connection", rec) -> None:
         """Remove this QP's un-polled error completions from the owner's
-        CQ, reclaiming their bookkeeping and collecting replay candidates.
-        Success completions stay put — they are real pre-fault deliveries
-        and must be processed in FIFO order."""
-        qpn = conn.qp.qp_num
-        kept = deque()
-        for wc in ep.cq._entries:
-            if not wc.ok and wc.qp_num == qpn:
-                ctx = ep._reclaim_error_wc(wc)
-                if ctx is not None:
-                    rec.replays[ep.rank].append(ctx)
-            else:
-                kept.append(wc)
-        ep.cq._entries = kept
+        CQ, reclaiming their bookkeeping and collecting replay candidates."""
+        for wc in ep.cq.remove_errors(conn.qp.qp_num):
+            ctx = ep._reclaim_error_wc(wc)
+            if ctx is not None:
+                rec.replays[ep.rank].append(ctx)
 
     # ------------------------------------------------------------------
     # credit-state resynchronization (one direction)
@@ -276,7 +255,7 @@ class RecoveryManager:
             if ctx_kind == "rdma":
                 rdmas.append(ref)
             else:
-                headers.append((ctx_kind, ref, header))
+                headers.append((ref, header))
         # Delivered-but-unpolled arrivals at r: they advance the replay
         # horizon (the receiver will still poll them) and pin paid tokens.
         # With two channels (CQ + RDMA ring) sharing one sequence space
@@ -306,10 +285,10 @@ class RecoveryManager:
         # Prune the delivered-but-ack-lost prefix: the receiver consumed
         # those sequence numbers, replaying them would corrupt ordering.
         live = [e for e in headers
-                if e[2].seq >= b_next and e[2].seq not in received]
-        live.sort(key=lambda e: e[2].seq)
+                if e[1].seq >= b_next and e[1].seq not in received]
+        live.sort(key=lambda e: e[1].seq)
         if ep_s.scheme.uses_credits:
-            replayed_paid = sum(1 for e in live if e[2].paid)
+            replayed_paid = sum(1 for e in live if e[1].paid)
             # polled at r, grant still pending: paid eager parked in the
             # unexpected queue (vbuf pinned) + credits held by a fault stall
             ungranted = ep_r._stall_held.get(ep_s.rank, 0)
@@ -347,22 +326,13 @@ class RecoveryManager:
         flushed RDMA writes, drain deferred control emissions (fresh seqs),
         and re-drain the backlog under the resynchronized credits."""
         headers, rdmas = plan
-        n = 0
-        for ctx_kind, ref, header in headers:
-            if ctx_kind == "ring":
-                ep._replay_ring(conn, header)
-            else:
-                ep._replay_emit(conn, header, ctx_kind, ref)
-            n += 1
+        for ref, header in headers:
+            ep._emit(conn, header, ref, replay=True)
         for op in rdmas:
-            ep._replay_rdma(conn, op)
-            n += 1
+            ep._emit_data(conn, op, replay=True)
+        n = len(headers) + len(rdmas)
         while conn.deferred:
-            header, ctx_kind, ref, control = conn.deferred.popleft()
-            if ctx_kind == "ring":
-                ep._emit_ring(conn, header, ref)
-            else:
-                ep._emit(conn, header, ctx_kind, ref, control)
+            ep._emit(conn, *conn.deferred.popleft())
         if conn.backlog:
             ep._drain(conn)
         if n:

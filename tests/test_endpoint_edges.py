@@ -71,6 +71,25 @@ def test_bytes_counters():
     assert r.endpoints[1].bytes_received == 101_000
 
 
+@pytest.mark.parametrize("scheme", ["hardware", "static", "dynamic", "rdma-eager"])
+def test_bytes_counters_late_posted_receive(scheme):
+    """A message that waited in the unexpected queue is counted once, when
+    the late receive copies it out — on the ring as on the send/recv
+    channel (the ring arrival used to count it a second time)."""
+    def prog(mpi):
+        if mpi.rank == 0:
+            for _ in range(5):
+                yield from mpi.send(1, size=100)
+        else:
+            yield from mpi.compute(200_000)  # all five arrive unexpected
+            for _ in range(5):
+                yield from mpi.recv(source=0, capacity=100)
+
+    r = run2(prog, scheme=scheme, audit=True)
+    assert r.endpoints[0].bytes_sent == 504  # 5 x 100 + the finalize barrier
+    assert r.endpoints[1].bytes_received == r.endpoints[0].bytes_sent
+
+
 def test_wait_ns_accumulates():
     def prog(mpi):
         if mpi.rank == 1:

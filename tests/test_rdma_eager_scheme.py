@@ -24,7 +24,6 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
-from repro.mpi.endpoint import Endpoint
 from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.rdma_channel import (
     SLOT_OVERHEAD_BYTES,
@@ -288,16 +287,17 @@ def test_ring_slot_leak_is_caught_at_final_check(monkeypatch):
     """Mutant: the receiver processes a message but never reclaims its
     slot.  The credit ledger stays balanced (the grant is a separate
     act), so only the ring-slot-leak final check can catch this."""
-    real_free = Endpoint._free_ring_slot
+    real_free = Auditor.on_ring_free
     leaked = []
 
-    def leaky_free(self, conn, h):
+    def leaky_free(self, channel, h):
         if not leaked:
             leaked.append(h.seq)  # silently forget the first slot
             return
-        real_free(self, conn, h)
+        real_free(self, channel, h)
 
-    monkeypatch.setattr(Endpoint, "_free_ring_slot", leaky_free)
+    # the endpoint reports a reclaimed slot through this hook alone
+    monkeypatch.setattr(Auditor, "on_ring_free", leaky_free)
     with pytest.raises(InvariantViolation) as exc:
         run_job(latency_program(4, iterations=5), 2, "rdma-eager",
                 prepost=8, config=TestbedConfig(nodes=2), audit=True)

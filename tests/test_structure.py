@@ -15,6 +15,20 @@ from repro.ib.fattree import FatTreeFabric
 SRC = Path(repro.__file__).parent
 
 
+def _src(rel):
+    return (SRC / rel).read_text()
+
+
+def _modules_matching(pattern):
+    """Source modules (relative to ``src/repro``) the regex occurs in."""
+    rx = re.compile(pattern)
+    return {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if rx.search(path.read_text())
+    }
+
+
 def test_fat_tree_reuses_the_fabric_timing_model():
     # link reservation and control-path latency live on Fabric alone; the
     # fat tree only says which links a route takes
@@ -33,14 +47,9 @@ def test_one_delivery_train_class():
 def test_kernel_internals_stay_in_the_kernel():
     """The calendar queue's private layout is open-coded only where a call
     per event was measured to matter."""
-    private = re.compile(r"\b_SHIFT\b|\b_MASK\b|\bsim\._(?:buckets|active|over)\b")
+    private = r"\b_SHIFT\b|\b_MASK\b|\bsim\._(?:buckets|active|over)\b"
     allowed = {"sim/engine.py", "sim/process.py", "ib/fabric.py"}
-    users = {
-        path.relative_to(SRC).as_posix()
-        for path in SRC.rglob("*.py")
-        if private.search(path.read_text())
-    }
-    assert users <= allowed
+    assert _modules_matching(private) <= allowed
 
 
 def test_legacy_perf_harness_is_gone(capsys):
@@ -49,3 +58,33 @@ def test_legacy_perf_harness_is_gone(capsys):
         importlib.import_module(f"repro.{legacy}")
     assert main([legacy]) == 2  # like any unknown subcommand
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one path per protocol event in the MPI endpoint
+# ----------------------------------------------------------------------
+def test_one_post_site_and_no_replay_twins():
+    from repro.mpi.endpoint import Endpoint
+
+    assert _src("mpi/endpoint.py").count("SendWR(") == 1
+    assert [name for name in vars(Endpoint) if name.startswith("_replay_")] == []
+
+
+@pytest.mark.parametrize("hook, sites", [
+    ("on_emit", 1), ("on_deliver", 1), ("on_grant", 1),
+    ("observe_recv_header", 1), ("on_consume", 1), ("on_send_done", 1),
+    # distinct events: arrival vs. late irecv; drained vs. converted to fallback
+    ("on_match", 2), ("on_backlog_dequeue", 2),
+])
+def test_each_audit_hook_fires_from_one_place_per_event(hook, sites):
+    assert _src("mpi/endpoint.py").count(f"_audit.{hook}(") == sites
+
+
+@pytest.mark.parametrize("pattern, owners", [
+    # the MR initialises its own hook to None; the ring channel installs it
+    (r"\.on_write = ", {"ib/mr.py", "mpi/rdma_channel.py"}),
+    (r"tx_ring_addr = ", {"mpi/connection.py"}),
+    (r"cq\._entries = ", set()),  # CompletionQueue rebinds its own self._entries
+], ids=["on_write", "tx_ring", "cq_entries"])
+def test_managers_do_not_open_code_internals(pattern, owners):
+    assert _modules_matching(pattern) <= owners

@@ -10,7 +10,7 @@ HCA loopback path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.cluster.config import TestbedConfig
 from repro.core.base import FlowControlScheme
@@ -18,7 +18,7 @@ from repro.ib.fabric import Fabric
 from repro.ib.hca import HCA
 from repro.mpi.connection import Connection
 from repro.mpi.endpoint import Endpoint
-from repro.sim import Simulator
+from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
 
 
@@ -61,6 +61,9 @@ class Cluster:
         """Block-cyclic placement: rank r lives on node r mod nodes."""
         return rank % self.config.nodes
 
+    # A mesh is P*(P-1) long-lived connections and no garbage: collector
+    # passes over the growing heap were more than half the set-up time.
+    @gc_paused()
     def launch(
         self,
         nranks: int,
@@ -112,23 +115,21 @@ class Cluster:
             return self.endpoints
 
         # Full QP mesh: one RC connection per ordered pair, all bound to
-        # the per-process CQ (paper §3.1).
-        qps: Dict[tuple, object] = {}
-        for a in self.endpoints:
-            for b in self.endpoints:
-                if a.rank != b.rank:
-                    qps[(a.rank, b.rank)] = a.hca.create_qp(a.cq)
-        for (i, j), qp in qps.items():
-            peer_qp = qps[(j, i)]
-            qp.connect(self.endpoints[j].hca.lid, peer_qp.qp_num)
-        for a in self.endpoints:
-            for b in self.endpoints:
-                if a.rank != b.rank:
-                    conn = Connection(a, b.rank, qps[(a.rank, b.rank)])
-                    a.add_connection(b.rank, conn)
-        if self.endpoints and self.endpoints[0]._ring_mode:
-            for a in self.endpoints:
-                for b in self.endpoints:
+        # the per-process CQ (paper §3.1).  Every QP exists before the
+        # first is connected (an end needs its peer's number), created
+        # rank-major: QPN assignment is this loop.
+        eps = self.endpoints
+        rows = [
+            [None if b is a else a.hca.create_qp(a.cq) for b in eps] for a in eps
+        ]
+        for a, row in zip(eps, rows):
+            for b, qp in zip(eps, row):
+                if qp is not None:
+                    qp.connect(b.hca.lid, rows[b.rank][a.rank].qp_num)
+                    a.add_connection(b.rank, Connection(a, b.rank, qp))
+        if eps[0]._ring_mode:
+            for a in eps:
+                for b in eps:
                     if a.rank < b.rank:
                         Endpoint.wire_rdma_rings(
                             a.connections[b.rank], b.connections[a.rank]

@@ -185,13 +185,23 @@ class ConnectionManager:
     def teardown(self, rank_a: int, rank_b: int) -> None:
         """Dismantle the pair's connection state after a permanent loss
         (recovery attempt budget exhausted): drop both directions'
-        ``Connection`` objects and the fired setup signal, so the next
-        ``request()`` for the pair starts a fresh CM exchange."""
+        ``Connection`` objects, their QPs and the fired setup signal, so
+        the next ``request()`` for the pair starts a fresh CM exchange."""
         pair = (min(rank_a, rank_b), max(rank_a, rank_b))
         a = self.cluster.endpoints[pair[0]]
         b = self.cluster.endpoints[pair[1]]
         had = a.connections.pop(pair[1], None)
-        b.connections.pop(pair[0], None)
+        for ep, conn in ((a, had), (b, b.connections.pop(pair[0], None))):
+            if conn is None:
+                continue
+            # Release both QPs.  The end that did not detect the loss may
+            # still be READY: error it, and reclaim the flushed completions
+            # now — once the Connection is gone nobody can account for them.
+            qp = conn.qp
+            qp.force_error()  # idempotent
+            for wc in ep.cq.remove_errors(qp.qp_num):
+                ep._reclaim_error_wc(wc)
+            ep.hca.destroy_qp(qp)
         self._pending.pop(pair, None)
         if had is not None:
             self.torn_down += 1

@@ -71,8 +71,8 @@ class DynamicScheme(StaticScheme):
 
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         super().setup_connection(conn, requested_prepost)
-        conn._decay_quiet_msgs = 0  # type: ignore[attr-defined]
-        conn._grow_barrier_seq = -1  # type: ignore[attr-defined]
+        conn._decay_quiet_msgs = 0
+        conn._grow_barrier_seq = -1
 
     # ------------------------------------------------------------------
     # the feedback loop
@@ -82,10 +82,7 @@ class DynamicScheme(StaticScheme):
         if (
             header.went_backlog
             and conn.prepost_target < self.max_prepost
-            and (
-                not self.rate_limited
-                or header.seq > conn._grow_barrier_seq  # type: ignore[attr-defined]
-            )
+            and (not self.rate_limited or header.seq > conn._grow_barrier_seq)
         ):
             if self.exponential:
                 new_target = min(self.max_prepost, max(conn.prepost_target * 2, 1))
@@ -99,11 +96,11 @@ class DynamicScheme(StaticScheme):
                 grown = conn.refill_recv_buffers()
                 # The new buffers are new credits for the sender.
                 conn.pending_credit_return += delta
-                conn._decay_quiet_msgs = 0  # type: ignore[attr-defined]
+                conn._decay_quiet_msgs = 0
                 # Rate limit: messages flagged before the sender could have
                 # learned about this growth must not compound it.  Skip
                 # roughly one credit-budget's worth of sequence numbers.
-                conn._grow_barrier_seq = header.seq + new_target  # type: ignore[attr-defined]
+                conn._grow_barrier_seq = header.seq + new_target
         elif self.decay_enabled:
             grown = self._maybe_decay(conn, header)
         return grown
@@ -118,10 +115,10 @@ class DynamicScheme(StaticScheme):
         ``recv_posted`` exceeds the target — credit conservation holds
         throughout (see ``tests/test_fc_invariants.py``).
         """
-        conn._decay_quiet_msgs += 1  # type: ignore[attr-defined]
-        if conn._decay_quiet_msgs < self.decay_idle_messages:  # type: ignore[attr-defined]
+        conn._decay_quiet_msgs += 1
+        if conn._decay_quiet_msgs < self.decay_idle_messages:
             return 0
-        conn._decay_quiet_msgs = 0  # type: ignore[attr-defined]
+        conn._decay_quiet_msgs = 0
         new_target = max(1, conn.prepost_target // 2)
         if new_target < conn.prepost_target:
             conn.prepost_target = new_target  # bypass max-tracking setter

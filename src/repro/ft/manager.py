@@ -299,8 +299,8 @@ class FTManager:
                 req = getattr(ref, "request", ref)  # RndvSendOp carries .request
                 if req is not None:
                     self.fail_request(ep, req, rank)
-            conn.backlog.clear()
-            conn.deferred.clear()
+            conn.backlog = ()
+            conn.deferred = ()
             conn.cq_stash.clear()
             ep._backlogged.discard(rank)
         for sreq_id in [k for k, op in ep._rndv_send.items() if op.dst == rank]:

@@ -25,8 +25,8 @@ from typing import Deque, Dict, Optional
 from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
 from repro.ib.mr import MemoryRegion, RegistrationTable
-from repro.ib.qp import QueuePair, _Message
-from repro.ib.types import IBConfig, Opcode, WCStatus
+from repro.ib.qp import QPError, QueuePair, _Message
+from repro.ib.types import IBConfig, Opcode, QPState, WCStatus
 from repro.ib.wr import WC, RecvWR
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
@@ -104,6 +104,14 @@ class HCA:
 
     def qp(self, qpn: int) -> QueuePair:
         return self._qps[qpn]
+
+    def destroy_qp(self, qp: QueuePair) -> None:
+        """Release a dead QP (``ERROR`` or ``RESET``: its work queues are
+        already flushed).  Packets still in flight to its number are
+        dropped on arrival (:meth:`_rx_process`).  Idempotent."""
+        if qp.state is QPState.READY:
+            raise QPError(f"QP {qp.qp_num}: destroy_qp in state {qp.state}")
+        self._qps.pop(qp.qp_num, None)
 
     def reg_mr(self, length: int) -> MemoryRegion:
         """Register ``length`` bytes.  The *caller* must burn

@@ -25,7 +25,8 @@ blasting the full window into a NAK storm.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple, Union
 
 from repro.ib.mr import RemoteAccessError
 from repro.ib.types import INFINITE_RETRY, Opcode, QPState, WCStatus
@@ -82,6 +83,22 @@ class QueuePair:
     :meth:`connect` before posting.
     """
 
+    # A full mesh holds P*(P-1) of these, nearly all idle: slots instead of
+    # a per-instance dict (36 attributes is past the shared-key limit, so
+    # each dict was private), and the send queue allocated on first use.
+    __slots__ = (
+        "hca", "qp_num", "send_cq", "recv_cq", "sq_depth", "rq_depth",
+        "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
+        "_max_inflight", "_e2e_credit_updates",
+        "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
+        "_credit_est", "_credit_est_msn", "_sends_inflight",
+        "_rq", "_expected_msn", "_advertised_zero",
+        "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
+        "_xport_acks", "_xport_seen", "reack_stale",
+        "rnr_naks_received", "rnr_naks_sent", "retransmissions",
+        "messages_sent", "messages_delivered",
+    )
+
     def __init__(
         self,
         hca: "HCA",
@@ -113,7 +130,9 @@ class QueuePair:
         self._e2e_credit_updates = hca.config.e2e_credit_updates
 
         # --- requester state ---
-        self._sq: Deque[SendWR] = deque()  # waiting to inject (incl. replays)
+        #: waiting to inject (incl. replays); the shared empty tuple until
+        #: the first :meth:`post_send` — most mesh QPs never send
+        self._sq: Union[Deque[SendWR], Tuple[()]] = ()
         self._inflight: Dict[int, SendWR] = {}  # msn -> WR, awaiting ACK
         self._next_msn = 0
         self._rnr_waiting = False
@@ -190,7 +209,7 @@ class QueuePair:
             self._xport_timer = None
         self.state = QPState.RESET
         self.epoch += 1
-        self._sq.clear()
+        self._sq = ()
         self._inflight.clear()
         self._next_msn = 0
         self._rnr_waiting = False
@@ -225,17 +244,23 @@ class QueuePair:
     def post_send(self, wr: SendWR) -> None:
         if self.state is not QPState.READY:
             raise QPError(f"QP {self.qp_num}: post_send in state {self.state}")
-        if len(self._sq) + len(self._inflight) >= self.sq_depth:
+        sq = self._sq
+        if len(sq) + len(self._inflight) >= self.sq_depth:
             raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.sq_depth})")
-        self._sq.append(wr)
+        if type(sq) is tuple:  # first use
+            sq = self._sq = deque()
+        sq.append(wr)
         self.hca._kick(self)
 
-    def post_recv(self, wr: RecvWR) -> None:
+    def post_recv(self, wr: RecvWR, n: int = 1) -> None:
+        """Post ``n`` receive WQEs described by ``wr`` (a descriptor is
+        never mutated once posted, so the ``n`` entries share it)."""
         if self.state is QPState.ERROR:
             raise QPError(f"QP {self.qp_num}: post_recv in ERROR state")
-        if len(self._rq) >= self.rq_depth:
+        rq = self._rq
+        if len(rq) + n > self.rq_depth:
             raise QPError(f"QP {self.qp_num}: receive queue overflow")
-        self._rq.append(wr)
+        rq.extend(repeat(wr, n))
         if (
             self._e2e_credit_updates
             and self._advertised_zero
@@ -248,7 +273,7 @@ class QueuePair:
                 self.hca.lid,
                 self.remote_lid,
                 self._peer()._on_credit_update,
-                len(self._rq),
+                len(rq),
                 self.epoch,
             )
 
@@ -383,20 +408,24 @@ class QueuePair:
     def _rnr_expire(self, nak_msn: int) -> None:
         self._rnr_waiting = False
         self._rnr_timer_ev = None
-        # Replay every unacked message from the NAK point, in MSN order.
-        replay = sorted(
-            (m for m in self._inflight if m >= nak_msn), reverse=True
-        )
-        for msn in replay:
-            wr = self._inflight.pop(msn)
+        self._requeue_unacked(nak_msn)
+        # Allow one probe even with zero estimated credits (handled by the
+        # injection gate).
+        self.hca._kick(self)
+
+    def _requeue_unacked(self, first_msn: int) -> None:
+        """Move every unacked message from ``first_msn`` on back to the
+        head of the send queue, in MSN order (go-back-N: later messages
+        were discarded by the responder's in-order filter)."""
+        inflight = self._inflight
+        sq = self._sq  # a deque: whatever is in flight was posted through it
+        for msn in sorted((m for m in inflight if m >= first_msn), reverse=True):
+            wr = inflight.pop(msn)
             if wr.opcode is Opcode.SEND:
                 self._sends_inflight -= 1
                 if self._credit_est is not None:
                     self._credit_est += 1
-            self._sq.appendleft(wr)
-        # Allow one probe even with zero estimated credits (handled by the
-        # injection gate).
-        self.hca._kick(self)
+            sq.appendleft(wr)
 
     # ------------------------------------------------------------------
     # requester: transport (ACK timeout) retries — armed by a fault plan or
@@ -453,15 +482,7 @@ class QueuePair:
                 self._sends_inflight -= 1
             self._fatal(wr, WCStatus.RETRY_EXCEEDED)
             return
-        # Replay every unacked message in MSN order (go-back-N: later
-        # messages were discarded by the responder's in-order filter).
-        for msn in sorted(self._inflight, reverse=True):
-            w = self._inflight.pop(msn)
-            if w.opcode is Opcode.SEND:
-                self._sends_inflight -= 1
-                if self._credit_est is not None:
-                    self._credit_est += 1
-            self._sq.appendleft(w)
+        self._requeue_unacked(oldest)
         self._xport_seen = self._xport_acks
         self._xport_timer = self.hca.sim.schedule(
             self._xport_timeout_ns, self._xport_expire
@@ -529,7 +550,7 @@ class QueuePair:
                 )
             )
         self._inflight.clear()
-        self._sq.clear()
+        self._sq = ()
         for rwr in self._rq:
             self.recv_cq.push(
                 WC(

@@ -19,12 +19,11 @@ fields; the endpoint and progress engine are scheme-agnostic.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple, Union
 
 from repro.ib.qp import QueuePair
-from repro.ib.types import QPState
+from repro.ib.wr import RecvWR
 from repro.mpi.protocol import Header
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +39,7 @@ class PendingSend:
     enqueue_ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnStats:
     """Per-connection observability, aggregated into the paper's tables."""
 
@@ -62,6 +61,20 @@ class Connection:
     """State for one directed rank→rank link (shared by both directions:
     each rank owns its endpoint's Connection object to the peer)."""
 
+    # A full mesh holds P*(P-1) of these, nearly all idle, so an idle one
+    # must be cheap on the host too: slots, and the two queues below are
+    # the shared empty tuple until their first append.
+    __slots__ = (
+        "endpoint", "peer", "qp",
+        "credits", "backlog", "fallback_inflight", "seq_out",
+        "prepost_target", "headroom", "recv_wr", "recv_posted",
+        "pending_credit_return", "seq_in_expected", "cq_stash",
+        "_decay_quiet_msgs", "_grow_barrier_seq",
+        "rdma_eager", "tx_ring_addr", "tx_ring_rkey", "tx_ring_slots",
+        "tx_ring_next", "rx_channel",
+        "recovering", "deferred", "stats",
+    )
+
     def __init__(self, endpoint: "Endpoint", peer: int, qp: QueuePair):
         self.endpoint = endpoint
         self.peer = peer
@@ -69,13 +82,25 @@ class Connection:
 
         # --- sender half ---
         self.credits = 0
-        self.backlog: Deque[PendingSend] = deque()
+        #: FIFO of sends that found no credit; a ``deque`` from the first
+        #: ``Endpoint._enqueue_backlog`` on
+        self.backlog: Union[Deque[PendingSend], Tuple[()]] = ()
         self.fallback_inflight = 0  # outstanding optimistic handshakes
         self.seq_out = 0
 
         # --- receiver half ---
         self.prepost_target = 0
         self.headroom = 0  # extra non-credited buffers (set by the scheme)
+        #: the descriptor every receive vbuf of this connection is posted
+        #: with (set by ``Endpoint.add_connection``; never mutated, so all
+        #: posted WQEs share it)
+        self.recv_wr: Optional[RecvWR] = None
+        #: receiver-half state owned by ``DynamicScheme`` (its
+        #: ``setup_connection`` resets both): quiet-streak length for the
+        #: optional decay, and the sequence number growth feedback is
+        #: ignored up to (the rate limit)
+        self._decay_quiet_msgs = 0
+        self._grow_barrier_seq = -1
 
         # --- RDMA eager channel (None unless MPIConfig.use_rdma_channel) ---
         self.rdma_eager = False
@@ -97,8 +122,9 @@ class Connection:
         #: emissions park in ``deferred`` instead of touching the QP
         self.recovering = False
         #: ``Endpoint._emit`` arguments ``(header, ref)`` parked during
-        #: recovery, re-emitted FIFO (after replays) once the QP re-arms
-        self.deferred: Deque[tuple] = deque()
+        #: recovery, re-emitted FIFO (after replays) once the QP re-arms;
+        #: a ``deque`` from the first parked emission on
+        self.deferred: Union[Deque[tuple], Tuple[()]] = ()
 
         self.stats = ConnStats()
 
@@ -134,17 +160,10 @@ class Connection:
         posted (the endpoint charges the CPU cost)."""
         if self.endpoint._stall_until > self.endpoint.sim.now:
             return 0  # receiver stalled (fault injection): no reposts
-        if self.qp.state is not QPState.READY:
-            # Recovery window: the QP cannot accept WQEs (post_recv would
-            # raise in ERROR state).  The resync refill restores the
-            # population once the QP is re-armed.
+        missing = self.recv_budget - self.recv_posted
+        if missing <= 0:
             return 0
-        budget = self.recv_budget
-        posted = 0
-        while self.recv_posted < budget:
-            self.endpoint._post_recv_vbuf(self)
-            posted += 1
-        return posted
+        return self.endpoint._post_recv_vbuf(self, missing)
 
     @property
     def recv_budget(self) -> int:

@@ -22,6 +22,7 @@ buffer re-posting is always software).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.base import FlowControlScheme
@@ -149,6 +150,7 @@ class Endpoint:
     # ------------------------------------------------------------------
     def add_connection(self, peer: int, conn: Connection) -> None:
         self.connections[peer] = conn
+        conn.recv_wr = RecvWR(wr_id=peer, capacity=self.config.vbuf_bytes)
         if self._ring_mode:
             conn.rdma_eager = True
             conn.rx_channel = RDMAChannel(
@@ -166,17 +168,25 @@ class Endpoint:
             ring = rx.rx_channel.ring
             tx.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
 
-    def _post_recv_vbuf(self, conn: Connection) -> None:
-        if conn.qp.state is not QPState.READY:
+    def _post_recv_vbuf(self, conn: Connection, n: int = 1) -> int:
+        """Post ``n`` receive vbufs on ``conn``; returns how many were
+        posted (``n``, or 0 while the QP cannot take them)."""
+        qp = conn.qp
+        if qp.state is not QPState.READY:
             # Recovery window: the QP cannot accept WQEs (post_recv raises
             # in ERROR state).  The credit for a paid message processed in
             # this window is still granted by the caller; the physical
             # buffer population is restored by the resync refill.
-            return
-        conn.qp.post_recv(RecvWR(wr_id=conn.peer, capacity=self.config.vbuf_bytes))
-        conn.recv_posted += 1
-        if self._audit is not None:
-            self._audit.on_post_recv(conn)
+            return 0
+        qp.post_recv(conn.recv_wr, n)
+        audit = self._audit
+        if audit is None:
+            conn.recv_posted += n
+        else:
+            for _ in range(n):  # the auditor observes every buffer
+                conn.recv_posted += 1
+                audit.on_post_recv(conn)
+        return n
 
     @property
     def now(self) -> int:
@@ -1036,6 +1046,8 @@ class Endpoint:
                 # no ring slot, no sequence number) — the manager re-emits
                 # deferred messages FIFO after the un-acked replays once
                 # the QP re-arms (and the fresh ring is wired).
+                if type(conn.deferred) is tuple:  # first use
+                    conn.deferred = deque()
                 conn.deferred.append((header, ref))
                 return 0
             piggy = conn.take_piggyback_credits()
@@ -1123,13 +1135,16 @@ class Endpoint:
     # backlog / flow-control plumbing
     # ------------------------------------------------------------------
     def _enqueue_backlog(self, conn: Connection, pending: PendingSend) -> None:
-        conn.backlog.append(pending)
+        backlog = conn.backlog
+        if type(backlog) is tuple:  # first use
+            backlog = conn.backlog = deque()
+        backlog.append(pending)
         if self._audit is not None:
             self._audit.on_backlog_enqueue(conn, pending.header)
         conn.stats.backlogged += 1
         if pending.header.kind is not MsgKind.EAGER:
             conn.stats.ctl_backlogged += 1
-        depth = len(conn.backlog)
+        depth = len(backlog)
         if depth > conn.stats.backlog_max:
             conn.stats.backlog_max = depth
         self._backlogged.add(conn.peer)

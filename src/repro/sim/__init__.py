@@ -24,7 +24,7 @@ Example
 1000
 """
 
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import ScheduledEvent, Simulator, gc_paused
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.trace import Counter, Tracer
 from repro.sim.waitables import AllOf, AnyOf, Signal, Timeout, Waitable
@@ -41,4 +41,5 @@ __all__ = [
     "Timeout",
     "Tracer",
     "Waitable",
+    "gc_paused",
 ]

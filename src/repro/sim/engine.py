@@ -56,8 +56,9 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from collections import deque
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterator, List, Optional
 
 from repro.sim.trace import Tracer
 
@@ -83,6 +84,26 @@ def _as_int_ns(value: Any, what: str) -> int:
         f"non-integral {what} {value!r}: the clock is integer nanoseconds; "
         "round explicitly at the call site (see repro.sim.units)"
     )
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector for the duration of the block (or, as a
+    decorator, of the call), leaving it as it was found — also on error,
+    also when it was already off.
+
+    For phases that allocate many long-lived or purely refcounted objects
+    and free none the collector could help with: the event loop, and the
+    mesh build, where generation-0 passes fire every 700 allocations over
+    an ever-growing heap and reclaim nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ScheduledEvent:
@@ -410,6 +431,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    # The event loop churns short-lived objects (events, headers, WCs) that
+    # the cyclic collector scans over and over without freeing anything
+    # refcounting doesn't already handle; pausing it for the duration is
+    # worth ~5% wall time.
+    @gc_paused()
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Execute events until the agenda empties.
 
@@ -437,13 +463,6 @@ class Simulator:
         stop = until if until is not None else float("inf")
         executed = self.events_executed
         now = self.now  # local mirror; only this loop advances the clock
-        # The event loop churns short-lived objects (events, headers, WCs)
-        # that the cyclic collector scans over and over without freeing
-        # anything refcounting doesn't already handle; pausing it for the
-        # duration is worth ~5% wall time.  Restored even on error.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             while True:
                 # Same-instant FIFO first, unless an agenda entry at the
@@ -538,8 +557,6 @@ class Simulator:
         finally:
             self.events_executed = executed
             self._running = False
-            if gc_was_enabled:
-                gc.enable()
 
     def every(self, interval_ns: int, callback: Callable[[], bool]) -> None:
         """Run ``callback()`` every ``interval_ns`` until it returns falsy.

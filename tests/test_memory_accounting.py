@@ -5,9 +5,11 @@ and reproduce the paper's scalability headline — on-demand pinned bytes
 track the communication graph, full-mesh pinned bytes track P².
 """
 
+import tracemalloc
+
 import pytest
 
-from repro.cluster import TestbedConfig, run_job
+from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import make_scheme
 from repro.core.memory import (
     CQE_BYTES,
@@ -123,3 +125,31 @@ def test_mesh_model_is_quadratic():
     m64 = mesh_pinned_bytes(64, "dynamic", 1, TestbedConfig().mpi)
     m1024 = mesh_pinned_bytes(1024, "dynamic", 1, TestbedConfig().mpi)
     assert m1024 / m64 == (1024 * 1023) / (64 * 63)
+
+
+# ----------------------------------------------------------------------
+# the host's side of the bargain: the modelled bytes above are what a
+# connection is *charged*; this is what one idle connection costs the
+# simulator's own heap
+# ----------------------------------------------------------------------
+def test_idle_mesh_connection_host_heap_budget():
+    """A 256-rank mesh is 65,280 connections, so bytes per idle
+    connection *is* the mesh's peak RSS (5,859 B before the per-connection
+    objects were slotted and their queues made first-use; ~1,950 B now,
+    of which 760 is the receive queue's one deque block).  Deterministic
+    for a given interpreter; the bound leaves room for a CPython whose
+    object headers differ, not for a new per-connection container."""
+    nranks = 32
+    cluster = Cluster(TestbedConfig(nodes=nranks))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cluster.launch(nranks, make_scheme("dynamic"), 1, on_demand=False)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    per_connection = grown / (nranks * (nranks - 1))
+    assert per_connection <= 2_600, per_connection

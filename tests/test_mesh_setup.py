@@ -1,0 +1,252 @@
+"""Mesh set-up costs what its state needs.
+
+``Cluster.launch`` wires P*(P-1) connections of which a workload touches a
+handful, so an idle connection has to be cheap on the host: the collector
+is paused while the mesh is built, the per-connection objects are slotted,
+the send-side queues appear on first use, and the receive vbufs go to the
+QP in one batch.  None of it may show in the simulation: what gets posted
+(and what an armed auditor sees of it) is pinned here against the closed
+forms of :mod:`repro.core.memory`.
+"""
+
+import gc
+from collections import deque
+
+import pytest
+
+from repro.check import Auditor
+from repro.cluster import Cluster, TestbedConfig, run_job
+from repro.core import make_scheme
+from repro.core.memory import (
+    collect_memory_report,
+    mesh_pinned_bytes,
+    qp_state_bytes,
+)
+from repro.faults import FaultPlan
+from repro.ib.types import Opcode, QPState
+from repro.ib.wr import SendWR
+from repro.sim.units import us
+
+from tests.ib_helpers import build_pair
+
+ALL_SCHEMES = ("hardware", "static", "dynamic", "rdma-eager")
+
+
+def _mesh(nranks, scheme, prepost):
+    cluster = Cluster(TestbedConfig(nodes=nranks))
+    cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
+    return cluster
+
+
+def _conns(cluster):
+    return [c for ep in cluster.endpoints for c in ep.connections.values()]
+
+
+# ----------------------------------------------------------------------
+# the collector is paused for the build and left as it was found
+# ----------------------------------------------------------------------
+@pytest.fixture
+def collector():
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_launch_restores_the_collector(collector, enabled, monkeypatch):
+    (gc.enable if enabled else gc.disable)()
+    seen = set()
+    real = Cluster.node_of_rank  # called from inside launch, once per rank
+    monkeypatch.setattr(
+        Cluster, "node_of_rank",
+        lambda self, rank: (seen.add(gc.isenabled()), real(self, rank))[1],
+    )
+    cluster = _mesh(4, "static", 2)
+    assert seen == {False}  # paused while the cluster was built
+    assert gc.isenabled() is enabled
+
+    # ... and when launch raises
+    with pytest.raises(RuntimeError, match="already launched"):
+        cluster.launch(4, make_scheme("static"), 2)
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValueError):
+        Cluster(TestbedConfig(nodes=2)).launch(0, make_scheme("static"), 2)
+    assert gc.isenabled() is enabled
+    with pytest.raises(Exception, match="requested_prepost"):
+        Cluster(TestbedConfig(nodes=2)).launch(2, make_scheme("static"), 0)
+    assert gc.isenabled() is enabled
+
+
+# ----------------------------------------------------------------------
+# queues on first use
+# ----------------------------------------------------------------------
+def test_idle_connection_holds_no_queue_objects():
+    cluster = _mesh(4, "static", 1)
+    for conn in _conns(cluster):
+        for q in (conn.backlog, conn.deferred, conn.qp._sq):
+            assert q == () and not isinstance(q, deque)
+            assert len(q) == 0 and not q and list(q) == []
+        assert conn.qp.outstanding_sends == 0
+        assert conn.qp._next_injectable() is None
+        assert conn.qp.check_invariants() == []
+        assert "backlog=0" in repr(conn) and "sq=0" in repr(conn.qp)
+    assert all(ep._locally_quiescent() for ep in cluster.endpoints)
+
+
+def test_auditor_final_check_walks_idle_connections():
+    def prog(mpi):  # ranks 2 and 3 never touch a connection's queues
+        if mpi.rank == 0:
+            yield from mpi.send(1, size=4, payload="x")
+        elif mpi.rank == 1:
+            yield from mpi.recv(source=0, capacity=64)
+
+    r = run_job(prog, 4, "static", 1, audit=True)
+    assert not r.audit.violations
+    idle = r.endpoints[2].connections[3]
+    assert idle.backlog == () and idle.deferred == ()
+
+
+def test_starved_flood_drains_the_backlog_fifo():
+    n = 40
+
+    def prog(mpi):
+        if mpi.rank == 0:
+            reqs = []
+            for i in range(n):
+                reqs.append((yield from mpi.isend(1, size=4, tag=7, payload=i)))
+            yield from mpi.waitall(reqs)
+            return None
+        yield from mpi.compute(us(200))  # let the sender starve first
+        got = []
+        for _ in range(n):
+            st = yield from mpi.recv(source=0, capacity=64, tag=7)
+            got.append(st.payload)
+        return got
+
+    r = run_job(prog, 2, "static", 1, config=TestbedConfig(nodes=2), audit=True)
+    assert r.rank_results[1] == list(range(n))
+    conn = r.endpoints[0].connections[1]
+    assert conn.stats.backlogged > 0 and conn.stats.backlog_max > 1
+    assert isinstance(conn.backlog, deque) and not conn.backlog  # used, drained
+    assert r.endpoints[1].connections[0].backlog == ()  # never used
+
+
+def test_qp_reset_returns_the_send_queue_to_empty():
+    sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair()
+    assert qp0._sq == ()
+    qp0.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=4))
+    qp0.post_send(SendWR(wr_id=2, opcode=Opcode.SEND, length=4))
+    assert isinstance(qp0._sq, deque) and qp0.outstanding_sends == 2
+    qp0.force_error()  # flushes both
+    assert qp0._sq == () and len(cq0) == 2
+    qp0.reset()
+    assert qp0._sq == () and not isinstance(qp0._sq, deque)
+    assert qp0.outstanding_sends == 0 and qp0.state is QPState.RESET
+    qp0.connect(1, qp1.qp_num)
+    qp0.post_send(SendWR(wr_id=3, opcode=Opcode.SEND, length=4))
+    assert list(qp0._sq)[0].wr_id == 3
+
+
+def test_sever_returns_the_queues_to_empty():
+    victim = 2
+
+    def prog(mpi):
+        if mpi.rank == 0:  # floods the victim: most of it sits in the backlog
+            reqs = []
+            for i in range(30):
+                reqs.append((yield from mpi.isend(victim, size=4, tag=i)))
+            sts = yield from mpi.waitall(reqs)
+            return sum(1 for st in sts if st.error)
+        yield from mpi.compute(us(2_000))  # the victim dies long before
+        return None
+
+    plan = FaultPlan(seed=7).rank_death(rank=victim, at_ns=us(20))
+    r = run_job(prog, 4, "static", 1, faults=plan, ft=True, audit=True)
+    assert [f.rank for f in r.failures] == [victim]
+    conn = r.endpoints[0].connections[victim]
+    assert conn.stats.backlogged > 0  # the backlog was a live deque ...
+    assert r.rank_results[0] > 0  # ... whose requests failed PROC_FAILED
+    for q in (conn.backlog, conn.deferred, conn.qp._sq):
+        assert q == () and not isinstance(q, deque)
+
+
+# ----------------------------------------------------------------------
+# one batch posts what the per-buffer loop posted
+# ----------------------------------------------------------------------
+class _TallyingAuditor(Auditor):
+    """Records what ``on_post_recv`` saw, per directed connection."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
+
+    def on_post_recv(self, conn):
+        self.seen.setdefault((conn.endpoint.rank, conn.peer), []).append(
+            conn.recv_posted
+        )
+        super().on_post_recv(conn)
+
+
+def _expected_wqes(cluster, scheme, prepost):
+    s = make_scheme(scheme)
+    if s.uses_ring:
+        return cluster.config.mpi.rdma_control_bufs
+    return prepost + s.optimistic_headroom
+
+
+@pytest.mark.parametrize("prepost", [1, 10, 100])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_batched_preposting_matches_the_closed_forms(scheme, prepost):
+    nranks = 4
+    cluster = _mesh(nranks, scheme, prepost)
+    cfg = cluster.config
+    want = _expected_wqes(cluster, scheme, prepost)
+    conns = _conns(cluster)
+    assert len(conns) == nranks * (nranks - 1)
+    for conn in conns:
+        assert conn.recv_posted == want
+        assert conn.qp.posted_recvs == want
+        assert conn.recv_budget == want
+        # every WQE of a connection is the connection's one descriptor
+        assert all(wr is conn.recv_wr for wr in conn.qp._rq)
+        assert (conn.recv_wr.wr_id, conn.recv_wr.capacity) == (
+            conn.peer, cfg.mpi.vbuf_bytes)
+    mem = collect_memory_report(cluster.endpoints, cfg)
+    assert mem.connections == len(conns)
+    assert mem.vbuf_posted_bytes == len(conns) * want * cfg.mpi.vbuf_bytes
+    assert mem.vbuf_pinned_bytes + mem.ring_bytes == mesh_pinned_bytes(
+        nranks, scheme, prepost, cfg.mpi)
+    assert mem.qp_bytes == len(conns) * qp_state_bytes(cfg.ib)
+
+
+@pytest.mark.parametrize("prepost", [1, 10, 100])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_armed_auditor_observes_every_buffer_of_a_batch(scheme, prepost):
+    """The auditor attaches to a launched cluster, so the armed batch is
+    an on-demand connection's: one ``on_post_recv`` per buffer, each
+    seeing ``recv_posted`` one higher, exactly as the per-buffer loop."""
+    nranks = 3
+    cluster = Cluster(TestbedConfig(nodes=nranks))
+    cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=True)
+    audit = _TallyingAuditor().attach(cluster)
+    for a in range(nranks):
+        for b in range(a + 1, nranks):
+            cluster.cm.request(cluster.endpoints[a], b)
+    cluster.sim.run(max_events=10_000)
+    want = _expected_wqes(cluster, scheme, prepost)
+    pairs = {(a, b) for a in range(nranks) for b in range(nranks) if a != b}
+    assert set(audit.seen) == pairs
+    for seen in audit.seen.values():
+        assert seen == list(range(1, want + 1))
+    assert audit.hook_calls == len(pairs) * want
+    assert not audit.violations
+    for conn in _conns(cluster):
+        assert conn.recv_posted == conn.qp.posted_recvs == want
+
+    # a double post is still caught, buffer by buffer
+    conn = cluster.endpoints[0].connections[1]
+    conn.recv_posted -= 1  # pretend one was consumed; the QP still holds it
+    if want + 1 <= cluster.config.ib.rq_depth:
+        audit.strict = False
+        cluster.endpoints[0]._post_recv_vbuf(conn, 2)
+        assert [v.invariant for v in audit.violations] == ["buffer-lease"]

@@ -193,6 +193,65 @@ def test_recovery_teardown_then_reestablish_on_demand():
     assert 1 in cluster.endpoints[0].connections
 
 
+def test_teardown_destroys_both_qps():
+    """Regression: ``teardown`` dropped the Connections but left both
+    dead QPs in ``HCA._qps`` forever, where ``HCA.kill`` and the fault
+    injector kept walking them — a long chaos campaign grew without
+    bound.  Both ends are destroyed now (the one that never saw the loss
+    is errored and flushed first), stragglers addressed to a destroyed
+    QPN vanish, and the pair comes back on fresh QPs."""
+    from repro.ib.qp import QPError, _Message
+    from repro.ib.types import Opcode
+    from repro.ib.wr import SendWR
+
+    cluster = Cluster(TestbedConfig(nodes=4))
+    cluster.launch(4, make_scheme("static"), prepost=4, on_demand=True)
+    cm = cluster.cm
+    hca0, hca1 = cluster.hcas[0], cluster.hcas[1]
+    before = (len(hca0._qps), len(hca1._qps))
+
+    ok = run_job(_pair_program(0), 4, "static", prepost=4, cluster=cluster,
+                 finalize=False)
+    assert ok.completed
+    qp01 = cluster.endpoints[0].connections[1].qp
+    qp10 = cluster.endpoints[1].connections[0].qp
+    assert (len(hca0._qps), len(hca1._qps)) == (before[0] + 1, before[1] + 1)
+
+    plan = (FaultPlan(seed=3, transport_timeout_ns=us(40),
+                      transport_retry_limit=2)
+            .link_flap(lid=1, at_ns=cluster.sim.now + 1,
+                       duration_ns=10**12))
+    policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
+                            max_delay_ns=us(100), jitter_ns=us(5))
+    bad = run_job(_pair_program(1), 4, "static", prepost=4, cluster=cluster,
+                  finalize=False, faults=plan, recovery=policy)
+    assert not bad.completed and cm.torn_down == 1
+    assert (len(hca0._qps), len(hca1._qps)) == before
+    assert qp01.qp_num not in hca0._qps and qp10.qp_num not in hca1._qps
+    hca0.destroy_qp(qp01)  # idempotent
+    # nothing of the dead pair is left for the next job to trip over
+    assert not any(not wc.ok for ep in cluster.endpoints[:2]
+                   for wc in ep.cq._entries)
+    assert all(ep.pool.in_use == 0 for ep in cluster.endpoints[:2])
+
+    # a straggler from the old incarnation reaches the adapter late
+    late = SendWR(wr_id=0, opcode=Opcode.SEND, length=4)
+    late.msn = 0
+    msg = _Message(qp01, late)
+    delivered = qp10.messages_delivered
+    hca1._rx_process(msg)  # silently dropped
+    assert qp10.messages_delivered == delivered and len(hca1._qps) == before[1]
+
+    again = run_job(_pair_program(2), 4, "static", prepost=4, cluster=cluster,
+                    finalize=False)
+    assert again.completed and again.rank_results[:2] == ["pong", "ping"]
+    fresh = cluster.endpoints[0].connections[1].qp
+    assert fresh is not qp01 and fresh.qp_num != qp01.qp_num
+    assert (len(hca0._qps), len(hca1._qps)) == (before[0] + 1, before[1] + 1)
+    with pytest.raises(QPError):
+        hca0.destroy_qp(fresh)  # a live QP is not destroyable
+
+
 def test_stale_fired_memo_self_heals_on_next_request():
     """Belt-and-braces for teardown paths that bypass ``cm.teardown``:
     a fired memo whose connections are gone is dropped and re-established

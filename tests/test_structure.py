@@ -88,3 +88,35 @@ def test_each_audit_hook_fires_from_one_place_per_event(hook, sites):
 ], ids=["on_write", "tx_ring", "cq_entries"])
 def test_managers_do_not_open_code_internals(pattern, owners):
     assert _modules_matching(pattern) <= owners
+
+
+# ----------------------------------------------------------------------
+# a connection costs what its state needs (one mesh holds P*(P-1))
+# ----------------------------------------------------------------------
+def test_per_connection_objects_carry_no_instance_dict():
+    from repro.cluster import Cluster, TestbedConfig
+    from repro.core import make_scheme
+
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, make_scheme("dynamic"), 1, on_demand=False)
+    conn = cluster.endpoints[0].connections[1]
+    for obj in (conn, conn.qp, conn.stats):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    with pytest.raises(AttributeError):
+        conn.not_a_field = 1  # scheme state is declared, not patched on
+
+
+def test_one_collector_pause_and_one_recv_descriptor_site():
+    # Simulator.run and Cluster.launch pause the collector through the
+    # same helper
+    assert _modules_matching(r"gc\.disable\(") == {"sim/engine.py"}
+    assert "type: ignore[attr-defined]" not in _src("core/dynamic.py")
+    # a connection's receive descriptor is built once, at add_connection,
+    # not per posted buffer
+    endpoint = _src("mpi/endpoint.py")
+    assert endpoint.count("RecvWR(") == 1
+    line = next(l for l in endpoint.splitlines() if "RecvWR(" in l)
+    add_connection = endpoint[endpoint.index("def add_connection"):]
+    add_connection = add_connection[:add_connection.index("\n    def ", 1)]
+    assert line in add_connection
+    assert not re.search(r"^\s*(for|while)\b", add_connection, re.M)

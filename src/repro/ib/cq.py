@@ -28,6 +28,7 @@ class CompletionQueue:
         self.sim = sim
         self.depth = depth
         self.name = name
+        self._notify_name = f"{name}.notify"  # one per blocking wait
         self._entries: Deque[WC] = deque()
         self._notify: Optional[Signal] = None
         #: total completions ever pushed (observability)
@@ -81,7 +82,7 @@ class CompletionQueue:
                 if not done:
                     yield cq.wait_nonempty()
         """
-        sig = Signal(f"{self.name}.notify")
+        sig = Signal(self._notify_name)
         if self._entries:
             sig.fire(self.sim, None)
         else:

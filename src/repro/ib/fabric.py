@@ -120,6 +120,9 @@ class Fabric:
         self._ser_cache: Dict[int, tuple] = {}  # payload -> (wire, ser)
         self._lo_cache: Dict[int, int] = {}  # payload -> loopback ser
         self._ctrl_ser_ns: Optional[int] = None
+        #: the crossbar's one remote control latency (every remote pair is
+        #: one switch apart), computed by the first ACK
+        self._xbar_ctrl_ns: Optional[int] = None
         #: Optional :class:`repro.faults.injector.FabricFaultState`.  Left
         #: ``None`` on healthy runs so the hot path pays one identity check.
         self.fault = None
@@ -177,7 +180,8 @@ class Fabric:
         sim = self.sim
         now = sim.now
         self.messages_sent += 1
-        self.payload_bytes += max(0, payload_bytes)
+        if payload_bytes > 0:
+            self.payload_bytes += payload_bytes
 
         if src_lid == dst_lid:
             # HCA-internal loopback: no switch, host-bus limited.
@@ -218,25 +222,31 @@ class Fabric:
             # here — store-and-forward, pause frames, ECN — and schedule
             # the delivery themselves when the last port drains.
             cong.inject(src_lid, dst_lid, wire, ser, message, extra)
-            self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
-                               payload_bytes, -1)
+            if self.tracer.enabled:
+                self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
+                                   payload_bytes, -1)
             return now
 
         # host -> switch link (FIFO)
         hop_ns = cfg.link_prop_ns + cfg.switch_delay_ns
-        start = max(now, self._up_busy[src_lid])
+        start = self._up_busy[src_lid]
+        if start < now:
+            start = now
         self._up_busy[src_lid] = start + ser
         head = start + hop_ns
 
         # interior links (FIFO, cut-through from head arrival)
-        busy = self._link_busy
-        for link in links:
-            start = max(head, busy.get(link, 0))
-            busy[link] = start + ser
-            head = start + hop_ns
+        if links:
+            busy = self._link_busy
+            for link in links:
+                start = max(head, busy.get(link, 0))
+                busy[link] = start + ser
+                head = start + hop_ns
 
         # switch -> host link
-        start = max(head, self._down_busy[dst_lid])
+        start = self._down_busy[dst_lid]
+        if start < head:
+            start = head
         self._down_busy[dst_lid] = start + ser
 
         arrival = start + ser + cfg.link_prop_ns + extra
@@ -266,7 +276,8 @@ class Fabric:
                 sim._count += 1
             else:
                 heappush(sim._over, entry)
-        self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
+        if self.tracer.enabled:
+            self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
         return arrival
 
     # ------------------------------------------------------------------
@@ -296,7 +307,13 @@ class Fabric:
             extra = fault.on_control(src_lid, dst_lid)
             if extra is None:
                 return sim.now  # link down: ACK/NAK/credit update lost
-        arrival = sim.now + self.control_path_ns(src_lid, dst_lid) + extra
+        if src_lid == dst_lid or self._route is not None:
+            latency = self.control_path_ns(src_lid, dst_lid)
+        else:
+            latency = self._xbar_ctrl_ns
+            if latency is None:
+                latency = self._xbar_ctrl_ns = self.control_path_ns(src_lid, dst_lid)
+        arrival = sim.now + latency + extra
         # Per-ACK/credit-update hot path: burst-batched per destination.
         # On a single crossbar every remote pair shares one control
         # latency, so arrivals per LID are monotone and the train almost

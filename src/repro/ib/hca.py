@@ -26,8 +26,7 @@ from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
 from repro.ib.mr import MemoryRegion, RegistrationTable
 from repro.ib.qp import QPError, QueuePair, _Message
-from repro.ib.types import IBConfig, Opcode, QPState, WCStatus
-from repro.ib.wr import WC, RecvWR
+from repro.ib.types import IBConfig, Opcode, QPState
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
 from repro.sim.units import transfer_ns
@@ -55,6 +54,8 @@ class HCA:
         self._ready: Deque[QueuePair] = deque()
         self._in_ready: set = set()
         self._send_busy = 0
+        #: send-engine time per WQE (IBConfig is frozen once traffic flows)
+        self._send_wqe_cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
         self._pump_scheduled = False
         self._recv_busy = 0
         #: receive-engine burst FIFO: (service_done_ns, msg) in arrival
@@ -152,17 +153,24 @@ class HCA:
         """A QP may have become injectable; enqueue it and poke the engine."""
         if self.dead:
             return
-        if qp.qp_num not in self._in_ready and qp._next_injectable() is not None:
+        # Most kicks are an ACK landing on a QP with nothing left to send.
+        if (
+            qp._sq
+            and qp.qp_num not in self._in_ready
+            and qp._next_injectable() is not None
+        ):
             self._ready.append(qp)
             self._in_ready.add(qp.qp_num)
-        self._schedule_pump()
+        if self._ready and not self._pump_scheduled:
+            self._schedule_pump()
 
     def _schedule_pump(self) -> None:
-        if self._pump_scheduled or not self._ready:
-            return
-        at = max(self.sim.now, self._send_busy)
+        """Put the pump on the agenda at the engine's next free instant.
+        Callers check that it is neither scheduled nor idle."""
         self._pump_scheduled = True
-        self.sim.call_at(at, self._pump)
+        sim = self.sim
+        busy = self._send_busy
+        sim.call_at(busy if busy > sim.now else sim.now, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
@@ -170,7 +178,8 @@ class HCA:
             return
         now = self.sim.now
         if self._send_busy > now:
-            self._schedule_pump()
+            if self._ready:
+                self._schedule_pump()
             return
         # Round-robin: find the first currently-eligible ready QP.
         for _ in range(len(self._ready)):
@@ -179,19 +188,21 @@ class HCA:
             wr = qp._take_injectable()
             if wr is None:
                 continue  # re-kicked when it becomes eligible again
-            if qp._next_injectable() is not None:
+            if qp._sq and qp._next_injectable() is not None:
                 self._ready.append(qp)
                 self._in_ready.add(qp.qp_num)
-            cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
+            cost = self._send_wqe_cost
             self._send_busy = now + cost
             # Build the message now (the WR is final once taken) and put
             # the fabric hand-off itself on the agenda — one event, no
             # intermediate _inject frame.
-            msg = qp._make_message(wr)
+            qp.messages_sent += 1
             self.sim.call_later(
-                cost, self.fabric.transmit, self.lid, qp.remote_lid, wr.length, msg
+                cost, self.fabric.transmit, self.lid, qp.remote_lid, wr.length,
+                _Message(qp, wr),
             )
-            self._schedule_pump()
+            if self._ready:
+                self._schedule_pump()
             return
 
     # ------------------------------------------------------------------
@@ -238,23 +249,6 @@ class HCA:
             return  # packet to a destroyed QP: silently dropped
         qp._receive(msg)
 
-    def _complete_recv(self, qp: QueuePair, msg: _Message, rwr: RecvWR) -> None:
-        """SEND accepted: engine time is already paid, complete now."""
-        qp.messages_delivered += 1
-        qp.recv_cq.push(
-            WC(
-                wr_id=rwr.wr_id,
-                status=WCStatus.SUCCESS,
-                opcode=Opcode.SEND,
-                byte_len=msg.length,
-                data=msg.payload,
-                qp_num=qp.qp_num,
-                peer=msg.src_lid,
-                is_recv=True,
-            )
-        )
-        qp._ack(msg)
-
     def _respond_read(self, qp: QueuePair, msg: _Message, mr) -> None:
         """Stream RDMA-read data back to the requester."""
         if self.dead:
@@ -274,7 +268,7 @@ class HCA:
         response.read_wr_msn = msg.msn
         response.epoch = msg.epoch  # stale-epoch requests get stale responses
         start = max(self.sim.now, self._send_busy)
-        cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
+        cost = self._send_wqe_cost
         self._send_busy = start + cost
         self.sim.call_at(
             start + cost, self.fabric.transmit, self.lid, msg.src_lid, msg.length, response

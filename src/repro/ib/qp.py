@@ -327,10 +327,6 @@ class QueuePair:
             )
         return wr
 
-    def _make_message(self, wr: SendWR) -> _Message:
-        self.messages_sent += 1
-        return _Message(self, wr)
-
     # ------------------------------------------------------------------
     # requester: acknowledgement handling
     # ------------------------------------------------------------------
@@ -350,17 +346,12 @@ class QueuePair:
                 # initial estimate); credits advertised net of our own
                 # still-inflight sends.
                 self._credit_est = advertised - self._sends_inflight
-        wr.rnr_tries = 0  # type: ignore[attr-defined]
+        wr.rnr_tries = 0
         if wr.signaled and wr.opcode is not Opcode.RDMA_READ:
+            # per message: positional, in WC's field order
             self.send_cq.push(
-                WC(
-                    wr_id=wr.wr_id,
-                    status=WCStatus.SUCCESS,
-                    opcode=wr.opcode,
-                    byte_len=wr.length,
-                    qp_num=self.qp_num,
-                    peer=self.remote_lid,
-                )
+                WC(wr.wr_id, WCStatus.SUCCESS, wr.opcode, wr.length, None,
+                   self.qp_num, self.remote_lid)
             )
         self.hca._kick(self)
 
@@ -383,8 +374,7 @@ class QueuePair:
             self._credit_est_msn = max(self._credit_est_msn, msn - 1)
 
         wr = self._inflight[msn]
-        tries = getattr(wr, "rnr_tries", 0) + 1
-        wr.rnr_tries = tries  # type: ignore[attr-defined]
+        tries = wr.rnr_tries = wr.rnr_tries + 1
         cfg = self.hca.config
         if cfg.rnr_retry_count != INFINITE_RETRY and tries > cfg.rnr_retry_count:
             del self._inflight[msn]
@@ -632,9 +622,16 @@ class QueuePair:
                     self.epoch,
                 )
                 return
+            # Accepted: engine time is already paid, complete now (per
+            # message: positional, in WC's field order).
             self._rq.popleft()
             self._expected_msn += 1
-            self.hca._complete_recv(self, msg, rwr)
+            self.messages_delivered += 1
+            self.recv_cq.push(
+                WC(rwr.wr_id, WCStatus.SUCCESS, Opcode.SEND, msg.length,
+                   msg.payload, self.qp_num, msg.src_lid, True)
+            )
+            self._ack(msg)
         elif msg.opcode is Opcode.RDMA_WRITE:
             try:
                 mr = self.hca.mrs.check_remote(msg.rkey, msg.remote_addr, msg.length)
@@ -712,10 +709,11 @@ class QueuePair:
     def _ack(self, msg: _Message) -> None:
         advertised = len(self._rq)
         self._advertised_zero = advertised == 0
-        self.hca.fabric.send_control(
-            self.hca.lid,
+        hca = self.hca
+        hca.fabric.send_control(
+            hca.lid,
             msg.src_lid,
-            self._peer()._on_ack,
+            (self._peer_qp or self._peer())._on_ack,
             msg.msn,
             advertised,
             self.epoch,

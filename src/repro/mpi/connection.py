@@ -129,20 +129,6 @@ class Connection:
         self.stats = ConnStats()
 
     # ------------------------------------------------------------------
-    # sender-half helpers
-    # ------------------------------------------------------------------
-    def next_seq(self) -> int:
-        s = self.seq_out
-        self.seq_out += 1
-        return s
-
-    def take_piggyback_credits(self) -> int:
-        """All pending return-credits ride the next outgoing message."""
-        c = self.pending_credit_return
-        self.pending_credit_return = 0
-        return c
-
-    # ------------------------------------------------------------------
     # receiver-half helpers
     # ------------------------------------------------------------------
     def set_prepost_target(self, n: int) -> None:

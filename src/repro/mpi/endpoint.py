@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.base import FlowControlScheme
 from repro.ib.hca import HCA
-from repro.ib.types import Opcode, QPState
+from repro.ib.types import Opcode, QPState, WCStatus
 from repro.ib.wr import RecvWR, SendWR, WC
 from repro.mpi import collectives
 from repro.mpi.buffer_pool import SendBufferPool
@@ -41,7 +41,7 @@ from repro.mpi.rdma_channel import RDMAChannel
 from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp, next_op_id
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
-from repro.sim import AnyOf, Signal, Simulator, Timeout
+from repro.sim import TIMEOUTS, AnyOf, Signal, Simulator
 from repro.sim.trace import Tracer
 
 
@@ -118,10 +118,9 @@ class Endpoint:
         self._stall_until = 0
         #: peer -> paid credits withheld during the stall window
         self._stall_held: Dict[int, int] = {}
-        # shared immutable waitables for the fixed per-call costs (the
-        # progress hot path yields these thousands of times per run)
-        self._t_call = Timeout(config.call_overhead_ns)
-        self._t_poll = Timeout(config.poll_overhead_ns)
+        # the fixed per-call costs, yielded thousands of times per run
+        self._t_call = TIMEOUTS[config.call_overhead_ns]
+        self._t_poll = TIMEOUTS[config.poll_overhead_ns]
         #: largest eager payload; anything bigger goes through rendezvous
         self._eager_max = config.eager_max()
         #: runtime invariant auditor (repro.check); None = disabled, and
@@ -221,7 +220,10 @@ class Endpoint:
         """
         if mode not in ("standard", "buffered", "sync", "ready"):
             raise MPIError(f"unknown send mode {mode!r}")
-        self._check_peer(dest)
+        # A connected peer is a valid one (and almost always is connected).
+        conn = self.connections.get(dest)
+        if conn is None:
+            self._check_peer(dest)
         if size < 0:
             raise MPIError(f"negative message size {size}")
         req = Request("send")
@@ -229,9 +231,6 @@ class Endpoint:
             if self._ft.fail_if_dead(self, req, dest):
                 return req
             self._ft.watch(self, req, dest)
-        # Fast path: the connection almost always exists already; skip the
-        # sub-generator (and its per-call frame) entirely when it does.
-        conn = self.connections.get(dest)
         if conn is None:
             try:
                 conn = yield from self._ensure_connected(dest)
@@ -249,16 +248,14 @@ class Endpoint:
 
         if mode != "sync" and size <= self._eager_max:
             ref = req  # an eager send completes at emission
+            # Per message, so positional, in Header's field order: kind,
+            # src, dst, tag, context, size, seq, credits, went_backlog,
+            # paid, ready, via_ring, sreq_id, rreq_id, remote_addr, rkey,
+            # payload.
             header = Header(
-                kind=MsgKind.EAGER,
-                src=self.rank,
-                dst=dest,
-                tag=tag,
-                context=context,
-                size=size,
-                payload=payload,
-                paid=True,
-                ready=(mode == "ready"),
+                MsgKind.EAGER, self.rank, dest, tag, context, size, -1,
+                0, False, True, mode == "ready", False,
+                -1, -1, 0, 0, payload,
             )
         else:
             # Rendezvous path (large messages, and every "sync" send —
@@ -270,7 +267,7 @@ class Endpoint:
                 mr, pin_cost = None, 0
             else:
                 mr, pin_cost = self.pindown.acquire(buffer_id, size)
-            yield Timeout(pin_cost)
+            yield TIMEOUTS[pin_cost]
             if req.done:  # dest declared dead while pinning
                 if mr is not None:
                     self.pindown.release(buffer_id, mr)
@@ -309,10 +306,10 @@ class Endpoint:
                 yield from self._progress_until(lambda: self._pool_ok(control=False))
                 if req.done:  # dest declared dead during the pool wait
                     return req
-            yield Timeout(self._emit(conn, header, ref))
+            yield TIMEOUTS[self._emit(conn, header, ref)]
         else:
             self._enqueue_backlog(conn, PendingSend(header, ref, self.sim.now))
-            yield Timeout(self._drain(conn))
+            yield TIMEOUTS[self._drain(conn)]
         # Opportunistic progress poke: every MPI call advances the engine
         # (as MPICH's ADI does) — without it, a rank that only isends would
         # never see CTSs or credit updates (user-level flow control "relies
@@ -325,7 +322,7 @@ class Endpoint:
         elif self._backlogged:
             cost = self._drain_backlogged()
             if cost:
-                yield Timeout(cost)
+                yield TIMEOUTS[cost]
         return req
 
     def irecv(
@@ -337,7 +334,7 @@ class Endpoint:
         context: int = WORLD_CONTEXT,
     ) -> Generator:
         """Non-blocking receive; returns a :class:`Request`."""
-        if source != ANY_SOURCE:
+        if source != ANY_SOURCE and source not in self.connections:
             self._check_peer(source)
         req = Request("recv")
         if (
@@ -356,15 +353,15 @@ class Endpoint:
                 self._audit.on_match(h)
             self._check_capacity(h, capacity)
             if h.kind is MsgKind.EAGER:
-                yield Timeout(self.config.copy_ns(h.size))
+                yield TIMEOUTS[self.config.copy_ns(h.size)]
                 self._complete_recv(req, h.src, h.tag, h.size, h.payload)
                 if not h.via_ring:
                     # The message's vbuf was pinned while it sat unexpected;
                     # copy-out releases it now (ring slots were already
                     # freed at arrival).
-                    yield Timeout(self._release(self.connections[h.src], h))
+                    yield TIMEOUTS[self._release(self.connections[h.src], h)]
             else:  # RNDV_RTS
-                yield Timeout(self._rndv_recv_start(h, posted))
+                yield TIMEOUTS[self._rndv_recv_start(h, posted)]
         elif self._ft is not None and source != ANY_SOURCE:
             # nothing arrived yet: the peer's liveness now gates this
             # request, so the failure detector watches it
@@ -376,7 +373,7 @@ class Endpoint:
         elif self._backlogged:
             cost = self._drain_backlogged()
             if cost:
-                yield Timeout(cost)
+                yield TIMEOUTS[cost]
         return req
 
     def send(self, dest: int, size: int, **kwargs) -> Generator:
@@ -433,10 +430,10 @@ class Endpoint:
             elif self._backlogged:
                 cost = self._drain_backlogged()
                 if cost:
-                    yield Timeout(cost)
+                    yield TIMEOUTS[cost]
             if request.done:
                 break
-            if not cq._entries and not self._ring_ready():
+            if not cq._entries and not (self._ring_dirty and self._ring_ready()):
                 if self._ring_mode:
                     yield AnyOf([cq.wait_nonempty(), self._ring_wait()])
                 else:
@@ -485,7 +482,7 @@ class Endpoint:
         """Model local computation: burn simulated CPU time without
         progressing MPI (this is exactly the application-bypass window)."""
         if ns > 0:
-            yield Timeout(int(ns))
+            yield TIMEOUTS[ns]
 
     # ------------------------------------------------------------------
     # public API: collectives — the algorithms in repro.mpi.collectives
@@ -569,7 +566,7 @@ class Endpoint:
             yield from self._poll_once()
             if pred():
                 return
-            if not self.cq._entries and not self._ring_ready():
+            if not self.cq._entries and not (self._ring_dirty and self._ring_ready()):
                 if self._ring_mode:
                     yield AnyOf([self.cq.wait_nonempty(), self._ring_wait()])
                 else:
@@ -589,7 +586,7 @@ class Endpoint:
             if self._backlogged:
                 cost = self._drain_backlogged()
                 if cost:
-                    yield Timeout(cost)
+                    yield TIMEOUTS[cost]
             return
         yield from self._poll_busy()
 
@@ -618,7 +615,7 @@ class Endpoint:
                 progressed = True
                 cost = self._handle_wc(wc)
                 if cost:
-                    yield Timeout(cost)
+                    yield TIMEOUTS[cost]
             dirty = self._ring_dirty
             if dirty:
                 if len(dirty) == 1:
@@ -645,13 +642,13 @@ class Endpoint:
                             # ring progress may unpark overtaking CQ headers
                             cost += self._drain_cq_stash(conn)
                         if cost:
-                            yield Timeout(cost)
+                            yield TIMEOUTS[cost]
             if not progressed:
                 break
         if self._backlogged:
             cost = self._drain_backlogged()
             if cost:
-                yield Timeout(cost)
+                yield TIMEOUTS[cost]
 
     def _handle_wc(self, wc: WC) -> int:
         if self._halted:
@@ -659,7 +656,7 @@ class Endpoint:
             # generator mid-CQ-drain, past _poll_busy's entry guard; the
             # remaining completions (now flushes) must not be processed.
             return 0
-        if not wc.ok:
+        if wc.status is not WCStatus.SUCCESS:
             return self._handle_error_wc(wc)
         if wc.is_recv:
             return self._handle_recv(wc)
@@ -952,9 +949,7 @@ class Endpoint:
             raise MPIError(f"rank {self.rank}: completion for unknown ctx {wc.wr_id}")
         kind, conn, ref = ctx[0], ctx[1], ctx[2]
         cost = 0
-        if kind == "ring":
-            pass  # no vbuf was consumed; the request completed at emission
-        elif kind in ("eager", "ctl"):
+        if kind == "eager" or kind == "ctl":
             self._release_send_vbuf()
         elif kind == "rdma":
             op: RndvSendOp = ref
@@ -963,7 +958,8 @@ class Endpoint:
                 cost += self.pindown.release(op.buffer_id, op.mr)
             del self._rndv_send[op.sreq_id]
             op.request.complete(Status())
-        else:  # pragma: no cover
+        # "ring": no vbuf was consumed; the request completed at emission
+        elif kind != "ring":  # pragma: no cover
             raise MPIError(f"unknown send ctx kind {kind}")
         return cost
 
@@ -999,14 +995,7 @@ class Endpoint:
         ctx_id = next(self._ctx_ids)
         self._send_ctx[ctx_id] = ctx
         conn.qp.post_send(
-            SendWR(
-                wr_id=ctx_id,
-                opcode=opcode,
-                length=length,
-                payload=payload,
-                remote_addr=remote_addr,
-                rkey=rkey,
-            )
+            SendWR(ctx_id, opcode, length, payload, remote_addr, rkey)
         )
 
     def _emit(
@@ -1050,9 +1039,12 @@ class Endpoint:
                     conn.deferred = deque()
                 conn.deferred.append((header, ref))
                 return 0
-            piggy = conn.take_piggyback_credits()
+            # all pending return-credits ride this message
+            piggy = conn.pending_credit_return
+            conn.pending_credit_return = 0
             header.credits += piggy
-            header.seq = conn.next_seq()
+            header.seq = conn.seq_out
+            conn.seq_out += 1
         cfg = self.config
         eager = header.kind is MsgKind.EAGER
         ring = eager and conn.rdma_eager
@@ -1328,7 +1320,7 @@ class Endpoint:
         """The user buffer has the data: the one place a received message
         is counted, whichever channel and however late the match."""
         self.bytes_received += size
-        req.complete(Status(source=src, tag=tag, size=size, payload=payload))
+        req.complete(Status(src, tag, size, payload))
 
     def _check_peer(self, peer: int) -> None:
         if peer == self.rank:

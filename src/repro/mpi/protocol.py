@@ -33,6 +33,11 @@ class MsgKind(enum.Enum):
     CREDIT = "credit"  # explicit credit message (ECM)
     RING_RESIZE = "ring_resize"  # RDMA eager channel grew (two-sided resize)
 
+    # Members are singletons compared by identity, so the identity hash is
+    # the same relation at C speed; ``Enum.__hash__`` is a Python frame on
+    # every arrival's handler dispatch.
+    __hash__ = object.__hash__
+
 
 #: Message kinds that are *unexpected* from the receiver's point of view —
 #: the sender pushes them without knowing the receiver's state (paper §3.2).

@@ -27,7 +27,7 @@ Example
 from repro.sim.engine import ScheduledEvent, Simulator, gc_paused
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.trace import Counter, Tracer
-from repro.sim.waitables import AllOf, AnyOf, Signal, Timeout, Waitable
+from repro.sim.waitables import TIMEOUTS, AllOf, AnyOf, Signal, Timeout, Waitable
 
 __all__ = [
     "AllOf",
@@ -38,6 +38,7 @@ __all__ = [
     "ScheduledEvent",
     "Signal",
     "Simulator",
+    "TIMEOUTS",
     "Timeout",
     "Tracer",
     "Waitable",

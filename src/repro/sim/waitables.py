@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
+from repro.sim.engine import _as_int_ns
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.process import Process
@@ -28,20 +30,48 @@ class Timeout(Waitable):
 
     ``yield Timeout(0)`` is a valid "re-schedule me after the current event
     cascade" idiom and is used by progress loops to avoid starving peers.
+    The delay follows the kernel's rule for every scheduled time: an
+    integral float is converted, a fractional one raises
+    :class:`~repro.sim.engine.SimulationError`.  Immutable once built, so
+    one instance may be yielded any number of times (:data:`TIMEOUTS`).
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, delay: int):
+        if type(delay) is not int:
+            delay = _as_int_ns(delay, "delay")
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
-        self.delay = int(delay)
+        self.delay = delay
 
     def _block(self, sim: "Simulator", process: "Process") -> None:
         sim.call_later(self.delay, process._resume, None, None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Timeout({self.delay})"
+
+
+class _TimeoutTable(dict):
+    """``TIMEOUTS[delay]`` is the one shared :class:`Timeout` of that
+    delay, built (and validated) on first use: a modelled CPU cost is one
+    of a handful of values yielded thousands of times, and a hit is a
+    plain dict lookup — no frame, no allocation.  Keyed by the validated
+    ``int``, so ``TIMEOUTS[2.0] is TIMEOUTS[2]``.  Bounded: a program that
+    sleeps for ever-new delays starts the table over at ``MAX`` entries."""
+
+    __slots__ = ()
+    MAX = 4096
+
+    def __missing__(self, delay: int) -> Timeout:
+        timeout = Timeout(delay)
+        if len(self) >= self.MAX:
+            self.clear()
+        self[timeout.delay] = timeout
+        return timeout
+
+
+TIMEOUTS = _TimeoutTable()
 
 
 class Signal(Waitable):

@@ -44,14 +44,20 @@ class ComputeModel:
     def __init__(self, seed: int = 20040426, amplitude: float = 0.04):
         self.seed = seed
         self.amplitude = amplitude
+        self._factors: Dict[int, float] = {}  # rank -> factor (pure)
 
     def factor(self, rank: int) -> float:
+        try:
+            return self._factors[rank]
+        except KeyError:
+            pass
         h = (self.seed * 1_000_003 + rank * 7_919) & 0xFFFFFFFF
         h ^= h >> 13
         h = (h * 0x5BD1E995) & 0xFFFFFFFF
         h ^= h >> 15
         unit = (h % 10_000) / 10_000.0  # [0, 1)
-        return 1.0 + self.amplitude * (2.0 * unit - 1.0)
+        factor = self._factors[rank] = 1.0 + self.amplitude * (2.0 * unit - 1.0)
+        return factor
 
     def ns(self, rank: int, base_ns: float) -> int:
         return max(1, int(round(base_ns * self.factor(rank))))

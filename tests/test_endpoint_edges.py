@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.mpi import MPIConfig, MPIError
 from repro.mpi.endpoint import CONTROL_RESERVE
+from repro.sim.engine import SimulationError
 from tests.mpi_helpers import run2, runN
 
 
@@ -198,6 +199,49 @@ def test_compute_zero_and_negative():
         yield from mpi.barrier()
 
     run2(prog)
+
+
+def test_compute_fractional_ns_fails_loudly():
+    """A fractional duration is a calibration bug upstream; it used to be
+    truncated (``compute(1.5)`` simulated 1 ns)."""
+    def prog(mpi):
+        yield from mpi.compute(1.5)
+
+    with pytest.raises(SimulationError, match="non-integral delay 1.5"):
+        run2(prog, finalize=False)
+
+
+def test_compute_integral_float_ns_is_accepted():
+    def prog(mpi):
+        t0 = mpi.now
+        yield from mpi.compute(2_000.0)
+        return mpi.now - t0
+
+    assert run2(prog).rank_results == [2_000, 2_000]
+
+
+@pytest.mark.parametrize("call", ["isend", "irecv"])
+@pytest.mark.parametrize("peer, message", [
+    ("self", "self-sends are not supported"),
+    (99, "rank 99 outside the world of 2"),
+    (-2, "rank -2 outside the world of 2"),
+    ("unconnected", "rank 0 has no connection to 1"),
+])
+def test_invalid_peers_are_rejected_by_isend_and_irecv(call, peer, message):
+    """The peer check runs only for a peer with no connection — which is
+    every invalid one."""
+    def prog(mpi):
+        if mpi.rank == 0:
+            target = {"self": 0, "unconnected": 1}.get(peer, peer)
+            if peer == "unconnected":
+                del mpi.connections[1]  # a mesh with a hole in it
+            if call == "isend":
+                yield from mpi.isend(target, size=4)
+            else:
+                yield from mpi.irecv(source=target, capacity=4)
+
+    with pytest.raises(MPIError, match=message):
+        run2(prog, finalize=False)
 
 
 def test_trace_enabled_records_fabric_events():

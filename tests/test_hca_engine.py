@@ -32,6 +32,62 @@ def test_send_engine_serialises_wqes():
     assert all(g == period for g in gaps)
 
 
+def _pair():
+    sim = Simulator()
+    fabric = Fabric(sim, IBConfig())
+    hcas = [HCA(sim, fabric, lid) for lid in range(2)]
+    cqs, qps = connect_mesh(sim, fabric, hcas)
+    return sim, hcas[0], qps[(0, 1)]
+
+
+def test_kick_with_nothing_to_send_adds_no_agenda_entry():
+    sim, hca, qp = _pair()
+    hca._kick(qp)  # the send queue was never allocated
+    qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
+    sim.run(until=500)  # injected; the ACK is still far away
+    assert not qp._sq and qp._inflight
+    before = sim._pending, sim._seq
+    hca._kick(qp)  # allocated, drained
+    assert (sim._pending, sim._seq) == before
+    assert not hca._ready and not hca._pump_scheduled
+
+
+def test_kick_with_the_pump_already_scheduled_adds_no_agenda_entry():
+    sim, hca, qp = _pair()
+    qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
+    assert hca._pump_scheduled and list(hca._ready) == [qp]
+    before = sim._pending, sim._seq
+    hca._kick(qp)
+    qp.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=8))
+    assert (sim._pending, sim._seq) == before
+    assert list(hca._ready) == [qp]  # queued once, however often kicked
+
+
+def test_kick_schedules_the_pump_at_the_engines_next_free_instant():
+    sim, hca, qp = _pair()
+    # idle engine: the pump joins the same-instant FIFO
+    qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
+    assert [entry[1] for entry in sim._now_q] == [hca._pump]
+    sim.run(until=0)
+    assert hca._send_busy == hca._send_wqe_cost > 0 and not hca._pump_scheduled
+    # busy engine: the pump waits for it
+    fired = []
+    pump = hca._pump
+    hca._pump = lambda: (fired.append(sim.now), pump())
+    qp.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=8))
+    assert hca._pump_scheduled and not sim._now_q
+    sim.run(until=hca._send_busy)
+    assert fired == [hca._send_wqe_cost]
+
+
+def test_dead_adapter_ignores_kicks():
+    sim, hca, qp = _pair()
+    hca.dead = True
+    qp._sq = [SendWR(wr_id=0, opcode=Opcode.SEND, length=8)]
+    hca._kick(qp)
+    assert not hca._ready and not hca._pump_scheduled and sim._pending == 0
+
+
 def test_round_robin_across_qps():
     """Two QPs with queued work share the send engine alternately — one
     busy connection cannot starve another."""

@@ -34,6 +34,73 @@ def test_send_delivers_payload_to_recv_wqe():
     assert send[0].ok and send[0].wr_id == "s0"
 
 
+def _fields(wc):
+    return {name: getattr(wc, name) for name in type(wc).__slots__}
+
+
+def test_both_completions_of_a_send_carry_every_field():
+    """The per-message completions are built positionally: every field of
+    both, with values that tell any two of them apart."""
+    sim, _, hcas, qp0, qp1, cq0, cq1 = build_pair()
+    payload = object()
+    qp1.post_recv(RecvWR(wr_id="r0", capacity=2048))
+    qp0.post_send(SendWR(wr_id="s0", opcode=Opcode.SEND, length=100, payload=payload))
+    run(sim)
+    (recv,), (send,) = cq1.poll(), cq0.poll()
+    assert _fields(recv) == {
+        "wr_id": "r0", "status": WCStatus.SUCCESS, "opcode": Opcode.SEND,
+        "byte_len": 100, "data": payload, "qp_num": qp1.qp_num,
+        "peer": hcas[0].lid, "is_recv": True,
+    }
+    assert _fields(send) == {
+        "wr_id": "s0", "status": WCStatus.SUCCESS, "opcode": Opcode.SEND,
+        "byte_len": 100, "data": None, "qp_num": qp0.qp_num,
+        "peer": hcas[1].lid, "is_recv": False,
+    }
+    assert qp0.qp_num != qp1.qp_num != 100  # no two ints coincide
+    assert (qp0.messages_sent, qp1.messages_delivered) == (1, 1)
+
+
+def test_every_send_wr_field_reaches_the_wire_message():
+    sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair()
+    mr = hcas[1].reg_mr(4096)
+    seen = []
+    transmit = fabric.transmit
+    fabric.transmit = lambda *args: (seen.append(args), transmit(*args))[1]
+    payload = object()
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64))
+    qp0.post_send(SendWR("s", Opcode.SEND, 24, payload))
+    qp0.post_send(SendWR("w", Opcode.RDMA_WRITE, 48, payload, mr.addr + 64, mr.rkey))
+    run(sim)
+    (_, _, len0, send), (src, dst, len1, write) = seen
+    assert (src, dst, len0, len1) == (hcas[0].lid, hcas[1].lid, 24, 48)
+    for msg, opcode, msn, length, addr, rkey in (
+        (send, Opcode.SEND, 0, 24, 0, 0),
+        (write, Opcode.RDMA_WRITE, 1, 48, mr.addr + 64, mr.rkey),
+    ):
+        assert {name: getattr(msg, name) for name in type(msg).__slots__} == {
+            "src_lid": hcas[0].lid, "src_qpn": qp0.qp_num,
+            "dst_lid": hcas[1].lid, "dst_qpn": qp1.qp_num,
+            "opcode": opcode, "msn": msn, "length": length, "payload": payload,
+            "remote_addr": addr, "rkey": rkey,
+            "is_read_response": False, "read_wr_msn": -1, "epoch": 0,
+        }
+    assert qp0.messages_sent == 2 and mr.load(mr.addr + 64) is payload
+    assert [wc.wr_id for wc in cq0.poll()] == ["s", "w"]
+
+
+def test_send_into_an_empty_receive_queue_naks_and_completes_nothing():
+    cfg = IBConfig()
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair(cfg)
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="x"))
+    sim.run(until=cfg.rnr_timer_ns // 2)  # NAKed, timer not yet expired
+    assert (qp1.rnr_naks_sent, qp0.rnr_naks_received) == (1, 1)
+    assert len(cq0) == 0 and len(cq1) == 0
+    assert qp1.messages_delivered == 0 and qp1._expected_msn == 0
+    assert qp1._advertised_zero and qp0._rnr_waiting
+    assert qp0.outstanding_sends == 1  # still owed, replayed by the timer
+
+
 def test_sends_complete_in_posting_order():
     sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
     for i in range(20):
@@ -177,9 +244,13 @@ def test_message_longer_than_recv_capacity_is_an_error():
     run(sim)
     recv = cq1.poll()
     assert recv[0].status is WCStatus.LOCAL_LENGTH_ERROR
+    assert (recv[0].wr_id, recv[0].byte_len, recv[0].is_recv) == ("small", 1000, True)
+    assert recv[0].data is None  # nothing landed in the short buffer
     send = cq0.poll()
     assert send[0].status is WCStatus.REMOTE_ACCESS_ERROR
-    assert qp0.state is QPState.ERROR or qp1.state is QPState.ERROR
+    assert (send[0].wr_id, send[0].is_recv) == ("big", False)
+    assert qp0.state is QPState.ERROR and qp1.state is QPState.ERROR
+    assert qp1.messages_delivered == 0
 
 
 def test_negative_length_wr_rejected():

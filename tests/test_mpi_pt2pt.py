@@ -294,3 +294,19 @@ def test_eager_threshold_boundary():
             assert a.payload == "at" and b.payload == "over"
 
     run2(prog, config=cfg)
+
+
+def test_msg_kind_keeps_its_enum_face_with_a_c_speed_hash():
+    import pickle
+
+    from repro.mpi.endpoint import Endpoint
+    from repro.mpi.protocol import UNEXPECTED_KINDS, MsgKind
+
+    assert MsgKind.EAGER.value == "eager" and MsgKind("rndv_rts") is MsgKind.RNDV_RTS
+    assert repr(MsgKind.EAGER) == "<MsgKind.EAGER: 'eager'>"
+    assert MsgKind.EAGER != "eager"  # still a plain Enum, not a str
+    assert MsgKind.EAGER in UNEXPECTED_KINDS and MsgKind.RNDV_RTS in UNEXPECTED_KINDS
+    assert MsgKind.CREDIT not in UNEXPECTED_KINDS
+    assert [pickle.loads(pickle.dumps(k)) is k for k in MsgKind] == [True] * len(MsgKind)
+    assert {hash(k) for k in MsgKind} == {object.__hash__(k) for k in MsgKind}
+    assert set(Endpoint._HANDLERS) == set(MsgKind)  # every kind dispatches

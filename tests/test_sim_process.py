@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Signal, Simulator, Timeout
+from repro.sim import TIMEOUTS, AllOf, AnyOf, Signal, Simulator, Timeout
+from repro.sim.engine import SimulationError
 from repro.sim.process import ProcessFailed
 
 
@@ -320,3 +321,86 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+# ----------------------------------------------------------------------
+# Timeout follows the kernel's delay rule; TIMEOUTS shares the instances
+# ----------------------------------------------------------------------
+def test_timeout_rejects_a_fractional_delay_like_call_later():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="non-integral delay 1.9"):
+        Timeout(1.9)
+    with pytest.raises(SimulationError, match="non-integral delay 1.9"):
+        sim.call_later(1.9, lambda: None)
+
+
+def test_timeout_accepts_integral_floats_and_bools_as_ints():
+    for given, delay in ((2.0, 2), (True, 1), (7, 7)):
+        t = Timeout(given)
+        assert t.delay == delay and type(t.delay) is int
+
+
+def test_timeout_negative_delay_is_still_a_value_error():
+    with pytest.raises(ValueError, match="negative timeout"):
+        Timeout(-1)
+    with pytest.raises(ValueError, match="negative timeout"):
+        TIMEOUTS[-1]
+
+
+def test_timeouts_table_shares_one_instance_per_delay():
+    t = TIMEOUTS[123_457]
+    assert type(t) is Timeout and t.delay == 123_457
+    assert TIMEOUTS[123_457] is t
+    assert TIMEOUTS[123_457.0] is t  # keyed by the validated int
+    assert sum(1 for key in TIMEOUTS if key == 123_457) == 1
+    with pytest.raises(SimulationError):
+        TIMEOUTS[0.5]
+    assert 0.5 not in TIMEOUTS
+
+
+def test_timeouts_table_is_bounded():
+    base = 10**12  # delays nothing else asks for
+    for i in range(TIMEOUTS.MAX + 10):
+        TIMEOUTS[base + i]
+        assert len(TIMEOUTS) <= TIMEOUTS.MAX
+    # starting over never invalidates an instance somebody still holds
+    held = TIMEOUTS[base]
+    for i in range(TIMEOUTS.MAX + 10):
+        TIMEOUTS[base + i]
+    assert held.delay == base and TIMEOUTS[base].delay == base
+
+
+def test_shared_zero_timeout_requeues_at_the_current_instant():
+    sim = Simulator()
+    log = []
+
+    def yielder():
+        for _ in range(2):
+            yield TIMEOUTS[0]
+            log.append(("yielder", sim.now))
+
+    def other():
+        log.append(("other", sim.now))
+        yield TIMEOUTS[0]
+
+    sim.spawn(yielder())
+    sim.spawn(other())
+    sim.run()
+    # each zero-delay yield lets the other process in, and no time passes
+    assert log == [("other", 0), ("yielder", 0), ("yielder", 0)]
+    assert sim.now == 0
+
+
+def test_one_shared_timeout_serves_many_processes():
+    sim = Simulator()
+    done = []
+
+    def worker(i):
+        yield TIMEOUTS[40]
+        yield TIMEOUTS[40]
+        done.append((i, sim.now))
+
+    for i in range(3):
+        sim.spawn(worker(i))
+    sim.run()
+    assert done == [(0, 80), (1, 80), (2, 80)]

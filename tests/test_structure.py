@@ -120,3 +120,25 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
     add_connection = add_connection[:add_connection.index("\n    def ", 1)]
     assert line in add_connection
     assert not re.search(r"^\s*(for|while)\b", add_connection, re.M)
+
+
+# ----------------------------------------------------------------------
+# the eager message's call budget (DESIGN §5.2): folded helpers stay gone
+# ----------------------------------------------------------------------
+def test_no_timeout_is_built_per_yield_in_the_endpoint():
+    # every modelled cost goes through the shared table (sim.TIMEOUTS)
+    assert "Timeout(" not in _src("mpi/endpoint.py")
+
+
+@pytest.mark.parametrize("module, cls, gone", [
+    ("repro.ib.hca", "HCA", "_complete_recv"),
+    ("repro.ib.qp", "QueuePair", "_make_message"),
+    ("repro.mpi.connection", "Connection", "take_piggyback_credits"),
+    ("repro.mpi.connection", "Connection", "next_seq"),
+])
+def test_folded_per_message_helpers_are_deleted(module, cls, gone):
+    assert not hasattr(getattr(importlib.import_module(module), cls), gone)
+
+
+def test_no_type_ignore_left_in_the_package():
+    assert _modules_matching(r"type: ignore") == set()

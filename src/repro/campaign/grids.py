@@ -129,8 +129,8 @@ def incast_grid(
 #: The scaling sweep's rank ladder — the paper's "order of 1,000 nodes".
 RANK_LADDER = (64, 256, 1024)
 
-#: Above this, the full-mesh arm is reported from the closed-form model
-#: instead of simulated: a 1,024-rank mesh is ~1M live QP pairs.
+#: Above this, the full-mesh arm is reported from the closed-form model: a
+#: 1,024-rank mesh is 1,047,552 live connections (523,776 QP pairs), ~1 GiB.
 MESH_MAX_RANKS = 256
 
 

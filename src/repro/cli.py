@@ -184,6 +184,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     print(memory_table(cells).render())
     print("(* = closed-form full-mesh model; a mesh that size is not "
           "simulated)")
+    if ladder[-1] > grids.MESH_MAX_RANKS:
+        print("(benchmarks/test_ext_mesh1024.py simulates the 1,024-rank mesh: "
+              "the model is\n exact to the byte, plus the buffers `dynamic` "
+              "grows under traffic)")
     print("\nBuffer memory scales with the communication graph, not P^2 —")
     print("the paper's conclusion, demonstrated beyond its 8-node testbed.")
     return 0

@@ -80,7 +80,7 @@ class Cluster:
         first communicate (available afterwards as ``cluster.cm``).  Left
         unspecified (``None``), jobs at or above
         ``TestbedConfig.on_demand_threshold`` ranks go on-demand
-        automatically — a 1,024-rank mesh would wire ~1M QP pairs.
+        automatically — a 1,024-rank mesh would wire 523,776 QP pairs.
         """
         if self.endpoints:
             raise RuntimeError("cluster already launched")

@@ -179,6 +179,7 @@ def predicted_connection_bytes(scheme_name: str, prepost: int,
 def mesh_pinned_bytes(nranks: int, scheme_name: str, prepost: int,
                       mpi: Any) -> int:
     """Closed-form pinned buffer bytes of a full P x (P-1) mesh — the
-    analytic stand-in for mesh cells too big to simulate (a 1,024-rank
-    mesh is ~1M live connections)."""
+    analytic stand-in for the mesh cells ``repro scaling`` does not
+    simulate (a 1,024-rank mesh is 1,047,552 connections, i.e. 523,776
+    QP pairs; ``benchmarks/test_ext_mesh1024.py`` checks it at that size)."""
     return nranks * (nranks - 1) * _pinned_per_connection(scheme_name, prepost, mpi)

@@ -301,7 +301,7 @@ class FTManager:
                     self.fail_request(ep, req, rank)
             conn.backlog = ()
             conn.deferred = ()
-            conn.cq_stash.clear()
+            conn.cq_stash = ()
             ep._backlogged.discard(rank)
         for sreq_id in [k for k, op in ep._rndv_send.items() if op.dst == rank]:
             op = ep._rndv_send.pop(sreq_id)

@@ -56,6 +56,13 @@ class HCA:
         self._send_busy = 0
         #: send-engine time per WQE (IBConfig is frozen once traffic flows)
         self._send_wqe_cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
+        # What every QP of this adapter shares, snapshotted here so the
+        # injectability probe (twice per pumped WQE) and post_recv read one
+        # attribute off ``qp.hca`` — not a copy per QP, not a chain walk.
+        self.sq_depth = self.config.sq_depth
+        self.rq_depth = self.config.rq_depth
+        self._max_inflight = self.config.max_inflight_msgs
+        self._e2e_credit_updates = self.config.e2e_credit_updates
         self._pump_scheduled = False
         self._recv_busy = 0
         #: receive-engine burst FIFO: (service_done_ns, msg) in arrival
@@ -90,14 +97,7 @@ class HCA:
     ) -> QueuePair:
         qpn = self._next_qpn
         self._next_qpn += 1
-        qp = QueuePair(
-            self,
-            qpn,
-            send_cq,
-            recv_cq or send_cq,
-            sq_depth=self.config.sq_depth,
-            rq_depth=self.config.rq_depth,
-        )
+        qp = QueuePair(self, qpn, send_cq, recv_cq or send_cq)
         self._qps[qpn] = qp
         if self.fault_transport is not None:
             qp.enable_transport_retry(*self.fault_transport)

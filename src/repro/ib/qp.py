@@ -25,8 +25,8 @@ blasting the full window into a NAK storm.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.ib.mr import RemoteAccessError
 from repro.ib.types import INFINITE_RETRY, Opcode, QPState, WCStatus
@@ -39,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class QPError(RuntimeError):
     pass
+
+
+#: ``_inflight`` of a QP that has not sent: shared, and read-only so that
+#: nothing can be inserted into it on behalf of every idle QP at once
+_NONE_INFLIGHT: MappingProxyType[int, SendWR] = MappingProxyType({})
 
 
 class _Message:
@@ -85,11 +90,12 @@ class QueuePair:
 
     # A full mesh holds P*(P-1) of these, nearly all idle: slots instead of
     # a per-instance dict (36 attributes is past the shared-key limit, so
-    # each dict was private), and the send queue allocated on first use.
+    # each dict was private), the requester's containers allocated on first
+    # use, and what is constant per adapter (queue depths, the pipelining
+    # window) read from the HCA.
     __slots__ = (
-        "hca", "qp_num", "send_cq", "recv_cq", "sq_depth", "rq_depth",
+        "hca", "qp_num", "send_cq", "recv_cq",
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
-        "_max_inflight", "_e2e_credit_updates",
         "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
         "_credit_est", "_credit_est_msn", "_sends_inflight",
         "_rq", "_expected_msn", "_advertised_zero",
@@ -105,15 +111,11 @@ class QueuePair:
         qp_num: int,
         send_cq: "CompletionQueue",
         recv_cq: "CompletionQueue",
-        sq_depth: int,
-        rq_depth: int,
     ):
         self.hca = hca
         self.qp_num = qp_num
         self.send_cq = send_cq
         self.recv_cq = recv_cq
-        self.sq_depth = sq_depth
-        self.rq_depth = rq_depth
         self.state = QPState.RESET
         self.remote_lid = -1
         self.remote_qpn = -1
@@ -123,17 +125,13 @@ class QueuePair:
         #: recognisably stale (MSNs restart at 0 per epoch, so without the
         #: stamp an old ACK could acknowledge a new message)
         self.epoch = 0
-        # IBConfig is frozen once traffic flows; snapshot the window so the
-        # injectability probe (twice per pumped WQE) and the post_recv hot
-        # path skip the attribute-chain walk.
-        self._max_inflight = hca.config.max_inflight_msgs
-        self._e2e_credit_updates = hca.config.e2e_credit_updates
 
         # --- requester state ---
-        #: waiting to inject (incl. replays); the shared empty tuple until
-        #: the first :meth:`post_send` — most mesh QPs never send
+        #: waiting to inject (incl. replays), and msn -> WR awaiting its
+        #: ACK; shared empties until the first :meth:`post_send` — most
+        #: mesh QPs never send
         self._sq: Union[Deque[SendWR], Tuple[()]] = ()
-        self._inflight: Dict[int, SendWR] = {}  # msn -> WR, awaiting ACK
+        self._inflight: Union[Dict[int, SendWR], MappingProxyType] = _NONE_INFLIGHT
         self._next_msn = 0
         self._rnr_waiting = False
         self._rnr_timer_ev = None
@@ -142,7 +140,9 @@ class QueuePair:
         self._sends_inflight = 0
 
         # --- responder state ---
-        self._rq: Deque[RecvWR] = deque()
+        #: posted receive WQEs, FIFO.  A list, not a deque: an idle mesh
+        #: connection holds one to four, and a deque's first block is 760 B
+        self._rq: List[RecvWR] = []
         self._expected_msn = 0
         self._advertised_zero = False  # last ack advertised 0 credits
 
@@ -210,7 +210,7 @@ class QueuePair:
         self.state = QPState.RESET
         self.epoch += 1
         self._sq = ()
-        self._inflight.clear()
+        self._inflight = _NONE_INFLIGHT
         self._next_msn = 0
         self._rnr_waiting = False
         self._credit_est = None
@@ -245,10 +245,11 @@ class QueuePair:
         if self.state is not QPState.READY:
             raise QPError(f"QP {self.qp_num}: post_send in state {self.state}")
         sq = self._sq
-        if len(sq) + len(self._inflight) >= self.sq_depth:
-            raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.sq_depth})")
+        if len(sq) + len(self._inflight) >= self.hca.sq_depth:
+            raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.hca.sq_depth})")
         if type(sq) is tuple:  # first use
             sq = self._sq = deque()
+            self._inflight = {}
         sq.append(wr)
         self.hca._kick(self)
 
@@ -258,11 +259,11 @@ class QueuePair:
         if self.state is QPState.ERROR:
             raise QPError(f"QP {self.qp_num}: post_recv in ERROR state")
         rq = self._rq
-        if len(rq) + n > self.rq_depth:
+        if len(rq) + n > self.hca.rq_depth:
             raise QPError(f"QP {self.qp_num}: receive queue overflow")
-        rq.extend(repeat(wr, n))
+        rq.extend((wr,) * n)
         if (
-            self._e2e_credit_updates
+            self.hca._e2e_credit_updates
             and self._advertised_zero
             and self.state is QPState.READY
         ):
@@ -296,7 +297,7 @@ class QueuePair:
         """
         if self.state is not QPState.READY or self._rnr_waiting or not self._sq:
             return None
-        if len(self._inflight) >= self._max_inflight:
+        if len(self._inflight) >= self.hca._max_inflight:
             return None
         wr = self._sq[0]
         if wr.opcode is Opcode.SEND and self._credit_est is not None:
@@ -333,9 +334,10 @@ class QueuePair:
     def _on_ack(self, msn: int, advertised: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return  # ACK from a pre-recovery incarnation (MSNs restarted)
-        wr = self._inflight.pop(msn, None)
+        wr = self._inflight.get(msn)  # read-only on a QP that never sent
         if wr is None:
             return  # duplicate / stale ACK from a replay era
+        del self._inflight[msn]
         self._xport_acks += 1
         if wr.opcode is Opcode.SEND:
             self._sends_inflight -= 1
@@ -480,9 +482,10 @@ class QueuePair:
         self.hca._kick(self)
 
     def _on_read_response(self, msg: _Message) -> None:
-        wr = self._inflight.pop(msg.read_wr_msn, None)
+        wr = self._inflight.get(msg.read_wr_msn)
         if wr is None:
             return
+        del self._inflight[msg.read_wr_msn]
         self._xport_acks += 1
         if wr.signaled:
             self.send_cq.push(
@@ -501,9 +504,10 @@ class QueuePair:
     def _on_remote_error(self, msn: int, status: WCStatus, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return
-        wr = self._inflight.pop(msn, None)
+        wr = self._inflight.get(msn)
         if wr is None:
             return
+        del self._inflight[msn]
         self._fatal(wr, status)
 
     def _fatal(self, wr: SendWR, status: WCStatus) -> None:
@@ -539,7 +543,7 @@ class QueuePair:
                     peer=self.remote_lid,
                 )
             )
-        self._inflight.clear()
+        self._inflight = _NONE_INFLIGHT
         self._sq = ()
         for rwr in self._rq:
             self.recv_cq.push(
@@ -599,7 +603,7 @@ class QueuePair:
                 return
             rwr = self._rq[0]
             if msg.length > rwr.capacity:
-                self._rq.popleft()
+                del self._rq[0]
                 self._expected_msn += 1
                 self.recv_cq.push(
                     WC(
@@ -624,7 +628,7 @@ class QueuePair:
                 return
             # Accepted: engine time is already paid, complete now (per
             # message: positional, in WC's field order).
-            self._rq.popleft()
+            del self._rq[0]
             self._expected_msn += 1
             self.messages_delivered += 1
             self.recv_cq.push(
@@ -676,10 +680,10 @@ class QueuePair:
         """Structural self-audit; returns a list of problem strings
         (empty when healthy).  Cheap — called at end of audited runs."""
         problems = []
-        if self.outstanding_sends > self.sq_depth:
+        if self.outstanding_sends > self.hca.sq_depth:
             problems.append(
                 f"QP {self.qp_num}: {self.outstanding_sends} outstanding "
-                f"sends exceed sq_depth {self.sq_depth}"
+                f"sends exceed sq_depth {self.hca.sq_depth}"
             )
         for msn in self._inflight:
             if msn >= self._next_msn:
@@ -695,10 +699,10 @@ class QueuePair:
                 f"QP {self.qp_num}: _sends_inflight={self._sends_inflight} "
                 f"but {sends} SEND WRs are inflight"
             )
-        if len(self._rq) > self.rq_depth:
+        if len(self._rq) > self.hca.rq_depth:
             problems.append(
                 f"QP {self.qp_num}: {len(self._rq)} posted recvs exceed "
-                f"rq_depth {self.rq_depth}"
+                f"rq_depth {self.hca.rq_depth}"
             )
         if self.state is QPState.ERROR and (self._sq or self._inflight):
             problems.append(

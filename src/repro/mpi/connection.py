@@ -62,8 +62,8 @@ class Connection:
     each rank owns its endpoint's Connection object to the peer)."""
 
     # A full mesh holds P*(P-1) of these, nearly all idle, so an idle one
-    # must be cheap on the host too: slots, and the two queues below are
-    # the shared empty tuple until their first append.
+    # must be cheap on the host too: slots, and the two queues and the
+    # stash below are the shared empty tuple until their first append.
     __slots__ = (
         "endpoint", "peer", "qp",
         "credits", "backlog", "fallback_inflight", "seq_out",
@@ -114,8 +114,9 @@ class Connection:
         self.seq_in_expected = 0
         #: CQ headers that overtook an in-flight ring write (the two
         #: channels share one sequence space but not one wire); parked in
-        #: seq order until the ring drain closes the gap
-        self.cq_stash: List[Header] = []
+        #: seq order until the ring drain closes the gap; a ``list`` from
+        #: the first park in ``Endpoint._handle_recv`` on
+        self.cq_stash: Union[List[Header], Tuple[()]] = ()
 
         # --- recovery (inert unless a RecoveryManager is installed) ---
         #: True while the underlying QP pair is being re-established; new

@@ -98,6 +98,10 @@ class Endpoint:
 
         self.connections: Dict[int, Connection] = {}
         self._backlogged: Set[int] = set()  # peers with non-empty backlog
+        #: peers whose connection ever left idle (grow-only, recorded on
+        #: first use — not per message): all :meth:`_locally_quiescent`
+        #: needs to look at, where a mesh holds P-1 connections per rank
+        self._engaged: Set[int] = set()
         #: peers whose RDMA ring holds arrived-but-unprocessed messages
         #: (dirty-flag wakeups: the progress engine only looks at these
         #: instead of scanning every connection per poll)
@@ -527,8 +531,10 @@ class Endpoint:
                 and not c.recovering
                 and not c.deferred
                 and c.qp.outstanding_sends == 0
-                for p, c in self.connections.items()
-                if p not in dead  # severed state toward dead peers is frozen
+                # severed state toward dead peers is frozen; a torn-down
+                # on-demand pair has left the table
+                for c in map(self.connections.get, self._engaged.difference(dead))
+                if c is not None
             )
             and not self._rndv_send
             and not self._send_ctx  # every completion polled (pool released)
@@ -734,6 +740,8 @@ class Endpoint:
                 # header; the ring drain re-dispatches it the moment the
                 # gap closes.  The QP itself is FIFO, so appends keep the
                 # stash in sequence order.
+                if type(conn.cq_stash) is tuple:  # first use
+                    conn.cq_stash = []
                 conn.cq_stash.append(h)
                 return self.config.header_proc_ns
             raise MPIError(
@@ -994,9 +1002,10 @@ class Endpoint:
         completion and by :meth:`_reclaim_error_wc` on a flush."""
         ctx_id = next(self._ctx_ids)
         self._send_ctx[ctx_id] = ctx
-        conn.qp.post_send(
-            SendWR(ctx_id, opcode, length, payload, remote_addr, rkey)
-        )
+        qp = conn.qp
+        if type(qp._sq) is tuple:  # its first send: the connection leaves idle
+            self._engaged.add(conn.peer)
+        qp.post_send(SendWR(ctx_id, opcode, length, payload, remote_addr, rkey))
 
     def _emit(
         self,
@@ -1037,6 +1046,7 @@ class Endpoint:
                 # the QP re-arms (and the fresh ring is wired).
                 if type(conn.deferred) is tuple:  # first use
                     conn.deferred = deque()
+                    self._engaged.add(conn.peer)
                 conn.deferred.append((header, ref))
                 return 0
             # all pending return-credits ride this message
@@ -1130,6 +1140,7 @@ class Endpoint:
         backlog = conn.backlog
         if type(backlog) is tuple:  # first use
             backlog = conn.backlog = deque()
+            self._engaged.add(conn.peer)
         backlog.append(pending)
         if self._audit is not None:
             self._audit.on_backlog_enqueue(conn, pending.header)

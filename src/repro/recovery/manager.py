@@ -138,6 +138,9 @@ class RecoveryManager:
         self.recoveries_started += 1
         conn_ab.recovering = True
         conn_ba.recovering = True
+        # either end may never have sent (its flushed receives start this)
+        ep_a._engaged.add(b)
+        ep_b._engaged.add(a)
         # Force the surviving half to ERROR too: its queued WRs flush to
         # its owner's CQ, where they are collected as replay candidates.
         conn_ab.qp.force_error()

@@ -291,3 +291,135 @@ def test_zero_length_send_works():
     run(sim)
     assert cq1.poll()[0].ok
     assert cq0.poll()[0].ok
+
+
+# ----------------------------------------------------------------------
+# the receive queue: a FIFO of descriptors, whatever holds them
+# ----------------------------------------------------------------------
+def test_distinct_recv_descriptors_complete_in_post_order():
+    """Batched and single posts interleave; each completion carries the
+    ``wr_id`` of the descriptor at its position, and the length check
+    reads that descriptor's ``capacity`` (not a neighbour's)."""
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    a, b, c = (RecvWR(wr_id="a", capacity=2048), RecvWR(wr_id="b", capacity=64),
+               RecvWR(wr_id="c", capacity=2048))
+    qp1.post_recv(a, 2)
+    qp1.post_recv(b)
+    qp1.post_recv(c, 2)
+    assert [wr.wr_id for wr in qp1._rq] == ["a", "a", "b", "c", "c"]
+    for i, length in enumerate((100, 100, 64, 100)):
+        qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=length, payload=i))
+    run(sim)
+    assert [(wc.wr_id, wc.data, wc.byte_len) for wc in cq1.poll()] == [
+        ("a", 0, 100), ("a", 1, 100), ("b", 2, 64), ("c", 3, 100)]
+    assert qp1.posted_recvs == 1 and qp1._rq[0] is c
+
+    # 65 bytes fit "a" and "c" but not "b", and only at b's position
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    qp1.post_recv(a)
+    qp1.post_recv(b)
+    for i in range(2):
+        qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=65, payload=i))
+    run(sim)
+    assert [(wc.wr_id, wc.status) for wc in cq1.poll()] == [
+        ("a", WCStatus.SUCCESS), ("b", WCStatus.LOCAL_LENGTH_ERROR)]
+
+
+def test_post_recv_overflows_at_exactly_rq_depth_and_posts_nothing_partial():
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair(IBConfig(rq_depth=8))
+    wr = RecvWR(wr_id="r", capacity=64)
+    qp1.post_recv(wr, 5)
+    with pytest.raises(QPError, match="overflow"):
+        qp1.post_recv(wr, 4)  # 9 > 8: none of the four is posted
+    assert qp1.posted_recvs == 5
+    qp1.post_recv(wr, 3)  # exactly full
+    assert qp1.posted_recvs == 8 and qp1.check_invariants() == []
+    with pytest.raises(QPError, match="overflow"):
+        qp1.post_recv(wr)
+    assert qp1.posted_recvs == 8
+
+
+def test_flush_completes_every_posted_recv_in_order_and_the_queue_is_reusable():
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    qp1.post_recv(RecvWR(wr_id="x", capacity=64), 2)
+    qp1.post_recv(RecvWR(wr_id="y", capacity=64))
+    qp1.force_error()
+    wcs = cq1.poll()
+    assert [(wc.wr_id, wc.status, wc.is_recv) for wc in wcs] == [
+        (name, WCStatus.WR_FLUSH_ERROR, True) for name in ("x", "x", "y")]
+    assert qp1.posted_recvs == 0 and not qp1._rq
+    with pytest.raises(QPError):
+        qp1.post_recv(RecvWR(wr_id="z", capacity=64))  # ERROR state
+    for qp, peer in ((qp0, qp1), (qp1, qp0)):
+        qp.force_error()
+        qp.reset()
+        qp.connect(peer.hca.lid, peer.qp_num)
+    cq0.poll(), cq1.poll()
+    qp1.post_recv(RecvWR(wr_id="again", capacity=64), 2)
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="p"))
+    run(sim)
+    assert [(wc.wr_id, wc.data, wc.ok) for wc in cq1.poll()] == [("again", "p", True)]
+    assert qp1.posted_recvs == 1
+
+
+def test_ack_advertises_the_posted_count_after_the_consume():
+    sim, fabric, _, qp0, qp1, cq0, cq1 = build_pair()
+    seen = []
+    send_control = fabric.send_control
+
+    def spy(src, dst, fn, *args):
+        if fn == qp0._on_ack:
+            seen.append((args[1], qp1.posted_recvs))  # (advertised, posted now)
+        return send_control(src, dst, fn, *args)
+
+    fabric.send_control = spy
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64), 3)
+    assert qp1.posted_recvs == 3
+    for i in range(3):
+        qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=8))
+    run(sim)
+    assert seen == [(2, 2), (1, 1), (0, 0)]
+    assert qp1.posted_recvs == 0 and qp1._advertised_zero
+
+
+# ----------------------------------------------------------------------
+# a QP that never sent holds no requester containers of its own
+# ----------------------------------------------------------------------
+def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
+    from repro.ib.qp import _NONE_INFLIGHT
+
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    assert qp0._inflight is _NONE_INFLIGHT is qp1._inflight
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64), 2)  # a responder only
+    qp0._on_ack(0, 5, epoch=qp0.epoch)  # nothing was ever sent: ignored
+    qp0._on_rnr_nak(0, epoch=qp0.epoch)
+    qp0._on_remote_error(0, WCStatus.REMOTE_ACCESS_ERROR, epoch=qp0.epoch)
+    assert qp0.state is QPState.READY and len(cq0) == 0
+    assert qp0.check_invariants() == [] and qp0.outstanding_sends == 0
+    for qp, peer in ((qp0, qp1), (qp1, qp0)):
+        qp.force_error()  # _flush on the shared empties
+        assert qp.check_invariants() == []
+        qp.reset()
+        qp.connect(peer.hca.lid, peer.qp_num)
+        assert qp._inflight is _NONE_INFLIGHT and qp._sq == ()
+    assert len(cq0) == 0 and len(cq1) == 2  # only qp1's two posted receives
+    cq1.poll()
+    qp0._on_ack(0, 5, epoch=0)  # stale epoch
+    qp0._on_ack(0, 5, epoch=qp0.epoch)  # current epoch, still nothing sent
+    assert qp0._inflight is _NONE_INFLIGHT
+
+    # the first post_send allocates this QP's own map, and only this QP's
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64))
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="p"))
+    assert type(qp0._inflight) is dict and qp1._inflight is _NONE_INFLIGHT
+    run(sim)
+    assert [wc.wr_id for wc in cq0.poll()] == ["s"]
+    assert [wc.data for wc in cq1.poll()] == ["p"]
+    assert qp0.check_invariants() == [] and qp1.check_invariants() == []
+    # nothing was, or can be, inserted on behalf of every idle QP at once
+    assert len(_NONE_INFLIGHT) == 0 and qp1._inflight is _NONE_INFLIGHT
+    with pytest.raises(TypeError):
+        _NONE_INFLIGHT[0] = "wr"
+    # a flush hands the shared empties back
+    qp0.force_error()
+    assert qp0._inflight is _NONE_INFLIGHT and qp0._sq == ()

@@ -132,24 +132,51 @@ def test_mesh_model_is_quadratic():
 # connection is *charged*; this is what one idle connection costs the
 # simulator's own heap
 # ----------------------------------------------------------------------
-def test_idle_mesh_connection_host_heap_budget():
-    """A 256-rank mesh is 65,280 connections, so bytes per idle
-    connection *is* the mesh's peak RSS (5,859 B before the per-connection
-    objects were slotted and their queues made first-use; ~1,950 B now,
-    of which 760 is the receive queue's one deque block).  Deterministic
-    for a given interpreter; the bound leaves room for a CPython whose
-    object headers differ, not for a new per-connection container."""
-    nranks = 32
+def _host_bytes_per_idle_connection(scheme, prepost, nranks=32):
+    """``tracemalloc`` growth over ``Cluster.launch`` of a full mesh, per
+    connection (its QP, Connection, stats, descriptor, posted WQEs and
+    the two table entries)."""
     cluster = Cluster(TestbedConfig(nodes=nranks))
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cluster.launch(nranks, make_scheme("dynamic"), 1, on_demand=False)
+        cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    per_connection = grown / (nranks * (nranks - 1))
-    assert per_connection <= 2_600, per_connection
+    return grown / (nranks * (nranks - 1))
+
+
+def test_idle_mesh_connection_host_heap_budget():
+    """A 256-rank mesh is 65,280 connections and a 1,024-rank one
+    1,047,552, so bytes per idle connection *is* the mesh's peak RSS:
+    5,859 B before the per-connection objects were slotted and their
+    queues made first-use, ~1,950 B while the receive queue was a deque
+    (760 B for its first block, whatever it held), ~1,120 B with the
+    receive queue a list, the requester map and the stash first-use, and
+    the per-adapter constants read from the HCA.  Deterministic for a
+    given interpreter; the bound leaves room for a CPython whose object
+    headers differ, not for a new per-connection container.
+
+    The floor and the slope are separate claims: a posted WQE beyond the
+    first few costs one pointer."""
+    for scheme in SCHEMES:
+        floor = _host_bytes_per_idle_connection(scheme, 1)
+        assert floor <= 1_150, (scheme, floor)
+        deep = _host_bytes_per_idle_connection(scheme, 100)
+        assert (deep - floor) / 99 <= 9, (scheme, floor, deep)
+
+
+def test_idle_ring_connection_host_heap_budget():
+    """``rdma-eager`` adds its ring channel (an ``RDMAChannel``, its ring
+    and the registered region's bookkeeping) to every connection: its own
+    ceiling (2,762 B while the receive queue was a deque, ~1,980 B now),
+    and no object per slot — ring slots are bytes of one region (what
+    moves with the depth is the size of a few address integers)."""
+    floor = _host_bytes_per_idle_connection("rdma-eager", 1)
+    assert floor <= 2_050, floor
+    deep = _host_bytes_per_idle_connection("rdma-eager", 100)
+    assert (deep - floor) / 99 <= 1, (floor, deep)

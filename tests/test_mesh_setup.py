@@ -170,6 +170,66 @@ def test_sever_returns_the_queues_to_empty():
         assert q == () and not isinstance(q, deque)
 
 
+def test_idle_connection_holds_no_stash_and_no_requester_map():
+    from repro.ib.qp import _NONE_INFLIGHT
+
+    cluster = _mesh(4, "rdma-eager", 2)
+    for conn in _conns(cluster):
+        assert conn.cq_stash == () and not isinstance(conn.cq_stash, list)
+        assert conn.qp._inflight is _NONE_INFLIGHT
+        assert isinstance(conn.qp._rq, list)  # ~8 B per posted WQE, no block
+    assert len(_NONE_INFLIGHT) == 0
+
+
+def test_cq_stash_appears_on_the_first_cross_channel_skew():
+    def prog(mpi):
+        if mpi.rank == 0:
+            r1 = yield from mpi.isend(1, size=64, tag=1, payload="ring")
+            r2 = yield from mpi.isend(1, size=50_000, tag=2, payload="rndv")
+            yield from mpi.waitall([r1, r2])
+        elif mpi.rank == 1:
+            yield from mpi.compute(us(200))  # both arrive before the first poll
+            a = yield from mpi.recv(source=0, capacity=64, tag=1)
+            b = yield from mpi.recv(source=0, capacity=1 << 16, tag=2)
+            return a.payload, b.payload
+
+    r = run_job(prog, 3, "rdma-eager", 4, config=TestbedConfig(nodes=3),
+                audit=True)
+    assert r.rank_results[1] == ("ring", "rndv")  # delivered in sequence
+    used = r.endpoints[1].connections[0].cq_stash
+    assert isinstance(used, list) and used == []  # parked one, drained it
+    others = [c for c in _conns(r) if c is not r.endpoints[1].connections[0]]
+    assert all(c.cq_stash == () for c in others) and len(others) == 5
+
+
+def test_sever_returns_a_used_cq_stash_to_empty():
+    victim = 0
+    seen = {}
+
+    def prog(mpi):
+        if mpi.rank == victim:
+            r1 = yield from mpi.isend(1, size=64, tag=1, payload="ring")
+            r2 = yield from mpi.isend(1, size=50_000, tag=2, payload="rndv")
+            yield from mpi.waitall([r1, r2])
+            yield from mpi.compute(us(5_000))  # dies in here
+        elif mpi.rank == 1:
+            yield from mpi.compute(us(200))
+            a = yield from mpi.recv(source=victim, capacity=64, tag=1)
+            b = yield from mpi.recv(source=victim, capacity=1 << 16, tag=2)
+            seen["stash"] = type(mpi.connections[victim].cq_stash)
+            c = yield from mpi.recv(source=victim, capacity=64, tag=3)
+            return a.payload, b.payload, c.error
+
+    plan = FaultPlan(seed=7).rank_death(rank=victim, at_ns=us(1_000))
+    r = run_job(prog, 3, "rdma-eager", 4, config=TestbedConfig(nodes=3),
+                faults=plan, ft=True, audit=True)
+    assert [f.rank for f in r.failures] == [victim]
+    assert r.rank_results[1] == ("ring", "rndv", "PROC_FAILED")
+    assert seen["stash"] is list  # a live list before the death ...
+    severed = r.endpoints[1].connections[victim]
+    assert severed.cq_stash == () and not isinstance(severed.cq_stash, list)
+
+
 # ----------------------------------------------------------------------
 # one batch posts what the per-buffer loop posted
 # ----------------------------------------------------------------------

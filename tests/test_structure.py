@@ -106,6 +106,19 @@ def test_per_connection_objects_carry_no_instance_dict():
         conn.not_a_field = 1  # scheme state is declared, not patched on
 
 
+def test_a_queue_pair_holds_only_per_connection_state():
+    from repro.ib.hca import HCA
+    from repro.ib.qp import QueuePair
+
+    # no container with a per-instance block is built for an idle QP
+    assert "deque(" not in inspect.getsource(QueuePair.__init__)
+    # what is constant per adapter lives on the adapter, once
+    shared = {"sq_depth", "rq_depth", "_max_inflight", "_e2e_credit_updates"}
+    assert not shared & set(QueuePair.__slots__)
+    hca_init = inspect.getsource(HCA.__init__)
+    assert all(f"self.{name} = " in hca_init for name in shared)
+
+
 def test_one_collector_pause_and_one_recv_descriptor_site():
     # Simulator.run and Cluster.launch pause the collector through the
     # same helper

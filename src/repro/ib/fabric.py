@@ -20,67 +20,16 @@ loopback path: no switch hop, bandwidth limited by the host bus.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
-from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.ib.types import IBConfig
 from repro.sim import Simulator
-from repro.sim.engine import _MASK, _SHIFT
 from repro.sim.trace import Tracer
 from repro.sim.units import transfer_ns
 
 
 class FabricError(RuntimeError):
     pass
-
-
-class _Train:
-    """Burst-batched deliveries to one destination LID.
-
-    The fabric still assigns every in-flight packet its exact
-    ``(arrival, seq)`` key at transmit time, but only the *head* of this
-    FIFO occupies an agenda entry; when it fires, the next packet re-arms
-    the agenda under its own original key.  Execution is therefore
-    bit-identical to scheduling each packet individually — same events,
-    same count, same ``(time, seq)`` order — while agenda occupancy per
-    destination drops from one entry per in-flight packet to one per
-    train.  Packets whose arrival would break the FIFO's monotonicity
-    (a fault window adding latency, fat-tree hop-count differences)
-    split the burst and take a direct agenda entry instead.  Each LID has
-    one train for data messages and one for control packets
-    (ACK/NAK/credit), whose latencies differ.
-    """
-
-    __slots__ = ("sim", "q", "fire")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        #: (arrival, seq, callback, args), armed iff non-empty
-        self.q: Deque[tuple] = deque()
-        self.fire = self._fire  # prebound: re-armed once per delivery
-
-    def _fire(self) -> None:
-        q = self.q
-        _, _, callback, args = q.popleft()
-        # Re-arm before delivering: the delivery callback can transmit new
-        # packets, and the armed-iff-non-empty invariant must hold then.
-        if q:
-            head = q[0]
-            t = head[0]
-            sim = self.sim
-            entry = (t, head[1], self.fire, ())
-            idx = t >> _SHIFT
-            if idx <= sim._cur:
-                insort(sim._active, entry, sim._head)
-                sim._count += 1
-            elif idx < sim._limit:
-                sim._buckets[idx & _MASK].append(entry)
-                sim._count += 1
-            else:
-                heappush(sim._over, entry)
-        callback(*args)
 
 
 class Fabric:
@@ -109,10 +58,6 @@ class Fabric:
         self._link_busy: Dict[tuple, int] = {}
         self._lids: Dict[int, Any] = {}  # lid -> HCA (deliver target)
         self._deliver_cb: Dict[int, Callable] = {}  # lid -> HCA._deliver, prebound
-        # Per-destination burst trains: one armed agenda entry per train
-        # instead of one per in-flight packet (see _Train).
-        self._trains: Dict[int, _Train] = {}
-        self._ctrains: Dict[int, _Train] = {}
         # Per-size timing caches.  A fabric is built per job from a frozen
         # view of the config (nothing mutates IBConfig once traffic flows),
         # and real workloads reuse a handful of message sizes thousands of
@@ -147,8 +92,6 @@ class Fabric:
             raise FabricError(f"LID {lid} already attached")
         self._lids[lid] = hca
         self._deliver_cb[lid] = hca._deliver
-        self._trains[lid] = _Train(self.sim)
-        self._ctrains[lid] = _Train(self.sim)
         self._up_busy[lid] = 0
         self._down_busy[lid] = 0
 
@@ -250,32 +193,9 @@ class Fabric:
         self._down_busy[dst_lid] = start + ser
 
         arrival = start + ser + cfg.link_prop_ns + extra
-        # The message's (arrival, seq) key is fixed here, whichever way it
-        # reaches the agenda.  Switched arrivals to one LID are monotone
-        # by construction — _down_busy[dst] is FIFO — so the common case
-        # is a plain append onto the armed train; only fault-window
-        # ``extra`` latency ever splits the burst with a direct entry.
-        seq = sim._seq = sim._seq + 1
-        item = (arrival, seq, self._deliver_cb[dst_lid], (message,))
-        train = self._trains[dst_lid]
-        q = train.q
-        if q and arrival >= q[-1][0]:
-            q.append(item)
-        else:
-            if q:
-                entry = item  # burst split: straight to the agenda
-            else:
-                q.append(item)
-                entry = (arrival, seq, train.fire, ())
-            idx = arrival >> _SHIFT
-            if idx <= sim._cur:
-                insort(sim._active, entry, sim._head)
-                sim._count += 1
-            elif idx < sim._limit:
-                sim._buckets[idx & _MASK].append(entry)
-                sim._count += 1
-            else:
-                heappush(sim._over, entry)
+        # The delivery's (arrival, seq) key is fixed here: arrivals at one
+        # LID fire in arrival order, ties in transmit order.
+        sim.call_at(arrival, self._deliver_cb[dst_lid], message)
         if self.tracer.enabled:
             self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
         return arrival
@@ -314,35 +234,7 @@ class Fabric:
             if latency is None:
                 latency = self._xbar_ctrl_ns = self.control_path_ns(src_lid, dst_lid)
         arrival = sim.now + latency + extra
-        # Per-ACK/credit-update hot path: burst-batched per destination.
-        # On a single crossbar every remote pair shares one control
-        # latency, so arrivals per LID are monotone and the train almost
-        # never splits (loopback/remote mixes and fat-tree hop-count
-        # differences fall back to a direct agenda entry).
-        seq = sim._seq = sim._seq + 1
-        if arrival == sim.now:
-            sim._now_q.append((seq, callback, args))
-            return arrival
-        item = (arrival, seq, callback, args)
-        train = self._ctrains[dst_lid]
-        q = train.q
-        if q and arrival >= q[-1][0]:
-            q.append(item)
-            return arrival
-        if q:
-            entry = item  # burst split: straight to the agenda
-        else:
-            q.append(item)
-            entry = (arrival, seq, train.fire, ())
-        idx = arrival >> _SHIFT
-        if idx <= sim._cur:
-            insort(sim._active, entry, sim._head)
-            sim._count += 1
-        elif idx < sim._limit:
-            sim._buckets[idx & _MASK].append(entry)
-            sim._count += 1
-        else:
-            heappush(sim._over, entry)
+        sim.call_at(arrival, callback, *args)
         return arrival
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -1,52 +1,39 @@
 """The event loop at the heart of the simulator.
 
-The :class:`Simulator` owns a **calendar-queue agenda** plus a same-instant
-FIFO.  Agenda entries are plain tuples led by ``(time, seq)``; ``seq`` is a
-global monotonically increasing integer so that events scheduled for the
-same nanosecond fire in scheduling order.  This determinism is load-bearing:
-the whole reproduction relies on bit-identical replays for its regression
-tests (see ``tests/test_determinism_replay.py``), so every fast path below
-must preserve the exact ``(time, seq)`` execution order and the value of
-:attr:`Simulator.events_executed`.
+The :class:`Simulator` owns **one agenda: a binary heap of plain tuples led
+by ``(time, seq)``**.  ``seq`` is a global, monotonically increasing integer
+drawn once per scheduling call, so events due at the same nanosecond fire in
+scheduling order.  That order is load-bearing: the reproduction relies on
+bit-identical replays for its regression tests
+(``tests/test_determinism_replay.py``), so the contract of every entry point
+is the exact ``(time, seq)`` execution order and the value of
+:attr:`Simulator.events_executed` — nothing else about the agenda is
+observable, and nothing outside ``repro.sim`` knows its layout.
 
-Calendar-queue layout (kernel v3)
----------------------------------
-The agenda is a ring of ``_NBUCKETS`` buckets, each covering a
-``2**_SHIFT`` ns *epoch* of the integer clock (``epoch = time >> _SHIFT``).
-An entry whose epoch falls inside the ring window ``[_cur, _cur +
-_NBUCKETS)`` is **appended unsorted** to its bucket — O(1), no heap
-sift — and the bucket is sorted once (C timsort over tuples) when its epoch
-becomes *active*.  Entries beyond the window (ACK timeouts, RNR backoff,
-watchdog timers — the far-future tail) go to a small binary-heap overflow
-tier and migrate into their bucket when the ring reaches their epoch.
-
-The active bucket is consumed through an index (:attr:`_head`) rather than
-popped, so draining it is O(1) per event with no memmove.  A push landing in
-the active epoch (or, after ``run(until=...)`` parked the clock mid-epoch,
-an earlier one) is insorted into the active bucket's un-consumed suffix —
-rare, and the bucket only ever holds the few entries of one ~4 µs window.
-The near-future-heavy schedule distribution our fabric produces (HCA
-pipeline delays, serialisation times, progress-engine polls — almost all
-within a few µs) makes schedule/pop O(1) amortised, versus O(log n) heap
-sifts over an agenda that grows with rank count.
-
-Hot-path design notes
----------------------
-* Agenda entries are plain tuples ordered by their leading ``(time, seq)``
-  ints at C speed; ``seq`` is unique, so later elements never take part in
-  a comparison — which permits *mixed* entry shapes: fire-and-forget
-  events are raw ``(time, seq, callback, args)`` 4-tuples (no event object
-  at all), cancellable handles are ``(time, seq, ScheduledEvent)``
-  3-tuples, distinguished at dispatch by ``len``.
-* Zero-delay events land on a deque (``call_soon``) instead of the agenda —
-  the dominant self-scheduling pattern of the progress engine costs O(1).
-* Cancelled agenda entries are discarded lazily; when they outnumber live
-  ones the whole agenda is compacted in one pass (see :meth:`_compact`),
-  which recomputes the cancellation counter exactly — it is therefore
-  idempotent and the counter can never go negative (each cancelled entry
-  is physically discarded exactly once, by the run loop, ``peek``, or the
-  compaction itself).
-* ``run(max_events=...)`` checks the budget *before* consuming an entry:
+* **Entry shapes.**  ``seq`` is unique, so a comparison never reaches past
+  the two leading ints — which permits *mixed* shapes on one heap:
+  fire-and-forget events (``call_soon``/``call_later``/``call_at``, every
+  ``Timeout`` wakeup) are bare ``(time, seq, callback, args)`` 4-tuples with
+  no event object at all; cancellable ones (``schedule``/``schedule_at``)
+  are ``(time, seq, ScheduledEvent)`` 3-tuples, told apart at dispatch by
+  ``len``.
+* **Same-instant FIFO.**  A fire-and-forget event due at the current instant
+  (``call_soon``, ``call_later(0, ...)``, ``call_at(now, ...)``) skips the
+  heap: it is appended to a deque of ``(seq, callback, args)`` that
+  :meth:`Simulator.run` merges with the heap by ``seq``, so the order is the
+  one a single heap would give (``tests/test_agenda_property.py`` checks it
+  against exactly that).  It is here because it was measured: folding it
+  into the heap lost 9 of 10 pairs on three ledger workloads (DESIGN §5.1) —
+  a same-instant entry climbs to the heap's root on the push and the pop
+  sifts the root back down.  Only this module knows it exists; an entry at
+  the current instant is just as correct on the heap.
+* **Lazy cancellation.**  ``cancel()`` only marks the handle; the entry is
+  dropped when it reaches the head (by ``run`` or ``peek``).  When cancelled
+  entries outnumber live ones the heap is rebuilt without them
+  (:meth:`Simulator._compact`), which keeps the agenda bounded under
+  schedule/cancel churn.  Each cancelled entry is physically discarded — and
+  counted off — exactly once, so the counter can never go negative.
+* **``run(max_events=...)``** checks the budget *before* consuming an entry:
   when it raises, every counted event actually ran and the would-be-next
   entry is still on the agenda, so post-mortem state tells the truth.
 """
@@ -54,13 +41,10 @@ Hot-path design notes
 from __future__ import annotations
 
 import gc
-from bisect import insort
 from collections import deque
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterator, List, Optional
-
-from repro.sim.trace import Tracer
 
 
 class SimulationError(RuntimeError):
@@ -133,26 +117,10 @@ class ScheduledEvent:
             if sim is not None:
                 sim._note_cancel()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         return f"<ScheduledEvent t={self.time} seq={self.seq}{state}>"
 
-
-#: log2 of the bucket width: 4096 ns epochs.  Almost every fabric/HCA delay
-#: (serialisation, pipeline, polls) is well under one epoch, so pushes are
-#: plain appends into the first few ring slots.
-_SHIFT = 12
-
-#: ring size (power of two).  Window = 256 * 4096 ns ≈ 1.05 ms, which keeps
-#: RNR base timers (~320 µs) in-ring; only long backoff/watchdog timers hit
-#: the overflow heap.
-_NBUCKETS = 256
-_MASK = _NBUCKETS - 1
 
 #: compact the agenda once at least this many cancelled entries accumulate
 #: *and* they outnumber the live ones
@@ -162,45 +130,29 @@ _COMPACT_MIN = 64
 class Simulator:
     """Deterministic discrete-event simulator with an integer-ns clock.
 
-    Parameters
-    ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer` receiving kernel events.
-        When omitted a no-op tracer is used (the hot path stays cheap).
+    Callbacks run in ``(time, seq)`` order, one at a time, each at its own
+    :attr:`now`; ``seq`` is the order of the scheduling calls, so ties at
+    one instant are first-scheduled-first-run.  :attr:`events_executed`
+    counts the callbacks that ran (cancelled entries never count).  The
+    agenda is one heap behind a same-instant FIFO (see the module docstring
+    for both, the entry shapes, lazy cancellation and the ``max_events``
+    budget).
     """
 
     __slots__ = (
-        "now",
-        "_buckets",
-        "_cur",
-        "_limit",
-        "_active",
-        "_head",
-        "_count",
-        "_over",
-        "_now_q",
-        "_seq",
-        "_running",
-        "_cancelled_pending",
-        "tracer",
-        "events_executed",
+        "now", "_q", "_now_q", "_seq", "_running", "_cancelled_pending", "events_executed",
     )
 
-    def __init__(self, tracer: Optional[Tracer] = None):
+    def __init__(self) -> None:
         self.now: int = 0
-        # --- calendar-queue agenda (see module docstring) ---
-        self._buckets: List[List[tuple]] = [[] for _ in range(_NBUCKETS)]
-        self._cur: int = 0  # epoch of the active bucket
-        self._limit: int = _NBUCKETS  # first epoch beyond the ring window
-        self._active: List[tuple] = self._buckets[0]  # == _buckets[_cur & _MASK]
-        self._head: int = 0  # consume index into the active bucket
-        self._count: int = 0  # un-consumed entries across all ring buckets
-        self._over: List[tuple] = []  # far-future overflow (binary heap)
-        self._now_q: Deque[tuple] = deque()  # FIFO of (seq, callback, args) at t == now
+        #: the agenda: a heap of (time, seq, ScheduledEvent) and
+        #: (time, seq, callback, args) tuples
+        self._q: List[tuple] = []
+        #: same-instant FIFO of (seq, callback, args), all due at ``now``
+        self._now_q: Deque[tuple] = deque()
         self._seq: int = 0
         self._running = False
         self._cancelled_pending = 0  # cancelled entries still on the agenda
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: number of events executed so far (cancelled events excluded)
         self.events_executed: int = 0
 
@@ -235,41 +187,19 @@ class Simulator:
         seq = self._seq = self._seq + 1
         ev = ScheduledEvent(time, seq, callback, args)
         ev._sim = self
-        self._insert(time, (time, seq, ev))
+        heappush(self._q, (time, seq, ev))
         return ev
 
-    def _insert(self, time: int, entry: tuple) -> None:
-        """Place ``entry`` (led by ``(time, seq)``) on the agenda.
-
-        Hot call sites (``call_later``, the Timeout resume in process.py,
-        the fabric delivery trains) open-code this body; keep them in sync.
-        """
-        idx = time >> _SHIFT
-        if idx <= self._cur:
-            # Active epoch — or, after run(until=) parked the clock
-            # mid-epoch, an earlier one; either way the active bucket is
-            # the front of the agenda and full-key insort keeps it ordered.
-            insort(self._active, entry, self._head)
-            self._count += 1
-        elif idx < self._limit:
-            self._buckets[idx & _MASK].append(entry)
-            self._count += 1
-        else:
-            heappush(self._over, entry)
-
-    # --- fire-and-forget fast paths -----------------------------------
+    # --- fire-and-forget: a bare 4-tuple entry, no event object -------
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current instant, after every event
         already scheduled for it.  Equivalent to ``schedule(0, ...)`` minus
-        the cancellation handle and the agenda traffic."""
+        the cancellation handle and the heap traffic."""
         self._seq += 1
         self._now_q.append((self._seq, callback, args))
 
     def call_later(self, delay: int, callback: Callable, *args: Any) -> None:
-        """``schedule(delay, ...)`` without a cancellation handle; the entry
-        is a bare 4-tuple, no event object at all.  (The insert is
-        open-coded — this is the single hottest scheduling entry point,
-        fed by every ``Timeout`` yield.)"""
+        """``schedule(delay, ...)`` without a cancellation handle."""
         if type(delay) is not int:
             delay = _as_int_ns(delay, "delay")
         if delay < 0:
@@ -278,16 +208,7 @@ class Simulator:
         if delay == 0:
             self._now_q.append((seq, callback, args))
             return
-        time = self.now + delay
-        idx = time >> _SHIFT
-        if idx <= self._cur:
-            insort(self._active, (time, seq, callback, args), self._head)
-            self._count += 1
-        elif idx < self._limit:
-            self._buckets[idx & _MASK].append((time, seq, callback, args))
-            self._count += 1
-        else:
-            heappush(self._over, (time, seq, callback, args))
+        heappush(self._q, (self.now + delay, seq, callback, args))
 
     def call_at(self, time: int, callback: Callable, *args: Any) -> None:
         """``schedule_at(time, ...)`` without a cancellation handle."""
@@ -301,55 +222,7 @@ class Simulator:
         if time == self.now:
             self._now_q.append((seq, callback, args))
             return
-        idx = time >> _SHIFT
-        if idx <= self._cur:
-            insort(self._active, (time, seq, callback, args), self._head)
-            self._count += 1
-        elif idx < self._limit:
-            self._buckets[idx & _MASK].append((time, seq, callback, args))
-            self._count += 1
-        else:
-            heappush(self._over, (time, seq, callback, args))
-
-    # --- bucket rotation ----------------------------------------------
-    def _advance(self) -> bool:
-        """Rotate to the next non-empty epoch; False when the agenda is
-        empty.  Precondition: the active bucket is fully consumed."""
-        active = self._active
-        if active:
-            active.clear()
-        self._head = 0
-        over = self._over
-        cur = self._cur
-        if self._count == 0:
-            if not over:
-                return False
-            # Ring empty: jump straight to the overflow head's epoch.
-            cur = over[0][0] >> _SHIFT
-        else:
-            # Some ring bucket is non-empty, so this scan terminates within
-            # _NBUCKETS steps; it also stops at the overflow head's epoch
-            # so far-future entries migrate before anything later runs.
-            buckets = self._buckets
-            oe = (over[0][0] >> _SHIFT) if over else -1
-            cur += 1
-            while not buckets[cur & _MASK]:
-                if cur == oe:
-                    break
-                cur += 1
-        self._cur = cur
-        self._limit = cur + _NBUCKETS
-        b = self._buckets[cur & _MASK]
-        if over:
-            count = self._count
-            while over and (over[0][0] >> _SHIFT) <= cur:
-                b.append(heappop(over))
-                count += 1
-            self._count = count
-        if len(b) > 1:
-            b.sort()
-        self._active = b
-        return True
+        heappush(self._q, (time, seq, callback, args))
 
     # --- cancellation accounting --------------------------------------
     def _note_cancel(self) -> None:
@@ -360,60 +233,31 @@ class Simulator:
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= _COMPACT_MIN
-            and self._cancelled_pending * 2 > self._count + len(self._over)
+            and self._cancelled_pending * 2 > len(self._q)
         ):
             self._compact()
 
     def _compact(self) -> None:
         """Remove every cancelled entry from the agenda in one pass.
 
-        Recomputes ``_count`` and zeroes ``_cancelled_pending`` from what
-        is actually present, so it is idempotent and safe to call at any
-        instant — including between ``peek()`` discards, which share the
-        same per-entry accounting (one decrement where an entry is
-        physically dropped, never anywhere else).  Bucket lists are
-        filtered in place: ``run()`` holds a local binding to the active
-        bucket across callbacks, and only its un-consumed suffix (from
-        ``_head``) is touched, so the consume index stays valid.
+        Zeroes ``_cancelled_pending`` from what is actually present, so it
+        is idempotent and safe to call at any instant — including between
+        ``peek()`` discards, which share the same per-entry accounting (one
+        decrement where an entry is physically dropped, never anywhere
+        else).  The list is rebuilt in place: ``run()`` holds a local
+        binding to it across callbacks.
         """
-        cur_slot = self._cur & _MASK
-        active = self._active
-        head = self._head
+        q = self._q
         live = []
         append = live.append
-        for e in active[head:]:
+        for e in q:
             if len(e) == 3 and e[2].cancelled:
                 e[2]._sim = None
             else:
                 append(e)
-        active[head:] = live
-        count = len(live)
-        for slot, b in enumerate(self._buckets):
-            if slot == cur_slot or not b:
-                continue
-            kept = []
-            append = kept.append
-            for e in b:
-                if len(e) == 3 and e[2].cancelled:
-                    e[2]._sim = None
-                else:
-                    append(e)
-            if len(kept) != len(b):
-                b[:] = kept
-            count += len(kept)
-        self._count = count
-        over = self._over
-        if over:
-            kept = []
-            append = kept.append
-            for e in over:
-                if len(e) == 3 and e[2].cancelled:
-                    e[2]._sim = None
-                else:
-                    append(e)
-            if len(kept) != len(over):
-                over[:] = kept
-                heapify(over)
+        if len(live) != len(q):
+            q[:] = live
+            heapify(q)
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
@@ -443,7 +287,8 @@ class Simulator:
         ----------
         until:
             Stop once the clock would pass this absolute time.  The clock is
-            left at ``until``.
+            left at ``until``, so a time before :attr:`now` is rejected with
+            :class:`SimulationError` (the clock never runs backwards).
         max_events:
             Safety valve for tests: abort with :class:`SimulationError`
             after this many events (a livelock detector).  The check runs
@@ -453,10 +298,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until t={until} (now is {self.now})")
         self._running = True
+        q = self._q
         now_q = self._now_q
         popleft = now_q.popleft
-        advance = self._advance
         # Infinity sentinels keep the per-event checks to one C-level
         # comparison each instead of an ``is not None`` branch plus one.
         limit = max_events if max_events is not None else float("inf")
@@ -465,24 +312,13 @@ class Simulator:
         now = self.now  # local mirror; only this loop advances the clock
         try:
             while True:
-                # Same-instant FIFO first, unless an agenda entry at the
-                # same time holds an older seq (scheduled before the FIFO
-                # entry).  Agenda entries at t == now can only live in the
-                # active bucket (every other tier holds later epochs), so
-                # an exhausted active bucket means the FIFO entry runs.
-                # _head/_active are re-read every iteration: a callback may
-                # insort ahead of the consume index or trigger compaction.
+                # The FIFO's head runs next unless the heap's head is also
+                # due now and was scheduled before it (an older seq).  So
+                # the FIFO is empty whenever the clock moves or parks.
                 if now_q:
                     fe = now_q[0]
-                    active = self._active
-                    i = self._head
-                    if (
-                        i == len(active)
-                        or (e := active[i])[0] > now
-                        or e[1] > fe[0]
-                    ):
+                    if not q or (e := q[0])[0] > now or e[1] > fe[0]:
                         if executed >= limit:
-                            self.events_executed = executed
                             raise SimulationError(
                                 f"exceeded max_events={max_events}; likely livelock"
                             )
@@ -490,37 +326,25 @@ class Simulator:
                         executed += 1
                         fe[1](*fe[2])
                         continue
-                    # else: e is the agenda head and wins; fall through
+                elif q:
+                    e = q[0]
                 else:
-                    active = self._active
-                    i = self._head
-                    if i == len(active):
-                        if not advance():
-                            break
-                        # advance() only returns True with a non-empty
-                        # active bucket (it migrates or finds an entry).
-                        active = self._active
-                        i = 0
-                    e = active[i]
+                    break
                 time = e[0]
                 if len(e) == 3:
                     ev = e[2]
                     if ev.cancelled:
-                        self._head = i + 1
-                        self._count -= 1
+                        heappop(q)
                         self._cancelled_pending -= 1
                         ev._sim = None
                         continue
                     if time > stop:
-                        self.now = until
-                        return
+                        break
                     if executed >= limit:
-                        self.events_executed = executed
                         raise SimulationError(
                             f"exceeded max_events={max_events}; likely livelock"
                         )
-                    self._head = i + 1
-                    self._count -= 1
+                    heappop(q)
                     self.now = now = time
                     executed += 1
                     ev.callback(*ev.args)
@@ -529,31 +353,17 @@ class Simulator:
                     ev._sim = None
                 else:
                     if time > stop:
-                        self.now = until
-                        return
+                        break
                     if executed >= limit:
-                        self.events_executed = executed
                         raise SimulationError(
                             f"exceeded max_events={max_events}; likely livelock"
                         )
-                    self._head = i + 1
-                    self._count -= 1
+                    heappop(q)
                     self.now = now = time
                     executed += 1
                     e[2](*e[3])
-            if until is not None and until > self.now:
+            if until is not None:
                 self.now = until
-                # The ring is empty here (advance() returned False), but
-                # _cur still names the last consumed epoch.  Fast-forward
-                # it to the parked clock so a later schedule at t == now
-                # lands in the *active* bucket — the now-FIFO arbitration
-                # above relies on same-instant agenda entries living there.
-                cur = until >> _SHIFT
-                if cur > self._cur:
-                    self._cur = cur
-                    self._limit = cur + _NBUCKETS
-                    self._active = self._buckets[cur & _MASK]
-                    self._head = 0
         finally:
             self.events_executed = executed
             self._running = False
@@ -583,25 +393,20 @@ class Simulator:
         """Time of the next non-cancelled event, or ``None`` if idle."""
         if self._now_q:
             return self.now
-        while True:
-            active = self._active
-            i = self._head
-            if i == len(active):
-                if not self._advance():
-                    return None
-                continue
-            e = active[i]
+        q = self._q
+        while q:
+            e = q[0]
             if len(e) == 3 and e[2].cancelled:
-                self._head = i + 1
-                self._count -= 1
+                heappop(q)
                 self._cancelled_pending -= 1
                 e[2]._sim = None
                 continue
             return e[0]
+        return None
 
     @property
     def _pending(self) -> int:
-        return len(self._now_q) + self._count + len(self._over)
+        return len(self._now_q) + len(self._q)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now} pending={self._pending}>"

@@ -1,14 +1,16 @@
-"""Property tests for the calendar-queue agenda (repro.sim.engine).
+"""Property tests for the simulator agenda (repro.sim.engine).
 
-The kernel v3 calendar queue must be observationally identical to a plain
-binary-heap agenda: events fire in exact ``(time, seq)`` order, the
-same-instant FIFO merges by seq, cancellation suppresses callbacks, and
-``run(until=)`` parks the clock without losing future events.  These tests
-drive the real :class:`Simulator` and a deliberately simple heap-based
-reference implementation with the same seeded-random scripts — including
-delays that straddle bucket boundaries, land in the far-future overflow
-tier, and collide on the same nanosecond — and assert identical callback
-order.  This is the safety net the calendar queue lands behind.
+The kernel's whole contract is an order: events fire in exact ``(time,
+seq)`` order, a zero-delay event merges by seq with whatever else is due at
+that instant, cancellation suppresses callbacks, and ``run(until=)`` parks
+the clock without losing future events.  These tests drive the real
+:class:`Simulator` and a deliberately naive reference (one heap of
+``(time, seq, handle, callback, args)``, no fast paths, no lazy-cancel
+accounting) with the same seeded-random scripts — zero delays, ties on the
+same nanosecond, near-future bursts and far-future timers, through every
+scheduling entry point — and assert identical callback order.  The same
+reference checks the one agenda push that lives outside ``engine.py``
+(``Process._resume``'s ``Timeout`` wakeup) and the fabric's delivery order.
 """
 
 import random
@@ -16,13 +18,13 @@ from heapq import heappop, heappush
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.engine import SimulationError, _COMPACT_MIN, _NBUCKETS, _SHIFT
+from repro.sim import Simulator, Timeout
+from repro.sim.engine import SimulationError, _COMPACT_MIN
 
-#: one bucket width and the full ring horizon, in ns — delays are drawn
-#: around these boundaries on purpose
-_BUCKET = 1 << _SHIFT
-_HORIZON = _NBUCKETS << _SHIFT
+#: two magnitudes, in ns, the delay mix is drawn around: the few-µs scale of
+#: fabric/HCA delays and the ms scale of RNR backoff and watchdog timers
+_BUCKET = 4096
+_HORIZON = 256 * _BUCKET
 
 
 class _RefHandle:
@@ -76,6 +78,12 @@ class RefSim:
 
         self.call_later(interval, tick)
 
+    def peek(self):
+        q = self._q
+        while q and q[0][2].cancelled:
+            heappop(q)
+        return q[0][0] if q else None
+
     def run(self, until=None):
         q = self._q
         while q:
@@ -96,8 +104,8 @@ class RefSim:
 
 def _delay(rng):
     """A delay from the distributions the fabric actually produces, plus
-    adversarial boundary cases: zero, same-instant ties, exact bucket
-    edges, cross-ring jumps, and far-future overflow-tier timers."""
+    adversarial cases: zero, same-instant ties, values one apart around
+    a power of two, and far-future timers."""
     r = rng.random()
     if r < 0.15:
         return 0
@@ -109,12 +117,13 @@ def _delay(rng):
         return rng.choice((_BUCKET - 1, _BUCKET, _BUCKET + 1))
     if r < 0.92:
         return rng.randrange(3 * _BUCKET, _HORIZON)
-    return rng.randrange(_HORIZON, 5 * _HORIZON)  # overflow tier
+    return rng.randrange(_HORIZON, 5 * _HORIZON)  # RNR backoff, watchdogs
 
 
 def _drive(sim, seed):
-    """Apply an identical seeded script of schedule/cancel/call_soon/
-    every/run(until=) operations to ``sim``; returns the callback log.
+    """Apply an identical seeded script of operations — every scheduling
+    entry point, cancel, ``every``, ``peek()`` and ``run(until=)`` — to
+    ``sim``; returns the callback log (``peek`` results included).
 
     All rng draws happen in callback/op order, which is identical between
     implementations until a divergence — at which point the logs differ
@@ -133,8 +142,11 @@ def _drive(sim, seed):
                 for _ in range(rng.randrange(1, 3)):
                     label_counter[0] += 1
                     child = (label, label_counter[0])
-                    if rng.random() < 0.5:
+                    r = rng.random()
+                    if r < 0.3:
                         sim.call_later(_delay(rng), make_cb(child, depth + 1))
+                    elif r < 0.5:  # the fabric's path: an absolute arrival
+                        sim.call_at(sim.now + _delay(rng), make_cb(child, depth + 1))
                     else:
                         h = sim.schedule(_delay(rng), make_cb(child, depth + 1))
                         handles.append(h)
@@ -162,9 +174,15 @@ def _drive(sim, seed):
             handles.append(h)
         elif r < 0.65:
             sim.call_soon(make_cb(("soon", op), 0))
-        elif r < 0.75:
+        elif r < 0.70:
             sim.call_later(_delay(rng), make_cb(("later", op), 0))
-        elif r < 0.82 and handles:
+        elif r < 0.75:
+            sim.call_at(sim.now + _delay(rng), make_cb(("at", op), 0))
+        elif r < 0.78:
+            handles.append(sim.schedule_at(sim.now + _delay(rng), make_cb(("h_at", op), 0)))
+        elif r < 0.80:
+            log.append(("peek", op, sim.peek()))
+        elif r < 0.84 and handles:
             rng.choice(handles).cancel()
         elif r < 0.88:
             sim.every(rng.randrange(1, 2 * _BUCKET), make_periodic(("ev", op), rng.randrange(1, 5)))
@@ -189,6 +207,94 @@ def test_agenda_counts_match_reference(seed):
     _drive(ref, seed)
     assert real.events_executed == ref.events_executed
     assert real.now == ref.now
+
+
+# ----------------------------------------------------------------------
+# the one agenda push outside engine.py: Process._resume's Timeout wakeup
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(5))
+def test_timeout_processes_match_call_later_chains(seed):
+    """K generator processes sleeping through seeded ``Timeout``s (zeros
+    and ties included) log the same ``(label, now)`` sequence as the same
+    chains written with ``call_later`` on the reference heap."""
+    rng = random.Random(seed)
+    chains = [[_delay(rng) for _ in range(40)] for _ in range(6)]
+
+    real, real_log = Simulator(), []
+
+    def proc(label, delays):
+        for i, delay in enumerate(delays):
+            real_log.append(((label, i), real.now))
+            yield Timeout(delay)
+        real_log.append(((label, len(delays)), real.now))
+
+    for label, delays in enumerate(chains):
+        real.spawn(proc(label, delays))
+    real.run()
+
+    ref, ref_log = RefSim(), []
+
+    def step(label, i):
+        ref_log.append(((label, i), ref.now))
+        if i < len(chains[label]):
+            ref.call_later(chains[label][i], step, label, i + 1)
+
+    for label in range(len(chains)):
+        ref.call_soon(step, label, 0)
+    ref.run()
+
+    assert real_log == ref_log
+    assert (real.events_executed, real.now) == (ref.events_executed, ref.now)
+
+
+# ----------------------------------------------------------------------
+# the fabric's path: every delivery is one call_at under its own key
+# ----------------------------------------------------------------------
+def test_fabric_deliveries_to_one_lid_fire_in_arrival_then_transmit_order():
+    """An open fault window's extra latency makes an earlier-sent message
+    arrive later, or exactly when a later one does: deliveries still fire
+    by arrival time, ties in transmit order — data and control alike."""
+    from repro.faults.injector import FabricFaultState
+    from repro.ib import Fabric, IBConfig
+    from repro.sim.trace import Tracer
+
+    sim, delivered, sent = Simulator(), [], []
+
+    def deliver(name):
+        delivered.append((sim.now, name))
+
+    class Sink:  # stands in for an HCA
+        _deliver = staticmethod(deliver)
+
+    fabric = Fabric(sim, IBConfig())
+    for lid in range(3):
+        fabric.attach(lid, Sink)
+    fault = fabric.fault = FabricFaultState(0, Tracer(enabled=False))
+
+    def send(src, name, extra=0, control=False):
+        fault.degrade[src] = [(extra, 0.0)]  # a latency window on src's link
+        if control:
+            sent.append((fabric.send_control(src, 2, deliver, name), name))
+        else:
+            sent.append((fabric.transmit(src, 2, 64, name), name))
+        del fault.degrade[src]
+
+    send(0, "first")
+    ser = fabric._ser_cache[64][1]  # one slot on the destination's link
+    send(0, "slow", extra=50 * ser)
+    send(1, "fast")
+    send(0, "tie-a", extra=ser)  # late by the slot "tie-b" queues behind it
+    send(1, "tie-b")
+    send(0, "slow-ack", extra=50 * ser, control=True)
+    send(1, "fast-ack", control=True)
+    send(0, "tie-ack", control=True)
+    sim.run()
+
+    arrival = {name: t for t, name in sent}
+    assert arrival["fast"] < arrival["slow"] and arrival["fast-ack"] < arrival["slow-ack"]
+    assert arrival["tie-a"] == arrival["tie-b"] and arrival["fast-ack"] == arrival["tie-ack"]
+    # sorted() is stable, so equal arrivals keep their transmit order
+    assert delivered == sorted(sent, key=lambda item: item[0])
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +345,7 @@ def test_compaction_is_idempotent():
 
 
 # ----------------------------------------------------------------------
-# satellite: max_events counts exactly what ran, in both loop branches
+# satellite: max_events counts exactly what ran, timed or same-instant
 # ----------------------------------------------------------------------
 def test_max_events_agenda_branch_counts_then_raises():
     sim = Simulator()
@@ -257,9 +363,9 @@ def test_max_events_agenda_branch_counts_then_raises():
     assert sim.events_executed == 10
 
 
-def test_max_events_now_q_branch_counts_then_raises():
-    """Regression for the same-instant FIFO branch: the limit check used
-    to pop and count the FIFO entry but never run its callback, so the
+def test_max_events_zero_delay_chain_counts_then_raises():
+    """Regression for a chain of same-instant events: the limit check used
+    to pop and count the entry but never run its callback, so the
     post-mortem state lied about what executed."""
     sim = Simulator()
     ran = []

@@ -32,7 +32,7 @@ def _snapshot(result):
     return {
         "events_executed": sim.events_executed,
         "sim_now": sim.now,
-        "tracer_summary": sim.tracer.summary(),
+        "tracer_summary": result.tracer.summary(),
         "elapsed_ns": result.elapsed_ns,
         "fc": dataclasses.asdict(result.fc),
     }

@@ -65,9 +65,9 @@ def test_kick_with_the_pump_already_scheduled_adds_no_agenda_entry():
 
 def test_kick_schedules_the_pump_at_the_engines_next_free_instant():
     sim, hca, qp = _pair()
-    # idle engine: the pump joins the same-instant FIFO
+    # idle engine: the pump is due at the current instant
     qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
-    assert [entry[1] for entry in sim._now_q] == [hca._pump]
+    assert hca._pump_scheduled and sim.peek() == sim.now
     sim.run(until=0)
     assert hca._send_busy == hca._send_wqe_cost > 0 and not hca._pump_scheduled
     # busy engine: the pump waits for it
@@ -75,7 +75,7 @@ def test_kick_schedules_the_pump_at_the_engines_next_free_instant():
     pump = hca._pump
     hca._pump = lambda: (fired.append(sim.now), pump())
     qp.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=8))
-    assert hca._pump_scheduled and not sim._now_q
+    assert hca._pump_scheduled and sim.peek() > sim.now
     sim.run(until=hca._send_busy)
     assert fired == [hca._send_wqe_cost]
 

@@ -133,6 +133,22 @@ def test_run_until_with_empty_agenda_advances_clock():
     assert sim.now == 1234
 
 
+def test_run_until_in_the_past_rejected():
+    # The clock never runs backwards: parking it before ``now`` would let a
+    # pending event fire "after" a clock that read an earlier time.
+    sim = Simulator()
+    fired = []
+    sim.schedule(100, fired.append, "a")
+    sim.run()
+    sim.schedule(50, fired.append, "b")
+    with pytest.raises(SimulationError):
+        sim.run(until=20)
+    assert sim.now == 100 and fired == ["a"]  # rejected before anything ran
+    sim.run(until=100)  # the current instant is not the past
+    sim.run()
+    assert sim.now == 150 and fired == ["a", "b"]
+
+
 def test_max_events_livelock_detector():
     sim = Simulator()
 

@@ -38,18 +38,28 @@ def test_fat_tree_reuses_the_fabric_timing_model():
     assert "path_links" in vars(fabric.Fabric)
 
 
-def test_one_delivery_train_class():
-    trains = [name for name, obj in vars(fabric).items()
-              if inspect.isclass(obj) and "train" in name.lower()]
-    assert trains == ["_Train"]
+def test_the_fabric_keeps_no_delivery_trains():
+    # every delivery is its own agenda entry under its (arrival, seq) key
+    assert not re.search("train", _src("ib/fabric.py"), re.IGNORECASE)
+
+
+def test_the_fabric_schedules_only_through_the_simulators_api():
+    src = _src("ib/fabric.py")
+    assert not re.search(r"^\s*(?:from|import)\s+(?:heapq|bisect|collections)\b", src, re.MULTILINE)
+    assert set(re.findall(r"\bsim\.(\w+)\(", src)) == {"call_at"}
 
 
 def test_kernel_internals_stay_in_the_kernel():
-    """The calendar queue's private layout is open-coded only where a call
-    per event was measured to matter."""
-    private = r"\b_SHIFT\b|\b_MASK\b|\bsim\._(?:buckets|active|over)\b"
-    allowed = {"sim/engine.py", "sim/process.py", "ib/fabric.py"}
-    assert _modules_matching(private) <= allowed
+    """The agenda's layout is private to ``repro.sim``: outside engine.py
+    only the ``Timeout`` wakeup in process.py pushes onto the heap (measured
+    to matter, DESIGN §5.1) — at one site — and the same-instant FIFO that
+    measurement kept is engine.py's alone."""
+    assert _modules_matching(r"\bsim\._[a-z]") <= {"sim/engine.py", "sim/process.py"}
+    assert _src("sim/process.py").count("heappush(") == 1
+    assert _modules_matching(r"\b_now_q\b") == {"sim/engine.py"}
+    gone = (r"\b_SHIFT\b|\b_MASK\b|\b_NBUCKETS\b|\binsort\b"
+            r"|\b_buckets\b|\b_over\b|\b_c?trains\b")
+    assert _modules_matching(gone) == set()
 
 
 def test_legacy_perf_harness_is_gone(capsys):

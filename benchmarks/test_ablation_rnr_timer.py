@@ -7,10 +7,7 @@ IBA reliability machinery, not of MPI:
   it on the LU proxy at pre-post = 1;
 * arming the requester's advertised-credit gate (``arm_e2e_gate``)
   exchanges replay storms for orderly probe-and-wait, trading
-  retransmission count against timer-bound idling;
-* unsolicited credit-update ACKs (``e2e_credit_updates``) — hardware the
-  testbed did *not* have — would have rescued the hardware scheme almost
-  completely, which is an interesting "what if" the simulator can answer.
+  retransmission count against timer-bound idling.
 """
 
 from repro.analysis import Table
@@ -71,13 +68,6 @@ def run_table() -> Table:
     cfg = TestbedConfig()
     r = run_job(k.build(), k.nranks, HardwareScheme(arm_e2e_gate=True), prepost=1, config=cfg)
     table.add_row("gated (320us)", r.elapsed_s, r.fc.rnr_naks, r.fc.retransmissions)
-
-    cfg = TestbedConfig()
-    cfg.ib.e2e_credit_updates = True
-    r = run_job(
-        k.build(), k.nranks, HardwareScheme(arm_e2e_gate=True), prepost=1, config=cfg
-    )
-    table.add_row("gate+updates", r.elapsed_s, r.fc.rnr_naks, r.fc.retransmissions)
     return table
 
 
@@ -111,10 +101,4 @@ def test_ablation_rnr_timer(benchmark):
     )
     assert table.value("stall, backoff x2 cap 2560us", "retransmissions") < table.value(
         "stall, flat 320us", "retransmissions"
-    )
-
-    # Unsolicited credit updates would have (mostly) rescued the hardware
-    # scheme — recovery no longer waits out the timer.
-    assert table.value("gate+updates", "runtime_s") < table.value(
-        "timer=320us", "runtime_s"
     )

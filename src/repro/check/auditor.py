@@ -154,7 +154,9 @@ class Auditor:
         #: unreclaimed == ring size follows from the credit ledger; the
         #: occupancy count bounds the deposited share directly)
         self._ring_occupancy: Dict[tuple, int] = defaultdict(int)
-        #: highest sequence number freed per pair (FIFO reclamation)
+        #: highest sequence number deposited / freed per pair (in-order
+        #: arrival, FIFO reclamation)
+        self._ring_last_deposited: Dict[tuple, int] = {}
         self._ring_last_freed: Dict[tuple, int] = {}
         #: total hook invocations (observability; overhead accounting)
         self.hook_calls = 0
@@ -174,7 +176,8 @@ class Auditor:
             self._consumed_unsent, self._inflight_paid, self._ungranted,
             self._inflight_credits, self._pending_swallow, self._lease,
             self._shadow, self._sent_seq, self._matched_seq,
-            self._ring_occupancy, self._ring_last_freed,
+            self._ring_occupancy, self._ring_last_deposited,
+            self._ring_last_freed,
         ):
             store.clear()
         self._dequeued.clear()
@@ -318,13 +321,13 @@ class Auditor:
         self._consumed_unsent[key] += 1
         self._check_pair(*key)
 
-    def on_emit(self, conn: "Connection", header: "Header", ctx_kind: str,
+    def on_emit(self, conn: "Connection", header: "Header",
                 replay: bool = False) -> None:
         self.hook_calls += 1
         self._progress()
         e, p = conn.endpoint.rank, conn.peer
-        # (b) send-buffer lease: "eager"/"ctl" emissions hold one vbuf each
-        if ctx_kind in ("eager", "ctl"):
+        # (b) send-buffer lease: all but a ring write hold one vbuf each
+        if not header.via_ring:
             self._lease[e] += 1
             pool = conn.endpoint.pool
             if self._lease[e] != pool.in_use:
@@ -474,7 +477,7 @@ class Auditor:
         the population must never exceed its budget (no double-post)."""
         self.hook_calls += 1
         ep = conn.endpoint
-        if conn.rdma_eager:
+        if conn.ring is not None:
             budget = ep.config.rdma_control_bufs
         else:
             budget = conn.prepost_target + conn.headroom
@@ -613,21 +616,22 @@ class Auditor:
             )
 
     # ------------------------------------------------------------------
-    # (g) RDMA ring-slot conservation (rdma-eager scheme / legacy
-    # use_rdma_channel mode; hooks fire from RDMAChannel.deposit and the
-    # endpoint's ring-arrival processing)
+    # (g) RDMA ring-slot conservation (rdma-eager scheme; hooks fire from
+    # RDMAChannel.deposit and the endpoint's ring-arrival processing)
     # ------------------------------------------------------------------
     def on_ring_deposit(self, channel, header: "Header") -> None:
         """An RDMA-written eager message became visible in a ring slot
-        (sender ``channel.peer`` → receiver ``channel.endpoint``).  Under
-        a credit scheme a slot token gates every write, so occupancy can
-        never exceed the ring size — more means an unreclaimed slot was
-        silently overwritten."""
+        (sender ``channel.peer`` → receiver ``channel.endpoint``).  A slot
+        token gates every write, so occupancy can never exceed the ring
+        size — more means an unreclaimed slot was silently overwritten.
+        And the RC transport accepts in order, so deposited sequence
+        numbers are strictly increasing per pair (what lets the channel
+        keep its arrivals in a FIFO)."""
         self.hook_calls += 1
         self._progress()
         key = (channel.peer, channel.endpoint.rank)
         self._ring_occupancy[key] += 1
-        if self._uses_credits and self._ring_occupancy[key] > channel.ring.slots:
+        if self._ring_occupancy[key] > channel.ring.slots:
             self._violate(
                 "ring-slot-conservation",
                 f"{key[0]}->{key[1]}: {self._ring_occupancy[key]} slots "
@@ -635,6 +639,8 @@ class Auditor:
                 "unreclaimed slot was overwritten)",
                 pair=key,
             )
+        self._ring_in_order(self._ring_last_deposited, key, header.seq,
+                            "ring-deposit-order", "deposited")
 
     def on_ring_free(self, channel, header: "Header") -> None:
         """The receiver copied ``header`` out of its slot.  Rings free in
@@ -650,15 +656,21 @@ class Auditor:
                 f"{key[0]}->{key[1]}: slot freed with none occupied",
                 pair=key,
             )
-        last = self._ring_last_freed.get(key)
-        if last is not None and header.seq <= last:
+        self._ring_in_order(self._ring_last_freed, key, header.seq,
+                            "ring-slot-fifo", "freed")
+
+    def _ring_in_order(self, last: Dict[tuple, int], key: tuple, seq: int,
+                       invariant: str, verb: str) -> None:
+        """Sequence numbers pass a ring event strictly increasing per pair."""
+        prev = last.get(key)
+        if prev is not None and seq <= prev:
             self._violate(
-                "ring-slot-fifo",
-                f"{key[0]}->{key[1]}: slot for seq={header.seq} freed "
-                f"after seq={last} (FIFO reclamation broken)",
+                invariant,
+                f"{key[0]}->{key[1]}: ring slot for seq={seq} {verb} after "
+                f"seq={prev}",
                 pair=key,
             )
-        self._ring_last_freed[key] = header.seq
+        last[key] = seq
 
     # ------------------------------------------------------------------
     # (e) progress watchdog
@@ -685,7 +697,7 @@ class Auditor:
                 # posted vbufs / the CQ without this rank's attention;
                 # a dead rank's state is frozen, not pending
                 continue
-            if ep._send_ctx or ep._rndv_send or ep._rndv_recv or len(ep.cq):
+            if ep._sends_open or ep._rndv_send or ep._rndv_recv or len(ep.cq):
                 return True
             for peer, conn in ep.connections.items():
                 if peer in dead:
@@ -850,7 +862,7 @@ class Auditor:
                         "drained at quiescence",
                         pair=(ep.rank, conn.peer),
                     )
-                if conn.rdma_eager:
+                if conn.ring is not None:
                     # Ring slots, not WQEs, back the credits — and at
                     # quiescence every deposited slot must have been
                     # reclaimed (copy-out frees in order, matching

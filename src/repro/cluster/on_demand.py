@@ -222,11 +222,7 @@ class ConnectionManager:
             a.add_connection(b.rank, Connection(a, b.rank, qp_ab))
             b.add_connection(a.rank, Connection(b, a.rank, qp_ba))
             if a._ring_mode:
-                from repro.mpi.endpoint import Endpoint
-
-                Endpoint.wire_rdma_rings(
-                    a.connections[b.rank], b.connections[a.rank]
-                )
+                a.wire_rdma_rings(a.connections[b.rank], b.connections[a.rank])
             self.established += 1
         sig.fire(self.cluster.sim, None)
 

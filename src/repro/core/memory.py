@@ -96,11 +96,10 @@ def connection_memory_bytes(conn: "Connection", mpi: Any, ib: Any) -> Tuple[int,
     registered), or the fixed control budget in RDMA-channel mode, where
     credits govern ring slots rather than WQEs.
     """
-    if conn.rdma_eager:
+    ch = conn.ring
+    if ch is not None:
         pinned = mpi.rdma_control_bufs * mpi.vbuf_bytes
-        ring = conn.tx_ring_slots * mpi.vbuf_bytes
-        if conn.rx_channel is not None:
-            ring += conn.rx_channel.ring.slots * mpi.vbuf_bytes
+        ring = (ch.tx_slots + ch.ring.slots) * mpi.vbuf_bytes
     else:
         pinned = (conn.stats.max_prepost + conn.headroom) * mpi.vbuf_bytes
         ring = 0

@@ -68,8 +68,8 @@ class RdmaEagerScheme(FlowControlScheme):
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         # The ring was allocated by Endpoint.add_connection before this
         # hook runs; prepost_target doubles as the ring's slot count and
-        # the token pool size.  refill_recv_buffers sees conn.rdma_eager
-        # and posts only the control-buffer reserve.
+        # the token pool size.  refill_recv_buffers sees conn.ring and
+        # posts only the control-buffer reserve.
         conn.set_prepost_target(requested_prepost)
         conn.headroom = self.optimistic_headroom
         conn.refill_recv_buffers()

@@ -32,9 +32,9 @@ class FlowControlReport:
     ecm_credits: int
     rnr_naks: int
     retransmissions: int
-    #: handshake control plane (RTS/CTS/FIN/RING_RESIZE) — tagged apart
-    #: from data so the Figure-8 overhead split is honest about what is
-    #: payload and what is protocol
+    #: handshake control plane (RTS/CTS/FIN) — tagged apart from data so
+    #: the Figure-8 overhead split is honest about what is payload and
+    #: what is protocol
     control_msgs: int = 0
     #: backlogged sends that were control-plane (credit-starved RTSs)
     control_backlogged: int = 0

@@ -131,7 +131,7 @@ class FTManager:
             # The victim's own flushed completions: frozen state, absorb.
             ep._reclaim_error_wc(wc)
             return 0
-        conn = ep._conn_for_qp(wc.qp_num)
+        conn = ep._conn_of(wc)
         if conn is None:
             return None
         peer = conn.peer
@@ -301,7 +301,8 @@ class FTManager:
                     self.fail_request(ep, req, rank)
             conn.backlog = ()
             conn.deferred = ()
-            conn.cq_stash = ()
+            if conn.ring is not None:
+                conn.ring.cq_stash = ()
             ep._backlogged.discard(rank)
         for sreq_id in [k for k, op in ep._rndv_send.items() if op.dst == rank]:
             op = ep._rndv_send.pop(sreq_id)

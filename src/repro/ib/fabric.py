@@ -201,7 +201,7 @@ class Fabric:
         return arrival
 
     # ------------------------------------------------------------------
-    # control path (ACK / NAK / credit updates)
+    # control path (ACK / NAK / remote error)
     # ------------------------------------------------------------------
     def control_path_ns(self, src_lid: int, dst_lid: int) -> int:
         """Fixed latency of a small control packet from src to dst."""
@@ -226,7 +226,7 @@ class Fabric:
         if fault is not None:
             extra = fault.on_control(src_lid, dst_lid)
             if extra is None:
-                return sim.now  # link down: ACK/NAK/credit update lost
+                return sim.now  # link down: the ACK/NAK is lost
         if src_lid == dst_lid or self._route is not None:
             latency = self.control_path_ns(src_lid, dst_lid)
         else:

@@ -62,7 +62,6 @@ class HCA:
         self.sq_depth = self.config.sq_depth
         self.rq_depth = self.config.rq_depth
         self._max_inflight = self.config.max_inflight_msgs
-        self._e2e_credit_updates = self.config.e2e_credit_updates
         self._pump_scheduled = False
         self._recv_busy = 0
         #: receive-engine burst FIFO: (service_done_ns, msg) in arrival

@@ -98,7 +98,7 @@ class QueuePair:
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
         "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
         "_credit_est", "_credit_est_msn", "_sends_inflight",
-        "_rq", "_expected_msn", "_advertised_zero",
+        "_rq", "_expected_msn",
         "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
         "_xport_acks", "_xport_seen", "reack_stale",
         "rnr_naks_received", "rnr_naks_sent", "retransmissions",
@@ -144,7 +144,6 @@ class QueuePair:
         #: connection holds one to four, and a deque's first block is 760 B
         self._rq: List[RecvWR] = []
         self._expected_msn = 0
-        self._advertised_zero = False  # last ack advertised 0 credits
 
         # --- fault-mode transport reliability (armed by repro.faults) ---
         # An ideal fabric never loses a message, so the seed transport has
@@ -218,7 +217,6 @@ class QueuePair:
         self._sends_inflight = 0
         self._rq.clear()
         self._expected_msn = 0
-        self._advertised_zero = False
         self._xport_acks = 0
         self._xport_seen = 0
 
@@ -262,21 +260,6 @@ class QueuePair:
         if len(rq) + n > self.hca.rq_depth:
             raise QPError(f"QP {self.qp_num}: receive queue overflow")
         rq.extend((wr,) * n)
-        if (
-            self.hca._e2e_credit_updates
-            and self._advertised_zero
-            and self.state is QPState.READY
-        ):
-            # Unsolicited credit-update ACK (optional hardware feature; off
-            # by default to match the paper's InfiniHost behaviour).
-            self._advertised_zero = False
-            self.hca.fabric.send_control(
-                self.hca.lid,
-                self.remote_lid,
-                self._peer()._on_credit_update,
-                len(rq),
-                self.epoch,
-            )
 
     @property
     def posted_recvs(self) -> int:
@@ -356,13 +339,6 @@ class QueuePair:
                    self.qp_num, self.remote_lid)
             )
         self.hca._kick(self)
-
-    def _on_credit_update(self, advertised: int, epoch: int = 0) -> None:
-        if epoch != self.epoch:
-            return
-        if self._credit_est is not None:
-            self._credit_est = advertised - self._sends_inflight
-            self.hca._kick(self)
 
     def _on_rnr_nak(self, msn: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
@@ -592,7 +568,6 @@ class QueuePair:
             if not self._rq:
                 self.rnr_naks_sent += 1
                 self.hca.tracer.count("ib.rnr_nak_sent", (self.hca.lid, msg.src_lid))
-                self._advertised_zero = True
                 self.hca.fabric.send_control(
                     self.hca.lid,
                     msg.src_lid,
@@ -711,15 +686,13 @@ class QueuePair:
         return problems
 
     def _ack(self, msg: _Message) -> None:
-        advertised = len(self._rq)
-        self._advertised_zero = advertised == 0
         hca = self.hca
         hca.fabric.send_control(
             hca.lid,
             msg.src_lid,
             (self._peer_qp or self._peer())._on_ack,
             msg.msn,
-            advertised,
+            len(self._rq),  # the e2e credit field: receive WQEs left
             self.epoch,
         )
 

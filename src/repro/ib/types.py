@@ -103,12 +103,6 @@ class IBConfig:
         Ceiling for the backed-off wait (IBA's encodable maximum is
         655 ms; the default cap is far below that so backoff stays inside
         benchmark timescales).
-    e2e_credit_updates:
-        When True the responder sends unsolicited credit-update ACKs as
-        soon as new receive WQEs are posted, letting a blocked requester
-        resume without waiting for the RNR timer.  The paper's hardware
-        (and hence the default here) does *not* do this — the observed
-        LU/MG collapse in Figure 10 depends on timer-driven recovery.
     """
 
     # --- wire ---------------------------------------------------------
@@ -135,7 +129,6 @@ class IBConfig:
     rnr_backoff_factor: float = 1.0
     rnr_backoff_max_ns: int = us(10_000)
     max_inflight_msgs: int = 128  # requester pipelining window per QP
-    e2e_credit_updates: bool = False
 
     # --- memory registration (pin-down) --------------------------------
     page_bytes: int = 4096

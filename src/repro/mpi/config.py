@@ -55,17 +55,14 @@ class MPIConfig:
     header_proc_ns: int = 150
     memcpy_bytes_per_ns: float = 2.0
 
-    # --- RDMA-based eager channel (the companion design, [13]) ----------
-    #: route eager data through per-connection RDMA rings instead of
-    #: send/recv into pre-posted WQEs (default off: the paper's study is
-    #: of the send/recv-based implementation)
-    use_rdma_channel: bool = False
+    # --- RDMA-based eager channel (the companion design, [13]); in use
+    # iff the flow-control scheme owns a ring (``rdma-eager``) -----------
     #: receiver-side cost of discovering + dispatching one ring arrival
     #: (memory-poll flag check; cheaper than CQE processing, which is
     #: where the 6.8 us vs 7.5 us latency gap comes from)
     rdma_poll_ns: int = 700
-    #: control-message vbufs posted per connection in RDMA mode (RTS/CTS/
-    #: FIN/ECM/RESIZE still use send/recv; they are optimistic traffic)
+    #: control-message vbufs posted per ring connection (RTS/CTS/FIN/ECM
+    #: still use send/recv; they are optimistic traffic)
     rdma_control_bufs: int = 8
 
     def eager_max(self) -> int:

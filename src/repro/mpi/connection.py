@@ -20,7 +20,7 @@ fields; the endpoint and progress engine are scheme-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Optional, Tuple, Union
 
 from repro.ib.qp import QueuePair
 from repro.ib.wr import RecvWR
@@ -28,6 +28,7 @@ from repro.mpi.protocol import Header
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
+    from repro.mpi.rdma_channel import RDMAChannel
 
 
 @dataclass
@@ -45,7 +46,7 @@ class ConnStats:
 
     msgs_sent: int = 0  # every MPI-level message incl. control
     data_msgs_sent: int = 0  # eager payloads + rendezvous transfers
-    ctl_msgs_sent: int = 0  # handshake control plane: RTS/CTS/FIN/RESIZE
+    ctl_msgs_sent: int = 0  # handshake control plane: RTS/CTS/FIN
     ecm_sent: int = 0  # explicit credit messages (Table 1)
     backlogged: int = 0  # sends that went through the backlog
     ctl_backlogged: int = 0  # of which control-plane (backlogged RTSs)
@@ -62,16 +63,15 @@ class Connection:
     each rank owns its endpoint's Connection object to the peer)."""
 
     # A full mesh holds P*(P-1) of these, nearly all idle, so an idle one
-    # must be cheap on the host too: slots, and the two queues and the
-    # stash below are the shared empty tuple until their first append.
+    # must be cheap on the host too: slots, and the two queues below are
+    # the shared empty tuple until their first append.
     __slots__ = (
         "endpoint", "peer", "qp",
         "credits", "backlog", "fallback_inflight", "seq_out",
         "prepost_target", "headroom", "recv_wr", "recv_posted",
-        "pending_credit_return", "seq_in_expected", "cq_stash",
+        "pending_credit_return", "seq_in_expected",
         "_decay_quiet_msgs", "_grow_barrier_seq",
-        "rdma_eager", "tx_ring_addr", "tx_ring_rkey", "tx_ring_slots",
-        "tx_ring_next", "rx_channel",
+        "ring",
         "recovering", "deferred", "stats",
     )
 
@@ -102,21 +102,14 @@ class Connection:
         self._decay_quiet_msgs = 0
         self._grow_barrier_seq = -1
 
-        # --- RDMA eager channel (None unless MPIConfig.use_rdma_channel) ---
-        self.rdma_eager = False
-        self.tx_ring_addr = 0  # peer ring coordinates (sender half)
-        self.tx_ring_rkey = 0
-        self.tx_ring_slots = 0
-        self.tx_ring_next = 0
-        self.rx_channel = None  # RDMAChannel (receiver half)
         self.recv_posted = 0
         self.pending_credit_return = 0
         self.seq_in_expected = 0
-        #: CQ headers that overtook an in-flight ring write (the two
-        #: channels share one sequence space but not one wire); parked in
-        #: seq order until the ring drain closes the gap; a ``list`` from
-        #: the first park in ``Endpoint._handle_recv`` on
-        self.cq_stash: Union[List[Header], Tuple[()]] = ()
+
+        #: the RDMA eager channel, both halves — set by
+        #: ``Endpoint.add_connection`` iff the scheme owns a ring
+        #: (``FlowControlScheme.uses_ring``), else None
+        self.ring: Optional["RDMAChannel"] = None
 
         # --- recovery (inert unless a RecoveryManager is installed) ---
         #: True while the underlying QP pair is being re-established; new
@@ -156,27 +149,13 @@ class Connection:
     def recv_budget(self) -> int:
         """How many receive WQEs this connection keeps posted.
 
-        In RDMA-channel mode the "buffers" governed by credits are ring
+        On a ring connection the "buffers" governed by credits are ring
         slots, not WQEs; the posted WQEs only serve optimistic control
         traffic and stay at a small fixed budget.
         """
-        if self.rdma_eager:
+        if self.ring is not None:
             return self.endpoint.config.rdma_control_bufs
         return self.prepost_target + self.headroom
-
-    def point_tx_ring(self, addr: int, rkey: int, slots: int) -> None:
-        """Sender half: aim at the peer's current ring (coordinates from
-        connection setup or a RING_RESIZE), cursor at slot 0."""
-        self.tx_ring_addr = addr
-        self.tx_ring_rkey = rkey
-        self.tx_ring_slots = slots
-        self.tx_ring_next = 0
-
-    def next_ring_addr(self) -> int:
-        """Sender half: the next slot address in the peer's current ring."""
-        addr = self.tx_ring_addr + self.tx_ring_next * self.endpoint.config.vbuf_bytes
-        self.tx_ring_next = (self.tx_ring_next + 1) % max(1, self.tx_ring_slots)
-        return addr
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -21,7 +21,6 @@ buffer re-posting is always software).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
@@ -75,6 +74,10 @@ class Endpoint:
     ):
         if requested_prepost < 1:
             raise MPIError("requested_prepost must be >= 1")
+        if scheme.uses_ring and not scheme.uses_credits:
+            # only a slot token per write keeps a sender from overrunning
+            # the ring, and the model cannot represent an overrun
+            raise MPIError(f"{type(scheme).__name__}: uses_ring needs uses_credits")
         self.sim = sim
         self.hca = hca
         self.rank = rank
@@ -83,11 +86,10 @@ class Endpoint:
         self.scheme = scheme
         self.requested_prepost = requested_prepost
         self.tracer = tracer or Tracer(enabled=False)
-        #: eager traffic travels by RDMA-write ring — either the legacy
-        #: config switch or a scheme that owns a ring (rdma-eager).  The
-        #: flag gates ring allocation at connect time and the ring-dirty
-        #: arm of the progress waits.
-        self._ring_mode = config.use_rdma_channel or scheme.uses_ring
+        #: eager traffic travels by RDMA-write ring (the scheme owns one):
+        #: gates ring allocation at connect time and the ring-dirty arm of
+        #: the progress waits
+        self._ring_mode = scheme.uses_ring
 
         self.cq = hca.create_cq(f"mpi.cq.{rank}")
         self.pool = SendBufferPool(sim, config.send_pool_buffers, config.vbuf_bytes)
@@ -106,8 +108,8 @@ class Endpoint:
         #: (dirty-flag wakeups: the progress engine only looks at these
         #: instead of scanning every connection per poll)
         self._ring_dirty: Set[int] = set()
-        self._send_ctx: Dict[int, tuple] = {}
-        self._ctx_ids = itertools.count(1)
+        #: sends posted, completion not polled yet (each holds a vbuf or a pin)
+        self._sends_open = 0
         self._rndv_send: Dict[int, RndvSendOp] = {}
         self._rndv_recv: Dict[int, RndvRecvOp] = {}
         self._coll_seq: Dict[int, int] = {}  # context -> collective sequence
@@ -155,11 +157,7 @@ class Endpoint:
         self.connections[peer] = conn
         conn.recv_wr = RecvWR(wr_id=peer, capacity=self.config.vbuf_bytes)
         if self._ring_mode:
-            conn.rdma_eager = True
-            conn.rx_channel = RDMAChannel(
-                self, peer, slots=self.requested_prepost,
-                slot_bytes=self.config.vbuf_bytes,
-            )
+            conn.ring = RDMAChannel(self, peer, slots=self.requested_prepost)
         self.scheme.setup_connection(conn, self.requested_prepost)
 
     @staticmethod
@@ -168,8 +166,8 @@ class Endpoint:
         (re-)established connection (part of connection setup in RDMA
         mode, and of recovery after both sides allocated fresh rings)."""
         for tx, rx in ((conn_ab, conn_ba), (conn_ba, conn_ab)):
-            ring = rx.rx_channel.ring
-            tx.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
+            ring = rx.ring.ring
+            tx.ring.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
 
     def _post_recv_vbuf(self, conn: Connection, n: int = 1) -> int:
         """Post ``n`` receive vbufs on ``conn``; returns how many were
@@ -305,7 +303,7 @@ class Endpoint:
         # credit state is stale until the resync.
         if not conn.backlog and not conn.recovering and self._take_credit(conn):
             # Everything but an eager ring write is staged in a pool vbuf.
-            ring = conn.rdma_eager and header.kind is MsgKind.EAGER
+            ring = conn.ring is not None and header.kind is MsgKind.EAGER
             if not ring and not self._pool_ok(control=False):
                 yield from self._progress_until(lambda: self._pool_ok(control=False))
                 if req.done:  # dest declared dead during the pool wait
@@ -537,7 +535,7 @@ class Endpoint:
                 if c is not None
             )
             and not self._rndv_send
-            and not self._send_ctx  # every completion polled (pool released)
+            and not self._sends_open  # every completion polled (pool released)
             and len(self.cq) == 0
         )
 
@@ -556,12 +554,9 @@ class Endpoint:
 
     def _ring_ready(self) -> bool:
         """Any RDMA-ring arrival that is next in its connection's sequence?"""
-        if not self._ring_dirty:
-            return False
         for peer in self._ring_dirty:
             conn = self.connections[peer]
-            ch = conn.rx_channel
-            if ch is not None and ch.poll_peek(conn.seq_in_expected):
+            if conn.ring.poll_peek(conn.seq_in_expected):
                 return True
         return False
 
@@ -632,8 +627,8 @@ class Endpoint:
                     peers = [p for p in self.connections if p in dirty]
                 for peer in peers:
                     conn = self.connections[peer]
-                    ch = conn.rx_channel
-                    while ch is not None:
+                    ch = conn.ring
+                    while True:
                         h = ch.poll(conn.seq_in_expected)
                         if h is None:
                             if not ch.has_arrivals:
@@ -644,7 +639,7 @@ class Endpoint:
                             break
                         progressed = True
                         cost = self.config.rdma_poll_ns + self._deliver(conn, h)
-                        if conn.cq_stash:
+                        if ch.cq_stash:
                             # ring progress may unpark overtaking CQ headers
                             cost += self._drain_cq_stash(conn)
                         if cost:
@@ -669,29 +664,34 @@ class Endpoint:
         return self._handle_send_done(wc)
 
     # --- errored completions ---------------------------------------------
-    def _conn_for_qp(self, qp_num: int) -> Optional[Connection]:
-        for conn in self.connections.values():
-            if conn.qp.qp_num == qp_num:
-                return conn
+    def _conn_of(self, wc: WC) -> Optional[Connection]:
+        """The connection an errored or flushed completion belongs to (a
+        receive descriptor's ``wr_id`` is its peer, a send's is the record
+        :meth:`_post` attached, which names its ``dst``) — None unless
+        that peer's QP is the one that completed."""
+        conn = self.connections.get(wc.wr_id if wc.is_recv else wc.wr_id.dst)
+        if conn is not None and conn.qp.qp_num == wc.qp_num:
+            return conn
         return None
 
-    def _reclaim_error_wc(self, wc: WC) -> Optional[tuple]:
+    def _reclaim_error_wc(self, wc: WC) -> Any:
         """Undo the local bookkeeping an errored/flushed completion
         invalidates: release the send-pool vbuf for eager/control sends
         and drop the posted-recv count for flushed receives.  Returns the
-        popped send context (or None), so the recovery manager can decide
-        what to replay."""
+        send's record (None for a receive), so the recovery manager can
+        decide what to replay."""
         if wc.is_recv:
-            conn = self._conn_for_qp(wc.qp_num)
+            conn = self._conn_of(wc)
             if conn is not None:
                 conn.recv_posted -= 1
             return None
-        ctx = self._send_ctx.pop(wc.wr_id, None)
-        if ctx is None:
-            return None
-        if ctx[0] in ("eager", "ctl"):
+        self._sends_open -= 1
+        if self._sends_open < 0:
+            raise MPIError(f"rank {self.rank}: completion for a send never posted: {wc!r}")
+        record = wc.wr_id
+        if type(record) is Header and not record.via_ring:
             self._release_send_vbuf()
-        return ctx
+        return record
 
     def _handle_error_wc(self, wc: WC) -> int:
         """A completion with non-success status.  With a recovery manager
@@ -711,7 +711,7 @@ class Endpoint:
         self._reclaim_error_wc(wc)
         from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 
-        conn = self._conn_for_qp(wc.qp_num)
+        conn = self._conn_of(wc)
         peer = conn.peer if conn is not None else wc.peer
         raise ConnectionFailedError(
             ConnectionFailure(
@@ -730,9 +730,9 @@ class Endpoint:
         h: Header = wc.data
         conn = self.connections[h.src]
         conn.recv_posted -= 1
-
+        ch = conn.ring
         if h.seq != conn.seq_in_expected:
-            if conn.rx_channel is not None and h.seq > conn.seq_in_expected:
+            if ch is not None and h.seq > conn.seq_in_expected:
                 # Cross-channel skew: the CQ (send/recv) channel and the
                 # RDMA ring share one per-connection sequence space but
                 # not one wire, so a control message can overtake an
@@ -740,24 +740,25 @@ class Endpoint:
                 # header; the ring drain re-dispatches it the moment the
                 # gap closes.  The QP itself is FIFO, so appends keep the
                 # stash in sequence order.
-                if type(conn.cq_stash) is tuple:  # first use
-                    conn.cq_stash = []
-                conn.cq_stash.append(h)
+                if type(ch.cq_stash) is tuple:  # first use
+                    ch.cq_stash = []
+                ch.cq_stash.append(h)
                 return self.config.header_proc_ns
             raise MPIError(
                 f"rank {self.rank}: out-of-order delivery from {h.src}: "
                 f"seq {h.seq} != expected {conn.seq_in_expected}"
             )
         cost = self._deliver(conn, h)
-        if conn.cq_stash:
+        if ch is not None and ch.cq_stash:
             cost += self._drain_cq_stash(conn)
         return cost
 
     def _drain_cq_stash(self, conn: Connection) -> int:
         """Deliver parked CQ headers made in-sequence by ring progress."""
         cost = 0
-        while conn.cq_stash and conn.cq_stash[0].seq == conn.seq_in_expected:
-            cost += self._deliver(conn, conn.cq_stash.pop(0))
+        ch = conn.ring
+        while ch.cq_stash and ch.cq_stash[0].seq == conn.seq_in_expected:
+            cost += self._deliver(conn, ch.cq_stash.pop(0))
         return cost
 
     def _deliver(self, conn: Connection, h: Header) -> int:
@@ -791,22 +792,7 @@ class Endpoint:
             grown = self._audit.observe_recv_header(self.scheme, conn, h)
         else:
             grown = self.scheme.on_recv_header(conn, h)
-        if h.via_ring:
-            # growing a ring is the two-sided resize (paper §7): allocate
-            # the next generation, tell the sender to switch
-            if conn.prepost_target > conn.rx_channel.ring.slots:
-                ring = conn.rx_channel.grow(conn.prepost_target)
-                resize = Header(
-                    kind=MsgKind.RING_RESIZE,
-                    src=self.rank,
-                    dst=conn.peer,
-                    size=ring.slots,
-                    remote_addr=ring.mr.addr,
-                    rkey=ring.mr.rkey,
-                    paid=False,
-                )
-                cost += self._emit(conn, resize)
-        elif grown:
+        if grown:
             # growing a WQE population charges posting of the new buffers
             cost += grown * self.config.post_overhead_ns
             if self.scheme.should_send_ecm(conn):
@@ -872,7 +858,7 @@ class Endpoint:
             # The slot itself is free the moment the copy-out lands (even
             # when a fault stall withholds the *credit* below).
             if self._audit is not None:
-                self._audit.on_ring_free(conn.rx_channel, h)
+                self._audit.on_ring_free(conn.ring, h)
         elif not stalled:
             budget = conn.recv_budget
             if conn.recv_posted < budget:
@@ -884,10 +870,9 @@ class Endpoint:
                     self._audit.on_swallow(conn)
         if paid:
             cost += self._grant(conn, 1)
-        # A vbuf release drains here, ahead of the growth feedback; a ring
-        # arrival leaves it to :meth:`_deliver`'s tail, behind a possible
-        # RING_RESIZE.
-        if conn.backlog and not h.via_ring:
+        # Drains here, ahead of :meth:`_deliver`'s growth feedback (a late
+        # match in :meth:`irecv` has no other drain).
+        if conn.backlog:
             cost += self._drain(conn)
         return cost
 
@@ -932,11 +917,6 @@ class Endpoint:
         self._complete_recv(op.request, op.src, op.tag, op.size, payload)
         return cost
 
-    def _handle_resize(self, conn: Connection, h: Header) -> int:
-        # switch the sender half to the peer's next-generation ring
-        conn.point_tx_ring(h.remote_addr, h.rkey, h.size)
-        return 0
-
     #: arrival dispatch of :meth:`_deliver`: ``handler(self, conn, h)``
     #: returns its CPU cost (None: the message still occupies its vbuf)
     _HANDLERS = {
@@ -947,28 +927,24 @@ class Endpoint:
         # an explicit credit message is all prologue: its credits were
         # folded in before the dispatch
         MsgKind.CREDIT: lambda self, conn, h: 0,
-        MsgKind.RING_RESIZE: _handle_resize,
     }
 
     # --- outbound completions --------------------------------------------
     def _handle_send_done(self, wc: WC) -> int:
-        ctx = self._send_ctx.pop(wc.wr_id, None)
-        if ctx is None:
-            raise MPIError(f"rank {self.rank}: completion for unknown ctx {wc.wr_id}")
-        kind, conn, ref = ctx[0], ctx[1], ctx[2]
-        cost = 0
-        if kind == "eager" or kind == "ctl":
-            self._release_send_vbuf()
-        elif kind == "rdma":
-            op: RndvSendOp = ref
-            cost += self._emit_fin(conn, op)
-            if op.mr is not None:
-                cost += self.pindown.release(op.buffer_id, op.mr)
-            del self._rndv_send[op.sreq_id]
-            op.request.complete(Status())
-        # "ring": no vbuf was consumed; the request completed at emission
-        elif kind != "ring":  # pragma: no cover
-            raise MPIError(f"unknown send ctx kind {kind}")
+        self._sends_open -= 1
+        if self._sends_open < 0:
+            raise MPIError(f"rank {self.rank}: completion for a send never posted: {wc!r}")
+        record = wc.wr_id  # what _post attached
+        if type(record) is Header:
+            if not record.via_ring:  # a ring write consumed no vbuf
+                self._release_send_vbuf()
+            return 0
+        op: RndvSendOp = record  # the rendezvous payload landed
+        cost = self._emit_fin(self.connections[op.dst], op)
+        if op.mr is not None:
+            cost += self.pindown.release(op.buffer_id, op.mr)
+        del self._rndv_send[op.sreq_id]
+        op.request.complete(Status())
         return cost
 
     def _release_send_vbuf(self) -> None:
@@ -995,17 +971,17 @@ class Endpoint:
             self._audit.on_consume(conn)
         return True
 
-    def _post(self, conn: Connection, ctx: tuple, opcode: Opcode, length: int,
+    def _post(self, conn: Connection, record: Any, opcode: Opcode, length: int,
               payload: Any, remote_addr: int = 0, rkey: int = 0) -> None:
-        """Post one send work request, keyed to ``ctx`` — ``(kind, conn,
-        ref, header)``, handed back by :meth:`_handle_send_done` on
-        completion and by :meth:`_reclaim_error_wc` on a flush."""
-        ctx_id = next(self._ctx_ids)
-        self._send_ctx[ctx_id] = ctx
+        """Post one send work request.  ``record`` — the :class:`Header`
+        of a SEND or ring write, the :class:`RndvSendOp` of a payload write
+        — is its ``wr_id``, the cookie the verbs hand back in the completion:
+        to :meth:`_handle_send_done`, or :meth:`_reclaim_error_wc` on a flush."""
+        self._sends_open += 1
         qp = conn.qp
         if type(qp._sq) is tuple:  # its first send: the connection leaves idle
             self._engaged.add(conn.peer)
-        qp.post_send(SendWR(ctx_id, opcode, length, payload, remote_addr, rkey))
+        qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
 
     def _emit(
         self,
@@ -1057,7 +1033,7 @@ class Endpoint:
             conn.seq_out += 1
         cfg = self.config
         eager = header.kind is MsgKind.EAGER
-        ring = eager and conn.rdma_eager
+        ring = eager and conn.ring is not None
         if not ring and not self.pool.try_acquire():
             raise MPIError(f"rank {self.rank}: vbuf pool exhausted (control reserve breached)")
         cost = cfg.post_overhead_ns
@@ -1066,13 +1042,11 @@ class Endpoint:
             wire += header.size
             cost += cfg.copy_ns(header.size)  # user -> vbuf / ring-slot copy
         if ring:
-            kind = "ring"
             header.via_ring = True
-            self._post(conn, (kind, conn, ref, header), Opcode.RDMA_WRITE, wire,
-                       header, conn.next_ring_addr(), conn.tx_ring_rkey)
+            self._post(conn, header, Opcode.RDMA_WRITE, wire, header,
+                       conn.ring.next_ring_addr(), conn.ring.tx_rkey)
         else:
-            kind = "eager" if eager else "ctl"
-            self._post(conn, (kind, conn, ref, header), Opcode.SEND, wire, header)
+            self._post(conn, header, Opcode.SEND, wire, header)
         if not replay:
             stats = conn.stats
             stats.msgs_sent += 1
@@ -1094,13 +1068,12 @@ class Endpoint:
             else:
                 stats.piggybacked_credits += piggy
                 if not eager:
-                    # Control-plane send (RTS/CTS/FIN/RING_RESIZE): counted
-                    # apart from data so the Figure-8 control-overhead
-                    # split doesn't attribute handshake traffic to data
-                    # messages.
+                    # Control-plane send (RTS/CTS/FIN): counted apart from
+                    # data so the Figure-8 control-overhead split doesn't
+                    # attribute handshake traffic to data messages.
                     stats.ctl_msgs_sent += 1
         if self._audit is not None:
-            self._audit.on_emit(conn, header, kind, replay)
+            self._audit.on_emit(conn, header, replay)
         return cost
 
     def _emit_data(self, conn: Connection, op: RndvSendOp, replay: bool = False) -> int:
@@ -1108,7 +1081,7 @@ class Endpoint:
         CTS announced.  Idempotent at the receiver — the coordinates are
         stable and ``mr.store`` overwrites in place — so recovery re-runs
         a flushed write (``replay=True``: stats untouched)."""
-        self._post(conn, ("rdma", conn, op, None), Opcode.RDMA_WRITE, op.size,
+        self._post(conn, op, Opcode.RDMA_WRITE, op.size,
                    op.payload, op.cts_remote_addr, op.cts_rkey)
         if not replay:
             conn.stats.msgs_sent += 1

@@ -31,7 +31,6 @@ class MsgKind(enum.Enum):
     RNDV_CTS = "rndv_cts"
     RNDV_FIN = "rndv_fin"
     CREDIT = "credit"  # explicit credit message (ECM)
-    RING_RESIZE = "ring_resize"  # RDMA eager channel grew (two-sided resize)
 
     # Members are singletons compared by identity, so the identity hash is
     # the same relation at C speed; ``Enum.__hash__`` is a Python frame on

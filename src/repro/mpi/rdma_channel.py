@@ -12,12 +12,10 @@ processing (the paper quotes 6.8 µs vs the send/recv design's ~7.5 µs).
 Flow control maps onto the same credit machinery the paper studies: a ring
 slot *is* a credit.  The sender consumes one per eager message; the
 receiver returns slots via the usual piggyback/ECM paths after copying a
-message out.  The paper's §7 remark is reproduced faithfully: the dynamic
-scheme "is more complicated because cooperation between both the sender
-and the receiver is necessary in order to increase the number of posted
-buffers" — growing means allocating a *new, larger ring* and telling the
-sender to switch (a RING_RESIZE control message); messages in flight to
-the old ring drain by sequence number.
+message out.  The ring is fixed-size and owned by the flow-control scheme
+(``FlowControlScheme.uses_ring``: ``rdma-eager``).  The paper's §7 remark
+that growing one "is more complicated because cooperation between both the
+sender and the receiver is necessary" stays a remark: nothing grows a ring.
 
 Simulation note: the receiver's memory polling is modelled by a one-shot
 signal (owned by the endpoint) fired when an RDMA-written message becomes
@@ -27,8 +25,7 @@ event queue.
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.ib.mr import MemoryRegion
 
@@ -88,45 +85,60 @@ def slot_message_ready(slot: bytes) -> bool:
 
 
 class RingBuffer:
-    """One generation of a connection's receive ring."""
+    """A connection's receive ring: ``slots`` fixed-size slots in one
+    registered region."""
 
-    __slots__ = ("mr", "slots", "slot_bytes", "generation")
+    __slots__ = ("mr", "slots")
 
-    def __init__(self, mr: MemoryRegion, slots: int, slot_bytes: int, generation: int):
+    def __init__(self, mr: MemoryRegion, slots: int):
         self.mr = mr
         self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.generation = generation
 
 
 class RDMAChannel:
-    """Receiver-side state of one connection's RDMA eager channel.
-
-    The *sender* half lives on the Connection: it just needs the current
-    ring's (addr, rkey, slots) advertisement and the shared credit count.
+    """One connection's RDMA eager channel (``Connection.ring``), both
+    halves: the ring this rank allocated and polls, with its arrivals and
+    the stash of CQ headers that overtook one; and the peer's ring
+    advertisement (addr, rkey, slots) with this rank's write cursor into
+    it.  The credit count stays on the Connection with the rest of the
+    flow-control state.
     """
 
-    def __init__(self, endpoint: "Endpoint", peer: int, slots: int, slot_bytes: int):
+    # one per connection of a ring mesh: no instance dict
+    __slots__ = (
+        "endpoint", "peer", "slot_bytes", "ring", "_arrived", "cq_stash",
+        "tx_addr", "tx_rkey", "tx_slots", "tx_next",
+        "messages", "reestablishments",
+    )
+
+    def __init__(self, endpoint: "Endpoint", peer: int, slots: int):
         self.endpoint = endpoint
         self.peer = peer
-        self.slot_bytes = slot_bytes
-        self.generation = 0
+        self.slot_bytes = endpoint.config.vbuf_bytes  # a slot is a vbuf
         self.ring = self._allocate(slots)
-        #: arrived-but-unprocessed headers, ordered by sequence number (two
-        #: ring generations can be in flight during a resize)
-        self._arrived: List[Tuple[int, "Header"]] = []
+        #: arrived-but-unprocessed headers, FIFO: both channels ride one
+        #: RC QP, which accepts in MSN order, so deposits come in sequence
+        #: order (the auditor checks it), at most a ringful of them
+        self._arrived: List["Header"] = []
+        #: CQ headers polled ahead of a ring write that precedes them (one
+        #: sequence space, and the CQ is polled first); parked in seq order
+        #: until the ring drain closes the gap; a ``list`` from the first
+        #: park in ``Endpoint._handle_recv`` on
+        self.cq_stash: Union[List["Header"], Tuple[()]] = ()
+        # sender half (set by point_tx_ring at wiring)
+        self.tx_addr = 0
+        self.tx_rkey = 0
+        self.tx_slots = 0
+        self.tx_next = 0
         # observability
         self.messages = 0
-        self.resizes = 0
         self.reestablishments = 0
 
     def _allocate(self, slots: int) -> RingBuffer:
-        mr = self.endpoint.hca.reg_mr(max(1, slots) * self.slot_bytes)
+        mr = self.endpoint.hca.reg_mr(slots * self.slot_bytes)
         # the simulator routes an RDMA write's landing to deposit()
         mr.on_write = lambda addr, payload: self.deposit(payload)
-        ring = RingBuffer(mr, slots, self.slot_bytes, self.generation)
-        self.generation += 1
-        return ring
+        return RingBuffer(mr, slots)
 
     # ------------------------------------------------------------------
     # receiver side
@@ -137,7 +149,7 @@ class RDMAChannel:
         # Detect the arrival through the two-flag slot image.
         if not slot_message_ready(encode_slot(header)):  # pragma: no cover - layout is total
             raise RuntimeError(f"ring slot arrival not detectable: {header!r}")
-        heapq.heappush(self._arrived, (header.seq, header))
+        self._arrived.append(header)
         self.messages += 1
         aud = self.endpoint._audit
         if aud is not None:
@@ -147,43 +159,48 @@ class RDMAChannel:
 
     def poll(self, expected_seq: int) -> Optional["Header"]:
         """Next in-sequence arrived header, if visible."""
-        if self._arrived and self._arrived[0][0] == expected_seq:
-            return heapq.heappop(self._arrived)[1]
+        arrived = self._arrived
+        if arrived and arrived[0].seq == expected_seq:
+            return arrived.pop(0)
         return None
 
     def poll_peek(self, expected_seq: int) -> bool:
         """Would :meth:`poll` return a header right now?"""
-        return bool(self._arrived) and self._arrived[0][0] == expected_seq
+        return bool(self._arrived) and self._arrived[0].seq == expected_seq
 
     @property
     def has_arrivals(self) -> bool:
         return bool(self._arrived)
 
-    # ------------------------------------------------------------------
-    # dynamic growth: the two-sided resize the paper's §7 describes
-    # ------------------------------------------------------------------
-    def grow(self, new_slots: int) -> RingBuffer:
-        """Allocate the next-generation ring (receiver side).  The old
-        ring stays readable until the sender has switched; the returned
-        ring's coordinates travel to the sender in a RING_RESIZE control
-        message."""
-        self.ring = self._allocate(new_slots)
-        self.resizes += 1
-        return self.ring
-
-    def reestablish(self) -> RingBuffer:
-        """Recovery: allocate a fresh ring generation after the QP
-        incarnation backing the old one died.  The transport's epoch
-        guard already drops in-flight writes from the dead era, so the
-        new ring starts empty at slot 0; arrivals already captured in
-        :attr:`_arrived` stay queued — they were delivered and will be
-        processed (and their slots reported reclaimed) after resync."""
+    def reestablish(self) -> None:
+        """Recovery: allocate a fresh ring after the QP incarnation
+        backing the old one died.  The transport's epoch guard already
+        drops in-flight writes from the dead era, so the new ring starts
+        empty at slot 0; arrivals already captured in :attr:`_arrived`
+        stay queued — they were delivered and will be processed (and
+        their slots reported reclaimed) after resync."""
         self.ring = self._allocate(self.ring.slots)
         self.reestablishments += 1
-        return self.ring
+
+    # ------------------------------------------------------------------
+    # sender side
+    # ------------------------------------------------------------------
+    def point_tx_ring(self, addr: int, rkey: int, slots: int) -> None:
+        """Aim at the peer's current ring (coordinates from connection
+        setup or a recovery re-establishment), cursor at slot 0."""
+        self.tx_addr = addr
+        self.tx_rkey = rkey
+        self.tx_slots = slots
+        self.tx_next = 0
+
+    def next_ring_addr(self) -> int:
+        """The next slot address in the peer's current ring."""
+        addr = self.tx_addr + self.tx_next * self.slot_bytes
+        self.tx_next = (self.tx_next + 1) % self.tx_slots
+        return addr
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<RDMAChannel {self.endpoint.rank}<-{self.peer} "
-            f"slots={self.ring.slots} gen={self.ring.generation}>"
+            f"<RDMAChannel {self.endpoint.rank}<->{self.peer} "
+            f"slots={self.ring.slots} tx_next={self.tx_next}>"
         )

@@ -11,10 +11,10 @@ The manager drives one state machine per rank pair:
 
 1. **detect** — the first non-success WC for a pair begins recovery: both
    connections freeze (``conn.recovering``), the surviving QP half is
-   forced to ERROR so its queued WRs flush too, and every popped send
-   context is collected as a *replay candidate* (per-message ACKs are
-   cumulative and in order, so the flushed contexts are exactly the
-   un-acked suffix).
+   forced to ERROR so its queued WRs flush too, and what every flushed
+   send carried as its ``wr_id`` (its header, or its rendezvous op) is
+   collected as a *replay candidate* (per-message ACKs are cumulative and
+   in order, so the flushed sends are exactly the un-acked suffix).
 
 2. **backoff** — re-arm is scheduled ``min(max_delay, base * factor^(k-1))``
    plus deterministic per-(pair, attempt) jitter after the fault.  The
@@ -24,9 +24,9 @@ The manager drives one state machine per rank pair:
 
 3. **re-arm** — straggler error WCs are drained from both CQs, both QPs go
    ERROR→RESET→READY (``reset()`` bumps the epoch, so stale in-flight
-   ACKs/NAKs/credit updates from the dead incarnation are discarded by the
-   epoch guards), receive populations are refilled, and per-direction
-   credit state is recomputed from first principles (below).
+   ACKs/NAKs from the dead incarnation are discarded by the epoch
+   guards), receive populations are refilled, and per-direction credit
+   state is recomputed from first principles (below).
 
 4. **replay** — un-acked messages are re-posted with their original
    sequence numbers (pruned of the delivered-but-ack-lost prefix, which the
@@ -58,7 +58,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.mpi.protocol import MsgKind
+from repro.mpi.protocol import Header, MsgKind
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.units import to_us
@@ -79,8 +79,9 @@ class _PairRecovery:
         self.attempt = attempt
         self.started_ns = started_ns
         self.cause = cause
-        #: detecting rank -> popped send contexts (ctx_kind, conn, ref, header)
-        self.replays: Dict[int, List[tuple]] = {pair[0]: [], pair[1]: []}
+        #: detecting rank -> what its flushed sends carried (Header or
+        #: RndvSendOp), in flush order
+        self.replays: Dict[int, List[object]] = {pair[0]: [], pair[1]: []}
 
 
 class RecoveryManager:
@@ -112,16 +113,16 @@ class RecoveryManager:
     # detection (called from Endpoint._handle_error_wc)
     # ------------------------------------------------------------------
     def on_error_wc(self, ep: "Endpoint", wc: "WC") -> int:
-        conn = ep._conn_for_qp(wc.qp_num)
-        ctx = ep._reclaim_error_wc(wc)
+        conn = ep._conn_of(wc)
+        record = ep._reclaim_error_wc(wc)
         if conn is None:
             return 0  # completion for a QP we no longer track
         pair = self._pair(ep.rank, conn.peer)
         rec = self._active.get(pair)
         if rec is None:
             rec = self._begin(pair, ep, conn, wc)  # may raise (budget)
-        if ctx is not None:
-            rec.replays[ep.rank].append(ctx)
+        if record is not None:
+            rec.replays[ep.rank].append(record)
         return 0
 
     def _begin(self, pair, ep: "Endpoint", conn: "Connection", wc: "WC") -> _PairRecovery:
@@ -214,9 +215,9 @@ class RecoveryManager:
         #     guard drops any write still in flight to it), so each side
         #     allocates a fresh ring and re-advertises its coordinates;
         #     replays then land from slot 0 in their original order.
-        if conn_ab.rdma_eager:
-            conn_ba.rx_channel.reestablish()
-            conn_ab.rx_channel.reestablish()
+        if conn_ab.ring is not None:
+            conn_ba.ring.reestablish()
+            conn_ab.ring.reestablish()
             ep_a.wire_rdma_rings(conn_ab, conn_ba)
         # 5. per-direction credit resynchronization + replay planning
         plan_ab = self._resync(ep_a, conn_ab, ep_b, conn_ba, rec)
@@ -239,9 +240,9 @@ class RecoveryManager:
         """Remove this QP's un-polled error completions from the owner's
         CQ, reclaiming their bookkeeping and collecting replay candidates."""
         for wc in ep.cq.remove_errors(conn.qp.qp_num):
-            ctx = ep._reclaim_error_wc(wc)
-            if ctx is not None:
-                rec.replays[ep.rank].append(ctx)
+            record = ep._reclaim_error_wc(wc)
+            if record is not None:
+                rec.replays[ep.rank].append(record)
 
     # ------------------------------------------------------------------
     # credit-state resynchronization (one direction)
@@ -249,16 +250,14 @@ class RecoveryManager:
     def _resync(self, ep_s: "Endpoint", conn_sr: "Connection",
                 ep_r: "Endpoint", conn_rs: "Connection", rec) -> tuple:
         """Recompute s→r flow-control state; returns the replay plan
-        ``(header_entries, rdma_ops)`` for :meth:`_apply`."""
-        headers: List[tuple] = []
+        ``(headers, rdma_ops)`` for :meth:`_apply`."""
+        headers: List[Header] = []
         rdmas: List[object] = []
-        for ctx_kind, conn, ref, header in rec.replays[ep_s.rank]:
-            if conn is not conn_sr:
-                continue  # a different pair recovering at this endpoint
-            if ctx_kind == "rdma":
-                rdmas.append(ref)
-            else:
-                headers.append((ref, header))
+        for record in rec.replays[ep_s.rank]:
+            if type(record) is Header:
+                headers.append(record)
+            else:  # the RndvSendOp of a flushed payload write
+                rdmas.append(record)
         # Delivered-but-unpolled arrivals at r: they advance the replay
         # horizon (the receiver will still poll them) and pin paid tokens.
         # With two channels (CQ + RDMA ring) sharing one sequence space
@@ -271,27 +270,27 @@ class RecoveryManager:
         for wc in ep_r.cq._entries:
             if wc.is_recv and wc.ok and wc.qp_num == qpn_rs:
                 received[wc.data.seq] = wc.data
-        ch_rs = conn_rs.rx_channel
+        ch_rs = conn_rs.ring
         if ch_rs is not None:
             # Ring arrivals captured in slot memory but not yet processed:
             # they advance the horizon and pin paid tokens exactly like
             # unpolled CQ deliveries (one shared per-connection sequence
             # space, delivered in order by the RC transport).
-            for _, h in ch_rs._arrived:
+            for h in ch_rs._arrived:
                 received[h.seq] = h
-        for h in conn_rs.cq_stash:
-            received[h.seq] = h
+            for h in ch_rs.cq_stash:
+                received[h.seq] = h
         parked_paid = sum(1 for h in received.values() if h.paid)
         b_next = conn_rs.seq_in_expected
         while b_next in received:
             b_next += 1
         # Prune the delivered-but-ack-lost prefix: the receiver consumed
         # those sequence numbers, replaying them would corrupt ordering.
-        live = [e for e in headers
-                if e[1].seq >= b_next and e[1].seq not in received]
-        live.sort(key=lambda e: e[1].seq)
+        live = [h for h in headers
+                if h.seq >= b_next and h.seq not in received]
+        live.sort(key=lambda h: h.seq)
         if ep_s.scheme.uses_credits:
-            replayed_paid = sum(1 for e in live if e[1].paid)
+            replayed_paid = sum(1 for h in live if h.paid)
             # polled at r, grant still pending: paid eager parked in the
             # unexpected queue (vbuf pinned) + credits held by a fault stall
             ungranted = ep_r._stall_held.get(ep_s.rank, 0)
@@ -329,8 +328,8 @@ class RecoveryManager:
         flushed RDMA writes, drain deferred control emissions (fresh seqs),
         and re-drain the backlog under the resynchronized credits."""
         headers, rdmas = plan
-        for ref, header in headers:
-            ep._emit(conn, header, ref, replay=True)
+        for header in headers:
+            ep._emit(conn, header, replay=True)
         for op in rdmas:
             ep._emit_data(conn, op, replay=True)
         n = len(headers) + len(rdmas)

@@ -97,12 +97,9 @@ def test_alltoallv_skewed_sizes_under_pressure(scheme):
 
 
 def test_collectives_over_rdma_channel_large_world():
-    cfg = TestbedConfig(nodes=8)
-    cfg.mpi.use_rdma_channel = True
-
     def prog(mpi):
         gathered = yield from mpi.allgather(size=256, value=mpi.rank ** 2)
         return gathered
 
-    r = run_job(prog, 8, "dynamic", prepost=1, config=cfg)
+    r = run_job(prog, 8, "rdma-eager", prepost=1, config=TestbedConfig(nodes=8))
     assert all(v == [i ** 2 for i in range(8)] for v in r.rank_results)

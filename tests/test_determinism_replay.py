@@ -38,15 +38,6 @@ def _snapshot(result):
     }
 
 
-def _run_rdma_ring():
-    cfg = TestbedConfig(nodes=2)
-    cfg.mpi.use_rdma_channel = True
-    return run_job(
-        bandwidth_program(4, 50, repetitions=10, blocking=False),
-        2, "dynamic", prepost=8, config=cfg,
-    )
-
-
 #: name -> workload; must mirror the recipes the fixture was built from
 WORKLOADS = {
     "lu_static_pp100": lambda: run_job(
@@ -58,7 +49,9 @@ WORKLOADS = {
     "bw4_nonblocking_pp10": lambda: run_job(
         bandwidth_program(4, 100, repetitions=20, blocking=False),
         2, "static", prepost=10),
-    "bw4_rdma_ring": _run_rdma_ring,
+    "bw4_rdma_ring": lambda: run_job(
+        bandwidth_program(4, 50, repetitions=10, blocking=False),
+        2, "rdma-eager", prepost=8, config=TestbedConfig(nodes=2)),
 }
 
 

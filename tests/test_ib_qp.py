@@ -97,7 +97,7 @@ def test_send_into_an_empty_receive_queue_naks_and_completes_nothing():
     assert (qp1.rnr_naks_sent, qp0.rnr_naks_received) == (1, 1)
     assert len(cq0) == 0 and len(cq1) == 0
     assert qp1.messages_delivered == 0 and qp1._expected_msn == 0
-    assert qp1._advertised_zero and qp0._rnr_waiting
+    assert qp1.posted_recvs == 0 and qp0._rnr_waiting
     assert qp0.outstanding_sends == 1  # still owed, replayed by the timer
 
 
@@ -379,7 +379,7 @@ def test_ack_advertises_the_posted_count_after_the_consume():
         qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=8))
     run(sim)
     assert seen == [(2, 2), (1, 1), (0, 0)]
-    assert qp1.posted_recvs == 0 and qp1._advertised_zero
+    assert qp1.posted_recvs == 0
 
 
 # ----------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_idle_connection_holds_no_stash_and_no_requester_map():
 
     cluster = _mesh(4, "rdma-eager", 2)
     for conn in _conns(cluster):
-        assert conn.cq_stash == () and not isinstance(conn.cq_stash, list)
+        assert conn.ring.cq_stash == () and not isinstance(conn.ring.cq_stash, list)
         assert conn.qp._inflight is _NONE_INFLIGHT
         assert isinstance(conn.qp._rq, list)  # ~8 B per posted WQE, no block
     assert len(_NONE_INFLIGHT) == 0
@@ -196,10 +196,10 @@ def test_cq_stash_appears_on_the_first_cross_channel_skew():
     r = run_job(prog, 3, "rdma-eager", 4, config=TestbedConfig(nodes=3),
                 audit=True)
     assert r.rank_results[1] == ("ring", "rndv")  # delivered in sequence
-    used = r.endpoints[1].connections[0].cq_stash
+    used = r.endpoints[1].connections[0].ring.cq_stash
     assert isinstance(used, list) and used == []  # parked one, drained it
     others = [c for c in _conns(r) if c is not r.endpoints[1].connections[0]]
-    assert all(c.cq_stash == () for c in others) and len(others) == 5
+    assert all(c.ring.cq_stash == () for c in others) and len(others) == 5
 
 
 def test_sever_returns_a_used_cq_stash_to_empty():
@@ -216,7 +216,7 @@ def test_sever_returns_a_used_cq_stash_to_empty():
             yield from mpi.compute(us(200))
             a = yield from mpi.recv(source=victim, capacity=64, tag=1)
             b = yield from mpi.recv(source=victim, capacity=1 << 16, tag=2)
-            seen["stash"] = type(mpi.connections[victim].cq_stash)
+            seen["stash"] = type(mpi.connections[victim].ring.cq_stash)
             c = yield from mpi.recv(source=victim, capacity=64, tag=3)
             return a.payload, b.payload, c.error
 
@@ -227,7 +227,7 @@ def test_sever_returns_a_used_cq_stash_to_empty():
     assert r.rank_results[1] == ("ring", "rndv", "PROC_FAILED")
     assert seen["stash"] is list  # a live list before the death ...
     severed = r.endpoints[1].connections[victim]
-    assert severed.cq_stash == () and not isinstance(severed.cq_stash, list)
+    assert severed.ring.cq_stash == () and not isinstance(severed.ring.cq_stash, list)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ def full_scan(ep):
             if p not in dead
         )
         and not ep._rndv_send
-        and not ep._send_ctx
+        and not ep._sends_open
         and len(ep.cq) == 0
     )
 

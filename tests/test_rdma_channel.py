@@ -1,27 +1,19 @@
 """Tests for the RDMA-write-based eager channel (the [13] companion design
-the paper says its results transfer to)."""
-
-import pytest
+the paper says its results transfer to), which the ``rdma-eager`` scheme
+owns."""
 
 from repro.cluster import TestbedConfig, run_job
-from repro.core import DynamicScheme
 from repro.sim.units import to_us
 from repro.workloads import latency_program
 
-
-def rdma_config(nodes=2, **mpi_kw):
-    cfg = TestbedConfig(nodes=nodes)
-    cfg.mpi.use_rdma_channel = True
-    for k, v in mpi_kw.items():
-        setattr(cfg.mpi, k, v)
-    return cfg
+RING = "rdma-eager"
 
 
 def test_rdma_channel_latency_anchor():
     """The companion paper's headline: ~6.8 us small-message latency vs
     the send/recv design's ~7.5 us."""
-    r = run_job(latency_program(4, iterations=50), 2, "static", prepost=100,
-                config=rdma_config())
+    r = run_job(latency_program(4, iterations=50), 2, RING, prepost=100,
+                config=TestbedConfig(nodes=2))
     lat = to_us(int(r.rank_results[0]))
     assert 6.3 < lat < 7.2
     base = run_job(latency_program(4, iterations=50), 2, "static", prepost=100,
@@ -42,7 +34,7 @@ def test_payload_integrity_and_ordering():
                 got.append(st.payload)
             assert got == list(range(n))
 
-    run_job(prog, 2, "static", prepost=10, config=rdma_config())
+    run_job(prog, 2, RING, prepost=10, config=TestbedConfig(nodes=2))
 
 
 def test_no_rnr_naks_ever():
@@ -61,35 +53,9 @@ def test_no_rnr_naks_ever():
                 yield from mpi.recv(source=0, capacity=64)
                 yield from mpi.compute(8_000)
 
-    r = run_job(prog, 2, "static", prepost=4, config=rdma_config())
+    r = run_job(prog, 2, RING, prepost=4, config=TestbedConfig(nodes=2))
     assert r.fc.rnr_naks == 0
     assert r.fc.backlogged_msgs > 0  # credits still throttle the sender
-
-
-def test_dynamic_growth_resizes_ring():
-    """The paper §7: growing in the RDMA design needs *cooperation* — a
-    new ring plus a RING_RESIZE notification."""
-
-    def prog(mpi):
-        if mpi.rank == 0:
-            reqs = []
-            for i in range(150):
-                r_ = yield from mpi.isend(1, size=4, payload=i)
-                reqs.append(r_)
-            yield from mpi.waitall(reqs)
-        else:
-            for i in range(150):
-                yield from mpi.recv(source=0, capacity=64)
-                yield from mpi.compute(6_000)
-
-    r = run_job(prog, 2, DynamicScheme(), prepost=1, config=rdma_config())
-    ch = r.endpoints[1].connections[0].rx_channel
-    assert ch.resizes >= 1
-    assert ch.ring.slots > 1
-    # the sender learned the new coordinates
-    sender_conn = r.endpoints[0].connections[1]
-    assert sender_conn.tx_ring_slots == ch.ring.slots
-    assert sender_conn.tx_ring_addr == ch.ring.mr.addr
 
 
 def test_mixed_eager_ring_and_rendezvous():
@@ -104,7 +70,7 @@ def test_mixed_eager_ring_and_rendezvous():
             c = yield from mpi.recv(source=0, capacity=200_000, tag=1)
             assert (a.payload, b.payload, c.payload) == ("small", "big", "small2")
 
-    run_job(prog, 2, "static", prepost=10, config=rdma_config())
+    run_job(prog, 2, RING, prepost=10, config=TestbedConfig(nodes=2))
 
 
 def test_collectives_over_rdma_channel():
@@ -113,7 +79,7 @@ def test_collectives_over_rdma_channel():
         gathered = yield from mpi.allgather(size=16, value=mpi.rank * 2)
         return (total, gathered)
 
-    r = run_job(prog, 8, "dynamic", prepost=2, config=rdma_config(nodes=8))
+    r = run_job(prog, 8, RING, prepost=2, config=TestbedConfig(nodes=8))
     for total, gathered in r.rank_results:
         assert total == 28
         assert gathered == [i * 2 for i in range(8)]
@@ -128,7 +94,7 @@ def test_rdma_channel_with_on_demand_connections():
             st = yield from mpi.recv(source=peer, capacity=64)
             assert st.payload == "lazy+ring"
 
-    r = run_job(prog, 2, "static", prepost=5, config=rdma_config(),
+    r = run_job(prog, 2, RING, prepost=5, config=TestbedConfig(nodes=2),
                 on_demand=True)
     assert r.connections_established == 1
 
@@ -142,6 +108,6 @@ def test_busy_flood_deterministic():
             else:
                 yield from mpi.recv(source=peer, capacity=64)
 
-    a = run_job(prog, 2, "dynamic", prepost=2, config=rdma_config())
-    b = run_job(prog, 2, "dynamic", prepost=2, config=rdma_config())
+    a = run_job(prog, 2, RING, prepost=2, config=TestbedConfig(nodes=2))
+    b = run_job(prog, 2, RING, prepost=2, config=TestbedConfig(nodes=2))
     assert a.elapsed_ns == b.elapsed_ns

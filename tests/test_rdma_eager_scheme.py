@@ -11,10 +11,11 @@ import pytest
 from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
 from repro.cli import main
-from repro.cluster import TestbedConfig, run_job
+from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import (
     DEFAULT_RECLAIM_WATERMARK,
     EXTENDED_SCHEMES,
+    HardwareScheme,
     RdmaEagerScheme,
     make_scheme,
 )
@@ -24,9 +25,11 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
+from repro.mpi import MPIError
 from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.rdma_channel import (
     SLOT_OVERHEAD_BYTES,
+    RDMAChannel,
     encode_slot,
     slot_message_ready,
 )
@@ -128,7 +131,7 @@ def test_zero_byte_and_nul_tail_deliver_over_the_ring():
 
     r = run_job(prog, 2, "rdma-eager", prepost=4,
                 config=TestbedConfig(nodes=2))
-    ch = r.endpoints[1].connections[0].rx_channel
+    ch = r.endpoints[1].connections[0].ring
     assert ch.messages >= 2
 
 
@@ -245,6 +248,64 @@ def test_small_message_latency_beats_send_recv_schemes():
 
 
 # ----------------------------------------------------------------------
+# one owner: a connection has a ring iff the scheme owns one
+# ----------------------------------------------------------------------
+def test_a_ring_without_credits_cannot_be_configured():
+    """Nothing but a slot token per write keeps a sender inside the ring;
+    a scheme object (public input to ``run_job``) that asks for a ring and
+    no credits used to flood 201 messages through 4 slots and report it."""
+
+    class Overrun(HardwareScheme):
+        uses_ring = True  # uses_credits stays False
+
+    cluster = Cluster(TestbedConfig(nodes=2))
+    with pytest.raises(MPIError, match="uses_ring needs uses_credits"):
+        cluster.launch(2, Overrun(), 4)
+    with pytest.raises(MPIError, match="Overrun"):
+        run_job(latency_program(4, iterations=2), 2, Overrun(), prepost=4,
+                config=TestbedConfig(nodes=2))
+
+
+def _ring_exchange(mpi):
+    right, left = (mpi.rank + 1) % mpi.world_size, (mpi.rank - 1) % mpi.world_size
+    req = yield from mpi.irecv(source=left, capacity=64)
+    yield from mpi.send(right, size=4)
+    yield from mpi.wait(req)
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+def test_a_connection_has_a_ring_iff_the_scheme_owns_one(on_demand):
+    def conns(scheme):
+        r = run_job(_ring_exchange, 3, scheme, prepost=2,
+                    config=TestbedConfig(nodes=3), on_demand=on_demand)
+        assert all(len(ep.connections) == 2 for ep in r.endpoints)
+        return r.endpoints
+
+    for scheme in ("hardware", "static", "dynamic"):
+        assert all(conn.ring is None
+                   for ep in conns(scheme) for conn in ep.connections.values())
+    eps = conns("rdma-eager")
+    for ep in eps:
+        for peer, conn in ep.connections.items():
+            ch = conn.ring
+            assert isinstance(ch, RDMAChannel) and ch.ring.slots == 2
+            # the sender half aims at the ring the peer polls for us
+            theirs = eps[peer].connections[ep.rank].ring.ring
+            assert (ch.tx_addr, ch.tx_rkey, ch.tx_slots) == (
+                theirs.mr.addr, theirs.mr.rkey, theirs.slots)
+
+
+def test_the_retired_knobs_are_unknown_fields():
+    from repro.ib import IBConfig
+    from repro.mpi import MPIConfig
+
+    with pytest.raises(TypeError):
+        MPIConfig(use_rdma_channel=True)
+    with pytest.raises(TypeError):
+        IBConfig(e2e_credit_updates=True)
+
+
+# ----------------------------------------------------------------------
 # auditor: ring-slot conservation / FIFO / leak
 # ----------------------------------------------------------------------
 def test_audited_rdma_eager_runs_clean():
@@ -273,14 +334,62 @@ def test_out_of_order_slot_free_is_a_fifo_violation():
 
 def test_overfull_ring_is_a_conservation_violation():
     aud = Auditor(strict=False)
-    aud._sim = SimpleNamespace(now=0)
-    aud._uses_credits = True
+    aud._sim = SimpleNamespace(now=0)  # not attached: no scheme consulted
     channel = SimpleNamespace(peer=1, endpoint=SimpleNamespace(rank=0),
                               ring=SimpleNamespace(slots=2))
     for seq in (1, 2, 3):  # three deposits into a two-slot ring
         aud.on_ring_deposit(channel, _eager(4, seq=seq))
     assert any(v.invariant == "ring-slot-conservation"
                for v in aud.violations)
+
+
+def test_out_of_order_deposit_is_an_order_violation():
+    aud = Auditor(strict=False)
+    aud._sim = SimpleNamespace(now=0)
+    channel = SimpleNamespace(peer=1, endpoint=SimpleNamespace(rank=0),
+                              ring=SimpleNamespace(slots=4))
+    for seq in (1, 2):
+        aud.on_ring_deposit(channel, _eager(4, seq=seq))
+    assert aud.violations == []
+    aud.on_ring_deposit(channel, _eager(4, seq=2))  # not strictly increasing
+    other = SimpleNamespace(peer=2, endpoint=SimpleNamespace(rank=0),
+                            ring=SimpleNamespace(slots=4))
+    aud.on_ring_deposit(other, _eager(4, seq=0))  # per directed pair
+    assert [v.invariant for v in aud.violations] == ["ring-deposit-order"]
+
+
+def test_swapped_ring_arrivals_are_caught_at_the_deposit(monkeypatch):
+    """Mutant: the second ring write becomes visible before the first.
+    The channel keeps its arrivals in a FIFO because one RC QP delivers in
+    order; were that ever false the head would block the drain for good,
+    so the auditor names it at the deposit."""
+    real_deposit = RDMAChannel.deposit
+    held = []
+
+    def swapping_deposit(self, header):
+        if header.seq == 0 and self.endpoint.rank == 1:
+            held.append(header)  # hold the first write back ...
+            return
+        real_deposit(self, header)
+        if held:
+            real_deposit(self, held.pop())  # ... behind the second
+
+    monkeypatch.setattr(RDMAChannel, "deposit", swapping_deposit)
+
+    def prog(mpi):
+        if mpi.rank == 0:
+            reqs = []
+            for i in range(3):
+                reqs.append((yield from mpi.isend(1, size=4, payload=i)))
+            yield from mpi.waitall(reqs)
+        else:
+            for _ in range(3):
+                yield from mpi.recv(source=0, capacity=64)
+
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(prog, 2, "rdma-eager", prepost=8,
+                config=TestbedConfig(nodes=2), audit=True)
+    assert exc.value.invariant == "ring-deposit-order"
 
 
 def test_ring_slot_leak_is_caught_at_final_check(monkeypatch):
@@ -355,7 +464,7 @@ def test_link_down_recovery_reestablishes_rings():
                 audit=True)
     assert r.completed
     assert r.recovery.recoveries_completed >= 1
-    reest = sum(c.rx_channel.reestablishments
+    reest = sum(c.ring.reestablishments
                 for ep in r.endpoints for c in ep.connections.values())
     assert reest >= 2  # both halves of the pair got fresh rings
     assert r.audit.violations == []

@@ -195,22 +195,27 @@ def test_error_wc_without_recovery_reclaims_send_pool():
     # The other half of the original bug: the fatal send's vbuf must be
     # released on the error path (it used to leak).
     from repro.ib import WC
+    from repro.mpi.protocol import Header, MsgKind
     from repro.recovery import ConnectionFailedError
 
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("static"), prepost=5)
     ep = cluster.endpoints[0]
     conn = ep.connections[1]
-    assert ep.pool.try_acquire()
-    ep._send_ctx["wr-x"] = ("eager", conn, None, None)
+    header = Header(kind=MsgKind.EAGER, src=0, dst=1, size=4)
+    ep._emit(conn, header)  # stages it in a pool vbuf and posts the SEND
     in_use = ep.pool.in_use
-    wc = WC(wr_id="wr-x", status=WCStatus.RETRY_EXCEEDED,
+    assert in_use == 1 and ep._sends_open == 1
+    # the completion the QP pushes on retry exhaustion: the send's record
+    # (its header) rides back as wr_id
+    wc = WC(wr_id=header, status=WCStatus.RETRY_EXCEEDED,
             opcode=Opcode.SEND, qp_num=conn.qp.qp_num, peer=conn.peer)
     with pytest.raises(ConnectionFailedError) as err:
         ep._handle_error_wc(wc)
     assert err.value.failure.cause == WCStatus.RETRY_EXCEEDED.value
+    assert err.value.failure.peer == 1
     assert ep.pool.in_use == in_use - 1  # vbuf released, not leaked
-    assert "wr-x" not in ep._send_ctx
+    assert ep._sends_open == 0
 
 
 # ----------------------------------------------------------------------

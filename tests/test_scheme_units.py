@@ -32,7 +32,7 @@ class FakeConn:
         self.headroom = 0
         self.recv_posted = 0
         self.pending_credit_return = 0
-        self.rdma_eager = False
+        self.ring = None
         self.stats = type("S", (), {"max_prepost": 0})()
         self.qp = type("Q", (), {"set_initial_credit_estimate": lambda *_: None})()
 

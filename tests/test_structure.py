@@ -93,11 +93,62 @@ def test_each_audit_hook_fires_from_one_place_per_event(hook, sites):
 @pytest.mark.parametrize("pattern, owners", [
     # the MR initialises its own hook to None; the ring channel installs it
     (r"\.on_write = ", {"ib/mr.py", "mpi/rdma_channel.py"}),
-    (r"tx_ring_addr = ", {"mpi/connection.py"}),
+    (r"tx_addr = ", {"mpi/rdma_channel.py"}),
     (r"cq\._entries = ", set()),  # CompletionQueue rebinds its own self._entries
 ], ids=["on_write", "tx_ring", "cq_entries"])
 def test_managers_do_not_open_code_internals(pattern, owners):
     assert _modules_matching(pattern) <= owners
+
+
+# ----------------------------------------------------------------------
+# the eager ring has one owner, growth one protocol, a send one record
+# ----------------------------------------------------------------------
+def test_retired_ring_and_credit_update_names_are_gone():
+    gone = (r"use_rdma_channel|RING_RESIZE|e2e_credit_updates|_advertised_zero"
+            r"|_send_ctx|_ctx_ids|_conn_for_qp|_handle_resize")
+    assert _modules_matching(gone) == set()
+
+
+def test_a_connection_has_one_ring_field_filled_at_one_site():
+    from repro.mpi.connection import Connection
+
+    slots = set(Connection.__slots__)
+    assert "ring" in slots
+    assert not slots & {"rdma_eager", "tx_ring_addr", "tx_ring_rkey",
+                        "tx_ring_slots", "tx_ring_next", "rx_channel", "cq_stash"}
+    # built in add_connection alone, and only the scheme says whether
+    assert _modules_matching(r"RDMAChannel\(") == {"mpi/endpoint.py"}
+    assert _src("mpi/endpoint.py").count("RDMAChannel(") == 1
+    assert "self._ring_mode = scheme.uses_ring\n" in _src("mpi/endpoint.py")
+
+
+def test_five_message_kinds_five_handlers_one_growth_tail():
+    from repro.mpi.endpoint import Endpoint
+    from repro.mpi.protocol import MsgKind
+    from repro.mpi.rdma_channel import RDMAChannel, RingBuffer
+
+    assert len(MsgKind) == 5 == len(Endpoint._HANDLERS)
+    assert set(Endpoint._HANDLERS) == set(MsgKind)
+    # nothing grows a ring: the arrival path acts on ``grown`` alone, and
+    # the release step drains whichever channel carried the message
+    assert not hasattr(RDMAChannel, "grow")
+    assert "generation" not in RingBuffer.__slots__ + RDMAChannel.__slots__
+    deliver = inspect.getsource(Endpoint._deliver)
+    assert deliver.count("if grown:") == 1 and "if h.via_ring" not in deliver
+    release = inspect.getsource(Endpoint._release)
+    assert "if conn.backlog:\n" in release and "conn.backlog and" not in release
+
+
+def test_the_send_record_rides_the_work_request():
+    from repro.mpi.endpoint import Endpoint
+
+    # no table between _post and the completion: what goes in as wr_id is
+    # what _handle_send_done reads back ...
+    assert "SendWR(record," in inspect.getsource(Endpoint._post)
+    assert "wc.wr_id" in inspect.getsource(Endpoint._handle_send_done)
+    # ... and no walk over the connection table for an errored completion
+    conn_of = inspect.getsource(Endpoint._conn_of)
+    assert not re.search(r"^\s*(for|while)\b", conn_of, re.M)
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +174,7 @@ def test_a_queue_pair_holds_only_per_connection_state():
     # no container with a per-instance block is built for an idle QP
     assert "deque(" not in inspect.getsource(QueuePair.__init__)
     # what is constant per adapter lives on the adapter, once
-    shared = {"sq_depth", "rq_depth", "_max_inflight", "_e2e_credit_updates"}
+    shared = {"sq_depth", "rq_depth", "_max_inflight"}
     assert not shared & set(QueuePair.__slots__)
     hca_init = inspect.getsource(HCA.__init__)
     assert all(f"self.{name} = " in hca_init for name in shared)

@@ -155,13 +155,10 @@ def _ring_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
         if r.connections_established is not None
         else nodes * (nodes - 1) // 2
     )
-    posted = sum(
-        c.recv_posted for ep in r.endpoints for c in ep.connections.values()
-    )
     mem = r.memory
     return {
         "connections": connections,
-        "posted_buffers": posted,
+        "posted_buffers": mem.vbuf_posted_bytes // cfg.mpi.vbuf_bytes,
         "elapsed_ns": r.elapsed_ns,
         "elapsed_us": r.elapsed_us,
         "pinned_bytes": mem.vbuf_pinned_bytes,

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Tuple
 
+from repro.core.stats import weighted_connections
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.config import TestbedConfig
     from repro.mpi.connection import Connection
@@ -109,7 +111,8 @@ def connection_memory_bytes(conn: "Connection", mpi: Any, ib: Any) -> Tuple[int,
 
 def collect_memory_report(endpoints: Iterable["Endpoint"],
                           config: "TestbedConfig") -> MemoryReport:
-    """Aggregate every endpoint's connections into one report."""
+    """Aggregate every endpoint's connections into one report (visiting
+    the engaged ones: :func:`repro.core.stats.weighted_connections`)."""
     mpi, ib = config.mpi, config.ib
     connections = 0
     pinned = posted = qp = ring = cq = pool = 0
@@ -119,14 +122,14 @@ def collect_memory_report(endpoints: Iterable["Endpoint"],
         rank_bytes += mpi.send_pool_buffers * mpi.vbuf_bytes
         cq += ib.cq_depth * CQE_BYTES
         pool += mpi.send_pool_buffers * mpi.vbuf_bytes
-        for conn in ep.connections.values():
-            connections += 1
+        for conn, n in weighted_connections(ep):
+            connections += n
             p, po, q, rg = connection_memory_bytes(conn, mpi, ib)
-            pinned += p
-            posted += po
-            qp += q
-            ring += rg
-            rank_bytes += p + q + rg
+            pinned += n * p
+            posted += n * po
+            qp += n * q
+            ring += n * rg
+            rank_bytes += n * (p + q + rg)
         if rank_bytes > per_rank_peak:
             per_rank_peak = rank_bytes
     return MemoryReport(

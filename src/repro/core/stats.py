@@ -10,10 +10,35 @@ here compute both from a finished job's endpoints.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.connection import Connection
     from repro.mpi.endpoint import Endpoint
+
+
+def engaged_connections(ep: "Endpoint") -> List["Connection"]:
+    """The connections ``ep`` ever engaged (``Endpoint._engaged``) that are
+    still in its table — a torn-down on-demand pair has left it."""
+    return [c for c in map(ep.connections.get, ep._engaged) if c is not None]
+
+
+def weighted_connections(ep: "Endpoint") -> Iterator[Tuple["Connection", int]]:
+    """What a per-job report visits instead of the whole connection table:
+    ``(connection, how many connections it stands for)``.
+
+    An engaged connection stands for itself.  Every other one is field for
+    field what ``Endpoint.add_connection`` built, so one of them stands for
+    all: a sum takes it times its count, a maximum takes it as it is.  A
+    static mesh holds P-1 connections per rank and a job engages a handful
+    of them; this keeps the job's bookkeeping from costing P².
+    """
+    engaged = engaged_connections(ep)
+    for conn in engaged:
+        yield conn, 1
+    idle = len(ep.connections) - len(engaged)
+    if idle:
+        yield next(c for p, c in ep.connections.items() if p not in ep._engaged), idle
 
 
 @dataclass
@@ -51,29 +76,30 @@ class FlowControlReport:
 
 
 def collect_report(endpoints: Iterable["Endpoint"]) -> FlowControlReport:
-    """Aggregate every endpoint's connections into one report."""
+    """Aggregate every endpoint's connections into one report (visiting
+    the engaged ones: :func:`weighted_connections`)."""
     total = data = ecm = backlogged = fallbacks = 0
     piggy = ecmc = naks = retrans = 0
     ctl = ctl_backlogged = 0
     max_posted = backlog_max = 0
     conn_count = 0
     for ep in endpoints:
-        for conn in ep.connections.values():
+        for conn, n in weighted_connections(ep):
             s = conn.stats
-            conn_count += 1
-            total += s.msgs_sent
-            data += s.data_msgs_sent
-            ctl += s.ctl_msgs_sent
-            ecm += s.ecm_sent
-            backlogged += s.backlogged
-            ctl_backlogged += s.ctl_backlogged
-            fallbacks += s.rndv_fallbacks
-            piggy += s.piggybacked_credits
-            ecmc += s.ecm_credits
+            conn_count += n
+            total += n * s.msgs_sent
+            data += n * s.data_msgs_sent
+            ctl += n * s.ctl_msgs_sent
+            ecm += n * s.ecm_sent
+            backlogged += n * s.backlogged
+            ctl_backlogged += n * s.ctl_backlogged
+            fallbacks += n * s.rndv_fallbacks
+            piggy += n * s.piggybacked_credits
+            ecmc += n * s.ecm_credits
             max_posted = max(max_posted, s.max_prepost)
             backlog_max = max(backlog_max, s.backlog_max)
-            naks += conn.qp.rnr_naks_received
-            retrans += conn.qp.retransmissions
+            naks += n * conn.qp.rnr_naks_received
+            retrans += n * conn.qp.retransmissions
     return FlowControlReport(
         total_msgs=total,
         data_msgs=data,
@@ -179,6 +205,9 @@ def reset_counters(endpoints: Iterable["Endpoint"],
     the counters that :func:`collect_report` and the analysis layer read.
     With ``congestion`` (the fabric's :class:`CongestionState`, when
     armed) its port/flow counters are reset the same way.
+
+    Only engaged connections are visited: a connection outside
+    ``Endpoint._engaged`` still has the counters it was built with.
     """
     if congestion is not None:
         congestion.reset_counters()
@@ -191,7 +220,7 @@ def reset_counters(endpoints: Iterable["Endpoint"],
         pool.acquisitions = 0
         pool.releases = 0
         pool.exhaustion_events = 0
-        for conn in ep.connections.values():
+        for conn in engaged_connections(ep):
             conn.reset_stats()
             qp = conn.qp
             qp.rnr_naks_received = 0

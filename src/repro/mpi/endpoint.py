@@ -60,6 +60,21 @@ CONTROL_RESERVE = 32
 class Endpoint:
     """One MPI process endpoint."""
 
+    # Past 30 attributes CPython stops keeping an instance's values inline
+    # and gives it a dict of its own; every attribute is assigned in
+    # __init__ (the three subsystem hooks included), so they are declared.
+    __slots__ = (
+        "sim", "hca", "rank", "world_size", "config", "scheme",
+        "requested_prepost", "tracer", "_ring_mode",
+        "cq", "pool", "matching", "pindown", "bounce",
+        "connections", "_backlogged", "_engaged", "_ring_dirty", "_sends_open",
+        "_rndv_send", "_rndv_recv", "_coll_seq", "_connector", "_ring_notify",
+        "finalized", "_stall_until", "_stall_held",
+        "_t_call", "_t_poll", "_eager_max",
+        "_audit", "_recovery", "_ft", "_halted", "_halt_signal",
+        "bytes_sent", "bytes_received", "wait_ns",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -100,9 +115,14 @@ class Endpoint:
 
         self.connections: Dict[int, Connection] = {}
         self._backlogged: Set[int] = set()  # peers with non-empty backlog
-        #: peers whose connection ever left idle (grow-only, recorded on
-        #: first use — not per message): all :meth:`_locally_quiescent`
-        #: needs to look at, where a mesh holds P-1 connections per rank
+        #: peers whose connection ever left idle, either half (grow-only,
+        #: recorded on first use — its first send, backlogged send, parked
+        #: emission, arrival or flushed receive — not per message).  A
+        #: connection outside it
+        #: is field for field what :meth:`add_connection` built, so these
+        #: are all :meth:`_locally_quiescent` and the per-job passes
+        #: (``repro.core.stats``, ``repro.core.memory``) need to look at,
+        #: where a mesh holds P-1 connections per rank
         self._engaged: Set[int] = set()
         #: peers whose RDMA ring holds arrived-but-unprocessed messages
         #: (dirty-flag wakeups: the progress engine only looks at these
@@ -684,6 +704,9 @@ class Endpoint:
             conn = self._conn_of(wc)
             if conn is not None:
                 conn.recv_posted -= 1
+                # the flushed receives of a connection that never carried
+                # a message (severed from a dead rank it never talked to)
+                self._engaged.add(conn.peer)
             return None
         self._sends_open -= 1
         if self._sends_open < 0:
@@ -767,6 +790,8 @@ class Endpoint:
         already happened at poll time) or an eager write drained from the
         RDMA ring (``h.via_ring``; the caller charges the ring poll)."""
         cost = self.config.header_proc_ns
+        if not conn.seq_in_expected:  # its first arrival: the connection leaves idle
+            self._engaged.add(conn.peer)
         conn.seq_in_expected += 1
 
         if self._ft is not None:

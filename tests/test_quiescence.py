@@ -5,8 +5,10 @@ The reference below is the full scan, kept here as the oracle.  It is
 compared with the endpoint's answer at every call ``finalize`` makes and,
 to catch the states in between (sends un-ACKed, a backlog, a connection
 mid-recovery), after every completion any rank handles.  Each place a
-connection first leaves idle records the peer; the white-box cases at the
-bottom isolate the sites a natural run reaches only behind another one.
+connection first leaves idle — either half: its first arrival counts, the
+per-job passes of ``repro.core.stats`` read the same set — records the
+peer; the white-box cases at the bottom isolate the sites a natural run
+reaches only behind another one.
 """
 
 import pytest
@@ -117,7 +119,7 @@ def test_engaged_peers_answer_what_the_full_scan_answers(compared, job, reached)
         assert ep._engaged <= set(range(r.nranks)) - {ep.rank}
 
 
-def test_an_idle_mesh_engages_only_its_barrier_partners():
+def test_an_idle_mesh_engages_only_its_barrier_partners_both_ways():
     nranks = 32
 
     def idle(mpi):
@@ -128,8 +130,10 @@ def test_an_idle_mesh_engages_only_its_barrier_partners():
                 on_demand=False)
     for ep in r.endpoints:
         assert len(ep.connections) == nranks - 1
-        # the dissemination barrier sends to rank + 2^k
-        assert ep._engaged == {(ep.rank + (1 << k)) % nranks for k in range(5)}
+        # the dissemination barrier sends to rank + 2^k and hears from
+        # rank - 2^k: a connection that only ever received left idle too
+        assert ep._engaged == {(ep.rank + d) % nranks
+                               for k in range(5) for d in (1 << k, -(1 << k))}
         assert ep.finalized and ep._locally_quiescent() and full_scan(ep)
 
 
@@ -154,6 +158,20 @@ def test_first_post_engages():
     ep._emit(conn, _header(ep, conn), Request("send"))
     assert conn.qp.outstanding_sends == 1
     assert ep._engaged == {2} and not ep._locally_quiescent() and not full_scan(ep)
+
+
+def test_first_arrival_engages():
+    cluster, ep, _ = _idle_mesh()
+    sender = cluster.endpoints[2]
+    sender._emit(sender.connections[0], _header(sender, sender.connections[0]),
+                 Request("send"))
+    cluster.sim.run(max_events=1_000)
+    assert ep._engaged == set() and len(ep.cq) == 1  # landed, not yet polled
+    cluster.sim.spawn(ep.test(Request("recv")))
+    cluster.sim.run(max_events=1_000)
+    conn = ep.connections[2]
+    assert conn.seq_in_expected == 1 and conn.qp.outstanding_sends == 0
+    assert ep._engaged == {2} and ep._locally_quiescent() and full_scan(ep)
 
 
 def test_first_backlogged_send_engages():

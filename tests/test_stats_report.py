@@ -11,6 +11,7 @@ from repro.sim.trace import Tracer
 
 class _EndpointWithNoConnections:
     connections: dict = {}
+    _engaged: set = set()
 
 
 def test_collect_report_empty_endpoint_list():

@@ -49,6 +49,44 @@ def test_reused_cluster_reports_single_job_counters():
         assert ep.pool.acquisitions == ep.pool.releases > 0
 
 
+def _ring(stride, iterations=4):
+    def prog(mpi):
+        n = mpi.world_size
+        nxt, prv = (mpi.rank + stride) % n, (mpi.rank - stride) % n
+        for i in range(iterations):
+            rreq = yield from mpi.irecv(source=prv, capacity=4096, tag=i)
+            yield from mpi.send(nxt, size=1024, tag=i)
+            yield from mpi.wait(rreq)
+    return prog
+
+
+@pytest.mark.parametrize("scheme", ["hardware", "static", "dynamic", "rdma-eager"])
+def test_a_second_job_on_other_connections_reports_like_a_fresh_cluster(scheme):
+    """The reset visits the connections the first job engaged, the reports
+    the ones either job did: neither may leak the first ring into the
+    second, nor lose the mesh's idle remainder."""
+    nranks = 16
+
+    def mesh():
+        cluster = Cluster(TestbedConfig(nodes=nranks))
+        cluster.launch(nranks, make_scheme(scheme), prepost=4, on_demand=False)
+        return cluster
+
+    def job(cluster, stride):
+        return run_job(_ring(stride), nranks, scheme, prepost=4, cluster=cluster,
+                       finalize=False)
+
+    reused = mesh()
+    first = job(reused, 1)
+    second = job(reused, 3)
+    fresh = job(mesh(), 3)
+    assert first.fc.total_msgs > 0 and second.fc == fresh.fc
+    assert second.memory == fresh.memory
+    assert second.memory.connections == nranks * (nranks - 1)
+    for ep in reused.endpoints:  # both rings' neighbours, and only those
+        assert ep._engaged == {(ep.rank + d) % nranks for d in (1, -1, 3, -3)}
+
+
 def test_reused_cluster_validates_mismatches():
     scheme = make_scheme("static")
     cluster = Cluster(TestbedConfig(nodes=2))

@@ -167,6 +167,19 @@ def test_per_connection_objects_carry_no_instance_dict():
         conn.not_a_field = 1  # scheme state is declared, not patched on
 
 
+def test_an_endpoint_carries_no_instance_dict():
+    from repro.cluster import Cluster, TestbedConfig
+    from repro.core import make_scheme
+    from repro.mpi.endpoint import Endpoint
+
+    assert hasattr(Endpoint, "__slots__")
+    cluster = Cluster(TestbedConfig(nodes=2))
+    ep = cluster.launch(2, make_scheme("dynamic"), 1, on_demand=True)[0]
+    assert not hasattr(ep, "__dict__")
+    with pytest.raises(AttributeError):
+        ep.not_a_field = 1  # subsystem hooks are declared, not patched on
+
+
 def test_a_queue_pair_holds_only_per_connection_state():
     from repro.ib.hca import HCA
     from repro.ib.qp import QueuePair
@@ -194,6 +207,31 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
     add_connection = add_connection[:add_connection.index("\n    def ", 1)]
     assert line in add_connection
     assert not re.search(r"^\s*(for|while)\b", add_connection, re.M)
+
+
+# ----------------------------------------------------------------------
+# a job costs what it touched: nothing a job runs every time walks the
+# connection table (tests/test_job_bookkeeping.py keeps the full scans as
+# oracles).  The auditor's sweeps do walk idle connections — pinned by
+# tests/test_mesh_setup.py::test_auditor_final_check_walks_idle_connections
+# — and the per-connection outputs (per_connection_max_buffers,
+# analysis.flow_control_timeline) are called on request, not per job.
+# ----------------------------------------------------------------------
+def test_no_per_job_pass_scans_the_connection_table():
+    from repro.core import memory, stats
+
+    scan = re.compile(r"connections\s*\.\s*(values|items)\(\)")
+    for fn in (stats.collect_report, stats.reset_counters, memory.collect_memory_report):
+        assert not scan.search(inspect.getsource(fn)), fn.__name__
+    assert not scan.search(_src("cluster/job.py"))
+    # one of each pass: no full-scan variant kept beside it
+    passes = {
+        name for mod in (stats, memory) for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        and re.search("collect|reset", name)
+    }
+    assert passes == {"collect_report", "collect_congestion_report",
+                      "reset_counters", "collect_memory_report"}
 
 
 # ----------------------------------------------------------------------

@@ -109,7 +109,7 @@ def _nas_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
         "elapsed_ns": r.elapsed_ns,
         "elapsed_s": r.elapsed_s,
         "nranks": kernel.nranks,
-        "fc": r.fc_dict(),
+        "fc": r.report()["fc"],
     }
 
 
@@ -117,12 +117,7 @@ def _nas_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
 def _chaos_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.faults.scenarios import chaos_cell
 
-    return chaos_cell(
-        p["scenario"], p["scheme"], seed=p["seed"], prepost=p["prepost"],
-        recovery=p.get("recovery", False),
-        congestion=p.get("congestion"),
-        ft=p.get("ft", False),
-    )
+    return chaos_cell(**p)  # the axes, then whatever arming the grid keyed
 
 
 @cell_kind("ring")
@@ -150,20 +145,17 @@ def _ring_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
 
     r = run_job(ring, nodes, p["scheme"], prepost=p["prepost"], config=cfg,
                 on_demand=p["on_demand"], finalize=False)
-    connections = (
-        r.connections_established
-        if r.connections_established is not None
-        else nodes * (nodes - 1) // 2
-    )
-    mem = r.memory
+    doc = r.report()
+    mem = doc["memory"]
     return {
-        "connections": connections,
-        "posted_buffers": mem.vbuf_posted_bytes // cfg.mpi.vbuf_bytes,
+        "connections": (doc["cm"]["established"] if "cm" in doc
+                        else nodes * (nodes - 1) // 2),
+        "posted_buffers": mem["vbuf_posted_bytes"] // cfg.mpi.vbuf_bytes,
         "elapsed_ns": r.elapsed_ns,
         "elapsed_us": r.elapsed_us,
-        "pinned_bytes": mem.vbuf_pinned_bytes,
-        "ring_bytes": mem.ring_bytes,
-        "qp_bytes": mem.qp_bytes,
-        "total_bytes": mem.total_bytes,
-        "per_rank_peak_bytes": mem.per_rank_peak_bytes,
+        "pinned_bytes": mem["vbuf_pinned_bytes"],
+        "ring_bytes": mem["ring_bytes"],
+        "qp_bytes": mem["qp_bytes"],
+        "total_bytes": mem["total_bytes"],
+        "per_rank_peak_bytes": mem["per_rank_peak_bytes"],
     }

@@ -9,7 +9,7 @@ maps the names accepted by ``python -m repro sweep --grid``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.campaign.spec import JobSpec
 
@@ -79,31 +79,24 @@ def chaos_grid(
     schemes: Iterable[str] = SCHEMES,
     seed: int = 7,
     prepost: Optional[int] = None,
-    recovery: bool = False,
-    congestion: Optional[str] = None,
-    ft: bool = False,
+    **arming: Any,
 ) -> List[JobSpec]:
+    """``arming`` is what every cell hands ``faults.chaos_cell`` besides
+    the axes (``recovery=True``, ``congestion="pfc"``, ``ft=True``)."""
     from repro.faults import SCENARIOS
 
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
+    # only keyed when on, so the cache keys of unarmed cells stay valid
+    arming = {k: v for k, v in arming.items() if v}
     specs = []
     for name in names:
         # Resolve the scenario's default depth now so a cell's key never
         # depends on how the depth was spelled.
         depth = SCENARIOS[name].prepost if prepost is None else prepost
         for scheme in schemes:
-            params = {"scenario": name, "scheme": scheme,
-                      "seed": seed, "prepost": depth}
-            if recovery:
-                # only keyed when on, so pre-recovery cache keys stay valid
-                params["recovery"] = True
-            if congestion is not None:
-                # likewise: only keyed when the subsystem is armed
-                params["congestion"] = congestion
-            if ft:
-                # likewise: pre-ft cache keys stay valid
-                params["ft"] = True
-            specs.append(JobSpec("chaos", params))
+            specs.append(JobSpec("chaos", {"scenario": name, "scheme": scheme,
+                                           "seed": seed, "prepost": depth,
+                                           **arming}))
     return specs
 
 

@@ -114,6 +114,7 @@ class Auditor:
         self.watchdog_interval_ns = watchdog_interval_ns
         self.quiet_bound_ns = quiet_bound_ns
         self.violations: List[InvariantViolation] = []
+        self._cluster = None
         self._sim = None
         self._endpoints: List["Endpoint"] = []
         self._uses_credits = False
@@ -164,50 +165,41 @@ class Auditor:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def attach(self, cluster) -> "Auditor":
-        """Subscribe to every endpoint of a launched cluster.  Re-attaching
-        (cluster reuse) resets all tracked state."""
+    name = "audit"
+    failures = ()  # a violation raises; the auditor loses no pair or rank
+
+    def arm(self, cluster) -> None:
+        """Subscribe to every endpoint of a launched cluster.  An auditor
+        audits one job (like every subsystem object: what it observed
+        stays that job's record), so it arms once."""
+        if self._cluster is not None:
+            raise RuntimeError("this Auditor already audited a job; build a fresh one")
         if not cluster.endpoints:
-            raise RuntimeError("attach() needs a launched cluster")
+            raise RuntimeError("arm() needs a launched cluster")
+        self._cluster = cluster
         self._sim = cluster.sim
         self._endpoints = list(cluster.endpoints)
         self._uses_credits = self._endpoints[0].scheme.uses_credits
-        for store in (
-            self._consumed_unsent, self._inflight_paid, self._ungranted,
-            self._inflight_credits, self._pending_swallow, self._lease,
-            self._shadow, self._sent_seq, self._matched_seq,
-            self._ring_occupancy, self._ring_last_deposited,
-            self._ring_last_freed,
-        ):
-            store.clear()
-        self._dequeued.clear()
-        self._suspended.clear()
-        self._total_sent = self._total_matched = 0
-        self._wd_armed = False
         self._last_progress_ns = cluster.sim.now
-        self._dead.clear()
         for ep in self._endpoints:
             ep._audit = self
-        self._xoff_open.clear()
-        self.xoff_total = self.xon_total = 0
         self._congestion = cluster.fabric.congestion
         if self._congestion is not None:
             self._congestion.audit = self
         cluster.auditor = self
-        return self
 
-    def note_fault_plan(self, plan) -> None:
-        """Fault windows legitimately suppress progress (receiver stalls,
-        link flaps); extend the watchdog's tolerance past the plan."""
-        end = plan.end_ns
-        if end is not None:
-            grace = end + self.quiet_bound_ns
-            if grace > self._fault_grace_until:
-                self._fault_grace_until = grace
+    def disarm(self) -> None:
+        """Undo :meth:`arm`: no endpoint, switch or cluster hook points here."""
+        for ep in self._endpoints:
+            ep._audit = None
+        if self._congestion is not None:
+            self._congestion.audit = None
+        self._cluster.auditor = None
 
     def extend_grace(self, until_ns: int) -> None:
-        """Recovery backoff windows suppress progress like fault windows
-        do; the recovery manager pushes the watchdog tolerance past them."""
+        """Fault windows (receiver stalls, link flaps) and recovery backoff
+        windows legitimately suppress progress; the injector and the
+        managers push the watchdog's tolerance past them."""
         if until_ns + self.quiet_bound_ns > self._fault_grace_until:
             self._fault_grace_until = until_ns + self.quiet_bound_ns
 

@@ -25,6 +25,7 @@ import random
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.check.auditor import Auditor, InvariantViolation
+from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
 from repro.core import make_scheme
@@ -249,7 +250,6 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
     if scheme_name in ("static", "dynamic"):
         kwargs["ecm_threshold"] = int(spec.get("ecm_threshold", 5))
     scheme = make_scheme(scheme_name, **kwargs)
-    faults = FaultPlan.from_spec(spec["faults"]) if spec.get("faults") else None
     auditor = Auditor()
     nranks = int(spec["nranks"])
     recovery: Any = False
@@ -259,6 +259,20 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
         # generous attempt budget: the fuzzer probes resync correctness,
         # not budget exhaustion (tests/test_recovery.py covers that)
         recovery = RecoveryPolicy(max_attempts=12, seed=int(spec["seed"]))
+    # validated out here: a spec that arms something ill-typed raises, it
+    # is not a finding about the scheme
+    arming = Arming(
+        on_demand=bool(spec.get("on_demand", False)),
+        faults=spec.get("faults") or None,
+        audit=auditor,
+        recovery=recovery,
+        ft=bool(spec.get("ft", False)),
+    )
+
+    def failed(kind: str, what: Any, **more: Any) -> Dict[str, Any]:
+        return {"ok": False, "kind": kind, **more, "detail": str(what),
+                "audit": auditor.summary()}
+
     try:
         result = run_job(
             build_program(spec),
@@ -266,40 +280,19 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
             scheme,
             prepost=int(spec["prepost"]),
             config=TestbedConfig(nodes=nranks),
-            faults=faults,
-            audit=auditor,
-            recovery=recovery,
-            ft=bool(spec.get("ft", False)),
-            on_demand=bool(spec.get("on_demand", False)),
+            **vars(arming),
         )
     except InvariantViolation as v:
-        return {
-            "ok": False,
-            "kind": "violation",
-            "invariant": v.invariant,
-            "detail": str(v),
-            "audit": auditor.summary(),
-        }
+        return failed("violation", v, invariant=v.invariant)
     except Exception as exc:  # deadlock, QP error, livelock ceiling, ...
-        return {
-            "ok": False,
-            "kind": type(exc).__name__,
-            "detail": str(exc),
-            "audit": auditor.summary(),
-        }
+        return failed(type(exc).__name__, exc)
     unexpected = [
         f for f in result.failures
         if not (spec.get("ft") and f.dedup_key()[0] == "rank")
     ]
     if unexpected:
         # a QP pair was lost for good (recovery attempt budget exhausted)
-        f = unexpected[0]
-        return {
-            "ok": False,
-            "kind": "connection-failure",
-            "detail": str(f),
-            "audit": auditor.summary(),
-        }
+        return failed("connection-failure", unexpected[0])
     # under rank-death the victim's result slot is None (its program was
     # killed); the differential claim covers the survivors' deliveries
     delivered = sorted(

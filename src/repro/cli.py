@@ -194,14 +194,13 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _chaos_report(args: argparse.Namespace) -> dict:
+    # what the flags arm, as the one mapping the chaos chain passes through
+    arming = {k: getattr(args, k) for k in ("recovery", "congestion", "ft")}
     specs = grids.chaos_grid(scenarios=[args.scenario], schemes=args.schemes,
-                             seed=args.seed, prepost=args.prepost,
-                             recovery=args.recovery,
-                             congestion=args.congestion, ft=args.ft)
+                             seed=args.seed, prepost=args.prepost, **arming)
     res = run_cells(specs, workers=args.workers)
     report = chaos_report_header(args.scenario, seed=args.seed,
-                                 prepost=args.prepost, recovery=args.recovery,
-                                 congestion=args.congestion, ft=args.ft)
+                                 prepost=args.prepost, **arming)
     for out in res.outcomes:
         report["schemes"][out.spec.params["scheme"]] = out.metrics
     return report
@@ -368,27 +367,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         comparison = fuzz.replay(artifact)
         return 1 if comparison["failure"] is not None else 0
 
-    scenarios = [None if s == "none" else s for s in args.scenarios]
-    summary = fuzz.run_fuzz(
+    sweep = dict(
         seed=args.seed,
         runs=args.runs,
         schemes=tuple(args.schemes),
-        scenarios=scenarios,
-        out_dir=args.out_dir,
+        scenarios=[None if s == "none" else s for s in args.scenarios],
         max_shrink=args.max_shrink,
         on_demand=args.on_demand,
     )
+    summary = fuzz.run_fuzz(out_dir=args.out_dir, **sweep)
     if args.check:
-        rerun = fuzz.run_fuzz(
-            seed=args.seed,
-            runs=args.runs,
-            schemes=tuple(args.schemes),
-            scenarios=scenarios,
-            out_dir="",  # artifacts from the first pass suffice
-            max_shrink=args.max_shrink,
-            on_demand=args.on_demand,
-            log=None,
-        )
+        # artifacts from the first pass suffice
+        rerun = fuzz.run_fuzz(out_dir="", log=None, **sweep)
         if summary["digests"] != rerun["digests"]:
             print("DETERMINISM DRIFT: two identical fuzz runs disagree",
                   file=sys.stderr)

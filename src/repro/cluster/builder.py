@@ -52,9 +52,12 @@ class Cluster:
         ]
         self.endpoints: List[Endpoint] = []
         self.cm = None  # set when launched with on_demand=True
-        self.auditor = None  # repro.check.Auditor, when attached
-        self.recovery = None  # repro.recovery.RecoveryManager, when installed
-        self.ft = None  # repro.ft.FTManager, when installed
+        self.auditor = None  # repro.check.Auditor, while armed
+        self.recovery = None  # repro.recovery.RecoveryManager, while armed
+        self.ft = None  # repro.ft.FTManager, while armed
+        #: the subsystems the latest job armed, in arming order; the next
+        #: ``run_job`` on this cluster disarms them before arming its own
+        self.armed: tuple = ()
 
     # ------------------------------------------------------------------
     def node_of_rank(self, rank: int) -> int:
@@ -138,9 +141,11 @@ class Cluster:
 
     def reset_stats(self) -> None:
         """Zero the observability counters between jobs on a reused
-        cluster (see :func:`repro.core.stats.reset_counters`)."""
+        cluster: the tracer's, and what the reports read off endpoints,
+        QPs and switch ports (:func:`repro.core.stats.reset_counters`)."""
         from repro.core.stats import reset_counters
 
+        self.tracer.reset()
         reset_counters(self.endpoints, congestion=self.fabric.congestion)
 
     def __repr__(self) -> str:  # pragma: no cover

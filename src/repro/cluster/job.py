@@ -8,13 +8,15 @@ and packages timing plus flow-control statistics into a :class:`JobResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
+from repro.cluster.arming import Arming
 from repro.cluster.builder import Cluster
 from repro.cluster.config import TestbedConfig
 from repro.core import FlowControlReport, FlowControlScheme, collect_report, make_scheme
 from repro.core.base import SchemeName
+from repro.core.stats import collect_congestion_report
 from repro.mpi.endpoint import Endpoint
 from repro.sim.units import seconds, to_us
 
@@ -60,6 +62,14 @@ class JobResult:
     #: :class:`repro.core.memory.MemoryReport` — per-scheme pinned-vbuf /
     #: QP / CQ byte accounting (the Table-2 quantity, in bytes)
     memory: Any = field(repr=False, default=None)
+    # What :meth:`report` adds to the attributes above, copied when the job
+    # ended (the handles are live: the next job on the cluster resets them).
+    #: ``"off"`` or the armed switch model's ``CongestionConfig.mode``
+    congestion_mode: str = "off"
+    #: the tracer's counter totals by name, sorted
+    counters: Dict[str, int] = field(repr=False, default_factory=dict)
+    #: subsystem name -> its ``summary()``, in arming order
+    sections: Dict[str, Dict[str, Any]] = field(repr=False, default_factory=dict)
 
     @property
     def completed(self) -> bool:
@@ -80,11 +90,37 @@ class JobResult:
         boundaries (``repro.campaign``): every ``FlowControlReport``
         field plus the derived ``ecm_fraction``.
         """
-        from dataclasses import asdict
-
         d = asdict(self.fc)
         d["ecm_fraction"] = self.fc.ecm_fraction
         return d
+
+    def report(self) -> Dict[str, Any]:
+        """The run as one JSON-serialisable document (DESIGN §6.7 has the
+        schema field by field): the same bytes for the same run, unchanged
+        by what happens to the cluster afterwards.  ``cm``, ``congestion``
+        and the subsystem sections appear only when armed — no ``None``."""
+        doc: Dict[str, Any] = {
+            "schema": 1,
+            "scheme": self.scheme,
+            "nranks": self.nranks,
+            "prepost": self.prepost,
+            "wiring": "mesh" if self.connections_established is None else "on-demand",
+            "armed": list(self.sections),
+            "congestion_mode": self.congestion_mode,
+            "elapsed_ns": self.elapsed_ns,
+            "completed": self.completed,
+            "failures": [f.to_dict() for f in self.failures],
+            "fc": self.fc_dict(),
+            "memory": self.memory.to_dict(),
+            "counters": dict(self.counters),
+        }
+        if self.connections_established is not None:
+            doc["cm"] = {"established": self.connections_established}
+        if self.congestion is not None:
+            doc["congestion"] = self.congestion.to_dict()
+        for name, section in self.sections.items():
+            doc[name] = dict(section)
+        return doc
 
 
 def run_job(
@@ -105,6 +141,11 @@ def run_job(
     cluster: Optional[Cluster] = None,
 ) -> JobResult:
     """Build a cluster, run ``program`` on every rank, return the result.
+
+    ``on_demand``, ``faults``, ``audit``, ``recovery``, ``ft`` and
+    ``cm_chaos`` are the fields of one :class:`~repro.cluster.arming.Arming`,
+    validated before anything is built: an ill-typed value is a
+    ``TypeError`` / ``ValueError`` naming the keyword.
 
     Parameters
     ----------
@@ -128,7 +169,8 @@ def run_job(
         statistics exact and guards against in-flight stragglers).
     faults:
         A :class:`repro.faults.FaultPlan` (or declarative spec dict) of
-        deterministic fault events to inject while the job runs.
+        deterministic fault events to inject while the job runs; its
+        times count from the job's start.
     audit:
         ``True`` to run under a fresh :class:`repro.check.Auditor`, or a
         pre-built auditor instance.  Invariant violations raise
@@ -147,94 +189,49 @@ def run_job(
         with ``Status.error == PROC_FAILED`` and surface as structured
         :class:`repro.ft.RankFailure` records instead of hanging the job.
     cm_chaos:
-        Keyword dict for
-        :meth:`repro.cluster.on_demand.ConnectionManager.configure_chaos`
+        Keyword dict for :class:`repro.cluster.on_demand.SetupChaos`
         (``loss_prob`` / ``delay_ns`` / ``policy`` / ``seed``) — lose or
         delay on-demand setup exchanges; requires an on-demand cluster.
     cluster:
         Reuse an already-launched cluster instead of building a fresh one
-        (the scheme/nranks must match what it was launched with).  Its
-        observability counters are reset so the result reports this job
-        only.
+        (scheme, nranks and prepost must match what it was launched
+        with).  Its observability counters are reset and whatever the
+        previous job armed is disarmed, so the job runs and reports as on
+        a cluster nothing else had armed.
     """
+    arming = Arming(on_demand=on_demand, faults=faults, audit=audit,
+                    recovery=recovery, ft=ft, cm_chaos=cm_chaos)
+    subsystems = arming.subsystems()  # this job's; Arming() proved they build
     if not isinstance(scheme, FlowControlScheme):
         scheme = make_scheme(scheme)
 
     if cluster is None:
         cluster = Cluster(config, trace=trace)
-        endpoints = cluster.launch(nranks, scheme, prepost, on_demand=on_demand)
+        endpoints = cluster.launch(nranks, scheme, prepost, on_demand=arming.on_demand)
     else:
         endpoints = cluster.endpoints
         if not endpoints:
             raise RuntimeError("reused cluster was never launched")
-        if len(endpoints) != nranks:
-            raise ValueError(
-                f"reused cluster has {len(endpoints)} ranks, job wants {nranks}"
-            )
-        if endpoints[0].scheme.name is not scheme.name:
-            raise ValueError(
-                f"reused cluster runs scheme {endpoints[0].scheme.name.value!r}, "
-                f"job wants {scheme.name.value!r}"
-            )
-        scheme = endpoints[0].scheme  # the live policy object, not a clone
+        ep = endpoints[0]
+        for what, launched, wanted in (
+            ("nranks", len(endpoints), nranks),
+            ("scheme", ep.scheme.name.value, scheme.name.value),
+            ("prepost", ep.requested_prepost, prepost),
+        ):
+            if launched != wanted:
+                raise ValueError(f"reused cluster was launched with {what} "
+                                 f"{launched!r}, job wants {wanted!r}")
+        scheme = ep.scheme  # the live policy object, not a clone
         cluster.reset_stats()
 
-    auditor = None
-    if audit:
-        from repro.check import Auditor
-
-        auditor = audit if not isinstance(audit, bool) else Auditor()
-        auditor.attach(cluster)
-    elif cluster.auditor is not None:
-        # a prior audited job on this cluster left hooks armed — disarm
-        cluster.auditor = None
-        for ep in endpoints:
-            ep._audit = None
-        if cluster.fabric.congestion is not None:
-            cluster.fabric.congestion.audit = None
-
-    recovery_mgr = None
-    if recovery:
-        from repro.recovery import RecoveryManager, RecoveryPolicy
-
-        policy = recovery if isinstance(recovery, RecoveryPolicy) else None
-        recovery_mgr = RecoveryManager(cluster, policy).install()
-    elif cluster.recovery is not None:
-        # a prior recovered job on this cluster left hooks armed — disarm
-        cluster.recovery = None
-        for ep in endpoints:
-            ep._recovery = None
-
-    ft_mgr = None
-    if ft:
-        from repro.ft import FTConfig, FTManager
-
-        ft_cfg = ft if isinstance(ft, FTConfig) else None
-        ft_mgr = FTManager(cluster, ft_cfg).install()
-    elif cluster.ft is not None:
-        # a prior failure-tolerant job on this cluster left hooks armed
-        cluster.ft = None
-        for ep in endpoints:
-            ep._ft = None
-
-    if cm_chaos is not None:
-        if cluster.cm is None:
-            raise ValueError(
-                "cm_chaos needs an on-demand cluster (run_job(..., on_demand=True))"
-            )
-        cluster.cm.configure_chaos(**cm_chaos)
-
-    if faults is not None:
-        from repro.faults import FaultInjector, FaultPlan
-
-        if isinstance(faults, dict):
-            faults = FaultPlan.from_spec(faults)
-        FaultInjector(cluster, faults).install()
-    elif cluster.fabric.fault is not None:
-        # a prior faulted job on this cluster left its fault state armed —
-        # disarm, like the auditor/recovery hooks above (already-scheduled
-        # begin/end transitions mutate the orphaned state harmlessly)
-        cluster.fabric.fault = None
+    # One lifecycle for every subsystem: what the cluster's previous job
+    # left armed is disarmed, then this job's armed, in subsystems()' order.
+    for sub in reversed(cluster.armed):
+        sub.disarm()
+    cluster.armed = ()
+    for sub in subsystems:
+        sub.arm(cluster)
+        cluster.armed += (sub,)
 
     finish_ns = [0] * nranks
     t0 = cluster.sim.now  # non-zero on reused clusters
@@ -252,51 +249,37 @@ def run_job(
     from repro.recovery.failures import ConnectionFailedError
 
     expected = (ConnectionFailedError, RankFailedError)
-    failures: List[Any] = []
-    seen_failures: set = set()
-
-    def record_failure(f: Any) -> None:
-        # Both ends of a lost pair (and every survivor of a rank death)
-        # report the same event; dedup on the record's stable identity
-        # instead of scanning the list per insert.
-        key = f.dedup_key()
-        if key not in seen_failures:
-            seen_failures.add(key)
-            failures.append(f)
-
+    # Both ends of a lost pair (and every survivor of a rank death) report
+    # the same event: keyed by the record's stable identity, first seen wins.
+    failures: Dict[tuple, Any] = {}
     try:
         cluster.sim.run(max_events=cluster.sim.events_executed + max_events)
     except expected as exc:
-        record_failure(exc.failure)
+        failures[exc.failure.dedup_key()] = exc.failure
 
-    if ft_mgr is not None:
+    if cluster.ft is not None:
         # Dead ranks' programs are parked on a never-firing signal, not
         # hung — terminate them so the liveness check below covers the
         # *survivors* (the acceptance criterion: zero hung ranks).
-        dead_ranks = ft_mgr.dead | ft_mgr.injected
+        dead_ranks = cluster.ft.dead | cluster.ft.injected
         if any(procs[r].alive for r in dead_ranks):
             for r in sorted(dead_ranks):
                 procs[r].kill()
             cluster.sim.run(
                 max_events=cluster.sim.events_executed + 4 * len(dead_ranks) + 4
             )
-        for f in ft_mgr.failures:
-            record_failure(f)
 
-    for p in procs:
-        if isinstance(p.failure, expected):
-            record_failure(p.failure.failure)
-    if recovery_mgr is not None:
-        for f in recovery_mgr.failures:
-            record_failure(f)
+    harvest = [p.failure.failure for p in procs if isinstance(p.failure, expected)]
+    for sub in subsystems:
+        harvest.extend(sub.failures)
+    for f in harvest:
+        failures.setdefault(f.dedup_key(), f)
 
     failed = [p for p in procs if p.failure is not None
               and not isinstance(p.failure, expected)]
     if failed:
         raise failed[0].failure
-    rank_only = bool(failures) and all(
-        f.dedup_key()[0] == "rank" for f in failures
-    )
+    rank_only = bool(failures) and all(key[0] == "rank" for key in failures)
     if not failures or rank_only:
         hung = [p for p in procs if p.alive]
         if hung:
@@ -304,19 +287,13 @@ def run_job(
                 f"deadlock: ranks {[p.name for p in hung]} never finished "
                 f"(sim time {cluster.sim.now} ns)"
             )
-        if auditor is not None and not failures:
-            auditor.final_check(expect_quiescent=finalize)
-
-    cong_state = cluster.fabric.congestion
-    if cong_state is not None:
-        from repro.core.stats import collect_congestion_report
-
-        cong_report = collect_congestion_report(cong_state)
-    else:
-        cong_report = None
+        if cluster.auditor is not None and not failures:
+            cluster.auditor.final_check(expect_quiescent=finalize)
 
     from repro.core.memory import collect_memory_report
 
+    cong_state = cluster.fabric.congestion
+    handles = {sub.name: sub for sub in subsystems}
     return JobResult(
         scheme=scheme.name.value,
         nranks=nranks,
@@ -328,10 +305,14 @@ def run_job(
         endpoints=endpoints,
         tracer=cluster.tracer,
         connections_established=(cluster.cm.established if cluster.cm else None),
-        audit=auditor,
-        failures=failures,
-        recovery=recovery_mgr,
-        ft=ft_mgr,
-        congestion=cong_report,
+        audit=handles.get("audit"),
+        failures=list(failures.values()),
+        recovery=handles.get("recovery"),
+        ft=handles.get("ft"),
+        congestion=(collect_congestion_report(cong_state)
+                    if cong_state is not None else None),
         memory=collect_memory_report(endpoints, cluster.config),
+        congestion_mode=cong_state.cfg.mode if cong_state is not None else "off",
+        counters=cluster.tracer.summary(),
+        sections={name: sub.summary() for name, sub in handles.items()},
     )

@@ -39,24 +39,49 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_SETUP_NS = us(250)
 
 
-class _SetupChaos:
-    """Knobs for control-plane chaos on the CM exchange: the unreliable
+class SetupChaos:
+    """Control-plane chaos on the CM exchange, one job's worth (armed by
+    ``run_job(cm_chaos={...})`` with these keywords): the unreliable
     management datagrams may lose the REQ/REP/RTU (whole-exchange loss
-    with ``loss_prob``) or crawl (uniform extra delay up to ``delay_ns``),
-    and the requester retries on timeout with the recovery policy's
-    exponential-backoff schedule."""
+    with ``loss_prob``) or crawl (uniform extra delay in ``[0,
+    delay_ns)``); the requester times out and retries on ``policy``'s
+    exponential-backoff schedule, surfacing ``ConnectionFailedError``
+    (cause ``cm-setup-timeout``) once the attempt budget is spent.  While
+    none is armed the set-up path is byte-identical to the chaos-free
+    implementation."""
 
-    __slots__ = ("loss_prob", "delay_ns", "policy", "seed")
+    name = "cm_chaos"
+    failures = ()  # a pair that never comes up fails the ranks waiting on it
+    KEYS = ("loss_prob", "delay_ns", "policy", "seed")
+    __slots__ = KEYS + ("cluster",)
 
-    def __init__(self, loss_prob: float, delay_ns: int, policy, seed: int):
+    def __init__(self, loss_prob: float = 0.0, delay_ns: int = 0,
+                 policy: Optional[RecoveryPolicy] = None, seed: int = 0):
         if not 0.0 <= loss_prob < 1.0:
             raise ValueError("cm chaos: loss_prob must be in [0, 1)")
         if delay_ns < 0:
             raise ValueError("cm chaos: delay_ns must be >= 0")
         self.loss_prob = loss_prob
         self.delay_ns = int(delay_ns)
-        self.policy = policy
+        self.policy = policy or RecoveryPolicy()
         self.seed = seed
+        self.cluster = None  # set by arm()
+
+    def arm(self, cluster: "Cluster") -> None:
+        if cluster.cm is None:
+            raise ValueError(
+                "cm_chaos needs an on-demand cluster (run_job(..., on_demand=True))"
+            )
+        self.cluster = cluster
+        cluster.cm._chaos = self
+
+    def disarm(self) -> None:
+        """Undo :meth:`arm`: set-up exchanges are reliable again."""
+        self.cluster.cm._chaos = None
+
+    def summary(self) -> Dict[str, int]:
+        """The job's ``cm.*`` counter totals: exchanges lost, retried, failed."""
+        return self.cluster.tracer.summary("cm.")
 
     def rng(self, pair: Tuple[int, int], attempt: int) -> random.Random:
         """Per-(pair, attempt) RNG: deterministic, decorrelated across
@@ -80,33 +105,13 @@ class ConnectionManager:
         self.cluster = cluster
         self.setup_ns = setup_ns
         self._pending: Dict[Tuple[int, int], Signal] = {}
-        self._chaos: Optional[_SetupChaos] = None
+        self._chaos: Optional[SetupChaos] = None  # while one is armed
         #: unordered pairs wired so far (observability)
         self.established = 0
         #: pairs dismantled after a permanent connection loss
         self.torn_down = 0
         #: stale fired signals dropped by :meth:`request`'s self-heal
         self.invalidated = 0
-        #: chaos counters: exchanges lost, retried, given up on
-        self.setup_lost = 0
-        self.setup_retries = 0
-        self.setup_failures = 0
-
-    def configure_chaos(
-        self,
-        loss_prob: float = 0.0,
-        delay_ns: int = 0,
-        policy: Optional[RecoveryPolicy] = None,
-        seed: int = 0,
-    ) -> None:
-        """Arm control-plane chaos: every CM exchange may be lost with
-        ``loss_prob`` or delayed uniformly in ``[0, delay_ns)``; the
-        requester times out and retries with ``policy``'s exponential
-        backoff, surfacing ``ConnectionFailedError`` (cause
-        ``cm-setup-timeout``) once the attempt budget is spent.  With the
-        manager unarmed (the default) the setup path is byte-identical to
-        the chaos-free implementation."""
-        self._chaos = _SetupChaos(loss_prob, delay_ns, policy or RecoveryPolicy(), seed)
 
     def request(self, endpoint: "Endpoint", peer: int) -> Signal:
         """Start (or join) connection setup between ``endpoint.rank`` and
@@ -141,7 +146,6 @@ class ConnectionManager:
         lost = chaos.loss_prob > 0.0 and rng.random() < chaos.loss_prob
         extra = rng.randrange(chaos.delay_ns) if chaos.delay_ns else 0
         if lost:
-            self.setup_lost += 1
             tracer.count("cm.setup_lost", pair)
         else:
             sim.schedule(self.setup_ns + extra, self._establish, pair, sig)
@@ -164,7 +168,6 @@ class ConnectionManager:
             return  # establish won the race, or the pair was torn down
         chaos = self._chaos
         if chaos is None or attempt >= chaos.policy.max_attempts:
-            self.setup_failures += 1
             self.cluster.tracer.count("cm.setup_failed", pair)
             del self._pending[pair]
             a = self.cluster.endpoints[pair[0]]
@@ -178,7 +181,6 @@ class ConnectionManager:
                 attempts=attempt,
             )))
             return
-        self.setup_retries += 1
         self.cluster.tracer.count("cm.setup_retry", pair)
         self._attempt(pair, sig, attempt + 1)
 

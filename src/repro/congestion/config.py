@@ -87,6 +87,14 @@ class CongestionConfig:
     rate_recover_ns: int = us(50)
     min_rate: float = 0.05
 
+    @property
+    def mode(self) -> str:
+        """The name :func:`make_congestion_config` knows this switch model
+        by (``"tail-drop"``: finite queues with neither mechanism on)."""
+        if self.pfc:
+            return "both" if self.ecn else "pfc"
+        return "ecn" if self.ecn else "tail-drop"
+
     def __post_init__(self) -> None:
         if self.buffer_bytes < 1:
             raise ValueError("buffer_bytes must be positive")

@@ -397,9 +397,6 @@ class CongestionState:
             port.pause_frames_rx = 0
         for flow in self.flows.values():
             flow.min_rate_seen = flow.rate
-        counters = self.tracer.counters
-        for name in [n for n in counters if n.startswith("cong.")]:
-            del counters[name]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<CongestionState ports={len(self.ports)} "

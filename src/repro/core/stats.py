@@ -151,10 +151,7 @@ def collect_congestion_report(state: Any) -> CongestionReport:
     """Reduce a :class:`repro.congestion.CongestionState` (duck-typed —
     no import, so this module stays dependency-light) to plain numbers."""
     counters = state.tracer.counters
-
-    def total(name: str) -> int:
-        c = counters.get(name)
-        return c.total() if c is not None else 0
+    total = state.tracer.summary("cong.").get
 
     def per_key(name: str) -> Dict[Any, int]:
         c = counters.get(name)
@@ -180,13 +177,13 @@ def collect_congestion_report(state: Any) -> CongestionReport:
         if flow.min_rate_seen < min_rate:
             min_rate = flow.min_rate_seen
     return CongestionReport(
-        pause_frames=total("cong.pause_frame"),
-        resume_frames=total("cong.resume_frame"),
-        xoff_events=total("cong.xoff"),
-        xon_events=total("cong.xon"),
-        ecn_marks=total("cong.ecn_mark"),
-        cnps=total("cong.cnp"),
-        drops=total("cong.drop"),
+        pause_frames=total("cong.pause_frame", 0),
+        resume_frames=total("cong.resume_frame", 0),
+        xoff_events=total("cong.xoff", 0),
+        xon_events=total("cong.xon", 0),
+        ecn_marks=total("cong.ecn_mark", 0),
+        cnps=total("cong.cnp", 0),
+        drops=total("cong.drop", 0),
         depth_peak_bytes=depth_peak,
         min_flow_rate=min_rate,
         per_dest=per_dest,

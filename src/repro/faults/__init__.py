@@ -7,7 +7,7 @@ under adverse conditions.  This package injects them, reproducibly:
 * :class:`FaultPlan` — a seeded schedule of link flaps, link degradation,
   probabilistic drop/corruption windows, receiver stalls and HCA pauses
   (builder API, or declarative dict/JSON specs);
-* :class:`FaultInjector` — installs a plan onto a launched cluster
+* :class:`FaultInjector` — arms a plan on a launched cluster, and disarms it
   (``run_job(..., faults=plan)`` does this for you);
 * :func:`run_chaos` / :data:`SCENARIOS` — named scenarios and the
   per-scheme robustness report behind ``python -m repro chaos``.

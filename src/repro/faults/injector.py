@@ -11,11 +11,11 @@ plan.  All randomness (lossy windows) comes from one ``random.Random``
 seeded by the plan and is drawn in transmit order — deterministic given
 the deterministic kernel.
 
-:class:`FaultInjector` — installs the state onto the fabric, arms the
+:class:`FaultInjector` — arms the state onto the fabric and the
 transport ACK-timeout retry on every QP (the recovery mechanism for wire
 loss; see ``QueuePair.enable_transport_retry``), applies receiver-stall /
-HCA-pause events to endpoints and adapters, and emits ``faults.*``
-counters for the robustness report.
+HCA-pause events to endpoints and adapters, emits ``faults.*`` counters
+for the robustness report, and disarms all of it again.
 """
 
 from __future__ import annotations
@@ -102,48 +102,65 @@ class FabricFaultState:
 
 
 class FaultInjector:
-    """Schedules a plan's events against a built (launched) cluster."""
+    """One job's fault plan as an armable subsystem (``run_job``'s
+    lifecycle: ``arm`` / ``disarm`` / ``failures`` / ``summary``)."""
 
-    def __init__(self, cluster, plan: FaultPlan):
+    name = "faults"
+    failures = ()  # the losses it causes are recorded by whoever notices
+
+    def __init__(self, plan: FaultPlan):
         plan.validate()
-        self.cluster = cluster
         self.plan = plan
-        self.state = FabricFaultState(plan.seed, cluster.tracer)
-        self.installed = False
+        self.cluster = None  # set by arm()
+        self.state: Optional[FabricFaultState] = None
         #: id(event) -> open _DropWindow, so _end removes the exact
         #: instance _begin added (plans may be shared across clusters)
         self._open_windows: Dict[int, _DropWindow] = {}
 
-    def install(self) -> "FaultInjector":
+    def arm(self, cluster) -> None:
         """Attach fault state to the fabric, arm transport retries on every
         QP (current and future), and put every begin/end transition on the
-        agenda.  Call once, after ``cluster.launch`` and before ``run``."""
-        if self.installed:
+        agenda.  A plan's clock is the job's: its times count from now.
+        Call once, after ``cluster.launch`` and before ``run``."""
+        if self.cluster is not None:
             raise FaultInjectorError("fault plan already installed")
-        self.installed = True
-        cluster, plan = self.cluster, self.plan
         if cluster.fabric.fault is not None:
             raise FaultInjectorError("fabric already has a fault state installed")
-        cluster.fabric.fault = self.state
+        self._check_targets(cluster)
+        self.cluster = cluster
+        plan = self.plan
+        self.state = cluster.fabric.fault = FabricFaultState(plan.seed, cluster.tracer)
         arm = (plan.transport_timeout_ns, plan.transport_retry_limit)
         for hca in cluster.hcas:
-            hca.fault_transport = arm
+            hca.fault_transport = arm  # what QPs created from now on get
             for qp in hca._qps.values():
                 qp.enable_transport_retry(*arm)
-        self._check_targets()
-        aud = getattr(cluster, "auditor", None)
-        if aud is not None:
-            # the progress watchdog must not flag fault-induced stalls
-            aud.note_fault_plan(plan)
         sim = cluster.sim
+        t0 = sim.now  # non-zero on a reused cluster
+        if cluster.auditor is not None:
+            # the progress watchdog must not flag fault-induced stalls
+            cluster.auditor.extend_grace(t0 + plan.end_ns)
         for ev in plan.events:
-            sim.schedule_at(ev.at_ns, self._begin, ev)
-            sim.schedule_at(ev.end_ns, self._end, ev)
-        return self
+            sim.schedule_at(t0 + ev.at_ns, self._begin, ev)
+            sim.schedule_at(t0 + ev.end_ns, self._end, ev)
 
-    def _check_targets(self) -> None:
-        nodes = len(self.cluster.hcas)
-        ranks = len(self.cluster.endpoints)
+    def disarm(self) -> None:
+        """Undo :meth:`arm`: a healthy fabric, and every adapter and QP back
+        to the transport it was built with.  (What the plan's *events* did
+        to the cluster — a killed rank — stays done.)"""
+        self.cluster.fabric.fault = None
+        for hca in self.cluster.hcas:
+            hca.fault_transport = None
+            for qp in hca._qps.values():
+                qp.disable_transport_retry()
+
+    def summary(self) -> Dict[str, int]:
+        """The job's ``faults.*`` counter totals: events, losses, ACK timeouts."""
+        return self.cluster.tracer.summary("faults.")
+
+    def _check_targets(self, cluster) -> None:
+        nodes = len(cluster.hcas)
+        ranks = len(cluster.endpoints)
         for ev in self.plan.events:
             if ev.kind in ("link_flap", "link_degrade", "hca_pause") and ev.lid >= nodes:
                 raise FaultInjectorError(

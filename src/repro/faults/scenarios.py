@@ -60,8 +60,10 @@ and the determinism check can compare two runs byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
+from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
 from repro.congestion.config import DROP_RETRY_TIMEOUT_NS
@@ -112,41 +114,29 @@ def _ring_program(rounds: int, msg_bytes: int) -> Callable:
 # ----------------------------------------------------------------------
 # scenario registry
 # ----------------------------------------------------------------------
+@dataclass
 class Scenario:
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        nranks: int,
-        prepost: int,
-        make_program: Callable[[], Callable],
-        make_plan: Callable[[int], Optional[FaultPlan]],
-        make_config: Optional[Callable[[], TestbedConfig]] = None,
-        victim_rank: Optional[int] = None,
-        audit: bool = False,
-        on_demand: Optional[bool] = None,
-        make_cm_chaos: Optional[Callable[[int], Dict]] = None,
-    ):
-        self.name = name
-        self.description = description
-        self.nranks = nranks
-        self.prepost = prepost
-        self.make_program = make_program
-        self.make_plan = make_plan
-        #: scenario-specific testbed overrides (e.g. finite RNR retries);
-        #: None = the calibrated defaults
-        self.make_config = make_config
-        #: congestion scenarios: the rank whose finish time is the
-        #: HoL-blocking metric (an innocent flow sharing switch resources
-        #: with the hot flows); None = no victim metric
-        self.victim_rank = victim_rank
-        #: run under the invariant auditor (rank-death: its watchdog is
-        #: the no-ft contrast arm, its exemptions the ft arm's check)
-        self.audit = audit
-        #: force lazy connection management (cm-lossy-setup needs it)
-        self.on_demand = on_demand
-        #: seed -> kwargs for ConnectionManager.configure_chaos
-        self.make_cm_chaos = make_cm_chaos
+    name: str
+    description: str
+    nranks: int
+    prepost: int
+    make_program: Callable[[], Callable]
+    make_plan: Callable[[int], Optional[FaultPlan]]
+    #: scenario-specific testbed overrides (e.g. finite RNR retries);
+    #: None = the calibrated defaults
+    make_config: Optional[Callable[[], TestbedConfig]] = None
+    #: congestion scenarios: the rank whose finish time is the
+    #: HoL-blocking metric (an innocent flow sharing switch resources
+    #: with the hot flows); None = no victim metric
+    victim_rank: Optional[int] = None
+    #: seed -> what the scenario itself arms besides its plan, as
+    #: ``run_job`` keywords (the caller's arming is merged over it)
+    arming: Callable[[int], Dict[str, Any]] = lambda seed: {}
+
+    @property
+    def audit(self) -> bool:
+        """Whether the scenario runs under the invariant auditor."""
+        return self.arming(0).get("audit", False)
 
 
 def _receiver_stall_plan(seed: int) -> FaultPlan:
@@ -241,11 +231,12 @@ def _rank_death_program(nranks: int, victim: int) -> Callable:
     return program
 
 
-def _cm_chaos_kwargs(seed: int) -> Dict:
-    # 25 % of setup exchanges lost, the rest uniformly delayed up to
-    # 120 us: enough churn to force retries without (at stock seeds)
-    # exhausting the 5-attempt backoff budget.
-    return {"loss_prob": 0.25, "delay_ns": us(120), "seed": seed}
+def _cm_lossy_arming(seed: int) -> Dict[str, Any]:
+    # Lazy connection management, 25 % of its setup exchanges lost and the
+    # rest uniformly delayed up to 120 us: enough churn to force retries
+    # without (at stock seeds) exhausting the 5-attempt backoff budget.
+    return {"on_demand": True,
+            "cm_chaos": {"loss_prob": 0.25, "delay_ns": us(120), "seed": seed}}
 
 
 def _congestion_plan(seed: int) -> FaultPlan:
@@ -351,7 +342,9 @@ SCENARIOS: Dict[str, Scenario] = {
         prepost=8,
         make_program=lambda: _rank_death_program(4, RANK_DEATH_VICTIM),
         make_plan=_rank_death_plan,
-        audit=True,
+        # the auditor's watchdog is the no-ft contrast arm, its dead-rank
+        # exemptions the ft arm's check
+        arming=lambda seed: {"audit": True},
     ),
     "cm-lossy-setup": Scenario(
         "cm-lossy-setup",
@@ -361,8 +354,7 @@ SCENARIOS: Dict[str, Scenario] = {
         prepost=4,
         make_program=lambda: _ring_program(rounds=12, msg_bytes=512),
         make_plan=lambda seed: None,  # control-plane chaos only
-        on_demand=True,
-        make_cm_chaos=_cm_chaos_kwargs,
+        arming=_cm_lossy_arming,
     ),
     "incast-n1": Scenario(
         "incast-n1",
@@ -412,37 +404,32 @@ def chaos_cell(
     scheme: str,
     seed: int = 7,
     prepost: Optional[int] = None,
-    recovery: bool = False,
     congestion: Optional[str] = None,
-    ft: bool = False,
+    **arming: Any,
 ) -> Dict:
-    """Run one scheme under the named scenario and return its report entry.
+    """Run one scheme under the named scenario and return its report entry
+    — a projection of :meth:`repro.cluster.job.JobResult.report`.
 
     This is the unit of work the campaign orchestrator fans out
     (``repro.campaign``); :func:`run_chaos` assembles the same entries
     sequentially, so the two paths are bit-identical by construction.
 
-    With ``recovery=True`` the job runs under the connection recovery
-    subsystem and the entry gains a ``recovery`` sub-dict (reconnect
-    attempts/latency, messages replayed).  A job that loses a QP pair for
-    good reports ``completed: False`` with the structured failure records
-    instead of an exception string.
+    ``arming`` is ``run_job`` keywords (``recovery=True``, ``ft=True``)
+    merged over the scenario's own; ``recovery`` and ``ft`` add their
+    report sections to the entry.  A job that loses a QP pair or a rank
+    for good reports ``completed: False`` with the structured failure
+    records instead of an exception string; a bad ``arming`` raises — it
+    is the caller's bug, not a result.
 
-    With ``congestion`` set (``"pfc" | "ecn" | "both"``) the job runs with
-    the switch congestion subsystem armed in that mode and the entry gains
-    a ``congestion`` sub-dict (pause frames, ECN marks, drops, per-dest
+    With ``congestion`` set (``"pfc" | "ecn" | "both"``) the switch
+    congestion subsystem is armed in that mode and the entry gains a
+    ``congestion`` sub-dict (pause frames, ECN marks, drops, per-dest
     queue peaks) plus — for scenarios that define a victim flow —
     ``victim_finish_us``.
-
-    With ``ft=True`` the job runs under the rank-failure detector
-    (``repro.ft``): a ``rank_death`` plan completes with structured
-    ``RankFailure`` records and an ``ft`` sub-dict (pings, suspicions,
-    detection latency) instead of hanging until the watchdog fires.
     """
     sc = _scenario(scenario)
     depth = sc.prepost if prepost is None else prepost
     plan = sc.make_plan(seed)  # fresh plan (and RNG) per run
-    plan_end = plan.end_ns if plan is not None else 0
     config = sc.make_config() if sc.make_config is not None else None
     if congestion is not None:
         from repro.congestion import make_congestion_config
@@ -450,79 +437,46 @@ def chaos_cell(
         if config is None:
             config = TestbedConfig()
         config.ib.congestion = make_congestion_config(congestion)
-    cm_chaos = sc.make_cm_chaos(seed) if sc.make_cm_chaos is not None else None
+    armed = Arming(faults=plan, **{**sc.arming(seed), **arming})
     try:
-        result = run_job(
-            sc.make_program(), sc.nranks, scheme, depth,
-            config=config, faults=plan, recovery=recovery,
-            audit=sc.audit, on_demand=sc.on_demand, ft=ft,
-            cm_chaos=cm_chaos,
-        )
+        result = run_job(sc.make_program(), sc.nranks, scheme, depth,
+                         config=config, **vars(armed))
     except Exception as exc:  # deterministic failures are part of the report
         return {
             "completed": False,
             "error": f"{type(exc).__name__}: {exc}",
         }
-    mgr = result.recovery
-    if result.failures:
-        entry = {
-            "completed": False,
-            "elapsed_us": result.elapsed_us,
-            "failures": [f.to_dict() for f in result.failures],
-        }
-        if mgr is not None:
-            entry["recovery"] = mgr.summary()
-        if result.ft is not None:
-            stats = result.ft.stats()
-            stats.pop("failures", None)  # already in the entry, typed
-            entry["ft"] = stats
-        return entry
-    fc = result.fc
-    summary = result.tracer.summary()
-    entry = {
-        "completed": True,
-        "elapsed_us": result.elapsed_us,
-        "recovery_us": to_us(max(0, result.elapsed_ns - plan_end)),
-        "retransmissions": fc.retransmissions,
-        "rnr_naks": fc.rnr_naks,
-        "backlog_max": fc.backlog_max,
-        "backlogged_msgs": fc.backlogged_msgs,
-        "rndv_fallbacks": fc.rndv_fallbacks,
-        "ecm_msgs": fc.ecm_msgs,
-        "faults": {
-            name: total
-            for name, total in summary.items()
-            if name.startswith("faults.")
-        },
-    }
-    if sc.victim_rank is not None:
-        entry["victim_finish_us"] = to_us(result.rank_results[sc.victim_rank])
-    if result.congestion is not None:
-        entry["congestion"] = result.congestion.to_dict()
-    if mgr is not None:
-        entry["recovery"] = mgr.summary()
-    if result.ft is not None:
-        stats = result.ft.stats()
-        stats.pop("failures", None)
-        entry["ft"] = stats
-    if sc.on_demand:
-        entry["connections_established"] = result.connections_established
-        cm_counters = {
-            name: total
-            for name, total in summary.items()
-            if name.startswith("cm.")
-        }
-        if cm_counters:
-            entry["cm"] = cm_counters
+    doc = result.report()
+    entry = {"completed": doc["completed"], "elapsed_us": result.elapsed_us}
+    if doc["failures"]:
+        entry["failures"] = doc["failures"]
+    else:
+        fc = doc["fc"]
+        plan_end = plan.end_ns if plan is not None else 0
+        entry["recovery_us"] = to_us(max(0, doc["elapsed_ns"] - plan_end))
+        for name in ("retransmissions", "rnr_naks", "backlog_max",
+                     "backlogged_msgs", "rndv_fallbacks", "ecm_msgs"):
+            entry[name] = fc[name]
+        entry["faults"] = doc.get("faults", {})
+        if sc.victim_rank is not None:
+            entry["victim_finish_us"] = to_us(result.rank_results[sc.victim_rank])
+        if "congestion" in doc:
+            entry["congestion"] = doc["congestion"]
+        if "cm" in doc:
+            entry["connections_established"] = doc["cm"]["established"]
+        if doc.get("cm_chaos"):
+            entry["cm"] = doc["cm_chaos"]
+    for name in ("recovery", "ft"):
+        if name in doc:
+            entry[name] = doc[name]
     return entry
 
 
 def chaos_report_header(
-    scenario: str, seed: int = 7, prepost: Optional[int] = None,
-    recovery: bool = False, congestion: Optional[str] = None,
-    ft: bool = False,
+    scenario: str, seed: int = 7, prepost: Optional[int] = None, **arming: Any,
 ) -> Dict:
-    """The scenario-level fields shared by every scheme's entry."""
+    """The scenario-level fields shared by every scheme's entry; ``arming``
+    is what the caller hands :func:`chaos_cell`, recorded as given."""
     sc = _scenario(scenario)
     depth = sc.prepost if prepost is None else prepost
     plan = sc.make_plan(seed)
@@ -532,9 +486,10 @@ def chaos_report_header(
         "seed": seed,
         "nranks": sc.nranks,
         "prepost": depth,
-        "recovery": recovery,
-        "congestion": congestion,
-        "ft": ft,
+        "recovery": False,
+        "congestion": None,
+        "ft": False,
+        **arming,
         "fault_window_us": to_us(plan.end_ns) if plan is not None else 0.0,
         "schemes": {},
     }
@@ -545,18 +500,12 @@ def run_chaos(
     seed: int = 7,
     schemes: Iterable[str] = SCHEMES,
     prepost: Optional[int] = None,
-    recovery: bool = False,
-    congestion: Optional[str] = None,
-    ft: bool = False,
+    **arming: Any,
 ) -> Dict:
     """Run ``schemes`` under the named scenario; returns the robustness
     report as a plain dict (deterministic content for a fixed seed)."""
-    report = chaos_report_header(scenario, seed=seed, prepost=prepost,
-                                 recovery=recovery, congestion=congestion,
-                                 ft=ft)
+    report = chaos_report_header(scenario, seed=seed, prepost=prepost, **arming)
     for scheme in schemes:
         report["schemes"][scheme] = chaos_cell(
-            scenario, scheme, seed=seed, prepost=prepost, recovery=recovery,
-            congestion=congestion, ft=ft,
-        )
+            scenario, scheme, seed=seed, prepost=prepost, **arming)
     return report

@@ -46,13 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FTManager:
-    """Per-cluster failure detector and dead-rank bookkeeping."""
+    """One job's failure detector and dead-rank bookkeeping."""
 
-    def __init__(self, cluster: "Cluster", config: Optional[FTConfig] = None):
-        self.cluster = cluster
+    name = "ft"
+
+    def __init__(self, config: Optional[FTConfig] = None):
         self.config = config or FTConfig()
         self.config.validate()
-        self.sim = cluster.sim
+        self.cluster = self.sim = None  # set by arm()
 
         self.dead: Set[int] = set()  # declared dead (detector verdicts)
         self.injected: Set[int] = set()  # ground truth from the fault plan
@@ -75,12 +76,19 @@ class FTManager:
     # ------------------------------------------------------------------
     # installation
     # ------------------------------------------------------------------
-    def install(self) -> "FTManager":
+    def arm(self, cluster: "Cluster") -> None:
         """Attach to every endpoint (``ep._ft``) and the cluster."""
-        self.cluster.ft = self
-        for ep in self.cluster.endpoints:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        cluster.ft = self
+        for ep in cluster.endpoints:
             ep._ft = self
-        return self
+
+    def disarm(self) -> None:
+        """Undo :meth:`arm`: nobody watches peers or fails requests."""
+        self.cluster.ft = None
+        for ep in self.cluster.endpoints:
+            ep._ft = None
 
     # ------------------------------------------------------------------
     # hooks from the endpoint (all gated on ``ep._ft is not None``)
@@ -329,7 +337,8 @@ class FTManager:
         ep._ring_signal_fire()
 
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
+    def summary(self) -> dict:
+        """Detector activity (the records themselves are :attr:`failures`)."""
         return {
             "dead": sorted(self.dead),
             "suspicions": self.suspicions,
@@ -337,5 +346,4 @@ class FTManager:
             "pongs_sent": self.pongs_sent,
             "pongs_received": self.pongs_received,
             "proc_failed_requests": self.proc_failed,
-            "failures": [f.to_dict() for f in self.failures],
         }

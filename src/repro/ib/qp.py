@@ -410,6 +410,18 @@ class QueuePair:
         self._xport_limit = retry_limit
         self.reack_stale = True
 
+    def disable_transport_retry(self) -> None:
+        """The inverse of :meth:`enable_transport_retry`: back to the ideal
+        fabric's transport ``__init__`` builds (the fault plan that armed
+        this QP is gone; a later congestion drop arms it afresh)."""
+        self._xport_enabled = False
+        self._xport_timeout_ns = 0
+        self._xport_limit = INFINITE_RETRY
+        self.reack_stale = False
+        if self._xport_timer is not None:
+            self._xport_timer.cancel()
+            self._xport_timer = None
+
     def on_wire_loss(self, timeout_ns: int) -> None:
         """The fabric dropped one of this QP's requests (congestion tail
         drop): nothing will ever acknowledge it, so the ACK timeout must

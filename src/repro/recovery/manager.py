@@ -85,12 +85,13 @@ class _PairRecovery:
 
 
 class RecoveryManager:
-    """Per-cluster recovery driver, installed on every endpoint's
-    ``_recovery`` hook (zero-cost-when-absent, like the auditor)."""
+    """One job's recovery driver, armed on every endpoint's ``_recovery``
+    hook (zero-cost-when-absent, like the auditor)."""
 
-    def __init__(self, cluster, policy: Optional[RecoveryPolicy] = None):
-        self.cluster = cluster
-        self.sim = cluster.sim
+    name = "recovery"
+
+    def __init__(self, policy: Optional[RecoveryPolicy] = None):
+        self.cluster = self.sim = None  # set by arm()
         self.policy = policy or RecoveryPolicy()
         self._active: Dict[tuple, _PairRecovery] = {}
         self._attempts: Dict[tuple, int] = {}
@@ -103,11 +104,18 @@ class RecoveryManager:
         self.reconnect_ns_total = 0
         self.reconnect_ns_max = 0
 
-    def install(self) -> "RecoveryManager":
-        for ep in self.cluster.endpoints:
+    def arm(self, cluster) -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        for ep in cluster.endpoints:
             ep._recovery = self
-        self.cluster.recovery = self
-        return self
+        cluster.recovery = self
+
+    def disarm(self) -> None:
+        """Undo :meth:`arm`: a fatal completion is a failure record again."""
+        for ep in self.cluster.endpoints:
+            ep._recovery = None
+        self.cluster.recovery = None
 
     # ------------------------------------------------------------------
     # detection (called from Endpoint._handle_error_wc)

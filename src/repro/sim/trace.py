@@ -47,38 +47,8 @@ class Counter:
         return f"<Counter {self.name} total={self.total()}>"
 
 
-class Gauge:
-    """Tracks a current value and its high-water mark per key."""
-
-    __slots__ = ("name", "values", "peaks")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values: Dict[Any, int] = defaultdict(int)
-        self.peaks: Dict[Any, int] = defaultdict(int)
-
-    def set(self, key: Any, value: int) -> None:
-        self.values[key] = value
-        if value > self.peaks[key]:
-            self.peaks[key] = value
-
-    def adjust(self, key: Any, delta: int) -> None:
-        self.set(key, self.values[key] + delta)
-
-    def get(self, key: Any) -> int:
-        return self.values.get(key, 0)
-
-    def peak(self, key: Any = None) -> int:
-        if key is not None:
-            return self.peaks.get(key, 0)
-        return max(self.peaks.values()) if self.peaks else 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Gauge {self.name} peak={self.peak()}>"
-
-
 class Tracer:
-    """Aggregates counters/gauges and (optionally) a raw event log.
+    """Aggregates counters and (optionally) a raw event log.
 
     Parameters
     ----------
@@ -90,7 +60,6 @@ class Tracer:
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.records: List[Tuple[int, str, tuple]] = []
 
     def counter(self, name: str) -> Counter:
@@ -99,13 +68,6 @@ class Tracer:
         except KeyError:
             c = self.counters[name] = Counter(name)
             return c
-
-    def gauge(self, name: str) -> Gauge:
-        try:
-            return self.gauges[name]
-        except KeyError:
-            g = self.gauges[name] = Gauge(name)
-            return g
 
     def count(self, name: str, key: Any = None, amount: int = 1) -> None:
         self.counter(name).add(key, amount)
@@ -117,9 +79,18 @@ class Tracer:
     def records_of(self, kind: str) -> List[Tuple[int, str, tuple]]:
         return [r for r in self.records if r[1] == kind]
 
-    def summary(self) -> Dict[str, int]:
-        """Total of every counter — convenient for assertions and reports."""
-        return {name: c.total() for name, c in sorted(self.counters.items())}
+    def summary(self, prefix: str = "") -> Dict[str, int]:
+        """Total of every counter whose name starts with ``prefix``, in
+        sorted-name order — for assertions and the run report."""
+        return {name: c.total() for name, c in sorted(self.counters.items())
+                if name.startswith(prefix)}
+
+    def reset(self) -> None:
+        """Forget every counter and record: a reused cluster's next job
+        reports its own counts.  Fresh containers, so a snapshot or record
+        list handed out earlier keeps what it held."""
+        self.counters = {}
+        self.records = []
 
     def __iter__(self):
         """Iterate counters in sorted-name order.

@@ -189,9 +189,11 @@ def test_double_install_rejected():
 
     cluster = Cluster(None)
     cluster.launch(2, make_scheme("static"), prepost=4)
-    injector = FaultInjector(cluster, FaultPlan(seed=1))
-    injector.install()
+    injector = FaultInjector(FaultPlan(seed=1))
+    injector.arm(cluster)
     with pytest.raises(FaultInjectorError):
-        injector.install()
+        injector.arm(cluster)
     with pytest.raises(FaultInjectorError):
-        FaultInjector(cluster, FaultPlan(seed=2)).install()
+        FaultInjector(FaultPlan(seed=2)).arm(cluster)
+    injector.disarm()  # ... and a disarmed fabric takes the next plan
+    FaultInjector(FaultPlan(seed=2)).arm(cluster)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.check.auditor import Auditor, InvariantViolation
 from repro.cluster import Cluster, TestbedConfig, run_job
+from repro.cluster.on_demand import SetupChaos
 from repro.core import make_scheme
 from repro.faults import FaultPlan
 from repro.faults.scenarios import RANK_DEATH_VICTIM, _rank_death_program
@@ -107,7 +108,9 @@ def test_heartbeat_only_detection_when_transport_is_silent():
 
 def test_ft_stats_exposed_on_job_result():
     r = _run_death("dynamic")
-    stats = r.ft.stats()
+    stats = r.ft.summary()
+    assert stats == r.report()["ft"]
+    assert "failures" not in stats  # the records are JobResult.failures
     assert stats["dead"] == [VICTIM]
     assert stats["suspicions"] >= 1
     assert stats["proc_failed_requests"] >= 1
@@ -278,12 +281,10 @@ def test_cm_chaos_needs_on_demand():
 
 
 def test_cm_chaos_rejects_bad_parameters():
-    cluster = Cluster(TestbedConfig(nodes=2))
-    cluster.launch(2, make_scheme("static"), prepost=4, on_demand=True)
     with pytest.raises(ValueError):
-        cluster.cm.configure_chaos(loss_prob=1.0)
+        SetupChaos(loss_prob=1.0)
     with pytest.raises(ValueError):
-        cluster.cm.configure_chaos(delay_ns=-1)
+        SetupChaos(delay_ns=-1)
 
 
 # ----------------------------------------------------------------------

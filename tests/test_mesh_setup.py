@@ -288,7 +288,8 @@ def test_armed_auditor_observes_every_buffer_of_a_batch(scheme, prepost):
     nranks = 3
     cluster = Cluster(TestbedConfig(nodes=nranks))
     cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=True)
-    audit = _TallyingAuditor().attach(cluster)
+    audit = _TallyingAuditor()
+    audit.arm(cluster)
     for a in range(nranks):
         for b in range(a + 1, nranks):
             cluster.cm.request(cluster.endpoints[a], b)

@@ -169,7 +169,7 @@ def test_recovery_teardown_then_reestablish_on_demand():
     #    pair via the CM instead of leaving a zombie connection behind
     plan = (FaultPlan(seed=3, transport_timeout_ns=us(40),
                       transport_retry_limit=2)
-            .link_flap(lid=1, at_ns=cluster.sim.now + 1,
+            .link_flap(lid=1, at_ns=1,
                        duration_ns=10**12))
     policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
                             max_delay_ns=us(100), jitter_ns=us(5))
@@ -219,7 +219,7 @@ def test_teardown_destroys_both_qps():
 
     plan = (FaultPlan(seed=3, transport_timeout_ns=us(40),
                       transport_retry_limit=2)
-            .link_flap(lid=1, at_ns=cluster.sim.now + 1,
+            .link_flap(lid=1, at_ns=1,
                        duration_ns=10**12))
     policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
                             max_delay_ns=us(100), jitter_ns=us(5))
@@ -294,7 +294,7 @@ def test_repeated_teardown_of_same_pair_counts_each_loss():
         # break it for good: outage outlives transport + recovery budgets
         plan = (FaultPlan(seed=cycle, transport_timeout_ns=us(40),
                           transport_retry_limit=2)
-                .link_flap(lid=1, at_ns=cluster.sim.now + 1,
+                .link_flap(lid=1, at_ns=1,
                            duration_ns=10**12))
         bad = run_job(_pair_program(tag), 4, "static", prepost=4,
                       cluster=cluster, finalize=False, faults=plan,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.trace import Counter, Gauge, Tracer
+from repro.sim.trace import Counter, Tracer
 from repro.sim.units import (
     gbps_to_bytes_per_ns,
     mb_per_s,
@@ -80,17 +80,6 @@ def test_counter_keys_and_totals():
     assert dict(c.items()) == {("a", "b"): 4, ("c", "d"): 10}
 
 
-def test_gauge_peak_tracking():
-    g = Gauge("depth")
-    g.set("k", 5)
-    g.adjust("k", -2)
-    g.adjust("k", 10)
-    g.adjust("k", -8)
-    assert g.get("k") == 5
-    assert g.peak("k") == 13
-    assert g.peak() == 13
-
-
 def test_tracer_records_only_when_enabled():
     t = Tracer(enabled=False)
     t.record(10, "ev", 1)
@@ -108,12 +97,24 @@ def test_tracer_counters_always_work():
     t.count("ib.rnr_nak", (0, 1))
     t.count("fc.ecm", None, 5)
     assert t.summary() == {"fc.ecm": 5, "ib.rnr_nak": 2}
+    assert t.summary("ib.") == {"ib.rnr_nak": 2}
+
+
+def test_tracer_reset_starts_over_without_touching_what_was_handed_out():
+    t = Tracer(enabled=True)
+    t.count("ib.rnr_nak", (0, 1))
+    t.record(10, "ev", 1)
+    records, snapshot = t.records, t.snapshot()
+    t.reset()
+    assert t.summary() == {} and t.records == []
+    assert records == [(10, "ev", (1,))] and snapshot == {"ib.rnr_nak": {(0, 1): 1}}
+    t.count("ib.rnr_nak", (0, 1))
+    assert t.summary() == {"ib.rnr_nak": 1}
 
 
 def test_tracer_counter_identity_cached():
     t = Tracer()
     assert t.counter("a") is t.counter("a")
-    assert t.gauge("g") is t.gauge("g")
 
 
 def test_counter_snapshot_is_a_plain_detached_dict():

@@ -58,6 +58,16 @@ class ConnStats:
     ecm_credits: int = 0
 
 
+class IdleConnStats(ConnStats):
+    """What a rank's idle connections share (``Endpoint._idle_stats``): a count
+    written before ``Endpoint._engage`` raises, it does not land in P-2 other rows."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"idle ConnStats is read-only: .{name} before Endpoint._engage")
+
+
 class Connection:
     """State for one directed rank→rank link (shared by both directions:
     each rank owns its endpoint's Connection object to the peer)."""
@@ -120,7 +130,7 @@ class Connection:
         #: a ``deque`` from the first parked emission on
         self.deferred: Union[Deque[tuple], Tuple[()]] = ()
 
-        self.stats = ConnStats()
+        self.stats: ConnStats = endpoint._idle_stats  # its own from ``_engage`` on
 
     # ------------------------------------------------------------------
     # receiver-half helpers
@@ -132,8 +142,7 @@ class Connection:
 
     def reset_stats(self) -> None:
         """Fresh counters for a new job on a reused cluster."""
-        self.stats = ConnStats()
-        self.stats.max_prepost = self.prepost_target
+        self.stats = ConnStats(max_prepost=self.prepost_target)
 
     def refill_recv_buffers(self) -> int:
         """Post receive vbufs up to the budget; returns how many were

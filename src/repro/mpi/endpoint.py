@@ -31,7 +31,7 @@ from repro.ib.wr import RecvWR, SendWR, WC
 from repro.mpi import collectives
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
-from repro.mpi.connection import Connection, PendingSend
+from repro.mpi.connection import Connection, ConnStats, IdleConnStats, PendingSend
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
@@ -67,9 +67,9 @@ class Endpoint:
         "sim", "hca", "rank", "world_size", "config", "scheme",
         "requested_prepost", "tracer", "_ring_mode",
         "cq", "pool", "matching", "pindown", "bounce",
-        "connections", "_backlogged", "_engaged", "_ring_dirty", "_sends_open",
-        "_rndv_send", "_rndv_recv", "_coll_seq", "_connector", "_ring_notify",
-        "finalized", "_stall_until", "_stall_held",
+        "connections", "_backlogged", "_engaged", "_idle_stats", "_ring_dirty",
+        "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
+        "_ring_notify", "finalized", "_stall_until", "_stall_held",
         "_t_call", "_t_poll", "_eager_max",
         "_audit", "_recovery", "_ft", "_halted", "_halt_signal",
         "bytes_sent", "bytes_received", "wait_ns",
@@ -115,15 +115,12 @@ class Endpoint:
 
         self.connections: Dict[int, Connection] = {}
         self._backlogged: Set[int] = set()  # peers with non-empty backlog
-        #: peers whose connection ever left idle, either half (grow-only,
-        #: recorded on first use — its first send, backlogged send, parked
-        #: emission, arrival or flushed receive — not per message).  A
-        #: connection outside it
-        #: is field for field what :meth:`add_connection` built, so these
-        #: are all :meth:`_locally_quiescent` and the per-job passes
-        #: (``repro.core.stats``, ``repro.core.memory``) need to look at,
-        #: where a mesh holds P-1 connections per rank
+        #: peers whose connection :meth:`_engage` took out of idle (grow-only): all
+        #: that :meth:`_locally_quiescent` and the per-job passes look at.  Any other
+        #: is as :meth:`add_connection` built it and counts on the shared ``_idle_stats``
         self._engaged: Set[int] = set()
+        self._idle_stats = ConnStats(max_prepost=requested_prepost)
+        self._idle_stats.__class__ = IdleConnStats  # frozen from here on
         #: peers whose RDMA ring holds arrived-but-unprocessed messages
         #: (dirty-flag wakeups: the progress engine only looks at these
         #: instead of scanning every connection per poll)
@@ -173,6 +170,12 @@ class Endpoint:
     # ------------------------------------------------------------------
     # wiring (done by the cluster builder before programs start)
     # ------------------------------------------------------------------
+    def _engage(self, conn: Connection) -> None:
+        """The one idle → engaged transition: on a connection's first use, not per message."""
+        self._engaged.add(conn.peer)
+        if conn.stats is self._idle_stats:  # from here it counts on its own
+            conn.stats = ConnStats(max_prepost=conn.prepost_target)
+
     def add_connection(self, peer: int, conn: Connection) -> None:
         self.connections[peer] = conn
         conn.recv_wr = RecvWR(wr_id=peer, capacity=self.config.vbuf_bytes)
@@ -704,9 +707,7 @@ class Endpoint:
             conn = self._conn_of(wc)
             if conn is not None:
                 conn.recv_posted -= 1
-                # the flushed receives of a connection that never carried
-                # a message (severed from a dead rank it never talked to)
-                self._engaged.add(conn.peer)
+                self._engage(conn)  # severed from a dead rank it may never have talked to
             return None
         self._sends_open -= 1
         if self._sends_open < 0:
@@ -791,7 +792,7 @@ class Endpoint:
         RDMA ring (``h.via_ring``; the caller charges the ring poll)."""
         cost = self.config.header_proc_ns
         if not conn.seq_in_expected:  # its first arrival: the connection leaves idle
-            self._engaged.add(conn.peer)
+            self._engage(conn)
         conn.seq_in_expected += 1
 
         if self._ft is not None:
@@ -1005,7 +1006,7 @@ class Endpoint:
         self._sends_open += 1
         qp = conn.qp
         if type(qp._sq) is tuple:  # its first send: the connection leaves idle
-            self._engaged.add(conn.peer)
+            self._engage(conn)
         qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
 
     def _emit(
@@ -1047,7 +1048,7 @@ class Endpoint:
                 # the QP re-arms (and the fresh ring is wired).
                 if type(conn.deferred) is tuple:  # first use
                     conn.deferred = deque()
-                    self._engaged.add(conn.peer)
+                    self._engage(conn)
                 conn.deferred.append((header, ref))
                 return 0
             # all pending return-credits ride this message
@@ -1138,7 +1139,7 @@ class Endpoint:
         backlog = conn.backlog
         if type(backlog) is tuple:  # first use
             backlog = conn.backlog = deque()
-            self._engaged.add(conn.peer)
+            self._engage(conn)
         backlog.append(pending)
         if self._audit is not None:
             self._audit.on_backlog_enqueue(conn, pending.header)

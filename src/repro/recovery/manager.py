@@ -148,8 +148,8 @@ class RecoveryManager:
         conn_ab.recovering = True
         conn_ba.recovering = True
         # either end may never have sent (its flushed receives start this)
-        ep_a._engaged.add(b)
-        ep_b._engaged.add(a)
+        ep_a._engage(conn_ab)
+        ep_b._engage(conn_ba)
         # Force the surviving half to ERROR too: its queued WRs flush to
         # its owner's CQ, where they are collected as replay candidates.
         conn_ab.qp.force_error()

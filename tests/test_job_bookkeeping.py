@@ -6,10 +6,11 @@ The three full scans below are the bodies ``repro.core.stats`` and
 ``repro.core.memory`` had before, kept here verbatim as the oracles.  What
 lets the shipped passes skip a connection is one invariant, checked here
 too: a connection outside ``Endpoint._engaged`` is, field for field, what
-``Endpoint.add_connection`` built.
+``Endpoint.add_connection`` built — down to its counters, which are the
+rank's one read-only idle ``ConnStats`` until ``Endpoint._engage``.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -25,7 +26,8 @@ from repro.core.memory import (
 from repro.core.stats import FlowControlReport, collect_report, reset_counters
 from repro.faults import FaultPlan
 from repro.faults.scenarios import SCENARIOS
-from repro.mpi.connection import Connection
+from repro.mpi.connection import Connection, ConnStats, IdleConnStats
+from repro.mpi.endpoint import Endpoint
 from repro.sim.units import us
 from repro.workloads.nas import KERNELS
 from tests.test_quiescence import _ring, _starved_flood
@@ -176,7 +178,18 @@ def assert_idle_connections_are_as_built(cluster):
                 queues = not ep._halted
                 assert _state(conn, queues) == _state(
                     fresh_ep.connections[peer], queues), (ep.rank, peer)
+        assert_idle_iff_sharing_the_ranks_counters(ep, fresh_ep)
     return idle
+
+
+def assert_idle_iff_sharing_the_ranks_counters(ep, fresh_ep):
+    """Outside ``_engaged`` ⇔ counting on the endpoint's one idle
+    ``ConnStats``, which is still what a just-launched endpoint holds."""
+    shared = ep._idle_stats
+    assert type(shared) is IdleConnStats
+    assert shared == fresh_ep._idle_stats and shared is not fresh_ep._idle_stats
+    for peer, conn in ep.connections.items():
+        assert (peer in ep._engaged) == (conn.stats is not shared), (ep.rank, peer)
 
 
 def _connection_counters(endpoints):
@@ -332,3 +345,47 @@ def test_the_scaling_cell_reads_its_posted_buffers_off_the_report(monkeypatch, o
                                         "prepost": 1, "on_demand": on_demand})
     assert metrics["posted_buffers"] == sum(
         c.recv_posted for ep in jobs[0].endpoints for c in ep.connections.values()) > 0
+
+
+# ----------------------------------------------------------------------
+# an idle connection counts on its endpoint's read-only ConnStats:
+# forgetting Endpoint._engage is an exception at the offending line, not a
+# count added to every other idle connection's row
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("job", CORPUS.values(), ids=CORPUS.keys())
+def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
+    cluster, _ = job()  # job 1: the first test of this file, through the same helper
+    eps = cluster.endpoints
+    if any(ep._halted for ep in eps):
+        return  # a dead rank stays dead: nothing runs on this cluster again
+    ep = eps[0]
+    r = run_job(_ring, len(eps), ep.scheme.name, ep.requested_prepost,
+                cluster=cluster, finalize=False)
+    assert r.fc == collect_report(eps) == full_collect_report(eps)
+    assert (r.memory == collect_memory_report(eps, cluster.config)
+            == full_collect_memory_report(eps, cluster.config))
+    assert r.fc.total_msgs > 0
+    assert_idle_connections_are_as_built(cluster)
+
+
+def test_the_shared_idle_counters_cannot_be_written():
+    cluster = Cluster(TestbedConfig(nodes=3))
+    ep = cluster.launch(3, make_scheme("dynamic"), 2, on_demand=False)[0]
+    shared = ep._idle_stats
+    assert all(conn.stats is shared for conn in ep.connections.values())
+    for f in fields(ConnStats):
+        with pytest.raises(AttributeError, match=rf"ConnStats.*\.{f.name}\b"):
+            setattr(shared, f.name, getattr(shared, f.name) + 1)
+    with pytest.raises(AttributeError, match="ConnStats"):
+        shared.__class__ = ConnStats  # no thawing it either
+    assert astuple(shared) == astuple(ConnStats(max_prepost=2))  # nothing landed
+
+
+def test_a_site_that_forgets_to_engage_raises_at_its_first_count(monkeypatch):
+    """The mutation: ``_engage`` only records the peer.  The first counted
+    message of the job raises — no report comes back with the count spread
+    over the rank's other idle connections."""
+    monkeypatch.setattr(Endpoint, "_engage",
+                        lambda ep, conn: ep._engaged.add(conn.peer))
+    with pytest.raises(AttributeError, match=r"idle ConnStats is read-only: \.msgs_sent"):
+        run_job(_ring, 4, "static", 2)

@@ -234,6 +234,30 @@ def test_no_per_job_pass_scans_the_connection_table():
                       "reset_counters", "collect_memory_report"}
 
 
+def test_one_idle_to_engaged_transition_owns_the_set_and_the_counters():
+    from repro.mpi.connection import Connection
+    from repro.mpi.endpoint import Endpoint
+
+    # the set grows at one site, and the recovery manager goes through it
+    assert _modules_matching(r"_engaged\.add\(") == {"mpi/endpoint.py"}
+    assert _src("mpi/endpoint.py").count("_engaged.add(") == 1
+    engage = inspect.getsource(Endpoint._engage)
+    assert "_engaged.add(" in engage
+    assert "_engaged" not in _src("recovery/manager.py")
+    # counters are built where a connection gets its own (reset_stats,
+    # _engage) and, once per rank, as the frozen idle object
+    assert _modules_matching(r"ConnStats\(") == {"mpi/connection.py", "mpi/endpoint.py"}
+    builders = engage + inspect.getsource(Endpoint.__init__)
+    assert _src("mpi/endpoint.py").count("ConnStats(") == builders.count("ConnStats(") == 2
+    # ... and "fresh counters for this connection" has one spelling
+    assert "ConnStats(max_prepost=conn.prepost_target)" in engage
+    assert "ConnStats(max_prepost=self.prepost_target)" in inspect.getsource(Connection.reset_stats)
+    # nothing else asks whether a connection is idle by looking at them
+    is_idle = r"\bis\s+(?:not\s+)?[\w.]*_idle_stats"
+    assert _modules_matching(is_idle) == {"mpi/endpoint.py"}
+    assert len(re.findall(is_idle, _src("mpi/endpoint.py"))) == len(re.findall(is_idle, engage)) == 1
+
+
 # ----------------------------------------------------------------------
 # a subsystem arms, disarms and reports itself (DESIGN §6.7): run_job
 # loops over the armed tuple, a finished job is read through report(), and

@@ -22,7 +22,6 @@ import json
 import os
 import pathlib
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -264,6 +263,10 @@ def run_cells(
                     continue
                 commit(out, record, time.monotonic() - t0, "run")
         elif pending:
+            # here, not at module top: it loads multiprocessing and ~30
+            # modules more, which an in-process campaign never uses
+            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 launched: Dict[Any, tuple] = {}
                 for out in pending:

@@ -65,8 +65,9 @@ class Cluster:
         return rank % self.config.nodes
 
     # A mesh is P*(P-1) long-lived connections and no garbage: collector
-    # passes over the growing heap were more than half the set-up time.
-    @gc_paused()
+    # passes over the growing heap were more than half the set-up time, and
+    # the one pass that files it with the old generation is paid here.
+    @gc_paused(settle=True)
     def launch(
         self,
         nranks: int,
@@ -141,11 +142,13 @@ class Cluster:
 
     def reset_stats(self) -> None:
         """Zero the observability counters between jobs on a reused
-        cluster: the tracer's, and what the reports read off endpoints,
-        QPs and switch ports (:func:`repro.core.stats.reset_counters`)."""
+        cluster: the tracer's, the fabric's, and what the reports read off
+        endpoints, QPs and switch ports
+        (:func:`repro.core.stats.reset_counters`)."""
         from repro.core.stats import reset_counters
 
         self.tracer.reset()
+        self.fabric.reset_counters()
         reset_counters(self.endpoints, congestion=self.fabric.congestion)
 
     def __repr__(self) -> str:  # pragma: no cover

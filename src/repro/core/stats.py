@@ -217,6 +217,10 @@ def reset_counters(endpoints: Iterable["Endpoint"],
         pool.acquisitions = 0
         pool.releases = 0
         pool.exhaustion_events = 0
+        ep.cq.total_completions = 0
+        matching = ep.matching
+        matching.total_unexpected = 0
+        matching.unexpected_peak = matching.unexpected_count
         for conn in engaged_connections(ep):
             conn.reset_stats()
             qp = conn.qp

@@ -10,8 +10,7 @@ analogue of the verbs completion-channel / ``ibv_req_notify_cq`` pattern.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.ib.wr import WC
 from repro.sim import Signal, Simulator
@@ -29,7 +28,7 @@ class CompletionQueue:
         self.depth = depth
         self.name = name
         self._notify_name = f"{name}.notify"  # one per blocking wait
-        self._entries: Deque[WC] = deque()
+        self._entries: List[WC] = []  # ``depth`` bounds it: a list, DESIGN §6.4
         self._notify: Optional[Signal] = None
         #: total completions ever pushed (observability)
         self.total_completions = 0
@@ -51,11 +50,13 @@ class CompletionQueue:
     # ------------------------------------------------------------------
     def poll(self, max_entries: int = 0) -> List[WC]:
         """Drain up to ``max_entries`` completions (0 = all)."""
-        if max_entries <= 0 or max_entries >= len(self._entries):
-            out = list(self._entries)
-            self._entries.clear()
-            return out
-        return [self._entries.popleft() for _ in range(max_entries)]
+        entries = self._entries
+        if max_entries <= 0 or max_entries >= len(entries):
+            self._entries = []
+            return entries
+        out = entries[:max_entries]
+        del entries[:max_entries]
+        return out
 
     def remove_errors(self, qp_num: int) -> List[WC]:
         """Remove and return ``qp_num``'s un-polled error completions
@@ -63,7 +64,7 @@ class CompletionQueue:
         completions stay put: they are real deliveries from before the
         fault and must still be polled in FIFO order."""
         removed: List[WC] = []
-        kept: Deque[WC] = deque()
+        kept: List[WC] = []
         for wc in self._entries:
             if not wc.ok and wc.qp_num == qp_num:
                 removed.append(wc)

@@ -95,6 +95,14 @@ class Fabric:
         self._up_busy[lid] = 0
         self._down_busy[lid] = 0
 
+    def reset_counters(self) -> None:
+        """Zero the observability counters (between jobs on a reused
+        cluster).  The busy-until tables are protocol state and stay."""
+        self.messages_sent = 0
+        self.payload_bytes = 0
+        self.wire_bytes = 0
+        self.control_msgs = 0
+
     def hca_at(self, lid: int) -> Any:
         try:
             return self._lids[lid]

@@ -142,6 +142,12 @@ class FatTreeFabric(Fabric):
             ("sdown", s_dst, dst_leaf),
         )
 
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.cross_leaf_msgs = 0
+        self.cross_pod_msgs = 0
+        self.link_msgs.clear()  # ``_path_cache`` is topology, not a count
+
     def _route(self, src_lid: int, dst_lid: int) -> tuple:
         """:meth:`Fabric.transmit`'s per-message hook: the interior links
         of the route, with the message counted on every link it takes."""

@@ -19,8 +19,7 @@ protocol side.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
@@ -51,7 +50,7 @@ class HCA:
         self.mrs = RegistrationTable(lid)
         self._qps: Dict[int, QueuePair] = {}
         self._next_qpn = lid * 10_000 + 1
-        self._ready: Deque[QueuePair] = deque()
+        self._ready: List[QueuePair] = []  # round-robin; each QP at most once
         self._in_ready: set = set()
         self._send_busy = 0
         #: send-engine time per WQE (IBConfig is frozen once traffic flows)
@@ -67,7 +66,7 @@ class HCA:
         #: receive-engine burst FIFO: (service_done_ns, msg) in arrival
         #: order.  One armed agenda event services the whole burst head-to
         #: -tail instead of one heap entry per in-flight packet.
-        self._rx_fifo: Deque[tuple] = deque()
+        self._rx_fifo: List[tuple] = []
         self._rx_armed = False
         # These go onto the agenda once per message; prebinding avoids a
         # bound-method allocation per scheduling.
@@ -182,7 +181,7 @@ class HCA:
             return
         # Round-robin: find the first currently-eligible ready QP.
         for _ in range(len(self._ready)):
-            qp = self._ready.popleft()
+            qp = self._ready.pop(0)
             self._in_ready.discard(qp.qp_num)
             wr = qp._take_injectable()
             if wr is None:
@@ -232,7 +231,7 @@ class HCA:
         """Service the head of the receive-engine FIFO (one event per
         message, re-armed before protocol processing so burst arrivals keep
         their engine-service order)."""
-        done, msg = self._rx_fifo.popleft()
+        done, msg = self._rx_fifo.pop(0)
         if self._rx_fifo:
             self._rx_armed = True
             self.sim.call_at(self._rx_fifo[0][0], self._rx_service)

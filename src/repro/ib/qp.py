@@ -24,9 +24,8 @@ blasting the full window into a NAK storm.
 
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.ib.mr import RemoteAccessError
 from repro.ib.types import INFINITE_RETRY, Opcode, QPState, WCStatus
@@ -127,10 +126,10 @@ class QueuePair:
         self.epoch = 0
 
         # --- requester state ---
-        #: waiting to inject (incl. replays), and msn -> WR awaiting its
-        #: ACK; shared empties until the first :meth:`post_send` — most
-        #: mesh QPs never send
-        self._sq: Union[Deque[SendWR], Tuple[()]] = ()
+        #: waiting to inject (incl. replays; a list from the first
+        #: :meth:`post_send` on), and msn -> WR awaiting its ACK; shared
+        #: empties until then — most mesh QPs never send
+        self._sq: Union[List[SendWR], Tuple[()]] = ()
         self._inflight: Union[Dict[int, SendWR], MappingProxyType] = _NONE_INFLIGHT
         self._next_msn = 0
         self._rnr_waiting = False
@@ -140,8 +139,9 @@ class QueuePair:
         self._sends_inflight = 0
 
         # --- responder state ---
-        #: posted receive WQEs, FIFO.  A list, not a deque: an idle mesh
-        #: connection holds one to four, and a deque's first block is 760 B
+        #: posted receive WQEs, FIFO.  A list, not a deque (``rq_depth``
+        #: bounds it — DESIGN §6.4): an idle mesh connection holds one to
+        #: four, and a deque's first block is 760 B
         self._rq: List[RecvWR] = []
         self._expected_msn = 0
 
@@ -246,7 +246,7 @@ class QueuePair:
         if len(sq) + len(self._inflight) >= self.hca.sq_depth:
             raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.hca.sq_depth})")
         if type(sq) is tuple:  # first use
-            sq = self._sq = deque()
+            sq = self._sq = []  # sq_depth bounds it: a list, not a deque
             self._inflight = {}
         sq.append(wr)
         self.hca._kick(self)
@@ -292,7 +292,7 @@ class QueuePair:
         wr = self._next_injectable()
         if wr is None:
             return None
-        self._sq.popleft()
+        del self._sq[0]
         if wr.msn < 0:
             wr.msn = self._next_msn
             self._next_msn += 1
@@ -386,14 +386,14 @@ class QueuePair:
         head of the send queue, in MSN order (go-back-N: later messages
         were discarded by the responder's in-order filter)."""
         inflight = self._inflight
-        sq = self._sq  # a deque: whatever is in flight was posted through it
+        sq = self._sq  # a list: whatever is in flight was posted through it
         for msn in sorted((m for m in inflight if m >= first_msn), reverse=True):
             wr = inflight.pop(msn)
             if wr.opcode is Opcode.SEND:
                 self._sends_inflight -= 1
                 if self._credit_est is not None:
                     self._credit_est += 1
-            sq.appendleft(wr)
+            sq.insert(0, wr)
 
     # ------------------------------------------------------------------
     # requester: transport (ACK timeout) retries — armed by a fault plan or

@@ -13,8 +13,7 @@ big) but must not deadlock — tests cover a 2-buffer pool.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
+from typing import List
 
 from repro.sim import Signal, Simulator
 
@@ -33,7 +32,7 @@ class SendBufferPool:
         self.capacity = count
         self.vbuf_bytes = vbuf_bytes
         self.free = count
-        self._waiters: Deque[Signal] = deque()
+        self._waiters: List[Signal] = []  # at most one per sending process
         # observability
         self.min_free = count
         self.acquisitions = 0
@@ -61,7 +60,7 @@ class SendBufferPool:
         # sender at the same instant for a single buffer (all but one
         # re-park, and the re-append scrambles the FIFO ordering).
         if self._waiters:
-            self._waiters.popleft().fire(self.sim, None)
+            self._waiters.pop(0).fire(self.sim, None)
 
     def wait_available(self) -> Signal:
         """A signal firing once a buffer is (or already is) free.  Caller

@@ -93,7 +93,8 @@ class Connection:
         # --- sender half ---
         self.credits = 0
         #: FIFO of sends that found no credit; a ``deque`` from the first
-        #: ``Endpoint._enqueue_backlog`` on
+        #: ``Endpoint._enqueue_backlog`` on (only the application bounds its
+        #: depth, so not a list — DESIGN §6.4)
         self.backlog: Union[Deque[PendingSend], Tuple[()]] = ()
         self.fallback_inflight = 0  # outstanding optimistic handshakes
         self.seq_out = 0

@@ -13,8 +13,7 @@ Semantics follow the MPI standard:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mpi.protocol import Header
 from repro.mpi.request import Request
@@ -57,8 +56,9 @@ class MatchingEngine:
     """Per-rank matching state."""
 
     def __init__(self) -> None:
-        self._posted: Deque[PostedRecv] = deque()
-        self._unexpected: Deque[UnexpectedMsg] = deque()
+        # lists: both are scanned linearly and ``del q[i]``-ed (DESIGN §6.4)
+        self._posted: List[PostedRecv] = []
+        self._unexpected: List[UnexpectedMsg] = []
         # observability
         self.unexpected_peak = 0
         self.total_unexpected = 0

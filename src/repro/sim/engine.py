@@ -71,7 +71,7 @@ def _as_int_ns(value: Any, what: str) -> int:
 
 
 @contextmanager
-def gc_paused() -> Iterator[None]:
+def gc_paused(settle: bool = False) -> Iterator[None]:
     """Pause the cyclic collector for the duration of the block (or, as a
     decorator, of the call), leaving it as it was found — also on error,
     also when it was already off.
@@ -80,6 +80,13 @@ def gc_paused() -> Iterator[None]:
     and free none the collector could help with: the event loop, and the
     mesh build, where generation-0 passes fire every 700 allocations over
     an ever-growing heap and reclaim nothing.
+
+    ``settle``: the block built long-lived state (a mesh), which the
+    collector would walk twice more as it ages — the second time inside
+    whatever job runs ten passes later.  If more young objects are left
+    than a generation-1 pass ever sees unpaused, one such pass here files
+    them with the old generation; a small build keeps to the collector's
+    own schedule (its garbage should die young).
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -87,6 +94,10 @@ def gc_paused() -> Iterator[None]:
         yield
     finally:
         if was_enabled:
+            if settle:
+                gen0, gen1, _ = gc.get_threshold()
+                if gc.get_count()[0] > gen0 * gen1:
+                    gc.collect(1)
             gc.enable()
 
 

@@ -7,6 +7,9 @@ records bit-identical to the in-process reference path.
 """
 
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -305,6 +308,30 @@ def test_worker_pool_failure_is_reported(tmp_path):
     res = run_cells([bad, tiny_grid()[0]], workers=2, strict=False)
     assert len(res.failures) == 1
     assert "no-such-scheme" in res.failures[0].error
+
+
+def test_only_a_worker_pool_campaign_loads_multiprocessing():
+    """``import repro.campaign`` is every ``repro latency`` / ``bandwidth``
+    / ``sweep --workers 1`` and every ledger child: ``concurrent.futures``
+    (and with it ``multiprocessing`` and ~30 modules) loads where the pool
+    is built, not at module top."""
+    child = """
+import sys
+from repro.campaign import JobSpec, canonical_json, run_cells
+specs = [JobSpec("latency", {"scheme": "static", "size": size,
+                             "iterations": 3, "prepost": 10}) for size in (4, 64)]
+assert "multiprocessing" not in sys.modules, "loaded by the import"
+seq = run_cells(specs)
+assert "multiprocessing" not in sys.modules, "loaded by an in-process campaign"
+pooled = run_cells(specs, workers=2)
+assert "multiprocessing" in sys.modules
+assert [o.source for o in pooled.outcomes] == ["worker", "worker"]
+assert canonical_json(pooled.records()) == canonical_json(seq.records())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

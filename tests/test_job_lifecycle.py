@@ -328,6 +328,63 @@ def test_counters_are_per_job_like_the_flow_control_report():
     assert len(set(naks)) == 1
 
 
+def _layer_counts(cluster):
+    """The counters the fabric, the CQs and the matching engines keep for
+    themselves (no report reads them; tests and benchmarks do)."""
+    fabric, eps = cluster.fabric, cluster.endpoints
+    return {
+        "messages_sent": fabric.messages_sent,
+        "control_msgs": fabric.control_msgs,
+        "payload_bytes": fabric.payload_bytes,
+        "wire_bytes": fabric.wire_bytes,
+        "cross_leaf_msgs": fabric.cross_leaf_msgs,
+        "cross_pod_msgs": fabric.cross_pod_msgs,
+        "link_msgs": dict(fabric.link_msgs),
+        "total_completions": [ep.cq.total_completions for ep in eps],
+        "total_unexpected": [ep.matching.total_unexpected for ep in eps],
+        "unexpected_peak": [ep.matching.unexpected_peak for ep in eps],
+    }
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+def test_the_layers_own_counters_are_per_job_too(on_demand):
+    """Nothing reset the fabric's, the CQs' or the matching engines' own
+    counters either: ``fabric.messages_sent`` read 224, 448, 672 over three
+    identical jobs whose ``fc.total_msgs`` read 224, 224, 224.  Plain →
+    plain → plain on one cluster, each against a fresh cluster's counts
+    (``hardware``: no credit state for an earlier job to leave behind)."""
+    nranks = 32
+
+    def crossed_ring(mpi):  # tag 0 lands before its receive: unexpected
+        nxt, prv = (mpi.rank + 9) % nranks, (mpi.rank - 9) % nranks
+        sreqs = []
+        for tag in (0, 1):
+            sreqs.append((yield from mpi.isend(nxt, size=1024, tag=tag)))
+        for tag in (1, 0):
+            yield from mpi.recv(prv, capacity=4096, tag=tag)
+        yield from mpi.waitall(sreqs)
+
+    def launch():  # four pods of two 4-host leaves: stride 9 crosses pods
+        cluster = Cluster(TestbedConfig(
+            nodes=nranks, topology="fat-tree", levels=3, leaf_ports=4,
+            pod_leaves=2, spines=2, cores=2))
+        cluster.launch(nranks, make_scheme("hardware"), 2, on_demand=on_demand)
+        return cluster
+
+    fresh = launch()
+    total = run_job(crossed_ring, nranks, "hardware", 2, cluster=fresh).fc.total_msgs
+    expected = _layer_counts(fresh)
+    assert expected["messages_sent"] == total > 0
+    assert expected["cross_pod_msgs"] > 0 and expected["link_msgs"]
+    assert sum(expected["total_unexpected"]) == nranks
+    assert set(expected["unexpected_peak"]) == {1}
+
+    cluster = launch()
+    for _ in range(3):
+        run_job(crossed_ring, nranks, "hardware", 2, cluster=cluster)
+        assert _layer_counts(cluster) == expected
+
+
 def test_a_reused_cluster_keeps_the_prepost_it_was_launched_with():
     cluster = _launch("static", on_demand=False, prepost=2)
     with pytest.raises(ValueError, match="prepost 2, job wants 100"):

@@ -5,6 +5,8 @@ and reproduce the paper's scalability headline — on-demand pinned bytes
 track the communication graph, full-mesh pinned bytes track P².
 """
 
+import contextlib
+import gc
 import tracemalloc
 
 import pytest
@@ -132,21 +134,29 @@ def test_mesh_model_is_quadratic():
 # connection is *charged*; this is what one idle connection costs the
 # simulator's own heap
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _traced():
+    """``tracemalloc`` on for the block (and left as found); yields the
+    reader of the live traced bytes."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        yield lambda: tracemalloc.get_traced_memory()[0]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def _host_bytes_per_idle_connection(scheme, prepost, nranks=32):
     """``tracemalloc`` growth over ``Cluster.launch`` of a full mesh, per
     connection (its QP, Connection, stats, descriptor, posted WQEs and
     the two table entries)."""
     cluster = Cluster(TestbedConfig(nodes=nranks))
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with _traced() as live:
+        before = live()
         cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+        grown = live() - before
     return grown / (nranks * (nranks - 1))
 
 
@@ -161,7 +171,9 @@ def test_idle_mesh_connection_host_heap_budget():
     ring-only fields folded into one ``Connection.ring`` (None here),
     ~1,016 B with ``Endpoint`` slotted (its instance dict was 1/31 of
     this 32-rank measure), ~893 B with one read-only idle ``ConnStats``
-    shared per rank (``Endpoint._engage`` hands a connection its own).
+    shared per rank (``Endpoint._engage`` hands a connection its own),
+    ~804 B with the rank's own FIFOs lists (nothing per connection: four
+    deques' 2,816 B a rank, 1/31 of it at this 32-rank measure).
     Deterministic for a given interpreter; the bound is the measured
     value + 30 B — room for a CPython whose object headers differ, not
     for a new per-connection field.
@@ -170,7 +182,7 @@ def test_idle_mesh_connection_host_heap_budget():
     first few costs one pointer."""
     for scheme in SCHEMES:
         floor = _host_bytes_per_idle_connection(scheme, 1)
-        assert floor <= 923, (scheme, floor)
+        assert floor <= 834, (scheme, floor)
         deep = _host_bytes_per_idle_connection(scheme, 100)
         assert (deep - floor) / 99 <= 9, (scheme, floor, deep)
 
@@ -180,11 +192,95 @@ def test_idle_ring_connection_host_heap_budget():
     and the registered region's bookkeeping) to every connection: its own
     ceiling (2,762 B while the receive queue was a deque, ~1,980 B with
     it a list, ~1,880 B with the channel slotted and holding both halves,
-    ~1,708 B now that the idle ``ConnStats`` is shared — the same 124 B
-    and the same + 30 rule as above), and no object per slot — ring
+    ~1,708 B with the idle ``ConnStats`` shared, ~1,619 B with the rank's
+    FIFOs lists — the same steps and the same + 30 rule as above), and no
+    object per slot — ring
     slots are bytes of one region (what moves with the depth is the size
     of a few address integers)."""
     floor = _host_bytes_per_idle_connection("rdma-eager", 1)
-    assert floor <= 1_738, floor
+    assert floor <= 1_649, floor
     deep = _host_bytes_per_idle_connection("rdma-eager", 100)
     assert (deep - floor) / 99 <= 1, (floor, deep)
+
+
+# ----------------------------------------------------------------------
+# ... what a rank costs before it has a single connection, and what a
+# connection's first traffic adds: the FIFOs a configured depth bounds are
+# lists (DESIGN §6.4 "Why a list"), a deque's first block is 760 B
+# ----------------------------------------------------------------------
+def _host_bytes_per_on_demand_rank(scheme, nranks=64):
+    """``tracemalloc`` growth over building and launching an on-demand
+    cluster, per rank: its ``HCA``, ``Endpoint``, CQ, matching engine, vbuf
+    pool and tables — no connection yet (the fabric, the simulator and the
+    tracer are in it once, ~1 % at 64 ranks)."""
+    with _traced() as live:
+        before = live()
+        cluster = Cluster(TestbedConfig(nodes=nranks))
+        cluster.launch(nranks, make_scheme(scheme), 1, on_demand=True)
+        grown = live() - before
+    return grown / nranks
+
+
+def test_on_demand_rank_host_heap_budget():
+    """At 1,024 on-demand ranks the ranks *are* the set-up's heap
+    (``scale1024_od``): ~8,689 B each while the six FIFOs built with every
+    rank — the CQ's entries, the adapter's ready ring and receive-engine
+    burst, the matching engine's two queues, the pool's wait-list — were
+    deques (6 x 760 B of first blocks, all empty), ~4,468 B with them
+    lists.  The bound is the measured value + 5 %."""
+    _host_bytes_per_on_demand_rank("static")  # first-launch caches
+    for scheme in SCHEMES + ("rdma-eager",):
+        per_rank = _host_bytes_per_on_demand_rank(scheme)
+        assert per_rank <= 4_690, (scheme, per_rank, "parent: 8,689")
+
+
+def _swap(pairs):
+    """One eager message each way between every ``a: b`` of ``pairs``."""
+
+    def program(mpi):
+        peer = pairs.get(mpi.rank)
+        if peer is not None:
+            rreq = yield from mpi.irecv(source=peer, capacity=64)
+            yield from mpi.send(peer, size=4)
+            yield from mpi.wait(rreq)
+
+    return program
+
+
+def _host_bytes_idle_to_engaged(scheme, nranks=8):
+    """Live-heap growth of one mesh connection from idle to engaged: one
+    eager send each way between ranks 2k and 2k+1, whose first traffic
+    (rank r with rank r + 4) an earlier job already paid for.  Traced from
+    before the cluster exists, so an object a job replaces nets to zero;
+    eight connections, so what the harness itself allocates between the
+    two readings (a few dozen bytes under some plugins) stays under 1 %."""
+    half = nranks // 2
+    far = {r: (r + half) % nranks for r in range(nranks)}
+    near = {r: r ^ 1 for r in range(nranks)}
+    with _traced() as live:
+        cluster = Cluster(TestbedConfig(nodes=nranks))
+        cluster.launch(nranks, make_scheme(scheme), 1, on_demand=False)
+        run_job(_swap(far), nranks, scheme, 1, cluster=cluster, finalize=False)
+        gc.collect()
+        before = live()
+        run_job(_swap(near), nranks, scheme, 1, cluster=cluster, finalize=False)
+        gc.collect()
+        grown = live() - before
+    assert cluster.endpoints[0]._engaged == {1, half}
+    return grown / nranks  # r -> r ^ 1, every r
+
+
+def test_engaged_connection_host_heap_budget():
+    """What ``Endpoint._engage`` and the first ``post_send`` add to an idle
+    connection: its own ``ConnStats`` (128 B), the requester map (224 B)
+    and the send queue — 1,116 B while the send queue was a deque, 412 B
+    with it a list that is empty again once its message is acknowledged
+    (an all-to-all job on the 1,024-rank mesh engages 1,047,552 of them).
+    ``rdma-eager`` engages the ring QP's requester half as well: 1,484 ->
+    780 B.  Bounds are the measured values + 5 %."""
+    _host_bytes_idle_to_engaged("static")  # a process's first reads ~15 B more
+    for scheme in SCHEMES:
+        grown = _host_bytes_idle_to_engaged(scheme)
+        assert grown <= 432, (scheme, grown, "parent: 1,116")
+    grown = _host_bytes_idle_to_engaged("rdma-eager")
+    assert grown <= 819, (grown, "parent: 1,484")

@@ -23,8 +23,8 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
-from repro.ib.types import Opcode, QPState
-from repro.ib.wr import SendWR
+from repro.ib.types import IBConfig, Opcode, QPState
+from repro.ib.wr import RecvWR, SendWR
 from repro.sim.units import us
 
 from tests.ib_helpers import build_pair
@@ -75,6 +75,29 @@ def test_launch_restores_the_collector(collector, enabled, monkeypatch):
     with pytest.raises(Exception, match="requested_prepost"):
         Cluster(TestbedConfig(nodes=2)).launch(2, make_scheme("static"), 0)
     assert gc.isenabled() is enabled
+
+
+def _old(obj):
+    return any(o is obj for o in gc.get_objects(generation=2))
+
+
+def test_launch_files_a_big_build_with_the_old_generation(collector):
+    """Left alone the collector walks a fresh mesh twice more — at the
+    first allocation after the pause and ten passes later, inside whatever
+    job is running by then (a 40 ms step in ``mesh_build256``'s ``run_s``
+    that an unrelated import could move in or out).  ``launch`` pays one
+    young-generation pass itself when the build is bigger than such a pass
+    ever sees; a small one keeps to the collector's own schedule, and a
+    collector the caller turned off is not run behind their back."""
+    gc.enable()
+    big = _mesh(64, "static", 1)  # 4,032 connections, ~18,000 tracked objects
+    assert _old(big.endpoints[0].connections[1])
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    small = _mesh(4, "static", 1)
+    assert not _old(small.endpoints[0].connections[1])
+    gc.disable()
+    unasked = _mesh(64, "static", 1)
+    assert not _old(unasked.endpoints[0].connections[1])
 
 
 # ----------------------------------------------------------------------
@@ -131,20 +154,74 @@ def test_starved_flood_drains_the_backlog_fifo():
     assert r.endpoints[1].connections[0].backlog == ()  # never used
 
 
+def test_a_backlog_is_as_deep_as_the_application_makes_it():
+    """Why ``Connection.backlog`` stayed a ``deque`` when the FIFOs a
+    configured depth bounds became lists (DESIGN §6.4): nothing caps it.
+    Credits gone and the receiver not polling, every ``isend`` parks — over
+    ten thousand here — and the drain pops the head once per message; a
+    list's ``pop(0)`` moves the whole queue each time (1.8 us at 10,000
+    entries against a deque's 28 ns at any depth)."""
+    n = 10_500
+
+    def prog(mpi):
+        if mpi.rank == 0:
+            reqs = []
+            for i in range(n):
+                reqs.append((yield from mpi.isend(1, size=4, tag=7, payload=i)))
+            yield from mpi.waitall(reqs)
+            return None
+        yield from mpi.compute(us(50_000))  # every send is issued meanwhile
+        got = []
+        for _ in range(n):
+            st = yield from mpi.recv(source=0, capacity=64, tag=7)
+            got.append(st.payload)
+        return got
+
+    r = run_job(prog, 2, "dynamic", 1, config=TestbedConfig(nodes=2),
+                max_events=5_000_000)
+    assert r.rank_results[1] == list(range(n))  # FIFO through the backlog
+    conn = r.endpoints[0].connections[1]
+    assert conn.stats.backlog_max >= 10_000
+    assert isinstance(conn.backlog, deque) and not conn.backlog
+
+
 def test_qp_reset_returns_the_send_queue_to_empty():
     sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair()
     assert qp0._sq == ()
     qp0.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=4))
     qp0.post_send(SendWR(wr_id=2, opcode=Opcode.SEND, length=4))
-    assert isinstance(qp0._sq, deque) and qp0.outstanding_sends == 2
+    assert [wr.wr_id for wr in qp0._sq] == [1, 2] and qp0.outstanding_sends == 2
     qp0.force_error()  # flushes both
     assert qp0._sq == () and len(cq0) == 2
     qp0.reset()
-    assert qp0._sq == () and not isinstance(qp0._sq, deque)
+    assert qp0._sq == ()  # the shared empty again, not a drained queue
     assert qp0.outstanding_sends == 0 and qp0.state is QPState.RESET
     qp0.connect(1, qp1.qp_num)
     qp0.post_send(SendWR(wr_id=3, opcode=Opcode.SEND, length=4))
-    assert list(qp0._sq)[0].wr_id == 3
+    assert [wr.wr_id for wr in qp0._sq] == [3]
+
+
+def test_a_go_back_n_rewind_keeps_the_send_queue_fifo():
+    """The send queue is a list (``sq_depth`` bounds it — DESIGN §6.4), so
+    the rewind puts the unacked window back with ``insert(0, ...)`` in
+    descending MSN order, ahead of what was never injected."""
+    cfg = IBConfig()
+    sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair(cfg)
+    n = 8
+    for i in range(n):  # no receive posted: MSN 0 is NAKed, the rest dropped
+        qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=4, payload=i))
+    sim.run(until=cfg.rnr_timer_ns // 2)
+    window = len(qp0._inflight)  # injected before the NAK froze the QP
+    assert qp0._rnr_waiting and 1 < window < n
+    assert [wr.wr_id for wr in qp0._sq] == list(range(window, n))
+    sim.run(until=qp0._rnr_timer_ev.time)  # it rewinds and probes with MSN 0
+    assert [wr.wr_id for wr in qp0._sq] == list(range(1, n))
+    assert list(qp0._inflight) == [0]
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64), n)
+    sim.run()
+    assert [wc.data for wc in cq1.poll()] == list(range(n))
+    assert [wc.wr_id for wc in cq0.poll()] == list(range(n))
+    assert not qp0._sq and qp0.retransmissions >= window
 
 
 def test_sever_returns_the_queues_to_empty():

@@ -193,6 +193,24 @@ def test_a_queue_pair_holds_only_per_connection_state():
     assert all(f"self.{name} = " in hca_init for name in shared)
 
 
+def test_a_fifo_that_configuration_bounds_is_a_list():
+    """DESIGN §6.4 *Why a list*: a ``deque``'s first block is 760 B however
+    little it holds, and every rank and engaged connection holds several.
+    Under ``ib`` and ``mpi`` only the two queues nothing but the application
+    bounds are deques, each built at its first-use site."""
+    sites = [
+        (path.relative_to(SRC).as_posix(), line.strip())
+        for layer in ("ib", "mpi")
+        for path in sorted((SRC / layer).glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "deque(" in line
+    ]
+    assert sites == [
+        ("mpi/endpoint.py", "conn.deferred = deque()"),
+        ("mpi/endpoint.py", "backlog = conn.backlog = deque()"),
+    ]
+
+
 def test_one_collector_pause_and_one_recv_descriptor_site():
     # Simulator.run and Cluster.launch pause the collector through the
     # same helper

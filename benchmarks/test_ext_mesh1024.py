@@ -6,11 +6,14 @@ command into minutes and GiBs.  This bench builds the mesh for real —
 1,047,552 connections, each one ``QueuePair`` + one ``Connection`` with
 its buffers posted — for ``static`` and ``dynamic`` at pre-post 1, runs
 the scaling sweep's ring on it beside the on-demand twin, and checks the
-closed form against the simulation to the byte.  About 1 GiB of host
-memory and 20 s per mesh, one at a time; not part of tier-1.
+closed form against the simulation to the byte.  Under 720 MiB of host
+memory and 20 s per mesh, one at a time; not part of tier-1.  The process's
+peak RSS is printed after each row (``pytest -s``; stdout only — a host
+number has no place in the results file): the figure ROADMAP item 1e quotes.
 """
 
 import gc
+import resource
 
 from repro.analysis import Table
 from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
@@ -73,12 +76,15 @@ def run_table() -> Table:
                 run_job(idle, NRANKS, scheme, prepost=PREPOST,
                         cluster=cluster, finalize=True)
                 assert all(ep.finalized for ep in cluster.endpoints)
+            label = f"{scheme} " + ("on-demand" if on_demand else "mesh")
             table.add_row(
-                f"{scheme} " + ("on-demand" if on_demand else "mesh"),
+                label,
                 mem.connections, posted, grown, mem.pinned_mb, model,
                 r.elapsed_us,
             )
-            # a mesh is ~1 GiB of cyclic garbage, and launch() pauses the
+            peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"process peak RSS after {label}: {peak_mib:.0f} MiB")
+            # a mesh is ~0.7 GiB of cyclic garbage, and launch() pauses the
             # collector: free this one before the next is built
             del cluster, r, conns, mem
             gc.collect()

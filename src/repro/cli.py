@@ -53,6 +53,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "run everything in this process)")
 
 
+def _positive_int(text: str) -> int:
+    """``type=`` of a count a benchmark averages over (``latency_program`` /
+    ``bandwidth_program`` refuse the rest): a usage error, not a failed cell."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _progress(out, done, total) -> None:
     tag = {"run": "run", "worker": "run", "failed": "FAIL"}.get(
         out.source, out.source)
@@ -408,14 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--sizes", nargs="+", type=int,
                    default=[4, 64, 1024, 16384])
-    p.add_argument("--iterations", type=int, default=50)
+    p.add_argument("--iterations", type=_positive_int, default=50)
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("bandwidth", help="windowed bandwidth test (Figures 3-8)")
     _add_common(p)
     p.add_argument("--size", type=int, default=4)
-    p.add_argument("--windows", nargs="+", type=int, default=[1, 4, 16, 64, 100])
-    p.add_argument("--repetitions", type=int, default=10)
+    p.add_argument("--windows", nargs="+", type=_positive_int,
+                   default=[1, 4, 16, 64, 100])
+    p.add_argument("--repetitions", type=_positive_int, default=10)
     p.add_argument("--blocking", action="store_true")
     p.set_defaults(fn=cmd_bandwidth)
 
@@ -475,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", nargs="+", default=None,
                    choices=ALL_SCHEMES,
                    help="override the grid's schemes")
-    p.add_argument("--windows", nargs="+", type=int, default=None,
+    p.add_argument("--windows", nargs="+", type=_positive_int, default=None,
                    help="override a bandwidth grid's window axis")
-    p.add_argument("--repetitions", type=int, default=None,
+    p.add_argument("--repetitions", type=_positive_int, default=None,
                    help="override a bandwidth grid's repetitions per cell")
     p.add_argument("--kernels", nargs="+", default=None,
                    help="override the NAS grid's kernel list")

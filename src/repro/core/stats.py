@@ -98,8 +98,9 @@ def collect_report(endpoints: Iterable["Endpoint"]) -> FlowControlReport:
             ecmc += n * s.ecm_credits
             max_posted = max(max_posted, s.max_prepost)
             backlog_max = max(backlog_max, s.backlog_max)
-            naks += n * conn.qp.rnr_naks_received
-            retrans += n * conn.qp.retransmissions
+            qp_naks, qp_retrans = conn.qp.retry_counts()
+            naks += n * qp_naks
+            retrans += n * qp_retrans
     return FlowControlReport(
         total_msgs=total,
         data_msgs=data,
@@ -223,12 +224,7 @@ def reset_counters(endpoints: Iterable["Endpoint"],
         matching.unexpected_peak = matching.unexpected_count
         for conn in engaged_connections(ep):
             conn.reset_stats()
-            qp = conn.qp
-            qp.rnr_naks_received = 0
-            qp.rnr_naks_sent = 0
-            qp.retransmissions = 0
-            qp.messages_sent = 0
-            qp.messages_delivered = 0
+            conn.qp.reset_counters()
 
 
 def per_connection_max_buffers(endpoints: Iterable["Endpoint"]) -> Dict[tuple, int]:

@@ -13,7 +13,7 @@ the deterministic kernel.
 
 :class:`FaultInjector` — arms the state onto the fabric and the
 transport ACK-timeout retry on every QP (the recovery mechanism for wire
-loss; see ``QueuePair.enable_transport_retry``), applies receiver-stall /
+loss; see ``QueuePair.adopt_fault_transport``), applies receiver-stall /
 HCA-pause events to endpoints and adapters, emits ``faults.*`` counters
 for the robustness report, and disarms all of it again.
 """
@@ -132,9 +132,9 @@ class FaultInjector:
         self.state = cluster.fabric.fault = FabricFaultState(plan.seed, cluster.tracer)
         arm = (plan.transport_timeout_ns, plan.transport_retry_limit)
         for hca in cluster.hcas:
-            hca.fault_transport = arm  # what QPs created from now on get
+            hca.fault_transport = arm  # what requesters built from now on get
             for qp in hca._qps.values():
-                qp.enable_transport_retry(*arm)
+                qp.adopt_fault_transport()
         sim = cluster.sim
         t0 = sim.now  # non-zero on a reused cluster
         if cluster.auditor is not None:
@@ -152,7 +152,7 @@ class FaultInjector:
         for hca in self.cluster.hcas:
             hca.fault_transport = None
             for qp in hca._qps.values():
-                qp.disable_transport_retry()
+                qp.adopt_fault_transport()
 
     def summary(self) -> Dict[str, int]:
         """The job's ``faults.*`` counter totals: events, losses, ACK timeouts."""

@@ -72,8 +72,9 @@ class HCA:
         # bound-method allocation per scheduling.
         self._pump = self._pump
         self._rx_service = self._rx_service
-        #: (timeout_ns, retry_limit) once a FaultInjector arms transport
-        #: retries; QPs created afterwards (on-demand connections) inherit.
+        #: (timeout_ns, retry_limit) while a FaultInjector has transport
+        #: retries armed: every requester built meanwhile (a QP's first
+        #: send, an on-demand connection's) reads it.
         self.fault_transport = None
         #: set by :meth:`kill` (rank-death fault): both engines stop for
         #: good and inbound packets vanish — the adapter answers nothing.
@@ -97,8 +98,6 @@ class HCA:
         self._next_qpn += 1
         qp = QueuePair(self, qpn, send_cq, recv_cq or send_cq)
         self._qps[qpn] = qp
-        if self.fault_transport is not None:
-            qp.enable_transport_retry(*self.fault_transport)
         return qp
 
     def qp(self, qpn: int) -> QueuePair:
@@ -153,7 +152,7 @@ class HCA:
             return
         # Most kicks are an ACK landing on a QP with nothing left to send.
         if (
-            qp._sq
+            qp._req._sq
             and qp.qp_num not in self._in_ready
             and qp._next_injectable() is not None
         ):
@@ -186,7 +185,7 @@ class HCA:
             wr = qp._take_injectable()
             if wr is None:
                 continue  # re-kicked when it becomes eligible again
-            if qp._sq and qp._next_injectable() is not None:
+            if qp._req._sq and qp._next_injectable() is not None:
                 self._ready.append(qp)
                 self._in_ready.add(qp.qp_num)
             cost = self._send_wqe_cost
@@ -194,7 +193,7 @@ class HCA:
             # Build the message now (the WR is final once taken) and put
             # the fabric hand-off itself on the agenda — one event, no
             # intermediate _inject frame.
-            qp.messages_sent += 1
+            qp._req.messages_sent += 1
             self.sim.call_later(
                 cost, self.fabric.transmit, self.lid, qp.remote_lid, wr.length,
                 _Message(qp, wr),

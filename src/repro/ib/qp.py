@@ -25,7 +25,7 @@ blasting the full window into a NAK storm.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ib.mr import RemoteAccessError
 from repro.ib.types import INFINITE_RETRY, Opcode, QPState, WCStatus
@@ -40,9 +40,75 @@ class QPError(RuntimeError):
     pass
 
 
-#: ``_inflight`` of a QP that has not sent: shared, and read-only so that
-#: nothing can be inserted into it on behalf of every idle QP at once
-_NONE_INFLIGHT: MappingProxyType[int, SendWR] = MappingProxyType({})
+class Requester:
+    """The send half of a queue pair: what is queued and in flight, the
+    per-incarnation transport state around it, and what it counted.  A QP
+    has its own from its first :meth:`QueuePair.post_send` on."""
+
+    __slots__ = (
+        "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
+        "_credit_est", "_credit_est_msn", "_sends_inflight",
+        "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
+        "_xport_acks", "_xport_seen",
+        "rnr_naks_received", "retransmissions", "messages_sent",
+    )
+
+    def __init__(self, xport: Optional[Tuple[int, int]]):
+        self._rnr_timer_ev = self._xport_timer = None
+        self.set_transport(xport)
+        self.rnr_naks_received = self.retransmissions = self.messages_sent = 0
+        self.rewind()
+
+    def set_transport(self, xport: Optional[Tuple[int, int]]) -> None:
+        """Fault-mode transport reliability.  An ideal fabric never loses a
+        message, so the seed transport has no ACK-timeout machinery
+        (``None``); with ``(timeout_ns, retry_limit)`` the requester runs a
+        real RC local-ACK-timeout timer: no progress for a full period means
+        the oldest unacked message was lost, so replay from it."""
+        self._xport_enabled = xport is not None
+        self._xport_timeout_ns, self._xport_limit = xport or (0, INFINITE_RETRY)
+        if xport is None and self._xport_timer is not None:
+            self._xport_timer.cancel()
+            self._xport_timer = None
+
+    def cancel_timers(self) -> None:
+        for ev in (self._rnr_timer_ev, self._xport_timer):
+            if ev is not None:
+                ev.cancel()
+        self._rnr_timer_ev = self._xport_timer = None
+
+    def rewind(self) -> None:
+        """A new incarnation: every per-connection transport artifact back
+        to what a fresh requester has.  The transport settings (static QP
+        attributes) and the job's counters are not per incarnation."""
+        self.cancel_timers()
+        #: waiting to inject (incl. replays), and msn -> WR awaiting its
+        #: ACK.  ``sq_depth`` bounds the queue: a list, not a deque
+        self._sq: List[SendWR] = []
+        self._inflight: Dict[int, SendWR] = {}
+        self._next_msn = 0
+        self._rnr_waiting = False
+        self._credit_est: Optional[int] = None  # None = unknown/unlimited
+        self._credit_est_msn = -1  # freshness of the estimate
+        self._sends_inflight = 0
+        self._xport_acks = 0  # requester progress marker (ACKs absorbed)
+        self._xport_seen = 0  # progress at the last timer expiry
+
+
+class _IdleRequester(Requester):
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"idle Requester is read-only: .{name} before the first post_send")
+
+
+#: what every QP that has not sent points at — most mesh QPs never send.
+#: Nothing can be queued or counted on behalf of all of them at once: the
+#: containers are read-only empties and a field write raises
+IDLE_REQUESTER = Requester(None)
+IDLE_REQUESTER._sq = ()
+IDLE_REQUESTER._inflight = MappingProxyType({})
+IDLE_REQUESTER.__class__ = _IdleRequester
 
 
 class _Message:
@@ -88,20 +154,17 @@ class QueuePair:
     """
 
     # A full mesh holds P*(P-1) of these, nearly all idle: slots instead of
-    # a per-instance dict (36 attributes is past the shared-key limit, so
-    # each dict was private), the requester's containers allocated on first
-    # use, and what is constant per adapter (queue depths, the pipelining
-    # window) read from the HCA.
+    # a per-instance dict, what is constant per adapter (queue depths, the
+    # pipelining window, a fault plan's ACK timeout) read from the HCA, and
+    # only what every QP has — identity, connection state, the responder
+    # half.  The requester half (17 more fields) is the shared
+    # ``IDLE_REQUESTER`` until the first send (DESIGN §6.4).
     __slots__ = (
         "hca", "qp_num", "send_cq", "recv_cq",
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
-        "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
-        "_credit_est", "_credit_est_msn", "_sends_inflight",
-        "_rq", "_expected_msn",
-        "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
-        "_xport_acks", "_xport_seen", "reack_stale",
-        "rnr_naks_received", "rnr_naks_sent", "retransmissions",
-        "messages_sent", "messages_delivered",
+        "_req",
+        "_rq", "_expected_msn", "reack_stale",
+        "rnr_naks_sent", "messages_delivered",
     )
 
     def __init__(
@@ -125,18 +188,9 @@ class QueuePair:
         #: stamp an old ACK could acknowledge a new message)
         self.epoch = 0
 
-        # --- requester state ---
-        #: waiting to inject (incl. replays; a list from the first
-        #: :meth:`post_send` on), and msn -> WR awaiting its ACK; shared
-        #: empties until then — most mesh QPs never send
-        self._sq: Union[List[SendWR], Tuple[()]] = ()
-        self._inflight: Union[Dict[int, SendWR], MappingProxyType] = _NONE_INFLIGHT
-        self._next_msn = 0
-        self._rnr_waiting = False
-        self._rnr_timer_ev = None
-        self._credit_est: Optional[int] = None  # None = unknown/unlimited
-        self._credit_est_msn = -1  # freshness of the estimate
-        self._sends_inflight = 0
+        #: swapped for this QP's own at the first :meth:`post_send` — nothing
+        #: that answers a send, an ACK included, reaches a QP before that
+        self._req: Requester = IDLE_REQUESTER
 
         # --- responder state ---
         #: posted receive WQEs, FIFO.  A list, not a deque (``rq_depth``
@@ -144,29 +198,38 @@ class QueuePair:
         #: four, and a deque's first block is 760 B
         self._rq: List[RecvWR] = []
         self._expected_msn = 0
-
-        # --- fault-mode transport reliability (armed by repro.faults) ---
-        # An ideal fabric never loses a message, so the seed transport has
-        # no ACK-timeout machinery; with a FaultInjector installed, wire
-        # drops are possible and the QP runs a real RC local-ACK-timeout
-        # timer: no requester progress for a full period means the oldest
-        # unacked message was lost, so replay from it (bounded retries).
-        self._xport_enabled = False
-        self._xport_timeout_ns = 0
-        self._xport_limit = INFINITE_RETRY
-        self._xport_timer = None
-        self._xport_acks = 0  # requester progress marker (ACKs absorbed)
-        self._xport_seen = 0  # progress at the last timer expiry
         #: fault mode: re-acknowledge stale duplicates (their ACK was lost
         #: on the wire) instead of dropping them silently
-        self.reack_stale = False
+        self.reack_stale = hca.fault_transport is not None
 
-        # --- observability ---
-        self.rnr_naks_received = 0
+        # --- observability (the requester keeps its own three) ---
         self.rnr_naks_sent = 0
-        self.retransmissions = 0
-        self.messages_sent = 0
         self.messages_delivered = 0
+
+    rnr_naks_received = property(lambda self: self._req.rnr_naks_received)
+    retransmissions = property(lambda self: self._req.retransmissions)
+    messages_sent = property(lambda self: self._req.messages_sent)
+
+    def _own_requester(self) -> Requester:
+        """This QP's own requester, built on first need with the adapter's
+        fault-plan transport settings (``hca.fault_transport``)."""
+        req = self._req
+        if req is IDLE_REQUESTER:
+            req = self._req = Requester(self.hca.fault_transport)
+        return req
+
+    def retry_counts(self) -> Tuple[int, int]:
+        """``(RNR NAKs received, retransmissions)`` since the last
+        :meth:`reset_counters` — a flow-control report's verbs columns."""
+        req = self._req
+        return req.rnr_naks_received, req.retransmissions
+
+    def reset_counters(self) -> None:
+        self.rnr_naks_sent = 0
+        self.messages_delivered = 0
+        req = self._req
+        if req is not IDLE_REQUESTER:
+            req.rnr_naks_received = req.retransmissions = req.messages_sent = 0
 
     # ------------------------------------------------------------------
     # connection management
@@ -200,30 +263,17 @@ class QueuePair:
         static QP attributes."""
         if self.state is not QPState.ERROR:
             raise QPError(f"QP {self.qp_num}: reset() in state {self.state}")
-        if self._rnr_timer_ev is not None:  # defensive; _flush cancels these
-            self._rnr_timer_ev.cancel()
-            self._rnr_timer_ev = None
-        if self._xport_timer is not None:
-            self._xport_timer.cancel()
-            self._xport_timer = None
         self.state = QPState.RESET
         self.epoch += 1
-        self._sq = ()
-        self._inflight = _NONE_INFLIGHT
-        self._next_msn = 0
-        self._rnr_waiting = False
-        self._credit_est = None
-        self._credit_est_msn = -1
-        self._sends_inflight = 0
+        if self._req is not IDLE_REQUESTER:
+            self._req.rewind()
         self._rq.clear()
         self._expected_msn = 0
-        self._xport_acks = 0
-        self._xport_seen = 0
 
     def set_initial_credit_estimate(self, credits: Optional[int]) -> None:
         """Seed the requester's view of remote receive WQEs (the consumer
         knows how many buffers it pre-posted on the other side)."""
-        self._credit_est = credits
+        self._own_requester()._credit_est = credits
 
     def _peer(self) -> "QueuePair":
         # Resolved once and cached: the remote end of an RC connection
@@ -242,13 +292,12 @@ class QueuePair:
     def post_send(self, wr: SendWR) -> None:
         if self.state is not QPState.READY:
             raise QPError(f"QP {self.qp_num}: post_send in state {self.state}")
-        sq = self._sq
-        if len(sq) + len(self._inflight) >= self.hca.sq_depth:
+        req = self._req
+        if len(req._sq) + len(req._inflight) >= self.hca.sq_depth:
             raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.hca.sq_depth})")
-        if type(sq) is tuple:  # first use
-            sq = self._sq = []  # sq_depth bounds it: a list, not a deque
-            self._inflight = {}
-        sq.append(wr)
+        if req is IDLE_REQUESTER:  # first use
+            req = self._own_requester()
+        req._sq.append(wr)
         self.hca._kick(self)
 
     def post_recv(self, wr: RecvWR, n: int = 1) -> None:
@@ -267,7 +316,8 @@ class QueuePair:
 
     @property
     def outstanding_sends(self) -> int:
-        return len(self._sq) + len(self._inflight)
+        req = self._req
+        return len(req._sq) + len(req._inflight)
 
     # ------------------------------------------------------------------
     # requester: injection (driven by the HCA send engine)
@@ -278,13 +328,14 @@ class QueuePair:
         Honours: QP state, RNR freeze, the pipelining window and the
         end-to-end credit gate for SEND opcodes.
         """
-        if self.state is not QPState.READY or self._rnr_waiting or not self._sq:
+        req = self._req
+        if self.state is not QPState.READY or req._rnr_waiting or not req._sq:
             return None
-        if len(self._inflight) >= self.hca._max_inflight:
+        if len(req._inflight) >= self.hca._max_inflight:
             return None
-        wr = self._sq[0]
-        if wr.opcode is Opcode.SEND and self._credit_est is not None:
-            if self._credit_est <= 0 and self._sends_inflight >= 1:
+        wr = req._sq[0]
+        if wr.opcode is Opcode.SEND and req._credit_est is not None:
+            if req._credit_est <= 0 and req._sends_inflight >= 1:
                 return None  # one probe at a time when starved
         return wr
 
@@ -292,22 +343,23 @@ class QueuePair:
         wr = self._next_injectable()
         if wr is None:
             return None
-        del self._sq[0]
+        req = self._req
+        del req._sq[0]
         if wr.msn < 0:
-            wr.msn = self._next_msn
-            self._next_msn += 1
+            wr.msn = req._next_msn
+            req._next_msn += 1
         else:
-            self.retransmissions += 1
+            req.retransmissions += 1
             self.hca.tracer.count("ib.retransmission", (self.hca.lid, self.remote_lid))
-        self._inflight[wr.msn] = wr
+        req._inflight[wr.msn] = wr
         if wr.opcode is Opcode.SEND:
-            self._sends_inflight += 1
-            if self._credit_est is not None:
-                self._credit_est -= 1
-        if self._xport_enabled and self._xport_timer is None:
-            self._xport_seen = self._xport_acks
-            self._xport_timer = self.hca.sim.schedule(
-                self._xport_timeout_ns, self._xport_expire
+            req._sends_inflight += 1
+            if req._credit_est is not None:
+                req._credit_est -= 1
+        if req._xport_enabled and req._xport_timer is None:
+            req._xport_seen = req._xport_acks
+            req._xport_timer = self.hca.sim.schedule(
+                req._xport_timeout_ns, self._xport_expire
             )
         return wr
 
@@ -317,20 +369,21 @@ class QueuePair:
     def _on_ack(self, msn: int, advertised: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return  # ACK from a pre-recovery incarnation (MSNs restarted)
-        wr = self._inflight.get(msn)  # read-only on a QP that never sent
+        req = self._req
+        wr = req._inflight.get(msn)  # the idle requester's is empty
         if wr is None:
             return  # duplicate / stale ACK from a replay era
-        del self._inflight[msn]
-        self._xport_acks += 1
+        del req._inflight[msn]
+        req._xport_acks += 1
         if wr.opcode is Opcode.SEND:
-            self._sends_inflight -= 1
-        if msn > self._credit_est_msn:
-            self._credit_est_msn = msn
-            if self._credit_est is not None:
+            req._sends_inflight -= 1
+        if msn > req._credit_est_msn:
+            req._credit_est_msn = msn
+            if req._credit_est is not None:
                 # The gate is opt-in (hardware-based flow control sets an
                 # initial estimate); credits advertised net of our own
                 # still-inflight sends.
-                self._credit_est = advertised - self._sends_inflight
+                req._credit_est = advertised - req._sends_inflight
         wr.rnr_tries = 0
         if wr.signaled and wr.opcode is not Opcode.RDMA_READ:
             # per message: positional, in WC's field order
@@ -343,21 +396,22 @@ class QueuePair:
     def _on_rnr_nak(self, msn: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return
-        if msn not in self._inflight or self._rnr_waiting:
+        req = self._req
+        if msn not in req._inflight or req._rnr_waiting:
             return  # duplicate NAK for a message already being replayed
-        self.rnr_naks_received += 1
+        req.rnr_naks_received += 1
         self.hca.tracer.count("ib.rnr_nak", (self.hca.lid, self.remote_lid))
-        if self._credit_est is not None:
-            self._credit_est = 0
-            self._credit_est_msn = max(self._credit_est_msn, msn - 1)
+        if req._credit_est is not None:
+            req._credit_est = 0
+            req._credit_est_msn = max(req._credit_est_msn, msn - 1)
 
-        wr = self._inflight[msn]
+        wr = req._inflight[msn]
         tries = wr.rnr_tries = wr.rnr_tries + 1
         cfg = self.hca.config
         if cfg.rnr_retry_count != INFINITE_RETRY and tries > cfg.rnr_retry_count:
-            del self._inflight[msn]
+            del req._inflight[msn]
             if wr.opcode is Opcode.SEND:
-                self._sends_inflight -= 1
+                req._sends_inflight -= 1
             self._fatal(wr, WCStatus.RNR_RETRY_EXCEEDED)
             return
 
@@ -370,12 +424,13 @@ class QueuePair:
                 int(delay * cfg.rnr_backoff_factor ** (tries - 1)),
                 cfg.rnr_backoff_max_ns,
             )
-        self._rnr_waiting = True
-        self._rnr_timer_ev = self.hca.sim.schedule(delay, self._rnr_expire, msn)
+        req._rnr_waiting = True
+        req._rnr_timer_ev = self.hca.sim.schedule(delay, self._rnr_expire, msn)
 
     def _rnr_expire(self, nak_msn: int) -> None:
-        self._rnr_waiting = False
-        self._rnr_timer_ev = None
+        req = self._req
+        req._rnr_waiting = False
+        req._rnr_timer_ev = None
         self._requeue_unacked(nak_msn)
         # Allow one probe even with zero estimated credits (handled by the
         # injection gate).
@@ -385,14 +440,15 @@ class QueuePair:
         """Move every unacked message from ``first_msn`` on back to the
         head of the send queue, in MSN order (go-back-N: later messages
         were discarded by the responder's in-order filter)."""
-        inflight = self._inflight
-        sq = self._sq  # a list: whatever is in flight was posted through it
+        req = self._req
+        inflight = req._inflight
+        sq = req._sq
         for msn in sorted((m for m in inflight if m >= first_msn), reverse=True):
             wr = inflight.pop(msn)
             if wr.opcode is Opcode.SEND:
-                self._sends_inflight -= 1
-                if self._credit_est is not None:
-                    self._credit_est += 1
+                req._sends_inflight -= 1
+                if req._credit_est is not None:
+                    req._credit_est += 1
             sq.insert(0, wr)
 
     # ------------------------------------------------------------------
@@ -400,81 +456,80 @@ class QueuePair:
     # by the first congestion drop
     # ------------------------------------------------------------------
     def enable_transport_retry(self, timeout_ns: int, retry_limit: int) -> None:
-        """Arm the RC local-ACK-timeout timer (used by ``repro.faults``
-        when the fabric may drop messages or acknowledgements).  With
-        ``retry_limit = INFINITE_RETRY`` the QP replays forever; otherwise
-        the oldest message errors out with ``WCStatus.RETRY_EXCEEDED``
-        after ``retry_limit`` fruitless timeout periods."""
-        self._xport_enabled = True
-        self._xport_timeout_ns = int(timeout_ns)
-        self._xport_limit = retry_limit
+        """Arm this QP's RC local-ACK-timeout timer
+        (:meth:`Requester.set_transport`).  With ``retry_limit =
+        INFINITE_RETRY`` the QP replays forever; otherwise the oldest
+        message errors out with ``WCStatus.RETRY_EXCEEDED`` after
+        ``retry_limit`` fruitless timeout periods."""
+        self._own_requester().set_transport((int(timeout_ns), retry_limit))
         self.reack_stale = True
 
-    def disable_transport_retry(self) -> None:
-        """The inverse of :meth:`enable_transport_retry`: back to the ideal
-        fabric's transport ``__init__`` builds (the fault plan that armed
-        this QP is gone; a later congestion drop arms it afresh)."""
-        self._xport_enabled = False
-        self._xport_timeout_ns = 0
-        self._xport_limit = INFINITE_RETRY
-        self.reack_stale = False
-        if self._xport_timer is not None:
-            self._xport_timer.cancel()
-            self._xport_timer = None
+    def adopt_fault_transport(self) -> None:
+        """``hca.fault_transport`` changed (``repro.faults`` armed or
+        disarmed a plan; ``None`` is the ideal fabric's transport, whatever
+        armed this QP before): follow it.  A QP that has not sent turns only
+        the responder's flag — a requester reads the setting when built."""
+        xport = self.hca.fault_transport
+        self.reack_stale = xport is not None
+        if self._req is not IDLE_REQUESTER:
+            self._req.set_transport(xport)
 
     def on_wire_loss(self, timeout_ns: int) -> None:
         """The fabric dropped one of this QP's requests (congestion tail
         drop): nothing will ever acknowledge it, so the ACK timeout must
         be running.  A QP some fault plan already armed keeps its own
         settings; otherwise arm with ``timeout_ns`` and no retry limit."""
-        if not self._xport_enabled:
+        req = self._own_requester()
+        if not req._xport_enabled:
             self.enable_transport_retry(timeout_ns, INFINITE_RETRY)
-        if self._xport_timer is None and self._inflight:
-            self._xport_seen = self._xport_acks
-            self._xport_timer = self.hca.sim.schedule(
-                self._xport_timeout_ns, self._xport_expire
+        if req._xport_timer is None and req._inflight:
+            req._xport_seen = req._xport_acks
+            req._xport_timer = self.hca.sim.schedule(
+                req._xport_timeout_ns, self._xport_expire
             )
 
     def _xport_expire(self) -> None:
-        self._xport_timer = None
-        if self.state is not QPState.READY or not self._inflight:
+        req = self._req
+        req._xport_timer = None
+        if self.state is not QPState.READY or not req._inflight:
             return  # re-armed on the next injection
-        if self._rnr_waiting or self._xport_acks != self._xport_seen:
+        if req._rnr_waiting or req._xport_acks != req._xport_seen:
             # RNR recovery is already driving a replay, or ACKs arrived
             # during the period — keep watching, don't retransmit.
-            self._xport_seen = self._xport_acks
-            self._xport_timer = self.hca.sim.schedule(
-                self._xport_timeout_ns, self._xport_expire
+            req._xport_seen = req._xport_acks
+            req._xport_timer = self.hca.sim.schedule(
+                req._xport_timeout_ns, self._xport_expire
             )
             return
         # A full timeout with zero progress: the oldest unacked message (or
         # its ACK) was lost on the wire.  Retry accounting is per-WR.
-        oldest = min(self._inflight)
-        wr = self._inflight[oldest]
+        oldest = min(req._inflight)
+        wr = req._inflight[oldest]
         tries = wr.xport_tries + 1
         wr.xport_tries = tries
         self.hca.tracer.count(
             "faults.transport_timeout", (self.hca.lid, self.remote_lid)
         )
-        if self._xport_limit != INFINITE_RETRY and tries > self._xport_limit:
-            del self._inflight[oldest]
+        if req._xport_limit != INFINITE_RETRY and tries > req._xport_limit:
+            del req._inflight[oldest]
             if wr.opcode is Opcode.SEND:
-                self._sends_inflight -= 1
+                req._sends_inflight -= 1
             self._fatal(wr, WCStatus.RETRY_EXCEEDED)
             return
         self._requeue_unacked(oldest)
-        self._xport_seen = self._xport_acks
-        self._xport_timer = self.hca.sim.schedule(
-            self._xport_timeout_ns, self._xport_expire
+        req._xport_seen = req._xport_acks
+        req._xport_timer = self.hca.sim.schedule(
+            req._xport_timeout_ns, self._xport_expire
         )
         self.hca._kick(self)
 
     def _on_read_response(self, msg: _Message) -> None:
-        wr = self._inflight.get(msg.read_wr_msn)
+        req = self._req
+        wr = req._inflight.get(msg.read_wr_msn)
         if wr is None:
             return
-        del self._inflight[msg.read_wr_msn]
-        self._xport_acks += 1
+        del req._inflight[msg.read_wr_msn]
+        req._xport_acks += 1
         if wr.signaled:
             self.send_cq.push(
                 WC(
@@ -492,10 +547,11 @@ class QueuePair:
     def _on_remote_error(self, msn: int, status: WCStatus, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return
-        wr = self._inflight.get(msn)
+        inflight = self._req._inflight
+        wr = inflight.get(msn)
         if wr is None:
             return
-        del self._inflight[msn]
+        del inflight[msn]
         self._fatal(wr, status)
 
     def _fatal(self, wr: SendWR, status: WCStatus) -> None:
@@ -515,13 +571,8 @@ class QueuePair:
     def _flush(self) -> None:
         """Cancel timers and flush both work queues with WR_FLUSH_ERROR
         completions (the QP is already in ERROR state)."""
-        if self._rnr_timer_ev is not None:
-            self._rnr_timer_ev.cancel()
-            self._rnr_timer_ev = None
-        if self._xport_timer is not None:
-            self._xport_timer.cancel()
-            self._xport_timer = None
-        for pending in list(self._inflight.values()) + list(self._sq):
+        req = self._req
+        for pending in list(req._inflight.values()) + list(req._sq):
             self.send_cq.push(
                 WC(
                     wr_id=pending.wr_id,
@@ -531,8 +582,10 @@ class QueuePair:
                     peer=self.remote_lid,
                 )
             )
-        self._inflight = _NONE_INFLIGHT
-        self._sq = ()
+        if req is not IDLE_REQUESTER:
+            req.cancel_timers()
+            req._inflight.clear()
+            req._sq.clear()
         for rwr in self._rq:
             self.recv_cq.push(
                 WC(
@@ -672,18 +725,19 @@ class QueuePair:
                 f"QP {self.qp_num}: {self.outstanding_sends} outstanding "
                 f"sends exceed sq_depth {self.hca.sq_depth}"
             )
-        for msn in self._inflight:
-            if msn >= self._next_msn:
+        req = self._req
+        for msn in req._inflight:
+            if msn >= req._next_msn:
                 problems.append(
                     f"QP {self.qp_num}: inflight msn {msn} >= next_msn "
-                    f"{self._next_msn}"
+                    f"{req._next_msn}"
                 )
         sends = sum(
-            1 for wr in self._inflight.values() if wr.opcode is Opcode.SEND
+            1 for wr in req._inflight.values() if wr.opcode is Opcode.SEND
         )
-        if self._sends_inflight != sends:
+        if req._sends_inflight != sends:
             problems.append(
-                f"QP {self.qp_num}: _sends_inflight={self._sends_inflight} "
+                f"QP {self.qp_num}: _sends_inflight={req._sends_inflight} "
                 f"but {sends} SEND WRs are inflight"
             )
         if len(self._rq) > self.hca.rq_depth:
@@ -691,7 +745,7 @@ class QueuePair:
                 f"QP {self.qp_num}: {len(self._rq)} posted recvs exceed "
                 f"rq_depth {self.hca.rq_depth}"
             )
-        if self.state is QPState.ERROR and (self._sq or self._inflight):
+        if self.state is QPState.ERROR and self.outstanding_sends:
             problems.append(
                 f"QP {self.qp_num}: ERROR state with unflushed work queues"
             )
@@ -711,6 +765,6 @@ class QueuePair:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<QP {self.qp_num}@{self.hca.lid}->{self.remote_qpn}@{self.remote_lid} "
-            f"{self.state.value} sq={len(self._sq)} inflight={len(self._inflight)} "
+            f"{self.state.value} sq={len(self._req._sq)} inflight={len(self._req._inflight)} "
             f"rq={len(self._rq)}>"
         )

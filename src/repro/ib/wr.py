@@ -16,6 +16,7 @@ the previous dataclass signatures.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from repro.ib.types import Opcode, WCStatus
@@ -110,6 +111,14 @@ class RecvWR:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RecvWR(wr_id={self.wr_id!r}, capacity={self.capacity!r})"
+
+
+@lru_cache(maxsize=None)
+def shared_recv_wr(wr_id: Any, capacity: int) -> RecvWR:
+    """The one descriptor for ``(wr_id, capacity)``: nothing mutates a
+    :class:`RecvWR`, so the P - 1 connections a mesh holds *to* one peer (at
+    one buffer size) post the same object instead of 48 B each."""
+    return RecvWR(wr_id, capacity)
 
 
 class WC:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 from repro.core.base import FlowControlScheme
 from repro.ib.hca import HCA
 from repro.ib.types import Opcode, QPState, WCStatus
-from repro.ib.wr import RecvWR, SendWR, WC
+from repro.ib.wr import SendWR, WC, shared_recv_wr
 from repro.mpi import collectives
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
@@ -178,7 +178,7 @@ class Endpoint:
 
     def add_connection(self, peer: int, conn: Connection) -> None:
         self.connections[peer] = conn
-        conn.recv_wr = RecvWR(wr_id=peer, capacity=self.config.vbuf_bytes)
+        conn.recv_wr = shared_recv_wr(peer, self.config.vbuf_bytes)
         if self._ring_mode:
             conn.ring = RDMAChannel(self, peer, slots=self.requested_prepost)
         self.scheme.setup_connection(conn, self.requested_prepost)
@@ -1004,10 +1004,9 @@ class Endpoint:
         — is its ``wr_id``, the cookie the verbs hand back in the completion:
         to :meth:`_handle_send_done`, or :meth:`_reclaim_error_wc` on a flush."""
         self._sends_open += 1
-        qp = conn.qp
-        if type(qp._sq) is tuple:  # its first send: the connection leaves idle
+        if conn.stats is self._idle_stats:  # its first send: the connection leaves idle
             self._engage(conn)
-        qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
+        conn.qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
 
     def _emit(
         self,

@@ -32,8 +32,17 @@ class BWResult:
         return mb_per_s(self.elapsed_ns, self.bytes_moved)
 
 
+def _require_positive(**counts: int) -> None:
+    """An average over zero timed rounds is no measurement: refuse it here,
+    by name, not as a ``TypeError`` from inside rank 0's generator."""
+    for name, value in counts.items():
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def latency_program(size: int, iterations: int = 100, warmup: int = 10) -> Program:
     """2-rank ping-pong; rank 0 returns average one-way latency (ns)."""
+    _require_positive(iterations=iterations)
 
     def prog(mpi) -> Generator:
         peer = 1 - mpi.rank
@@ -99,6 +108,7 @@ def bandwidth_program(
     warmup: int = 2,
 ) -> Program:
     """2-rank windowed bandwidth test; rank 0 returns a :class:`BWResult`."""
+    _require_positive(window=window, repetitions=repetitions)
 
     def prog(mpi) -> Generator:
         peer = 1 - mpi.rank

@@ -87,7 +87,7 @@ def test_qp_check_invariants_clean_and_dirty():
     )
     qp = next(iter(r.endpoints[0].connections.values())).qp
     assert qp.check_invariants() == []
-    qp._sends_inflight += 1  # corrupt the counter
+    qp._req._sends_inflight += 1  # corrupt the counter
     assert any("_sends_inflight" in p for p in qp.check_invariants())
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -117,6 +119,22 @@ def test_unknown_command_exits_2(capsys):
     # with the usage text on stderr.
     assert main(["teleport"]) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["latency", "--iterations", "0"],
+    ["latency", "--iterations", "-3"],
+    ["bandwidth", "--repetitions", "0"],
+    ["bandwidth", "--windows", "4", "0"],
+    ["sweep", "--grid", "fig3", "--repetitions", "0"],
+])
+def test_a_zero_or_negative_count_is_a_usage_error_not_a_traceback(argv, capsys):
+    assert main(argv + ["--schemes", "static"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be a positive integer, got {argv[-1]}")
 
 
 def test_no_command_prints_usage_and_exits_2(capsys):

@@ -42,10 +42,10 @@ def _pair():
 
 def test_kick_with_nothing_to_send_adds_no_agenda_entry():
     sim, hca, qp = _pair()
-    hca._kick(qp)  # the send queue was never allocated
+    hca._kick(qp)  # the idle requester: nothing queued
     qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
     sim.run(until=500)  # injected; the ACK is still far away
-    assert not qp._sq and qp._inflight
+    assert not qp._req._sq and qp._req._inflight
     before = sim._pending, sim._seq
     hca._kick(qp)  # allocated, drained
     assert (sim._pending, sim._seq) == before
@@ -83,7 +83,7 @@ def test_kick_schedules_the_pump_at_the_engines_next_free_instant():
 def test_dead_adapter_ignores_kicks():
     sim, hca, qp = _pair()
     hca.dead = True
-    qp._sq = [SendWR(wr_id=0, opcode=Opcode.SEND, length=8)]
+    qp._own_requester()._sq.append(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
     hca._kick(qp)
     assert not hca._ready and not hca._pump_scheduled and sim._pending == 0
 
@@ -141,12 +141,12 @@ def test_recv_engine_pipelines_at_engine_rate():
     # Bypass the sender engine: deliver n messages simultaneously.
     from repro.ib.qp import _Message
 
-    qps[(0, 1)]._inflight = {}  # post_send's first-use allocation, bypassed too
+    req = qps[(0, 1)]._own_requester()  # what post_send's first use builds, bypassed too
     for i in range(n):
         wr = SendWR(wr_id=i, opcode=Opcode.SEND, length=8, payload=i)
         wr.msn = i
-        qps[(0, 1)]._inflight[i] = wr
-        qps[(0, 1)]._sends_inflight += 1
+        req._inflight[i] = wr
+        req._sends_inflight += 1
         msg = _Message(qps[(0, 1)], wr)
         sim.schedule(100, hcas[1]._deliver, msg)
     sim.run(max_events=100_000)

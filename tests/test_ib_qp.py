@@ -97,7 +97,7 @@ def test_send_into_an_empty_receive_queue_naks_and_completes_nothing():
     assert (qp1.rnr_naks_sent, qp0.rnr_naks_received) == (1, 1)
     assert len(cq0) == 0 and len(cq1) == 0
     assert qp1.messages_delivered == 0 and qp1._expected_msn == 0
-    assert qp1.posted_recvs == 0 and qp0._rnr_waiting
+    assert qp1.posted_recvs == 0 and qp0._req._rnr_waiting
     assert qp0.outstanding_sends == 1  # still owed, replayed by the timer
 
 
@@ -383,13 +383,13 @@ def test_ack_advertises_the_posted_count_after_the_consume():
 
 
 # ----------------------------------------------------------------------
-# a QP that never sent holds no requester containers of its own
+# a QP that never sent holds no requester of its own
 # ----------------------------------------------------------------------
 def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
-    from repro.ib.qp import _NONE_INFLIGHT
+    from repro.ib.qp import IDLE_REQUESTER, Requester
 
     sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
-    assert qp0._inflight is _NONE_INFLIGHT is qp1._inflight
+    assert qp0._req is IDLE_REQUESTER is qp1._req
     qp1.post_recv(RecvWR(wr_id="r", capacity=64), 2)  # a responder only
     qp0._on_ack(0, 5, epoch=qp0.epoch)  # nothing was ever sent: ignored
     qp0._on_rnr_nak(0, epoch=qp0.epoch)
@@ -397,29 +397,54 @@ def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
     assert qp0.state is QPState.READY and len(cq0) == 0
     assert qp0.check_invariants() == [] and qp0.outstanding_sends == 0
     for qp, peer in ((qp0, qp1), (qp1, qp0)):
-        qp.force_error()  # _flush on the shared empties
+        qp.force_error()  # _flush on the idle requester
         assert qp.check_invariants() == []
         qp.reset()
         qp.connect(peer.hca.lid, peer.qp_num)
-        assert qp._inflight is _NONE_INFLIGHT and qp._sq == ()
+        assert qp._req is IDLE_REQUESTER and qp.epoch == 1
+        qp.reset_counters()  # nothing of its own to zero
     assert len(cq0) == 0 and len(cq1) == 2  # only qp1's two posted receives
     cq1.poll()
     qp0._on_ack(0, 5, epoch=0)  # stale epoch
     qp0._on_ack(0, 5, epoch=qp0.epoch)  # current epoch, still nothing sent
-    assert qp0._inflight is _NONE_INFLIGHT
+    assert qp0._req is IDLE_REQUESTER
 
-    # the first post_send allocates this QP's own map, and only this QP's
+    # the first post_send builds this QP's own requester, and only this QP's
     qp1.post_recv(RecvWR(wr_id="r", capacity=64))
     qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="p"))
-    assert type(qp0._inflight) is dict and qp1._inflight is _NONE_INFLIGHT
+    req = qp0._req
+    assert type(req) is Requester and qp1._req is IDLE_REQUESTER
     run(sim)
     assert [wc.wr_id for wc in cq0.poll()] == ["s"]
     assert [wc.data for wc in cq1.poll()] == ["p"]
     assert qp0.check_invariants() == [] and qp1.check_invariants() == []
-    # nothing was, or can be, inserted on behalf of every idle QP at once
-    assert len(_NONE_INFLIGHT) == 0 and qp1._inflight is _NONE_INFLIGHT
-    with pytest.raises(TypeError):
-        _NONE_INFLIGHT[0] = "wr"
-    # a flush hands the shared empties back
+    assert (qp0.messages_sent, req._next_msn, qp1.messages_sent) == (1, 1, 0)
+    # a requester of its own lasts: a flush drains it, a reset rewinds it,
+    # and neither forgets what the job counted or how the QP was configured
+    qp0.enable_transport_retry(50_000, retry_limit=3)
     qp0.force_error()
-    assert qp0._inflight is _NONE_INFLIGHT and qp0._sq == ()
+    qp0.reset()
+    qp0.connect(1, qp1.qp_num)
+    assert qp0._req is req and qp0.epoch == 2 and qp0.outstanding_sends == 0
+    assert (req.messages_sent, req._next_msn, req._credit_est) == (1, 0, None)
+    assert (req._xport_enabled, req._xport_timeout_ns, req._xport_limit) == (True, 50_000, 3)
+    qp0.reset_counters()
+    assert qp0.messages_sent == 0
+
+
+def test_nothing_can_be_queued_or_counted_on_behalf_of_every_idle_qp():
+    from repro.ib.qp import IDLE_REQUESTER, Requester
+
+    idle = IDLE_REQUESTER
+    fresh = Requester(None)
+    for name in Requester.__slots__:  # bit for bit what a fresh one holds ...
+        assert getattr(idle, name) == getattr(fresh, name) or name in ("_sq", "_inflight")
+    assert idle._sq == () and len(idle._inflight) == 0  # ... but for the empties,
+    with pytest.raises(TypeError):  # which are read-only too
+        idle._inflight[0] = "wr"
+    for name in ("messages_sent", "_next_msn", "_xport_enabled", "_sq"):
+        with pytest.raises(AttributeError, match=f"idle Requester is read-only: .{name}"):
+            setattr(idle, name, 1)
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    with pytest.raises(AttributeError):
+        qp0.messages_sent = 1  # a QP's requester counters are read-only views

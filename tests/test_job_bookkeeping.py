@@ -120,12 +120,7 @@ def full_reset_connection_counters(endpoints):
     for ep in endpoints:
         for conn in ep.connections.values():
             conn.reset_stats()
-            qp = conn.qp
-            qp.rnr_naks_received = 0
-            qp.rnr_naks_sent = 0
-            qp.retransmissions = 0
-            qp.messages_sent = 0
-            qp.messages_delivered = 0
+            conn.qp.reset_counters()  # the verbs layer's own (QP_COUNTERS)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +138,8 @@ def _state(conn, queues=True):
         elif slot == "qp":
             v = queues and dict(
                 {name: getattr(v, name) for name in QP_COUNTERS},
-                posted_recvs=v.posted_recvs, outstanding_sends=v.outstanding_sends)
+                posted_recvs=v.posted_recvs, outstanding_sends=v.outstanding_sends,
+                requester=type(v._req).__name__)  # the shared idle one, as built
         elif slot == "recv_wr":
             v = (v.wr_id, v.capacity)
         elif slot == "stats":

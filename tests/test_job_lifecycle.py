@@ -18,7 +18,9 @@ from repro.cluster import job as job_module
 from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES, make_scheme
 from repro.faults import FaultPlan, chaos_cell
+from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
 from repro.ft import FTConfig
+from repro.ib.qp import IDLE_REQUESTER
 from repro.ib.types import INFINITE_RETRY
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
@@ -64,19 +66,20 @@ ARMABLE = {
 SECTIONS = {section for _, section, _ in ARMABLE.values()}
 
 
-def _launch(scheme, on_demand, prepost=2, congestion=None):
-    config = TestbedConfig(nodes=NRANKS)
+def _launch(scheme, on_demand, prepost=2, congestion=None, nranks=NRANKS):
+    config = TestbedConfig(nodes=nranks)
     config.ib.congestion = congestion
     cluster = Cluster(config)
-    cluster.launch(NRANKS, make_scheme(scheme), prepost, on_demand=on_demand)
+    cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=on_demand)
     return cluster
 
 
-def _job(cluster, stride=1, **armed):
+def _job(cluster, stride=1, rounds=4, **armed):
     """One ring job on ``cluster``; the result plus the events it took."""
     scheme = cluster.endpoints[0].scheme.name.value
     before = cluster.sim.events_executed
-    r = run_job(_ring(stride), NRANKS, scheme, 2, cluster=cluster, **armed)
+    r = run_job(_ring(stride, rounds), len(cluster.endpoints), scheme, 2,
+                cluster=cluster, **armed)
     return r, cluster.sim.events_executed - before
 
 
@@ -98,9 +101,15 @@ def _attachments(cluster):
         "congestion.audit": cong.audit if cong is not None else None,
         "hca.fault_transport": {hca.fault_transport for hca in cluster.hcas},
         "qp transport retry": {
-            (qp._xport_enabled, qp._xport_timeout_ns, qp._xport_limit,
-             qp._xport_timer, qp.reack_stale) for qp in qps
+            (qp._req._xport_enabled, qp._req._xport_timeout_ns, qp._req._xport_limit,
+             qp._req._xport_timer, qp.reack_stale) for qp in qps
         },
+        # a requester is built by a send, never by arming (an idle QP reads
+        # the shared one): nobody's is left that has not numbered a message
+        "requesters that never sent": [
+            qp for qp in qps
+            if qp._req is not IDLE_REQUESTER and not qp._req._next_msn
+        ],
         "cm._chaos": cluster.cm._chaos if cluster.cm is not None else None,
     }
 
@@ -277,13 +286,48 @@ def test_a_fault_plans_clock_is_the_jobs_clock():
 def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
     cluster, jobs = _three_jobs("static", False, faults=_drop_plan())
     assert {hca.fault_transport for hca in cluster.hcas} == {None}
-    assert not any(qp._xport_enabled or qp.reack_stale
+    assert not any(qp._req._xport_enabled or qp.reack_stale
                    for hca in cluster.hcas for qp in hca._qps.values())
     # an empty plan arms every QP's ACK timeout and changes nothing else:
     # the job after it takes the never-faulted number of events
     _, after_empty = _three_jobs("static", False, faults=FaultPlan(seed=7))
     _, never = _three_jobs("static", False)
     assert after_empty[2][1] == never[2][1]
+
+
+def test_arming_a_fault_plan_on_a_mesh_builds_no_requester():
+    """The ACK timeout is adapter-wide while a plan is armed
+    (``hca.fault_transport``): the injector turns each QP's responder flag
+    and updates the requesters that exist; one built during the faulted job
+    reads the adapter's settings, and the rest of the mesh stays idle."""
+    nranks = 32
+    cluster = _launch("static", on_demand=False, nranks=nranks)
+    qps = [qp for hca in cluster.hcas for qp in hca._qps.values()]
+    assert len(qps) == nranks * (nranks - 1)
+    assert all(qp._req is IDLE_REQUESTER for qp in qps)
+    pristine = _attachments(cluster)
+    _job(cluster, 1)  # so that arming finds requesters to update ...
+    before = [qp for qp in qps if qp._req is not IDLE_REQUESTER]
+    plan = CHAOS_SCENARIOS["lossy-window"].make_plan(7)
+    armed = (plan.transport_timeout_ns, plan.transport_retry_limit)
+    seen = []
+
+    def program(mpi):  # ... and builds more while armed (stride 3)
+        if mpi.rank == 0:
+            seen.append({(qp._req._xport_enabled, qp._req._xport_timeout_ns,
+                          qp._req._xport_limit, qp.reack_stale) for qp in before})
+            seen.append(sum(qp.reack_stale for qp in qps))
+        yield from _ring(3, rounds=40)(mpi)
+
+    r = run_job(program, nranks, "static", 2, cluster=cluster, faults=plan)
+    assert r.completed and r.report()["faults"]["faults.wire_drop"] > 0
+    assert seen == [{(True, *armed, True)}, len(qps)]
+    during = [qp for qp in qps if qp._req is not IDLE_REQUESTER and qp not in before]
+    assert during and all(qp._req._xport_timeout_ns == armed[0] for qp in during)
+    assert r.fc.retransmissions > 0  # their ACK timeouts ran
+    assert len(before) + len(during) < len(qps) // 2  # rings and barriers, not the mesh
+    _job(cluster, 1)  # disarms
+    assert _attachments(cluster) == pristine
 
 
 def test_setup_chaos_ends_with_its_job():

@@ -173,7 +173,10 @@ def test_idle_mesh_connection_host_heap_budget():
     this 32-rank measure), ~893 B with one read-only idle ``ConnStats``
     shared per rank (``Endpoint._engage`` hands a connection its own),
     ~804 B with the rank's own FIFOs lists (nothing per connection: four
-    deques' 2,816 B a rank, 1/31 of it at this 32-rank measure).
+    deques' 2,816 B a rank, 1/31 of it at this 32-rank measure), ~628 B
+    with the QP's requester half behind the shared ``IDLE_REQUESTER``
+    (17 slots, a 288-B block to a 160-B one) and one receive descriptor per
+    (peer, capacity) instead of per connection (48 B).
     Deterministic for a given interpreter; the bound is the measured
     value + 30 B — room for a CPython whose object headers differ, not
     for a new per-connection field.
@@ -182,7 +185,7 @@ def test_idle_mesh_connection_host_heap_budget():
     first few costs one pointer."""
     for scheme in SCHEMES:
         floor = _host_bytes_per_idle_connection(scheme, 1)
-        assert floor <= 834, (scheme, floor)
+        assert floor <= 658, (scheme, floor, "parent: 804")
         deep = _host_bytes_per_idle_connection(scheme, 100)
         assert (deep - floor) / 99 <= 9, (scheme, floor, deep)
 
@@ -193,12 +196,14 @@ def test_idle_ring_connection_host_heap_budget():
     ceiling (2,762 B while the receive queue was a deque, ~1,980 B with
     it a list, ~1,880 B with the channel slotted and holding both halves,
     ~1,708 B with the idle ``ConnStats`` shared, ~1,619 B with the rank's
-    FIFOs lists — the same steps and the same + 30 rule as above), and no
+    FIFOs lists, ~1,443 B with the idle requester and the descriptor shared
+    (one QP per connection here too) — the same steps and the same + 30
+    rule as above), and no
     object per slot — ring
     slots are bytes of one region (what moves with the depth is the size
     of a few address integers)."""
     floor = _host_bytes_per_idle_connection("rdma-eager", 1)
-    assert floor <= 1_649, floor
+    assert floor <= 1_473, (floor, "parent: 1,619")
     deep = _host_bytes_per_idle_connection("rdma-eager", 100)
     assert (deep - floor) / 99 <= 1, (floor, deep)
 
@@ -274,13 +279,16 @@ def test_engaged_connection_host_heap_budget():
     """What ``Endpoint._engage`` and the first ``post_send`` add to an idle
     connection: its own ``ConnStats`` (128 B), the requester map (224 B)
     and the send queue — 1,116 B while the send queue was a deque, 412 B
-    with it a list that is empty again once its message is acknowledged
-    (an all-to-all job on the 1,024-rank mesh engages 1,047,552 of them).
-    ``rdma-eager`` engages the ring QP's requester half as well: 1,484 ->
-    780 B.  Bounds are the measured values + 5 %."""
+    with it a list that is empty again once its message is acknowledged,
+    580 B now that the QP's own ``Requester`` (168 B) is part of the step
+    instead of 128 B of every idle QP: what an all-to-all job pays (on the
+    1,024-rank mesh it engages 1,047,552 of them) is +40 B a connection
+    against the parent, idle and engaged summed (+48 B in allocator
+    blocks).  ``rdma-eager`` engages the ring QP's requester half as
+    well: 1,484 -> 780 -> 948 B.  Bounds are the measured values + 5 %."""
     _host_bytes_idle_to_engaged("static")  # a process's first reads ~15 B more
     for scheme in SCHEMES:
         grown = _host_bytes_idle_to_engaged(scheme)
-        assert grown <= 432, (scheme, grown, "parent: 1,116")
+        assert grown <= 609, (scheme, grown, "parent: 412")
     grown = _host_bytes_idle_to_engaged("rdma-eager")
-    assert grown <= 819, (grown, "parent: 1,484")
+    assert grown <= 995, (grown, "parent: 780")

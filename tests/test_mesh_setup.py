@@ -23,6 +23,7 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
+from repro.ib.qp import IDLE_REQUESTER
 from repro.ib.types import IBConfig, Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR
 from repro.sim.units import us
@@ -106,9 +107,10 @@ def test_launch_files_a_big_build_with_the_old_generation(collector):
 def test_idle_connection_holds_no_queue_objects():
     cluster = _mesh(4, "static", 1)
     for conn in _conns(cluster):
-        for q in (conn.backlog, conn.deferred, conn.qp._sq):
+        for q in (conn.backlog, conn.deferred, conn.qp._req._sq):
             assert q == () and not isinstance(q, deque)
             assert len(q) == 0 and not q and list(q) == []
+        assert conn.qp._req is IDLE_REQUESTER
         assert conn.qp.outstanding_sends == 0
         assert conn.qp._next_injectable() is None
         assert conn.qp.check_invariants() == []
@@ -187,18 +189,19 @@ def test_a_backlog_is_as_deep_as_the_application_makes_it():
 
 def test_qp_reset_returns_the_send_queue_to_empty():
     sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair()
-    assert qp0._sq == ()
+    assert qp0._req is IDLE_REQUESTER and qp0._req._sq == ()
     qp0.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=4))
     qp0.post_send(SendWR(wr_id=2, opcode=Opcode.SEND, length=4))
-    assert [wr.wr_id for wr in qp0._sq] == [1, 2] and qp0.outstanding_sends == 2
+    req = qp0._req  # its own from here on, through every incarnation
+    assert [wr.wr_id for wr in req._sq] == [1, 2] and qp0.outstanding_sends == 2
     qp0.force_error()  # flushes both
-    assert qp0._sq == () and len(cq0) == 2
+    assert req._sq == [] and len(cq0) == 2
     qp0.reset()
-    assert qp0._sq == ()  # the shared empty again, not a drained queue
+    assert qp0._req is req and req._sq == [] and req._next_msn == 0
     assert qp0.outstanding_sends == 0 and qp0.state is QPState.RESET
     qp0.connect(1, qp1.qp_num)
     qp0.post_send(SendWR(wr_id=3, opcode=Opcode.SEND, length=4))
-    assert [wr.wr_id for wr in qp0._sq] == [3]
+    assert [wr.wr_id for wr in req._sq] == [3]
 
 
 def test_a_go_back_n_rewind_keeps_the_send_queue_fifo():
@@ -211,17 +214,18 @@ def test_a_go_back_n_rewind_keeps_the_send_queue_fifo():
     for i in range(n):  # no receive posted: MSN 0 is NAKed, the rest dropped
         qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=4, payload=i))
     sim.run(until=cfg.rnr_timer_ns // 2)
-    window = len(qp0._inflight)  # injected before the NAK froze the QP
-    assert qp0._rnr_waiting and 1 < window < n
-    assert [wr.wr_id for wr in qp0._sq] == list(range(window, n))
-    sim.run(until=qp0._rnr_timer_ev.time)  # it rewinds and probes with MSN 0
-    assert [wr.wr_id for wr in qp0._sq] == list(range(1, n))
-    assert list(qp0._inflight) == [0]
+    req = qp0._req
+    window = len(req._inflight)  # injected before the NAK froze the QP
+    assert req._rnr_waiting and 1 < window < n
+    assert [wr.wr_id for wr in req._sq] == list(range(window, n))
+    sim.run(until=req._rnr_timer_ev.time)  # it rewinds and probes with MSN 0
+    assert [wr.wr_id for wr in req._sq] == list(range(1, n))
+    assert list(req._inflight) == [0]
     qp1.post_recv(RecvWR(wr_id="r", capacity=64), n)
     sim.run()
     assert [wc.data for wc in cq1.poll()] == list(range(n))
     assert [wc.wr_id for wc in cq0.poll()] == list(range(n))
-    assert not qp0._sq and qp0.retransmissions >= window
+    assert not req._sq and qp0.retransmissions >= window
 
 
 def test_sever_returns_the_queues_to_empty():
@@ -243,19 +247,18 @@ def test_sever_returns_the_queues_to_empty():
     conn = r.endpoints[0].connections[victim]
     assert conn.stats.backlogged > 0  # the backlog was a live deque ...
     assert r.rank_results[0] > 0  # ... whose requests failed PROC_FAILED
-    for q in (conn.backlog, conn.deferred, conn.qp._sq):
+    for q in (conn.backlog, conn.deferred):
         assert q == () and not isinstance(q, deque)
+    assert conn.qp.outstanding_sends == 0  # flushed: its own requester, drained
 
 
 def test_idle_connection_holds_no_stash_and_no_requester_map():
-    from repro.ib.qp import _NONE_INFLIGHT
-
     cluster = _mesh(4, "rdma-eager", 2)
     for conn in _conns(cluster):
         assert conn.ring.cq_stash == () and not isinstance(conn.ring.cq_stash, list)
-        assert conn.qp._inflight is _NONE_INFLIGHT
+        assert conn.qp._req is IDLE_REQUESTER
         assert isinstance(conn.qp._rq, list)  # ~8 B per posted WQE, no block
-    assert len(_NONE_INFLIGHT) == 0
+    assert len(IDLE_REQUESTER._inflight) == 0
 
 
 def test_cq_stash_appears_on_the_first_cross_channel_skew():

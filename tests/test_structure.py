@@ -216,11 +216,14 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
     # same helper
     assert _modules_matching(r"gc\.disable\(") == {"sim/engine.py"}
     assert "type: ignore[attr-defined]" not in _src("core/dynamic.py")
-    # a connection's receive descriptor is built once, at add_connection,
-    # not per posted buffer
+    # a connection's receive descriptor is looked up once, at
+    # add_connection, not per posted buffer — and built once per (peer,
+    # capacity), by the cached factory beside the class, not per connection
+    assert _modules_matching(r"\bRecvWR\(") == {"ib/wr.py"}
+    assert _src("ib/wr.py").count("RecvWR(") == 2  # the factory's, and __repr__'s
     endpoint = _src("mpi/endpoint.py")
-    assert endpoint.count("RecvWR(") == 1
-    line = next(l for l in endpoint.splitlines() if "RecvWR(" in l)
+    assert endpoint.count("shared_recv_wr(") == 1
+    line = next(l for l in endpoint.splitlines() if "shared_recv_wr(" in l)
     add_connection = endpoint[endpoint.index("def add_connection"):]
     add_connection = add_connection[:add_connection.index("\n    def ", 1)]
     assert line in add_connection
@@ -270,10 +273,44 @@ def test_one_idle_to_engaged_transition_owns_the_set_and_the_counters():
     # ... and "fresh counters for this connection" has one spelling
     assert "ConnStats(max_prepost=conn.prepost_target)" in engage
     assert "ConnStats(max_prepost=self.prepost_target)" in inspect.getsource(Connection.reset_stats)
-    # nothing else asks whether a connection is idle by looking at them
+    # nobody but _engage and the first-send test in front of it (_post: the
+    # QP's requester may predate the first send, an explicit per-QP setting
+    # builds one) asks whether a connection is idle by looking at them
     is_idle = r"\bis\s+(?:not\s+)?[\w.]*_idle_stats"
     assert _modules_matching(is_idle) == {"mpi/endpoint.py"}
-    assert len(re.findall(is_idle, _src("mpi/endpoint.py"))) == len(re.findall(is_idle, engage)) == 1
+    askers = engage + inspect.getsource(Endpoint._post)
+    assert len(re.findall(is_idle, _src("mpi/endpoint.py"))) == len(re.findall(is_idle, askers)) == 2
+    assert not _modules_matching(r"\._req\b") - {"ib/qp.py", "ib/hca.py"}
+
+
+def test_one_site_builds_a_requester_and_arming_builds_none():
+    """A QP's requester half is the shared idle one until ``post_send`` (or
+    an explicit per-QP setting) builds its own — DESIGN §6.4."""
+    from repro.ib.qp import QueuePair
+
+    built = r"\bRequester\("
+    assert _modules_matching(built) == {"ib/qp.py"}
+    own = inspect.getsource(QueuePair._own_requester)
+    # the module-level idle one, and _own_requester's
+    assert len(re.findall(built, _src("ib/qp.py"))) == 2 and len(re.findall(built, own)) == 1
+    builders = {
+        name for name, fn in vars(QueuePair).items()
+        if inspect.isfunction(fn) and "_own_requester()" in inspect.getsource(fn)
+    }
+    assert builders == {"post_send", "set_initial_credit_estimate",
+                        "enable_transport_retry", "on_wire_loss"}
+    # ... and of those a job on a plain or fault-armed cluster reaches
+    # post_send alone: the gate is opt-in, the injector turns an adapter-wide
+    # setting, and a congestion drop is a send's
+    assert "_own_requester" not in _src("ib/hca.py") + _src("faults/injector.py")
+    assert _modules_matching(r"\.set_initial_credit_estimate\(") == {
+        "core/hardware.py", "recovery/manager.py"}
+    assert _modules_matching(r"\.enable_transport_retry\(") == {"ib/qp.py"}
+    assert _modules_matching(r"\.on_wire_loss\(") == {"congestion/switch.py"}
+    # the report and the reset go through the verbs layer's own two calls
+    for counter in ("rnr_naks_received", "rnr_naks_sent", "retransmissions",
+                    "messages_sent", "messages_delivered"):
+        assert not re.search(rf"\.{counter}\b", _src("core/stats.py")), counter
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +338,7 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
         built_by = {"mpi/endpoint.py", "ib/hca.py"}  # ... = None, once, at birth
         assert _modules_matching(pattern) - built_by == {owner}, pattern
         assert {"def arm(", "def disarm("} <= set(re.findall(r"def \w+\(", _src(owner)))
-    assert _modules_matching(r"\.disable_transport_retry\(") == {"faults/injector.py"}
+    assert _modules_matching(r"\.adopt_fault_transport\(") == {"faults/injector.py"}
 
 
 def test_a_finished_job_is_read_through_its_report():

@@ -48,6 +48,19 @@ def test_nonblocking_bandwidth_beats_blocking_for_large_messages():
 # ----------------------------------------------------------------------
 # NAS proxy structure
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("build, name", [
+    (lambda n: latency_program(4, iterations=n), "iterations"),
+    (lambda n: bandwidth_program(4, window=8, repetitions=n), "repetitions"),
+    (lambda n: bandwidth_program(4, window=n, repetitions=3), "window"),
+])
+@pytest.mark.parametrize("count", [0, -3, 2.5, None])
+def test_a_count_nothing_can_be_averaged_over_is_refused_by_name(build, name, count):
+    # at the factory, before any cluster exists: it was a TypeError from
+    # inside rank 0's generator (t0 never set), or 0.000 MB/s for window=0
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {count!r}"):
+        build(count)
+
+
 def test_grid_helpers():
     assert grid_2d(8) == (4, 2)
     assert grid_2d(16) == (4, 4)

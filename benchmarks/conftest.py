@@ -4,23 +4,26 @@ Each bench regenerates one table or figure from the paper's evaluation
 (§6), prints it, writes it under ``benchmarks/results/`` and asserts the
 paper's *shape* criteria (who wins, roughly by how much, where the
 crossovers are) — never absolute numbers.
+
+The figures take their cells from the named sweep grids
+(``repro sweep --grid figN``) and render through the renderers the CLI
+uses (:func:`repro.analysis.scheme_figure` / ``scheme_table``).
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-from typing import List, Sequence
+from typing import Sequence
 
 import pytest
 
-from repro.campaign import CampaignResult, MemoryCache, run_cells
+from repro.analysis import Figure, scheme_figure
+from repro.campaign import CampaignResult, MemoryCache, build_grid, run_cells
 from repro.campaign.spec import JobSpec
+from repro.core import SCHEME_NAMES as SCHEMES  # presentation order
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: The paper's three schemes in presentation order.
-SCHEMES = ("hardware", "static", "dynamic")
 
 #: One result cache per pytest session: figures sharing cells (the NAS
 #: sweep feeds Figure 9, Figure 10 and both tables) run each cell once.
@@ -34,6 +37,11 @@ SWEEP_WORKERS = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
 def run_grid(specs: Sequence[JobSpec]) -> CampaignResult:
     """Run a figure's cells through the campaign orchestrator."""
     return run_cells(specs, workers=SWEEP_WORKERS, cache=SESSION_CACHE)
+
+
+def grid_figure(grid: str, title: str, **overrides) -> Figure:
+    """A named sweep grid's cells, run and drawn one series per scheme."""
+    return scheme_figure(run_grid(build_grid(grid, **overrides)), title)
 
 
 def save_result(name: str, text: str) -> None:

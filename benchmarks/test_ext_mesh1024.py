@@ -17,7 +17,7 @@ import resource
 
 from repro.analysis import Table
 from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
-from repro.core import make_scheme
+from repro.core import SCHEME_NAMES, make_scheme
 from repro.core.memory import mesh_pinned_bytes
 
 from benchmarks.conftest import run_once, save_result
@@ -50,7 +50,7 @@ def run_table() -> Table:
         ["connections", "posted_buffers", "grown", "pinned_mb", "model_mb",
          "time_us"],
     )
-    for scheme in ("static", "dynamic"):
+    for scheme in SCHEME_NAMES[1:]:  # the user-level schemes
         for on_demand in (False, True):
             cluster = Cluster(cfg)
             cluster.launch(NRANKS, make_scheme(scheme), PREPOST,

@@ -16,6 +16,7 @@ against the send/recv channel:
 
 from repro.analysis import Table
 from repro.cluster import TestbedConfig, run_job
+from repro.core import EXTENDED_SCHEME_NAMES
 from repro.sim.units import to_us
 from repro.workloads import latency_program
 
@@ -43,7 +44,8 @@ def run_table() -> Table:
         "Extension: send/recv channel vs RDMA eager ring (flood at pre-post 4)",
         ["latency_us", "flood_us", "rnr_naks", "backlogged"],
     )
-    for scheme in ("hardware", "static", "rdma-eager"):
+    # both send/recv extremes, and the ring
+    for scheme in (s for s in EXTENDED_SCHEME_NAMES if s != "dynamic"):
         lat = run_job(latency_program(4, iterations=50), 2, scheme,
                       prepost=100, config=TestbedConfig(nodes=2))
         flood = run_job(flood_busy(), 2, scheme, prepost=4,

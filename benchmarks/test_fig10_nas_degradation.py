@@ -12,27 +12,24 @@ Paper findings, reproduced as shape assertions:
   anywhere — the paper's headline result.
 """
 
-from repro.analysis import Table, pct_change
+from repro.analysis import Table, pct_change, scheme_table
+from repro.campaign import grids
 from repro.workloads.nas import KERNEL_ORDER
 
-from benchmarks.conftest import SCHEMES, run_once, save_result
-from benchmarks.nas_common import full_sweep
+from benchmarks.conftest import SCHEMES, run_grid, run_once, save_result
 
 
 def run_table() -> Table:
-    table = Table("Figure 10: % degradation, pre-post 100 -> 1", list(SCHEMES))
-    base = full_sweep(100)
-    starved = full_sweep(1)
-    for kernel in KERNEL_ORDER:
-        table.add_row(
-            kernel,
-            *(
-                pct_change(starved[(kernel, s)]["elapsed_ns"],
-                           base[(kernel, s)]["elapsed_ns"])
-                for s in SCHEMES
-            ),
-        )
-    return table
+    def cell(out):
+        return out.spec.params["kernel"], out.spec.params["scheme"]
+
+    base = {cell(out): out.metrics["elapsed_ns"]
+            for out in run_grid(grids.nas_grid(preposts=[100])).outcomes}
+    return scheme_table(
+        run_grid(grids.nas_grid(preposts=[1])),
+        "Figure 10: % degradation, pre-post 100 -> 1",
+        lambda out: pct_change(out.metrics["elapsed_ns"], base[cell(out)]),
+    )
 
 
 def test_fig10(benchmark):

@@ -5,38 +5,22 @@ three schemes have essentially identical latency (~7.5 µs small-message
 for the send/recv-based implementation), rising with size.
 """
 
-from repro.analysis import Figure
-from repro.campaign import grids
+from repro.campaign.grids import LATENCY_SIZES
 
-from benchmarks.conftest import SCHEMES, run_grid, run_once, save_result
-
-SIZES = [4, 16, 64, 256, 1024, 4096, 16384]
-
-
-def run_figure() -> Figure:
-    specs = grids.latency_grid(schemes=SCHEMES, sizes=SIZES, iterations=50,
-                               prepost=100)
-    res = run_grid(specs)
-    fig = Figure("Figure 2: MPI latency", xlabel="bytes", ylabel="one-way us")
-    for out in res.outcomes:
-        fig.add(out.spec.params["scheme"], out.spec.params["size"],
-                out.metrics["latency_us"])
-    return fig
+from benchmarks.conftest import SCHEMES, grid_figure, run_once, save_result
 
 
 def test_fig2_latency(benchmark):
-    fig = run_once(benchmark, run_figure)
+    fig = run_once(benchmark, lambda: grid_figure("fig2", "Figure 2: MPI latency"))
     save_result("fig2_latency", fig.render())
 
-    hw = fig.series_named("hardware")
-    st = fig.series_named("static")
-    dy = fig.series_named("dynamic")
+    hw, st, dy = (fig.series_named(s) for s in SCHEMES)
 
     # Small-message latency lands in the paper's regime (~7-8 us).
     assert 6.5 < hw.y_at(4) < 9.0
 
     # All three schemes within a few percent of each other at every size.
-    for size in SIZES:
+    for size in LATENCY_SIZES:
         base = hw.y_at(size)
         assert abs(st.y_at(size) - base) / base < 0.05
         assert abs(dy.y_at(size) - base) / base < 0.05

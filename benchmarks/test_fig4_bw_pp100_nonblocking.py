@@ -4,22 +4,18 @@ Paper finding: with enough buffers all three schemes perform comparably;
 non-blocking pipelines better than blocking at large windows.
 """
 
-from benchmarks.bw_common import WINDOWS, run_bw_figure
-from benchmarks.conftest import run_once, save_result
+from repro.campaign.grids import BW_WINDOWS
+
+from benchmarks.conftest import SCHEMES, grid_figure, run_once, save_result
 
 
 def test_fig4(benchmark):
-    fig = run_once(
-        benchmark,
-        lambda: run_bw_figure(
-            "Figure 4: BW 4B msgs, pre-post=100, non-blocking",
-            size=4, prepost=100, blocking=False,
-        ),
-    )
+    fig = run_once(benchmark, lambda: grid_figure(
+        "fig4", "Figure 4: BW 4B msgs, pre-post=100, non-blocking"))
     save_result("fig4_bw_pp100_nonblocking", fig.render(fmt="{:>12.3f}"))
 
-    hw, st, dy = (fig.series_named(s) for s in ("hardware", "static", "dynamic"))
-    for w in WINDOWS:
+    hw, st, dy = (fig.series_named(s) for s in SCHEMES)
+    for w in BW_WINDOWS:
         base = hw.y_at(w)
         assert abs(st.y_at(w) - base) / base < 0.06
         assert abs(dy.y_at(w) - base) / base < 0.06

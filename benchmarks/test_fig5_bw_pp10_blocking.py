@@ -6,23 +6,15 @@ credits — performs the worst.  The hardware scheme rides the attentive
 receiver unharmed.
 """
 
-from benchmarks.bw_common import run_bw_figure
-from benchmarks.conftest import run_once, save_result
-
-WINDOWS = [1, 2, 4, 8, 16, 32, 64, 100]
+from benchmarks.conftest import SCHEMES, grid_figure, run_once, save_result
 
 
 def test_fig5(benchmark):
-    fig = run_once(
-        benchmark,
-        lambda: run_bw_figure(
-            "Figure 5: BW 4B msgs, pre-post=10, blocking",
-            size=4, prepost=10, blocking=True, windows=WINDOWS,
-        ),
-    )
+    fig = run_once(benchmark, lambda: grid_figure(
+        "fig5", "Figure 5: BW 4B msgs, pre-post=10, blocking"))
     save_result("fig5_bw_pp10_blocking", fig.render(fmt="{:>12.3f}"))
 
-    hw, st, dy = (fig.series_named(s) for s in ("hardware", "static", "dynamic"))
+    hw, st, dy = (fig.series_named(s) for s in SCHEMES)
 
     # Below the pre-post depth: all equal.
     for w in (1, 2, 4, 8):

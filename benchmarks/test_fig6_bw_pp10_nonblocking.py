@@ -7,21 +7,12 @@ picks up piggybacked credits through the rendezvous-fallback handshake,
 while a non-blocking sender dumps the whole window into the backlog.
 """
 
-from benchmarks.bw_common import run_bw_figure
-from benchmarks.conftest import run_once, save_result
-
-WINDOWS = [1, 2, 4, 8, 16, 32, 64, 100]
+from benchmarks.conftest import SCHEMES, grid_figure, save_result
 
 
 def run_both():
-    nb = run_bw_figure(
-        "Figure 6: BW 4B msgs, pre-post=10, non-blocking",
-        size=4, prepost=10, blocking=False, windows=WINDOWS,
-    )
-    bl = run_bw_figure(
-        "(companion) blocking static for the Fig 5/6 comparison",
-        size=4, prepost=10, blocking=True, windows=WINDOWS,
-    )
+    nb = grid_figure("fig6", "Figure 6: BW 4B msgs, pre-post=10, non-blocking")
+    bl = grid_figure("fig5", "(companion) blocking static for the Fig 5/6 comparison")
     return nb, bl
 
 
@@ -29,7 +20,7 @@ def test_fig6(benchmark):
     nb, bl = benchmark.pedantic(run_both, rounds=1, iterations=1)
     save_result("fig6_bw_pp10_nonblocking", nb.render(fmt="{:>12.3f}"))
 
-    hw, st, dy = (nb.series_named(s) for s in ("hardware", "static", "dynamic"))
+    hw, st, dy = (nb.series_named(s) for s in SCHEMES)
     for w in (16, 32, 64, 100):
         assert st.y_at(w) < 0.85 * dy.y_at(w)
         assert dy.y_at(w) > 0.85 * hw.y_at(w)

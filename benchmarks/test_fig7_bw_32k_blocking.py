@@ -5,24 +5,18 @@ makes the pattern symmetric — all three schemes perform well even with few
 pre-posted buffers.
 """
 
-from benchmarks.bw_common import run_bw_figure
-from benchmarks.conftest import run_once, save_result
+from repro.campaign.grids import BW_WINDOWS
 
-WINDOWS = [1, 2, 4, 8, 16, 32, 64, 100]
+from benchmarks.conftest import SCHEMES, grid_figure, run_once, save_result
 
 
 def test_fig7(benchmark):
-    fig = run_once(
-        benchmark,
-        lambda: run_bw_figure(
-            "Figure 7: BW 32K msgs, pre-post=10, blocking",
-            size=32 * 1024, prepost=10, blocking=True, windows=WINDOWS,
-        ),
-    )
+    fig = run_once(benchmark, lambda: grid_figure(
+        "fig7", "Figure 7: BW 32K msgs, pre-post=10, blocking"))
     save_result("fig7_bw_32k_blocking", fig.render(fmt="{:>12.1f}"))
 
-    hw, st, dy = (fig.series_named(s) for s in ("hardware", "static", "dynamic"))
-    for w in WINDOWS:
+    hw, st, dy = (fig.series_named(s) for s in SCHEMES)
+    for w in BW_WINDOWS:
         base = hw.y_at(w)
         assert abs(st.y_at(w) - base) / base < 0.10
         assert abs(dy.y_at(w) - base) / base < 0.10

@@ -5,21 +5,15 @@ the non-blocking version clearly beats the blocking one thanks to
 communication overlap.
 """
 
-from benchmarks.bw_common import run_bw_figure
-from benchmarks.conftest import run_once, save_result
+from repro.campaign.grids import BW_WINDOWS
 
-WINDOWS = [1, 2, 4, 8, 16, 32, 64, 100]
+from benchmarks.conftest import SCHEMES, grid_figure, save_result
 
 
 def run_both():
-    nb = run_bw_figure(
-        "Figure 8: BW 32K msgs, pre-post=10, non-blocking",
-        size=32 * 1024, prepost=10, blocking=False, windows=WINDOWS,
-    )
-    bl = run_bw_figure(
-        "(companion) blocking for the Fig 7/8 comparison",
-        size=32 * 1024, prepost=10, blocking=True, windows=[16, 64, 100],
-    )
+    nb = grid_figure("fig8", "Figure 8: BW 32K msgs, pre-post=10, non-blocking")
+    bl = grid_figure("fig7", "(companion) blocking for the Fig 7/8 comparison",
+                     windows=[16, 64, 100])
     return nb, bl
 
 
@@ -27,8 +21,8 @@ def test_fig8(benchmark):
     nb, bl = benchmark.pedantic(run_both, rounds=1, iterations=1)
     save_result("fig8_bw_32k_nonblocking", nb.render(fmt="{:>12.1f}"))
 
-    hw, st, dy = (nb.series_named(s) for s in ("hardware", "static", "dynamic"))
-    for w in WINDOWS:
+    hw, st, dy = (nb.series_named(s) for s in SCHEMES)
+    for w in BW_WINDOWS:
         base = hw.y_at(w)
         assert abs(st.y_at(w) - base) / base < 0.12
         assert abs(dy.y_at(w) - base) / base < 0.12

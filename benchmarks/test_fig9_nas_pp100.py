@@ -6,20 +6,16 @@ user-level schemes pay for their explicit credit messages (18 % of all LU
 messages) and the hardware-based scheme wins by ~5-6 %.
 """
 
-from repro.analysis import Table
+from repro.analysis import Table, scheme_table
+from repro.campaign import grids
 from repro.workloads.nas import KERNEL_ORDER
 
-from benchmarks.conftest import SCHEMES, run_once, save_result
-from benchmarks.nas_common import full_sweep
+from benchmarks.conftest import run_grid, run_once, save_result
 
 
 def run_table() -> Table:
-    table = Table("Figure 9: NAS runtimes (s), pre-post=100", list(SCHEMES))
-    sweep = full_sweep(100)
-    for kernel in KERNEL_ORDER:
-        table.add_row(kernel,
-                      *(sweep[(kernel, s)]["elapsed_s"] for s in SCHEMES))
-    return table
+    return scheme_table(run_grid(grids.nas_grid(preposts=[100])),
+                        "Figure 9: NAS runtimes (s), pre-post=100")
 
 
 def test_fig9(benchmark):

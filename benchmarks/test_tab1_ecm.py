@@ -8,10 +8,9 @@ explicit credit messages.
 """
 
 from repro.analysis import Table
-from repro.workloads.nas import KERNEL_ORDER
+from repro.campaign import grids
 
-from benchmarks.conftest import run_once, save_result
-from benchmarks.nas_common import nas_run
+from benchmarks.conftest import run_grid, run_once, save_result
 
 
 def run_table() -> Table:
@@ -19,10 +18,10 @@ def run_table() -> Table:
         "Table 1: Explicit credit messages, user-level static (pre-post=100)",
         ["ecm_msgs", "total_msgs", "ecm_share_%", "ecm_per_conn"],
     )
-    for kernel in KERNEL_ORDER:
-        fc = nas_run(kernel, "static", 100)["fc"]
+    for out in run_grid(grids.nas_grid(schemes=["static"], preposts=[100])).outcomes:
+        fc = out.metrics["fc"]
         table.add_row(
-            kernel,
+            out.spec.params["kernel"],
             fc["ecm_msgs"],
             fc["total_msgs"],
             100.0 * fc["ecm_fraction"],

@@ -9,10 +9,9 @@ bearing the 2^k doubling signature).
 """
 
 from repro.analysis import Table
-from repro.workloads.nas import KERNEL_ORDER
+from repro.campaign import grids
 
-from benchmarks.conftest import run_once, save_result
-from benchmarks.nas_common import nas_run
+from benchmarks.conftest import run_grid, run_once, save_result
 
 PAPER_VALUES = {"is": 4, "ft": 4, "lu": 63, "cg": 3, "mg": 6, "bt": 7, "sp": 7}
 
@@ -22,9 +21,10 @@ def run_table() -> Table:
         "Table 2: Max posted buffers, user-level dynamic (start=1)",
         ["max_buffers", "paper"],
     )
-    for kernel in KERNEL_ORDER:
-        fc = nas_run(kernel, "dynamic", 1)["fc"]
-        table.add_row(kernel, fc["max_posted_buffers"], PAPER_VALUES[kernel])
+    for out in run_grid(grids.nas_grid(schemes=["dynamic"], preposts=[1])).outcomes:
+        kernel = out.spec.params["kernel"]
+        table.add_row(kernel, out.metrics["fc"]["max_posted_buffers"],
+                      PAPER_VALUES[kernel])
     return table
 
 

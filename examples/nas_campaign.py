@@ -23,10 +23,10 @@ import argparse
 
 from repro.analysis import Table, pct_change
 from repro.campaign import ResultCache, grids, run_cells
+from repro.core import SCHEME_NAMES as SCHEMES
 from repro.workloads.nas import KERNELS
 
 DEFAULT_KERNELS = ("lu", "mg", "cg")
-SCHEMES = ("hardware", "static", "dynamic")
 
 
 def main():

@@ -7,6 +7,8 @@ from repro.analysis.report import (
     congestion_table,
     memory_table,
     pct_change,
+    scheme_figure,
+    scheme_table,
 )
 from repro.analysis.timeline import (
     PairTraffic,
@@ -26,4 +28,6 @@ __all__ = [
     "memory_table",
     "pct_change",
     "rank_activity",
+    "scheme_figure",
+    "scheme_table",
 ]

@@ -8,7 +8,7 @@ EXPERIMENTS.md raw data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Union
 
 
 @dataclass
@@ -160,6 +160,40 @@ def pct_change(new: float, old: float) -> float:
     if old == 0:
         return 0.0
     return 100.0 * (new - old) / old
+
+
+#: a scheme figure's axes per cell kind: x parameter, y metric, their labels
+FIGURE_AXES = {
+    "latency": ("size", "latency_us", "bytes", "one-way us"),
+    "bandwidth": ("window", "mbps", "window", "MB/s"),
+}
+
+
+def scheme_figure(result: Any, title: str) -> Figure:
+    """A campaign result of latency or bandwidth cells as one series per
+    scheme — Figures 2-8, ``repro latency`` and ``repro bandwidth``."""
+    x, y, xlabel, ylabel = FIGURE_AXES[result.outcomes[0].spec.kind]
+    fig = Figure(title, xlabel=xlabel, ylabel=ylabel)
+    for out in result.outcomes:
+        fig.add(out.spec.params["scheme"], out.spec.params[x], out.metrics[y])
+    return fig
+
+
+def scheme_table(result: Any, title: str,
+                 metric: Union[str, Callable[[Any], Any]] = "elapsed_s") -> Table:
+    """A campaign result of NAS cells as one row per kernel and one column
+    per scheme, both in grid order — Figures 9-10 and ``repro nas``.  A
+    cell's value is its ``metric``, or ``metric(outcome)`` if callable."""
+    values = {
+        (out.spec.params["kernel"], out.spec.params["scheme"]):
+            metric(out) if callable(metric) else out.metrics[metric]
+        for out in result.outcomes
+    }
+    schemes = list(dict.fromkeys(scheme for _, scheme in values))
+    table = Table(title, schemes)
+    for kernel in dict.fromkeys(kernel for kernel, _ in values):
+        table.add_row(kernel, *(values[kernel, s] for s in schemes))
+    return table
 
 
 def memory_table(

@@ -9,16 +9,12 @@ maps the names accepted by ``python -m repro sweep --grid``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.campaign.spec import JobSpec
-
-SCHEMES = ("hardware", "static", "dynamic")
-
-#: the paper's three plus the beyond-the-paper RDMA-write ring-buffer
-#: eager scheme — the default axis for the sweeps that are ours rather
-#: than the paper's (scaling)
-EXTENDED_SCHEMES = SCHEMES + ("rdma-eager",)
+from repro.core import EXTENDED_SCHEME_NAMES as EXTENDED_SCHEMES
+from repro.core import SCHEME_NAMES as SCHEMES
 
 #: The bandwidth figures' window axis (Figures 3-8).
 BW_WINDOWS = (1, 2, 4, 8, 16, 32, 64, 100)
@@ -156,18 +152,13 @@ class Grid(NamedTuple):
     build: object  # Callable[..., List[JobSpec]]
 
 
-def _fig(size: int, prepost: int, blocking: bool):
-    def build(**overrides) -> List[JobSpec]:
-        params = dict(size=size, prepost=prepost, blocking=blocking)
-        params.update(overrides)
-        return bandwidth_grid(**params)
-
-    return build
+def _fig(size: int, prepost: int, blocking: bool, **axes: Any):
+    """A bandwidth figure's grid; a caller's keywords override these."""
+    return partial(bandwidth_grid, size=size, prepost=prepost, blocking=blocking, **axes)
 
 
 GRIDS: Dict[str, Grid] = {
-    "fig2": Grid("latency sweep, Figure 2 (21 cells)",
-                 lambda **kw: latency_grid(**kw)),
+    "fig2": Grid("latency sweep, Figure 2 (21 cells)", latency_grid),
     "fig3": Grid("BW 4B pre-post=100 blocking, Figure 3 (24 cells)",
                  _fig(4, 100, True)),
     "fig4": Grid("BW 4B pre-post=100 non-blocking, Figure 4 (24 cells)",
@@ -180,23 +171,15 @@ GRIDS: Dict[str, Grid] = {
                  _fig(32 * 1024, 10, True)),
     "fig8": Grid("BW 32K pre-post=10 non-blocking, Figure 8 (24 cells)",
                  _fig(32 * 1024, 10, False)),
-    "fig3-smoke": Grid(
-        "small Figure-3 grid for CI smoke (9 cells)",
-        lambda **kw: bandwidth_grid(**{**dict(size=4, prepost=100,
-                                              blocking=True,
-                                              windows=(1, 4, 16)), **kw}),
-    ),
+    "fig3-smoke": Grid("small Figure-3 grid for CI smoke (9 cells)",
+                       _fig(4, 100, True, windows=(1, 4, 16))),
     "nas": Grid("NAS kernels x schemes x pre-post {100,1}; Figures 9-10, "
-                "Tables 1-2 (42 cells)",
-                lambda **kw: nas_grid(**kw)),
-    "chaos": Grid("fault scenarios x schemes robustness sweep (30 cells)",
-                  lambda **kw: chaos_grid(**kw)),
-    "incast": Grid("congestion scenarios x {pfc,ecn,both} x schemes "
-                   "(27 cells)",
-                   lambda **kw: incast_grid(**kw)),
+                "Tables 1-2 (42 cells)", nas_grid),
+    "chaos": Grid("fault scenarios x schemes robustness sweep (30 cells)", chaos_grid),
+    "incast": Grid("congestion scenarios x {pfc,ecn,both} x schemes (27 cells)",
+                   incast_grid),
     "scaling": Grid("ranks 64-1024 x all four schemes x {mesh, on-demand} "
-                    "ring on fat-trees (20 cells)",
-                    lambda **kw: scaling_grid(**kw)),
+                    "ring on fat-trees (20 cells)", scaling_grid),
 }
 
 

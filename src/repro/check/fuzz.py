@@ -28,7 +28,7 @@ from repro.check.auditor import Auditor, InvariantViolation
 from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
-from repro.core import make_scheme
+from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, SchemeName, make_scheme
 from repro.faults import FaultPlan
 from repro.mpi.protocol import ANY_TAG
 from repro.sim.units import us
@@ -36,12 +36,12 @@ from repro.sim.units import us
 SPEC_VERSION = 1
 
 #: evaluation order — every workload runs under all three
-DEFAULT_SCHEMES = ("hardware", "static", "dynamic")
+DEFAULT_SCHEMES = SCHEME_NAMES
 
 #: the three plus the RDMA-write ring-buffer eager scheme — the
 #: differential claim extends to it: ring-slot accounting must be
 #: delivery-equivalent to credit accounting under every fault scenario
-EXTENDED_SCHEMES = DEFAULT_SCHEMES + ("rdma-eager",)
+EXTENDED_SCHEMES = EXTENDED_SCHEME_NAMES
 
 #: fault scenarios the fuzzer cycles through (None = healthy fabric).
 #: ``link-down`` runs with the connection recovery subsystem installed: a
@@ -247,7 +247,7 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
     failure record (``kind`` is ``"violation"`` for auditor hits, else
     the exception type name)."""
     kwargs: Dict[str, Any] = {}
-    if scheme_name in ("static", "dynamic"):
+    if scheme_name in (SchemeName.STATIC.value, SchemeName.DYNAMIC.value):
         kwargs["ecm_threshold"] = int(spec.get("ecm_threshold", 5))
     scheme = make_scheme(scheme_name, **kwargs)
     auditor = Auditor()

@@ -16,7 +16,10 @@ Commands mirror the paper's experiments:
 Every experiment command expands its grid into declarative
 :class:`~repro.campaign.JobSpec` cells and feeds them through the same
 :func:`~repro.campaign.run_cells` runner, so ``--workers`` parallelism
-and the sweep cache apply uniformly.
+and the sweep cache apply uniformly; ``latency``, ``bandwidth`` and
+``nas`` print through the figure suite's two renderers.  The paper's three
+schemes are the default axis except where the comparison is ours
+(``repro scaling``: all four).
 """
 
 from __future__ import annotations
@@ -26,27 +29,23 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis import Figure, Table, pct_change
-from repro.campaign import GRIDS, ResultCache, build_grid, grids, run_cells
-from repro.faults import SCENARIOS, chaos_report_header
+from repro.analysis import Table, scheme_figure, scheme_table
+from repro.campaign import GRIDS, MemoryCache, ResultCache, build_grid, grids, run_cells
+from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES
+from repro.faults import SCENARIOS, run_chaos
 from repro.workloads.nas import KERNEL_ORDER
-
-#: the paper's three schemes — the default comparison set for the
-#: figure/table commands, so reproduction output matches the paper
-SCHEMES = ("hardware", "static", "dynamic")
-#: plus the beyond-the-paper RDMA-write ring-buffer eager scheme;
-#: accepted everywhere, default only where the comparison is ours
-#: (``repro scaling``), not the paper's
-ALL_SCHEMES = SCHEMES + ("rdma-eager",)
 
 DEFAULT_CACHE_DIR = "benchmarks/results/.sweep-cache"
 
+CHECK_HELP = ("compare every record against a second in-process run and "
+              "exit 1 unless bit-identical")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
-                   choices=ALL_SCHEMES,
+    p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
+                   choices=EXTENDED_SCHEME_NAMES,
                    help="flow control schemes to compare")
-    p.add_argument("--prepost", type=int, default=100,
+    p.add_argument("--prepost", type=_positive_int, default=100,
                    help="receive buffers pre-posted per connection")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for independent cells (1 = "
@@ -62,6 +61,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _message_size(text: str) -> int:
+    """``type=`` of a message size: 0 B is a legal MPI message."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _progress(out, done, total) -> None:
     tag = {"run": "run", "worker": "run", "failed": "FAIL"}.get(
         out.source, out.source)
@@ -70,74 +77,45 @@ def _progress(out, done, total) -> None:
           file=sys.stderr)
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    specs = grids.latency_grid(schemes=args.schemes, sizes=args.sizes,
-                               iterations=args.iterations,
-                               prepost=args.prepost)
-    res = run_cells(specs, workers=args.workers)
-    fig = Figure("MPI latency", xlabel="bytes", ylabel="one-way us")
-    for out in res.outcomes:
-        fig.add(out.spec.params["scheme"], out.spec.params["size"],
-                out.metrics["latency_us"])
-    print(fig.render())
+def _run(args: argparse.Namespace, specs, cache=None, **options):
+    """Run ``specs``; ``None`` when ``--check`` found drift (reported).  The
+    one ``--check`` of ``sweep``, ``scaling`` and ``chaos``: the cells run
+    through ``cache`` (the sweep's disk cache, else a fresh one), then again
+    over it with ``check=True`` — every record against an in-process run."""
+    cache = MemoryCache() if cache is None else cache
+    res = run_cells(specs, workers=args.workers, cache=cache, **options)
+    if not args.check or res.failures:
+        return res
+    for out in res.outcomes:  # resumed from the artifact, not the cache
+        if out.record is not None and out.key not in cache:
+            cache.put(out.key, out.record)
+    drift = run_cells(specs, cache=cache, check=True, strict=False).check_failures
+    for m in drift:
+        print(f"CHECK MISMATCH ({m['source']}): {m['label']}", file=sys.stderr)
+    if drift:
+        print("DETERMINISM DRIFT: records are not bit-identical to an "
+              "in-process re-run", file=sys.stderr)
+        return None
+    print("determinism check passed (every record bit-identical to an "
+          "in-process re-run)", file=sys.stderr)
+    return res
+
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """``latency``, ``bandwidth`` and ``nas``: run the grid the command's
+    flags select (``args.cells``) and print it (``args.render``)."""
+    print(args.render(run_cells(args.cells(args), workers=args.workers), args))
     return 0
 
 
-def cmd_bandwidth(args: argparse.Namespace) -> int:
-    specs = grids.bandwidth_grid(schemes=args.schemes, size=args.size,
-                                 windows=args.windows,
-                                 repetitions=args.repetitions,
-                                 blocking=args.blocking,
-                                 prepost=args.prepost)
-    res = run_cells(specs, workers=args.workers)
-    fig = Figure(
-        f"MPI bandwidth, {args.size}B messages, pre-post={args.prepost}, "
-        f"{'blocking' if args.blocking else 'non-blocking'}",
-        xlabel="window", ylabel="MB/s",
-    )
-    for out in res.outcomes:
-        fig.add(out.spec.params["scheme"], out.spec.params["window"],
-                out.metrics["mbps"])
-    print(fig.render(fmt="{:>12.3f}"))
-    return 0
-
-
-def cmd_nas(args: argparse.Namespace) -> int:
-    specs = grids.nas_grid(kernels=args.kernels, schemes=args.schemes,
-                           preposts=(args.prepost,))
-    res = run_cells(specs, workers=args.workers)
-    by_cell = {(o.spec.params["kernel"], o.spec.params["scheme"]): o.metrics
-               for o in res.outcomes}
-    runtime = Table(f"NAS proxy runtimes (s), pre-post={args.prepost}",
-                    list(args.schemes))
-    for name in args.kernels:
-        row = []
-        for scheme in args.schemes:
-            m = by_cell[(name, scheme)]
-            row.append(m["elapsed_s"])
-            if args.verbose:
-                fc = m["fc"]
-                print(f"  {name}/{scheme}: ecm={fc['ecm_msgs']} "
-                      f"maxbuf={fc['max_posted_buffers']} "
-                      f"naks={fc['rnr_naks']}",
-                      file=sys.stderr)
-        runtime.add_row(name, *row)
-    print(runtime.render())
-    return 0
-
-
-def _scaling_metrics(args: argparse.Namespace, ladder: List[int]):
-    """Run the scaling sweep's cells; (ranks, scheme, mode) -> metrics."""
-    specs = grids.scaling_grid(ranks=ladder, schemes=args.schemes,
-                               prepost=args.prepost,
-                               iterations=args.iterations)
-    res = run_cells(specs, workers=args.workers)
-    metrics = {}
-    for out in res.outcomes:
-        p = out.spec.params
-        mode = "on-demand" if p["on_demand"] else "mesh"
-        metrics[(p["nodes"], p["scheme"], mode)] = out.metrics
-    return metrics
+def _nas_table(res, args: argparse.Namespace) -> str:
+    if args.verbose:
+        for out in res.outcomes:
+            fc = out.metrics["fc"]
+            print(f"  {out.spec.params['kernel']}/{out.spec.params['scheme']}: "
+                  f"ecm={fc['ecm_msgs']} maxbuf={fc['max_posted_buffers']} "
+                  f"naks={fc['rnr_naks']}", file=sys.stderr)
+    return scheme_table(res, f"NAS proxy runtimes (s), pre-post={args.prepost}").render()
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
@@ -149,16 +127,16 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     # full 64 -> 256 -> 1024 trajectory), plus the requested count itself
     ladder = sorted({r for r in grids.RANK_LADDER if r < args.nodes}
                     | {args.nodes})
-    metrics = _scaling_metrics(args, ladder)
-    if args.check:
-        rerun = _scaling_metrics(args, ladder)
-        canon = json.dumps(sorted(metrics.items()), sort_keys=True)
-        if canon != json.dumps(sorted(rerun.items()), sort_keys=True):
-            print("DETERMINISM DRIFT: two identical scaling sweeps disagree",
-                  file=sys.stderr)
-            return 1
-        print("determinism check passed (two runs bit-identical)",
-              file=sys.stderr)
+    res = _run(args, grids.scaling_grid(ranks=ladder, schemes=args.schemes,
+                                        prepost=args.prepost,
+                                        iterations=args.iterations))
+    if res is None:
+        return 1
+    metrics = {}  # (ranks, scheme, mode) -> metrics
+    for out in res.outcomes:
+        p = out.spec.params
+        mode = "on-demand" if p["on_demand"] else "mesh"
+        metrics[(p["nodes"], p["scheme"], mode)] = out.metrics
 
     for r in ladder:
         table = Table(f"Ring on {r} ranks (fat-tree)",
@@ -202,100 +180,86 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_report(args: argparse.Namespace) -> dict:
-    # what the flags arm, as the one mapping the chaos chain passes through
-    arming = {k: getattr(args, k) for k in ("recovery", "congestion", "ft")}
-    specs = grids.chaos_grid(scenarios=[args.scenario], schemes=args.schemes,
-                             seed=args.seed, prepost=args.prepost, **arming)
-    res = run_cells(specs, workers=args.workers)
-    report = chaos_report_header(args.scenario, seed=args.seed,
-                                 prepost=args.prepost, **arming)
-    for out in res.outcomes:
-        report["schemes"][out.spec.params["scheme"]] = out.metrics
-    return report
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
-    report = _chaos_report(args)
-    if args.check:
-        rerun = _chaos_report(args)
-        if json.dumps(report, sort_keys=True) != json.dumps(rerun, sort_keys=True):
-            print("DETERMINISM DRIFT: two identical chaos runs disagree",
-                  file=sys.stderr)
-            return 1
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        congested = report["congestion"] is not None
-        columns = ["done", "time_us", "recovery_us", "retrans", "rnr_naks",
-                   "backlog_max", "ecms", "fallbacks", "reconnects",
-                   "replayed"]
-        if congested:
-            columns += ["pauses", "marks", "drops", "victim_us"]
-        title = (
-            f"Chaos '{report['scenario']}' seed={report['seed']} "
-            f"prepost={report['prepost']} "
-            f"recovery={'on' if report['recovery'] else 'off'} "
-        )
-        if report.get("ft"):
-            title += "ft=on "
-        if congested:
-            title += f"congestion={report['congestion']} "
-        title += f"(faults end at {report['fault_window_us']:.0f} us)"
-        table = Table(title, columns)
-        for scheme, entry in report["schemes"].items():
-            rec = entry.get("recovery")
-            reconnects = rec["completed"] if rec else "-"
-            replayed = rec["messages_replayed"] if rec else "-"
-            cong_cells = []
-            if congested:
-                cong = entry.get("congestion")
-                cong_cells = [
-                    cong["pause_frames"] if cong else "-",
-                    cong["ecn_marks"] if cong else "-",
-                    cong["drops"] if cong else "-",
-                    entry.get("victim_finish_us", "-"),
-                ]
-            if entry.get("completed"):
-                table.add_row(scheme, "yes", entry["elapsed_us"],
-                              entry["recovery_us"], entry["retransmissions"],
-                              entry["rnr_naks"], entry["backlog_max"],
-                              entry["ecm_msgs"], entry["rndv_fallbacks"],
-                              reconnects, replayed, *cong_cells)
-            elif "failures" in entry:
-                f = entry["failures"][0]
-                if f.get("kind") == "rank-death":
-                    # a detected rank failure is the subsystem *working*:
-                    # show who died, who noticed, and how fast
-                    detail = (
-                        f"rank {f['rank']} dead ({f['cause']}), detected "
-                        f"by {f['detected_by']} in "
-                        f"{f['detection_latency_ns'] / 1000:.0f} us"
-                    )
-                    status = "DEAD"
-                else:
-                    detail = (f"{f['cause']} {f['rank']}<->{f['peer']} "
-                              f"attempts={f['attempts']}")
-                    status = "FAILED"
-                # the name column auto-sizes; the value columns do not
-                table.add_row(f"{scheme}: {detail}", status,
-                              "-", "-", "-", "-", "-", "-", "-",
-                              reconnects, replayed,
-                              *(["-"] * len(cong_cells)))
-            else:
-                table.add_row(f"{scheme}: {entry['error']}", "FAILED",
-                              "-", "-", "-", "-", "-", "-", "-", "-", "-",
-                              *(["-"] * len(cong_cells)))
-        print(table.render())
-    if args.check:
-        print("determinism check passed (two runs bit-identical)",
-              file=sys.stderr)
+    # the axes, and what the flags arm: one mapping down the chaos chain
+    axes = dict(schemes=args.schemes, seed=args.seed, prepost=args.prepost,
+                **{k: getattr(args, k) for k in ("recovery", "congestion", "ft")})
+    cache = MemoryCache()  # after --check, run_chaos is served from it
+    if args.check and _run(args, grids.chaos_grid(scenarios=[args.scenario], **axes),
+                           cache) is None:
+        return 1
+    report = run_chaos(args.scenario, workers=args.workers, cache=cache, **axes)
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json
+          else _chaos_table(report).render())
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign.runner import CheckFailure
+def _chaos_table(report: dict) -> Table:
+    """The chaos report as one row per scheme (``repro chaos`` sans ``--json``)."""
+    congested = report["congestion"] is not None
+    columns = ["done", "time_us", "recovery_us", "retrans", "rnr_naks",
+               "backlog_max", "ecms", "fallbacks", "reconnects",
+               "replayed"]
+    if congested:
+        columns += ["pauses", "marks", "drops", "victim_us"]
+    title = (
+        f"Chaos '{report['scenario']}' seed={report['seed']} "
+        f"prepost={report['prepost']} "
+        f"recovery={'on' if report['recovery'] else 'off'} "
+    )
+    if report.get("ft"):
+        title += "ft=on "
+    if congested:
+        title += f"congestion={report['congestion']} "
+    title += f"(faults end at {report['fault_window_us']:.0f} us)"
+    table = Table(title, columns)
+    for scheme, entry in report["schemes"].items():
+        rec = entry.get("recovery")
+        reconnects = rec["completed"] if rec else "-"
+        replayed = rec["messages_replayed"] if rec else "-"
+        cong_cells = []
+        if congested:
+            cong = entry.get("congestion")
+            cong_cells = [
+                cong["pause_frames"] if cong else "-",
+                cong["ecn_marks"] if cong else "-",
+                cong["drops"] if cong else "-",
+                entry.get("victim_finish_us", "-"),
+            ]
+        if entry.get("completed"):
+            table.add_row(scheme, "yes", entry["elapsed_us"],
+                          entry["recovery_us"], entry["retransmissions"],
+                          entry["rnr_naks"], entry["backlog_max"],
+                          entry["ecm_msgs"], entry["rndv_fallbacks"],
+                          reconnects, replayed, *cong_cells)
+        elif "failures" in entry:
+            f = entry["failures"][0]
+            if f.get("kind") == "rank-death":
+                # a detected rank failure is the subsystem *working*:
+                # show who died, who noticed, and how fast
+                detail = (
+                    f"rank {f['rank']} dead ({f['cause']}), detected "
+                    f"by {f['detected_by']} in "
+                    f"{f['detection_latency_ns'] / 1000:.0f} us"
+                )
+                status = "DEAD"
+            else:
+                detail = (f"{f['cause']} {f['rank']}<->{f['peer']} "
+                          f"attempts={f['attempts']}")
+                status = "FAILED"
+            # the name column auto-sizes; the value columns do not
+            table.add_row(f"{scheme}: {detail}", status,
+                          "-", "-", "-", "-", "-", "-", "-",
+                          reconnects, replayed,
+                          *(["-"] * len(cong_cells)))
+        else:
+            table.add_row(f"{scheme}: {entry['error']}", "FAILED",
+                          "-", "-", "-", "-", "-", "-", "-", "-", "-",
+                          *(["-"] * len(cong_cells)))
+    return table
 
+
+def cmd_sweep(args: argparse.Namespace) -> int:
     if args.list:
         for name in sorted(GRIDS):
             print(f"{name:>12}  {GRIDS[name].description}")
@@ -304,13 +268,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --grid is required (or --list to see the campaigns)",
               file=sys.stderr)
         return 2
-    overrides = {
-        "schemes": args.schemes,
-        "repetitions": args.repetitions,
-        "windows": args.windows,
-        "kernels": args.kernels,
-        "seed": args.seed,
-    }
+    # the axes a flag overrides (build_grid drops the ones left unset)
+    overrides = {k: getattr(args, k)
+                 for k in ("schemes", "repetitions", "windows", "kernels", "seed")}
     try:
         specs = build_grid(args.grid, **overrides)
     except (TypeError, ValueError) as err:
@@ -322,19 +282,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweep '{args.grid}': {len(specs)} cells, "
           f"workers={args.workers}, cache="
           f"{'off' if cache is None else args.cache_dir}", file=sys.stderr)
-    try:
-        res = run_cells(
-            specs,
-            workers=args.workers,
-            cache=cache,
-            jsonl_path=out_path,
-            resume=args.resume,
-            check=args.check,
-            strict=False,
-            progress=_progress,
-        )
-    except CheckFailure as err:  # pragma: no cover - strict=False above
-        print(f"CHECK FAILED: {err}", file=sys.stderr)
+    res = _run(args, specs, cache, jsonl_path=out_path, resume=args.resume,
+               strict=False, progress=_progress)
+    if res is None:
         return 1
 
     print(f"sweep '{args.grid}': {len(res.outcomes)} cells — "
@@ -345,16 +295,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for out in res.failures:
             print(f"FAILED: {out.spec.label()}: {out.error}", file=sys.stderr)
         return 1
-    if res.check_failures:
-        for m in res.check_failures:
-            print(f"CHECK MISMATCH ({m['source']}): {m['label']}",
-                  file=sys.stderr)
-        print("DETERMINISM DRIFT: stored results are not bit-identical to "
-              "an in-process re-run", file=sys.stderr)
-        return 1
-    if args.check:
-        print("determinism check passed (records bit-identical to "
-              "in-process runs)", file=sys.stderr)
     if args.require_all_cached and res.executed:
         print(f"error: --require-all-cached but {res.executed} cell(s) "
               f"were executed (cold cache?)", file=sys.stderr)
@@ -415,44 +355,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="latency sweep (Figure 2)")
     _add_common(p)
-    p.add_argument("--sizes", nargs="+", type=int,
+    p.add_argument("--sizes", nargs="+", type=_message_size,
                    default=[4, 64, 1024, 16384])
     p.add_argument("--iterations", type=_positive_int, default=50)
-    p.set_defaults(fn=cmd_latency)
+    p.set_defaults(
+        fn=cmd_experiment,
+        cells=lambda a: grids.latency_grid(schemes=a.schemes, sizes=a.sizes,
+                                           iterations=a.iterations, prepost=a.prepost),
+        render=lambda res, a: scheme_figure(res, "MPI latency").render())
 
     p = sub.add_parser("bandwidth", help="windowed bandwidth test (Figures 3-8)")
     _add_common(p)
-    p.add_argument("--size", type=int, default=4)
+    p.add_argument("--size", type=_message_size, default=4)
     p.add_argument("--windows", nargs="+", type=_positive_int,
                    default=[1, 4, 16, 64, 100])
     p.add_argument("--repetitions", type=_positive_int, default=10)
     p.add_argument("--blocking", action="store_true")
-    p.set_defaults(fn=cmd_bandwidth)
+    p.set_defaults(
+        fn=cmd_experiment,
+        cells=lambda a: grids.bandwidth_grid(
+            schemes=a.schemes, size=a.size, windows=a.windows,
+            repetitions=a.repetitions, blocking=a.blocking, prepost=a.prepost),
+        render=lambda res, a: scheme_figure(
+            res, f"MPI bandwidth, {a.size}B messages, pre-post={a.prepost}, "
+                 f"{'blocking' if a.blocking else 'non-blocking'}",
+        ).render(fmt="{:>12.3f}"))
 
     p = sub.add_parser("nas", help="NAS proxies (Figures 9-10)")
     _add_common(p)
     p.add_argument("--kernels", nargs="+", default=list(KERNEL_ORDER),
                    choices=list(KERNEL_ORDER))
     p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(fn=cmd_nas)
+    p.set_defaults(fn=cmd_experiment, render=_nas_table,
+                   cells=lambda a: grids.nas_grid(kernels=a.kernels, schemes=a.schemes,
+                                                  preposts=(a.prepost,)))
 
     p = sub.add_parser(
         "scaling",
         help="ranks 64-1024 x schemes x {mesh, on-demand} on fat trees, "
              "with the Table-2-at-scale memory table")
-    p.add_argument("--nodes", type=int, default=64,
+    p.add_argument("--nodes", type=_positive_int, default=64,
                    help="top of the rank ladder (1024 = the three-level "
                         "pod fat-tree)")
-    p.add_argument("--schemes", nargs="+", default=list(ALL_SCHEMES),
-                   choices=ALL_SCHEMES,
+    p.add_argument("--schemes", nargs="+", default=list(EXTENDED_SCHEME_NAMES),
+                   choices=EXTENDED_SCHEME_NAMES,
                    help="flow control schemes to compare (all four by "
                         "default — the memory story is the point here)")
-    p.add_argument("--prepost", type=int, default=1)
+    p.add_argument("--prepost", type=_positive_int, default=1)
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for independent cells")
-    p.add_argument("--check", action="store_true",
-                   help="run the sweep twice and exit 1 unless bit-identical")
+    p.add_argument("--check", action="store_true", help=CHECK_HELP)
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser(
@@ -476,14 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="reuse records already in the --out artifact "
                         "(checkpoint of an interrupted campaign)")
-    p.add_argument("--check", action="store_true",
-                   help="re-run every cached/worker result in-process and "
-                        "exit 1 unless bit-identical")
+    p.add_argument("--check", action="store_true", help=CHECK_HELP)
     p.add_argument("--require-all-cached", action="store_true",
                    help="exit 1 if any cell had to execute (warm-cache "
                         "assertion for CI)")
     p.add_argument("--schemes", nargs="+", default=None,
-                   choices=ALL_SCHEMES,
+                   choices=EXTENDED_SCHEME_NAMES,
                    help="override the grid's schemes")
     p.add_argument("--windows", nargs="+", type=_positive_int, default=None,
                    help="override a bandwidth grid's window axis")
@@ -503,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named fault scenario (see EXPERIMENTS.md)")
     p.add_argument("--seed", type=int, default=7,
                    help="fault-plan RNG seed (fixed seed -> bit-identical run)")
-    p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
-                   choices=ALL_SCHEMES,
+    p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
+                   choices=EXTENDED_SCHEME_NAMES,
                    help="flow control schemes to compare")
-    p.add_argument("--prepost", type=int, default=None,
+    p.add_argument("--prepost", type=_positive_int, default=None,
                    help="receive buffers per connection (default: scenario's)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the per-scheme cells")
@@ -528,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "watchdog hang (pair with --scenario rank-death)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as canonical JSON")
-    p.add_argument("--check", action="store_true",
-                   help="run twice and exit 1 unless bit-identical")
+    p.add_argument("--check", action="store_true", help=CHECK_HELP)
     p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser(
@@ -541,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base workload seed (run k uses seed+k)")
     p.add_argument("--runs", type=int, default=25,
                    help="number of seeded workloads")
-    p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
-                   choices=ALL_SCHEMES,
+    p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
+                   choices=EXTENDED_SCHEME_NAMES,
                    help="schemes every workload runs under")
     p.add_argument("--scenarios", nargs="+",
                    default=["none", "receiver-stall", "lossy-window",

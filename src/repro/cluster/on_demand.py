@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.mpi.connection import Connection
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
-from repro.recovery.policy import RecoveryPolicy
+from repro.recovery.policy import RecoveryPolicy, pair_rng
 from repro.sim import Signal
 from repro.sim.units import us
 
@@ -84,11 +84,8 @@ class SetupChaos:
         return self.cluster.tracer.summary("cm.")
 
     def rng(self, pair: Tuple[int, int], attempt: int) -> random.Random:
-        """Per-(pair, attempt) RNG: deterministic, decorrelated across
-        pairs (same keying idiom as the recovery backoff jitter)."""
-        return random.Random(
-            self.seed * 1_000_003 + pair[0] * 1009 + pair[1] * 131 + attempt
-        )
+        """Per-(pair, attempt) RNG, keyed like the recovery backoff jitter."""
+        return pair_rng(self.seed, *pair, attempt)
 
 
 class ConnectionManager:
@@ -153,9 +150,7 @@ class ConnectionManager:
         # attempt's backoff share, so an establish in flight always wins
         # the race against its own timer.
         pol = chaos.policy
-        backoff = min(
-            pol.max_delay_ns, int(pol.base_delay_ns * pol.backoff_factor ** (attempt - 1))
-        )
+        backoff = pol.backoff_ns(attempt)
         if pol.jitter_ns:
             backoff += rng.randrange(pol.jitter_ns)
         sim.schedule(

@@ -43,6 +43,10 @@ ALL_SCHEMES = (SchemeName.HARDWARE, SchemeName.STATIC, SchemeName.DYNAMIC)
 #: used by the harnesses that compare all registered schemes.
 EXTENDED_SCHEMES = ALL_SCHEMES + (SchemeName.RDMA_EAGER,)
 
+#: the same two orders as names: the scheme axis of every CLI command and grid
+SCHEME_NAMES = tuple(s.value for s in ALL_SCHEMES)
+EXTENDED_SCHEME_NAMES = tuple(s.value for s in EXTENDED_SCHEMES)
+
 _SCHEME_CLASSES = {
     SchemeName.HARDWARE.value: HardwareScheme,
     SchemeName.STATIC.value: StaticScheme,
@@ -75,6 +79,8 @@ __all__ = [
     "DEFAULT_ECM_THRESHOLD",
     "DEFAULT_RECLAIM_WATERMARK",
     "EXTENDED_SCHEMES",
+    "EXTENDED_SCHEME_NAMES",
+    "SCHEME_NAMES",
     "CongestionReport",
     "DynamicScheme",
     "FlowControlReport",

@@ -15,13 +15,7 @@ under adverse conditions.  This package injects them, reproducibly:
 
 from repro.faults.injector import FabricFaultState, FaultInjector, FaultInjectorError
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
-from repro.faults.scenarios import (
-    SCENARIOS,
-    SCHEMES,
-    chaos_cell,
-    chaos_report_header,
-    run_chaos,
-)
+from repro.faults.scenarios import SCENARIOS, chaos_cell, run_chaos
 
 __all__ = [
     "FabricFaultState",
@@ -31,8 +25,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "SCENARIOS",
-    "SCHEMES",
     "chaos_cell",
-    "chaos_report_header",
     "run_chaos",
 ]

@@ -53,9 +53,9 @@ ring flow; measures how far hotspot backpressure spreads.
 ``victim-flow`` — a fat-tree with a single spine: three hot flows and one
 victim flow share the lone uplink, the classic HoL-blocking topology.
 
-``run_chaos`` runs the requested schemes under a scenario and returns a
-plain-dict report (stable key order) so the CLI can render/serialise it
-and the determinism check can compare two runs byte-for-byte.
+``run_chaos`` runs the requested schemes under a scenario — one campaign
+cell each — and returns a plain-dict report (stable key order) that
+``repro chaos`` renders or serialises.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
 from repro.congestion.config import DROP_RETRY_TIMEOUT_NS
+from repro.core import SCHEME_NAMES
 from repro.faults.plan import FaultPlan
 from repro.sim.units import to_us, us
 from repro.workloads.microbench import manyflows_program
-
-SCHEMES = ("hardware", "static", "dynamic")
 
 
 # ----------------------------------------------------------------------
@@ -411,8 +410,7 @@ def chaos_cell(
     — a projection of :meth:`repro.cluster.job.JobResult.report`.
 
     This is the unit of work the campaign orchestrator fans out
-    (``repro.campaign``); :func:`run_chaos` assembles the same entries
-    sequentially, so the two paths are bit-identical by construction.
+    (``repro.campaign``) and :func:`run_chaos` assembles.
 
     ``arming`` is ``run_job`` keywords (``recovery=True``, ``ft=True``)
     merged over the scenario's own; ``recovery`` and ``ft`` add their
@@ -472,40 +470,33 @@ def chaos_cell(
     return entry
 
 
-def chaos_report_header(
-    scenario: str, seed: int = 7, prepost: Optional[int] = None, **arming: Any,
+def run_chaos(
+    scenario: str,
+    seed: int = 7,
+    schemes: Iterable[str] = SCHEME_NAMES,
+    prepost: Optional[int] = None,
+    workers: int = 1,
+    cache: Any = None,
+    **arming: Any,
 ) -> Dict:
-    """The scenario-level fields shared by every scheme's entry; ``arming``
-    is what the caller hands :func:`chaos_cell`, recorded as given."""
+    """Run ``schemes`` under the named scenario — its ``chaos_grid`` cells,
+    through :func:`repro.campaign.run_cells` — and return the robustness
+    report as a plain dict (deterministic content for a fixed seed), with
+    ``arming`` — plain-JSON cell parameters — recorded as given."""
+    from repro.campaign import grids, run_cells
+
     sc = _scenario(scenario)
-    depth = sc.prepost if prepost is None else prepost
     plan = sc.make_plan(seed)
+    specs = grids.chaos_grid(scenarios=[scenario], schemes=schemes, seed=seed,
+                             prepost=prepost, **arming)
+    res = run_cells(specs, workers=workers, cache=cache)
     return {
         "scenario": sc.name,
         "description": sc.description,
         "seed": seed,
         "nranks": sc.nranks,
-        "prepost": depth,
-        "recovery": False,
-        "congestion": None,
-        "ft": False,
-        **arming,
+        "prepost": sc.prepost if prepost is None else prepost,
+        **{"recovery": False, "congestion": None, "ft": False, **arming},
         "fault_window_us": to_us(plan.end_ns) if plan is not None else 0.0,
-        "schemes": {},
+        "schemes": {out.spec.params["scheme"]: out.metrics for out in res.outcomes},
     }
-
-
-def run_chaos(
-    scenario: str,
-    seed: int = 7,
-    schemes: Iterable[str] = SCHEMES,
-    prepost: Optional[int] = None,
-    **arming: Any,
-) -> Dict:
-    """Run ``schemes`` under the named scenario; returns the robustness
-    report as a plain dict (deterministic content for a fixed seed)."""
-    report = chaos_report_header(scenario, seed=seed, prepost=prepost, **arming)
-    for scheme in schemes:
-        report["schemes"][scheme] = chaos_cell(
-            scenario, scheme, seed=seed, prepost=prepost, **arming)
-    return report

@@ -31,12 +31,12 @@ scheduled, so disabled runs stay bit-identical.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.ft.config import FTConfig
 from repro.ft.failures import PROC_FAILED, RankFailedError, RankFailure
 from repro.mpi.request import Status
+from repro.recovery.policy import pair_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -216,10 +216,7 @@ class FTManager:
         cfg = self.config
         delay = 0
         if cfg.jitter_ns:
-            rng = random.Random(
-                cfg.seed * 1_000_003 + obs * 1009 + peer * 131 + attempt
-            )
-            delay = rng.randrange(cfg.jitter_ns)
+            delay = pair_rng(cfg.seed, obs, peer, attempt).randrange(cfg.jitter_ns)
         self.sim.schedule(delay, self._ping_depart, obs, peer)
 
     def _ping_depart(self, obs: int, peer: int) -> None:

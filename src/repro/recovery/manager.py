@@ -55,12 +55,11 @@ from the lost wire traffic.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.mpi.protocol import Header, MsgKind
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
-from repro.recovery.policy import RecoveryPolicy
+from repro.recovery.policy import RecoveryPolicy, pair_rng
 from repro.sim.units import to_us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,14 +153,9 @@ class RecoveryManager:
         # its owner's CQ, where they are collected as replay candidates.
         conn_ab.qp.force_error()
         conn_ba.qp.force_error()
-        delay = self.policy.base_delay_ns
-        if self.policy.backoff_factor != 1.0 and attempt > 1:
-            delay = int(delay * self.policy.backoff_factor ** (attempt - 1))
-        delay = min(delay, self.policy.max_delay_ns)
+        delay = self.policy.backoff_ns(attempt)
         if self.policy.jitter_ns > 0:
-            rng = random.Random(
-                self.policy.seed * 1_000_003 + a * 1009 + b * 131 + attempt
-            )
+            rng = pair_rng(self.policy.seed, a, b, attempt)
             delay += rng.randrange(self.policy.jitter_ns)
         aud = ep_a._audit
         if aud is not None:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.sim.units import us
+
+
+def pair_rng(seed: int, a: int, b: int, attempt: int) -> random.Random:
+    """The RNG of one attempt between ranks ``a`` and ``b`` (backoff and
+    ping jitter, CM set-up chaos): decorrelated across pairs and attempts."""
+    return random.Random(seed * 1_000_003 + a * 1009 + b * 131 + attempt)
 
 
 @dataclass
@@ -17,10 +24,9 @@ class RecoveryPolicy:
         min(max_delay_ns, base_delay_ns * backoff_factor ** (k - 1))
         + jitter in [0, jitter_ns)
 
-    with the jitter drawn from a :class:`random.Random` keyed on
-    ``(seed, pair, attempt)`` — deterministic across runs, decorrelated
-    across pairs so a fabric-wide fault does not produce a synchronized
-    reconnect storm.
+    with the jitter drawn from :func:`pair_rng` keyed on ``(seed, pair,
+    attempt)`` — decorrelated across pairs so a fabric-wide fault does not
+    produce a synchronized reconnect storm.
     """
 
     max_attempts: int = 5  #: cumulative per rank pair; exceeded -> failure
@@ -29,3 +35,8 @@ class RecoveryPolicy:
     max_delay_ns: int = us(2_000)
     jitter_ns: int = us(10)
     seed: int = 0
+
+    def backoff_ns(self, attempt: int) -> int:
+        """Attempt ``attempt``'s delay before jitter (the schedule above)."""
+        return min(self.max_delay_ns,
+                   int(self.base_delay_ns * self.backoff_factor ** (attempt - 1)))

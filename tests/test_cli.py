@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import itertools
+import json
+
 import pytest
 
+from repro.campaign import CELL_KINDS
 from repro.cli import build_parser, main
 
 
@@ -127,14 +131,69 @@ def test_unknown_command_exits_2(capsys):
     ["bandwidth", "--repetitions", "0"],
     ["bandwidth", "--windows", "4", "0"],
     ["sweep", "--grid", "fig3", "--repetitions", "0"],
+    ["latency", "--prepost", "0"],
+    ["bandwidth", "--prepost", "0"],
+    ["nas", "--prepost", "0"],
+    ["scaling", "--nodes", "0"],
+    ["scaling", "--prepost", "0"],
+    ["chaos", "--scenario", "receiver-stall", "--prepost", "0"],
+    ["bandwidth", "--size", "-4"],
+    ["latency", "--sizes", "4", "-4"],
 ])
 def test_a_zero_or_negative_count_is_a_usage_error_not_a_traceback(argv, capsys):
     assert main(argv + ["--schemes", "static"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     flag = next(a for a in reversed(argv) if a.startswith("--"))
+    least = "non-negative" if flag in ("--size", "--sizes") else "positive"  # 0 B is a message
     assert captured.err.splitlines()[-1].endswith(
-        f"error: argument {flag}: must be a positive integer, got {argv[-1]}")
+        f"error: argument {flag}: must be a {least} integer, got {argv[-1]}")
+
+
+# ----------------------------------------------------------------------
+# one --check: every record against a second in-process run
+# ----------------------------------------------------------------------
+def _fig3_smoke(tmp_path, *flags):
+    return ["sweep", "--grid", "fig3-smoke", "--no-cache", "--out",
+            str(tmp_path / "sweep.jsonl"), *flags]
+
+
+def test_sweep_check_without_a_cache_runs_every_cell_twice(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(CELL_KINDS, "bandwidth",
+                        lambda p: calls.append(p) or {"mbps": 1.0})
+    assert main(_fig3_smoke(tmp_path, "--check")) == 0
+    assert len(calls) == 2 * 9  # fig3-smoke is 9 cells
+    assert "determinism check passed" in capsys.readouterr().err
+
+
+def test_sweep_check_covers_records_resumed_from_the_artifact(tmp_path, capsys):
+    argv = _fig3_smoke(tmp_path, "--windows", "1", "--repetitions", "1",
+                       "--schemes", "static")
+    assert main(argv) == 0
+    artifact = tmp_path / "sweep.jsonl"
+    record = json.loads(artifact.read_text())
+    record["metrics"]["mbps"] += 1.0  # a checkpoint no run would write
+    artifact.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+
+    assert main(argv + ["--resume", "--check"]) == 1
+    assert "CHECK MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("bandwidth", None),
+    ("ring", ["scaling", "--nodes", "4", "--schemes", "static", "--check"]),
+    ("chaos", ["chaos", "--scenario", "receiver-stall", "--schemes", "static",
+               "--check"]),
+], ids=["sweep", "scaling", "chaos"])
+def test_a_nondeterministic_cell_fails_every_check(kind, argv, tmp_path, monkeypatch,
+                                                   capsys):
+    counter = itertools.count()
+    monkeypatch.setitem(CELL_KINDS, kind, lambda p: {"n": next(counter)})
+    assert main(argv or _fig3_smoke(tmp_path, "--check")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DETERMINISM DRIFT" in captured.err
 
 
 def test_no_command_prints_usage_and_exits_2(capsys):

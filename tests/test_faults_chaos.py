@@ -26,6 +26,11 @@ def test_receiver_stall_report_is_deterministic(stall_report):
     assert json.dumps(stall_report, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
+def test_worker_processes_assemble_the_same_report(stall_report):
+    # the scenario's cells fan out like any campaign's
+    assert run_chaos("receiver-stall", seed=7, workers=2) == stall_report
+
+
 def test_hardware_storms_while_user_level_schemes_absorb(stall_report):
     """The acceptance criterion: hardware retransmits >= 10x either
     user-level scheme, and static/dynamic complete (no livelock)."""

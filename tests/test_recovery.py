@@ -14,6 +14,8 @@ recovery-aware repost path, the adaptive RNR backoff ladder, and the
 zero-cost-when-disabled guarantee.
 """
 
+import random
+
 import pytest
 
 from repro.check import fuzz
@@ -24,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
 from repro.ib import IBConfig, Opcode, QPState, SendWR, WCStatus
 from repro.recovery import ConnectionFailure, RecoveryPolicy
+from repro.recovery.policy import pair_rng
 from repro.sim.units import us
 from tests.ib_helpers import build_pair
 
@@ -288,3 +291,24 @@ def test_recovery_failures_are_deterministic():
         return [f.to_dict() for f in r.failures], r.elapsed_ns
 
     assert once() == once()
+
+
+@pytest.mark.parametrize("seed, a, b, attempt", [
+    (0, 0, 1, 1), (7, 2, 5, 3), (123, 0, 1023, 5), (2**31, 4, 6, 12), (1, 9, 3, 40),
+])
+def test_backoff_and_pair_rng_are_the_schedule_and_key_they_replaced(seed, a, b, attempt):
+    # the two spellings RecoveryManager._begin and ConnectionManager._attempt
+    # kept of one schedule, and the one RNG key three subsystems wrote out
+    for policy in (RecoveryPolicy(seed=seed),
+                   RecoveryPolicy(base_delay_ns=us(7), backoff_factor=1.0),
+                   RecoveryPolicy(base_delay_ns=us(3), backoff_factor=3.0,
+                                  max_delay_ns=us(900))):
+        delay = policy.base_delay_ns
+        if policy.backoff_factor != 1.0 and attempt > 1:
+            delay = int(delay * policy.backoff_factor ** (attempt - 1))
+        assert policy.backoff_ns(attempt) == min(delay, policy.max_delay_ns) == min(
+            policy.max_delay_ns,
+            int(policy.base_delay_ns * policy.backoff_factor ** (attempt - 1)))
+    old = random.Random(seed * 1_000_003 + a * 1009 + b * 131 + attempt)
+    new = pair_rng(seed, a, b, attempt)
+    assert [new.random() for _ in range(4)] == [old.random() for _ in range(4)]

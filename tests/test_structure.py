@@ -370,7 +370,6 @@ def test_the_chaos_chain_passes_arming_through_as_one_mapping():
 
     chain = {
         "chaos_cell": scenarios.chaos_cell,
-        "chaos_report_header": scenarios.chaos_report_header,
         "run_chaos": scenarios.run_chaos,
         "chaos_grid": grids.chaos_grid,
     }
@@ -381,10 +380,70 @@ def test_the_chaos_chain_passes_arming_through_as_one_mapping():
         # cell, which builds the config, takes the mode out of the mapping
         assert ("congestion" in params) == (name == "chaos_cell"), name
         assert params["arming"].kind is inspect.Parameter.VAR_KEYWORD
-    for src in (inspect.getsource(importlib.import_module("repro.cli")._chaos_report),
+    for src in (inspect.getsource(importlib.import_module("repro.cli").cmd_chaos),
                 inspect.getsource(importlib.import_module(
                     "repro.campaign.cells")._chaos_cell)):
         assert not re.search(r"\b(recovery|ft|congestion)\s*=", src)
+
+
+# ----------------------------------------------------------------------
+# an experiment is defined once: one scheme axis, two renderers shared by
+# the CLI and the figure suite, one chaos assembler, one --check
+# ----------------------------------------------------------------------
+ROOT = SRC.parent.parent
+REPORT, CLI, CONFTEST = "src/repro/analysis/report.py", "src/repro/cli.py", "benchmarks/conftest.py"
+
+
+def _files_matching(pattern):
+    """Program files — ``src/repro`` and the figure suite, the frozen
+    ledger excepted — the regex occurs in, relative to the checkout."""
+    assert (ROOT / CONFTEST).exists()
+    rx = re.compile(pattern)
+    files = [*SRC.rglob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    return {p.relative_to(ROOT).as_posix() for p in files if rx.search(p.read_text())}
+
+
+def test_the_scheme_axes_are_derived_once():
+    from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES
+
+    assert SCHEME_NAMES == ("hardware", "static", "dynamic")
+    assert EXTENDED_SCHEME_NAMES == SCHEME_NAMES + ("rdma-eager",)
+    name = r'"(?:hardware|static|dynamic|rdma-eager)"'
+    assert _files_matching(rf"[(\[]\s*{name}\s*,\s*{name}") == set()
+    # the figure axes too: one window list, one latency size list
+    grids = {"src/repro/campaign/grids.py"}
+    assert _files_matching(r"\b1, 2, 4, 8, 16, 32, 64, 100\b") == grids
+    assert _files_matching(r"\b4, 16, 64, 256, 1024, 4096, 16384\b") == grids
+
+
+def test_scheme_figures_and_tables_have_one_renderer_each():
+    # a scheme-series Figure and a scheme-column Table are built in
+    # analysis/report.py alone; the CLI and the figure suite call it
+    assert _files_matching(r"\bFigure\(") == {REPORT}
+    assert _files_matching(r"\bTable\([^)]*\b(?:SCHEMES|schemes)\b") == {REPORT}
+    assert _files_matching(r"\bscheme_figure\(") == {REPORT, CLI, CONFTEST}
+    assert _files_matching(r"\bscheme_table\(") == {
+        REPORT, CLI, "benchmarks/test_fig9_nas_pp100.py",
+        "benchmarks/test_fig10_nas_degradation.py"}
+    assert _files_matching(r"bw_common|nas_common") == set()
+
+
+def test_the_cli_has_one_check_path_and_one_chaos_assembler():
+    from repro import cli
+    from repro.faults import scenarios
+
+    checks = re.findall(r"\brun_cells\([^)]*\bcheck=\w+", _src("cli.py"))
+    assert checks == [
+        re.search(r"\brun_cells\([^)]*\bcheck=\w+", inspect.getsource(cli._run))[0]]
+    assert checks[0].endswith("check=True")
+    for cmd in (cli.cmd_sweep, cli.cmd_scaling, cli.cmd_chaos):
+        body = inspect.getsource(cmd)
+        assert "_run(args" in body and "DETERMINISM" not in body, cmd.__name__
+    # repro chaos renders what run_chaos assembles; nothing else builds a header
+    assert not hasattr(cli, "_chaos_report")
+    assert not hasattr(scenarios, "chaos_report_header")
+    assert "run_chaos(" in inspect.getsource(cli.cmd_chaos)
+    assert "run_cells(" in inspect.getsource(scenarios.run_chaos)
 
 
 def test_arming_is_run_jobs_subsystem_keywords():

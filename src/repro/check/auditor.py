@@ -3,33 +3,38 @@
 The :class:`Auditor` subscribes to guarded hooks in the MPI endpoint, the
 buffer pool and the flow-control schemes and validates, *while a job runs*:
 
-(a) **credit conservation** per directed rank pair — for every pair
-    ``(s, r)`` under a credit-based scheme, the tokens governing the
-    ``s -> r`` paid traffic are conserved::
+(a) **credit conservation** per directed rank pair — every pair
+    ``s -> r`` under a credit-based scheme has one ledger row
+    (:class:`_Row`), and the tokens governing its paid traffic are
+    conserved::
 
-        conn_sr.credits               # available at the sender
-      + consumed_unsent[(s, r)]       # consumed, emission pending (isend
-                                      #   may yield for a vbuf in between)
-      + inflight_paid[(s, r)]         # paid headers posted, not delivered
-      + ungranted[(s, r)]             # delivered, grant still pending
-                                      #   (unexpected vbuf pinned / receiver
-                                      #   stalled by fault injection)
-      + conn_rs.pending_credit_return # granted, waiting to ride a message
-      + inflight_credits[(s, r)]      # riding an r -> s header back to s
+        row.snd.credits                 # available at the sender
+      + row.consumed_unsent             # consumed, emission pending (isend
+                                        #   may yield for a vbuf in between)
+      + row.inflight_paid               # paid headers posted, not delivered
+      + row.ungranted                   # delivered, grant still pending
+                                        #   (unexpected vbuf pinned / receiver
+                                        #   stalled by fault injection)
+      + row.rcv.pending_credit_return   # granted, waiting to ride a message
+      + row.inflight_credits            # riding an r -> s header back to s
       ==
-        conn_rs.prepost_target        # the configured pool (grows under
-                                      #   the dynamic scheme, which mints
-                                      #   matching credits atomically)
-      + pending_swallow[(s, r)]       # decay debt: target was lowered, the
-                                      #   excess credits die on their next
-                                      #   pass through the receiver
+        row.rcv.prepost_target          # the configured pool (grows under
+                                        #   the dynamic scheme, which mints
+                                        #   matching credits atomically)
+      + row.swallow                     # decay debt: target was lowered, the
+                                        #   excess credits die on their next
+                                        #   pass through the receiver
+
+    ``row.snd`` / ``row.rcv`` are the connections ``s -> r`` / ``r -> s``,
+    ``row.back`` the row of ``r -> s``; ``row.off`` mutes the check while
+    the pair is mid-recovery, severed by a rank death or not connected;
 
 (b) **buffer-lease tracking** — every send vbuf acquired by an emission is
     released by exactly one completion (no leak, no double release), and
     the receive population never exceeds its budget (no double-post);
 
-(c) **backlog FIFO order** and *went-through-backlog* bit correctness — a
-    shadow queue mirrors every connection's backlog; dequeues must pop the
+(c) **backlog FIFO order** and *went-through-backlog* bit correctness —
+    ``row.shadow`` mirrors the backlog of ``s -> r``; dequeues must pop the
     shadow head, the feedback bit must be set exactly on messages that
     passed through the backlog (or the unpaid RTS minted by the rendezvous
     fallback for one);
@@ -88,6 +93,46 @@ class InvariantViolation(AssertionError):
         super().__init__(f"[{invariant}]{where} at t={time_ns}ns: {detail}")
 
 
+class _Row:
+    """Everything the auditor tracks for one directed pair ``s -> r``: the
+    (a) ledger terms, the (c) backlog shadow of ``s``'s sends to ``r`` and
+    the (g) slots ``s`` wrote into ``r``'s ring.  Made with its reverse on
+    first sight; it outlives a teardown, its connections do not."""
+
+    __slots__ = ("pair", "snd", "rcv", "back", "off", "suspended",
+                 "consumed_unsent", "inflight_paid", "ungranted",
+                 "inflight_credits", "swallow", "shadow", "ring_held",
+                 "ring_deposited", "ring_freed")
+
+    def __init__(self, pair: Tuple[int, int]):
+        self.pair = pair
+        #: the connections s -> r and r -> s while both exist, else None
+        self.snd: Optional["Connection"] = None
+        self.rcv: Optional["Connection"] = None
+        self.back: Optional["_Row"] = None  # the row of r -> s
+        self.off = True  # conservation not checkable (see the module doc)
+        self.suspended = False  # between recovery teardown and resync
+        self.consumed_unsent = self.inflight_paid = self.ungranted = 0
+        self.inflight_credits = self.swallow = self.ring_held = 0
+        self.shadow: Deque[int] = deque()  # ids of backlogged headers
+        #: last sequence number deposited / freed (both strictly increase)
+        self.ring_deposited: Optional[int] = None
+        self.ring_freed: Optional[int] = None
+
+    def __str__(self) -> str:
+        return f"{self.pair[0]}->{self.pair[1]}"
+
+
+class _Rows(dict):
+    """Connection -> the row of the pair it sends on.  A miss — first
+    sight, or a connection re-built after a teardown — binds the row."""
+
+    __slots__ = ("bind",)
+
+    def __missing__(self, conn: "Connection") -> _Row:
+        return self.bind(conn.endpoint.rank, conn.peer)
+
+
 class Auditor:
     """Validates flow-control invariants during a run via endpoint hooks.
 
@@ -104,12 +149,9 @@ class Auditor:
         drains.
     """
 
-    def __init__(
-        self,
-        strict: bool = True,
-        watchdog_interval_ns: int = DEFAULT_WATCHDOG_INTERVAL_NS,
-        quiet_bound_ns: int = DEFAULT_QUIET_BOUND_NS,
-    ):
+    def __init__(self, strict: bool = True,
+                 watchdog_interval_ns: int = DEFAULT_WATCHDOG_INTERVAL_NS,
+                 quiet_bound_ns: int = DEFAULT_QUIET_BOUND_NS):
         self.strict = strict
         self.watchdog_interval_ns = watchdog_interval_ns
         self.quiet_bound_ns = quiet_bound_ns
@@ -118,24 +160,17 @@ class Auditor:
         self._sim = None
         self._endpoints: List["Endpoint"] = []
         self._uses_credits = False
-        # --- (a) credit-conservation ledger, keyed by directed pair ---
-        self._consumed_unsent: Dict[tuple, int] = defaultdict(int)
-        self._inflight_paid: Dict[tuple, int] = defaultdict(int)
-        self._ungranted: Dict[tuple, int] = defaultdict(int)
-        self._inflight_credits: Dict[tuple, int] = defaultdict(int)
-        self._pending_swallow: Dict[tuple, int] = defaultdict(int)
-        #: directed pairs mid connection-recovery: the conservation sum is
-        #: meaningless between teardown and resync, so checks are paused
-        #: (repro.recovery re-seeds the ledgers and lifts the suspension)
-        self._suspended: Set[tuple] = set()
-        # --- (b) send-buffer leases, per rank ---
-        self._lease: Dict[int, int] = defaultdict(int)
-        # --- (c) backlog shadows, keyed by (rank, peer) ---
-        self._shadow: Dict[tuple, Deque[int]] = defaultdict(deque)
+        # --- (a) ledger, (c) backlog shadow, (g) ring slots: one row per
+        # directed pair, in the order first seen ---
+        self._pairs: Dict[Tuple[int, int], _Row] = {}
+        self._rows = _Rows()
+        self._rows.bind = self._bind
+        # --- (b) send-buffer leases, per rank (sized at arm) ---
+        self._lease: List[int] = []
+        # --- (c) headers dequeued from a backlog, owed their emission ---
         self._dequeued: Set[int] = set()
-        # --- (d) per-key sent / matched size sequences ---
-        self._sent_seq: Dict[tuple, List[int]] = defaultdict(list)
-        self._matched_seq: Dict[tuple, List[int]] = defaultdict(list)
+        # --- (d) per (src, dst, context, tag): (sent sizes, matched sizes) ---
+        self._streams: Dict[tuple, tuple] = defaultdict(lambda: ([], []))
         self._total_sent = 0
         self._total_matched = 0
         # --- (e) watchdog ---
@@ -150,15 +185,6 @@ class Auditor:
         self._xoff_open: Dict[tuple, int] = defaultdict(int)
         self.xoff_total = 0
         self.xon_total = 0
-        # --- (g) RDMA ring-slot conservation, keyed by directed pair ---
-        #: slots deposited but not yet copied out (in-flight + free +
-        #: unreclaimed == ring size follows from the credit ledger; the
-        #: occupancy count bounds the deposited share directly)
-        self._ring_occupancy: Dict[tuple, int] = defaultdict(int)
-        #: highest sequence number deposited / freed per pair (in-order
-        #: arrival, FIFO reclamation)
-        self._ring_last_deposited: Dict[tuple, int] = {}
-        self._ring_last_freed: Dict[tuple, int] = {}
         #: total hook invocations (observability; overhead accounting)
         self.hook_calls = 0
 
@@ -179,6 +205,7 @@ class Auditor:
         self._cluster = cluster
         self._sim = cluster.sim
         self._endpoints = list(cluster.endpoints)
+        self._lease = [0] * len(self._endpoints)
         self._uses_credits = self._endpoints[0].scheme.uses_credits
         self._last_progress_ns = cluster.sim.now
         for ep in self._endpoints:
@@ -208,6 +235,45 @@ class Auditor:
         frozen state (unmatched sends, severed backlogs, flushed QPs) is
         permanent and must not read as pending work or a stuck pair."""
         self._dead.add(rank)
+        for row in self._pairs.values():
+            if rank in row.pair:
+                row.off = True  # severed pair: tokens died with the rank
+
+    def note_teardown(self, a: int, b: int) -> None:
+        """``ConnectionManager.teardown`` dropped the pair's connections:
+        the rows let go of them and keep their ledger, which the pair's
+        next connections are bound to on first sight."""
+        row = self._pairs.get((a, b))
+        if row is not None:
+            self._rows.pop(row.snd, None)
+            self._rows.pop(row.rcv, None)
+            self._bind(a, b)
+
+    def _row(self, s: int, r: int) -> _Row:
+        """The row of ``s -> r``, made with its reverse on first sight."""
+        row = self._pairs.get((s, r))
+        if row is None:
+            row, back = _Row((s, r)), _Row((r, s))
+            row.back, back.back = back, row
+            self._pairs[(s, r)], self._pairs[(r, s)] = row, back
+        return row
+
+    def _bind(self, s: int, r: int) -> _Row:
+        """The row of ``s -> r``, it and its reverse bound to the
+        connections the endpoints hold now."""
+        row = self._row(s, r)
+        conn_sr = self._endpoints[s].connections.get(r)
+        conn_rs = self._endpoints[r].connections.get(s)
+        row.snd = row.back.rcv = conn_sr
+        row.rcv = row.back.snd = conn_rs
+        if conn_sr is not None and conn_rs is not None:
+            self._rows[conn_sr] = row
+            self._rows[conn_rs] = row.back
+        unbound = (conn_sr is None or conn_rs is None
+                   or s in self._dead or r in self._dead)
+        row.off = row.suspended or unbound
+        row.back.off = row.back.suspended or unbound
+        return row
 
     # ------------------------------------------------------------------
     # recovery integration (repro.recovery)
@@ -216,35 +282,30 @@ class Auditor:
         """QP pair (a, b) is being torn down: conservation for both
         directions is indeterminate until the resync re-seeds it."""
         self.hook_calls += 1
-        self._progress()
-        self._suspended.add((a, b))
-        self._suspended.add((b, a))
+        self._last_progress_ns = self._sim.now
+        row = self._bind(a, b)
+        row.suspended = row.off = row.back.suspended = row.back.off = True
 
-    def on_recovery_resync(
-        self,
-        s: int,
-        r: int,
-        consumed_unsent: int,
-        inflight_paid: int,
-        ungranted: int,
-        inflight_credits: int,
-    ) -> None:
+    def on_recovery_resync(self, s: int, r: int, consumed_unsent: int,
+                           inflight_paid: int, ungranted: int,
+                           inflight_credits: int) -> None:
         """The manager rebuilt ``s -> r`` credit state for the new epoch;
         seed the ledger to match and resume checking the direction."""
         self.hook_calls += 1
-        key = (s, r)
-        self._consumed_unsent[key] = consumed_unsent
-        self._inflight_paid[key] = inflight_paid
-        self._ungranted[key] = ungranted
-        self._inflight_credits[key] = inflight_credits
-        self._suspended.discard(key)
+        row = self._row(s, r)
+        row.consumed_unsent = consumed_unsent
+        row.inflight_paid = inflight_paid
+        row.ungranted = ungranted
+        row.inflight_credits = inflight_credits
+        row.suspended = False
+        self._bind(s, r)  # un-mutes it (the reverse resyncs on its own)
         if self._uses_credits:
-            self._check_pair(s, r)
+            self._check(row)
 
     def pending_swallow(self, s: int, r: int) -> int:
         """Outstanding decay-contraction debt for ``s -> r`` (the resync
         formula must mint that many fewer credits)."""
-        return self._pending_swallow[(s, r)]
+        return self._row(s, r).swallow
 
     # ------------------------------------------------------------------
     # violation plumbing
@@ -256,49 +317,40 @@ class Auditor:
         if self.strict:
             raise v
 
+    def _violate_on(self, row: _Row, invariant: str, detail: str) -> None:
+        """A violation on ``row``'s pair, its detail led by ``s->r: ``."""
+        self._violate(invariant, f"{row}: {detail}", pair=row.pair)
+
     # ------------------------------------------------------------------
     # (a) the credit-conservation ledger
     # ------------------------------------------------------------------
-    def _check_pair(self, s: int, r: int) -> None:
-        """Audit the token pool governing ``s -> r`` paid traffic."""
-        if (s, r) in self._suspended:
-            return  # mid-recovery: resynced and re-checked at re-arm
-        if s in self._dead or r in self._dead:
-            return  # severed pair: tokens died with the rank
-        conn_sr = self._endpoints[s].connections.get(r)
-        conn_rs = self._endpoints[r].connections.get(s)
-        if conn_sr is None or conn_rs is None:
-            return  # on-demand connection not (fully) established yet
-        key = (s, r)
-        lhs = (
-            conn_sr.credits
-            + self._consumed_unsent[key]
-            + self._inflight_paid[key]
-            + self._ungranted[key]
-            + conn_rs.pending_credit_return
-            + self._inflight_credits[key]
-        )
-        rhs = conn_rs.prepost_target + self._pending_swallow[key]
+    def _check(self, row: _Row) -> None:
+        """Audit the token pool governing ``row.pair``'s paid traffic."""
+        if row.off:
+            return
+        snd, rcv = row.snd, row.rcv
+        lhs = (snd.credits + row.consumed_unsent + row.inflight_paid
+               + row.ungranted + rcv.pending_credit_return
+               + row.inflight_credits)
+        rhs = rcv.prepost_target + row.swallow
         if lhs != rhs:
             self._violate(
                 "credit-conservation",
                 f"pool accounts for {lhs} credits, configured pool is {rhs} "
-                f"(sender={conn_sr.credits} consumed_unsent="
-                f"{self._consumed_unsent[key]} inflight_paid="
-                f"{self._inflight_paid[key]} ungranted={self._ungranted[key]} "
-                f"pending_return={conn_rs.pending_credit_return} "
-                f"inflight_credits={self._inflight_credits[key]} "
-                f"target={conn_rs.prepost_target} "
-                f"swallow_debt={self._pending_swallow[key]})",
-                pair=(s, r),
+                f"(sender={snd.credits} consumed_unsent={row.consumed_unsent} "
+                f"inflight_paid={row.inflight_paid} ungranted={row.ungranted} "
+                f"pending_return={rcv.pending_credit_return} "
+                f"inflight_credits={row.inflight_credits} "
+                f"target={rcv.prepost_target} swallow_debt={row.swallow})",
+                pair=row.pair,
             )
 
     def check_all_pairs(self) -> None:
         if not self._uses_credits:
             return
         for ep in self._endpoints:
-            for peer in ep.connections:
-                self._check_pair(ep.rank, peer)
+            for conn in ep.connections.values():
+                self._check(self._rows[conn])
 
     # ------------------------------------------------------------------
     # hooks called from Endpoint (guarded: only when the auditor is on)
@@ -309,31 +361,29 @@ class Auditor:
         self.hook_calls += 1
         if not self._uses_credits:
             return
-        key = (conn.endpoint.rank, conn.peer)
-        self._consumed_unsent[key] += 1
-        self._check_pair(*key)
+        row = self._rows[conn]
+        row.consumed_unsent += 1
+        self._check(row)
 
     def on_emit(self, conn: "Connection", header: "Header",
                 replay: bool = False) -> None:
         self.hook_calls += 1
-        self._progress()
-        e, p = conn.endpoint.rank, conn.peer
+        self._last_progress_ns = self._sim.now
+        row = self._rows[conn]
         # (b) send-buffer lease: all but a ring write hold one vbuf each
         if not header.via_ring:
-            self._lease[e] += 1
-            pool = conn.endpoint.pool
-            if self._lease[e] != pool.in_use:
-                self._violate(
-                    "buffer-lease",
-                    f"rank {e}: {self._lease[e]} leased send vbufs but the "
-                    f"pool reports {pool.in_use} in use",
-                )
+            ep = conn.endpoint
+            pool = ep.pool
+            lease = self._lease[ep.rank] + 1
+            self._lease[ep.rank] = lease
+            if lease + pool.free != pool.capacity:
+                self._lease_mismatch(ep.rank, lease, pool)
         # (c) backlog FIFO / went_backlog bit — skipped for a recovery
         # replay: the header passed these checks at its first emission and
         # its backlog passage was consumed then
         if not replay:
-            hid = id(header)
             if header.went_backlog:
+                hid = id(header)
                 if hid in self._dequeued:
                     self._dequeued.discard(hid)
                 elif not (header.kind is MsgKind.RNDV_RTS and not header.paid):
@@ -341,90 +391,72 @@ class Auditor:
                     # the dequeued message; anything else claiming the bit
                     # without passing through the backlog is lying to the
                     # receiver
-                    self._violate(
-                        "backlog-feedback-bit",
-                        f"{e}->{p}: {header.kind.name} seq={header.seq} "
-                        "carries went_backlog but never passed through the "
-                        "backlog",
-                        pair=(e, p),
-                    )
-            elif header.paid and self._shadow[(e, p)]:
-                self._violate(
-                    "backlog-fifo",
-                    f"{e}->{p}: paid {header.kind.name} seq={header.seq} "
-                    f"overtook {len(self._shadow[(e, p)])} backlogged send(s)",
-                    pair=(e, p),
-                )
+                    self._violate_on(row, "backlog-feedback-bit",
+                                     f"{header.kind.name} seq={header.seq} "
+                                     "carries went_backlog but never passed "
+                                     "through the backlog")
+            elif header.paid and row.shadow:
+                self._violate_on(row, "backlog-fifo",
+                                 f"paid {header.kind.name} seq={header.seq} "
+                                 f"overtook {len(row.shadow)} backlogged send(s)")
         # (a) ledger movements
         if self._uses_credits:
             if header.paid:
-                key = (e, p)
-                self._consumed_unsent[key] -= 1
-                if self._consumed_unsent[key] < 0:
-                    self._violate(
-                        "credit-conservation",
-                        f"{e}->{p}: paid {header.kind.name} emitted without "
-                        "a consumed credit",
-                        pair=key,
-                    )
-                self._inflight_paid[key] += 1
-                self._check_pair(*key)
+                row.consumed_unsent -= 1
+                if row.consumed_unsent < 0:
+                    self._violate_on(row, "credit-conservation",
+                                     f"paid {header.kind.name} emitted "
+                                     "without a consumed credit")
+                row.inflight_paid += 1
+                self._check(row)
             if header.credits:
                 # credits granted by e for p->e traffic, riding back to p
-                key = (p, e)
-                self._inflight_credits[key] += header.credits
-                self._check_pair(*key)
+                back = row.back
+                back.inflight_credits += header.credits
+                self._check(back)
 
     def on_deliver(self, conn: "Connection", header: "Header") -> None:
         """A header from ``conn.peer`` was delivered at ``conn.endpoint``
         (called after any carried credits were folded into the scheme)."""
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         if not self._uses_credits:
             return
-        r, s = conn.endpoint.rank, conn.peer
+        row = self._rows[conn]  # r -> s: the credits' ledger
         if header.credits:
-            key = (r, s)
-            self._inflight_credits[key] -= header.credits
-            if self._inflight_credits[key] < 0:
+            row.inflight_credits -= header.credits
+            if row.inflight_credits < 0:
                 self._violate(
                     "credit-conservation",
-                    f"{s}->{r}: header delivered {header.credits} credits "
+                    f"{row.back}: header delivered {header.credits} credits "
                     "that were never shipped",
-                    pair=key,
+                    pair=row.pair,
                 )
-            self._check_pair(*key)
+            self._check(row)
         if header.paid:
-            key = (s, r)
-            self._inflight_paid[key] -= 1
-            if self._inflight_paid[key] < 0:
-                self._violate(
-                    "credit-conservation",
-                    f"{s}->{r}: paid {header.kind.name} delivered but never "
-                    "emitted as paid",
-                    pair=key,
-                )
-            self._ungranted[key] += 1
-            self._check_pair(*key)
+            row = row.back  # s -> r: the paid message's ledger
+            row.inflight_paid -= 1
+            if row.inflight_paid < 0:
+                self._violate_on(row, "credit-conservation",
+                                 f"paid {header.kind.name} delivered but "
+                                 "never emitted as paid")
+            row.ungranted += 1
+            self._check(row)
 
     def on_grant(self, conn: "Connection", n: int) -> None:
         """``conn.endpoint`` granted ``n`` paid credits back to the peer
         (``pending_credit_return`` was just incremented by ``n``)."""
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         if not self._uses_credits or n == 0:
             return
-        r, s = conn.endpoint.rank, conn.peer
-        key = (s, r)
-        self._ungranted[key] -= n
-        if self._ungranted[key] < 0:
-            self._violate(
-                "credit-conservation",
-                f"{s}->{r}: granted {n} credit(s) with only "
-                f"{self._ungranted[key] + n} delivered-but-ungranted",
-                pair=key,
-            )
-        self._check_pair(*key)
+        row = self._rows[conn].back
+        row.ungranted -= n
+        if row.ungranted < 0:
+            self._violate_on(row, "credit-conservation",
+                             f"granted {n} credit(s) with only "
+                             f"{row.ungranted + n} delivered-but-ungranted")
+        self._check(row)
 
     def on_swallow(self, conn: "Connection") -> None:
         """A paid credit died at the receiver: the population is over-full
@@ -432,19 +464,15 @@ class Auditor:
         self.hook_calls += 1
         if not self._uses_credits:
             return
-        r, s = conn.endpoint.rank, conn.peer
-        key = (s, r)
-        self._ungranted[key] -= 1
-        self._pending_swallow[key] -= 1
-        if self._ungranted[key] < 0 or self._pending_swallow[key] < 0:
-            self._violate(
-                "credit-conservation",
-                f"{s}->{r}: credit swallowed without decay debt "
-                f"(ungranted={self._ungranted[key] + 1} "
-                f"swallow_debt={self._pending_swallow[key] + 1})",
-                pair=key,
-            )
-        self._check_pair(*key)
+        row = self._rows[conn].back
+        row.ungranted -= 1
+        row.swallow -= 1
+        if row.ungranted < 0 or row.swallow < 0:
+            self._violate_on(row, "credit-conservation",
+                             "credit swallowed without decay debt "
+                             f"(ungranted={row.ungranted + 1} "
+                             f"swallow_debt={row.swallow + 1})")
+        self._check(row)
 
     def observe_recv_header(self, scheme, conn: "Connection",
                             header: "Header") -> int:
@@ -455,76 +483,61 @@ class Auditor:
         self.hook_calls += 1
         before = conn.prepost_target
         grown = scheme.on_recv_header(conn, header)
-        after = conn.prepost_target
         if self._uses_credits:
-            r, s = conn.endpoint.rank, conn.peer
-            key = (s, r)
-            if after < before:
-                self._pending_swallow[key] += before - after
-            self._check_pair(*key)
+            row = self._rows[conn].back
+            if conn.prepost_target < before:
+                row.swallow += before - conn.prepost_target
+            self._check(row)
         return grown
 
     def on_post_recv(self, conn: "Connection") -> None:
         """A receive vbuf was posted (``recv_posted`` already incremented);
         the population must never exceed its budget (no double-post)."""
         self.hook_calls += 1
-        ep = conn.endpoint
-        if conn.ring is not None:
-            budget = ep.config.rdma_control_bufs
-        else:
-            budget = conn.prepost_target + conn.headroom
+        budget = conn.recv_budget
         if conn.recv_posted > budget:
-            self._violate(
-                "buffer-lease",
-                f"rank {ep.rank}: {conn.recv_posted} receive vbufs posted "
-                f"toward {conn.peer}, budget is {budget} (double-post)",
-                pair=(conn.peer, ep.rank),
-            )
+            rank = conn.endpoint.rank
+            self._violate("buffer-lease", f"rank {rank}: {conn.recv_posted} "
+                          f"receive vbufs posted toward {conn.peer}, budget "
+                          f"is {budget} (double-post)", pair=(conn.peer, rank))
 
     def on_send_done(self, ep: "Endpoint") -> None:
         """An eager/ctl send completed and released its vbuf."""
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         rank = ep.rank
-        self._lease[rank] -= 1
-        if self._lease[rank] < 0:
+        lease = self._lease[rank] - 1
+        self._lease[rank] = lease
+        if lease < 0:
             self._violate(
                 "buffer-lease",
                 f"rank {rank}: send vbuf released without a matching lease",
             )
-        if self._lease[rank] != ep.pool.in_use:
-            self._violate(
-                "buffer-lease",
-                f"rank {rank}: {self._lease[rank]} leased send vbufs but "
-                f"the pool reports {ep.pool.in_use} in use",
-            )
+        pool = ep.pool
+        if lease + pool.free != pool.capacity:
+            self._lease_mismatch(rank, lease, pool)
+
+    def _lease_mismatch(self, rank: int, lease: int, pool) -> None:
+        self._violate("buffer-lease", f"rank {rank}: {lease} leased send "
+                      f"vbufs but the pool reports {pool.in_use} in use")
 
     def on_backlog_enqueue(self, conn: "Connection", header: "Header") -> None:
         self.hook_calls += 1
-        self._shadow[(conn.endpoint.rank, conn.peer)].append(id(header))
+        self._rows[conn].shadow.append(id(header))
 
     def on_backlog_dequeue(self, conn: "Connection", header: "Header",
                            reemitted: bool = True) -> None:
         """``reemitted`` is False when the dequeued header is abandoned in
         favour of a freshly minted one (the rendezvous fallback)."""
         self.hook_calls += 1
-        key = (conn.endpoint.rank, conn.peer)
-        shadow = self._shadow[key]
-        if not shadow:
-            self._violate(
-                "backlog-fifo",
-                f"{key[0]}->{key[1]}: dequeue from an empty shadow backlog",
-                pair=key,
-            )
+        row = self._rows[conn]
+        if not row.shadow:
+            self._violate_on(row, "backlog-fifo",
+                             "dequeue from an empty shadow backlog")
             return
-        head = shadow.popleft()
-        if head != id(header):
-            self._violate(
-                "backlog-fifo",
-                f"{key[0]}->{key[1]}: dequeued a send that was not the "
-                "backlog head (FIFO order broken)",
-                pair=key,
-            )
+        if row.shadow.popleft() != id(header):
+            self._violate_on(row, "backlog-fifo", "dequeued a send that was "
+                             "not the backlog head (FIFO order broken)")
         if reemitted:
             self._dequeued.add(id(header))
 
@@ -534,7 +547,7 @@ class Auditor:
     def on_app_send(self, src: int, dst: int, tag: int, context: int,
                     size: int) -> None:
         self.hook_calls += 1
-        self._sent_seq[(src, dst, context, tag)].append(size)
+        self._streams[(src, dst, context, tag)][0].append(size)
         self._total_sent += 1
         if not self._wd_armed and self._sim is not None:
             self._wd_armed = True
@@ -546,18 +559,17 @@ class Auditor:
         arrival against a posted receive, or a receive finding it in the
         unexpected queue).  MPI non-overtaking is a matching-order rule."""
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         key = (header.src, header.dst, header.context, header.tag)
-        matched = self._matched_seq[key]
+        sent, matched = self._streams[key]
+        i = len(matched)
         matched.append(header.size)
         self._total_matched += 1
-        sent = self._sent_seq[key]
-        i = len(matched) - 1
         if i >= len(sent):
             self._violate(
                 "matching-order",
                 f"key (src={key[0]}, dst={key[1]}, ctx={key[2]}, "
-                f"tag={key[3]}): matched {len(matched)} messages but only "
+                f"tag={key[3]}): matched {i + 1} messages but only "
                 f"{len(sent)} were sent",
                 pair=(header.src, header.dst),
             )
@@ -579,13 +591,13 @@ class Auditor:
         Pause storms legitimately stall MPI progress, so this counts as
         progress for the watchdog."""
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         self._xoff_open[port_key] += 1
         self.xoff_total += 1
 
     def on_xon(self, port_key: tuple) -> None:
         self.hook_calls += 1
-        self._progress()
+        self._last_progress_ns = self._sim.now
         self.xon_total += 1
         self._xoff_open[port_key] -= 1
         if self._xoff_open[port_key] < 0:
@@ -619,57 +631,47 @@ class Auditor:
         And the RC transport accepts in order, so deposited sequence
         numbers are strictly increasing per pair (what lets the channel
         keep its arrivals in a FIFO)."""
-        self.hook_calls += 1
-        self._progress()
-        key = (channel.peer, channel.endpoint.rank)
-        self._ring_occupancy[key] += 1
-        if self._ring_occupancy[key] > channel.ring.slots:
-            self._violate(
-                "ring-slot-conservation",
-                f"{key[0]}->{key[1]}: {self._ring_occupancy[key]} slots "
-                f"occupied in a {channel.ring.slots}-slot ring (an "
-                "unreclaimed slot was overwritten)",
-                pair=key,
-            )
-        self._ring_in_order(self._ring_last_deposited, key, header.seq,
+        row = self._ring_step(channel, 1)
+        if row.ring_held > channel.ring.slots:
+            self._violate_on(row, "ring-slot-conservation",
+                             f"{row.ring_held} slots occupied in a "
+                             f"{channel.ring.slots}-slot ring (an unreclaimed "
+                             "slot was overwritten)")
+        self._ring_in_order(row, "ring_deposited", header.seq,
                             "ring-deposit-order", "deposited")
 
     def on_ring_free(self, channel, header: "Header") -> None:
         """The receiver copied ``header`` out of its slot.  Rings free in
         order ([13]: messages drain by sequence number), so freed
         sequence numbers must be strictly increasing per pair."""
-        self.hook_calls += 1
-        self._progress()
-        key = (channel.peer, channel.endpoint.rank)
-        self._ring_occupancy[key] -= 1
-        if self._ring_occupancy[key] < 0:
-            self._violate(
-                "ring-slot-conservation",
-                f"{key[0]}->{key[1]}: slot freed with none occupied",
-                pair=key,
-            )
-        self._ring_in_order(self._ring_last_freed, key, header.seq,
+        row = self._ring_step(channel, -1)
+        if row.ring_held < 0:
+            self._violate_on(row, "ring-slot-conservation",
+                             "slot freed with none occupied")
+        self._ring_in_order(row, "ring_freed", header.seq,
                             "ring-slot-fifo", "freed")
 
-    def _ring_in_order(self, last: Dict[tuple, int], key: tuple, seq: int,
+    def _ring_step(self, channel, delta: int) -> _Row:
+        """A ring hook's common part: the row of ``channel.peer`` → its
+        endpoint, its occupancy moved by ``delta``."""
+        self.hook_calls += 1
+        self._last_progress_ns = self._sim.now
+        row = self._row(channel.peer, channel.endpoint.rank)
+        row.ring_held += delta
+        return row
+
+    def _ring_in_order(self, row: _Row, last: str, seq: int,
                        invariant: str, verb: str) -> None:
         """Sequence numbers pass a ring event strictly increasing per pair."""
-        prev = last.get(key)
+        prev = getattr(row, last)
         if prev is not None and seq <= prev:
-            self._violate(
-                invariant,
-                f"{key[0]}->{key[1]}: ring slot for seq={seq} {verb} after "
-                f"seq={prev}",
-                pair=key,
-            )
-        last[key] = seq
+            self._violate_on(row, invariant,
+                             f"ring slot for seq={seq} {verb} after seq={prev}")
+        setattr(row, last, seq)
 
     # ------------------------------------------------------------------
     # (e) progress watchdog
     # ------------------------------------------------------------------
-    def _progress(self) -> None:
-        self._last_progress_ns = self._sim.now
-
     def _work_pending(self) -> bool:
         dead = self._dead
         if not dead:
@@ -678,10 +680,10 @@ class Auditor:
         else:
             # Messages to/from a dead rank legally never match; the cheap
             # totals comparison would read them as pending work forever.
-            for key, sent in self._sent_seq.items():
+            for key, (sent, matched) in self._streams.items():
                 if key[0] in dead or key[1] in dead:
                     continue
-                if len(sent) > len(self._matched_seq.get(key, ())):
+                if len(sent) > len(matched):
                     return True
         for ep in self._endpoints:
             if ep.finalized or ep.rank in dead:
@@ -777,10 +779,9 @@ class Auditor:
                         f"port {key}: still paused by "
                         f"{sorted(port.paused_by)} at quiescence",
                     )
-        for key, sent in self._sent_seq.items():
+        for key, (sent, matched) in self._streams.items():
             if key[0] in dead or key[1] in dead:
                 continue  # traffic to/from a dead rank legally unmatched
-            matched = self._matched_seq.get(key, [])
             if matched != sent:
                 self._violate(
                     "matching-completeness",
@@ -792,7 +793,7 @@ class Auditor:
         # Control traffic that arrived *after* its destination finalized
         # parks in a posted vbuf with its completion unpolled — the
         # carried credits die there legitimately (the rank is done), so
-        # reconcile the in-flight stores against those parked arrivals.
+        # reconcile the in-flight terms against those parked arrivals.
         parked_credits: Dict[tuple, int] = defaultdict(int)
         parked_paid: Dict[tuple, int] = defaultdict(int)
         for ep in self._endpoints:
@@ -804,13 +805,14 @@ class Auditor:
                     parked_credits[(ep.rank, h.src)] += h.credits
                 if h.paid:
                     parked_paid[(h.src, ep.rank)] += 1
-        for store, parked, what in (
-            (self._consumed_unsent, {}, "consumed-but-unsent credits"),
-            (self._inflight_paid, parked_paid, "in-flight paid messages"),
-            (self._inflight_credits, parked_credits,
+        for term, parked, what in (
+            ("consumed_unsent", {}, "consumed-but-unsent credits"),
+            ("inflight_paid", parked_paid, "in-flight paid messages"),
+            ("inflight_credits", parked_credits,
              "in-flight returning credits"),
         ):
-            for key, n in store.items():
+            for key, row in self._pairs.items():
+                n = getattr(row, term)
                 if key[0] in dead or key[1] in dead:
                     continue  # in-flight state lost with the rank
                 if n and n != parked.get(key, 0):
@@ -847,26 +849,26 @@ class Auditor:
             for conn in ep.connections.values():
                 if conn.peer in dead:
                     continue  # severed: shadow/population frozen mid-flight
-                if conn.backlog or self._shadow[(ep.rank, conn.peer)]:
+                row = self._rows[conn]
+                if conn.backlog or row.shadow:
                     self._violate(
                         "backlog-fifo",
                         f"rank {ep.rank}: backlog toward {conn.peer} not "
                         "drained at quiescence",
-                        pair=(ep.rank, conn.peer),
+                        pair=row.pair,
                     )
                 if conn.ring is not None:
                     # Ring slots, not WQEs, back the credits — and at
                     # quiescence every deposited slot must have been
                     # reclaimed (copy-out frees in order, matching
                     # completeness already forced every eager through).
-                    occ = self._ring_occupancy[(conn.peer, ep.rank)]
-                    if occ:
+                    if row.back.ring_held:
                         self._violate(
                             "ring-slot-leak",
-                            f"rank {ep.rank}: {occ} ring slot(s) from "
-                            f"{conn.peer} deposited but never reclaimed "
-                            "at quiescence",
-                            pair=(conn.peer, ep.rank),
+                            f"rank {ep.rank}: {row.back.ring_held} ring "
+                            f"slot(s) from {conn.peer} deposited but never "
+                            "reclaimed at quiescence",
+                            pair=row.back.pair,
                         )
                     continue
                 accounted = (conn.qp.posted_recvs
@@ -884,15 +886,10 @@ class Auditor:
     def summary(self) -> dict:
         """Canonical, JSON-friendly digest (fuzz artifacts, reports)."""
         return {
-            "violations": [
-                {
-                    "invariant": v.invariant,
-                    "pair": list(v.pair) if v.pair else None,
-                    "time_ns": v.time_ns,
-                    "detail": v.detail,
-                }
-                for v in self.violations
-            ],
+            "violations": [{"invariant": v.invariant,
+                            "pair": list(v.pair) if v.pair else None,
+                            "time_ns": v.time_ns, "detail": v.detail}
+                           for v in self.violations],
             "hook_calls": self.hook_calls,
             "messages_sent": self._total_sent,
             "messages_matched": self._total_matched,

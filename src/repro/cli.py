@@ -53,16 +53,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """``type=`` of a count a benchmark averages over (``latency_program`` /
-    ``bandwidth_program`` refuse the rest): a usage error, not a failed cell."""
+    """``type=`` of a count that must reach one (repetitions a benchmark
+    averages over, fuzz runs): a usage error, not a failed cell."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
-def _message_size(text: str) -> int:
-    """``type=`` of a message size: 0 B is a legal MPI message."""
+def _non_negative_int(text: str) -> int:
+    """``type=`` of a message size or shrink budget: 0 B / no shrinking is legal."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="latency sweep (Figure 2)")
     _add_common(p)
-    p.add_argument("--sizes", nargs="+", type=_message_size,
+    p.add_argument("--sizes", nargs="+", type=_non_negative_int,
                    default=[4, 64, 1024, 16384])
     p.add_argument("--iterations", type=_positive_int, default=50)
     p.set_defaults(
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bandwidth", help="windowed bandwidth test (Figures 3-8)")
     _add_common(p)
-    p.add_argument("--size", type=_message_size, default=4)
+    p.add_argument("--size", type=_non_negative_int, default=4)
     p.add_argument("--windows", nargs="+", type=_positive_int,
                    default=[1, 4, 16, 64, 100])
     p.add_argument("--repetitions", type=_positive_int, default=10)
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flow control schemes to compare (all four by "
                         "default — the memory story is the point here)")
     p.add_argument("--prepost", type=_positive_int, default=1)
-    p.add_argument("--iterations", type=int, default=3)
+    p.add_argument("--iterations", type=_positive_int, default=3)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for independent cells")
     p.add_argument("--check", action="store_true", help=CHECK_HELP)
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=1,
                    help="base workload seed (run k uses seed+k)")
-    p.add_argument("--runs", type=int, default=25,
+    p.add_argument("--runs", type=_positive_int, default=25,
                    help="number of seeded workloads")
     p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
                    choices=EXTENDED_SCHEME_NAMES,
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "comparator covers the CM exchange path")
     p.add_argument("--out-dir", default="fuzz-failures",
                    help="where minimized replay artifacts land ('' to skip)")
-    p.add_argument("--max-shrink", type=int, default=200,
+    p.add_argument("--max-shrink", type=_non_negative_int, default=200,
                    help="rerun budget for minimizing a failing workload")
     p.add_argument("--replay", default=None, metavar="FILE",
                    help="re-run a failure artifact; exit 1 if it reproduces")

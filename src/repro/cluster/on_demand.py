@@ -202,6 +202,8 @@ class ConnectionManager:
         self._pending.pop(pair, None)
         if had is not None:
             self.torn_down += 1
+        if self.cluster.auditor is not None:
+            self.cluster.auditor.note_teardown(*pair)
 
     def _establish(self, pair: Tuple[int, int], sig: Signal) -> None:
         if sig.fired:

@@ -7,10 +7,12 @@ The ECM threshold sweep {1, 5, 16} covers the paper's explicit-credit
 paths: threshold 1 makes every grant an ECM, 16 forces piggyback-only
 credit return on small workloads.
 
-The mutation test at the bottom is the auditor's own acceptance check: an
+The mutation tests at the bottom are the auditor's own acceptance check: an
 intentionally injected credit leak (the scheme silently drops one received
 credit) must be caught as a ``credit-conservation`` violation, and the
-fuzz driver must shrink it to a minimized replay artifact.
+fuzz driver must shrink it to a minimized replay artifact.  Each mutant's
+first violation is pinned to the event that caused it — invariant, pair
+and simulated time — and so is the hook accounting fuzz artifacts embed.
 """
 
 import json
@@ -19,18 +21,25 @@ import pytest
 
 from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
-from repro.cluster import TestbedConfig, run_job
+from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import StaticScheme, make_scheme
+from repro.mpi.endpoint import Endpoint
+from repro.mpi.protocol import MsgKind
+from repro.recovery import RecoveryPolicy
 
 SCHEMES = ("hardware", "static", "dynamic")
 ECM_THRESHOLDS = (1, 5, 16)
 
 
 def _run_audited(seed, scheme_name, ecm_threshold, scenario=None):
-    """One seeded random workload under a strict auditor; returns it."""
+    """One seeded random workload under a strict auditor (and the recovery
+    manager, when the scenario asks for it, as the fuzzer arms it)."""
     spec = fuzz.generate_spec(seed, scenario)
     spec["ecm_threshold"] = ecm_threshold
-    kwargs = {"ecm_threshold": ecm_threshold} if scheme_name != "hardware" else {}
+    kwargs = ({"ecm_threshold": ecm_threshold}
+              if scheme_name in ("static", "dynamic") else {})
+    recovery = (RecoveryPolicy(max_attempts=12, seed=spec["seed"])
+                if spec.get("recovery") else False)
     auditor = Auditor()
     run_job(
         fuzz.build_program(spec),
@@ -40,6 +49,7 @@ def _run_audited(seed, scheme_name, ecm_threshold, scenario=None):
         config=TestbedConfig(nodes=spec["nranks"]),
         faults=spec["faults"],
         audit=auditor,
+        recovery=recovery,
     )
     return auditor
 
@@ -105,13 +115,91 @@ def _leaky_on_credits_received(self, conn, n):
         conn.credits += n
 
 
+def _grant_without_return(self, conn, n):
+    """Mutant ``Endpoint._grant``: the grant is announced but never lands
+    in ``pending_credit_return`` (the credit vanishes at the receiver)."""
+    if self._stall_until > self.sim.now:
+        self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + n
+        return 0
+    if self._audit is not None:
+        self._audit.on_grant(conn, n)
+    if self.scheme.should_send_ecm(conn):
+        return self._emit_ecm(conn)
+    return 0
+
+
+def _emit_dropping_piggyback(real_emit):
+    """Mutant ``Endpoint._emit``: a data or control message loses the
+    credits that should ride it back (explicit credit messages keep theirs)."""
+    def emit(self, conn, header, ref=None, replay=False):
+        if header.kind is not MsgKind.CREDIT:
+            conn.pending_credit_return = 0
+        return real_emit(self, conn, header, ref, replay)
+    return emit
+
+
+def _first_violation(ecm_threshold):
+    with pytest.raises(InvariantViolation) as exc:
+        _run_audited(31, "static", ecm_threshold)
+    v = exc.value
+    return v.invariant, v.pair, v.time_ns
+
+
 def test_credit_leak_is_caught_inline(monkeypatch):
     monkeypatch.setattr(
         StaticScheme, "on_credits_received", _leaky_on_credits_received
     )
+    # at the delivery whose credits the scheme short-changed
+    assert _first_violation(1) == ("credit-conservation", (0, 1), 69540)
+
+
+def test_lost_grant_is_caught_at_the_grant(monkeypatch):
+    monkeypatch.setattr(Endpoint, "_grant", _grant_without_return)
+    assert _first_violation(1) == ("credit-conservation", (0, 1), 36200)
+
+
+def test_dropped_piggyback_is_caught_inline(monkeypatch):
+    monkeypatch.setattr(Endpoint, "_emit", _emit_dropping_piggyback(Endpoint._emit))
+    # ECM threshold 5: grants accumulate and ride data (1 ships each as an ECM)
+    assert _first_violation(5) == ("credit-conservation", (0, 1), 39704)
+
+
+@pytest.mark.parametrize("scheme_name, hook_calls", [
+    ("hardware", 493), ("static", 643), ("dynamic", 633), ("rdma-eager", 720),
+])
+def test_hook_accounting_is_pinned(scheme_name, hook_calls):
+    """Fuzz failure artifacts embed ``hook_calls``: one link-down workload
+    with recovery per scheme (resync hooks included) pins what it counts."""
+    s = _run_audited(3, scheme_name, 5, scenario="link-down").summary()
+    assert (s["violations"], s["hook_calls"], s["messages_sent"],
+            s["messages_matched"]) == ([], hook_calls, 36, 36)
+
+
+def _one_message(mpi):
+    if mpi.rank == 0:
+        yield from mpi.send(1, size=4)
+    else:
+        yield from mpi.recv(source=0, capacity=64)
+
+
+def test_no_stale_rows_after_teardown():
+    """A pair torn down and re-requested is audited on its new connections:
+    the ledger rows must not keep the old ones."""
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, make_scheme("static"), prepost=4, on_demand=True)
+    auditor = Auditor()
+    run_job(_one_message, 2, "static", prepost=4, cluster=cluster, audit=auditor)
+    old = cluster.endpoints[0].connections[1]
+    cluster.cm.teardown(0, 1)
+    cluster.cm.request(cluster.endpoints[0], 1)
+    cluster.sim.run(max_events=100_000)
+    new = cluster.endpoints[0].connections[1]
+    assert new is not old
+    auditor.check_all_pairs()  # the fresh pair balances
+    new.credits += 1
     with pytest.raises(InvariantViolation) as exc:
-        _run_audited(31, "static", 1)
-    assert exc.value.invariant == "credit-conservation"
+        auditor.check_all_pairs()
+    assert (exc.value.invariant, exc.value.pair) == ("credit-conservation", (0, 1))
 
 
 def test_credit_leak_yields_minimized_replay_artifact(monkeypatch, tmp_path):

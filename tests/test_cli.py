@@ -139,15 +139,27 @@ def test_unknown_command_exits_2(capsys):
     ["chaos", "--scenario", "receiver-stall", "--prepost", "0"],
     ["bandwidth", "--size", "-4"],
     ["latency", "--sizes", "4", "-4"],
+    ["fuzz", "--runs", "0"],
+    ["fuzz", "--runs", "-2"],
+    ["fuzz", "--max-shrink", "-1"],
+    ["scaling", "--iterations", "0"],
+    ["scaling", "--iterations", "-1"],
 ])
 def test_a_zero_or_negative_count_is_a_usage_error_not_a_traceback(argv, capsys):
     assert main(argv + ["--schemes", "static"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     flag = next(a for a in reversed(argv) if a.startswith("--"))
-    least = "non-negative" if flag in ("--size", "--sizes") else "positive"  # 0 B is a message
+    # 0 B is a message, and 0 shrink reruns is no shrinking
+    least = "non-negative" if flag in ("--size", "--sizes", "--max-shrink") else "positive"
     assert captured.err.splitlines()[-1].endswith(
         f"error: argument {flag}: must be a {least} integer, got {argv[-1]}")
+
+
+def test_a_zero_shrink_budget_is_valid(capsys):
+    assert main(["fuzz", "--runs", "1", "--max-shrink", "0", "--schemes",
+                 "static", "--out-dir", ""]) == 0
+    assert capsys.readouterr().out.endswith("0 invariant violations\n")
 
 
 # ----------------------------------------------------------------------

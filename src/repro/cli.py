@@ -47,14 +47,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="flow control schemes to compare")
     p.add_argument("--prepost", type=_positive_int, default=100,
                    help="receive buffers pre-posted per connection")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for independent cells (1 = "
                         "run everything in this process)")
 
 
 def _positive_int(text: str) -> int:
     """``type=`` of a count that must reach one (repetitions a benchmark
-    averages over, fuzz runs): a usage error, not a failed cell."""
+    averages over, fuzz runs, workers): a usage error, not a failed cell."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default — the memory story is the point here)")
     p.add_argument("--prepost", type=_positive_int, default=1)
     p.add_argument("--iterations", type=_positive_int, default=3)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for independent cells")
     p.add_argument("--check", action="store_true", help=CHECK_HELP)
     p.set_defaults(fn=cmd_scaling)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named campaign (see --list)")
     p.add_argument("--list", action="store_true",
                    help="list the available campaign grids and exit")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes (1 = sequential reference path)")
     p.add_argument("--out", default=None, metavar="JSONL",
                    help="campaign artifact "
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flow control schemes to compare")
     p.add_argument("--prepost", type=_positive_int, default=None,
                    help="receive buffers per connection (default: scenario's)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for the per-scheme cells")
     p.add_argument("--recovery", action="store_true",
                    help="install the connection recovery subsystem "

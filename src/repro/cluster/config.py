@@ -72,11 +72,11 @@ class TestbedConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.levels not in (2, 3):
             raise ValueError(f"fat tree supports 2 or 3 levels, not {self.levels}")
+        if self.leaf_ports < 1 or self.spines < 1:
+            raise ValueError("a fat tree needs leaf_ports >= 1 and spines >= 1")
         if self.topology == "fat-tree" and self.levels == 3:
-            if not self.pod_leaves or not self.cores:
-                raise ValueError(
-                    "a 3-level fat tree needs pod_leaves and cores set"
-                )
+            if min(self.pod_leaves or 0, self.cores or 0) < 1:
+                raise ValueError("a 3-level fat tree needs pod_leaves >= 1 and cores >= 1")
         if self.on_demand_threshold < 2:
             raise ValueError("on_demand_threshold must be >= 2")
 

@@ -20,7 +20,7 @@ loopback path: no switch hop, bandwidth limited by the host bus.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.ib.types import IBConfig
 from repro.sim import Simulator
@@ -38,24 +38,25 @@ class Fabric:
     Also the one implementation of link reservation and control-path
     latency for multi-switch topologies: a subclass supplies
     :meth:`path_links` (the interior links between the two host access
-    links) and the per-message :attr:`_route` hook; a crossbar is the
-    topology whose interior path is always empty.
+    links) and a per-pair route table; a crossbar is the topology whose
+    interior path is always empty.
     """
 
-    #: Per-message routing hook ``(src_lid, dst_lid) -> interior links`` of
-    #: topologies that have switch-to-switch links.  ``None`` on the
-    #: crossbar, so its hot paths pay one identity check and no call.
-    _route: Optional[Callable[[int, int], tuple]] = None
+    #: A routed topology's per-pair records, keyed ``src_lid << 16 | dst_lid``
+    #: and built by its ``_resolve`` at a pair's first data or control packet:
+    #: ``slots`` (interior links as ``_link_busy`` indices), ``ctrl_ns`` and
+    #: ``msgs`` (data messages).  ``None`` on the crossbar: no lookup there.
+    _routes: Optional[Dict[int, Any]] = None
 
     def __init__(self, sim: Simulator, config: IBConfig, tracer: Optional[Tracer] = None):
         self.sim = sim
         self.config = config
         self.tracer = tracer or Tracer(enabled=False)
         # busy_until per unidirectional host link, keyed by LID, and per
-        # interior link, keyed as path_links() names it
+        # interior link, at the slot a route record holds
         self._up_busy: Dict[int, int] = {}
         self._down_busy: Dict[int, int] = {}
-        self._link_busy: Dict[tuple, int] = {}
+        self._link_busy: List[int] = []
         self._lids: Dict[int, Any] = {}  # lid -> HCA (deliver target)
         self._deliver_cb: Dict[int, Callable] = {}  # lid -> HCA._deliver, prebound
         # Per-size timing caches.  A fabric is built per job from a frozen
@@ -90,6 +91,8 @@ class Fabric:
         ``_deliver(message)`` for inbound traffic."""
         if lid in self._lids:
             raise FabricError(f"LID {lid} already attached")
+        if not 0 <= lid <= 0xBFFF:  # IBA unicast; a route key packs two in 32 bits
+            raise FabricError(f"LID {lid} outside the unicast range 0..0xbfff")
         self._lids[lid] = hca
         self._deliver_cb[lid] = hca._deliver
         self._up_busy[lid] = 0
@@ -163,8 +166,13 @@ class Fabric:
         self.wire_bytes += wire
         if scale:
             ser = max(1, int(ser * scale))  # degraded-link serialisation
-        route = self._route
-        links = route(src_lid, dst_lid) if route is not None else ()
+        routes = self._routes
+        if routes is None:
+            slots = ()
+        else:
+            route = routes.get(src_lid << 16 | dst_lid) or self._resolve(src_lid, dst_lid)
+            route.msgs += 1
+            slots = route.slots
 
         cong = self.congestion
         if cong is not None:
@@ -187,11 +195,11 @@ class Fabric:
         head = start + hop_ns
 
         # interior links (FIFO, cut-through from head arrival)
-        if links:
+        if slots:
             busy = self._link_busy
-            for link in links:
-                start = max(head, busy.get(link, 0))
-                busy[link] = start + ser
+            for slot in slots:
+                start = busy[slot] if busy[slot] > head else head
+                busy[slot] = start + ser
                 head = start + hop_ns
 
         # switch -> host link
@@ -220,7 +228,7 @@ class Fabric:
         if ser is None:
             ser = self._ctrl_ser_ns = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
         # switches on the path: one more than the interior link count
-        hops = 1 if self._route is None else 1 + len(self.path_links(src_lid, dst_lid))
+        hops = 1 + len(self.path_links(src_lid, dst_lid))
         return (hops + 1) * cfg.link_prop_ns + hops * cfg.switch_delay_ns + ser
 
     def send_control(
@@ -235,7 +243,11 @@ class Fabric:
             extra = fault.on_control(src_lid, dst_lid)
             if extra is None:
                 return sim.now  # link down: the ACK/NAK is lost
-        if src_lid == dst_lid or self._route is not None:
+        routes = self._routes
+        if routes is not None:
+            route = routes.get(src_lid << 16 | dst_lid) or self._resolve(src_lid, dst_lid)
+            latency = route.ctrl_ns
+        elif src_lid == dst_lid:
             latency = self.control_path_ns(src_lid, dst_lid)
         else:
             latency = self._xbar_ctrl_ns

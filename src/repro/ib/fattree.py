@@ -23,10 +23,11 @@ choices depend only on the destination, so every flow stays ordered.
 This class is topology arithmetic and counters only.  The timing model
 is :class:`~repro.ib.fabric.Fabric`'s: every traversed link carries FIFO
 busy-until contention and every switch hop adds pipeline latency, over
-whatever :meth:`path_links` enumerates — the interior links of a path as
-stable keys.  The congestion subsystem keys its egress-port queues on
-the same keys, and ``link_msgs`` counts per-link data messages for hop
-accounting (``tests/test_fattree_property.py``).
+the interior links :meth:`path_links` enumerates as stable keys, which a
+pair resolves once into a :class:`Route`.  The congestion subsystem keys
+its egress-port queues on the same keys, and ``link_msgs`` derives
+per-link data messages from each route's count for hop accounting
+(``tests/test_fattree_property.py``).
 
 This keeps every transport/MPI layer byte-for-byte identical — only path
 latency and contention change — so flow-control experiments can be re-run
@@ -51,6 +52,16 @@ from repro.sim.trace import Tracer
 LinkKey = Tuple
 
 
+class Route:
+    """A pair's record in :attr:`Fabric._routes`, with the link keys
+    :meth:`FatTreeFabric.path_links` returns."""
+
+    __slots__ = ("links", "slots", "ctrl_ns", "msgs")
+
+    def __init__(self, links: tuple, slots: tuple):
+        self.links, self.slots, self.ctrl_ns, self.msgs = links, slots, 0, 0
+
+
 class FatTreeFabric(Fabric):
     """Hosts → leaves → spines (→ cores), FIFO contention per link."""
 
@@ -71,10 +82,8 @@ class FatTreeFabric(Fabric):
         if levels not in (2, 3):
             raise FabricError(f"fat tree supports 2 or 3 levels, not {levels}")
         if levels == 3:
-            if not pod_leaves or pod_leaves < 1:
-                raise FabricError("3-level fat tree needs pod_leaves >= 1")
-            if not cores or cores < 1:
-                raise FabricError("3-level fat tree needs cores >= 1")
+            if min(pod_leaves or 0, cores or 0) < 1:
+                raise FabricError("3-level fat tree needs pod_leaves >= 1 and cores >= 1")
         else:
             pod_leaves = None  # one implicit pod spanning every leaf
             cores = None
@@ -83,14 +92,8 @@ class FatTreeFabric(Fabric):
         self.levels = levels
         self.pod_leaves = pod_leaves
         self.cores = cores
-        #: (src, dst) -> interior link tuple, memoized (paths are static)
-        self._path_cache: Dict[Tuple[int, int], tuple] = {}
-        # observability
-        self.cross_leaf_msgs = 0
-        self.cross_pod_msgs = 0
-        #: data messages per traversed link, host links included
-        #: (``("hup", lid)`` host→leaf, ``("down", lid)`` leaf→host)
-        self.link_msgs: Dict[LinkKey, int] = {}
+        self._routes: Dict[int, Route] = {}  # paths are static: one record per pair
+        self._slot_of: Dict[LinkKey, int] = {}  # interior link -> _link_busy index
 
     # ------------------------------------------------------------------
     # topology arithmetic
@@ -105,9 +108,6 @@ class FatTreeFabric(Fabric):
         """Pod-local spine index — d-mod-k: deterministic, in-order."""
         return dst_lid % self.spines
 
-    def _core_for(self, dst_lid: int) -> int:
-        return dst_lid % self.cores
-
     # ------------------------------------------------------------------
     # path enumeration
     # ------------------------------------------------------------------
@@ -116,11 +116,18 @@ class FatTreeFabric(Fabric):
         stable keys, in traversal order.  Host access links are not
         included (they are per-endpoint, keyed by LID alone).  Empty for
         same-leaf (and loopback) traffic."""
-        key = (src_lid, dst_lid)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._path_cache[key] = self._build_links(src_lid, dst_lid)
-        return path
+        route = self._routes.get(src_lid << 16 | dst_lid)
+        return (route or self._resolve(src_lid, dst_lid)).links
+
+    def _resolve(self, src_lid: int, dst_lid: int) -> Route:
+        """Build the pair's record, once; a link no earlier route took
+        gets the next busy-until slot."""
+        links, slot_of = self._build_links(src_lid, dst_lid), self._slot_of
+        slots = tuple([slot_of.setdefault(link, len(slot_of)) for link in links])
+        self._link_busy += [0] * (len(slot_of) - len(self._link_busy))
+        route = self._routes[src_lid << 16 | dst_lid] = Route(links, slots)
+        route.ctrl_ns = self.control_path_ns(src_lid, dst_lid)  # reads route.links
+        return route
 
     def _build_links(self, src_lid: int, dst_lid: int) -> tuple:
         src_leaf, dst_leaf = self.leaf_of(src_lid), self.leaf_of(dst_lid)
@@ -133,7 +140,7 @@ class FatTreeFabric(Fabric):
         s_src = src_pod * self.spines + idx
         if src_pod == dst_pod:
             return (("up", src_leaf, s_src), ("sdown", s_src, dst_leaf))
-        core = self._core_for(dst_lid)
+        core = dst_lid % self.cores
         s_dst = dst_pod * self.spines + idx
         return (
             ("up", src_leaf, s_src),
@@ -144,22 +151,27 @@ class FatTreeFabric(Fabric):
 
     def reset_counters(self) -> None:
         super().reset_counters()
-        self.cross_leaf_msgs = 0
-        self.cross_pod_msgs = 0
-        self.link_msgs.clear()  # ``_path_cache`` is topology, not a count
+        for route in self._routes.values():  # the routes are topology
+            route.msgs = 0
 
-    def _route(self, src_lid: int, dst_lid: int) -> tuple:
-        """:meth:`Fabric.transmit`'s per-message hook: the interior links
-        of the route, with the message counted on every link it takes."""
-        links = self.path_links(src_lid, dst_lid)
-        lm = self.link_msgs
-        for link in (("hup", src_lid), *links, ("down", dst_lid)):
-            lm[link] = lm.get(link, 0) + 1
-        if links:
-            self.cross_leaf_msgs += 1
-            if len(links) == 4:
-                self.cross_pod_msgs += 1
-        return links
+    @property
+    def link_msgs(self) -> Dict[LinkKey, int]:
+        """Data messages per traversed link, host links included
+        (``("hup", lid)`` host→leaf, ``("down", lid)`` leaf→host)."""
+        counts: Dict[LinkKey, int] = {}
+        for key, route in self._routes.items():
+            if route.msgs:
+                for link in (("hup", key >> 16), *route.links, ("down", key & 0xFFFF)):
+                    counts[link] = counts.get(link, 0) + route.msgs
+        return counts
+
+    @property
+    def cross_leaf_msgs(self) -> int:
+        return sum(route.msgs for route in self._routes.values() if route.links)
+
+    @property
+    def cross_pod_msgs(self) -> int:
+        return sum(route.msgs for route in self._routes.values() if len(route.links) == 4)
 
     def __repr__(self) -> str:  # pragma: no cover
         shape = f"leaf_ports={self.leaf_ports} spines={self.spines}"

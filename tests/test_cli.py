@@ -144,6 +144,11 @@ def test_unknown_command_exits_2(capsys):
     ["fuzz", "--max-shrink", "-1"],
     ["scaling", "--iterations", "0"],
     ["scaling", "--iterations", "-1"],
+    ["latency", "--workers", "0"],
+    ["sweep", "--grid", "fig3-smoke", "--no-cache", "--workers", "0"],
+    ["sweep", "--grid", "fig3-smoke", "--no-cache", "--workers", "-2"],
+    ["scaling", "--workers", "0"],
+    ["chaos", "--scenario", "receiver-stall", "--workers", "-1"],
 ])
 def test_a_zero_or_negative_count_is_a_usage_error_not_a_traceback(argv, capsys):
     assert main(argv + ["--schemes", "static"]) == 2

@@ -151,6 +151,96 @@ def test_invalid_tree_params():
         TestbedConfig(topology="hypercube")
 
 
+@pytest.mark.parametrize("shape", [
+    dict(leaf_ports=0), dict(spines=0), dict(leaf_ports=-4),
+    dict(levels=3, pod_leaves=-1, cores=2), dict(levels=3, pod_leaves=2, cores=-3),
+    dict(levels=3, pod_leaves=0, cores=2), dict(levels=3, pod_leaves=2),
+], ids=str)
+def test_a_bad_fat_tree_shape_is_a_config_error(shape):
+    # refused where the shape is written, not later at Cluster() as a FabricError
+    with pytest.raises(ValueError, match=r">= 1"):
+        TestbedConfig(nodes=8, topology="fat-tree", **shape)
+
+
+class Sink:  # stands in for an HCA: the fabric only calls _deliver
+    _deliver = staticmethod(lambda message: None)
+
+
+def test_a_lid_outside_the_unicast_range_is_refused():
+    from repro.ib.fabric import Fabric
+
+    for fabric in (Fabric(Simulator(), IBConfig()),
+                   FatTreeFabric(Simulator(), IBConfig())):
+        fabric.attach(0, Sink)
+        fabric.attach(0xBFFF, Sink)  # the last unicast LID
+        for lid in (-1, 0xC000, 1 << 16):
+            with pytest.raises(FabricError, match="unicast"):
+                fabric.attach(lid, Sink)
+
+
+def three_level():
+    """16 hosts: leaves of 2, pods of 2 leaves, 2 spines per pod, 2 cores."""
+    sim = Simulator()
+    fabric = FatTreeFabric(sim, IBConfig(), leaf_ports=2, spines=2, levels=3,
+                           pod_leaves=2, cores=2)
+    for lid in range(16):
+        fabric.attach(lid, Sink)
+    return sim, fabric
+
+
+# (src, dst, switches on the path); None = the HCA loopback
+PAIRS = [(3, 3, None), (0, 1, 1), (0, 2, 3), (0, 15, 5), (15, 0, 5)]
+
+
+@pytest.mark.parametrize("ack_first", [True, False], ids=["ack-first", "data-first"])
+@pytest.mark.parametrize("src, dst, switches", PAIRS, ids=str)
+def test_the_cached_control_latency_is_the_models(src, dst, switches, ack_first):
+    sim, fabric = three_level()
+    cfg = fabric.config
+    if switches is None:
+        expected = cfg.loopback_ns
+    else:  # every switch behind a link, one more link to the far HCA
+        ack_ser = round(cfg.ack_bytes / cfg.link_rate.bytes_per_ns)
+        expected = ((switches + 1) * cfg.link_prop_ns
+                    + switches * cfg.switch_delay_ns + ack_ser)
+    if not ack_first:  # the record is built by the data message instead
+        fabric.transmit(src, dst, 64, "data")
+        sim.run()
+    for _ in range(2):  # the record's first use, then a table hit
+        now = sim.now
+        assert fabric.send_control(src, dst, lambda: None) - now == expected
+        sim.run()
+    assert fabric.control_path_ns(src, dst) == expected
+    assert len(fabric.path_links(src, dst)) == (switches or 1) - 1
+
+
+def test_per_pair_counts_reset_and_recount_on_one_table():
+    sim, fabric = three_level()
+
+    def traffic():
+        for src, dst, _ in PAIRS:
+            for _ in range(3):
+                fabric.transmit(src, dst, 64, "data")
+            fabric.send_control(dst, src, lambda: None)  # ACKs count nowhere
+        sim.run()
+
+    traffic()
+    first = (fabric.link_msgs, fabric.cross_leaf_msgs, fabric.cross_pod_msgs)
+    # the loopback is no link's; every other pair's 3 messages take both
+    # host links and each interior link of its route
+    assert first[1:] == (3 * 3, 3 * 2)
+    assert first[0][("hup", 0)] == 3 * 3 and first[0][("down", 0)] == 3
+    assert sum(first[0].values()) == 3 * (2 + 4 + 6 + 6)
+    paths = {(s, d): fabric.path_links(s, d) for s, d, _ in PAIRS}
+
+    fabric.reset_counters()
+    assert fabric.link_msgs == {}
+    assert fabric.cross_leaf_msgs == 0 == fabric.cross_pod_msgs
+    traffic()
+    assert (fabric.link_msgs, fabric.cross_leaf_msgs, fabric.cross_pod_msgs) == first
+    assert all(fabric.path_links(s, d) is path for (s, d), path in paths.items())
+
+
 def test_mpi_latency_on_fat_tree_cluster():
     cfg = TestbedConfig(nodes=16, topology="fat-tree", leaf_ports=8, spines=2)
     r = run_job(latency_program(4, iterations=20), 2, "static", prepost=50,

@@ -36,6 +36,14 @@ def test_fat_tree_reuses_the_fabric_timing_model():
     assert "control_path_ns" not in vars(FatTreeFabric)
     assert "path_links" in vars(FatTreeFabric)
     assert "path_links" in vars(fabric.Fabric)
+    # ... and a route is resolved once per pair: the transmit path reaches
+    # the fat tree only on a table miss, and no second path memo is kept
+    assert not hasattr(FatTreeFabric, "_route")
+    for fn in (fabric.Fabric.transmit, fabric.Fabric.send_control):
+        called = set(re.findall(r"self\.(\w+)\(", inspect.getsource(fn)))
+        assert called & set(vars(FatTreeFabric)) == {"_resolve"}, fn.__name__
+        assert "or self._resolve(" in inspect.getsource(fn)
+    assert not re.search(r"_path_cache|link_msgs\[", _src("ib/fattree.py"))
 
 
 def test_the_fabric_keeps_no_delivery_trains():

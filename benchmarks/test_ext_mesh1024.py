@@ -7,13 +7,15 @@ command into minutes and GiBs.  This bench builds the mesh for real —
 its buffers posted — for ``static`` and ``dynamic`` at pre-post 1, runs
 the scaling sweep's ring on it beside the on-demand twin, and checks the
 closed form against the simulation to the byte.  Under 720 MiB of host
-memory and 20 s per mesh, one at a time; not part of tier-1.  The process's
-peak RSS is printed after each row (``pytest -s``; stdout only — a host
-number has no place in the results file): the figure ROADMAP item 1e quotes.
+memory and ~6 s per mesh, one at a time; not part of tier-1.  The process's
+peak RSS and the CPU seconds of ``Cluster.launch`` are printed after each
+row (``pytest -s``; stdout only — a host number has no place in the results
+file): the set-up figures ROADMAP item 1e quotes.
 """
 
 import gc
 import resource
+import time
 
 from repro.analysis import Table
 from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
@@ -53,8 +55,10 @@ def run_table() -> Table:
     for scheme in SCHEME_NAMES[1:]:  # the user-level schemes
         for on_demand in (False, True):
             cluster = Cluster(cfg)
+            launch_cpu = time.process_time()
             cluster.launch(NRANKS, make_scheme(scheme), PREPOST,
                            on_demand=on_demand)
+            launch_cpu = time.process_time() - launch_cpu
             r = run_job(ring, NRANKS, scheme, prepost=PREPOST,
                         cluster=cluster, finalize=False)
             conns = [c for ep in r.endpoints for c in ep.connections.values()]
@@ -83,7 +87,8 @@ def run_table() -> Table:
                 r.elapsed_us,
             )
             peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            print(f"process peak RSS after {label}: {peak_mib:.0f} MiB")
+            print(f"process peak RSS after {label}: {peak_mib:.0f} MiB; "
+                  f"Cluster.launch {launch_cpu:.1f} CPU-s")
             # a mesh is ~0.7 GiB of cyclic garbage, and launch() pauses the
             # collector: free this one before the next is built
             del cluster, r, conns, mem

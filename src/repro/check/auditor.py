@@ -494,7 +494,7 @@ class Auditor:
         """A receive vbuf was posted (``recv_posted`` already incremented);
         the population must never exceed its budget (no double-post)."""
         self.hook_calls += 1
-        budget = conn.recv_budget
+        budget = conn.prepost_target + conn.headroom
         if conn.recv_posted > budget:
             rank = conn.endpoint.rank
             self._violate("buffer-lease", f"rank {rank}: {conn.recv_posted} "

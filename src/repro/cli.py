@@ -31,7 +31,9 @@ from typing import List, Optional
 
 from repro.analysis import Table, scheme_figure, scheme_table
 from repro.campaign import GRIDS, MemoryCache, ResultCache, build_grid, grids, run_cells
-from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES
+from repro.cluster import TestbedConfig
+from repro.cluster.builder import check_setup_budget
+from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, make_scheme
 from repro.faults import SCENARIOS, run_chaos
 from repro.workloads.nas import KERNEL_ORDER
 
@@ -58,6 +60,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _ring_size(text: str) -> int:
+    """``type=`` of ``scaling --nodes``: a ring needs two ranks (one would
+    send to itself, which the device does not support)."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a ring needs at least 2 ranks, got {text}")
     return value
 
 
@@ -120,7 +131,6 @@ def _nas_table(res, args: argparse.Namespace) -> str:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     from repro.analysis import memory_table
-    from repro.cluster import TestbedConfig
     from repro.core.memory import mesh_pinned_bytes
 
     # climb the standard ladder up to --nodes (so `--nodes 1024` shows the
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scaling",
         help="ranks 64-1024 x schemes x {mesh, on-demand} on fat trees, "
              "with the Table-2-at-scale memory table")
-    p.add_argument("--nodes", type=_positive_int, default=64,
+    p.add_argument("--nodes", type=_ring_size, default=64,
                    help="top of the rank ladder (1024 = the three-level "
                         "pod fat-tree)")
     p.add_argument("--schemes", nargs="+", default=list(EXTENDED_SCHEME_NAMES),
@@ -532,7 +542,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "fn", None) is None:
         parser.print_usage(sys.stderr)
         return 2
+    try:
+        _check_setup_budgets(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return args.fn(args)
+
+
+def _check_setup_budgets(args: argparse.Namespace) -> None:
+    """A ``--prepost`` the receive queue cannot hold is a usage error, not
+    a failed cell: the check ``Cluster.launch`` makes, before any cell runs."""
+    if getattr(args, "prepost", None) is None:
+        return  # no such flag, or chaos's scenario default
+    for name in args.schemes:
+        check_setup_budget(make_scheme(name), args.prepost, TestbedConfig())
 
 
 if __name__ == "__main__":  # pragma: no cover

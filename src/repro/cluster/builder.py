@@ -22,6 +22,20 @@ from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
 
 
+def check_setup_budget(scheme: FlowControlScheme, prepost: int,
+                       config: TestbedConfig) -> None:
+    """Raise ``ValueError`` unless the receive WQEs one connection posts at
+    set-up (:meth:`~repro.core.base.FlowControlScheme.setup_budget`) fit
+    the receive queue — checked before anything is built, not as a verbs
+    overflow on the first connection of a half-wired cluster."""
+    budget = scheme.setup_budget(prepost, config.mpi)
+    if budget > config.ib.rq_depth:
+        raise ValueError(
+            f"pre-post {prepost} under {scheme.name.value} posts {budget} "
+            f"receive WQEs per connection; the receive queue holds "
+            f"rq_depth = {config.ib.rq_depth}")
+
+
 class Cluster:
     """A simulated cluster ready to run MPI jobs."""
 
@@ -90,6 +104,7 @@ class Cluster:
             raise RuntimeError("cluster already launched")
         if nranks < 1:
             raise ValueError("need at least one rank")
+        check_setup_budget(scheme, prepost, self.config)
         if on_demand is None:
             on_demand = nranks >= self.config.on_demand_threshold
 

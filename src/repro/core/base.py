@@ -22,6 +22,7 @@ import enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.config import MPIConfig
     from repro.mpi.connection import Connection
     from repro.mpi.protocol import Header
 
@@ -80,6 +81,11 @@ class FlowControlScheme:
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         """Initialise credit/prepost state at MPI_Init time."""
         raise NotImplementedError
+
+    def setup_budget(self, prepost: int, mpi: "MPIConfig") -> int:
+        """Receive WQEs one connection posts at set-up, at pre-post
+        ``prepost``: what ``Cluster.launch`` checks against ``rq_depth``."""
+        return prepost + self.optimistic_headroom
 
     # ------------------------------------------------------------------
     # sender-side hooks

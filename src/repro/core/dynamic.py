@@ -69,11 +69,6 @@ class DynamicScheme(StaticScheme):
         self.decay_enabled = decay_enabled
         self.decay_idle_messages = decay_idle_messages
 
-    def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
-        super().setup_connection(conn, requested_prepost)
-        conn._decay_quiet_msgs = 0
-        conn._grow_barrier_seq = -1
-
     # ------------------------------------------------------------------
     # the feedback loop
     # ------------------------------------------------------------------

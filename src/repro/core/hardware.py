@@ -53,7 +53,7 @@ class HardwareScheme(FlowControlScheme):
         self.arm_e2e_gate = arm_e2e_gate
 
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
-        conn.set_prepost_target(requested_prepost)
+        conn.prepost_target = requested_prepost  # headroom: 0, as built
         conn.refill_recv_buffers()
         if self.arm_e2e_gate:
             conn.qp.set_initial_credit_estimate(requested_prepost)

@@ -93,18 +93,14 @@ def qp_state_bytes(ib: Any) -> int:
 def connection_memory_bytes(conn: "Connection", mpi: Any, ib: Any) -> Tuple[int, int, int, int]:
     """One connection's ``(pinned, posted, qp, ring)`` byte counts.
 
-    ``pinned`` is the high-water receive population —
-    ``max_prepost + headroom`` vbufs (what the rank had to keep
-    registered), or the fixed control budget in RDMA-channel mode, where
-    credits govern ring slots rather than WQEs.
+    ``pinned`` is the high-water receive budget — ``max_prepost +
+    headroom`` vbufs (what the rank had to keep registered; the fixed
+    control reserve in RDMA-channel mode, where credits govern ring slots
+    rather than WQEs).
     """
     ch = conn.ring
-    if ch is not None:
-        pinned = mpi.rdma_control_bufs * mpi.vbuf_bytes
-        ring = (ch.tx_slots + ch.ring.slots) * mpi.vbuf_bytes
-    else:
-        pinned = (conn.stats.max_prepost + conn.headroom) * mpi.vbuf_bytes
-        ring = 0
+    ring = 0 if ch is None else (ch.tx_slots + ch.ring.slots) * mpi.vbuf_bytes
+    pinned = (conn.stats.max_prepost + conn.headroom) * mpi.vbuf_bytes
     posted = conn.recv_posted * mpi.vbuf_bytes
     return pinned, posted, qp_state_bytes(ib), ring
 

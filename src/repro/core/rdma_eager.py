@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 from repro.core.base import FlowControlScheme, SchemeName
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.config import MPIConfig
     from repro.mpi.connection import Connection
 
 #: Fire the explicit slot-reclamation ACK when the sender's worst-case
@@ -56,8 +57,8 @@ class RdmaEagerScheme(FlowControlScheme):
     uses_ring = True
     allows_rndv_fallback = True
     #: Control traffic rides the fixed ``rdma_control_bufs`` reserve that
-    #: every ring connection posts (see Connection.refill_recv_buffers),
-    #: not an extra per-scheme headroom.
+    #: every ring connection posts (:meth:`setup_budget`), not an extra
+    #: per-scheme headroom.
     optimistic_headroom = 0
 
     def __init__(self, reclaim_watermark: int = DEFAULT_RECLAIM_WATERMARK):
@@ -65,13 +66,17 @@ class RdmaEagerScheme(FlowControlScheme):
             raise ValueError("reclaim_watermark must be >= 1")
         self.reclaim_watermark = reclaim_watermark
 
+    def setup_budget(self, prepost: int, mpi: "MPIConfig") -> int:
+        return mpi.rdma_control_bufs  # the slots are ring memory, not WQEs
+
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         # The ring was allocated by Endpoint.add_connection before this
         # hook runs; prepost_target doubles as the ring's slot count and
-        # the token pool size.  refill_recv_buffers sees conn.ring and
-        # posts only the control-buffer reserve.
-        conn.set_prepost_target(requested_prepost)
-        conn.headroom = self.optimistic_headroom
+        # the token pool size, so the headroom is what brings the receive
+        # budget down to the control-buffer reserve.
+        conn.prepost_target = requested_prepost
+        conn.headroom = self.setup_budget(
+            requested_prepost, conn.endpoint.config) - requested_prepost
         conn.refill_recv_buffers()
         conn.credits = requested_prepost
 

@@ -49,7 +49,7 @@ class StaticScheme(FlowControlScheme):
         self.ecm_threshold = ecm_threshold
 
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
-        conn.set_prepost_target(requested_prepost)
+        conn.prepost_target = requested_prepost
         conn.headroom = self.optimistic_headroom
         conn.refill_recv_buffers()
         conn.credits = requested_prepost

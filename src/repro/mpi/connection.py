@@ -101,14 +101,17 @@ class Connection:
 
         # --- receiver half ---
         self.prepost_target = 0
-        self.headroom = 0  # extra non-credited buffers (set by the scheme)
+        #: set by the scheme: the **receive budget** is ``prepost_target +
+        #: headroom``, read in place.  Its non-credited reserve — or, where
+        #: ``prepost_target`` counts ring slots, the control reserve less those
+        self.headroom = 0
         #: the descriptor every receive vbuf of this connection is posted
         #: with (set by ``Endpoint.add_connection``; never mutated, so all
         #: posted WQEs share it)
         self.recv_wr: Optional[RecvWR] = None
-        #: receiver-half state owned by ``DynamicScheme`` (its
-        #: ``setup_connection`` resets both): quiet-streak length for the
-        #: optional decay, and the sequence number growth feedback is
+        #: receiver-half state owned by ``DynamicScheme`` (only a fresh
+        #: connection is set up, so not reset there): quiet-streak length for
+        #: the optional decay, and the sequence number growth feedback is
         #: ignored up to (the rate limit)
         self._decay_quiet_msgs = 0
         self._grow_barrier_seq = -1
@@ -137,6 +140,8 @@ class Connection:
     # receiver-half helpers
     # ------------------------------------------------------------------
     def set_prepost_target(self, n: int) -> None:
+        """Dynamic growth.  Set-up assigns the target instead: the idle
+        ``stats`` already hold the rank's pre-post as the high-water mark."""
         self.prepost_target = n
         if n > self.stats.max_prepost:
             self.stats.max_prepost = n
@@ -146,26 +151,14 @@ class Connection:
         self.stats = ConnStats(max_prepost=self.prepost_target)
 
     def refill_recv_buffers(self) -> int:
-        """Post receive vbufs up to the budget; returns how many were
-        posted (the endpoint charges the CPU cost)."""
+        """Post receive vbufs up to the receive budget; returns how many
+        were posted (the endpoint charges the CPU cost)."""
         if self.endpoint._stall_until > self.endpoint.sim.now:
             return 0  # receiver stalled (fault injection): no reposts
-        missing = self.recv_budget - self.recv_posted
+        missing = self.prepost_target + self.headroom - self.recv_posted
         if missing <= 0:
             return 0
         return self.endpoint._post_recv_vbuf(self, missing)
-
-    @property
-    def recv_budget(self) -> int:
-        """How many receive WQEs this connection keeps posted.
-
-        On a ring connection the "buffers" governed by credits are ring
-        slots, not WQEs; the posted WQEs only serve optimistic control
-        traffic and stay at a small fixed budget.
-        """
-        if self.ring is not None:
-            return self.endpoint.config.rdma_control_bufs
-        return self.prepost_target + self.headroom
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -886,7 +886,7 @@ class Endpoint:
             if self._audit is not None:
                 self._audit.on_ring_free(conn.ring, h)
         elif not stalled:
-            budget = conn.recv_budget
+            budget = conn.prepost_target + conn.headroom
             if conn.recv_posted < budget:
                 self._post_recv_vbuf(conn)
                 cost = self.config.post_overhead_ns

@@ -161,6 +161,29 @@ def test_a_zero_or_negative_count_is_a_usage_error_not_a_traceback(argv, capsys)
         f"error: argument {flag}: must be a {least} integer, got {argv[-1]}")
 
 
+def test_a_one_rank_ring_is_a_usage_error(capsys):
+    # it used to end in a CampaignError traceback: a one-rank ring sends to itself
+    assert main(["scaling", "--nodes", "1", "--schemes", "static"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --nodes: a ring needs at least 2 ranks, got 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["latency", "--prepost", "5000"],
+    ["nas", "--prepost", "4094", "--schemes", "hardware", "static"],
+    ["scaling", "--nodes", "4", "--prepost", "5000"],
+    ["chaos", "--scenario", "receiver-stall", "--prepost", "5000"],
+])
+def test_a_prepost_the_receive_queue_cannot_hold_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "receive WQEs per connection; the receive queue holds rq_depth = 4096" \
+        in captured.err
+
+
 def test_a_zero_shrink_budget_is_valid(capsys):
     assert main(["fuzz", "--runs", "1", "--max-shrink", "0", "--schemes",
                  "static", "--out-dir", ""]) == 0

@@ -78,6 +78,32 @@ def test_launch_restores_the_collector(collector, enabled, monkeypatch):
     assert gc.isenabled() is enabled
 
 
+@pytest.mark.parametrize("on_demand", [False, True])
+def test_a_prepost_the_receive_queue_cannot_hold_builds_nothing(on_demand):
+    """Pre-post plus headroom past ``rq_depth`` is refused before the first
+    endpoint exists — it used to overflow the verbs receive queue on the
+    first connection and leave a half-built cluster no retry could use."""
+    cluster = Cluster(TestbedConfig(nodes=8))
+    rq_depth = cluster.config.ib.rq_depth
+    with pytest.raises(ValueError, match=f"posts {rq_depth + 1} receive WQEs.*"
+                                         f"rq_depth = {rq_depth}"):
+        cluster.launch(8, make_scheme("static"), rq_depth - 2, on_demand=on_demand)
+    assert cluster.endpoints == [] and cluster.cm is None
+    assert not cluster.hcas[0]._qps and not cluster.hcas[0].mrs._by_rkey
+    cluster.launch(8, make_scheme("static"), 1, on_demand=on_demand)  # retry works
+
+
+def test_the_setup_budget_is_the_schemes():
+    """What is checked is what set-up posts: no headroom under hardware,
+    only the control reserve on a ring, whatever the pre-post."""
+    rq_depth = TestbedConfig().ib.rq_depth
+    for scheme, prepost in (("hardware", rq_depth), ("rdma-eager", rq_depth + 1)):
+        want = _expected_wqes(_mesh(2, scheme, prepost), scheme, prepost)
+        assert make_scheme(scheme).setup_budget(prepost, TestbedConfig().mpi) == want
+    with pytest.raises(ValueError, match="hardware"):
+        _mesh(2, "hardware", rq_depth + 1)
+
+
 def _old(obj):
     return any(o is obj for o in gc.get_objects(generation=2))
 
@@ -346,7 +372,7 @@ def test_batched_preposting_matches_the_closed_forms(scheme, prepost):
     for conn in conns:
         assert conn.recv_posted == want
         assert conn.qp.posted_recvs == want
-        assert conn.recv_budget == want
+        assert conn.prepost_target + conn.headroom == want  # the receive budget
         # every WQE of a connection is the connection's one descriptor
         assert all(wr is conn.recv_wr for wr in conn.qp._rq)
         assert (conn.recv_wr.wr_id, conn.recv_wr.capacity) == (

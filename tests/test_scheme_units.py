@@ -23,17 +23,21 @@ class FakeEndpoint:
 
 
 class FakeConn:
-    """Just enough Connection surface for the policy hooks."""
+    """Just enough Connection surface for the policy hooks: what
+    ``Connection.__init__`` sets, on an endpoint at pre-post ``prepost``
+    (an idle connection's high-water mark is the rank's pre-post)."""
 
-    def __init__(self):
+    def __init__(self, prepost=0):
         self.endpoint = FakeEndpoint()
         self.credits = 0
         self.prepost_target = 0
         self.headroom = 0
         self.recv_posted = 0
         self.pending_credit_return = 0
+        self._decay_quiet_msgs = 0
+        self._grow_barrier_seq = -1
         self.ring = None
-        self.stats = type("S", (), {"max_prepost": 0})()
+        self.stats = type("S", (), {"max_prepost": prepost})()
         self.qp = type("Q", (), {"set_initial_credit_estimate": lambda *_: None})()
 
     def set_prepost_target(self, n):
@@ -155,7 +159,7 @@ def test_dynamic_no_growth_without_flag():
 def test_dynamic_decay_halves_after_quiet_streak():
     d = DynamicScheme(decay_enabled=True, decay_idle_messages=10,
                       rate_limited=False)
-    conn = FakeConn()
+    conn = FakeConn(8)
     d.setup_connection(conn, 8)
     for seq in range(10):
         d.on_recv_header(conn, header(seq=seq, backlog=False))

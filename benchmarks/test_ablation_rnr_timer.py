@@ -50,18 +50,18 @@ def run_table() -> Table:
     # harness's receiver-stall burst).  The same head message NAKs over
     # and over, so the flat timer pays a NAK storm for the whole outage
     # while backoff escalates toward the cap after a few probes.
-    from repro.faults.scenarios import SCENARIOS as CHAOS
+    from repro.faults import scenario_job
 
-    sc = CHAOS["receiver-stall"]
     for label, factor, cap in [
         ("stall, flat 320us", 1.0, us(10_000)),
         ("stall, backoff x2 cap 2560us", 2.0, us(2_560)),
     ]:
-        cfg = TestbedConfig(nodes=2)
+        job = scenario_job("receiver-stall")
+        cfg = job["config"]
+        cfg.nodes = job["nranks"]
         cfg.ib.rnr_backoff_factor = factor
         cfg.ib.rnr_backoff_max_ns = cap
-        r = run_job(sc.make_program(), sc.nranks, HardwareScheme(),
-                    prepost=sc.prepost, config=cfg, faults=sc.make_plan(7))
+        r = run_job(scheme=HardwareScheme(), **job)
         table.add_row(label, r.elapsed_s, r.fc.rnr_naks,
                       r.fc.retransmissions)
 

@@ -88,7 +88,7 @@ def chaos_grid(
     for name in names:
         # Resolve the scenario's default depth now so a cell's key never
         # depends on how the depth was spelled.
-        depth = SCENARIOS[name].prepost if prepost is None else prepost
+        depth = SCENARIOS[name]["prepost"] if prepost is None else prepost
         for scheme in schemes:
             specs.append(JobSpec("chaos", {"scenario": name, "scheme": scheme,
                                            "seed": seed, "prepost": depth,

@@ -501,9 +501,21 @@ def run_fuzz(
 
 
 def replay(artifact: Dict[str, Any], log=print) -> Dict[str, Any]:
-    """Re-run a failure artifact's spec; returns the fresh comparison."""
+    """Re-run a failure artifact's spec; returns the fresh comparison.  A
+    document that is no artifact — no spec of :func:`generate_spec`'s
+    shape, a scheme nobody knows — is a ``ValueError`` before any job runs."""
+    spec = artifact.get("spec") if isinstance(artifact, dict) else None
+    if not isinstance(spec, dict):
+        raise ValueError("not a replay artifact: no 'spec' object")
+    missing = [k for k in ("seed", "nranks", "prepost", "messages") if k not in spec]
+    if missing:
+        raise ValueError(f"replay spec lacks {', '.join(missing)}")
     schemes = artifact.get("schemes", DEFAULT_SCHEMES)
-    comparison = compare_schemes(artifact["spec"], schemes)
+    if not (isinstance(schemes, (list, tuple)) and schemes
+            and all(s in EXTENDED_SCHEMES for s in schemes)):
+        raise ValueError(f"replay schemes must be a list of {EXTENDED_SCHEMES}, "
+                         f"got {schemes!r}")
+    comparison = compare_schemes(spec, schemes)
     failure = comparison["failure"]
     if log:
         if failure is None:

@@ -323,7 +323,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"error: cannot read artifact {args.replay}: {err}",
                   file=sys.stderr)
             return 2
-        comparison = fuzz.replay(artifact)
+        try:
+            comparison = fuzz.replay(artifact)
+        except (TypeError, ValueError) as err:  # a malformed spec, not a finding
+            print(f"error: {args.replay}: {err}", file=sys.stderr)
+            return 2
         return 1 if comparison["failure"] is not None else 0
 
     sweep = dict(

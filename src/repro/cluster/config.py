@@ -13,7 +13,7 @@ implementation and ≈860 MB/s peak large-message bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.ib.types import IBConfig
@@ -60,10 +60,6 @@ class TestbedConfig:
     #: made the default at scale.  The paper-scale experiments (8–64
     #: ranks) stay on the full mesh, bit-identical to before.
     on_demand_threshold: int = 128
-
-    def with_(self, **kwargs) -> "TestbedConfig":
-        """Functional update (``cfg.with_(nodes=4)``)."""
-        return replace(self, **kwargs)
 
     def __post_init__(self) -> None:
         if self.nodes < 1:

@@ -1,81 +1,33 @@
 """Canonical chaos scenarios and the per-scheme robustness report.
 
-Three named scenarios (see ``EXPERIMENTS.md`` for expected outcomes):
-
-``receiver-stall`` — a two-rank eager flood whose receiver goes
-slow-consumer mid-stream.  This is the paper's Figure-10 stressor: the
-hardware scheme degenerates into RNR timeout-and-retransmit storms while
-the user-level schemes park the overflow in the backlog queue and drain
-it through the rendezvous fallback.
-
-``flappy-link`` — a four-rank ring exchange across a host link that goes
-down twice.  Wire loss exercises the transport ACK-timeout replay path
-(and, for user-level schemes, credit recovery via ECMs after silence).
-
-``lossy-window`` — the flood again under a probabilistic drop window
-(seeded RNG, deterministic), the bounded-retry recovery stressor.
-
-``link-down-permanent`` — the flood through a link outage that outlives a
-*finite* transport retry budget: the QP pair goes fatal mid-stream.  With
-``--recovery`` the connection recovery subsystem re-establishes the pair
-and replays the un-acked suffix; without it the run reports a structured
-connection failure instead of hanging.
-
-``retry-budget`` — the receiver-stall burst with a finite RNR retry count:
-the hardware scheme (whose only flow control *is* the RNR timer) blows its
-retry budget while the user-level schemes ride through on credits.
-
-``rank-death`` — a 4-rank exchange whose rank 2 dies outright mid-run
-(HCA silent, program halted).  With ``--ft`` the heartbeat failure
-detector (repro.ft) declares the rank dead, completes every pending
-request toward it with ``PROC_FAILED``, and the job finishes with a
-structured :class:`~repro.ft.RankFailure` record; without ``--ft`` the
-same plan is caught by the auditor's progress watchdog instead of
-hanging.
-
-``cm-lossy-setup`` — control-plane chaos: a 6-rank ring on an on-demand
-cluster whose CM setup exchanges are probabilistically lost and delayed;
-the connection manager retries with exponential backoff (the
-``cm.setup_*`` counters land in the report).
-
-Three congestion scenarios (meaningful with ``--congestion``, but they run
-fine without it as the uncongested baseline):
-
-``incast-n1`` — eight senders flood one sink while a victim flow crosses
-the same switch to an idle destination.  With PFC armed the sink's egress
-queue hits XOFF and pauses *whole ingress ports*, so the victim is
-head-of-line blocked behind traffic it shares nothing with; with ECN the
-hot flows are rate-limited individually and the victim rides through.
-
-``hotspot-skew`` — every rank hammers rank 0 while also running a light
-ring flow; measures how far hotspot backpressure spreads.
-
-``victim-flow`` — a fat-tree with a single spine: three hot flows and one
-victim flow share the lone uplink, the classic HoL-blocking topology.
-
-``run_chaos`` runs the requested schemes under a scenario — one campaign
-cell each — and returns a plain-dict report (stable key order) that
-``repro chaos`` renders or serialises.
+A scenario is data: one JSON-able entry of :data:`SCENARIOS` with a
+``description``, ``nranks``, ``prepost``, a ``workload`` (``{"name": <a
+WORKLOADS key>, **params}``), ``faults`` (a :meth:`FaultPlan.from_spec`
+dict or ``None``) and, optionally, ``arming`` (``run_job`` subsystem
+keywords), ``testbed`` (:class:`TestbedConfig` overrides, ``ib`` nested)
+and ``victim_rank`` (the rank whose finish time is a congestion
+scenario's head-of-line-blocking metric: an innocent flow sharing switch
+resources with the hot flows).  The run's seed fills in the plan's
+``seed`` and the ``cm_chaos`` mapping's.  :func:`scenario_job` is the one
+place an entry becomes a job.  ``EXPERIMENTS.md`` has the expected
+per-scheme outcomes; ``tests/golden/chaos_golden.json`` pins the reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
 from repro.cluster.job import run_job
-from repro.congestion.config import DROP_RETRY_TIMEOUT_NS
+from repro.congestion.config import DROP_RETRY_TIMEOUT_NS, make_congestion_config
 from repro.core import SCHEME_NAMES
 from repro.faults.plan import FaultPlan
+from repro.ib.types import IBConfig
 from repro.sim.units import to_us, us
 from repro.workloads.microbench import manyflows_program
 
 
-# ----------------------------------------------------------------------
-# workload programs
-# ----------------------------------------------------------------------
 def _flood_program(msgs: int, msg_bytes: int) -> Callable:
     """Rank 0 floods rank 1 with eager messages; rank 1 consumes them."""
 
@@ -83,8 +35,7 @@ def _flood_program(msgs: int, msg_bytes: int) -> Callable:
         if mpi.rank == 0:
             reqs = []
             for _ in range(msgs):
-                req = yield from mpi.isend(1, size=msg_bytes)
-                reqs.append(req)
+                reqs.append((yield from mpi.isend(1, size=msg_bytes)))
             yield from mpi.waitall(reqs)
         else:
             for _ in range(msgs):
@@ -110,91 +61,7 @@ def _ring_program(rounds: int, msg_bytes: int) -> Callable:
     return program
 
 
-# ----------------------------------------------------------------------
-# scenario registry
-# ----------------------------------------------------------------------
-@dataclass
-class Scenario:
-    name: str
-    description: str
-    nranks: int
-    prepost: int
-    make_program: Callable[[], Callable]
-    make_plan: Callable[[int], Optional[FaultPlan]]
-    #: scenario-specific testbed overrides (e.g. finite RNR retries);
-    #: None = the calibrated defaults
-    make_config: Optional[Callable[[], TestbedConfig]] = None
-    #: congestion scenarios: the rank whose finish time is the
-    #: HoL-blocking metric (an innocent flow sharing switch resources
-    #: with the hot flows); None = no victim metric
-    victim_rank: Optional[int] = None
-    #: seed -> what the scenario itself arms besides its plan, as
-    #: ``run_job`` keywords (the caller's arming is merged over it)
-    arming: Callable[[int], Dict[str, Any]] = lambda seed: {}
-
-    @property
-    def audit(self) -> bool:
-        """Whether the scenario runs under the invariant auditor."""
-        return self.arming(0).get("audit", False)
-
-
-def _receiver_stall_plan(seed: int) -> FaultPlan:
-    # ~10 RNR-timer periods (320 us each) of starvation from just after
-    # launch: the receiver is descheduled while the sender's burst lands.
-    return FaultPlan(seed=seed).receiver_stall(
-        rank=1, at_ns=us(5), duration_ns=us(3200)
-    )
-
-
-def _flappy_link_plan(seed: int) -> FaultPlan:
-    # The link under rank 2 drops twice while the ring is hot.
-    return (
-        FaultPlan(seed=seed)
-        .link_flap(lid=2, at_ns=us(150), duration_ns=us(250))
-        .link_flap(lid=2, at_ns=us(700), duration_ns=us(250))
-    )
-
-
-def _lossy_window_plan(seed: int) -> FaultPlan:
-    # 15 % loss on the flood pair for 350 us, then a clean tail.
-    return FaultPlan(seed=seed).drop_window(
-        at_ns=us(50), duration_ns=us(350), probability=0.15, lids=(0, 1)
-    )
-
-
-def _link_down_plan(seed: int) -> FaultPlan:
-    # A 1.5 ms outage against a 40 us ACK timeout with only 4 transport
-    # retries: the go-back-N ladder is exhausted long before the link
-    # returns, so the QP pair goes fatal (RETRY_EXCEEDED) mid-stream.
-    return FaultPlan(
-        seed=seed, transport_timeout_ns=us(40), transport_retry_limit=4
-    ).link_flap(lid=1, at_ns=us(100), duration_ns=us(1500))
-
-
-def _retry_budget_plan(seed: int) -> FaultPlan:
-    # Same starvation window as receiver-stall; the finite RNR budget
-    # comes from the scenario's config override.
-    return FaultPlan(seed=seed).receiver_stall(
-        rank=1, at_ns=us(5), duration_ns=us(3200)
-    )
-
-
-#: the rank the rank-death scenario kills (one rank per node on the
-#: 8-node default testbed, so only this rank's HCA dies with it)
-RANK_DEATH_VICTIM = 2
-
-
-def _rank_death_plan(seed: int) -> FaultPlan:
-    # Default (infinite) transport retry: survivors' transports never give
-    # up on the dead peer, so detection is purely the heartbeat detector's
-    # doing (with ft) — and without ft the run goes quiet until the
-    # progress watchdog declares it, the pre-ft failure mode.  The
-    # detector's _sever force-errors the victim-facing QPs, which stops
-    # the retry timers and lets the agenda drain.
-    return FaultPlan(seed=seed).rank_death(rank=RANK_DEATH_VICTIM, at_ns=us(40))
-
-
-def _rank_death_program(nranks: int, victim: int) -> Callable:
+def _rank_death_program(victim: int) -> Callable:
     """Every survivor owes the victim a rendezvous-size send (in-flight
     data the transport will declare unreachable) and expects a reply that
     never comes (pending work the heartbeat detector watches); a light
@@ -221,183 +88,204 @@ def _rank_death_program(nranks: int, victim: int) -> Callable:
         st_send = yield from mpi.wait(sreq)
         st_recv = yield from mpi.wait(rreq)
         st_ring = yield from mpi.wait(ring_r)
-        return {
-            "send_error": st_send.error,
-            "recv_error": st_recv.error,
-            "ring_error": st_ring.error,
-        }
+        return {"send_error": st_send.error, "recv_error": st_recv.error,
+                "ring_error": st_ring.error}
 
     return program
 
 
-def _cm_lossy_arming(seed: int) -> Dict[str, Any]:
-    # Lazy connection management, 25 % of its setup exchanges lost and the
-    # rest uniformly delayed up to 120 us: enough churn to force retries
-    # without (at stock seeds) exhausting the 5-attempt backoff budget.
-    return {"on_demand": True,
-            "cm_chaos": {"loss_prob": 0.25, "delay_ns": us(120), "seed": seed}}
+#: a scenario's ``workload["name"]`` -> its program builder
+WORKLOADS: Dict[str, Callable[..., Callable]] = {
+    "flood": _flood_program,
+    "ring": _ring_program,
+    # flows are ``[src, dst, msgs, msg_bytes]``
+    "manyflows": manyflows_program,
+    "rank-death": _rank_death_program,
+}
 
 
-def _congestion_plan(seed: int) -> FaultPlan:
-    # No fault events — the plan only arms the transport ACK-timeout retry
-    # up front, with the same timeout a congestion drop would arm.
-    return FaultPlan(seed=seed, transport_timeout_ns=DROP_RETRY_TIMEOUT_NS)
+# ----------------------------------------------------------------------
+# the scenario table
+# ----------------------------------------------------------------------
+# ~10 RNR-timer periods (320 us each) of starvation from just after
+# launch: the receiver is descheduled while the sender's burst lands.
+_STALL = {"events": [{"kind": "receiver_stall", "rank": 1,
+                      "at_ns": us(5), "duration_ns": us(3200)}]}
 
+# Burst sized to prepost + optimistic headroom: user-level senders
+# absorb it exactly (4 paid sends + 3 rendezvous RTSs), while the
+# hardware scheme overruns its 4 posted buffers and storms.
+_BURST = {"name": "flood", "msgs": 7, "msg_bytes": 1024}
 
-def _incast_flows():
-    # Ranks 1..8 flood rank 0; the victim flow 1 -> 9 shares sender 1's
-    # injection port and the switch with the hot flows but targets an
-    # idle destination.
-    flows = [(s, 0, 25, 1024) for s in range(1, 9)]
-    flows.append((1, 9, 8, 1024))
-    return flows
+# No fault events — the plan only arms the transport ACK-timeout retry
+# up front, with the same timeout a congestion drop would arm.
+_CONGESTION = {"transport_timeout_ns": DROP_RETRY_TIMEOUT_NS}
 
-
-def _incast_config() -> TestbedConfig:
-    return TestbedConfig(nodes=10)
-
-
-def _hotspot_flows():
-    # Every rank hammers rank 0 (the hotspot) while also running a light
-    # ring flow 1->2->...->7->1 that measures collateral damage.
-    flows = []
-    for r in range(1, 8):
-        flows.append((r, 0, 14, 1024))
-        flows.append((r, r % 7 + 1, 10, 1024))
-    return flows
-
-
-def _victim_flows():
-    # Fat-tree, one spine: hot flows 0,1,2 -> 4 and victim 3 -> 5 all
-    # cross leaf 0 -> leaf 1 through the same lone uplink queue.
-    flows = [(0, 4, 20, 1024), (1, 4, 20, 1024), (2, 4, 20, 1024)]
-    flows.append((3, 5, 6, 1024))
-    return flows
-
-
-def _victim_config() -> TestbedConfig:
-    return TestbedConfig(nodes=8, topology="fat-tree", leaf_ports=4, spines=1)
-
-
-def _retry_budget_config() -> TestbedConfig:
-    cfg = TestbedConfig()
-    # 3 RNR retries instead of the verbs "infinite" sentinel: the paper's
-    # hardware scheme leans on unbounded RNR replay, so a bounded budget
-    # turns sustained starvation into a fatal completion.
-    cfg.ib.rnr_retry_count = 3
-    return cfg
-
-
-SCENARIOS: Dict[str, Scenario] = {
-    "receiver-stall": Scenario(
-        "receiver-stall",
-        "2-rank eager burst into a descheduled (slow-consumer) receiver",
-        nranks=2,
-        prepost=4,
-        # Burst sized to prepost + optimistic headroom: user-level senders
-        # absorb it exactly (4 paid sends + 3 rendezvous RTSs), while the
-        # hardware scheme overruns its 4 posted buffers and storms.
-        make_program=lambda: _flood_program(msgs=7, msg_bytes=1024),
-        make_plan=_receiver_stall_plan,
-    ),
-    "flappy-link": Scenario(
-        "flappy-link",
-        "4-rank ring exchange; one host link flaps down twice",
-        nranks=4,
-        prepost=8,
-        make_program=lambda: _ring_program(rounds=40, msg_bytes=512),
-        make_plan=_flappy_link_plan,
-    ),
-    "lossy-window": Scenario(
-        "lossy-window",
-        "2-rank eager flood through a 15% probabilistic drop window",
-        nranks=2,
-        prepost=8,
-        make_program=lambda: _flood_program(msgs=150, msg_bytes=1024),
-        make_plan=_lossy_window_plan,
-    ),
-    "link-down-permanent": Scenario(
-        "link-down-permanent",
-        "2-rank flood; link outage outlives the transport retry budget",
-        nranks=2,
-        prepost=8,
-        make_program=lambda: _flood_program(msgs=30, msg_bytes=1024),
-        make_plan=_link_down_plan,
-    ),
-    "retry-budget": Scenario(
-        "retry-budget",
-        "receiver-stall burst with a finite (3) RNR retry budget",
-        nranks=2,
-        prepost=4,
-        make_program=lambda: _flood_program(msgs=7, msg_bytes=1024),
-        make_plan=_retry_budget_plan,
-        make_config=_retry_budget_config,
-    ),
-    "rank-death": Scenario(
-        "rank-death",
-        "4-rank exchange; rank 2 dies outright mid-run (needs --ft to "
-        "detect; without it the progress watchdog trips)",
-        nranks=4,
-        prepost=8,
-        make_program=lambda: _rank_death_program(4, RANK_DEATH_VICTIM),
-        make_plan=_rank_death_plan,
+SCENARIOS: Dict[str, Dict[str, Any]] = {
+    "receiver-stall": {
+        "description": "2-rank eager burst into a descheduled (slow-consumer) receiver",
+        "nranks": 2,
+        "prepost": 4,
+        "workload": _BURST,
+        "faults": _STALL,
+    },
+    "flappy-link": {
+        "description": "4-rank ring exchange; one host link flaps down twice",
+        "nranks": 4,
+        "prepost": 8,
+        "workload": {"name": "ring", "rounds": 40, "msg_bytes": 512},
+        # The link under rank 2 drops twice while the ring is hot.
+        "faults": {"events": [
+            {"kind": "link_flap", "lid": 2, "at_ns": us(150), "duration_ns": us(250)},
+            {"kind": "link_flap", "lid": 2, "at_ns": us(700), "duration_ns": us(250)}]},
+    },
+    "lossy-window": {
+        "description": "2-rank eager flood through a 15% probabilistic drop window",
+        "nranks": 2,
+        "prepost": 8,
+        "workload": {"name": "flood", "msgs": 150, "msg_bytes": 1024},
+        # 15 % loss on the flood pair for 350 us, then a clean tail.
+        "faults": {"events": [
+            {"kind": "drop_window", "at_ns": us(50), "duration_ns": us(350),
+             "probability": 0.15, "lids": [0, 1]}]},
+    },
+    "link-down-permanent": {
+        "description": "2-rank flood; link outage outlives the transport retry budget",
+        "nranks": 2,
+        "prepost": 8,
+        "workload": {"name": "flood", "msgs": 30, "msg_bytes": 1024},
+        # A 1.5 ms outage against a 40 us ACK timeout with only 4 transport
+        # retries: the go-back-N ladder is exhausted long before the link
+        # returns, so the QP pair goes fatal (RETRY_EXCEEDED) mid-stream.
+        "faults": {"transport_timeout_ns": us(40), "transport_retry_limit": 4,
+                   "events": [{"kind": "link_flap", "lid": 1, "at_ns": us(100),
+                               "duration_ns": us(1500)}]},
+    },
+    "retry-budget": {
+        "description": "receiver-stall burst with a finite (3) RNR retry budget",
+        "nranks": 2,
+        "prepost": 4,
+        "workload": _BURST,
+        # Same starvation window as receiver-stall.
+        "faults": _STALL,
+        # 3 RNR retries instead of the verbs "infinite" sentinel: the paper's
+        # hardware scheme leans on unbounded RNR replay, so a bounded budget
+        # turns sustained starvation into a fatal completion.
+        "testbed": {"ib": {"rnr_retry_count": 3}},
+    },
+    "rank-death": {
+        "description": "4-rank exchange; rank 2 dies outright mid-run (needs --ft to "
+                       "detect; without it the progress watchdog trips)",
+        "nranks": 4,
+        "prepost": 8,
+        # rank 2: one rank per node on the 8-node default testbed, so only
+        # this rank's HCA dies with it
+        "workload": {"name": "rank-death", "victim": 2},
+        # Default (infinite) transport retry: survivors' transports never give
+        # up on the dead peer, so detection is purely the heartbeat detector's
+        # doing (with ft) — and without ft the run goes quiet until the
+        # progress watchdog declares it, the pre-ft failure mode.  The
+        # detector's _sever force-errors the victim-facing QPs, which stops
+        # the retry timers and lets the agenda drain.
+        "faults": {"events": [{"kind": "rank_death", "rank": 2, "at_ns": us(40),
+                               "duration_ns": 1}]},
         # the auditor's watchdog is the no-ft contrast arm, its dead-rank
         # exemptions the ft arm's check
-        arming=lambda seed: {"audit": True},
-    ),
-    "cm-lossy-setup": Scenario(
-        "cm-lossy-setup",
-        "on-demand ring whose CM setup exchanges are lost/delayed "
-        "(bounded-retry exponential backoff on the control plane)",
-        nranks=6,
-        prepost=4,
-        make_program=lambda: _ring_program(rounds=12, msg_bytes=512),
-        make_plan=lambda seed: None,  # control-plane chaos only
-        arming=_cm_lossy_arming,
-    ),
-    "incast-n1": Scenario(
-        "incast-n1",
-        "8-to-1 incast into rank 0 plus a victim flow to an idle rank",
-        nranks=10,
-        prepost=8,
-        make_program=lambda: manyflows_program(_incast_flows()),
-        make_plan=_congestion_plan,
-        make_config=_incast_config,
-        victim_rank=9,
-    ),
-    "hotspot-skew": Scenario(
-        "hotspot-skew",
-        "all ranks hammer rank 0 while a light ring flow rides along",
-        nranks=8,
-        prepost=8,
-        make_program=lambda: manyflows_program(_hotspot_flows()),
-        make_plan=_congestion_plan,
-    ),
-    "victim-flow": Scenario(
-        "victim-flow",
-        "fat-tree single-spine: 3 hot flows + 1 victim share one uplink",
-        nranks=8,
-        prepost=8,
-        make_program=lambda: manyflows_program(_victim_flows()),
-        make_plan=_congestion_plan,
-        make_config=_victim_config,
-        victim_rank=5,
-    ),
+        "arming": {"audit": True},
+    },
+    "cm-lossy-setup": {
+        "description": "on-demand ring whose CM setup exchanges are lost/delayed "
+                       "(bounded-retry exponential backoff on the control plane)",
+        "nranks": 6,
+        "prepost": 4,
+        "workload": {"name": "ring", "rounds": 12, "msg_bytes": 512},
+        "faults": None,  # control-plane chaos only
+        # Lazy connection management, 25 % of its setup exchanges lost and the
+        # rest uniformly delayed up to 120 us: enough churn to force retries
+        # without (at stock seeds) exhausting the 5-attempt backoff budget.
+        "arming": {"on_demand": True,
+                   "cm_chaos": {"loss_prob": 0.25, "delay_ns": us(120)}},
+    },
+    "incast-n1": {
+        "description": "8-to-1 incast into rank 0 plus a victim flow to an idle rank",
+        "nranks": 10,
+        "prepost": 8,
+        # Ranks 1..8 flood rank 0; the victim flow 1 -> 9 shares sender 1's
+        # injection port and the switch with the hot flows but targets an
+        # idle destination.
+        "workload": {"name": "manyflows", "flows": [
+            *([s, 0, 25, 1024] for s in range(1, 9)), [1, 9, 8, 1024]]},
+        "faults": _CONGESTION,
+        "testbed": {"nodes": 10},
+        "victim_rank": 9,
+    },
+    "hotspot-skew": {
+        "description": "all ranks hammer rank 0 while a light ring flow rides along",
+        "nranks": 8,
+        "prepost": 8,
+        # Every rank hammers rank 0 (the hotspot) while also running a light
+        # ring flow 1->2->...->7->1 that measures collateral damage.
+        "workload": {"name": "manyflows", "flows": [
+            f for r in range(1, 8) for f in ([r, 0, 14, 1024], [r, r % 7 + 1, 10, 1024])]},
+        "faults": _CONGESTION,
+    },
+    "victim-flow": {
+        "description": "fat-tree single-spine: 3 hot flows + 1 victim share one uplink",
+        "nranks": 8,
+        "prepost": 8,
+        # Fat-tree, one spine: hot flows 0,1,2 -> 4 and victim 3 -> 5 all
+        # cross leaf 0 -> leaf 1 through the same lone uplink queue.
+        "workload": {"name": "manyflows", "flows": [
+            [0, 4, 20, 1024], [1, 4, 20, 1024], [2, 4, 20, 1024], [3, 5, 6, 1024]]},
+        "faults": _CONGESTION,
+        "testbed": {"nodes": 8, "topology": "fat-tree", "leaf_ports": 4, "spines": 1},
+        "victim_rank": 5,
+    },
 }
+
+
+def scenario_job(
+    name: str,
+    seed: int = 7,
+    prepost: Optional[int] = None,
+    congestion: Optional[str] = None,
+    **arming: Any,
+) -> Dict[str, Any]:
+    """The named scenario as every ``run_job`` keyword but the scheme:
+    ``run_job(scheme=..., **scenario_job(name))``.  ``congestion``
+    (``"pfc" | "ecn" | "both"``) arms the switch model in the testbed;
+    ``arming`` is merged over the scenario's own and validated here, so a
+    bad one raises before any job runs."""
+    try:
+        sc = SCENARIOS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r} (know {sorted(SCENARIOS)})"
+        ) from None
+    params = dict(sc["workload"])
+    program = WORKLOADS[params.pop("name")](**params)
+    testbed = dict(sc.get("testbed", {}))
+    ib = dict(testbed.pop("ib", {}))
+    if congestion is not None:
+        ib["congestion"] = make_congestion_config(congestion)
+    own = dict(sc.get("arming", {}))
+    if "cm_chaos" in own:
+        own["cm_chaos"] = {**own["cm_chaos"], "seed": seed}
+    faults = sc["faults"]
+    plan = None if faults is None else FaultPlan.from_spec({**faults, "seed": seed})
+    armed = Arming(faults=plan, **{**own, **arming})
+    return {
+        "program": program,
+        "nranks": sc["nranks"],
+        "prepost": sc["prepost"] if prepost is None else prepost,
+        "config": TestbedConfig(**testbed, ib=IBConfig(**ib)),
+        **vars(armed),
+    }
 
 
 # ----------------------------------------------------------------------
 # the chaos harness
 # ----------------------------------------------------------------------
-def _scenario(scenario: str) -> Scenario:
-    try:
-        return SCENARIOS[scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {scenario!r} (know {sorted(SCENARIOS)})"
-        ) from None
-
-
 def chaos_cell(
     scenario: str,
     scheme: str,
@@ -425,39 +313,26 @@ def chaos_cell(
     queue peaks) plus — for scenarios that define a victim flow —
     ``victim_finish_us``.
     """
-    sc = _scenario(scenario)
-    depth = sc.prepost if prepost is None else prepost
-    plan = sc.make_plan(seed)  # fresh plan (and RNG) per run
-    config = sc.make_config() if sc.make_config is not None else None
-    if congestion is not None:
-        from repro.congestion import make_congestion_config
-
-        if config is None:
-            config = TestbedConfig()
-        config.ib.congestion = make_congestion_config(congestion)
-    armed = Arming(faults=plan, **{**sc.arming(seed), **arming})
+    job = scenario_job(scenario, seed, prepost, congestion, **arming)
     try:
-        result = run_job(sc.make_program(), sc.nranks, scheme, depth,
-                         config=config, **vars(armed))
+        result = run_job(scheme=scheme, **job)
     except Exception as exc:  # deterministic failures are part of the report
-        return {
-            "completed": False,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return {"completed": False, "error": f"{type(exc).__name__}: {exc}"}
     doc = result.report()
     entry = {"completed": doc["completed"], "elapsed_us": result.elapsed_us}
     if doc["failures"]:
         entry["failures"] = doc["failures"]
     else:
         fc = doc["fc"]
-        plan_end = plan.end_ns if plan is not None else 0
+        plan_end = job["faults"].end_ns if job["faults"] is not None else 0
         entry["recovery_us"] = to_us(max(0, doc["elapsed_ns"] - plan_end))
         for name in ("retransmissions", "rnr_naks", "backlog_max",
                      "backlogged_msgs", "rndv_fallbacks", "ecm_msgs"):
             entry[name] = fc[name]
         entry["faults"] = doc.get("faults", {})
-        if sc.victim_rank is not None:
-            entry["victim_finish_us"] = to_us(result.rank_results[sc.victim_rank])
+        victim = SCENARIOS[scenario].get("victim_rank")
+        if victim is not None:
+            entry["victim_finish_us"] = to_us(result.rank_results[victim])
         if "congestion" in doc:
             entry["congestion"] = doc["congestion"]
         if "cm" in doc:
@@ -485,17 +360,17 @@ def run_chaos(
     ``arming`` — plain-JSON cell parameters — recorded as given."""
     from repro.campaign import grids, run_cells
 
-    sc = _scenario(scenario)
-    plan = sc.make_plan(seed)
+    plan = scenario_job(scenario, seed)["faults"]
+    sc = SCENARIOS[scenario]
     specs = grids.chaos_grid(scenarios=[scenario], schemes=schemes, seed=seed,
                              prepost=prepost, **arming)
     res = run_cells(specs, workers=workers, cache=cache)
     return {
-        "scenario": sc.name,
-        "description": sc.description,
+        "scenario": scenario,
+        "description": sc["description"],
         "seed": seed,
-        "nranks": sc.nranks,
-        "prepost": sc.prepost if prepost is None else prepost,
+        "nranks": sc["nranks"],
+        "prepost": sc["prepost"] if prepost is None else prepost,
         **{"recovery": False, "congestion": None, "ft": False, **arming},
         "fault_window_us": to_us(plan.end_ns) if plan is not None else 0.0,
         "schemes": {out.spec.params["scheme"]: out.metrics for out in res.outcomes},

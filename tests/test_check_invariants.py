@@ -22,7 +22,7 @@ import pytest
 from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
 from repro.cluster import Cluster, TestbedConfig, run_job
-from repro.core import StaticScheme, make_scheme
+from repro.core import DynamicScheme, StaticScheme, make_scheme
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.protocol import MsgKind
 from repro.recovery import RecoveryPolicy
@@ -173,6 +173,61 @@ def test_hook_accounting_is_pinned(scheme_name, hook_calls):
     s = _run_audited(3, scheme_name, 5, scenario="link-down").summary()
     assert (s["violations"], s["hook_calls"], s["messages_sent"],
             s["messages_matched"]) == ([], hook_calls, 36, 36)
+
+
+# ----------------------------------------------------------------------
+# decay contraction: a swallowed credit is decay debt repaid, not a leak
+# ----------------------------------------------------------------------
+def _burst_then_quiet(mpi):
+    """The decay ablation's program (benchmarks/test_ablation_growth.py): a
+    200-message burst grows rank 1's target, 400 ping-pongs let it decay,
+    and the over-full population swallows the credits still circulating."""
+    peer = 1 - mpi.rank
+    if mpi.rank == 0:
+        reqs = []
+        for _ in range(200):
+            reqs.append((yield from mpi.isend(peer, size=4, tag=0)))
+        yield from mpi.waitall(reqs)
+        for _ in range(400):
+            yield from mpi.send(peer, size=4, tag=1)
+            yield from mpi.recv(source=peer, capacity=64, tag=1)
+    else:
+        for _ in range(200):
+            yield from mpi.recv(source=peer, capacity=64, tag=0)
+        for _ in range(400):
+            yield from mpi.recv(source=peer, capacity=64, tag=1)
+            yield from mpi.send(peer, size=4, tag=1)
+
+
+def _run_decay(monkeypatch, after_swallow=lambda conn: None):
+    """The decay program under a strict auditor; returns it and the
+    connections that swallowed, one entry per credit."""
+    swallowed = []
+    real = Auditor.on_swallow
+
+    def on_swallow(self, conn):
+        swallowed.append(conn)
+        real(self, conn)
+        after_swallow(conn)
+
+    monkeypatch.setattr(Auditor, "on_swallow", on_swallow)
+    auditor = Auditor()
+    run_job(_burst_then_quiet, 2, DynamicScheme(decay_enabled=True, decay_idle_messages=64),
+            prepost=1, config=TestbedConfig(nodes=2), audit=auditor)
+    return auditor, swallowed
+
+
+def test_decay_contraction_swallows_without_a_violation(monkeypatch):
+    auditor, swallowed = _run_decay(monkeypatch)
+    assert len(swallowed) > 0
+    assert auditor.violations == []
+
+
+def test_a_swallowed_credit_granted_anyway_is_caught(monkeypatch):
+    # Mutant: the receiver swallows the credit, then grants it regardless
+    with pytest.raises(InvariantViolation) as exc:
+        _run_decay(monkeypatch, lambda conn: conn.endpoint._grant(conn, 1))
+    assert exc.value.invariant == "credit-conservation"
 
 
 def _one_message(mpi):

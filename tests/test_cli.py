@@ -184,6 +184,30 @@ def test_a_prepost_the_receive_queue_cannot_hold_is_a_usage_error(argv, capsys):
         in captured.err
 
 
+@pytest.mark.parametrize("doc, says", [
+    ({}, "not a replay artifact: no 'spec' object"),  # was a KeyError traceback
+    ([1], "not a replay artifact: no 'spec' object"),  # an AttributeError one
+    # was "replay: reproduced [KeyError under hardware]: 'messages'", exit 1
+    ({"spec": {"nranks": 2}}, "replay spec lacks seed, prepost, messages"),
+    # was a ValueError traceback from make_scheme, after hardware had run
+    ({"spec": {"seed": 1, "nranks": 2, "prepost": 4, "messages": []},
+      "schemes": ["hardware", "credit"]},
+     "replay schemes must be a list of ('hardware', 'static', 'dynamic', "
+     "'rdma-eager'), got ['hardware', 'credit']"),
+])
+def test_replaying_a_json_file_that_is_no_artifact_is_a_usage_error(
+        doc, says, tmp_path, monkeypatch, capsys):
+    from repro.check import fuzz
+
+    monkeypatch.setattr(fuzz, "run_spec", lambda *a: pytest.fail("a job ran"))
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fuzz", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: {path}: {says}\n"
+
+
 def test_a_zero_shrink_budget_is_valid(capsys):
     assert main(["fuzz", "--runs", "1", "--max-shrink", "0", "--schemes",
                  "static", "--out-dir", ""]) == 0

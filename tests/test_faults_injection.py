@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cluster import run_job
+from repro.core import EXTENDED_SCHEMES
 from repro.faults import FaultInjector, FaultInjectorError, FaultPlan
 from repro.ib import Opcode, QPState, RecvWR, SendWR, WCStatus
 from repro.ib.types import INFINITE_RETRY
@@ -172,6 +173,34 @@ def test_link_flap_recovers_via_transport_replay():
     assert r.tracer.summary().get("faults.link_drop", 0) > 0
     assert r.fc.retransmissions >= 1
     assert r.elapsed_ns > us(170)  # outlived the outage
+
+
+def _numbered_flood(mpi):
+    """30 x 1 KB, each carrying its index; rank 1 returns what it got."""
+    if mpi.rank == 0:
+        reqs = []
+        for i in range(30):
+            reqs.append((yield from mpi.isend(1, size=1024, payload=i)))
+        yield from mpi.waitall(reqs)
+        return None
+    got = []
+    for _ in range(30):
+        st = yield from mpi.recv(0, capacity=1024)
+        got.append((st.source, st.size, st.payload))
+    return got
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in EXTENDED_SCHEMES])
+def test_hca_pause_delays_without_losing_anything(scheme):
+    # the receiver's adapter freezes for 300 us from 5 us: a pure delay
+    plan = FaultPlan(seed=1).hca_pause(lid=1, at_ns=us(5), duration_ns=us(300))
+    plain = run_job(_numbered_flood, 2, scheme, prepost=4)
+    paused = run_job(_numbered_flood, 2, scheme, prepost=4, faults=plan, audit=True)
+    assert paused.rank_results == plain.rank_results
+    assert len(plain.rank_results[1]) == 30
+    assert paused.report()["faults"]["faults.hca_pause"] == 1
+    assert paused.audit.violations == []
+    assert paused.elapsed_ns > plain.elapsed_ns
 
 
 def test_injector_rejects_targets_outside_cluster():

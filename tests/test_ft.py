@@ -23,29 +23,28 @@ from repro.check.auditor import Auditor, InvariantViolation
 from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.cluster.on_demand import SetupChaos
 from repro.core import make_scheme
-from repro.faults import FaultPlan
-from repro.faults.scenarios import RANK_DEATH_VICTIM, _rank_death_program
+from repro.faults import SCENARIOS, FaultPlan, scenario_job
 from repro.ft import FTConfig, PROC_FAILED, RankFailure
 from repro.mpi import CommRevokedError, world
 from repro.mpi.comm import MPIError
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
 
-VICTIM = RANK_DEATH_VICTIM  # rank 2 of 4 (one rank per node by default)
+DEATH = SCENARIOS["rank-death"]
+VICTIM = DEATH["workload"]["victim"]  # rank 2 of 4 (one rank per node by default)
 
 ALL_SCHEMES = ("static", "dynamic", "hardware", "rdma-eager")
 
 
 def _death_plan(seed=7, **kw):
-    return FaultPlan(seed=seed, **kw).rank_death(rank=VICTIM, at_ns=us(40))
+    """The rank-death scenario's plan, plan fields overridden by ``kw``."""
+    return FaultPlan.from_spec({**DEATH["faults"], "seed": seed, **kw})
 
 
 def _run_death(scheme="static", plan=None, **kw):
-    return run_job(
-        _rank_death_program(4, VICTIM), 4, scheme, 8,
-        faults=plan if plan is not None else _death_plan(),
-        audit=True, ft=True, **kw,
-    )
+    job = scenario_job("rank-death", ft=True, **kw)  # the scenario audits
+    return run_job(scheme=scheme,
+                   **{**job, "faults": plan if plan is not None else job["faults"]})
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +182,7 @@ def test_shrink_without_ft_keeps_full_group():
 # ----------------------------------------------------------------------
 def test_without_ft_the_watchdog_catches_the_death():
     with pytest.raises(InvariantViolation, match="progress-watchdog"):
-        run_job(_rank_death_program(4, VICTIM), 4, "static", 8,
-                faults=_death_plan(), audit=True)
+        run_job(scheme="static", **scenario_job("rank-death"))
 
 
 def test_without_ft_or_audit_the_hung_check_catches_it():

@@ -15,8 +15,7 @@ import pytest
 from repro.cluster import TestbedConfig, run_job
 from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES
-from repro.faults import FaultPlan
-from repro.faults.scenarios import RANK_DEATH_VICTIM, _rank_death_program
+from repro.faults import FaultPlan, scenario_job
 from repro.sim.units import us
 from repro.workloads import manyflows_program
 
@@ -68,11 +67,9 @@ SUBSYSTEMS = {
         True,
     ),
     "ft": (
-        lambda: (_rank_death_program(4, RANK_DEATH_VICTIM), 4), {},
-        lambda cfg: {
-            "faults": FaultPlan(seed=7).rank_death(rank=RANK_DEATH_VICTIM, at_ns=us(40)),
-            "audit": True, "ft": True,
-        },
+        lambda: (scenario_job("rank-death")["program"], 4), {},
+        lambda cfg: {"faults": scenario_job("rank-death")["faults"],
+                     "audit": True, "ft": True},
         lambda r: r.ft is None and not r.failures,
         lambda armed, plain: armed.ft is not None and bool(armed.failures),
         False,

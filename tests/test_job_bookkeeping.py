@@ -24,8 +24,7 @@ from repro.core.memory import (
     connection_memory_bytes,
 )
 from repro.core.stats import FlowControlReport, collect_report, reset_counters
-from repro.faults import FaultPlan
-from repro.faults.scenarios import SCENARIOS
+from repro.faults import FaultPlan, scenario_job
 from repro.mpi.connection import Connection, ConnStats, IdleConnStats
 from repro.mpi.endpoint import Endpoint
 from repro.sim.units import us
@@ -210,10 +209,7 @@ def _run(program, nranks, scheme, prepost, config=None, on_demand=False, **armed
 
 
 def _scenario(name, scheme="static", on_demand=False, **armed):
-    sc = SCENARIOS[name]
-    config = sc.make_config() if sc.make_config is not None else None
-    return _run(sc.make_program(), sc.nranks, scheme, sc.prepost, config=config,
-                on_demand=on_demand, faults=sc.make_plan(7), audit=sc.audit, **armed)
+    return _run(scheme=scheme, **scenario_job(name, on_demand=on_demand, **armed))
 
 
 def _death_with_bystanders(mpi):

@@ -17,8 +17,7 @@ from repro.cluster import Arming, Cluster, TestbedConfig, run_job
 from repro.cluster import job as job_module
 from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES, make_scheme
-from repro.faults import FaultPlan, chaos_cell
-from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
+from repro.faults import FaultPlan, chaos_cell, scenario_job
 from repro.ft import FTConfig
 from repro.ib.qp import IDLE_REQUESTER
 from repro.ib.types import INFINITE_RETRY
@@ -308,7 +307,7 @@ def test_arming_a_fault_plan_on_a_mesh_builds_no_requester():
     pristine = _attachments(cluster)
     _job(cluster, 1)  # so that arming finds requesters to update ...
     before = [qp for qp in qps if qp._req is not IDLE_REQUESTER]
-    plan = CHAOS_SCENARIOS["lossy-window"].make_plan(7)
+    plan = scenario_job("lossy-window")["faults"]
     armed = (plan.transport_timeout_ns, plan.transport_retry_limit)
     seen = []
 

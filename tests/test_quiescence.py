@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import make_scheme
-from repro.faults.scenarios import SCENARIOS
+from repro.faults import scenario_job
 from repro.ib.types import QPState
 from repro.mpi.connection import PendingSend
 from repro.mpi.endpoint import Endpoint
@@ -89,9 +89,7 @@ def _starved_flood(mpi):
 
 
 def _scenario(name, scheme="static", **armed):
-    sc = SCENARIOS[name]
-    return run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                   faults=sc.make_plan(7), audit=sc.audit, **armed)
+    return run_job(scheme=scheme, **scenario_job(name, **armed))
 
 
 @pytest.mark.parametrize("job, reached", [

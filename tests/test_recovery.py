@@ -22,8 +22,7 @@ from repro.check import fuzz
 from repro.cluster import Cluster, TestbedConfig
 from repro.cluster.job import run_job
 from repro.core import make_scheme
-from repro.faults import FaultPlan
-from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
+from repro.faults import FaultPlan, scenario_job
 from repro.ib import IBConfig, Opcode, QPState, SendWR, WCStatus
 from repro.recovery import ConnectionFailure, RecoveryPolicy
 from repro.recovery.policy import pair_rng
@@ -49,6 +48,13 @@ def _link_down_spec(seed: int, heal: bool = True) -> dict:
             dict(ev, duration_ns=10**12) for ev in spec["faults"]["events"]
         ]
     return spec
+
+
+def _on_own_nodes(scenario: str, **arming) -> dict:
+    """The chaos scenario's job on a testbed of one node per rank."""
+    job = scenario_job(scenario, **arming)
+    job["config"].nodes = job["nranks"]
+    return job
 
 
 def _fault_free(spec: dict) -> dict:
@@ -81,14 +87,8 @@ def test_rnr_budget_recovery_matches_fault_free_delivery(scheme):
     # The RNR axis: a descheduled receiver against a finite RNR retry
     # count.  Only the hardware scheme actually goes fatal (credits spare
     # the user-level schemes), but the matrix runs all three.
-    sc = CHAOS_SCENARIOS["retry-budget"]
-    cfg = sc.make_config()
-    cfg.nodes = sc.nranks
-    clean = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                    config=cfg)
-    cured = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                    config=sc.make_config(), faults=sc.make_plan(7),
-                    recovery=True)
+    clean = run_job(scheme=scheme, **{**_on_own_nodes("retry-budget"), "faults": None})
+    cured = run_job(scheme=scheme, **scenario_job("retry-budget", recovery=True))
     assert clean.completed and cured.completed
     if scheme == "hardware":
         assert cured.recovery.recoveries_completed >= 1
@@ -104,10 +104,7 @@ def test_link_down_without_recovery_fails_promptly(scheme):
     # swallowed by the MPI completion loop, leaking the vbuf and hanging
     # the job until the progress watchdog called it "deadlock".  The
     # dispatch path must now surface the real WC status, fast.
-    sc = CHAOS_SCENARIOS["link-down-permanent"]
-    cfg = TestbedConfig(nodes=sc.nranks)
-    result = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                     config=cfg, faults=sc.make_plan(7))
+    result = run_job(scheme=scheme, **_on_own_nodes("link-down-permanent"))
     assert not result.completed
     assert result.failures
     f = result.failures[0]
@@ -122,9 +119,7 @@ def test_link_down_without_recovery_fails_promptly(scheme):
 
 
 def test_rnr_budget_without_recovery_fails_with_rnr_cause():
-    sc = CHAOS_SCENARIOS["retry-budget"]
-    result = run_job(sc.make_program(), sc.nranks, "hardware", sc.prepost,
-                     config=sc.make_config(), faults=sc.make_plan(7))
+    result = run_job(scheme="hardware", **scenario_job("retry-budget"))
     assert not result.completed
     assert result.failures[0].cause == WCStatus.RNR_RETRY_EXCEEDED.value
     assert result.elapsed_ns < WATCHDOG_NS
@@ -135,15 +130,13 @@ def test_rnr_budget_without_recovery_fails_with_rnr_cause():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_permanent_link_down_exhausts_recovery_budget(scheme):
-    sc = CHAOS_SCENARIOS["link-down-permanent"]
     plan = (FaultPlan(seed=7, transport_timeout_ns=us(40),
                       transport_retry_limit=4)
             .link_flap(lid=1, at_ns=us(100), duration_ns=10**12))
     policy = RecoveryPolicy(max_attempts=3, base_delay_ns=us(20),
                             max_delay_ns=us(200), jitter_ns=us(5))
-    result = run_job(sc.make_program(), sc.nranks, scheme, sc.prepost,
-                     config=TestbedConfig(nodes=sc.nranks), faults=plan,
-                     recovery=policy)
+    job = _on_own_nodes("link-down-permanent", recovery=policy)
+    result = run_job(scheme=scheme, **{**job, "faults": plan})
     assert not result.completed
     f = result.failures[0]
     assert f.attempts == policy.max_attempts  # the budget, not the watchdog
@@ -282,12 +275,8 @@ def test_rnr_backoff_resets_after_delivery():
 
 
 def test_recovery_failures_are_deterministic():
-    sc = CHAOS_SCENARIOS["link-down-permanent"]
-
     def once():
-        r = run_job(sc.make_program(), sc.nranks, "dynamic", sc.prepost,
-                    config=TestbedConfig(nodes=sc.nranks),
-                    faults=sc.make_plan(7))
+        r = run_job(scheme="dynamic", **_on_own_nodes("link-down-permanent"))
         return [f.to_dict() for f in r.failures], r.elapsed_ns
 
     assert once() == once()

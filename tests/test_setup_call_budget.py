@@ -11,6 +11,7 @@ scheme override added to the chain fails here, by name, before a
 wall-clock benchmark could resolve it.
 """
 
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,10 @@ def _frames(nranks, scheme):
             code = frame.f_code
             calls[code.co_filename, code.co_qualname] += 1
 
+    # An earlier test's garbage — a suspended program closing into
+    # mpi/ generator frames — would otherwise finalize whenever a pass
+    # happens to fall inside the launch, counting frames that are not its own.
+    gc.collect()
     sys.setprofile(hook)
     try:
         cluster.launch(nranks, scheme, 1, on_demand=False)

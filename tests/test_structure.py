@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -452,6 +453,17 @@ def test_the_cli_has_one_check_path_and_one_chaos_assembler():
     assert not hasattr(scenarios, "chaos_report_header")
     assert "run_chaos(" in inspect.getsource(cli.cmd_chaos)
     assert "run_cells(" in inspect.getsource(scenarios.run_chaos)
+
+
+def test_a_chaos_scenario_is_data():
+    from repro.faults import SCENARIOS
+
+    assert json.loads(json.dumps(SCENARIOS)) == SCENARIOS
+    # no scenario class and no per-scenario builder callables, anywhere
+    rx = re.compile(r"\bclass Scenario[(:]|\bmake_(?:program|plan|config)\b")
+    files = [*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "benchmarks").rglob("*.py")]
+    assert [p.name for p in files if rx.search(p.read_text())] == []
 
 
 def test_arming_is_run_jobs_subsystem_keywords():

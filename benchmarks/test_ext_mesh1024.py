@@ -21,6 +21,7 @@ from repro.analysis import Table
 from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
 from repro.core import SCHEME_NAMES, make_scheme
 from repro.core.memory import mesh_pinned_bytes
+from repro.core.stats import connection_table
 
 from benchmarks.conftest import run_once, save_result
 
@@ -61,7 +62,8 @@ def run_table() -> Table:
             launch_cpu = time.process_time() - launch_cpu
             r = run_job(ring, NRANKS, scheme, prepost=PREPOST,
                         cluster=cluster, finalize=False)
-            conns = [c for ep in r.endpoints for c in ep.connections.values()]
+            # the whole mesh, a pair the job never touched as its stand-in
+            conns = [c for ep in r.endpoints for _, c in connection_table(ep)]
             mem = r.memory
             posted = sum(c.recv_posted for c in conns)
             # buffers the scheme added to what set-up posted (dynamic only)
@@ -88,9 +90,9 @@ def run_table() -> Table:
             )
             peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(f"process peak RSS after {label}: {peak_mib:.0f} MiB; "
-                  f"Cluster.launch {launch_cpu:.1f} CPU-s")
-            # a mesh is ~0.7 GiB of cyclic garbage, and launch() pauses the
-            # collector: free this one before the next is built
+                  f"Cluster.launch {launch_cpu:.3f} CPU-s")
+            # a cluster is cyclic garbage, and launch() pauses the collector:
+            # free this one before the next is built
             del cluster, r, conns, mem
             gc.collect()
     return table

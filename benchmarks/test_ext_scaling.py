@@ -12,6 +12,7 @@ memory under (static mesh) vs (dynamic + on-demand).
 from repro.analysis import Table
 from repro.cluster import TestbedConfig, run_job
 from repro.core import DynamicScheme, StaticScheme
+from repro.core.stats import connection_table
 
 from benchmarks.conftest import run_once, save_result
 
@@ -29,8 +30,9 @@ def ring(mpi):
 
 
 def posted_buffers(result) -> int:
+    """Every connection's, a static-mesh pair never touched as its stand-in."""
     return sum(
-        c.recv_posted for ep in result.endpoints for c in ep.connections.values()
+        c.recv_posted for ep in result.endpoints for _, c in connection_table(ep)
     )
 
 

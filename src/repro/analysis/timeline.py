@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.analysis.report import Table
+from repro.core.stats import connection_table
 from repro.sim.units import to_us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,7 +67,7 @@ def flow_control_timeline(result: "JobResult", top: int = 10) -> Table:
     deep did the backlog get, how far did the dynamic scheme adapt."""
     rows: List[tuple] = []
     for ep in result.endpoints:
-        for peer, conn in ep.connections.items():
+        for peer, conn in connection_table(ep):
             s = conn.stats
             rows.append(
                 (

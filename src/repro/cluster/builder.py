@@ -2,24 +2,46 @@
 
 ``MPI_Init`` in the paper's implementation sets up a Reliable Connection
 between every two processes and binds all queues to a single CQ per
-process; :meth:`Cluster.launch` reproduces that wiring.  Rank placement is
-block-cyclic over nodes: with 16 ranks on 8 nodes, ranks *r* and *r + 8*
-share a node (the paper runs BT/SP this way), and their traffic takes the
-HCA loopback path.
+process; a static-mesh cluster reproduces that wiring, one pair at its
+first touch (:meth:`Cluster.wire`).  Rank placement is block-cyclic over
+nodes: with 16 ranks on 8 nodes, ranks *r* and *r + 8* share a node (the
+paper runs BT/SP this way), and their traffic takes the HCA loopback path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cluster.config import TestbedConfig
 from repro.core.base import FlowControlScheme
 from repro.ib.fabric import Fabric
 from repro.ib.hca import HCA
+from repro.ib.mr import MemoryRegion
 from repro.mpi.connection import Connection
 from repro.mpi.endpoint import Endpoint
 from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
+
+#: a half's ``(QPN, ring region)`` when they are set aside for it (None: next)
+Numbers = Tuple[Optional[int], Optional[MemoryRegion]]
+
+
+def wire_pair(a: Endpoint, b: Endpoint, at_a: Numbers = (None, None),
+              at_b: Numbers = (None, None)) -> Tuple[Connection, Connection]:
+    """Wire ``a`` <-> ``b``: a QP each through ``HCA.create_qp``, connected
+    to the other; a ``Connection`` each in its endpoint's table, set up by
+    the scheme; the rings pointed at each other.  Both halves' receive
+    budgets are the caller's to post."""
+    qp_ab = a.hca.create_qp(a.cq, qpn=at_a[0])
+    qp_ba = b.hca.create_qp(b.cq, qpn=at_b[0])
+    qp_ab.connect(b.hca.lid, qp_ba.qp_num)
+    qp_ba.connect(a.hca.lid, qp_ab.qp_num)
+    halves = Connection(a, b.rank, qp_ab), Connection(b, a.rank, qp_ba)
+    a.add_connection(b.rank, halves[0], at_a[1])
+    b.add_connection(a.rank, halves[1], at_b[1])
+    if a._ring_mode:
+        Endpoint.wire_rdma_rings(*halves)
+    return halves
 
 
 def check_setup_budget(scheme: FlowControlScheme, prepost: int,
@@ -66,6 +88,9 @@ class Cluster:
         ]
         self.endpoints: List[Endpoint] = []
         self.cm = None  # set when launched with on_demand=True
+        #: launched as a static mesh: per rank, the first of the P-1 QPNs
+        #: and (ring schemes) ring regions set aside for its halves
+        self._mesh: Optional[List[tuple]] = None
         self.auditor = None  # repro.check.Auditor, while armed
         self.recovery = None  # repro.recovery.RecoveryManager, while armed
         self.ft = None  # repro.ft.FTManager, while armed
@@ -78,9 +103,10 @@ class Cluster:
         """Block-cyclic placement: rank r lives on node r mod nodes."""
         return rank % self.config.nodes
 
-    # A mesh is P*(P-1) long-lived connections and no garbage: collector
-    # passes over the growing heap were more than half the set-up time, and
-    # the one pass that files it with the old generation is paid here.
+    # A big launch (1,024 ranks' endpoints) is long-lived state and no
+    # garbage: collector passes over the growing heap would walk it for
+    # nothing, and the one pass that files it with the old generation is
+    # paid here.
     @gc_paused(settle=True)
     def launch(
         self,
@@ -89,16 +115,21 @@ class Cluster:
         prepost: int,
         on_demand: Optional[bool] = None,
     ) -> List[Endpoint]:
-        """Create ``nranks`` endpoints and wire their connections.
+        """Create ``nranks`` endpoints and the means to wire their pairs.
 
         ``on_demand=False``: the paper's MPI_Init behaviour — a full
-        all-to-all RC mesh with pre-posted buffers on every connection.
-        With ``on_demand=True``, connections are established lazily by a
+        all-to-all RC mesh with pre-posted buffers on every connection,
+        each pair wired at its first touch by :meth:`wire` exactly as
+        MPI_Init would have built it (nothing simulated; a pair never
+        touched costs nothing on the host, while the reports count all
+        P(P-1) connections).  With ``on_demand=True``, connections are
+        established lazily by a
         :class:`~repro.cluster.on_demand.ConnectionManager` when two ranks
-        first communicate (available afterwards as ``cluster.cm``).  Left
-        unspecified (``None``), jobs at or above
-        ``TestbedConfig.on_demand_threshold`` ranks go on-demand
-        automatically — a 1,024-rank mesh would wire 523,776 QP pairs.
+        first communicate, paying the CM exchange in simulated time
+        (available afterwards as ``cluster.cm``).  Left unspecified
+        (``None``), jobs at or above ``TestbedConfig.on_demand_threshold``
+        ranks go on-demand automatically — a 1,024-rank mesh pins 523,776
+        QP pairs' buffers.
         """
         if self.endpoints:
             raise RuntimeError("cluster already launched")
@@ -108,7 +139,7 @@ class Cluster:
         if on_demand is None:
             on_demand = nranks >= self.config.on_demand_threshold
 
-        connector = None
+        connector = self.wire
         if on_demand:
             from repro.cluster.on_demand import ConnectionManager
 
@@ -127,33 +158,57 @@ class Cluster:
                 requested_prepost=prepost,
                 tracer=self.tracer,
                 connector=connector,
+                mesh=not on_demand,
             )
             self.endpoints.append(ep)
 
-        if on_demand:
-            return self.endpoints
-
-        # Full QP mesh: one RC connection per ordered pair, all bound to
-        # the per-process CQ (paper §3.1).  Every QP exists before the
-        # first is connected (an end needs its peer's number), created
-        # rank-major: QPN assignment is this loop.
-        eps = self.endpoints
-        rows = [
-            [None if b is a else a.hca.create_qp(a.cq) for b in eps] for a in eps
-        ]
-        for a, row in zip(eps, rows):
-            for b, qp in zip(eps, row):
-                if qp is not None:
-                    qp.connect(b.hca.lid, rows[b.rank][a.rank].qp_num)
-                    a.add_connection(b.rank, Connection(a, b.rank, qp))
-        if eps[0]._ring_mode:
-            for a in eps:
-                for b in eps:
-                    if a.rank < b.rank:
-                        Endpoint.wire_rdma_rings(
-                            a.connections[b.rank], b.connections[a.rank]
-                        )
+        if not on_demand:
+            # One RC connection per ordered pair, all bound to the
+            # per-process CQ (paper §3.1), numbered as MPI_Init numbers
+            # them: rank-major, each rank's P-1 QPNs (and ring regions) in
+            # one block of its adapter's, set aside here.
+            ring = prepost * self.config.mpi.vbuf_bytes  # one ring's region
+            self._mesh = [
+                (ep.hca.reserve_qpns(nranks - 1),
+                 (ring, *ep.hca.mrs.reserve(nranks - 1, ring))
+                 if scheme.uses_ring else None)
+                for ep in self.endpoints
+            ]
         return self.endpoints
+
+    def wire(self, ep: Endpoint, peer: int) -> None:
+        """Wire the static-mesh pair ``ep`` <-> ``peer`` unless it is wired:
+        the two connections MPI_Init built, numbered from the blocks
+        :meth:`launch` set aside and holding the receive budgets MPI_Init
+        posted — no receiver stall gates those and no auditor sees them,
+        as none existed then.  Nothing is simulated: no yield, no agenda
+        entry, no time.  A pair wired later is field for field one wired
+        earlier.  On an on-demand cluster it does nothing (``cm`` wires)."""
+        if self._mesh is None or peer in ep.connections:
+            return
+        other = self.endpoints[peer]
+        for half in wire_pair(ep, other, self._numbers(ep, peer),
+                              self._numbers(other, ep.rank)):
+            half.post_setup_buffers()
+
+    def wire_adapter(self, hca: HCA) -> None:
+        """Wire every pair of every rank ``hca`` serves (a static mesh's
+        adapter holds all their QPs: what ``HCA.kill`` errors)."""
+        for ep in self.endpoints:
+            if ep.hca is hca:
+                for peer in range(len(self.endpoints)):
+                    if peer != ep.rank:
+                        self.wire(ep, peer)
+
+    def _numbers(self, ep: Endpoint, peer: int) -> Numbers:
+        """``ep``'s half toward ``peer``: the QPN and the registered ring
+        region its place among the other ranks gets from ``ep``'s blocks."""
+        i = peer - (peer > ep.rank)
+        qpn, ring = self._mesh[ep.rank]
+        if ring is None:
+            return qpn + i, None
+        length, addr, lkey, stride = ring
+        return qpn + i, ep.hca.reg_mr(length, at=(addr + i * stride, lkey + i))
 
     def reset_stats(self) -> None:
         """Zero the observability counters between jobs on a reused

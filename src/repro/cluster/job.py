@@ -194,10 +194,10 @@ def run_job(
         delay on-demand setup exchanges; requires an on-demand cluster.
     cluster:
         Reuse an already-launched cluster instead of building a fresh one
-        (scheme, nranks and prepost must match what it was launched
-        with).  Its observability counters are reset and whatever the
-        previous job armed is disarmed, so the job runs and reports as on
-        a cluster nothing else had armed.
+        (scheme, nranks, prepost and an explicit ``on_demand`` must match
+        what it was launched with).  Its observability counters are reset
+        and whatever the previous job armed is disarmed, so the job runs
+        and reports as on a cluster nothing else had armed.
     """
     arming = Arming(on_demand=on_demand, faults=faults, audit=audit,
                     recovery=recovery, ft=ft, cm_chaos=cm_chaos)
@@ -217,6 +217,8 @@ def run_job(
             ("nranks", len(endpoints), nranks),
             ("scheme", ep.scheme.name.value, scheme.name.value),
             ("prepost", ep.requested_prepost, prepost),
+            # None follows the cluster
+            ("on_demand", not ep.mesh, not ep.mesh if on_demand is None else on_demand),
         ):
             if launched != wanted:
                 raise ValueError(f"reused cluster was launched with {what} "

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.mpi.connection import Connection
+from repro.cluster.builder import wire_pair
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.recovery.policy import RecoveryPolicy, pair_rng
 from repro.sim import Signal
@@ -214,14 +214,10 @@ class ConnectionManager:
         a = self.cluster.endpoints[pair[0]]
         b = self.cluster.endpoints[pair[1]]
         if pair[1] not in a.connections:  # idempotence guard
-            qp_ab = a.hca.create_qp(a.cq)
-            qp_ba = b.hca.create_qp(b.cq)
-            qp_ab.connect(b.hca.lid, qp_ba.qp_num)
-            qp_ba.connect(a.hca.lid, qp_ab.qp_num)
-            a.add_connection(b.rank, Connection(a, b.rank, qp_ab))
-            b.add_connection(a.rank, Connection(b, a.rank, qp_ba))
-            if a._ring_mode:
-                a.wire_rdma_rings(a.connections[b.rank], b.connections[a.rank])
+            for half in wire_pair(a, b):
+                # posted now: a stalled receiver posts nothing until the
+                # stall ends, an armed auditor sees every buffer
+                half.refill_recv_buffers()
             self.established += 1
         sig.fire(self.cluster.sim, None)
 

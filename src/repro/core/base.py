@@ -79,7 +79,9 @@ class FlowControlScheme:
     # connection lifecycle
     # ------------------------------------------------------------------
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
-        """Initialise credit/prepost state at MPI_Init time."""
+        """Initialise credit/prepost state at MPI_Init time: the receive
+        budget (``prepost_target + headroom``) whoever wires the connection
+        then posts — :meth:`setup_budget` buffers."""
         raise NotImplementedError
 
     def setup_budget(self, prepost: int, mpi: "MPIConfig") -> int:

@@ -54,7 +54,6 @@ class HardwareScheme(FlowControlScheme):
 
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         conn.prepost_target = requested_prepost  # headroom: 0, as built
-        conn.refill_recv_buffers()
         if self.arm_e2e_gate:
             conn.qp.set_initial_credit_estimate(requested_prepost)
 

@@ -77,7 +77,6 @@ class RdmaEagerScheme(FlowControlScheme):
         conn.prepost_target = requested_prepost
         conn.headroom = self.setup_budget(
             requested_prepost, conn.endpoint.config) - requested_prepost
-        conn.refill_recv_buffers()
         conn.credits = requested_prepost
 
     def try_consume_credit(self, conn: "Connection") -> bool:

@@ -51,7 +51,6 @@ class StaticScheme(FlowControlScheme):
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         conn.prepost_target = requested_prepost
         conn.headroom = self.optimistic_headroom
-        conn.refill_recv_buffers()
         conn.credits = requested_prepost
 
     def try_consume_credit(self, conn: "Connection") -> bool:

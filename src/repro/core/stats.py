@@ -28,17 +28,30 @@ def weighted_connections(ep: "Endpoint") -> Iterator[Tuple["Connection", int]]:
     ``(connection, how many connections it stands for)``.
 
     An engaged connection stands for itself.  Every other one is field for
-    field what ``Endpoint.add_connection`` built, so one of them stands for
-    all: a sum takes it times its count, a maximum takes it as it is.  A
-    static mesh holds P-1 connections per rank and a job engages a handful
-    of them; this keeps the job's bookkeeping from costing P².
+    field what the wiring built, so one stand-in
+    (``Endpoint.idle_connection``) stands for all: a sum takes it times
+    their count, a maximum takes it as it is.  A static mesh holds P-1
+    connections per rank, wired or not, and a job engages a handful of
+    them; this keeps the job's bookkeeping from costing P².
     """
     engaged = engaged_connections(ep)
     for conn in engaged:
         yield conn, 1
-    idle = len(ep.connections) - len(engaged)
+    idle = (ep.world_size - 1 if ep.mesh else len(ep.connections)) - len(engaged)
     if idle:
-        yield next(c for p, c in ep.connections.items() if p not in ep._engaged), idle
+        yield ep.idle_connection(), idle
+
+
+def connection_table(ep: "Endpoint") -> Iterator[Tuple[int, "Connection"]]:
+    """``(peer, connection)`` over the rank's whole table: on a static mesh
+    every other rank in order, a pair not wired yet as its stand-in
+    (``Endpoint.idle_connection``); otherwise what the table holds."""
+    if not ep.mesh:
+        yield from ep.connections.items()
+        return
+    for peer in range(ep.world_size):
+        if peer != ep.rank:
+            yield peer, ep.connections.get(peer) or ep.idle_connection()
 
 
 @dataclass
@@ -231,6 +244,6 @@ def per_connection_max_buffers(endpoints: Iterable["Endpoint"]) -> Dict[tuple, i
     """(rank, peer) → high-water prepost_target (Table 2 raw data)."""
     out = {}
     for ep in endpoints:
-        for peer, conn in ep.connections.items():
+        for peer, conn in connection_table(ep):
             out[(ep.rank, peer)] = conn.stats.max_prepost
     return out

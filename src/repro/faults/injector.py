@@ -119,8 +119,10 @@ class FaultInjector:
 
     def arm(self, cluster) -> None:
         """Attach fault state to the fabric, arm transport retries on every
-        QP (current and future), and put every begin/end transition on the
-        agenda.  A plan's clock is the job's: its times count from now.
+        QP (current and future: a QP built meanwhile — a static-mesh pair
+        wired at first touch too — reads its adapter's setting, so an
+        unwired pair needs nothing), and put every begin/end transition on
+        the agenda.  A plan's clock is the job's: its times count from now.
         Call once, after ``cluster.launch`` and before ``run``."""
         if self.cluster is not None:
             raise FaultInjectorError("fault plan already installed")
@@ -194,6 +196,7 @@ class FaultInjector:
         elif ev.kind == "rank_death":
             ep = self.cluster.endpoints[ev.rank]
             ep.halt()  # park the program before the flush WCs could wake it
+            self.cluster.wire_adapter(ep.hca)  # a mesh's: kill flushes them all
             ep.hca.kill()
             ft = getattr(self.cluster, "ft", None)
             if ft is not None:

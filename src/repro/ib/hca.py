@@ -19,7 +19,7 @@ protocol side.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
@@ -93,12 +93,21 @@ class HCA:
         self,
         send_cq: CompletionQueue,
         recv_cq: Optional[CompletionQueue] = None,
+        qpn: Optional[int] = None,
     ) -> QueuePair:
-        qpn = self._next_qpn
-        self._next_qpn += 1
+        """A new QP, numbered next — or ``qpn``, one :meth:`reserve_qpns`
+        set aside."""
+        if qpn is None:
+            qpn = self.reserve_qpns(1)
         qp = QueuePair(self, qpn, send_cq, recv_cq or send_cq)
         self._qps[qpn] = qp
         return qp
+
+    def reserve_qpns(self, n: int) -> int:
+        """Set aside the next ``n`` QP numbers; returns the first."""
+        qpn = self._next_qpn
+        self._next_qpn += n
+        return qpn
 
     def qp(self, qpn: int) -> QueuePair:
         return self._qps[qpn]
@@ -111,11 +120,12 @@ class HCA:
             raise QPError(f"QP {qp.qp_num}: destroy_qp in state {qp.state}")
         self._qps.pop(qp.qp_num, None)
 
-    def reg_mr(self, length: int) -> MemoryRegion:
-        """Register ``length`` bytes.  The *caller* must burn
+    def reg_mr(self, length: int, at: Optional[Tuple[int, int]] = None) -> MemoryRegion:
+        """Register ``length`` bytes (``at``: see
+        :meth:`RegistrationTable.register`).  The *caller* must burn
         ``config.registration_ns(length)`` of CPU time — the MPI layer's
         pin-down path does."""
-        return self.mrs.register(length)
+        return self.mrs.register(length, at)
 
     def dereg_mr(self, mr: MemoryRegion) -> None:
         self.mrs.deregister(mr)
@@ -140,8 +150,10 @@ class HCA:
         if self.dead:
             return
         self.dead = True
-        for qp in list(self._qps.values()):
-            qp.force_error()
+        # in QPN order, whatever order the QPs were created in: the flushes
+        # land in the CQs as they did when every QP was numbered in order
+        for qpn in sorted(self._qps):
+            self._qps[qpn].force_error()
 
     # ------------------------------------------------------------------
     # send engine

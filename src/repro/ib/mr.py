@@ -14,7 +14,7 @@ stored per-region (enough to verify zero-copy delivery end to end).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 
 class MRError(RuntimeError):
@@ -84,24 +84,33 @@ class RegistrationTable:
         self.registered_bytes = 0
         self.peak_registered_bytes = 0
 
-    def register(self, length: int) -> MemoryRegion:
-        """Allocate an address range and register it.  Timing is *not*
-        charged here — callers must burn ``IBConfig.registration_ns`` CPU
-        time themselves (the MPI layer does)."""
+    def register(self, length: int, at: Optional[Tuple[int, int]] = None) -> MemoryRegion:
+        """Allocate an address range and register it — or register it at
+        ``at``, an ``(addr, lkey)`` :meth:`reserve` set aside.  Timing is
+        *not* charged here — callers must burn ``IBConfig.registration_ns``
+        CPU time themselves (the MPI layer does)."""
         if length <= 0:
             raise MRError(f"cannot register {length} bytes")
-        addr = self._next_addr
-        self._next_addr += (length + 0xFFF) & ~0xFFF  # page align
-        lkey = self._next_key
-        rkey = self._next_key + 500_000
-        self._next_key += 1
-        mr = MemoryRegion(addr, length, lkey, rkey)
-        self._by_rkey[rkey] = mr
+        if at is None:
+            at = self.reserve(1, length)[:2]
+        addr, lkey = at
+        mr = MemoryRegion(addr, length, lkey, lkey + 500_000)
+        self._by_rkey[mr.rkey] = mr
         self.registered_bytes += length
         self.peak_registered_bytes = max(
             self.peak_registered_bytes, self.registered_bytes
         )
         return mr
+
+    def reserve(self, n: int, length: int) -> Tuple[int, int, int]:
+        """Set aside the addresses and keys the next ``n`` registrations of
+        ``length`` bytes would get, registering nothing.  Returns ``(addr,
+        lkey, stride)``: the i-th is ``at=(addr + i * stride, lkey + i)``."""
+        addr, lkey = self._next_addr, self._next_key
+        stride = (length + 0xFFF) & ~0xFFF  # page align
+        self._next_addr += n * stride
+        self._next_key += n
+        return addr, lkey, stride
 
     def deregister(self, mr: MemoryRegion) -> None:
         if not mr.valid:

@@ -153,7 +153,7 @@ class QueuePair:
     :meth:`connect` before posting.
     """
 
-    # A full mesh holds P*(P-1) of these, nearly all idle: slots instead of
+    # A mesh wired out holds P*(P-1) of these, nearly all idle: slots instead of
     # a per-instance dict, what is constant per adapter (queue depths, the
     # pipelining window, a fault plan's ACK timeout) read from the HCA, and
     # only what every QP has — identity, connection state, the responder

@@ -1,8 +1,10 @@
 """Per-peer connection state.
 
-One :class:`Connection` exists for every ordered pair of ranks (the paper's
-MPI sets up a Reliable Connection between every two processes during
-``MPI_Init``).  It owns the QP and both halves of the flow-control state:
+One :class:`Connection` exists for every ordered pair of ranks that has
+been wired (the paper's MPI sets up a Reliable Connection between every
+two processes during ``MPI_Init``; the simulator builds a static-mesh
+pair at its first touch, as ``MPI_Init`` would have).  It owns the QP and
+both halves of the flow-control state:
 
 **sender half** — ``credits`` (how many more unexpected messages this rank
 may push to the peer), the FIFO ``backlog`` of sends that found no credit,
@@ -72,7 +74,7 @@ class Connection:
     """State for one directed rank→rank link (shared by both directions:
     each rank owns its endpoint's Connection object to the peer)."""
 
-    # A full mesh holds P*(P-1) of these, nearly all idle, so an idle one
+    # A mesh wired out holds P*(P-1) of these, nearly all idle, so an idle one
     # must be cheap on the host too: slots, and the two queues below are
     # the shared empty tuple until their first append.
     __slots__ = (
@@ -106,7 +108,7 @@ class Connection:
         #: ``prepost_target`` counts ring slots, the control reserve less those
         self.headroom = 0
         #: the descriptor every receive vbuf of this connection is posted
-        #: with (set by ``Endpoint.add_connection``; never mutated, so all
+        #: with (set by ``Endpoint._set_up``; never mutated, so all
         #: posted WQEs share it)
         self.recv_wr: Optional[RecvWR] = None
         #: receiver-half state owned by ``DynamicScheme`` (only a fresh
@@ -121,7 +123,7 @@ class Connection:
         self.seq_in_expected = 0
 
         #: the RDMA eager channel, both halves — set by
-        #: ``Endpoint.add_connection`` iff the scheme owns a ring
+        #: ``Endpoint._set_up`` iff the scheme owns a ring
         #: (``FlowControlScheme.uses_ring``), else None
         self.ring: Optional["RDMAChannel"] = None
 
@@ -149,6 +151,14 @@ class Connection:
     def reset_stats(self) -> None:
         """Fresh counters for a new job on a reused cluster."""
         self.stats = ConnStats(max_prepost=self.prepost_target)
+
+    def post_setup_buffers(self) -> None:
+        """Post the receive budget as ``MPI_Init`` does, before any receiver
+        stall or auditor can exist: what a static-mesh pair wired at first
+        touch holds (on demand, :meth:`refill_recv_buffers` posts it)."""
+        n = self.prepost_target + self.headroom
+        self.qp.post_recv(self.recv_wr, n)
+        self.recv_posted = n
 
     def refill_recv_buffers(self) -> int:
         """Post receive vbufs up to the receive budget; returns how many

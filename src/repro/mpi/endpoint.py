@@ -26,6 +26,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.base import FlowControlScheme
 from repro.ib.hca import HCA
+from repro.ib.mr import MemoryRegion
+from repro.ib.qp import QueuePair
 from repro.ib.types import Opcode, QPState, WCStatus
 from repro.ib.wr import SendWR, WC, shared_recv_wr
 from repro.mpi import collectives
@@ -65,9 +67,10 @@ class Endpoint:
     # __init__ (the three subsystem hooks included), so they are declared.
     __slots__ = (
         "sim", "hca", "rank", "world_size", "config", "scheme",
-        "requested_prepost", "tracer", "_ring_mode",
+        "requested_prepost", "tracer", "_ring_mode", "mesh",
         "cq", "pool", "matching", "pindown", "bounce",
-        "connections", "_backlogged", "_engaged", "_idle_stats", "_ring_dirty",
+        "connections", "_backlogged", "_engaged", "_idle_stats", "_standin",
+        "_ring_dirty",
         "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
         "_ring_notify", "finalized", "_stall_until", "_stall_held",
         "_t_call", "_t_poll", "_eager_max",
@@ -86,6 +89,7 @@ class Endpoint:
         requested_prepost: int,
         tracer: Optional[Tracer] = None,
         connector: Optional[Callable] = None,
+        mesh: bool = False,
     ):
         if requested_prepost < 1:
             raise MPIError("requested_prepost must be >= 1")
@@ -121,6 +125,10 @@ class Endpoint:
         self._engaged: Set[int] = set()
         self._idle_stats = ConnStats(max_prepost=requested_prepost)
         self._idle_stats.__class__ = IdleConnStats  # frozen from here on
+        #: a static mesh: every other rank is a peer, its pair wired at first
+        #: touch (``connections`` holds those wired so far)
+        self.mesh = mesh
+        self._standin: Optional[Connection] = None  # see idle_connection()
         #: peers whose RDMA ring holds arrived-but-unprocessed messages
         #: (dirty-flag wakeups: the progress engine only looks at these
         #: instead of scanning every connection per poll)
@@ -130,7 +138,9 @@ class Endpoint:
         self._rndv_send: Dict[int, RndvSendOp] = {}
         self._rndv_recv: Dict[int, RndvRecvOp] = {}
         self._coll_seq: Dict[int, int] = {}  # context -> collective sequence
-        #: on-demand connection setup hook (None = static full mesh)
+        #: wires the pair of a first send: ``Cluster.wire`` on a static mesh
+        #: (wired on the spot, returns None), ``ConnectionManager.request`` on
+        #: demand (returns the signal to wait for); None: the table is all
         self._connector = connector
         #: armed waiter for RDMA-ring arrivals (the spin-loop stand-in)
         self._ring_notify = None
@@ -168,7 +178,7 @@ class Endpoint:
         self.wait_ns = 0
 
     # ------------------------------------------------------------------
-    # wiring (done by the cluster builder before programs start)
+    # wiring (done by the cluster: a pair at its first send)
     # ------------------------------------------------------------------
     def _engage(self, conn: Connection) -> None:
         """The one idle → engaged transition: on a connection's first use, not per message."""
@@ -176,12 +186,38 @@ class Endpoint:
         if conn.stats is self._idle_stats:  # from here it counts on its own
             conn.stats = ConnStats(max_prepost=conn.prepost_target)
 
-    def add_connection(self, peer: int, conn: Connection) -> None:
+    def add_connection(self, peer: int, conn: Connection,
+                       ring_mr: Optional[MemoryRegion] = None) -> None:
+        """Enter ``conn`` in the table, set up: see :meth:`_set_up`.  Its
+        receive budget is the caller's to post."""
         self.connections[peer] = conn
-        conn.recv_wr = shared_recv_wr(peer, self.config.vbuf_bytes)
+        self._set_up(conn, ring_mr)
+
+    def _set_up(self, conn: Connection, ring_mr: Optional[MemoryRegion]) -> None:
+        """The receive descriptor, the ring (in ``ring_mr``, or a region
+        registered now) and the scheme's set-up state."""
+        conn.recv_wr = shared_recv_wr(conn.peer, self.config.vbuf_bytes)
         if self._ring_mode:
-            conn.ring = RDMAChannel(self, peer, slots=self.requested_prepost)
+            conn.ring = RDMAChannel(self, conn.peer, self.requested_prepost, ring_mr)
         self.scheme.setup_connection(conn, self.requested_prepost)
+
+    def idle_connection(self) -> Connection:
+        """What a pair is as the wiring built it: the stand-in a per-job
+        report counts every connection outside ``_engaged`` (and, on a
+        static mesh, every pair not wired yet) as.  Built once,
+        as ``Cluster.wire`` builds a half, but off the table and off the
+        adapter: a QP no HCA numbers or holds, a ring region registered
+        nowhere and pointed at itself."""
+        conn = self._standin
+        if conn is None:
+            conn = Connection(self, -1, QueuePair(self.hca, -1, self.cq, self.cq))
+            ring_bytes = self.requested_prepost * self.config.vbuf_bytes
+            self._set_up(conn, MemoryRegion(0, ring_bytes, 0, 0))
+            if conn.ring is not None:
+                self.wire_rdma_rings(conn, conn)
+            conn.post_setup_buffers()
+            self._standin = conn
+        return conn
 
     @staticmethod
     def wire_rdma_rings(conn_ab: Connection, conn_ba: Connection) -> None:
@@ -644,9 +680,11 @@ class Endpoint:
             if dirty:
                 if len(dirty) == 1:
                     peers = tuple(dirty)
-                else:
-                    # connection-table order keeps multi-peer drains
-                    # deterministic (matches the pre-dirty-flag full scan)
+                elif self.mesh:
+                    # multi-peer drains in the pre-dirty-flag full scan's
+                    # order: its table's, ascending peer on a mesh ...
+                    peers = sorted(dirty)
+                else:  # ... and establishment order on demand
                     peers = [p for p in self.connections if p in dirty]
                 for peer in peers:
                     conn = self.connections[peer]
@@ -1301,7 +1339,9 @@ class Endpoint:
         """End of a stall window: refill every connection's buffer
         population and return the withheld credits, announcing them with an
         ECM so credit-blocked senders wake promptly.  Returns the number of
-        credits released (0 if a longer overlapping stall is still open)."""
+        credits released (0 if a longer overlapping stall is still open).
+        A static-mesh pair not wired yet is full and holds nothing back:
+        nothing to do for it."""
         if self._stall_until > self.sim.now:
             return 0
         held, self._stall_held = self._stall_held, {}
@@ -1340,16 +1380,14 @@ class Endpoint:
             raise MPIError(f"rank {self.rank} has no connection to {peer}")
 
     def _ensure_connected(self, dest: int) -> Generator:
-        """Return the connection to ``dest``, establishing it on demand
-        when the cluster runs with lazy connection management (the send
-        blocks for the CM exchange, as in MVAPICH's on-demand mode)."""
-        conn = self.connections.get(dest)
-        if conn is None:
-            sig = self._connector(self, dest)
-            if not sig.fired:
-                yield sig
-            conn = self.connections[dest]
-        return conn
+        """Return the connection to ``dest``, wiring it on this first send:
+        a static-mesh pair on the spot (MPI_Init paid for it: nothing is
+        simulated), an on-demand one by the CM exchange the send blocks
+        for, as in MVAPICH's on-demand mode."""
+        sig = self._connector(self, dest)
+        if sig is not None and not sig.fired:
+            yield sig
+        return self.connections[dest]
 
     @staticmethod
     def _check_capacity(h: Header, capacity: int) -> None:

@@ -111,11 +111,12 @@ class RDMAChannel:
         "messages", "reestablishments",
     )
 
-    def __init__(self, endpoint: "Endpoint", peer: int, slots: int):
+    def __init__(self, endpoint: "Endpoint", peer: int, slots: int,
+                 mr: Optional[MemoryRegion] = None):
         self.endpoint = endpoint
         self.peer = peer
         self.slot_bytes = endpoint.config.vbuf_bytes  # a slot is a vbuf
-        self.ring = self._allocate(slots)
+        self.ring = self._allocate(slots, mr)
         #: arrived-but-unprocessed headers, FIFO: both channels ride one
         #: RC QP, which accepts in MSN order, so deposits come in sequence
         #: order (the auditor checks it), at most a ringful of them
@@ -134,8 +135,10 @@ class RDMAChannel:
         self.messages = 0
         self.reestablishments = 0
 
-    def _allocate(self, slots: int) -> RingBuffer:
-        mr = self.endpoint.hca.reg_mr(slots * self.slot_bytes)
+    def _allocate(self, slots: int, mr: Optional[MemoryRegion] = None) -> RingBuffer:
+        """A ring of ``slots`` in ``mr`` — by default a region registered now."""
+        if mr is None:
+            mr = self.endpoint.hca.reg_mr(slots * self.slot_bytes)
         # the simulator routes an RDMA write's landing to deposit()
         mr.on_write = lambda addr, payload: self.deposit(payload)
         return RingBuffer(mr, slots)

@@ -9,6 +9,14 @@ def run2(program, scheme="static", prepost=10, config=None, **kw):
     return run_job(program, 2, scheme, prepost, config=cfg, **kw)
 
 
+def wire_all(cluster):
+    """Wire every pair of a static-mesh cluster — what ``Cluster.launch``
+    once did at launch, what first touch does pair by pair."""
+    for hca in cluster.hcas:
+        cluster.wire_adapter(hca)
+    return cluster
+
+
 def runN(program, nranks, scheme="static", prepost=10, config=None, **kw):
     cfg = config or TestbedConfig(nodes=min(nranks, 8))
     return run_job(program, nranks, scheme, prepost, config=cfg, **kw)

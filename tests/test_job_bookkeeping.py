@@ -6,8 +6,10 @@ The three full scans below are the bodies ``repro.core.stats`` and
 ``repro.core.memory`` had before, kept here verbatim as the oracles.  What
 lets the shipped passes skip a connection is one invariant, checked here
 too: a connection outside ``Endpoint._engaged`` is, field for field, what
-``Endpoint.add_connection`` built — down to its counters, which are the
-rank's one read-only idle ``ConnStats`` until ``Endpoint._engage``.
+the wiring built — down to its counters, which are the rank's one
+read-only idle ``ConnStats`` until ``Endpoint._engage``.  A static mesh
+wires a pair at its first touch, so the scans run after every pair is
+wired (``wire_all``): the whole mesh, as launch once built it.
 """
 
 from dataclasses import astuple, fields
@@ -23,12 +25,18 @@ from repro.core.memory import (
     collect_memory_report,
     connection_memory_bytes,
 )
-from repro.core.stats import FlowControlReport, collect_report, reset_counters
+from repro.core.stats import (
+    FlowControlReport,
+    collect_report,
+    connection_table,
+    reset_counters,
+)
 from repro.faults import FaultPlan, scenario_job
 from repro.mpi.connection import Connection, ConnStats, IdleConnStats
 from repro.mpi.endpoint import Endpoint
 from repro.sim.units import us
 from repro.workloads.nas import KERNELS
+from tests.mpi_helpers import wire_all
 from tests.test_quiescence import _ring, _starved_flood
 
 SCHEMES = ["hardware", "static", "dynamic", "rdma-eager"]
@@ -153,13 +161,14 @@ def _state(conn, queues=True):
 
 
 def _fresh_mesh_like(cluster):
-    """A just-launched full mesh of the same shape: what ``add_connection``
-    builds for every (rank, peer), whether or not ``cluster`` ever did."""
+    """A just-launched full mesh of the same shape, every pair wired: what
+    the wiring builds for every (rank, peer), whether or not ``cluster``
+    ever did."""
     ep = cluster.endpoints[0]
     fresh = Cluster(cluster.config)
     fresh.launch(len(cluster.endpoints), make_scheme(ep.scheme.name),
                  ep.requested_prepost, on_demand=False)
-    return fresh
+    return wire_all(fresh)
 
 
 def assert_idle_connections_are_as_built(cluster):
@@ -246,7 +255,7 @@ CORPUS = {
         _death_with_bystanders, 4, "static", 4, ft=True,
         faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(40))),
     # the receiver's half of the pair is established while it is stalled:
-    # add_connection posts it no vbufs (refill_recv_buffers returns 0)
+    # the connection manager posts it no vbufs (refill_recv_buffers returns 0)
     "stall-on-demand": lambda: _scenario("receiver-stall", on_demand=True),
     "stall-on-demand-hardware": lambda: _scenario("receiver-stall", "hardware",
                                                   on_demand=True),
@@ -256,7 +265,9 @@ CORPUS = {
 @pytest.mark.parametrize("job", CORPUS.values(), ids=CORPUS.keys())
 def test_engaged_passes_answer_what_the_full_scans_answer(job):
     cluster, r = job()
-    eps = cluster.endpoints
+    # the scans see a mesh's every pair: the ones the job never touched are
+    # wired now, as launch once wired them
+    eps = wire_all(cluster).endpoints
     assert r.fc == collect_report(eps) == full_collect_report(eps)
     assert (r.memory == collect_memory_report(eps, cluster.config)
             == full_collect_memory_report(eps, cluster.config))
@@ -291,6 +302,7 @@ def test_a_connection_built_inside_a_stall_window_is_not_taken_for_idle(monkeypa
 def test_a_connection_outside_engaged_is_what_add_connection_built(scheme):
     nranks = 12
     cluster, r = _run(_ring, nranks, scheme, 2, config=TestbedConfig(nodes=nranks))
+    wire_all(cluster)
     # ring neighbours and the dissemination barrier's partners, both ways
     partners = {d % nranks for k in range(4) for d in (1 << k, -(1 << k))}
     for ep in cluster.endpoints:
@@ -336,7 +348,7 @@ def test_the_scaling_cell_reads_its_posted_buffers_off_the_report(monkeypatch, o
     metrics = cells.CELL_KINDS["ring"]({"nodes": 64, "iterations": 2, "scheme": "dynamic",
                                         "prepost": 1, "on_demand": on_demand})
     assert metrics["posted_buffers"] == sum(
-        c.recv_posted for ep in jobs[0].endpoints for c in ep.connections.values()) > 0
+        c.recv_posted for ep in jobs[0].endpoints for _, c in connection_table(ep)) > 0
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +365,7 @@ def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
     ep = eps[0]
     r = run_job(_ring, len(eps), ep.scheme.name, ep.requested_prepost,
                 cluster=cluster, finalize=False)
+    wire_all(cluster)
     assert r.fc == collect_report(eps) == full_collect_report(eps)
     assert (r.memory == collect_memory_report(eps, cluster.config)
             == full_collect_memory_report(eps, cluster.config))
@@ -363,6 +376,7 @@ def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
 def test_the_shared_idle_counters_cannot_be_written():
     cluster = Cluster(TestbedConfig(nodes=3))
     ep = cluster.launch(3, make_scheme("dynamic"), 2, on_demand=False)[0]
+    wire_all(cluster)
     shared = ep._idle_stats
     assert all(conn.stats is shared for conn in ep.connections.values())
     for f in fields(ConnStats):

@@ -24,6 +24,8 @@ from repro.ib.types import INFINITE_RETRY
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
 
+from tests.mpi_helpers import wire_all
+
 SCHEMES = [s.value for s in EXTENDED_SCHEMES]
 NRANKS = 8
 
@@ -136,7 +138,7 @@ def test_an_armed_job_leaves_nothing_behind(armable, on_demand, scheme):
         assert doc2[section], "the armed job never engaged the subsystem"
 
     # every attachment point is a freshly launched cluster's again ...
-    fresh = _attachments(_launch(scheme, on_demand=False))  # a mesh: has QPs
+    fresh = _attachments(wire_all(_launch(scheme, on_demand=False)))  # has QPs
     got = _attachments(cluster)
     pristine_qp = fresh.pop("qp transport retry")
     assert pristine_qp == {(False, 0, INFINITE_RETRY, None, False)}
@@ -300,7 +302,7 @@ def test_arming_a_fault_plan_on_a_mesh_builds_no_requester():
     and updates the requesters that exist; one built during the faulted job
     reads the adapter's settings, and the rest of the mesh stays idle."""
     nranks = 32
-    cluster = _launch("static", on_demand=False, nranks=nranks)
+    cluster = wire_all(_launch("static", on_demand=False, nranks=nranks))
     qps = [qp for hca in cluster.hcas for qp in hca._qps.values()]
     assert len(qps) == nranks * (nranks - 1)
     assert all(qp._req is IDLE_REQUESTER for qp in qps)
@@ -432,6 +434,20 @@ def test_a_reused_cluster_keeps_the_prepost_it_was_launched_with():
     cluster = _launch("static", on_demand=False, prepost=2)
     with pytest.raises(ValueError, match="prepost 2, job wants 100"):
         run_job(_ring(1), NRANKS, "static", 100, cluster=cluster)
+
+
+@pytest.mark.parametrize("launched", [False, True], ids=["mesh", "on-demand"])
+def test_a_reused_cluster_keeps_the_wiring_it_was_launched_with(launched):
+    """An explicit ``on_demand`` that contradicts the cluster is refused by
+    name (a mesh cluster ran ``on_demand=True`` jobs and reported them as
+    ``"wiring": "mesh"``); ``None`` follows the cluster."""
+    cluster = _launch("static", on_demand=launched)
+    with pytest.raises(ValueError, match=f"on_demand {launched}, job wants {not launched}"):
+        run_job(_ring(1), NRANKS, "static", 2, cluster=cluster, on_demand=not launched)
+    wiring = "on-demand" if launched else "mesh"
+    for on_demand in (None, launched):
+        r = run_job(_ring(1), NRANKS, "static", 2, cluster=cluster, on_demand=on_demand)
+        assert r.completed and r.report()["wiring"] == wiring
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ track the communication graph, full-mesh pinned bytes track P².
 import contextlib
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,11 @@ from repro.core.memory import (
     qp_state_bytes,
     scheme_headroom,
 )
+from repro.ib.qp import QueuePair
+from repro.mpi.connection import Connection
+from repro.mpi.rdma_channel import RDMAChannel
+
+from tests.mpi_helpers import wire_all
 
 SCHEMES = ("hardware", "static", "dynamic")
 
@@ -131,8 +137,9 @@ def test_mesh_model_is_quadratic():
 
 # ----------------------------------------------------------------------
 # the host's side of the bargain: the modelled bytes above are what a
-# connection is *charged*; this is what one idle connection costs the
-# simulator's own heap
+# connection is *charged*; this is what one costs the simulator's own heap
+# — nothing while its pair is idle and unwired, a wired pair's objects from
+# its first touch on
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def _traced():
@@ -148,63 +155,85 @@ def _traced():
             tracemalloc.stop()
 
 
-def _host_bytes_per_idle_connection(scheme, prepost, nranks=32):
-    """``tracemalloc`` growth over ``Cluster.launch`` of a full mesh, per
-    connection (its QP, Connection, stats, descriptor, posted WQEs and
-    the two table entries)."""
+def _mesh_launch_building(scheme, nranks, monkeypatch):
+    """``Cluster.launch`` of a static mesh: the per-connection objects it
+    constructed, and its ``tracemalloc`` growth per rank."""
+    built = Counter()
+    for cls in (Connection, QueuePair, RDMAChannel):
+        real = cls.__init__
+
+        def counting(self, *args, _real=real, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
     cluster = Cluster(TestbedConfig(nodes=nranks))
     with _traced() as live:
         before = live()
-        cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
+        cluster.launch(nranks, make_scheme(scheme), 1, on_demand=False)
+        grown = live() - before
+    monkeypatch.undo()
+    return cluster, built, grown / nranks
+
+
+def test_idle_mesh_connection_host_heap_budget(monkeypatch):
+    """A 256-rank mesh is 65,280 connections and a 1,024-rank one
+    1,047,552, of which a job touches a few per rank.  Bytes per idle
+    connection were the mesh's peak RSS — 5,859 B before the per-connection
+    objects were slotted, down to 628 B at this guard's last form — and are
+    now none: ``launch`` builds the endpoints only and each pair is wired
+    at its first touch (``Cluster.wire``), so an idle connection is a count
+    in the reports, not an object.  What a launch costs stays O(P): per
+    rank, what an on-demand rank costs (the bound of
+    ``test_on_demand_rank_host_heap_budget``)."""
+    for scheme in SCHEMES:
+        cluster, built, per_rank = _mesh_launch_building(scheme, 256, monkeypatch)
+        assert not built, (scheme, built)
+        assert all(not ep.connections for ep in cluster.endpoints)
+        assert not any(hca._qps for hca in cluster.hcas)
+        assert per_rank <= 4_690, (scheme, per_rank)
+
+
+def test_idle_ring_connection_host_heap_budget(monkeypatch):
+    """``rdma-eager`` registered two ring regions per pair at launch: now
+    none, while the QP numbers and ring regions the mesh's pairs will get
+    are set aside (``launch`` registers only each rank's bounce region)."""
+    cluster, built, per_rank = _mesh_launch_building("rdma-eager", 256, monkeypatch)
+    assert not built and per_rank <= 4_690, (built, per_rank)
+    assert all(len(hca.mrs) == 1 for hca in cluster.hcas)  # the bounce region
+
+
+def _host_bytes_per_wired_connection(scheme, prepost, nranks=32):
+    """``tracemalloc`` growth over wiring every pair of a launched static
+    mesh, per connection: its QP, Connection, descriptor, posted WQEs, the
+    two table entries (and on a ring scheme its channel and region)."""
+    cluster = Cluster(TestbedConfig(nodes=nranks))
+    cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
+    with _traced() as live:
+        before = live()
+        wire_all(cluster)
         grown = live() - before
     return grown / (nranks * (nranks - 1))
 
 
-def test_idle_mesh_connection_host_heap_budget():
-    """A 256-rank mesh is 65,280 connections and a 1,024-rank one
-    1,047,552, so bytes per idle connection *is* the mesh's peak RSS:
-    5,859 B before the per-connection objects were slotted and their
-    queues made first-use, ~1,950 B while the receive queue was a deque
-    (760 B for its first block, whatever it held), ~1,120 B with the
-    receive queue a list, the requester map and the stash first-use, and
-    the per-adapter constants read from the HCA, ~1,060 B with the seven
-    ring-only fields folded into one ``Connection.ring`` (None here),
-    ~1,016 B with ``Endpoint`` slotted (its instance dict was 1/31 of
-    this 32-rank measure), ~893 B with one read-only idle ``ConnStats``
-    shared per rank (``Endpoint._engage`` hands a connection its own),
-    ~804 B with the rank's own FIFOs lists (nothing per connection: four
-    deques' 2,816 B a rank, 1/31 of it at this 32-rank measure), ~628 B
-    with the QP's requester half behind the shared ``IDLE_REQUESTER``
-    (17 slots, a 288-B block to a 160-B one) and one receive descriptor per
-    (peer, capacity) instead of per connection (48 B).
-    Deterministic for a given interpreter; the bound is the measured
-    value + 30 B — room for a CPython whose object headers differ, not
-    for a new per-connection field.
-
-    The floor and the slope are separate claims: a posted WQE beyond the
-    first few costs one pointer."""
+def test_wired_connection_host_heap_budget():
+    """What a pair costs the host once touched and still idle: 510-526 B a
+    connection (``hardware`` 510; 628 B was the old launch-time measure,
+    which also spread the 32 ranks' own state over their connections), the
+    ring scheme 1,315 B.  Deterministic for a given interpreter; the bound
+    is the measured value + 30 B — room for a CPython whose object headers
+    differ, not for a new per-connection field.  The floor and the slope
+    are separate claims: a posted WQE beyond the first few costs one
+    pointer, and a ring slot is bytes of one region, no object."""
+    _host_bytes_per_wired_connection("static", 1)  # first-wiring caches
     for scheme in SCHEMES:
-        floor = _host_bytes_per_idle_connection(scheme, 1)
-        assert floor <= 658, (scheme, floor, "parent: 804")
-        deep = _host_bytes_per_idle_connection(scheme, 100)
+        floor = _host_bytes_per_wired_connection(scheme, 1)
+        assert floor <= 556, (scheme, floor)
+        deep = _host_bytes_per_wired_connection(scheme, 100)
         assert (deep - floor) / 99 <= 9, (scheme, floor, deep)
-
-
-def test_idle_ring_connection_host_heap_budget():
-    """``rdma-eager`` adds its ring channel (an ``RDMAChannel``, its ring
-    and the registered region's bookkeeping) to every connection: its own
-    ceiling (2,762 B while the receive queue was a deque, ~1,980 B with
-    it a list, ~1,880 B with the channel slotted and holding both halves,
-    ~1,708 B with the idle ``ConnStats`` shared, ~1,619 B with the rank's
-    FIFOs lists, ~1,443 B with the idle requester and the descriptor shared
-    (one QP per connection here too) — the same steps and the same + 30
-    rule as above), and no
-    object per slot — ring
-    slots are bytes of one region (what moves with the depth is the size
-    of a few address integers)."""
-    floor = _host_bytes_per_idle_connection("rdma-eager", 1)
-    assert floor <= 1_473, (floor, "parent: 1,619")
-    deep = _host_bytes_per_idle_connection("rdma-eager", 100)
+    floor = _host_bytes_per_wired_connection("rdma-eager", 1)
+    assert floor <= 1_345, floor
+    deep = _host_bytes_per_wired_connection("rdma-eager", 100)
     assert (deep - floor) / 99 <= 1, (floor, deep)
 
 
@@ -254,8 +283,9 @@ def _swap(pairs):
 
 def _host_bytes_idle_to_engaged(scheme, nranks=8):
     """Live-heap growth of one mesh connection from idle to engaged: one
-    eager send each way between ranks 2k and 2k+1, whose first traffic
-    (rank r with rank r + 4) an earlier job already paid for.  Traced from
+    eager send each way between ranks 2k and 2k+1, whose pair is wired
+    beforehand and whose first traffic (rank r with rank r + 4) an earlier
+    job already paid for.  Traced from
     before the cluster exists, so an object a job replaces nets to zero;
     eight connections, so what the harness itself allocates between the
     two readings (a few dozen bytes under some plugins) stays under 1 %."""
@@ -266,6 +296,8 @@ def _host_bytes_idle_to_engaged(scheme, nranks=8):
         cluster = Cluster(TestbedConfig(nodes=nranks))
         cluster.launch(nranks, make_scheme(scheme), 1, on_demand=False)
         run_job(_swap(far), nranks, scheme, 1, cluster=cluster, finalize=False)
+        for ep in cluster.endpoints:  # wired, still idle
+            cluster.wire(ep, near[ep.rank])
         gc.collect()
         before = live()
         run_job(_swap(near), nranks, scheme, 1, cluster=cluster, finalize=False)

@@ -1,12 +1,13 @@
 """Mesh set-up costs what its state needs.
 
-``Cluster.launch`` wires P*(P-1) connections of which a workload touches a
-handful, so an idle connection has to be cheap on the host: the collector
-is paused while the mesh is built, the per-connection objects are slotted,
-the send-side queues appear on first use, and the receive vbufs go to the
-QP in one batch.  None of it may show in the simulation: what gets posted
-(and what an armed auditor sees of it) is pinned here against the closed
-forms of :mod:`repro.core.memory`.
+A static mesh is P*(P-1) connections of which a workload touches a
+handful, so ``Cluster.launch`` builds the endpoints only and a pair is
+wired at its first touch; a wired pair that stays idle is cheap on the
+host too: the per-connection objects are slotted, the send-side queues
+appear on first use, and the receive vbufs go to the QP in one batch.
+None of it may show in the simulation: what gets posted (and what an
+armed auditor sees of it) is pinned here against the closed forms of
+:mod:`repro.core.memory`.
 """
 
 import gc
@@ -23,12 +24,13 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
-from repro.ib.qp import IDLE_REQUESTER
+from repro.ib.qp import IDLE_REQUESTER, QueuePair
 from repro.ib.types import IBConfig, Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR
 from repro.sim.units import us
 
 from tests.ib_helpers import build_pair
+from tests.mpi_helpers import wire_all
 
 ALL_SCHEMES = ("hardware", "static", "dynamic", "rdma-eager")
 
@@ -37,6 +39,11 @@ def _mesh(nranks, scheme, prepost):
     cluster = Cluster(TestbedConfig(nodes=nranks))
     cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=False)
     return cluster
+
+
+def _wired(nranks, scheme, prepost):
+    """A mesh with every pair wired, as ``launch`` once built it."""
+    return wire_all(_mesh(nranks, scheme, prepost))
 
 
 def _conns(cluster):
@@ -108,30 +115,37 @@ def _old(obj):
     return any(o is obj for o in gc.get_objects(generation=2))
 
 
+def _ranks(nranks):
+    cluster = Cluster(TestbedConfig(nodes=8))
+    cluster.launch(nranks, make_scheme("static"), 1, on_demand=False)
+    return cluster
+
+
 def test_launch_files_a_big_build_with_the_old_generation(collector):
-    """Left alone the collector walks a fresh mesh twice more — at the
+    """Left alone the collector walks a fresh build twice more — at the
     first allocation after the pause and ten passes later, inside whatever
     job is running by then (a 40 ms step in ``mesh_build256``'s ``run_s``
-    that an unrelated import could move in or out).  ``launch`` pays one
-    young-generation pass itself when the build is bigger than such a pass
-    ever sees; a small one keeps to the collector's own schedule, and a
-    collector the caller turned off is not run behind their back."""
+    that an unrelated import could move in or out, while launch built the
+    mesh).  ``launch`` pays one young-generation pass itself when the build
+    is bigger than such a pass ever sees; a small one keeps to the
+    collector's own schedule, and a collector the caller turned off is not
+    run behind their back."""
     gc.enable()
-    big = _mesh(64, "static", 1)  # 4,032 connections, ~18,000 tracked objects
-    assert _old(big.endpoints[0].connections[1])
+    big = _ranks(1024)  # 1,024 endpoints, ~24,000 tracked objects
+    assert _old(big.endpoints[0])
     assert gc.get_count()[0] < gc.get_threshold()[0]
-    small = _mesh(4, "static", 1)
-    assert not _old(small.endpoints[0].connections[1])
+    small = _ranks(4)
+    assert not _old(small.endpoints[0])
     gc.disable()
-    unasked = _mesh(64, "static", 1)
-    assert not _old(unasked.endpoints[0].connections[1])
+    unasked = _ranks(1024)
+    assert not _old(unasked.endpoints[0])
 
 
 # ----------------------------------------------------------------------
 # queues on first use
 # ----------------------------------------------------------------------
 def test_idle_connection_holds_no_queue_objects():
-    cluster = _mesh(4, "static", 1)
+    cluster = _wired(4, "static", 1)
     for conn in _conns(cluster):
         for q in (conn.backlog, conn.deferred, conn.qp._req._sq):
             assert q == () and not isinstance(q, deque)
@@ -144,17 +158,34 @@ def test_idle_connection_holds_no_queue_objects():
     assert all(ep._locally_quiescent() for ep in cluster.endpoints)
 
 
-def test_auditor_final_check_walks_idle_connections():
+def test_auditor_final_check_walks_idle_connections(monkeypatch):
+    """The end-of-job sweep checks every wired connection, idle ones too (a
+    half that only received, a pair only the finalize barrier touched).  A
+    pair nobody touched is not wired, and wiring it adds nothing to find:
+    every pair wired afterwards, the sweep runs clean over all 56."""
+    checked = []
+    real = QueuePair.check_invariants
+    monkeypatch.setattr(QueuePair, "check_invariants",
+                        lambda qp: checked.append(qp) or real(qp))
+
     def prog(mpi):  # ranks 2 and 3 never touch a connection's queues
         if mpi.rank == 0:
             yield from mpi.send(1, size=4, payload="x")
         elif mpi.rank == 1:
             yield from mpi.recv(source=0, capacity=64)
 
-    r = run_job(prog, 4, "static", 1, audit=True)
+    cluster = _mesh(8, "static", 1)
+    r = run_job(prog, 8, "static", 1, cluster=cluster, audit=True)
     assert not r.audit.violations
-    idle = r.endpoints[2].connections[3]
-    assert idle.backlog == () and idle.deferred == ()
+    wired = [c.qp for c in _conns(cluster)]
+    assert len(wired) < 56 and sorted(map(id, checked)) == sorted(map(id, wired))
+    idle = r.endpoints[3].connections[2]  # the barrier's 2 -> 3, never sent
+    assert idle.backlog == () and idle.deferred == () and idle.seq_out == 0
+    checked.clear()
+    wire_all(cluster)
+    r.audit.final_check()
+    assert sorted(map(id, checked)) == sorted(id(c.qp) for c in _conns(cluster))
+    assert len(checked) == 56 and not r.audit.violations
 
 
 def test_starved_flood_drains_the_backlog_fifo():
@@ -279,7 +310,7 @@ def test_sever_returns_the_queues_to_empty():
 
 
 def test_idle_connection_holds_no_stash_and_no_requester_map():
-    cluster = _mesh(4, "rdma-eager", 2)
+    cluster = _wired(4, "rdma-eager", 2)
     for conn in _conns(cluster):
         assert conn.ring.cq_stash == () and not isinstance(conn.ring.cq_stash, list)
         assert conn.qp._req is IDLE_REQUESTER
@@ -364,7 +395,7 @@ def _expected_wqes(cluster, scheme, prepost):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_batched_preposting_matches_the_closed_forms(scheme, prepost):
     nranks = 4
-    cluster = _mesh(nranks, scheme, prepost)
+    cluster = _wired(nranks, scheme, prepost)
     cfg = cluster.config
     want = _expected_wqes(cluster, scheme, prepost)
     conns = _conns(cluster)

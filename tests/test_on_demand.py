@@ -44,13 +44,13 @@ def test_on_demand_saves_posted_buffers():
                    finalize=False)
 
     def posted(result):
-        return sum(
-            c.recv_posted for ep in result.endpoints for c in ep.connections.values()
-        )
+        return result.memory.vbuf_posted_bytes
 
     assert posted(mesh) > 3 * posted(lazy)
-    # mesh: 8*7 connections; lazy ring: 16 directed connections
-    assert sum(len(ep.connections) for ep in mesh.endpoints) == 56
+    # mesh: 8*7 connections, however many the ring wired; lazy ring: 16
+    # directed connections
+    assert mesh.memory.connections == 56
+    assert lazy.memory.connections == 16
     assert sum(len(ep.connections) for ep in lazy.endpoints) == 16
 
 

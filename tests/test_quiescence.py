@@ -24,6 +24,8 @@ from repro.mpi.request import Request
 from repro.sim.units import us
 from repro.workloads.nas import KERNELS
 
+from tests.mpi_helpers import wire_all
+
 
 def full_scan(ep):
     dead = ep._ft.dead if ep._ft is not None else ()
@@ -127,11 +129,11 @@ def test_an_idle_mesh_engages_only_its_barrier_partners_both_ways():
     r = run_job(idle, nranks, "dynamic", 1, config=TestbedConfig(nodes=nranks),
                 on_demand=False)
     for ep in r.endpoints:
-        assert len(ep.connections) == nranks - 1
         # the dissemination barrier sends to rank + 2^k and hears from
         # rank - 2^k: a connection that only ever received left idle too
         assert ep._engaged == {(ep.rank + d) % nranks
                                for k in range(5) for d in (1 << k, -(1 << k))}
+        assert set(ep.connections) == ep._engaged  # wired: what it touched
         assert ep.finalized and ep._locally_quiescent() and full_scan(ep)
 
 
@@ -142,6 +144,7 @@ def test_an_idle_mesh_engages_only_its_barrier_partners_both_ways():
 def _idle_mesh(nranks=4, scheme="static"):
     cluster = Cluster(TestbedConfig(nodes=nranks))
     cluster.launch(nranks, make_scheme(scheme), 2, on_demand=False)
+    wire_all(cluster)
     ep = cluster.endpoints[0]
     assert ep._engaged == set() and ep._locally_quiescent() and full_scan(ep)
     return cluster, ep, ep.connections[2]

@@ -160,6 +160,7 @@ def test_refill_recv_buffers_tolerates_error_qp():
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("static"), prepost=5)
     ep0, ep1 = cluster.endpoints[0], cluster.endpoints[1]
+    cluster.wire(ep0, 1)
     conn01, conn10 = ep0.connections[1], ep1.connections[0]
     population = conn01.recv_posted
     assert population > 0
@@ -197,6 +198,7 @@ def test_error_wc_without_recovery_reclaims_send_pool():
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("static"), prepost=5)
     ep = cluster.endpoints[0]
+    cluster.wire(ep, 1)
     conn = ep.connections[1]
     header = Header(kind=MsgKind.EAGER, src=0, dst=1, size=4)
     ep._emit(conn, header)  # stages it in a pool vbuf and posts the SEND

@@ -70,7 +70,9 @@ def test_static_credit_gate():
     conn = FakeConn()
     s.setup_connection(conn, 3)
     assert conn.credits == 3
-    assert conn.recv_posted == 3 + s.optimistic_headroom
+    # the receive budget; whoever wires the connection posts it
+    assert conn.prepost_target + conn.headroom == 3 + s.optimistic_headroom
+    assert conn.recv_posted == 0
     assert s.try_consume_credit(conn)
     assert s.try_consume_credit(conn)
     assert s.try_consume_credit(conn)
@@ -104,6 +106,7 @@ def test_dynamic_doubles_on_feedback():
     d = DynamicScheme()
     conn = FakeConn()
     d.setup_connection(conn, 1)
+    conn.refill_recv_buffers()  # the set-up budget, posted by the wiring
     grown = d.on_recv_header(conn, header(seq=0, backlog=True))
     assert conn.prepost_target == 2
     assert grown == 1

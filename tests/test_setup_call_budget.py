@@ -1,14 +1,15 @@
-"""A mesh connection's call budget: Python frames per connection that
-``Cluster.launch`` wires, by layer and scheme (DESIGN §6.4).
+"""A static-mesh pair's call budget: Python frames per connection its first
+touch wires, by layer and scheme (DESIGN §6.4).
 
-The set-up twin of ``test_call_budget``'s frames per eager message.  A
-full mesh is P*(P-1) connections, so the per-connection chain — create and
-connect the QP, ``Connection``, ``add_connection``, the scheme's
-``setup_connection``, the pre-post through ``refill_recv_buffers`` →
-``_post_recv_vbuf`` → ``post_recv`` — is set-up time.  Frame counts are
-deterministic, so the ceilings are the counts: a helper, a property or a
-scheme override added to the chain fails here, by name, before a
-wall-clock benchmark could resolve it.
+The set-up twin of ``test_call_budget``'s frames per eager message.
+``Cluster.launch`` wires nothing; a pair is wired when first touched, by
+one chain — ``Cluster.wire`` and ``wire_pair``, each half's reserved
+numbers, create and connect the QP, ``Connection``, ``add_connection`` →
+``_set_up`` → the scheme's ``setup_connection``, the pre-post through
+``post_setup_buffers`` → ``post_recv``.  An all-to-all job runs it P*(P-1)/2
+times.  Frame counts are deterministic, so the ceilings are the counts: a
+helper, a property or a scheme override added to the chain fails here, by
+name, before a wall-clock benchmark could resolve it.
 """
 
 import gc
@@ -23,14 +24,21 @@ from repro.cluster import Cluster, TestbedConfig
 from repro.core import make_scheme
 
 SRC = str(Path(repro.__file__).parent) + "/"
-SIZES = (8, 16, 24)  # equally spaced: the second difference is 2 * 8**2 connections
+NRANKS = 12
 
 
-def _frames(nranks, scheme):
-    """Python ``call`` events of one ``launch`` of an ``nranks`` mesh,
-    keyed by (file, qualified name)."""
-    cluster = Cluster(TestbedConfig(nodes=nranks))
-    scheme = make_scheme(scheme)
+def _frames_per_connection(scheme):
+    """Python ``call`` events of first touches on an ``NRANKS`` mesh, per
+    connection (two per pair), keyed by (file, qualified name)."""
+    cluster = Cluster(TestbedConfig(nodes=NRANKS))
+    cluster.launch(NRANKS, make_scheme(scheme), 1, on_demand=False)
+    eps = cluster.endpoints
+    # every rank's receive descriptor is built (a per-peer cost, not a
+    # pair's): the remaining pairs run nothing but the chain
+    for r in range(0, NRANKS, 2):
+        cluster.wire(eps[r], r + 1)
+    pairs = [(a, b) for a in range(NRANKS) for b in range(a + 1, NRANKS)
+             if b not in eps[a].connections]
     calls = Counter()
 
     def hook(frame, event, arg):
@@ -40,26 +48,21 @@ def _frames(nranks, scheme):
 
     # An earlier test's garbage — a suspended program closing into
     # mpi/ generator frames — would otherwise finalize whenever a pass
-    # happens to fall inside the launch, counting frames that are not its own.
+    # happens to fall inside the count, counting frames that are not its own.
     gc.collect()
     sys.setprofile(hook)
     try:
-        cluster.launch(nranks, scheme, 1, on_demand=False)
+        for a, b in pairs:
+            cluster.wire(eps[a], b)
     finally:
         sys.setprofile(None)
-    return calls
+    assert all(len(ep.connections) == NRANKS - 1 for ep in eps)
+    return {key: n / (2 * len(pairs)) for key, n in calls.items()}
 
 
 @pytest.fixture(scope="module", params=["hardware", "static", "dynamic", "rdma-eager"])
 def per_connection(request):
-    """Frames per connection, exactly: the marginal between two mesh sizes
-    is P*(P-1) connections plus the per-rank frames (endpoint, CQ, pool,
-    ...), and the second difference over three equally spaced sizes
-    cancels everything linear in P — the ranks — and the per-job constant."""
-    a, b, c = (_frames(n, request.param) for n in SIZES)
-    step = SIZES[1] - SIZES[0]
-    return request.param, {key: (c[key] - 2 * b[key] + a[key]) / (2 * step * step)
-                           for key in c}
+    return request.param, _frames_per_connection(request.param)
 
 
 def _layer(per_connection, sub=""):
@@ -67,21 +70,22 @@ def _layer(per_connection, sub=""):
                if path.startswith(SRC + sub))
 
 
-#: (ib, mpi, core, everything under src/repro) per mesh connection
+#: (ib, mpi, core, cluster, everything under src/repro) per connection
 CEILINGS = {
-    "hardware": (4, 4, 1, 9),
-    "static": (4, 4, 1, 9),
-    "dynamic": (4, 4, 1, 9),
-    # + the ring: two MRs' registration, the channel, a slot-count lookup
-    "rdma-eager": (7, 8.5, 2, 17.5),
+    "hardware": (4, 4, 1, 2, 11),
+    "static": (4, 4, 1, 2, 11),
+    "dynamic": (4, 4, 1, 2, 11),
+    # + the ring: its region registered at its reserved number, the
+    # channel and its ring, the other ring's coordinates, a slot-count lookup
+    "rdma-eager": (7, 8.5, 2, 2, 19.5),
 }
 
 
 def test_frames_per_mesh_connection_by_layer(per_connection):
     scheme, frames = per_connection
-    ib, mpi, core, total = CEILINGS[scheme]
+    ib, mpi, core, cluster, total = CEILINGS[scheme]
     assert _layer(frames, "ib/") <= ib
     assert _layer(frames, "mpi/") <= mpi
     assert _layer(frames, "core/") <= core
-    assert _layer(frames, "cluster/") == 0  # the mesh loop itself is not a frame
+    assert _layer(frames, "cluster/") <= cluster
     assert _layer(frames) <= total

@@ -12,6 +12,7 @@ from repro.sim.trace import Tracer
 class _EndpointWithNoConnections:
     connections: dict = {}
     _engaged: set = set()
+    mesh = False
 
 
 def test_collect_report_empty_endpoint_list():

@@ -125,7 +125,7 @@ def test_a_connection_has_one_ring_field_filled_at_one_site():
     assert "ring" in slots
     assert not slots & {"rdma_eager", "tx_ring_addr", "tx_ring_rkey",
                         "tx_ring_slots", "tx_ring_next", "rx_channel", "cq_stash"}
-    # built in add_connection alone, and only the scheme says whether
+    # built at set-up alone (Endpoint._set_up), and only the scheme says whether
     assert _modules_matching(r"RDMAChannel\(") == {"mpi/endpoint.py"}
     assert _src("mpi/endpoint.py").count("RDMAChannel(") == 1
     assert "self._ring_mode = scheme.uses_ring\n" in _src("mpi/endpoint.py")
@@ -161,7 +161,7 @@ def test_the_send_record_rides_the_work_request():
 
 
 # ----------------------------------------------------------------------
-# a connection costs what its state needs (one mesh holds P*(P-1))
+# a connection costs what its state needs (an all-to-all job wires P*(P-1))
 # ----------------------------------------------------------------------
 def test_per_connection_objects_carry_no_instance_dict():
     from repro.cluster import Cluster, TestbedConfig
@@ -169,6 +169,7 @@ def test_per_connection_objects_carry_no_instance_dict():
 
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("dynamic"), 1, on_demand=False)
+    cluster.wire(cluster.endpoints[0], 1)
     conn = cluster.endpoints[0].connections[1]
     for obj in (conn, conn.qp, conn.stats):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
@@ -225,27 +226,28 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
     # same helper
     assert _modules_matching(r"gc\.disable\(") == {"sim/engine.py"}
     assert "type: ignore[attr-defined]" not in _src("core/dynamic.py")
-    # a connection's receive descriptor is looked up once, at
-    # add_connection, not per posted buffer — and built once per (peer,
-    # capacity), by the cached factory beside the class, not per connection
+    # a connection's receive descriptor is looked up once, at set-up, not
+    # per posted buffer — and built once per (peer, capacity), by the
+    # cached factory beside the class, not per connection
     assert _modules_matching(r"\bRecvWR\(") == {"ib/wr.py"}
     assert _src("ib/wr.py").count("RecvWR(") == 2  # the factory's, and __repr__'s
     endpoint = _src("mpi/endpoint.py")
     assert endpoint.count("shared_recv_wr(") == 1
     line = next(l for l in endpoint.splitlines() if "shared_recv_wr(" in l)
-    add_connection = endpoint[endpoint.index("def add_connection"):]
-    add_connection = add_connection[:add_connection.index("\n    def ", 1)]
-    assert line in add_connection
-    assert not re.search(r"^\s*(for|while)\b", add_connection, re.M)
+    set_up = endpoint[endpoint.index("def _set_up"):]
+    set_up = set_up[:set_up.index("\n    def ", 1)]
+    assert line in set_up
+    assert not re.search(r"^\s*(for|while)\b", set_up, re.M)
 
 
 # ----------------------------------------------------------------------
 # a job costs what it touched: nothing a job runs every time walks the
 # connection table (tests/test_job_bookkeeping.py keeps the full scans as
-# oracles).  The auditor's sweeps do walk idle connections — pinned by
+# oracles).  The auditor's sweeps do walk every wired connection, idle ones
+# too — pinned by
 # tests/test_mesh_setup.py::test_auditor_final_check_walks_idle_connections
 # — and the per-connection outputs (per_connection_max_buffers,
-# analysis.flow_control_timeline) are called on request, not per job.
+# analysis.flow_control_timeline) walk the whole mesh on request, not per job.
 # ----------------------------------------------------------------------
 def test_no_per_job_pass_scans_the_connection_table():
     from repro.core import memory, stats

@@ -19,7 +19,9 @@ from typing import Sequence
 import pytest
 
 from repro.analysis import Figure, scheme_figure
-from repro.campaign import CampaignResult, MemoryCache, build_grid, run_cells
+from repro.campaign import build_grid
+from repro.campaign.cache import MemoryCache
+from repro.campaign.runner import CampaignResult, run_cells
 from repro.campaign.spec import JobSpec
 from repro.core import SCHEME_NAMES as SCHEMES  # presentation order
 

@@ -57,7 +57,7 @@ def latency_metrics(result: JobResult) -> Dict[str, Any]:
 
 @cell_kind("latency")
 def _latency_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.workloads import latency_program
+    from repro.workloads.microbench import latency_program
 
     r = run_job(
         latency_program(p["size"], iterations=p["iterations"]),
@@ -71,7 +71,7 @@ def _latency_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
 
 @cell_kind("bandwidth")
 def _bandwidth_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.workloads import bandwidth_program
+    from repro.workloads.microbench import bandwidth_program
 
     r = run_job(
         bandwidth_program(

@@ -30,7 +30,9 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import Table, scheme_figure, scheme_table
-from repro.campaign import GRIDS, MemoryCache, ResultCache, build_grid, grids, run_cells
+from repro.campaign import GRIDS, build_grid, grids
+from repro.campaign.cache import MemoryCache, ResultCache
+from repro.campaign.runner import run_cells
 from repro.cluster import TestbedConfig
 from repro.cluster.builder import check_setup_budget
 from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, make_scheme

@@ -57,12 +57,14 @@ class Arming:
 
             out.append(_flag_or("audit", self.audit, Auditor))
         if self.recovery is not False:
-            from repro.recovery import RecoveryManager, RecoveryPolicy
+            from repro.recovery.manager import RecoveryManager
+            from repro.recovery.policy import RecoveryPolicy
 
             out.append(RecoveryManager(
                 _flag_or("recovery", self.recovery, RecoveryPolicy)))
         if self.ft is not False:
-            from repro.ft import FTConfig, FTManager
+            from repro.ft.config import FTConfig
+            from repro.ft.manager import FTManager
 
             out.append(FTManager(_flag_or("ft", self.ft, FTConfig)))
         if self.cm_chaos is not None:

@@ -14,10 +14,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Union
 from repro.cluster.arming import Arming
 from repro.cluster.builder import Cluster
 from repro.cluster.config import TestbedConfig
-from repro.core import FlowControlReport, FlowControlScheme, collect_report, make_scheme
+from repro.core import FlowControlReport, FlowControlScheme, collect_report, make_scheme, memory
 from repro.core.base import SchemeName
 from repro.core.stats import collect_congestion_report
+from repro.ft.failures import RankFailedError
 from repro.mpi.endpoint import Endpoint
+from repro.recovery.failures import ConnectionFailedError
 from repro.sim.units import seconds, to_us
 
 Program = Callable[[Endpoint], Generator]
@@ -246,10 +248,6 @@ def run_job(
         return result
 
     procs = [cluster.sim.spawn(wrap(ep), name=f"rank{ep.rank}") for ep in endpoints]
-
-    from repro.ft.failures import RankFailedError
-    from repro.recovery.failures import ConnectionFailedError
-
     expected = (ConnectionFailedError, RankFailedError)
     # Both ends of a lost pair (and every survivor of a rank death) report
     # the same event: keyed by the record's stable identity, first seen wins.
@@ -292,8 +290,6 @@ def run_job(
         if cluster.auditor is not None and not failures:
             cluster.auditor.final_check(expect_quiescent=finalize)
 
-    from repro.core.memory import collect_memory_report
-
     cong_state = cluster.fabric.congestion
     handles = {sub.name: sub for sub in subsystems}
     return JobResult(
@@ -313,7 +309,7 @@ def run_job(
         ft=handles.get("ft"),
         congestion=(collect_congestion_report(cong_state)
                     if cong_state is not None else None),
-        memory=collect_memory_report(endpoints, cluster.config),
+        memory=memory.collect_memory_report(endpoints, cluster.config),
         congestion_mode=cong_state.cfg.mode if cong_state is not None else "off",
         counters=cluster.tracer.summary(),
         sections={name: sub.summary() for name, sub in handles.items()},

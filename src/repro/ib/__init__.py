@@ -2,7 +2,9 @@
 
 Public surface mirrors the slice of the IBA verbs the paper's MPI uses:
 
-* :class:`Fabric` + :class:`HCA` — subnet and adapters,
+* :class:`Fabric` + :class:`HCA` — subnet and adapters (the fat tree,
+  :class:`repro.ib.fattree.FatTreeFabric`, loads with the first cluster
+  that asks for one),
 * :class:`QueuePair` (RC service) with :meth:`post_send` / :meth:`post_recv`,
 * :class:`CompletionQueue` with poll / blocking-wait,
 * :class:`MemoryRegion` registration with protection keys,
@@ -15,7 +17,6 @@ replay) that the hardware-based flow control scheme depends on.
 
 from repro.ib.cq import CompletionQueue, CQOverflow
 from repro.ib.fabric import Fabric, FabricError
-from repro.ib.fattree import FatTreeFabric
 from repro.ib.hca import HCA
 from repro.ib.mr import MemoryRegion, MRError, RegistrationTable, RemoteAccessError
 from repro.ib.qp import QPError, QueuePair
@@ -27,7 +28,6 @@ __all__ = [
     "CompletionQueue",
     "Fabric",
     "FabricError",
-    "FatTreeFabric",
     "HCA",
     "IBConfig",
     "INFINITE_RETRY",

@@ -4,11 +4,11 @@ The design follows the paper's §3.1: eager protocol (send/recv into
 pre-pinned vbufs) for small messages, zero-copy rendezvous (RDMA write)
 for large ones, a pool of pre-pinned fixed-size buffers, a pin-down cache,
 per-pair Reliable Connections bound to one CQ per process, and pluggable
-flow-control schemes (:mod:`repro.core`).
+flow-control schemes (:mod:`repro.core`).  Communicators
+(:mod:`repro.mpi.comm`) load where a program builds one.
 """
 
 from repro.mpi.buffer_pool import SendBufferPool
-from repro.mpi.comm import CommRevokedError, Communicator, world
 from repro.mpi.config import MPIConfig
 from repro.mpi.connection import Connection, ConnStats, PendingSend
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, TAG_UB, WORLD_CONTEXT
@@ -21,9 +21,6 @@ from repro.mpi.request import PROC_FAILED, Request, Status
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "CommRevokedError",
-    "Communicator",
-    "world",
     "Connection",
     "ConnStats",
     "Endpoint",

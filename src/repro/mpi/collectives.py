@@ -16,30 +16,35 @@ Algorithms:
 * ``gather`` / ``scatter`` — linear at the root (faithful to the era).
 
 Each collective draws a fresh tag from the endpoint's per-context sequence
-so concurrent collectives on different "phases" cannot cross-match.
+so concurrent collectives on different "phases" cannot cross-match, and
+travels in its communicator's collective context, which no point-to-point
+receive matches — an ``ANY_TAG`` one included.
 Payload combination is optional: pass real values and an ``op`` to compute;
 omit them to move bytes only (the NAS proxies do the latter).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.mpi.constants import COLL_TAG_BASE
+from repro.mpi.constants import COLL_TAG_BASE, WORLD_CONTEXT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
 
 
-def _coll_tag(ep: "Endpoint") -> int:
-    """Fresh tag for one collective.  The sequence is per *context* so
-    interleaved collectives on different communicators (whose members may
-    have performed different numbers of prior collectives) still agree on
-    the tag within each communicator."""
-    context = getattr(ep, "context", 0)
+def _coll_envelope(ep: "Endpoint") -> Tuple[int, int]:
+    """Fresh ``(tag, context)`` for one collective.  The sequence is per
+    *context* so interleaved collectives on different communicators (whose
+    members may have performed different numbers of prior collectives) still
+    agree on the tag within each communicator.  The context is ``~context``:
+    every point-to-point context is >= 0, so it is one that no communicator's
+    receives, ``dup``/``split`` children included, can name (MPI's separate
+    collective context id)."""
+    context = getattr(ep, "context", WORLD_CONTEXT)
     seq = ep._coll_seq.get(context, 0)
     ep._coll_seq[context] = seq + 1
-    return COLL_TAG_BASE + seq
+    return COLL_TAG_BASE + seq, ~context
 
 
 def _hypercube_rounds(size: int) -> int:
@@ -57,13 +62,13 @@ def barrier(ep: "Endpoint") -> Generator:
     size, rank = ep.world_size, ep.rank
     if size == 1:
         return
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     for k in range(_hypercube_rounds(size)):
         dist = 1 << k
         dst = (rank + dist) % size
         src = (rank - dist) % size
-        rreq = yield from ep.irecv(source=src, capacity=8, tag=tag)
-        sreq = yield from ep.isend(dst, size=4, tag=tag)
+        rreq = yield from ep.irecv(source=src, capacity=8, tag=tag, context=ctx)
+        sreq = yield from ep.isend(dst, size=4, tag=tag, context=ctx)
         yield from ep.waitall([rreq, sreq])
 
 
@@ -75,7 +80,7 @@ def bcast(ep: "Endpoint", root: int, size: int, payload: Any = None) -> Generato
     P, rank = ep.world_size, ep.rank
     if P == 1:
         return payload
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     rel = (rank - root) % P  # root-relative rank
     value = payload
     # Receive from parent (highest set bit of rel).
@@ -85,7 +90,7 @@ def bcast(ep: "Endpoint", root: int, size: int, payload: Any = None) -> Generato
             mask <<= 1
         mask >>= 1
         parent = (rel - mask + root) % P
-        status = yield from ep.recv(source=parent, capacity=size, tag=tag,
+        status = yield from ep.recv(source=parent, capacity=size, tag=tag, context=ctx,
                                     buffer_id=("bcast", tag))
         value = status.payload
     # Send to children.
@@ -95,7 +100,7 @@ def bcast(ep: "Endpoint", root: int, size: int, payload: Any = None) -> Generato
     while mask < P:
         if rel + mask < P:
             child = (rel + mask + root) % P
-            yield from ep.send(child, size=size, tag=tag, payload=value,
+            yield from ep.send(child, size=size, tag=tag, context=ctx, payload=value,
                                buffer_id=("bcast", tag))
         mask <<= 1
     return value
@@ -117,7 +122,7 @@ def reduce(
     P, rank = ep.world_size, ep.rank
     if P == 1:
         return value
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     combine = op or (lambda a, b: (a, b))
     rel = (rank - root) % P
     acc = value
@@ -125,13 +130,13 @@ def reduce(
     while mask < P:
         if rel & mask:
             parent = (rel - mask + root) % P
-            yield from ep.send(parent, size=size, tag=tag, payload=acc,
+            yield from ep.send(parent, size=size, tag=tag, context=ctx, payload=acc,
                                buffer_id=("reduce", tag))
             return None
         partner = rel + mask
         if partner < P:
             status = yield from ep.recv(
-                source=(partner + root) % P, capacity=size, tag=tag,
+                source=(partner + root) % P, capacity=size, tag=tag, context=ctx,
                 buffer_id=("reduce", tag),
             )
             if acc is not None or status.payload is not None:
@@ -157,15 +162,15 @@ def allreduce(
         acc = yield from reduce(ep, 0, size, value, op)
         result = yield from bcast(ep, 0, size, acc)
         return result
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     combine = op or (lambda a, b: (a, b))
     acc = value
     mask = 1
     while mask < P:
         partner = rank ^ mask
-        rreq = yield from ep.irecv(source=partner, capacity=size, tag=tag,
+        rreq = yield from ep.irecv(source=partner, capacity=size, tag=tag, context=ctx,
                                    buffer_id=("allred", tag, mask))
-        sreq = yield from ep.isend(partner, size=size, tag=tag, payload=acc,
+        sreq = yield from ep.isend(partner, size=size, tag=tag, context=ctx, payload=acc,
                                    buffer_id=("allred", tag, mask))
         statuses = yield from ep.waitall([rreq, sreq])
         other = statuses[0].payload
@@ -185,15 +190,15 @@ def allgather(ep: "Endpoint", size: int, value: Any = None) -> Generator:
     result[rank] = value
     if P == 1:
         return result
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     right = (rank + 1) % P
     left = (rank - 1) % P
     carry = value
     carry_rank = rank
     for _ in range(P - 1):
-        rreq = yield from ep.irecv(source=left, capacity=size, tag=tag,
+        rreq = yield from ep.irecv(source=left, capacity=size, tag=tag, context=ctx,
                                    buffer_id=("ag", tag))
-        sreq = yield from ep.isend(right, size=size, tag=tag,
+        sreq = yield from ep.isend(right, size=size, tag=tag, context=ctx,
                                    payload=(carry_rank, carry), buffer_id=("ag", tag))
         statuses = yield from ep.waitall([rreq, sreq])
         got = statuses[0].payload
@@ -242,7 +247,7 @@ def alltoallv(
     result[rank] = payloads[rank] if payloads else None
     if P == 1:
         return result
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     power_of_two = (P & (P - 1)) == 0
     for step in range(1, P):
         if power_of_two:
@@ -255,13 +260,13 @@ def alltoallv(
         # Non-power-of-two rotation sends to (rank+step), receives from
         # (rank-step); power-of-two XOR pairs both directions.
         rreq = yield from ep.irecv(
-            source=recv_from, capacity=recv_sizes[recv_from], tag=tag,
+            source=recv_from, capacity=recv_sizes[recv_from], tag=tag, context=ctx,
             buffer_id=("a2a", tag, step),
         )
         sreq = yield from ep.isend(
             partner,
             size=sizes[partner],
-            tag=tag,
+            tag=tag, context=ctx,
             payload=payloads[partner] if payloads else None,
             buffer_id=("a2a", tag, step),
         )
@@ -276,16 +281,16 @@ def alltoallv(
 def gather(ep: "Endpoint", root: int, size: int, value: Any = None) -> Generator:
     """Linear gather; returns the list at the root, None elsewhere."""
     P, rank = ep.world_size, ep.rank
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     if rank != root:
-        yield from ep.send(root, size=size, tag=tag, payload=value)
+        yield from ep.send(root, size=size, tag=tag, context=ctx, payload=value)
         return None
     result: List[Any] = [None] * P
     result[root] = value
     reqs = []
     for src in range(P):
         if src != root:
-            r = yield from ep.irecv(source=src, capacity=size, tag=tag)
+            r = yield from ep.irecv(source=src, capacity=size, tag=tag, context=ctx)
             reqs.append((src, r))
     for src, r in reqs:
         status = yield from ep.wait(r)
@@ -298,17 +303,17 @@ def scatter(
 ) -> Generator:
     """Linear scatter; returns this rank's piece."""
     P, rank = ep.world_size, ep.rank
-    tag = _coll_tag(ep)
+    tag, ctx = _coll_envelope(ep)
     if rank == root:
         reqs = []
         for dst in range(P):
             if dst != root:
                 r = yield from ep.isend(
-                    dst, size=size, tag=tag,
+                    dst, size=size, tag=tag, context=ctx,
                     payload=values[dst] if values else None,
                 )
                 reqs.append(r)
         yield from ep.waitall(reqs)
         return values[root] if values else None
-    status = yield from ep.recv(source=root, capacity=size, tag=tag)
+    status = yield from ep.recv(source=root, capacity=size, tag=tag, context=ctx)
     return status.payload

@@ -38,10 +38,10 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
 from repro.mpi.protocol import Header, MsgKind
-from repro.mpi.rdma_channel import RDMAChannel
 from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp, next_op_id
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
+from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.sim import TIMEOUTS, AnyOf, Signal, Simulator
 from repro.sim.trace import Tracer
 
@@ -53,6 +53,10 @@ class MPIError(RuntimeError):
 class TruncationError(MPIError):
     """A message arrived larger than the posted receive buffer."""
 
+
+#: the ring channel class, bound by the first endpoint whose scheme uses a
+#: ring (``Endpoint.__init__``): a job without one never loads it
+RDMAChannel = None
 
 #: vbufs held back for control traffic (CTS/FIN/ECM) so progress-side
 #: emissions can never block on the pool (which would deadlock progress).
@@ -109,6 +113,9 @@ class Endpoint:
         #: gates ring allocation at connect time and the ring-dirty arm of
         #: the progress waits
         self._ring_mode = scheme.uses_ring
+        if self._ring_mode:
+            global RDMAChannel
+            from repro.mpi.rdma_channel import RDMAChannel
 
         self.cq = hca.create_cq(f"mpi.cq.{rank}")
         self.pool = SendBufferPool(sim, config.send_pool_buffers, config.vbuf_bytes)
@@ -771,8 +778,6 @@ class Endpoint:
         if self._recovery is not None:
             return self._recovery.on_error_wc(self, wc)
         self._reclaim_error_wc(wc)
-        from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
-
         conn = self._conn_of(wc)
         peer = conn.peer if conn is not None else wc.peer
         raise ConnectionFailedError(

@@ -1,17 +1,16 @@
 """Connection recovery subsystem (QP re-establishment + credit resync).
 
-Split so the failure types stay import-light (the MPI error path imports
-them) while the manager — which needs the MPI layer's types — loads on
-demand.
+The package loads the failure types and the policy only: the MPI error
+path and the on-demand connection manager import them.
+:class:`~repro.recovery.manager.RecoveryManager`, which needs the MPI
+layer's types, loads when a job arms it (``repro.cluster.arming``).
 """
 
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
-from repro.recovery.manager import RecoveryManager
 from repro.recovery.policy import RecoveryPolicy
 
 __all__ = [
     "ConnectionFailedError",
     "ConnectionFailure",
-    "RecoveryManager",
     "RecoveryPolicy",
 ]

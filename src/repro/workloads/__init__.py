@@ -1,18 +1,16 @@
-"""Workloads: micro-benchmarks and NAS Parallel Benchmark proxies."""
+"""Workloads: micro-benchmarks and NAS Parallel Benchmark proxies.
 
-from repro.workloads.microbench import (
-    BWResult,
-    bandwidth_program,
-    latency_program,
-    manyflows_program,
-)
-from repro.workloads.nas import KERNEL_ORDER, KERNELS
+The micro-benchmark names below load :mod:`repro.workloads.microbench` on
+first use, and :data:`repro.workloads.nas.KERNELS` a kernel's module on its
+first build: a caller that wants one NAS kernel loads that one alone.
+"""
 
-__all__ = [
-    "BWResult",
-    "KERNELS",
-    "KERNEL_ORDER",
-    "bandwidth_program",
-    "latency_program",
-    "manyflows_program",
-]
+__all__ = ["BWResult", "bandwidth_program", "latency_program", "manyflows_program"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from repro.workloads import microbench
+
+        return getattr(microbench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,20 +4,28 @@ The paper evaluates IS, FT, LU, CG and MG with 8 processes on 8 nodes and
 BT, SP with 16 processes on 8 nodes (§6.3).  :data:`KERNELS` maps kernel
 name → :class:`~repro.workloads.nas.common.NASKernel` descriptor with the
 canonical rank count; call ``KERNELS["lu"].build()`` for the default
-(scaled) program or pass ``timesteps=``/``iterations=`` to resize.
+(scaled) program or pass ``timesteps=``/``iterations=`` to resize.  A
+kernel's module loads at its first build.
 """
 
-from repro.workloads.nas import bt, cg, ft, is_, lu, mg, sp
+from importlib import import_module
+
 from repro.workloads.nas.common import ComputeModel, NASKernel
 
+
+def _build(module: str):
+    """``module``'s ``build``, the module loaded at the first call."""
+    return lambda *args, **kwargs: import_module(f"{__name__}.{module}").build(*args, **kwargs)
+
+
 KERNELS = {
-    "is": NASKernel("is", 8, is_.build, "integer sort: allreduce + alltoallv"),
-    "ft": NASKernel("ft", 8, ft.build, "3-D FFT: big alltoall transposes"),
-    "lu": NASKernel("lu", 8, lu.build, "SSOR wavefront: deep eager pipelines"),
-    "cg": NASKernel("cg", 8, cg.build, "conjugate gradient: symmetric exchanges"),
-    "mg": NASKernel("mg", 8, mg.build, "multigrid: multi-scale halo exchanges"),
-    "bt": NASKernel("bt", 16, bt.build, "block-tridiagonal ADI, 16 ranks"),
-    "sp": NASKernel("sp", 16, sp.build, "scalar-pentadiagonal ADI, 16 ranks"),
+    "is": NASKernel("is", 8, _build("is_"), "integer sort: allreduce + alltoallv"),
+    "ft": NASKernel("ft", 8, _build("ft"), "3-D FFT: big alltoall transposes"),
+    "lu": NASKernel("lu", 8, _build("lu"), "SSOR wavefront: deep eager pipelines"),
+    "cg": NASKernel("cg", 8, _build("cg"), "conjugate gradient: symmetric exchanges"),
+    "mg": NASKernel("mg", 8, _build("mg"), "multigrid: multi-scale halo exchanges"),
+    "bt": NASKernel("bt", 16, _build("bt"), "block-tridiagonal ADI, 16 ranks"),
+    "sp": NASKernel("sp", 16, _build("sp"), "scalar-pentadiagonal ADI, 16 ranks"),
 }
 
 #: The paper's presentation order (Figures 9-10, Tables 1-2).

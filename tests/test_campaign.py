@@ -15,11 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.campaign import (
-    CampaignError,
-    CheckFailure,
     GRIDS,
     JobSpec,
-    MemoryCache,
     ResultCache,
     build_grid,
     canonical_json,
@@ -28,6 +25,8 @@ from repro.campaign import (
     run_cell,
     run_cells,
 )
+from repro.campaign.cache import MemoryCache
+from repro.campaign.runner import CampaignError, CheckFailure
 from repro.campaign.cells import CELL_KINDS, cell_kind
 
 # A grid small enough that every test runs in well under a second but

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mpi import MPIError
 from repro.mpi.comm import Communicator, world
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from tests.mpi_helpers import runN
 
 
@@ -138,3 +139,45 @@ def test_group_validation():
         yield from mpi.barrier()
 
     runN(prog, 2)
+
+
+# ----------------------------------------------------------------------
+# collective traffic never matches a point-to-point receive
+# ----------------------------------------------------------------------
+def _fan_in(comm):
+    """Every other member sends rank 0 one tag-3 message and goes on to the
+    next collective; rank 0 computes first, then takes the messages with
+    ``ANY_SOURCE``/``ANY_TAG`` receives — by then the collective's own
+    messages wait beside them."""
+    if comm.rank == 0:
+        yield from comm.compute(50_000)
+        reqs = []
+        for _ in range(comm.world_size - 1):
+            req = yield from comm.irecv(ANY_SOURCE, capacity=64, tag=ANY_TAG)
+            reqs.append(req)
+        statuses = yield from comm.waitall(reqs)
+        assert sorted((s.source, s.tag) for s in statuses) == [
+            (src, 3) for src in range(1, comm.world_size)]
+    else:
+        yield from comm.send(0, size=4, tag=3)
+
+
+@pytest.mark.parametrize("scheme", ["hardware", "static", "dynamic", "rdma-eager"])
+def test_a_wildcard_receive_never_takes_the_finalize_barriers_messages(scheme):
+    # under rdma-eager the finalize barrier's first messages reach rank 0
+    # before its wildcard receives are posted
+    runN(_fan_in, 6, scheme)
+
+
+@pytest.mark.parametrize("derive", ["split", "dup"])
+def test_a_derived_communicators_collectives_keep_out_of_its_receives(derive):
+    def prog(mpi):
+        comm = world(mpi)
+        if derive == "split":
+            comm = yield from comm.split(color=mpi.rank % 2, key=mpi.rank)
+        else:
+            comm = yield from comm.dup()
+        yield from _fan_in(comm)
+        yield from comm.barrier()
+
+    runN(prog, 12)

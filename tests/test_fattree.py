@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import TestbedConfig, run_job
-from repro.ib import FatTreeFabric, IBConfig, Opcode, RecvWR, SendWR
+from repro.ib import IBConfig, Opcode, RecvWR, SendWR
 from repro.ib.fabric import FabricError
+from repro.ib.fattree import FatTreeFabric
 from repro.ib.hca import HCA
 from repro.sim import Simulator
 from repro.workloads import latency_program

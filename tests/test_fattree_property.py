@@ -9,7 +9,8 @@ once per data message, host access links included.
 
 import random
 
-from repro.ib import FatTreeFabric, IBConfig, Opcode, RecvWR, SendWR
+from repro.ib import IBConfig, Opcode, RecvWR, SendWR
+from repro.ib.fattree import FatTreeFabric
 from repro.ib.hca import HCA
 from repro.sim import Simulator
 

@@ -25,8 +25,7 @@ from repro.cluster.on_demand import SetupChaos
 from repro.core import make_scheme
 from repro.faults import SCENARIOS, FaultPlan, scenario_job
 from repro.ft import FTConfig, PROC_FAILED, RankFailure
-from repro.mpi import CommRevokedError, world
-from repro.mpi.comm import MPIError
+from repro.mpi.comm import CommRevokedError, MPIError, world
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
 

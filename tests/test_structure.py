@@ -352,6 +352,13 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
     assert _modules_matching(r"\.adopt_fault_transport\(") == {"faults/injector.py"}
 
 
+def test_only_arming_imports_the_subsystem_managers():
+    # a disarmed subsystem is not imported (DESIGN §6.7): the two managers
+    # load where a job arms them (tests/test_import_boundary.py runs it)
+    manager = r"(?m)^\s*(?:from|import)\s+repro\.(?:ft|recovery)\.manager\b"
+    assert _modules_matching(manager) == {"cluster/arming.py"}
+
+
 def test_a_finished_job_is_read_through_its_report():
     import ast
 

@@ -1,16 +1,18 @@
-"""Extension — the 1,024-rank full mesh, simulated instead of modelled.
+"""Extension — the 1,024-rank full mesh, simulated and checked against the
+closed form.
 
-``repro scaling`` prints its 1,024-rank mesh rows from the closed form
-(``mesh_pinned_bytes``, marked ``*``): four such meshes would turn a 30 s
-command into minutes and GiBs.  This bench builds the mesh for real —
-1,047,552 connections, each one ``QueuePair`` + one ``Connection`` with
-its buffers posted — for ``static`` and ``dynamic`` at pre-post 1, runs
-the scaling sweep's ring on it beside the on-demand twin, and checks the
-closed form against the simulation to the byte.  Under 720 MiB of host
-memory and ~6 s per mesh, one at a time; not part of tier-1.  The process's
-peak RSS and the CPU seconds of ``Cluster.launch`` are printed after each
-row (``pytest -s``; stdout only — a host number has no place in the results
-file): the set-up figures ROADMAP item 1e quotes.
+``repro scaling --nodes 1024`` simulates this rung like every other: a
+static mesh wires a pair at its first touch, and its reports count the
+1,047,552 connections — the pairs the ring never touched as one stand-in
+a rank.  This bench runs the scaling sweep's ring on the mesh of every
+scheme at pre-post 1, beside the on-demand twin, and checks the closed
+form (``mesh_pinned_bytes``) against the simulation to the byte.  The
+``model_mb`` column is the closed form of what ``pinned_mb`` measures: a
+ring scheme's rings are ``ring_bytes`` in the report, so its closed form
+is taken less them.  ~81 MiB of host memory; not part of tier-1.  The
+process's peak RSS and the CPU seconds of ``Cluster.launch`` are printed
+after each row (``pytest -s``; stdout only — a host number has no place in
+the results file).
 """
 
 import gc
@@ -19,7 +21,7 @@ import time
 
 from repro.analysis import Table
 from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
-from repro.core import SCHEME_NAMES, make_scheme
+from repro.core import EXTENDED_SCHEME_NAMES, make_scheme
 from repro.core.memory import mesh_pinned_bytes
 from repro.core.stats import connection_table
 
@@ -53,7 +55,7 @@ def run_table() -> Table:
         ["connections", "posted_buffers", "grown", "pinned_mb", "model_mb",
          "time_us"],
     )
-    for scheme in SCHEME_NAMES[1:]:  # the user-level schemes
+    for scheme in EXTENDED_SCHEME_NAMES:
         for on_demand in (False, True):
             cluster = Cluster(cfg)
             launch_cpu = time.process_time()
@@ -70,9 +72,14 @@ def run_table() -> Table:
             grown = sum(c.stats.max_prepost - PREPOST for c in conns)
             model = "-"
             if not on_demand:
-                closed = mesh_pinned_bytes(NRANKS, scheme, PREPOST, cfg.mpi)
-                model = closed / MB
                 assert mem.connections == NRANKS * (NRANKS - 1) == 1_047_552
+                # both ring halves of every connection, which the closed
+                # form counts and the report keeps apart
+                rings = (mem.connections * 2 * PREPOST * vbuf
+                         if make_scheme(scheme).uses_ring else 0)
+                assert mem.ring_bytes == rings
+                closed = mesh_pinned_bytes(NRANKS, scheme, PREPOST, cfg.mpi) - rings
+                model = closed / MB
                 # closed form == simulation, to the byte: exactly for a
                 # scheme that never grows, plus the grown buffers otherwise
                 assert mem.vbuf_pinned_bytes == closed + grown * vbuf
@@ -102,10 +109,12 @@ def test_ext_mesh1024(benchmark):
     table = run_once(benchmark, run_table)
     save_result("ext_mesh1024", table.render())
 
-    # the static mesh is the closed form exactly: 8,184.00 MB
-    assert table.value("static mesh", "grown") == 0
-    assert table.value("static mesh", "pinned_mb") == \
-        table.value("static mesh", "model_mb") == 8184.0
+    # the static mesh is the closed form exactly: 8,184.00 MB; hardware pins
+    # no optimistic headroom, rdma-eager its control reserve (its rings apart)
+    for scheme, mb in (("hardware", 2046.0), ("static", 8184.0), ("rdma-eager", 16368.0)):
+        assert table.value(f"{scheme} mesh", "grown") == 0
+        assert table.value(f"{scheme} mesh", "pinned_mb") == \
+            table.value(f"{scheme} mesh", "model_mb") == mb
     # dynamic grows one buffer per ring edge whichever way the pair was
     # wired — the 2 MB between the on-demand rows is the 2 MB over the model
     assert table.value("dynamic mesh", "grown") == NRANKS

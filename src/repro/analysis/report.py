@@ -205,9 +205,7 @@ def memory_table(
     values in MB of pinned recv-vbuf bytes.
 
     Each cell is a dict with ``ranks``, ``scheme``, ``mode`` (``"mesh"``
-    or ``"on-demand"``), ``pinned_bytes``, and optionally
-    ``modeled=True`` for closed-form entries standing in for meshes too
-    big to simulate (rendered with a trailing ``*``).
+    or ``"on-demand"``) and ``pinned_bytes``.
     """
     cells = list(cells)
     ranks = sorted({c["ranks"] for c in cells})
@@ -229,7 +227,7 @@ def memory_table(
                     row.append("-")
                     continue
                 mb = c["pinned_bytes"] / (1024.0 * 1024.0)
-                row.append(f"{mb:.2f}{'*' if c.get('modeled') else ''}")
+                row.append(f"{mb:.2f}")
             table.add_row(f"{scheme} {mode}", *row)
     return table
 

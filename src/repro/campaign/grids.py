@@ -118,10 +118,6 @@ def incast_grid(
 #: The scaling sweep's rank ladder — the paper's "order of 1,000 nodes".
 RANK_LADDER = (64, 256, 1024)
 
-#: Above this, the full-mesh arm is reported from the closed-form model: a
-#: 1,024-rank mesh is 1,047,552 live connections (523,776 QP pairs), ~1 GiB.
-MESH_MAX_RANKS = 256
-
 
 def scaling_grid(
     ranks: Iterable[int] = RANK_LADDER,
@@ -129,13 +125,11 @@ def scaling_grid(
     modes: Iterable[str] = ("mesh", "on-demand"),
     prepost: int = 1,
     iterations: int = 3,
-    mesh_max_ranks: int = MESH_MAX_RANKS,
 ) -> List[JobSpec]:
     """Ranks x schemes x {mesh, on-demand} ring exchange on the canonical
     fat-tree for each rank count (:func:`repro.cluster.fat_tree_shape`;
-    three-level at 1,024).  Mesh cells above ``mesh_max_ranks`` are
-    dropped — ``repro scaling`` fills those table entries from the
-    closed-form mesh model instead."""
+    three-level at 1,024).  Every cell is simulated: a static mesh wires
+    only the pairs the ring touches."""
     return [
         JobSpec("ring", {"nodes": r, "scheme": scheme, "prepost": prepost,
                          "iterations": iterations,
@@ -143,7 +137,6 @@ def scaling_grid(
         for r in ranks
         for scheme in schemes
         for mode in modes
-        if not (mode == "mesh" and r > mesh_max_ranks)
     ]
 
 
@@ -179,7 +172,7 @@ GRIDS: Dict[str, Grid] = {
     "incast": Grid("congestion scenarios x {pfc,ecn,both} x schemes (27 cells)",
                    incast_grid),
     "scaling": Grid("ranks 64-1024 x all four schemes x {mesh, on-demand} "
-                    "ring on fat-trees (20 cells)", scaling_grid),
+                    "ring on fat-trees (24 cells)", scaling_grid),
 }
 
 

@@ -133,7 +133,6 @@ def _nas_table(res, args: argparse.Namespace) -> str:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     from repro.analysis import memory_table
-    from repro.core.memory import mesh_pinned_bytes
 
     # climb the standard ladder up to --nodes (so `--nodes 1024` shows the
     # full 64 -> 256 -> 1024 trajectory), plus the requested count itself
@@ -155,9 +154,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                       ["connections", "posted_buffers", "time_us"])
         for scheme in args.schemes:
             for mode in ("mesh", "on-demand"):
-                m = metrics.get((r, scheme, mode))
-                if m is None:
-                    continue  # mesh arm above the simulation cap
+                m = metrics[r, scheme, mode]
                 label = f"{scheme} " + ("on-demand" if mode == "on-demand"
                                         else "full mesh")
                 table.add_row(label, m["connections"], m["posted_buffers"],
@@ -165,28 +162,12 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         print(table.render())
         print()
 
-    mpi = TestbedConfig().mpi
     cells = [
         {"ranks": r, "scheme": scheme, "mode": mode,
          "pinned_bytes": m["pinned_bytes"]}
         for (r, scheme, mode), m in metrics.items()
     ]
-    for r in ladder:
-        if r > grids.MESH_MAX_RANKS:
-            for scheme in args.schemes:
-                cells.append({
-                    "ranks": r, "scheme": scheme, "mode": "mesh",
-                    "modeled": True,
-                    "pinned_bytes": mesh_pinned_bytes(r, scheme,
-                                                      args.prepost, mpi),
-                })
     print(memory_table(cells).render())
-    print("(* = closed-form full-mesh model; a mesh that size is not "
-          "simulated)")
-    if ladder[-1] > grids.MESH_MAX_RANKS:
-        print("(benchmarks/test_ext_mesh1024.py simulates the 1,024-rank mesh: "
-              "the model is\n exact to the byte, plus the buffers `dynamic` "
-              "grows under traffic)")
     print("\nBuffer memory scales with the communication graph, not P^2 —")
     print("the paper's conclusion, demonstrated beyond its 8-node testbed.")
     return 0

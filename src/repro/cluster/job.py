@@ -257,10 +257,11 @@ def run_job(
     except expected as exc:
         failures[exc.failure.dedup_key()] = exc.failure
 
-    if cluster.ft is not None:
+    if cluster.ft is not None and not failures:
         # Dead ranks' programs are parked on a never-firing signal, not
         # hung — terminate them so the liveness check below covers the
-        # *survivors* (the acceptance criterion: zero hung ranks).
+        # *survivors* (the acceptance criterion: zero hung ranks).  A run a
+        # failure stopped is not drained: the job ends where it stopped.
         dead_ranks = cluster.ft.dead | cluster.ft.injected
         if any(procs[r].alive for r in dead_ranks):
             for r in sorted(dead_ranks):

@@ -21,7 +21,7 @@ scaling sweeps can plot *bytes* against rank count:
 Everything is derived from a finished job's endpoints — the same source
 :func:`repro.core.stats.collect_report` reads — plus the closed forms
 (:func:`predicted_connection_bytes`, :func:`mesh_pinned_bytes`) the
-conservation tests and the modeled 1,024-rank mesh rows use.
+conservation tests check the simulated meshes against.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def connection_memory_bytes(conn: "Connection", mpi: Any, ib: Any) -> Tuple[int,
 def collect_memory_report(endpoints: Iterable["Endpoint"],
                           config: "TestbedConfig") -> MemoryReport:
     """Aggregate every endpoint's connections into one report (visiting
-    the engaged ones: :func:`repro.core.stats.weighted_connections`)."""
+    the wired ones: :func:`repro.core.stats.weighted_connections`)."""
     mpi, ib = config.mpi, config.ib
     connections = 0
     pinned = posted = qp = ring = cq = pool = 0
@@ -176,8 +176,13 @@ def predicted_connection_bytes(scheme_name: str, prepost: int,
 
 def mesh_pinned_bytes(nranks: int, scheme_name: str, prepost: int,
                       mpi: Any) -> int:
-    """Closed-form pinned buffer bytes of a full P x (P-1) mesh — the
-    analytic stand-in for the mesh cells ``repro scaling`` does not
-    simulate (a 1,024-rank mesh is 1,047,552 connections, i.e. 523,776
-    QP pairs; ``benchmarks/test_ext_mesh1024.py`` checks it at that size)."""
+    """Closed-form pinned bytes of a full P x (P-1) mesh as set-up built it:
+    per connection, the pre-posted vbufs plus the scheme's headroom, or for
+    a ring scheme the control reserve plus *both* ring halves (its own
+    receive ring and its slot share of the peer's).  The simulated report
+    splits the ring schemes' figure: ``vbuf_pinned_bytes`` is the control
+    reserve alone and ``ring_bytes`` the two halves, so a simulated mesh's
+    ``vbuf_pinned_bytes + ring_bytes`` is this, plus the buffers
+    ``dynamic`` grows under traffic (``tests/test_mesh_setup.py``,
+    ``benchmarks/test_ext_mesh1024.py``)."""
     return nranks * (nranks - 1) * _pinned_per_connection(scheme_name, prepost, mpi)

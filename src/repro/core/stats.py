@@ -10,36 +10,29 @@ here compute both from a finished job's endpoints.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.connection import Connection
     from repro.mpi.endpoint import Endpoint
 
 
-def engaged_connections(ep: "Endpoint") -> List["Connection"]:
-    """The connections ``ep`` ever engaged (``Endpoint._engaged``) that are
-    still in its table — a torn-down on-demand pair has left it."""
-    return [c for c in map(ep.connections.get, ep._engaged) if c is not None]
-
-
 def weighted_connections(ep: "Endpoint") -> Iterator[Tuple["Connection", int]]:
-    """What a per-job report visits instead of the whole connection table:
-    ``(connection, how many connections it stands for)``.
+    """What a per-job report visits: ``(connection, how many connections it
+    stands for)``.
 
-    An engaged connection stands for itself.  Every other one is field for
-    field what the wiring built, so one stand-in
-    (``Endpoint.idle_connection``) stands for all: a sum takes it times
-    their count, a maximum takes it as it is.  A static mesh holds P-1
-    connections per rank, wired or not, and a job engages a handful of
-    them; this keeps the job's bookkeeping from costing P².
+    A wired connection stands for itself.  On a static mesh every pair not
+    wired yet is field for field what the wiring would build, so one
+    stand-in (``Endpoint.idle_connection``) stands for all of them: a sum
+    takes it times their count, a maximum takes it as it is.  A static mesh
+    holds P-1 connections per rank and a job wires a handful of them; this
+    keeps the job's bookkeeping from costing P².
     """
-    engaged = engaged_connections(ep)
-    for conn in engaged:
+    for conn in ep.connections.values():
         yield conn, 1
-    idle = (ep.world_size - 1 if ep.mesh else len(ep.connections)) - len(engaged)
-    if idle:
-        yield ep.idle_connection(), idle
+    unwired = ep.world_size - 1 - len(ep.connections) if ep.mesh else 0
+    if unwired:
+        yield ep.idle_connection(), unwired
 
 
 def connection_table(ep: "Endpoint") -> Iterator[Tuple[int, "Connection"]]:
@@ -90,7 +83,7 @@ class FlowControlReport:
 
 def collect_report(endpoints: Iterable["Endpoint"]) -> FlowControlReport:
     """Aggregate every endpoint's connections into one report (visiting
-    the engaged ones: :func:`weighted_connections`)."""
+    the wired ones: :func:`weighted_connections`)."""
     total = data = ecm = backlogged = fallbacks = 0
     piggy = ecmc = naks = retrans = 0
     ctl = ctl_backlogged = 0
@@ -217,8 +210,8 @@ def reset_counters(endpoints: Iterable["Endpoint"],
     With ``congestion`` (the fabric's :class:`CongestionState`, when
     armed) its port/flow counters are reset the same way.
 
-    Only engaged connections are visited: a connection outside
-    ``Endpoint._engaged`` still has the counters it was built with.
+    Only wired connections are visited: a static-mesh pair not wired yet
+    has no counters.
     """
     if congestion is not None:
         congestion.reset_counters()
@@ -235,7 +228,7 @@ def reset_counters(endpoints: Iterable["Endpoint"],
         matching = ep.matching
         matching.total_unexpected = 0
         matching.unexpected_peak = matching.unexpected_count
-        for conn in engaged_connections(ep):
+        for conn in ep.connections.values():
             conn.reset_stats()
             conn.qp.reset_counters()
 

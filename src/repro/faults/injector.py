@@ -199,8 +199,11 @@ class FaultInjector:
             self.cluster.wire_adapter(ep.hca)  # a mesh's: kill flushes them all
             ep.hca.kill()
             ft = getattr(self.cluster, "ft", None)
-            if ft is not None:
-                ft.note_injected_death(ev.rank, self.cluster.sim.now)
+            if ft is not None:  # a rank sharing the adapter is cut off with it
+                for other in self.cluster.endpoints:
+                    if other.hca is ep.hca:
+                        other.halt()
+                        ft.note_injected_death(other.rank, self.cluster.sim.now)
 
     def _end(self, ev: FaultEvent) -> None:
         state = self.state

@@ -292,8 +292,7 @@ class FTManager:
         its flushed completions, fail every pending operation toward the
         peer, and wake the survivor's progress loop so it observes the
         PROC_FAILED completions."""
-        # a static-mesh pair the two never touched is severed as built:
-        # its flushed receives engage the survivor's half
+        # a static-mesh pair the two never touched is severed as built
         self.cluster.wire(ep, rank)
         conn = ep.connections.get(rank)
         if conn is not None:

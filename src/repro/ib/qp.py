@@ -24,7 +24,6 @@ blasting the full window into a NAK storm.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ib.mr import RemoteAccessError
@@ -42,8 +41,8 @@ class QPError(RuntimeError):
 
 class Requester:
     """The send half of a queue pair: what is queued and in flight, the
-    per-incarnation transport state around it, and what it counted.  A QP
-    has its own from its first :meth:`QueuePair.post_send` on."""
+    per-incarnation transport state around it, and what it counted.  Each
+    QP builds its own when it is created."""
 
     __slots__ = (
         "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
@@ -95,22 +94,6 @@ class Requester:
         self._xport_seen = 0  # progress at the last timer expiry
 
 
-class _IdleRequester(Requester):
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"idle Requester is read-only: .{name} before the first post_send")
-
-
-#: what every QP that has not sent points at — most mesh QPs never send.
-#: Nothing can be queued or counted on behalf of all of them at once: the
-#: containers are read-only empties and a field write raises
-IDLE_REQUESTER = Requester(None)
-IDLE_REQUESTER._sq = ()
-IDLE_REQUESTER._inflight = MappingProxyType({})
-IDLE_REQUESTER.__class__ = _IdleRequester
-
-
 class _Message:
     """What actually crosses the fabric (one per MPI-level message)."""
 
@@ -153,12 +136,9 @@ class QueuePair:
     :meth:`connect` before posting.
     """
 
-    # A mesh wired out holds P*(P-1) of these, nearly all idle: slots instead of
-    # a per-instance dict, what is constant per adapter (queue depths, the
-    # pipelining window, a fault plan's ACK timeout) read from the HCA, and
-    # only what every QP has — identity, connection state, the responder
-    # half.  The requester half (17 more fields) is the shared
-    # ``IDLE_REQUESTER`` until the first send (DESIGN §6.4).
+    # Slots instead of a per-instance dict, and what is constant per adapter
+    # (queue depths, the pipelining window, a fault plan's ACK timeout) read
+    # from the HCA; the requester half is an object of its own (DESIGN §6.4).
     __slots__ = (
         "hca", "qp_num", "send_cq", "recv_cq",
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
@@ -188,9 +168,9 @@ class QueuePair:
         #: stamp an old ACK could acknowledge a new message)
         self.epoch = 0
 
-        #: swapped for this QP's own at the first :meth:`post_send` — nothing
-        #: that answers a send, an ACK included, reaches a QP before that
-        self._req: Requester = IDLE_REQUESTER
+        #: the send half, built with the adapter's fault-plan transport
+        #: settings (``hca.fault_transport``)
+        self._req = Requester(hca.fault_transport)
 
         # --- responder state ---
         #: posted receive WQEs, FIFO.  A list, not a deque (``rq_depth``
@@ -210,14 +190,6 @@ class QueuePair:
     retransmissions = property(lambda self: self._req.retransmissions)
     messages_sent = property(lambda self: self._req.messages_sent)
 
-    def _own_requester(self) -> Requester:
-        """This QP's own requester, built on first need with the adapter's
-        fault-plan transport settings (``hca.fault_transport``)."""
-        req = self._req
-        if req is IDLE_REQUESTER:
-            req = self._req = Requester(self.hca.fault_transport)
-        return req
-
     def retry_counts(self) -> Tuple[int, int]:
         """``(RNR NAKs received, retransmissions)`` since the last
         :meth:`reset_counters` — a flow-control report's verbs columns."""
@@ -228,8 +200,7 @@ class QueuePair:
         self.rnr_naks_sent = 0
         self.messages_delivered = 0
         req = self._req
-        if req is not IDLE_REQUESTER:
-            req.rnr_naks_received = req.retransmissions = req.messages_sent = 0
+        req.rnr_naks_received = req.retransmissions = req.messages_sent = 0
 
     # ------------------------------------------------------------------
     # connection management
@@ -265,15 +236,14 @@ class QueuePair:
             raise QPError(f"QP {self.qp_num}: reset() in state {self.state}")
         self.state = QPState.RESET
         self.epoch += 1
-        if self._req is not IDLE_REQUESTER:
-            self._req.rewind()
+        self._req.rewind()
         self._rq.clear()
         self._expected_msn = 0
 
     def set_initial_credit_estimate(self, credits: Optional[int]) -> None:
         """Seed the requester's view of remote receive WQEs (the consumer
         knows how many buffers it pre-posted on the other side)."""
-        self._own_requester()._credit_est = credits
+        self._req._credit_est = credits
 
     def _peer(self) -> "QueuePair":
         # Resolved once and cached: the remote end of an RC connection
@@ -295,8 +265,6 @@ class QueuePair:
         req = self._req
         if len(req._sq) + len(req._inflight) >= self.hca.sq_depth:
             raise QPError(f"QP {self.qp_num}: send queue overflow (depth {self.hca.sq_depth})")
-        if req is IDLE_REQUESTER:  # first use
-            req = self._own_requester()
         req._sq.append(wr)
         self.hca._kick(self)
 
@@ -370,7 +338,7 @@ class QueuePair:
         if epoch != self.epoch:
             return  # ACK from a pre-recovery incarnation (MSNs restarted)
         req = self._req
-        wr = req._inflight.get(msn)  # the idle requester's is empty
+        wr = req._inflight.get(msn)
         if wr is None:
             return  # duplicate / stale ACK from a replay era
         del req._inflight[msn]
@@ -461,25 +429,23 @@ class QueuePair:
         INFINITE_RETRY`` the QP replays forever; otherwise the oldest
         message errors out with ``WCStatus.RETRY_EXCEEDED`` after
         ``retry_limit`` fruitless timeout periods."""
-        self._own_requester().set_transport((int(timeout_ns), retry_limit))
+        self._req.set_transport((int(timeout_ns), retry_limit))
         self.reack_stale = True
 
     def adopt_fault_transport(self) -> None:
         """``hca.fault_transport`` changed (``repro.faults`` armed or
         disarmed a plan; ``None`` is the ideal fabric's transport, whatever
-        armed this QP before): follow it.  A QP that has not sent turns only
-        the responder's flag — a requester reads the setting when built."""
+        armed this QP before): follow it."""
         xport = self.hca.fault_transport
         self.reack_stale = xport is not None
-        if self._req is not IDLE_REQUESTER:
-            self._req.set_transport(xport)
+        self._req.set_transport(xport)
 
     def on_wire_loss(self, timeout_ns: int) -> None:
         """The fabric dropped one of this QP's requests (congestion tail
         drop): nothing will ever acknowledge it, so the ACK timeout must
         be running.  A QP some fault plan already armed keeps its own
         settings; otherwise arm with ``timeout_ns`` and no retry limit."""
-        req = self._own_requester()
+        req = self._req
         if not req._xport_enabled:
             self.enable_transport_retry(timeout_ns, INFINITE_RETRY)
         if req._xport_timer is None and req._inflight:
@@ -582,10 +548,9 @@ class QueuePair:
                     peer=self.remote_lid,
                 )
             )
-        if req is not IDLE_REQUESTER:
-            req.cancel_timers()
-            req._inflight.clear()
-            req._sq.clear()
+        req.cancel_timers()
+        req._inflight.clear()
+        req._sq.clear()
         for rwr in self._rq:
             self.recv_cq.push(
                 WC(

@@ -60,23 +60,12 @@ class ConnStats:
     ecm_credits: int = 0
 
 
-class IdleConnStats(ConnStats):
-    """What a rank's idle connections share (``Endpoint._idle_stats``): a count
-    written before ``Endpoint._engage`` raises, it does not land in P-2 other rows."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"idle ConnStats is read-only: .{name} before Endpoint._engage")
-
-
 class Connection:
     """State for one directed rank→rank link (shared by both directions:
     each rank owns its endpoint's Connection object to the peer)."""
 
-    # A mesh wired out holds P*(P-1) of these, nearly all idle, so an idle one
-    # must be cheap on the host too: slots, and the two queues below are
-    # the shared empty tuple until their first append.
+    # Slots, and the two queues below are the shared empty tuple until their
+    # first append (DESIGN §6.4).
     __slots__ = (
         "endpoint", "peer", "qp",
         "credits", "backlog", "fallback_inflight", "seq_out",
@@ -136,14 +125,14 @@ class Connection:
         #: a ``deque`` from the first parked emission on
         self.deferred: Union[Deque[tuple], Tuple[()]] = ()
 
-        self.stats: ConnStats = endpoint._idle_stats  # its own from ``_engage`` on
+        self.stats = ConnStats(max_prepost=endpoint.requested_prepost)
 
     # ------------------------------------------------------------------
     # receiver-half helpers
     # ------------------------------------------------------------------
     def set_prepost_target(self, n: int) -> None:
-        """Dynamic growth.  Set-up assigns the target instead: the idle
-        ``stats`` already hold the rank's pre-post as the high-water mark."""
+        """Dynamic growth.  Set-up assigns the target instead: ``stats``
+        start with the rank's pre-post as the high-water mark."""
         self.prepost_target = n
         if n > self.stats.max_prepost:
             self.stats.max_prepost = n

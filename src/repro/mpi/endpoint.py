@@ -33,7 +33,7 @@ from repro.ib.wr import SendWR, WC, shared_recv_wr
 from repro.mpi import collectives
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
-from repro.mpi.connection import Connection, ConnStats, IdleConnStats, PendingSend
+from repro.mpi.connection import Connection, PendingSend
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
@@ -73,7 +73,7 @@ class Endpoint:
         "sim", "hca", "rank", "world_size", "config", "scheme",
         "requested_prepost", "tracer", "_ring_mode", "mesh",
         "cq", "pool", "matching", "pindown", "bounce",
-        "connections", "_backlogged", "_engaged", "_idle_stats", "_standin",
+        "connections", "_backlogged", "_standin",
         "_ring_dirty",
         "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
         "_ring_notify", "finalized", "_stall_until", "_stall_held",
@@ -126,12 +126,6 @@ class Endpoint:
 
         self.connections: Dict[int, Connection] = {}
         self._backlogged: Set[int] = set()  # peers with non-empty backlog
-        #: peers whose connection :meth:`_engage` took out of idle (grow-only): all
-        #: that :meth:`_locally_quiescent` and the per-job passes look at.  Any other
-        #: is as :meth:`add_connection` built it and counts on the shared ``_idle_stats``
-        self._engaged: Set[int] = set()
-        self._idle_stats = ConnStats(max_prepost=requested_prepost)
-        self._idle_stats.__class__ = IdleConnStats  # frozen from here on
         #: a static mesh: every other rank is a peer, its pair wired at first
         #: touch (``connections`` holds those wired so far)
         self.mesh = mesh
@@ -187,12 +181,6 @@ class Endpoint:
     # ------------------------------------------------------------------
     # wiring (done by the cluster: a pair at its first send)
     # ------------------------------------------------------------------
-    def _engage(self, conn: Connection) -> None:
-        """The one idle → engaged transition: on a connection's first use, not per message."""
-        self._engaged.add(conn.peer)
-        if conn.stats is self._idle_stats:  # from here it counts on its own
-            conn.stats = ConnStats(max_prepost=conn.prepost_target)
-
     def add_connection(self, peer: int, conn: Connection,
                        ring_mr: Optional[MemoryRegion] = None) -> None:
         """Enter ``conn`` in the table, set up: see :meth:`_set_up`.  Its
@@ -210,8 +198,7 @@ class Endpoint:
 
     def idle_connection(self) -> Connection:
         """What a pair is as the wiring built it: the stand-in a per-job
-        report counts every connection outside ``_engaged`` (and, on a
-        static mesh, every pair not wired yet) as.  Built once,
+        report counts every static-mesh pair not wired yet as.  Built once,
         as ``Cluster.wire`` builds a half, but off the table and off the
         adapter: a QP no HCA numbers or holds, a ring region registered
         nowhere and pointed at itself."""
@@ -597,8 +584,8 @@ class Endpoint:
                 and c.qp.outstanding_sends == 0
                 # severed state toward dead peers is frozen; a torn-down
                 # on-demand pair has left the table
-                for c in map(self.connections.get, self._engaged.difference(dead))
-                if c is not None
+                for p, c in self.connections.items()
+                if p not in dead
             )
             and not self._rndv_send
             and not self._sends_open  # every completion polled (pool released)
@@ -752,7 +739,6 @@ class Endpoint:
             conn = self._conn_of(wc)
             if conn is not None:
                 conn.recv_posted -= 1
-                self._engage(conn)  # severed from a dead rank it may never have talked to
             return None
         self._sends_open -= 1
         if self._sends_open < 0:
@@ -834,8 +820,6 @@ class Endpoint:
         already happened at poll time) or an eager write drained from the
         RDMA ring (``h.via_ring``; the caller charges the ring poll)."""
         cost = self.config.header_proc_ns
-        if not conn.seq_in_expected:  # its first arrival: the connection leaves idle
-            self._engage(conn)
         conn.seq_in_expected += 1
 
         if self._ft is not None:
@@ -1047,8 +1031,6 @@ class Endpoint:
         — is its ``wr_id``, the cookie the verbs hand back in the completion:
         to :meth:`_handle_send_done`, or :meth:`_reclaim_error_wc` on a flush."""
         self._sends_open += 1
-        if conn.stats is self._idle_stats:  # its first send: the connection leaves idle
-            self._engage(conn)
         conn.qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
 
     def _emit(
@@ -1090,7 +1072,6 @@ class Endpoint:
                 # the QP re-arms (and the fresh ring is wired).
                 if type(conn.deferred) is tuple:  # first use
                     conn.deferred = deque()
-                    self._engage(conn)
                 conn.deferred.append((header, ref))
                 return 0
             # all pending return-credits ride this message
@@ -1181,7 +1162,6 @@ class Endpoint:
         backlog = conn.backlog
         if type(backlog) is tuple:  # first use
             backlog = conn.backlog = deque()
-            self._engage(conn)
         backlog.append(pending)
         if self._audit is not None:
             self._audit.on_backlog_enqueue(conn, pending.header)

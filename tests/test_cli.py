@@ -7,6 +7,11 @@ import pytest
 
 from repro.campaign import CELL_KINDS
 from repro.cli import build_parser, main
+from repro.cluster import TestbedConfig
+from repro.core import EXTENDED_SCHEME_NAMES, make_scheme
+from repro.core.memory import mesh_pinned_bytes
+
+MB = 1024 * 1024
 
 
 def test_latency_command(capsys):
@@ -51,6 +56,28 @@ def test_scaling_command(capsys):
     out = capsys.readouterr().out
     assert "on-demand" in out
     assert "full mesh" in out
+
+
+def test_every_scaling_mesh_row_is_the_simulated_mesh(capsys):
+    """Each rung's mesh rows are simulated, past 256 ranks too: a scheme's
+    row is the closed form ``mesh_pinned_bytes`` less what it counts of a
+    ring scheme's rings (both halves, ``ring_bytes`` in the simulated
+    report).  The rows above 256 ranks used to be that closed form, marked
+    ``*``: ``rdma-eager`` read 1751.95 MB at 300 ranks for 1401.56."""
+    assert main(["scaling", "--nodes", "300", "--iterations", "1"]) == 0
+    out = capsys.readouterr().out
+    memory = out[out.index("== Pinned buffer memory"):].splitlines()
+    ladder = (64, 256, 300)
+    assert memory[1].split() == ["app", *itertools.chain.from_iterable(
+        (str(r), "ranks", "(MB)") for r in ladder)]
+    rows = {line.split()[0]: line.split()[2:] for line in memory if " mesh " in line}
+    mpi, prepost = TestbedConfig().mpi, 1  # the scaling sweep's pre-post
+    for scheme in EXTENDED_SCHEME_NAMES:
+        ring = 2 * prepost * mpi.vbuf_bytes if make_scheme(scheme).uses_ring else 0
+        assert rows[scheme] == [
+            f"{(mesh_pinned_bytes(r, scheme, prepost, mpi) - r * (r - 1) * ring) / MB:.2f}"
+            for r in ladder], scheme
+    assert rows["rdma-eager"][-1] == "1401.56"
 
 
 def test_latency_command_parallel_workers_match_sequential(capsys):

@@ -27,7 +27,10 @@ from repro.faults import SCENARIOS, FaultPlan, scenario_job
 from repro.ft import FTConfig, PROC_FAILED, RankFailure
 from repro.mpi.comm import CommRevokedError, MPIError, world
 from repro.recovery import RecoveryPolicy
+from repro.recovery.failures import ConnectionFailure
 from repro.sim.units import us
+
+from tests.test_quiescence import _ring
 
 DEATH = SCENARIOS["rank-death"]
 VICTIM = DEATH["workload"]["victim"]  # rank 2 of 4 (one rank per node by default)
@@ -130,6 +133,40 @@ def test_no_rank_hangs_and_pending_requests_fail(scheme):
         assert res["send_error"] == PROC_FAILED
         assert res["recv_error"] == PROC_FAILED
         assert res["ring_error"] is None
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_a_death_on_a_shared_adapter_cuts_off_the_rank_beside_it(scheme, on_demand):
+    """Eight ranks on four adapters: rank 6 shares rank 2's, which dies
+    with it.  Rank 6 is cut off with the adapter and reported dead too;
+    the survivors finish.  It used to exceed the reaping run's event
+    budget on a mesh (rank 6's flushed connection ended the job with the
+    heartbeat still on the agenda) and to livelock on demand (rank 6,
+    silent to itself, declared rank 5 dead, and rank 5 replayed toward the
+    dead adapter forever)."""
+    r = run_job(_ring, 8, scheme, 2, config=TestbedConfig(nodes=4), ft=True,
+                on_demand=on_demand,
+                faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(30)))
+    assert sorted(f.rank for f in r.failures) == [2, 6]
+    assert all(isinstance(f, RankFailure) for f in r.failures)
+    assert [r.rank_finish_ns[rank] > 0 for rank in range(8)] == [
+        rank not in (2, 6) for rank in range(8)]
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+def test_a_connection_failure_after_a_death_ends_the_job_there(on_demand):
+    """Rank 2 dies, then rank 5's link stays down past a finite retry
+    limit: the first connection failure stops the simulation, and the job
+    ends there with both records.  Reaping the dead rank used to run the
+    simulation on, and the next connection failure escaped ``run_job``."""
+    plan = (FaultPlan(seed=7, transport_timeout_ns=us(20), transport_retry_limit=2)
+            .rank_death(rank=2, at_ns=us(30))
+            .link_flap(lid=5, at_ns=us(31), duration_ns=us(100_000)))
+    r = run_job(_ring, 8, "static", 2, config=TestbedConfig(nodes=8), ft=True,
+                on_demand=on_demand, faults=plan)
+    assert sorted(type(f).__name__ for f in r.failures) == [
+        ConnectionFailure.__name__, RankFailure.__name__]
 
 
 def test_revoke_shrink_and_degraded_continuation():

@@ -83,7 +83,7 @@ def test_kick_schedules_the_pump_at_the_engines_next_free_instant():
 def test_dead_adapter_ignores_kicks():
     sim, hca, qp = _pair()
     hca.dead = True
-    qp._own_requester()._sq.append(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
+    qp._req._sq.append(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
     hca._kick(qp)
     assert not hca._ready and not hca._pump_scheduled and sim._pending == 0
 
@@ -141,7 +141,7 @@ def test_recv_engine_pipelines_at_engine_rate():
     # Bypass the sender engine: deliver n messages simultaneously.
     from repro.ib.qp import _Message
 
-    req = qps[(0, 1)]._own_requester()  # what post_send's first use builds, bypassed too
+    req = qps[(0, 1)]._req
     for i in range(n):
         wr = SendWR(wr_id=i, opcode=Opcode.SEND, length=8, payload=i)
         wr.msn = i

@@ -1,18 +1,19 @@
 """A job's bookkeeping — the counter reset before it, the flow-control and
-memory reports after it — visits the connections the ranks engaged and
-answers what the scan of every connection answered.
+memory reports after it — visits the connections the ranks engaged (the
+pairs they wired) and answers what the scan of every connection answered.
 
 The three full scans below are the bodies ``repro.core.stats`` and
-``repro.core.memory`` had before, kept here verbatim as the oracles.  What
-lets the shipped passes skip a connection is one invariant, checked here
-too: a connection outside ``Endpoint._engaged`` is, field for field, what
-the wiring built — down to its counters, which are the rank's one
-read-only idle ``ConnStats`` until ``Endpoint._engage``.  A static mesh
-wires a pair at its first touch, so the scans run after every pair is
-wired (``wire_all``): the whole mesh, as launch once built it.
+``repro.core.memory`` had before, kept here verbatim as the oracles.  A
+static mesh wires a pair at its first touch, and a report counts every
+pair not wired yet as one stand-in (``Endpoint.idle_connection``), so the
+scans run after every pair is wired (``wire_all``): the whole mesh, as
+launch once built it.  A count that landed anywhere the reports do not
+look — on the stand-in, on a pair they skip — makes the two disagree.
+What lets the stand-in stand for a pair is one invariant, checked here
+too: a pair the job never touched is, field for field, the stand-in.
 """
 
-from dataclasses import astuple, fields
+from dataclasses import astuple
 
 import pytest
 
@@ -32,8 +33,7 @@ from repro.core.stats import (
     reset_counters,
 )
 from repro.faults import FaultPlan, scenario_job
-from repro.mpi.connection import Connection, ConnStats, IdleConnStats
-from repro.mpi.endpoint import Endpoint
+from repro.mpi.connection import Connection
 from repro.sim.units import us
 from repro.workloads.nas import KERNELS
 from tests.mpi_helpers import wire_all
@@ -134,21 +134,22 @@ def full_reset_connection_counters(endpoints):
 # the invariant the shipped passes rest on
 # ----------------------------------------------------------------------
 def _state(conn, queues=True):
-    """Every slot of a connection as a comparable value (identities —
-    the owning endpoint, the QP, the ring's addresses — by what they
-    hold, so two clusters compare)."""
+    """Every slot of a connection but its peer as a comparable value
+    (identities — the owning endpoint, the QP, the ring's addresses — by
+    what they hold, so a pair compares with the stand-in)."""
     out = {}
     for slot in Connection.__slots__:
         v = getattr(conn, slot)
+        if slot == "peer":
+            continue
         if slot == "endpoint":
             v = v.rank
         elif slot == "qp":
             v = queues and dict(
                 {name: getattr(v, name) for name in QP_COUNTERS},
-                posted_recvs=v.posted_recvs, outstanding_sends=v.outstanding_sends,
-                requester=type(v._req).__name__)  # the shared idle one, as built
+                posted_recvs=v.posted_recvs, outstanding_sends=v.outstanding_sends)
         elif slot == "recv_wr":
-            v = (v.wr_id, v.capacity)
+            v = v.capacity
         elif slot == "stats":
             v = astuple(v)
         elif slot == "ring" and v is not None:
@@ -160,40 +161,24 @@ def _state(conn, queues=True):
     return out
 
 
-def _fresh_mesh_like(cluster):
-    """A just-launched full mesh of the same shape, every pair wired: what
-    the wiring builds for every (rank, peer), whether or not ``cluster``
-    ever did."""
-    ep = cluster.endpoints[0]
-    fresh = Cluster(cluster.config)
-    fresh.launch(len(cluster.endpoints), make_scheme(ep.scheme.name),
-                 ep.requested_prepost, on_demand=False)
-    return wire_all(fresh)
+def _touched(cluster):
+    """The directed pairs the ranks wired so far."""
+    return {(ep.rank, peer) for ep in cluster.endpoints for peer in ep.connections}
 
 
-def assert_idle_connections_are_as_built(cluster):
-    fresh = _fresh_mesh_like(cluster)
-    idle = 0
-    for ep, fresh_ep in zip(cluster.endpoints, fresh.endpoints):
+def assert_untouched_pairs_are_the_stand_in(cluster, touched):
+    """Every connection outside ``touched`` — a pair ``wire_all`` wired
+    after the job — is, slot for slot but its peer, the stand-in the
+    reports counted it as."""
+    untouched = 0
+    for ep in cluster.endpoints:
+        queues = not ep._halted  # a dead rank's queues froze mid-flight, never polled
+        stand_in = _state(ep.idle_connection(), queues)
         for peer, conn in ep.connections.items():
-            if peer not in ep._engaged:
-                idle += 1
-                # a dead rank's queues froze mid-flight, never polled
-                queues = not ep._halted
-                assert _state(conn, queues) == _state(
-                    fresh_ep.connections[peer], queues), (ep.rank, peer)
-        assert_idle_iff_sharing_the_ranks_counters(ep, fresh_ep)
-    return idle
-
-
-def assert_idle_iff_sharing_the_ranks_counters(ep, fresh_ep):
-    """Outside ``_engaged`` ⇔ counting on the endpoint's one idle
-    ``ConnStats``, which is still what a just-launched endpoint holds."""
-    shared = ep._idle_stats
-    assert type(shared) is IdleConnStats
-    assert shared == fresh_ep._idle_stats and shared is not fresh_ep._idle_stats
-    for peer, conn in ep.connections.items():
-        assert (peer in ep._engaged) == (conn.stats is not shared), (ep.rank, peer)
+            if (ep.rank, peer) not in touched:
+                untouched += 1
+                assert _state(conn, queues) == stand_in, (ep.rank, peer)
+    return untouched
 
 
 def _connection_counters(endpoints):
@@ -265,13 +250,14 @@ CORPUS = {
 @pytest.mark.parametrize("job", CORPUS.values(), ids=CORPUS.keys())
 def test_engaged_passes_answer_what_the_full_scans_answer(job):
     cluster, r = job()
+    touched = _touched(cluster)
     # the scans see a mesh's every pair: the ones the job never touched are
     # wired now, as launch once wired them
     eps = wire_all(cluster).endpoints
     assert r.fc == collect_report(eps) == full_collect_report(eps)
     assert (r.memory == collect_memory_report(eps, cluster.config)
             == full_collect_memory_report(eps, cluster.config))
-    assert_idle_connections_are_as_built(cluster)
+    assert_untouched_pairs_are_the_stand_in(cluster, touched)
     assert r.fc.total_msgs > 0  # there was something to zero
     reset_counters(eps)
     left = _connection_counters(eps)
@@ -282,7 +268,8 @@ def test_engaged_passes_answer_what_the_full_scans_answer(job):
 
 def test_a_connection_built_inside_a_stall_window_is_not_taken_for_idle(monkeypatch):
     """The case the on-demand stall entries are in the corpus for: the
-    stalled receiver's half was built with no vbufs posted."""
+    stalled receiver's half was built with no vbufs posted, and the
+    reports count it as it is."""
     seen = []
     real = Connection.refill_recv_buffers
 
@@ -293,25 +280,28 @@ def test_a_connection_built_inside_a_stall_window_is_not_taken_for_idle(monkeypa
         return n
 
     monkeypatch.setattr(Connection, "refill_recv_buffers", spy)
-    cluster, _ = CORPUS["stall-on-demand"]()
+    cluster, r = CORPUS["stall-on-demand"]()
     assert (1, 0) in seen  # built empty ...
-    assert 0 in cluster.endpoints[1]._engaged  # ... and on record
+    eps = cluster.endpoints
+    assert 0 in eps[1].connections  # ... and on record
+    assert r.memory == full_collect_memory_report(eps, cluster.config)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_connection_outside_engaged_is_what_add_connection_built(scheme):
     nranks = 12
     cluster, r = _run(_ring, nranks, scheme, 2, config=TestbedConfig(nodes=nranks))
-    wire_all(cluster)
     # ring neighbours and the dissemination barrier's partners, both ways
     partners = {d % nranks for k in range(4) for d in (1 << k, -(1 << k))}
     for ep in cluster.endpoints:
-        assert ep._engaged == {(ep.rank + d) % nranks for d in partners}
-    idle = assert_idle_connections_are_as_built(cluster)
+        assert set(ep.connections) == {(ep.rank + d) % nranks for d in partners}
+    touched = _touched(cluster)
+    wire_all(cluster)
+    idle = assert_untouched_pairs_are_the_stand_in(cluster, touched)
     assert idle == nranks * (nranks - 1 - len(partners)) > 0
     # ... and stays so across the reset and a second job elsewhere
     run_job(_ring, nranks, scheme, 2, cluster=cluster, finalize=False)
-    assert assert_idle_connections_are_as_built(cluster) == idle
+    assert assert_untouched_pairs_are_the_stand_in(cluster, touched) == idle
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +319,9 @@ def test_a_mesh_job_reads_only_the_connections_it_engaged(monkeypatch):
     monkeypatch.setattr(memory_mod, "connection_memory_bytes", counting)
     r = run_job(_ring, nranks, "dynamic", 1, config=TestbedConfig(nodes=nranks),
                 on_demand=False, finalize=False)
-    assert all(len(ep._engaged) == 2 for ep in r.endpoints)
+    assert all(len(ep.connections) == 2 for ep in r.endpoints)
     assert r.memory.connections == nranks * (nranks - 1) == 4032
-    assert len(reads) <= sum(len(ep._engaged) + 1 for ep in r.endpoints) == 192
+    assert len(reads) <= sum(len(ep.connections) + 1 for ep in r.endpoints) == 192
 
 
 @pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
@@ -352,9 +342,8 @@ def test_the_scaling_cell_reads_its_posted_buffers_off_the_report(monkeypatch, o
 
 
 # ----------------------------------------------------------------------
-# an idle connection counts on its endpoint's read-only ConnStats:
-# forgetting Endpoint._engage is an exception at the offending line, not a
-# count added to every other idle connection's row
+# a second job on the same cluster: one stand-in a rank still stands for
+# every pair neither job touched
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("job", CORPUS.values(), ids=CORPUS.keys())
 def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
@@ -365,33 +354,10 @@ def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
     ep = eps[0]
     r = run_job(_ring, len(eps), ep.scheme.name, ep.requested_prepost,
                 cluster=cluster, finalize=False)
+    touched = _touched(cluster)
     wire_all(cluster)
     assert r.fc == collect_report(eps) == full_collect_report(eps)
     assert (r.memory == collect_memory_report(eps, cluster.config)
             == full_collect_memory_report(eps, cluster.config))
     assert r.fc.total_msgs > 0
-    assert_idle_connections_are_as_built(cluster)
-
-
-def test_the_shared_idle_counters_cannot_be_written():
-    cluster = Cluster(TestbedConfig(nodes=3))
-    ep = cluster.launch(3, make_scheme("dynamic"), 2, on_demand=False)[0]
-    wire_all(cluster)
-    shared = ep._idle_stats
-    assert all(conn.stats is shared for conn in ep.connections.values())
-    for f in fields(ConnStats):
-        with pytest.raises(AttributeError, match=rf"ConnStats.*\.{f.name}\b"):
-            setattr(shared, f.name, getattr(shared, f.name) + 1)
-    with pytest.raises(AttributeError, match="ConnStats"):
-        shared.__class__ = ConnStats  # no thawing it either
-    assert astuple(shared) == astuple(ConnStats(max_prepost=2))  # nothing landed
-
-
-def test_a_site_that_forgets_to_engage_raises_at_its_first_count(monkeypatch):
-    """The mutation: ``_engage`` only records the peer.  The first counted
-    message of the job raises — no report comes back with the count spread
-    over the rank's other idle connections."""
-    monkeypatch.setattr(Endpoint, "_engage",
-                        lambda ep, conn: ep._engaged.add(conn.peer))
-    with pytest.raises(AttributeError, match=r"idle ConnStats is read-only: \.msgs_sent"):
-        run_job(_ring, 4, "static", 2)
+    assert_untouched_pairs_are_the_stand_in(cluster, touched)

@@ -19,7 +19,7 @@ from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES, make_scheme
 from repro.faults import FaultPlan, chaos_cell, scenario_job
 from repro.ft import FTConfig
-from repro.ib.qp import IDLE_REQUESTER
+from repro.ib.qp import Requester
 from repro.ib.types import INFINITE_RETRY
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
@@ -105,12 +105,6 @@ def _attachments(cluster):
             (qp._req._xport_enabled, qp._req._xport_timeout_ns, qp._req._xport_limit,
              qp._req._xport_timer, qp.reack_stale) for qp in qps
         },
-        # a requester is built by a send, never by arming (an idle QP reads
-        # the shared one): nobody's is left that has not numbered a message
-        "requesters that never sent": [
-            qp for qp in qps
-            if qp._req is not IDLE_REQUESTER and not qp._req._next_msn
-        ],
         "cm._chaos": cluster.cm._chaos if cluster.cm is not None else None,
     }
 
@@ -296,37 +290,39 @@ def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
     assert after_empty[2][1] == never[2][1]
 
 
-def test_arming_a_fault_plan_on_a_mesh_builds_no_requester():
+def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
     """The ACK timeout is adapter-wide while a plan is armed
-    (``hca.fault_transport``): the injector turns each QP's responder flag
-    and updates the requesters that exist; one built during the faulted job
-    reads the adapter's settings, and the rest of the mesh stays idle."""
+    (``hca.fault_transport``): the injector turns each wired QP's responder
+    flag and requester settings in place, a pair wired during the faulted
+    job reads the adapter's settings, and the rest of the mesh stays
+    unwired."""
     nranks = 32
-    cluster = wire_all(_launch("static", on_demand=False, nranks=nranks))
-    qps = [qp for hca in cluster.hcas for qp in hca._qps.values()]
-    assert len(qps) == nranks * (nranks - 1)
-    assert all(qp._req is IDLE_REQUESTER for qp in qps)
-    pristine = _attachments(cluster)
+    cluster = _launch("static", on_demand=False, nranks=nranks)
     _job(cluster, 1)  # so that arming finds requesters to update ...
-    before = [qp for qp in qps if qp._req is not IDLE_REQUESTER]
+    before = [qp for hca in cluster.hcas for qp in hca._qps.values()]
+    pristine = _attachments(cluster)
     plan = scenario_job("lossy-window")["faults"]
     armed = (plan.transport_timeout_ns, plan.transport_retry_limit)
-    seen = []
+    built, seen = [], []
+    init = Requester.__init__
+    monkeypatch.setattr(Requester, "__init__",
+                        lambda req, xport: built.append(xport) or init(req, xport))
 
-    def program(mpi):  # ... and builds more while armed (stride 3)
+    def program(mpi):  # ... and wires more while armed (stride 3)
         if mpi.rank == 0:
             seen.append({(qp._req._xport_enabled, qp._req._xport_timeout_ns,
                           qp._req._xport_limit, qp.reack_stale) for qp in before})
-            seen.append(sum(qp.reack_stale for qp in qps))
+            seen.append(len(built))
         yield from _ring(3, rounds=40)(mpi)
 
     r = run_job(program, nranks, "static", 2, cluster=cluster, faults=plan)
     assert r.completed and r.report()["faults"]["faults.wire_drop"] > 0
-    assert seen == [{(True, *armed, True)}, len(qps)]
-    during = [qp for qp in qps if qp._req is not IDLE_REQUESTER and qp not in before]
+    assert seen == [{(True, *armed, True)}, 0]  # arming built no requester
+    during = [qp for hca in cluster.hcas for qp in hca._qps.values() if qp not in before]
     assert during and all(qp._req._xport_timeout_ns == armed[0] for qp in during)
+    assert len(built) == len(during)  # one a QP, wired while armed
     assert r.fc.retransmissions > 0  # their ACK timeouts ran
-    assert len(before) + len(during) < len(qps) // 2  # rings and barriers, not the mesh
+    assert len(before) + len(during) < nranks * (nranks - 1) // 2  # rings and barriers
     _job(cluster, 1)  # disarms
     assert _attachments(cluster) == pristine
 

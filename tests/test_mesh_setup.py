@@ -24,7 +24,7 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
-from repro.ib.qp import IDLE_REQUESTER, QueuePair
+from repro.ib.qp import QueuePair
 from repro.ib.types import IBConfig, Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR
 from repro.sim.units import us
@@ -147,11 +147,10 @@ def test_launch_files_a_big_build_with_the_old_generation(collector):
 def test_idle_connection_holds_no_queue_objects():
     cluster = _wired(4, "static", 1)
     for conn in _conns(cluster):
-        for q in (conn.backlog, conn.deferred, conn.qp._req._sq):
+        for q in (conn.backlog, conn.deferred):
             assert q == () and not isinstance(q, deque)
             assert len(q) == 0 and not q and list(q) == []
-        assert conn.qp._req is IDLE_REQUESTER
-        assert conn.qp.outstanding_sends == 0
+        assert conn.qp._req._sq == [] and conn.qp.outstanding_sends == 0
         assert conn.qp._next_injectable() is None
         assert conn.qp.check_invariants() == []
         assert "backlog=0" in repr(conn) and "sq=0" in repr(conn.qp)
@@ -246,10 +245,10 @@ def test_a_backlog_is_as_deep_as_the_application_makes_it():
 
 def test_qp_reset_returns_the_send_queue_to_empty():
     sim, fabric, hcas, qp0, qp1, cq0, cq1 = build_pair()
-    assert qp0._req is IDLE_REQUESTER and qp0._req._sq == ()
+    req = qp0._req  # its own, through every incarnation
+    assert req._sq == []
     qp0.post_send(SendWR(wr_id=1, opcode=Opcode.SEND, length=4))
     qp0.post_send(SendWR(wr_id=2, opcode=Opcode.SEND, length=4))
-    req = qp0._req  # its own from here on, through every incarnation
     assert [wr.wr_id for wr in req._sq] == [1, 2] and qp0.outstanding_sends == 2
     qp0.force_error()  # flushes both
     assert req._sq == [] and len(cq0) == 2
@@ -307,15 +306,6 @@ def test_sever_returns_the_queues_to_empty():
     for q in (conn.backlog, conn.deferred):
         assert q == () and not isinstance(q, deque)
     assert conn.qp.outstanding_sends == 0  # flushed: its own requester, drained
-
-
-def test_idle_connection_holds_no_stash_and_no_requester_map():
-    cluster = _wired(4, "rdma-eager", 2)
-    for conn in _conns(cluster):
-        assert conn.ring.cq_stash == () and not isinstance(conn.ring.cq_stash, list)
-        assert conn.qp._req is IDLE_REQUESTER
-        assert isinstance(conn.qp._rq, list)  # ~8 B per posted WQE, no block
-    assert len(IDLE_REQUESTER._inflight) == 0
 
 
 def test_cq_stash_appears_on_the_first_cross_channel_skew():

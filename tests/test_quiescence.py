@@ -1,14 +1,14 @@
 """``Endpoint._locally_quiescent`` looks only at the peers this rank ever
-engaged, and answers what the scan of every connection answered.
+engaged — on a static mesh, the pairs it wired — and answers what the scan
+of every connection answered.
 
 The reference below is the full scan, kept here as the oracle.  It is
 compared with the endpoint's answer at every call ``finalize`` makes and,
 to catch the states in between (sends un-ACKed, a backlog, a connection
-mid-recovery), after every completion any rank handles.  Each place a
-connection first leaves idle — either half: its first arrival counts, the
-per-job passes of ``repro.core.stats`` read the same set — records the
-peer; the white-box cases at the bottom isolate the sites a natural run
-reaches only behind another one.
+mid-recovery), after every completion any rank handles.  The white-box
+cases at the bottom isolate each way a wired, idle connection first holds
+something to wait for: a post, an arrival, a backlog, a parked emission, a
+recovery.
 """
 
 import pytest
@@ -53,7 +53,7 @@ def compared(monkeypatch):
 
     def check(ep, where):
         got = real(ep)
-        assert got == full_scan(ep), (ep.rank, where, sorted(ep._engaged))
+        assert got == full_scan(ep), (ep.rank, where, sorted(ep.connections))
         seen[where] += 1
         seen[got] += 1
         return got
@@ -116,7 +116,7 @@ def test_engaged_peers_answer_what_the_full_scan_answers(compared, job, reached)
     assert compared["mid-run"] > 0
     assert compared[True] and compared[False]  # both answers were exercised
     for ep in r.endpoints:
-        assert ep._engaged <= set(range(r.nranks)) - {ep.rank}
+        assert set(ep.connections) <= set(range(r.nranks)) - {ep.rank}
 
 
 def test_an_idle_mesh_engages_only_its_barrier_partners_both_ways():
@@ -130,23 +130,22 @@ def test_an_idle_mesh_engages_only_its_barrier_partners_both_ways():
                 on_demand=False)
     for ep in r.endpoints:
         # the dissemination barrier sends to rank + 2^k and hears from
-        # rank - 2^k: a connection that only ever received left idle too
-        assert ep._engaged == {(ep.rank + d) % nranks
-                               for k in range(5) for d in (1 << k, -(1 << k))}
-        assert set(ep.connections) == ep._engaged  # wired: what it touched
+        # rank - 2^k: a pair is wired from either end
+        assert set(ep.connections) == {(ep.rank + d) % nranks
+                                       for k in range(5) for d in (1 << k, -(1 << k))}
         assert ep.finalized and ep._locally_quiescent() and full_scan(ep)
 
 
 # ----------------------------------------------------------------------
-# each recording site on its own: the connection's first departure from
-# idle is through that site and no other
+# each way on its own: a wired connection that never sent first holds
+# something to wait for
 # ----------------------------------------------------------------------
 def _idle_mesh(nranks=4, scheme="static"):
     cluster = Cluster(TestbedConfig(nodes=nranks))
     cluster.launch(nranks, make_scheme(scheme), 2, on_demand=False)
     wire_all(cluster)
     ep = cluster.endpoints[0]
-    assert ep._engaged == set() and ep._locally_quiescent() and full_scan(ep)
+    assert ep._locally_quiescent() and full_scan(ep)
     return cluster, ep, ep.connections[2]
 
 
@@ -158,7 +157,7 @@ def test_first_post_engages():
     _, ep, conn = _idle_mesh()
     ep._emit(conn, _header(ep, conn), Request("send"))
     assert conn.qp.outstanding_sends == 1
-    assert ep._engaged == {2} and not ep._locally_quiescent() and not full_scan(ep)
+    assert not ep._locally_quiescent() and not full_scan(ep)
 
 
 def test_first_arrival_engages():
@@ -167,19 +166,20 @@ def test_first_arrival_engages():
     sender._emit(sender.connections[0], _header(sender, sender.connections[0]),
                  Request("send"))
     cluster.sim.run(max_events=1_000)
-    assert ep._engaged == set() and len(ep.cq) == 1  # landed, not yet polled
+    assert len(ep.cq) == 1  # landed, not yet polled
+    assert not ep._locally_quiescent() and not full_scan(ep)
     cluster.sim.spawn(ep.test(Request("recv")))
     cluster.sim.run(max_events=1_000)
     conn = ep.connections[2]
     assert conn.seq_in_expected == 1 and conn.qp.outstanding_sends == 0
-    assert ep._engaged == {2} and ep._locally_quiescent() and full_scan(ep)
+    assert ep._locally_quiescent() and full_scan(ep)
 
 
 def test_first_backlogged_send_engages():
     _, ep, conn = _idle_mesh()
     ep._enqueue_backlog(conn, PendingSend(_header(ep, conn), Request("send"), 0))
     assert conn.qp.outstanding_sends == 0  # nothing was posted
-    assert ep._engaged == {2} and not ep._locally_quiescent() and not full_scan(ep)
+    assert not ep._locally_quiescent() and not full_scan(ep)
 
 
 def test_first_parked_emission_engages():
@@ -188,7 +188,7 @@ def test_first_parked_emission_engages():
     assert ep._emit(conn, _header(ep, conn), Request("send")) == 0
     conn.recovering = False
     assert len(conn.deferred) == 1 and conn.qp.outstanding_sends == 0
-    assert ep._engaged == {2} and not ep._locally_quiescent() and not full_scan(ep)
+    assert not ep._locally_quiescent() and not full_scan(ep)
 
 
 def test_recovery_of_a_pair_that_never_sent_engages_both_ends(compared):
@@ -204,11 +204,11 @@ def test_recovery_of_a_pair_that_never_sent_engages_both_ends(compared):
         yield from mpi.compute(us(10))
         if mpi.rank == 0:
             yield from mpi.test(Request("recv"))  # polls the flushes
-            engaged_mid_recovery.append((set(ep0._engaged), set(ep2._engaged),
-                                         conn.recovering))
+            engaged_mid_recovery.append((ep0._locally_quiescent(), ep2._locally_quiescent(),
+                                         conn.recovering, ep2.connections[0].recovering))
 
     r = run_job(prog, 4, "static", 2, cluster=cluster, recovery=True)
-    assert engaged_mid_recovery == [({2}, {0}, True)]
+    assert engaged_mid_recovery == [(False, False, True, True)]
     assert r.completed and r.recovery.recoveries_completed == 1
     assert conn.qp.state is QPState.READY and not conn.recovering
     assert compared[False] > 0  # finalize did wait on the recovering pair

@@ -4,7 +4,8 @@ touch wires, by layer and scheme (DESIGN §6.4).
 The set-up twin of ``test_call_budget``'s frames per eager message.
 ``Cluster.launch`` wires nothing; a pair is wired when first touched, by
 one chain — ``Cluster.wire`` and ``wire_pair``, each half's reserved
-numbers, create and connect the QP, ``Connection``, ``add_connection`` →
+numbers, create the QP (and its ``Requester``) and connect it,
+``Connection`` (and its ``ConnStats``), ``add_connection`` →
 ``_set_up`` → the scheme's ``setup_connection``, the pre-post through
 ``post_setup_buffers`` → ``post_recv``.  An all-to-all job runs it P*(P-1)/2
 times.  Frame counts are deterministic, so the ceilings are the counts: a
@@ -70,14 +71,17 @@ def _layer(per_connection, sub=""):
                if path.startswith(SRC + sub))
 
 
-#: (ib, mpi, core, cluster, everything under src/repro) per connection
+#: (ib, mpi, core, cluster, everything under src/repro) per connection.  Four
+#: of the ib frames build the QP's ``Requester`` (its ``__init__``,
+#: ``set_transport``, ``rewind``, ``cancel_timers``); ib was 4 while a QP
+#: that had not sent shared one idle requester
 CEILINGS = {
-    "hardware": (4, 4, 1, 2, 11),
-    "static": (4, 4, 1, 2, 11),
-    "dynamic": (4, 4, 1, 2, 11),
+    "hardware": (8, 4, 1, 2, 15),
+    "static": (8, 4, 1, 2, 15),
+    "dynamic": (8, 4, 1, 2, 15),
     # + the ring: its region registered at its reserved number, the
     # channel and its ring, the other ring's coordinates, a slot-count lookup
-    "rdma-eager": (7, 8.5, 2, 2, 19.5),
+    "rdma-eager": (11, 8.5, 2, 2, 23.5),
 }
 
 

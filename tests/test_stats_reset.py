@@ -62,9 +62,9 @@ def _ring(stride, iterations=4):
 
 @pytest.mark.parametrize("scheme", ["hardware", "static", "dynamic", "rdma-eager"])
 def test_a_second_job_on_other_connections_reports_like_a_fresh_cluster(scheme):
-    """The reset visits the connections the first job engaged, the reports
+    """The reset visits the connections the first job wired, the reports
     the ones either job did: neither may leak the first ring into the
-    second, nor lose the mesh's idle remainder."""
+    second, nor lose the mesh's unwired remainder."""
     nranks = 16
 
     def mesh():
@@ -84,7 +84,7 @@ def test_a_second_job_on_other_connections_reports_like_a_fresh_cluster(scheme):
     assert second.memory == fresh.memory
     assert second.memory.connections == nranks * (nranks - 1)
     for ep in reused.endpoints:  # both rings' neighbours, and only those
-        assert ep._engaged == {(ep.rank + d) % nranks for d in (1, -1, 3, -3)}
+        assert set(ep.connections) == {(ep.rank + d) % nranks for d in (1, -1, 3, -3)}
 
 
 def test_reused_cluster_validates_mismatches():

@@ -241,10 +241,11 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
 
 
 # ----------------------------------------------------------------------
-# a job costs what it touched: nothing a job runs every time walks the
-# connection table (tests/test_job_bookkeeping.py keeps the full scans as
-# oracles).  The auditor's sweeps do walk every wired connection, idle ones
-# too — pinned by
+# a job costs what it touched: nothing a job runs every time walks a static
+# mesh's whole table, every peer of every rank (tests/test_job_bookkeeping.py
+# keeps the full scans as oracles).  The per-job passes walk the wired
+# connections and one stand-in a rank for the pairs not wired yet; the
+# auditor's sweeps walk every wired connection, idle ones too — pinned by
 # tests/test_mesh_setup.py::test_auditor_final_check_walks_idle_connections
 # — and the per-connection outputs (per_connection_max_buffers,
 # analysis.flow_control_timeline) walk the whole mesh on request, not per job.
@@ -252,8 +253,9 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
 def test_no_per_job_pass_scans_the_connection_table():
     from repro.core import memory, stats
 
-    scan = re.compile(r"connections\s*\.\s*(values|items)\(\)")
-    for fn in (stats.collect_report, stats.reset_counters, memory.collect_memory_report):
+    scan = re.compile(r"connection_table\(|range\([\w.]*world_size")
+    for fn in (stats.weighted_connections, stats.collect_report, stats.reset_counters,
+               memory.collect_memory_report):
         assert not scan.search(inspect.getsource(fn)), fn.__name__
     assert not scan.search(_src("cluster/job.py"))
     # one of each pass: no full-scan variant kept beside it
@@ -266,58 +268,18 @@ def test_no_per_job_pass_scans_the_connection_table():
                       "reset_counters", "collect_memory_report"}
 
 
-def test_one_idle_to_engaged_transition_owns_the_set_and_the_counters():
-    from repro.mpi.connection import Connection
-    from repro.mpi.endpoint import Endpoint
-
-    # the set grows at one site, and the recovery manager goes through it
-    assert _modules_matching(r"_engaged\.add\(") == {"mpi/endpoint.py"}
-    assert _src("mpi/endpoint.py").count("_engaged.add(") == 1
-    engage = inspect.getsource(Endpoint._engage)
-    assert "_engaged.add(" in engage
-    assert "_engaged" not in _src("recovery/manager.py")
-    # counters are built where a connection gets its own (reset_stats,
-    # _engage) and, once per rank, as the frozen idle object
-    assert _modules_matching(r"ConnStats\(") == {"mpi/connection.py", "mpi/endpoint.py"}
-    builders = engage + inspect.getsource(Endpoint.__init__)
-    assert _src("mpi/endpoint.py").count("ConnStats(") == builders.count("ConnStats(") == 2
-    # ... and "fresh counters for this connection" has one spelling
-    assert "ConnStats(max_prepost=conn.prepost_target)" in engage
-    assert "ConnStats(max_prepost=self.prepost_target)" in inspect.getsource(Connection.reset_stats)
-    # nobody but _engage and the first-send test in front of it (_post: the
-    # QP's requester may predate the first send, an explicit per-QP setting
-    # builds one) asks whether a connection is idle by looking at them
-    is_idle = r"\bis\s+(?:not\s+)?[\w.]*_idle_stats"
-    assert _modules_matching(is_idle) == {"mpi/endpoint.py"}
-    askers = engage + inspect.getsource(Endpoint._post)
-    assert len(re.findall(is_idle, _src("mpi/endpoint.py"))) == len(re.findall(is_idle, askers)) == 2
-    assert not _modules_matching(r"\._req\b") - {"ib/qp.py", "ib/hca.py"}
-
-
 def test_one_site_builds_a_requester_and_arming_builds_none():
-    """A QP's requester half is the shared idle one until ``post_send`` (or
-    an explicit per-QP setting) builds its own — DESIGN §6.4."""
+    """A QP builds its own requester half when it is created, and keeps it
+    through every incarnation — DESIGN §6.4.  Arming a subsystem updates
+    the requesters that exist."""
     from repro.ib.qp import QueuePair
 
     built = r"\bRequester\("
     assert _modules_matching(built) == {"ib/qp.py"}
-    own = inspect.getsource(QueuePair._own_requester)
-    # the module-level idle one, and _own_requester's
-    assert len(re.findall(built, _src("ib/qp.py"))) == 2 and len(re.findall(built, own)) == 1
-    builders = {
-        name for name, fn in vars(QueuePair).items()
-        if inspect.isfunction(fn) and "_own_requester()" in inspect.getsource(fn)
-    }
-    assert builders == {"post_send", "set_initial_credit_estimate",
-                        "enable_transport_retry", "on_wire_loss"}
-    # ... and of those a job on a plain or fault-armed cluster reaches
-    # post_send alone: the gate is opt-in, the injector turns an adapter-wide
-    # setting, and a congestion drop is a send's
-    assert "_own_requester" not in _src("ib/hca.py") + _src("faults/injector.py")
-    assert _modules_matching(r"\.set_initial_credit_estimate\(") == {
-        "core/hardware.py", "recovery/manager.py"}
-    assert _modules_matching(r"\.enable_transport_retry\(") == {"ib/qp.py"}
-    assert _modules_matching(r"\.on_wire_loss\(") == {"congestion/switch.py"}
+    assert len(re.findall(built, _src("ib/qp.py"))) == 1
+    assert re.search(built, inspect.getsource(QueuePair.__init__))
+    assert len(re.findall(r"\._req\s*=(?!=)", _src("ib/qp.py"))) == 1  # never replaced
+    assert not _modules_matching(r"\._req\b") - {"ib/qp.py", "ib/hca.py"}
     # the report and the reset go through the verbs layer's own two calls
     for counter in ("rnr_naks_received", "rnr_naks_sent", "retransmissions",
                     "messages_sent", "messages_delivered"):

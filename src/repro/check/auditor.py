@@ -96,8 +96,9 @@ class InvariantViolation(AssertionError):
 class _Row:
     """Everything the auditor tracks for one directed pair ``s -> r``: the
     (a) ledger terms, the (c) backlog shadow of ``s``'s sends to ``r`` and
-    the (g) slots ``s`` wrote into ``r``'s ring.  Made with its reverse on
-    first sight; it outlives a teardown, its connections do not."""
+    the (g) slots ``s`` wrote into ``r``'s ring.  Made with its reverse,
+    bound when the pair is wired; it outlives a teardown, its connections
+    do not."""
 
     __slots__ = ("pair", "snd", "rcv", "back", "off", "suspended",
                  "consumed_unsent", "inflight_paid", "ungranted",
@@ -121,16 +122,6 @@ class _Row:
 
     def __str__(self) -> str:
         return f"{self.pair[0]}->{self.pair[1]}"
-
-
-class _Rows(dict):
-    """Connection -> the row of the pair it sends on.  A miss — first
-    sight, or a connection re-built after a teardown — binds the row."""
-
-    __slots__ = ("bind",)
-
-    def __missing__(self, conn: "Connection") -> _Row:
-        return self.bind(conn.endpoint.rank, conn.peer)
 
 
 class Auditor:
@@ -161,10 +152,9 @@ class Auditor:
         self._endpoints: List["Endpoint"] = []
         self._uses_credits = False
         # --- (a) ledger, (c) backlog shadow, (g) ring slots: one row per
-        # directed pair, in the order first seen ---
+        # directed pair, and a wired connection -> its pair's row ---
         self._pairs: Dict[Tuple[int, int], _Row] = {}
-        self._rows = _Rows()
-        self._rows.bind = self._bind
+        self._rows: Dict["Connection", _Row] = {}
         # --- (b) send-buffer leases, per rank (sized at arm) ---
         self._lease: List[int] = []
         # --- (c) headers dequeued from a backlog, owed their emission ---
@@ -195,9 +185,10 @@ class Auditor:
     failures = ()  # a violation raises; the auditor loses no pair or rank
 
     def arm(self, cluster) -> None:
-        """Subscribe to every endpoint of a launched cluster.  An auditor
-        audits one job (like every subsystem object: what it observed
-        stays that job's record), so it arms once."""
+        """Subscribe to every endpoint of a launched cluster and bind the
+        pairs an earlier job wired.  An auditor audits one job (like every
+        subsystem object: what it observed stays that job's record), so it
+        arms once."""
         if self._cluster is not None:
             raise RuntimeError("this Auditor already audited a job; build a fresh one")
         if not cluster.endpoints:
@@ -210,6 +201,9 @@ class Auditor:
         self._last_progress_ns = cluster.sim.now
         for ep in self._endpoints:
             ep._audit = self
+            for peer, conn in ep.connections.items():
+                if peer > ep.rank:
+                    self.on_wired(conn, self._endpoints[peer].connections[ep.rank])
         self._congestion = cluster.fabric.congestion
         if self._congestion is not None:
             self._congestion.audit = self
@@ -239,15 +233,24 @@ class Auditor:
             if rank in row.pair:
                 row.off = True  # severed pair: tokens died with the rank
 
+    def on_wired(self, conn_ab: "Connection", conn_ba: "Connection") -> None:
+        """``Cluster.connect`` wired a pair (or :meth:`arm` found it wired):
+        bind its rows, kept from a torn-down incarnation or made now.  A
+        registration, not a hook: no call is counted, no progress noted."""
+        row = self._row(conn_ab.endpoint.rank, conn_ab.peer)
+        self._rows[conn_ab] = row
+        self._rows[conn_ba] = row.back
+        self._bind(row, conn_ab, conn_ba)
+
     def note_teardown(self, a: int, b: int) -> None:
         """``ConnectionManager.teardown`` dropped the pair's connections:
         the rows let go of them and keep their ledger, which the pair's
-        next connections are bound to on first sight."""
+        next connections are bound to when they are wired."""
         row = self._pairs.get((a, b))
         if row is not None:
             self._rows.pop(row.snd, None)
             self._rows.pop(row.rcv, None)
-            self._bind(a, b)
+            self._bind(row, None, None)
 
     def _row(self, s: int, r: int) -> _Row:
         """The row of ``s -> r``, made with its reverse on first sight."""
@@ -258,22 +261,16 @@ class Auditor:
             self._pairs[(s, r)], self._pairs[(r, s)] = row, back
         return row
 
-    def _bind(self, s: int, r: int) -> _Row:
-        """The row of ``s -> r``, it and its reverse bound to the
-        connections the endpoints hold now."""
-        row = self._row(s, r)
-        conn_sr = self._endpoints[s].connections.get(r)
-        conn_rs = self._endpoints[r].connections.get(s)
-        row.snd = row.back.rcv = conn_sr
-        row.rcv = row.back.snd = conn_rs
-        if conn_sr is not None and conn_rs is not None:
-            self._rows[conn_sr] = row
-            self._rows[conn_rs] = row.back
-        unbound = (conn_sr is None or conn_rs is None
-                   or s in self._dead or r in self._dead)
+    def _bind(self, row: _Row, snd: Optional["Connection"],
+              rcv: Optional["Connection"]) -> None:
+        """Bind ``row`` and its reverse to the pair's connections, muted
+        unless both exist, both ranks live and neither is mid-recovery."""
+        row.snd = row.back.rcv = snd
+        row.rcv = row.back.snd = rcv
+        unbound = (snd is None or rcv is None
+                   or row.pair[0] in self._dead or row.pair[1] in self._dead)
         row.off = row.suspended or unbound
         row.back.off = row.back.suspended or unbound
-        return row
 
     # ------------------------------------------------------------------
     # recovery integration (repro.recovery)
@@ -283,7 +280,7 @@ class Auditor:
         directions is indeterminate until the resync re-seeds it."""
         self.hook_calls += 1
         self._last_progress_ns = self._sim.now
-        row = self._bind(a, b)
+        row = self._row(a, b)
         row.suspended = row.off = row.back.suspended = row.back.off = True
 
     def on_recovery_resync(self, s: int, r: int, consumed_unsent: int,
@@ -298,7 +295,7 @@ class Auditor:
         row.ungranted = ungranted
         row.inflight_credits = inflight_credits
         row.suspended = False
-        self._bind(s, r)  # un-mutes it (the reverse resyncs on its own)
+        self._bind(row, row.snd, row.rcv)  # un-mutes it (the reverse resyncs alone)
         if self._uses_credits:
             self._check(row)
 

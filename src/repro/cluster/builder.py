@@ -3,46 +3,23 @@
 ``MPI_Init`` in the paper's implementation sets up a Reliable Connection
 between every two processes and binds all queues to a single CQ per
 process; a static-mesh cluster reproduces that wiring, one pair at its
-first touch (:meth:`Cluster.wire`).  Rank placement is block-cyclic over
-nodes: with 16 ranks on 8 nodes, ranks *r* and *r + 8* share a node (the
-paper runs BT/SP this way), and their traffic takes the HCA loopback path.
+first touch (:meth:`Cluster.connect`).  Rank placement is block-cyclic
+over nodes: with 16 ranks on 8 nodes, ranks *r* and *r + 8* share a node
+(the paper runs BT/SP this way); their traffic takes the HCA loopback.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.config import TestbedConfig
 from repro.core.base import FlowControlScheme
 from repro.ib.fabric import Fabric
 from repro.ib.hca import HCA
-from repro.ib.mr import MemoryRegion
 from repro.mpi.connection import Connection
 from repro.mpi.endpoint import Endpoint
 from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
-
-#: a half's ``(QPN, ring region)`` when they are set aside for it (None: next)
-Numbers = Tuple[Optional[int], Optional[MemoryRegion]]
-
-
-def wire_pair(a: Endpoint, b: Endpoint, at_a: Numbers = (None, None),
-              at_b: Numbers = (None, None)) -> Tuple[Connection, Connection]:
-    """Wire ``a`` <-> ``b``: a QP each through ``HCA.create_qp``, connected
-    to the other; a ``Connection`` each in its endpoint's table, set up by
-    the scheme; the rings pointed at each other.  Both halves' receive
-    budgets are the caller's to post."""
-    qp_ab = a.hca.create_qp(a.cq, qpn=at_a[0])
-    qp_ba = b.hca.create_qp(b.cq, qpn=at_b[0])
-    qp_ab.connect(b.hca.lid, qp_ba.qp_num)
-    qp_ba.connect(a.hca.lid, qp_ab.qp_num)
-    halves = Connection(a, b.rank, qp_ab), Connection(b, a.rank, qp_ba)
-    a.add_connection(b.rank, halves[0], at_a[1])
-    b.add_connection(a.rank, halves[1], at_b[1])
-    if a._ring_mode:
-        Endpoint.wire_rdma_rings(*halves)
-    return halves
-
 
 def check_setup_budget(scheme: FlowControlScheme, prepost: int,
                        config: TestbedConfig) -> None:
@@ -176,20 +153,45 @@ class Cluster:
             ]
         return self.endpoints
 
+    def connect(self, a: int, b: int) -> None:
+        """Wire ``a`` <-> ``b``, the one place a pair comes into being: a QP
+        each, connected to the other; a ``Connection`` each in its
+        endpoint's table, set up by the scheme; the rings pointed at each
+        other; both receive budgets posted; the pair registered with an
+        armed auditor.  A static mesh's halves take the numbers
+        :meth:`launch` set aside and post ungated, as MPI_Init did; on
+        demand, the adapters' next numbers and the refill a stall gates."""
+        ep_a, ep_b = self.endpoints[a], self.endpoints[b]
+        if self._mesh is None:
+            qpn_a = qpn_b = ring_a = ring_b = None
+        else:
+            qpn_a, ring_a = self._numbers(ep_a, b)
+            qpn_b, ring_b = self._numbers(ep_b, a)
+        qp_ab = ep_a.hca.create_qp(ep_a.cq, qpn=qpn_a)
+        qp_ba = ep_b.hca.create_qp(ep_b.cq, qpn=qpn_b)
+        qp_ab.connect(ep_b.hca.lid, qp_ba.qp_num)
+        qp_ba.connect(ep_a.hca.lid, qp_ab.qp_num)
+        conn_ab, conn_ba = Connection(ep_a, b, qp_ab), Connection(ep_b, a, qp_ba)
+        ep_a.add_connection(b, conn_ab, ring_a)
+        ep_b.add_connection(a, conn_ba, ring_b)
+        if ep_a._ring_mode:
+            Endpoint.wire_rdma_rings(conn_ab, conn_ba)
+        for half in (conn_ab, conn_ba):
+            if self._mesh is None:
+                half.refill_recv_buffers()
+            else:
+                half.post_setup_buffers()
+        if self.auditor is not None:
+            self.auditor.on_wired(conn_ab, conn_ba)
+
     def wire(self, ep: Endpoint, peer: int) -> None:
-        """Wire the static-mesh pair ``ep`` <-> ``peer`` unless it is wired:
-        the two connections MPI_Init built, numbered from the blocks
-        :meth:`launch` set aside and holding the receive budgets MPI_Init
-        posted — no receiver stall gates those and no auditor sees them,
-        as none existed then.  Nothing is simulated: no yield, no agenda
-        entry, no time.  A pair wired later is field for field one wired
-        earlier.  On an on-demand cluster it does nothing (``cm`` wires)."""
+        """Wire the static-mesh pair ``ep`` <-> ``peer`` as MPI_Init did,
+        unless it is wired.  Nothing is simulated: no yield, no agenda
+        entry, no time.  On an on-demand cluster it does nothing (``cm``
+        wires)."""
         if self._mesh is None or peer in ep.connections:
             return
-        other = self.endpoints[peer]
-        for half in wire_pair(ep, other, self._numbers(ep, peer),
-                              self._numbers(other, ep.rank)):
-            half.post_setup_buffers()
+        self.connect(ep.rank, peer)
 
     def wire_adapter(self, hca: HCA) -> None:
         """Wire every pair of every rank ``hca`` serves (a static mesh's
@@ -200,7 +202,7 @@ class Cluster:
                     if peer != ep.rank:
                         self.wire(ep, peer)
 
-    def _numbers(self, ep: Endpoint, peer: int) -> Numbers:
+    def _numbers(self, ep: Endpoint, peer: int) -> tuple:
         """``ep``'s half toward ``peer``: the QPN and the registered ring
         region its place among the other ranks gets from ``ep``'s blocks."""
         i = peer - (peer > ep.rank)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.cluster.builder import wire_pair
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.recovery.policy import RecoveryPolicy, pair_rng
 from repro.sim import Signal
@@ -89,26 +88,24 @@ class SetupChaos:
 
 
 class ConnectionManager:
-    """Lazily wires RC connections between endpoint pairs.
+    """Lazily wires RC connections between endpoint pairs: the handshake.
 
-    Teardown-aware: a pair the recovery subsystem gave up on
-    (:meth:`teardown`, called from ``RecoveryManager._fail``) is fully
-    forgotten — its memoized setup signal *and* both endpoints'
-    ``Connection`` objects — so a later ``request()`` re-runs the CM
-    exchange instead of handing back a fired signal for a dead pair.
+    It keeps only the exchanges in flight; one that completes is dropped
+    as :meth:`Cluster.connect <repro.cluster.builder.Cluster.connect>`
+    wires the pair, so a pair with no connections — never wired, or
+    dismantled by :meth:`teardown` — starts a fresh exchange.
     """
 
     def __init__(self, cluster: "Cluster", setup_ns: int = DEFAULT_SETUP_NS):
         self.cluster = cluster
         self.setup_ns = setup_ns
+        #: the exchanges in flight: a pair's signal until it fires
         self._pending: Dict[Tuple[int, int], Signal] = {}
         self._chaos: Optional[SetupChaos] = None  # while one is armed
         #: unordered pairs wired so far (observability)
         self.established = 0
         #: pairs dismantled after a permanent connection loss
         self.torn_down = 0
-        #: stale fired signals dropped by :meth:`request`'s self-heal
-        self.invalidated = 0
 
     def request(self, endpoint: "Endpoint", peer: int) -> Signal:
         """Start (or join) connection setup between ``endpoint.rank`` and
@@ -116,14 +113,7 @@ class ConnectionManager:
         pair = (min(endpoint.rank, peer), max(endpoint.rank, peer))
         sig = self._pending.get(pair)
         if sig is not None:
-            if not sig.fired or pair[1] in self.cluster.endpoints[pair[0]].connections:
-                return sig
-            # Fired memo but the connections are gone: the pair was torn
-            # down behind our back (a teardown path that bypassed
-            # :meth:`teardown`).  Forget the stale signal and re-establish
-            # — a one-shot Signal cannot be re-fired.
-            self.invalidated += 1
-            del self._pending[pair]
+            return sig
         sig = Signal(f"cm.{pair}")
         self._pending[pair] = sig
         if self._chaos is None:
@@ -159,8 +149,8 @@ class ConnectionManager:
         )
 
     def _setup_timeout(self, pair: Tuple[int, int], sig: Signal, attempt: int) -> None:
-        if sig.fired or self._pending.get(pair) is not sig:
-            return  # establish won the race, or the pair was torn down
+        if sig.fired:
+            return  # establish won the race, or the exchange was failed
         chaos = self._chaos
         if chaos is None or attempt >= chaos.policy.max_attempts:
             self.cluster.tracer.count("cm.setup_failed", pair)
@@ -182,8 +172,8 @@ class ConnectionManager:
     def teardown(self, rank_a: int, rank_b: int) -> None:
         """Dismantle the pair's connection state after a permanent loss
         (recovery attempt budget exhausted): drop both directions'
-        ``Connection`` objects, their QPs and the fired setup signal, so
-        the next ``request()`` for the pair starts a fresh CM exchange."""
+        ``Connection`` objects and their QPs, so the next ``request()``
+        for the pair starts a fresh CM exchange."""
         pair = (min(rank_a, rank_b), max(rank_a, rank_b))
         a = self.cluster.endpoints[pair[0]]
         b = self.cluster.endpoints[pair[1]]
@@ -199,11 +189,17 @@ class ConnectionManager:
             for wc in ep.cq.remove_errors(qp.qp_num):
                 ep._reclaim_error_wc(wc)
             ep.hca.destroy_qp(qp)
-        self._pending.pop(pair, None)
         if had is not None:
             self.torn_down += 1
         if self.cluster.auditor is not None:
             self.cluster.auditor.note_teardown(*pair)
+
+    def fail_toward(self, rank: int, exc: BaseException) -> None:
+        """Fail every exchange in flight with ``rank`` (the failure detector
+        declared it dead): it will never complete, and the ranks parked
+        on it resume with ``exc``."""
+        for pair in [p for p in self._pending if rank in p]:
+            self._pending.pop(pair).fail(self.cluster.sim, exc)
 
     def _establish(self, pair: Tuple[int, int], sig: Signal) -> None:
         if sig.fired:
@@ -211,14 +207,9 @@ class ConnectionManager:
             # retry), or the failure detector failed the signal because one
             # end died mid-setup.  A one-shot Signal cannot re-fire.
             return
-        a = self.cluster.endpoints[pair[0]]
-        b = self.cluster.endpoints[pair[1]]
-        if pair[1] not in a.connections:  # idempotence guard
-            for half in wire_pair(a, b):
-                # posted now: a stalled receiver posts nothing until the
-                # stall ends, an armed auditor sees every buffer
-                half.refill_recv_buffers()
-            self.established += 1
+        del self._pending[pair]
+        self.cluster.connect(*pair)
+        self.established += 1
         sig.fire(self.cluster.sim, None)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -274,10 +274,7 @@ class FTManager:
         # rank: the connection exchange will never complete.
         cm = self.cluster.cm
         if cm is not None:
-            for pair in [p for p in cm._pending if rank in p]:
-                sig = cm._pending.pop(pair)
-                if not sig.fired:
-                    sig.fail(self.sim, RankFailedError(failure))
+            cm.fail_toward(rank, RankFailedError(failure))
         for ep in eps:
             if ep.rank != rank and ep.rank not in self.dead:
                 self._sever(ep, rank)

@@ -56,6 +56,7 @@ class Fabric:
         # interior link, at the slot a route record holds
         self._up_busy: Dict[int, int] = {}
         self._down_busy: Dict[int, int] = {}
+        self._lo_busy: Dict[int, int] = {}  # per adapter's loopback path
         self._link_busy: List[int] = []
         self._lids: Dict[int, Any] = {}  # lid -> HCA (deliver target)
         self._deliver_cb: Dict[int, Callable] = {}  # lid -> HCA._deliver, prebound
@@ -97,6 +98,7 @@ class Fabric:
         self._deliver_cb[lid] = hca._deliver
         self._up_busy[lid] = 0
         self._down_busy[lid] = 0
+        self._lo_busy[lid] = 0
 
     def reset_counters(self) -> None:
         """Zero the observability counters (between jobs on a reused
@@ -138,12 +140,17 @@ class Fabric:
             self.payload_bytes += payload_bytes
 
         if src_lid == dst_lid:
-            # HCA-internal loopback: no switch, host-bus limited.
+            # HCA-internal loopback: no switch, host-bus limited, one FIFO
+            # per adapter (a message after a long one arrives after it).
             ser = self._lo_cache.get(payload_bytes)
             if ser is None:
                 ser = transfer_ns(cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
                 self._lo_cache[payload_bytes] = ser
-            arrival = now + cfg.loopback_ns + ser
+            start = self._lo_busy[src_lid]
+            if start < now:
+                start = now
+            self._lo_busy[src_lid] = start + ser
+            arrival = start + cfg.loopback_ns + ser
             sim.call_at(arrival, self._deliver_cb[dst_lid], message)
             return arrival
 

@@ -173,9 +173,8 @@ class RecoveryManager:
         self._active.pop(pair, None)
         cm = getattr(self.cluster, "cm", None)
         if cm is not None:
-            # On-demand clusters: dismantle the dead pair so a later
-            # request() re-runs the CM exchange instead of handing back a
-            # fired signal whose connections no longer exist.
+            # On-demand clusters: dismantle the dead pair, so a later
+            # request() re-runs the CM exchange on fresh QPs.
             cm.teardown(*pair)
         raise ConnectionFailedError(failure)
 

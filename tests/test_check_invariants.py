@@ -27,6 +27,8 @@ from repro.mpi.endpoint import Endpoint
 from repro.mpi.protocol import MsgKind
 from repro.recovery import RecoveryPolicy
 
+from tests.test_quiescence import _ring
+
 SCHEMES = ("hardware", "static", "dynamic")
 ECM_THRESHOLDS = (1, 5, 16)
 
@@ -254,6 +256,19 @@ def test_no_stale_rows_after_teardown():
     new.credits += 1
     with pytest.raises(InvariantViolation) as exc:
         auditor.check_all_pairs()
+    assert (exc.value.invariant, exc.value.pair) == ("credit-conservation", (0, 1))
+
+
+def test_arming_binds_the_pairs_an_earlier_job_wired():
+    """An unaudited job wires a mesh ring; the audited job after it on the
+    same cluster audits those pairs from its first hook, so a credit
+    mutated between the jobs is caught on the pair it was mutated on."""
+    cluster = Cluster(TestbedConfig(nodes=6))
+    cluster.launch(6, make_scheme("static"), prepost=2, on_demand=False)
+    run_job(_ring, 6, "static", prepost=2, cluster=cluster)
+    cluster.endpoints[0].connections[1].credits += 1
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(_ring, 6, "static", prepost=2, cluster=cluster, audit=True)
     assert (exc.value.invariant, exc.value.pair) == ("credit-conservation", (0, 1))
 
 

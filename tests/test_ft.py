@@ -28,6 +28,7 @@ from repro.ft import FTConfig, PROC_FAILED, RankFailure
 from repro.mpi.comm import CommRevokedError, MPIError, world
 from repro.recovery import RecoveryPolicy
 from repro.recovery.failures import ConnectionFailure
+from repro.sim.engine import SimulationError
 from repro.sim.units import us
 
 from tests.test_quiescence import _ring
@@ -235,6 +236,26 @@ def test_without_ft_or_audit_the_hung_check_catches_it():
 
     with pytest.raises(RuntimeError, match="deadlock"):
         run_job(prog, 4, "static", 8, faults=plan)
+
+
+def _send_after_the_death(ep):
+    if ep.rank == 0:
+        yield from ep.compute(us(200))
+        yield from ep.send(1, size=4)
+    else:
+        yield from ep.compute(us(1_000))  # killed at 100 us
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
+    "open: an eager send to a rank already dead completes when it is "
+    "emitted, so the detector watches nothing, no ping goes out and the "
+    "unlimited transport retry never ends"))
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+def test_an_eager_send_to_a_rank_already_dead_detects_it(on_demand):
+    r = run_job(_send_after_the_death, 2, "static", 4, ft=True, on_demand=on_demand,
+                max_events=100_000,
+                faults=FaultPlan(seed=7).rank_death(rank=1, at_ns=us(100)))
+    assert [(type(f), f.rank) for f in r.failures] == [(RankFailure, 1)]
 
 
 # ----------------------------------------------------------------------

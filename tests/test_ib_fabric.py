@@ -149,6 +149,27 @@ def test_loopback_cheaper_than_switch_path():
     assert arrival["t"] < one_way_ns(cfg, 4)
 
 
+def test_loopback_delivers_in_posting_order():
+    """An adapter's loopback path is one FIFO: a 4 B message posted after
+    an 80 KiB one arrives after it.  It used to overtake it, and on one QP
+    the responder dropped the small SEND as out of order — never resent,
+    since a healthy run arms no transport retry."""
+    sim = Simulator()
+    fabric = Fabric(sim, IBConfig())
+    arrived = []
+
+    class _Adapter:
+        def _deliver(self, message):
+            arrived.append((message, sim.now))
+
+    fabric.attach(0, _Adapter())
+    big = fabric.transmit(0, 0, 80 * 1024, "write")
+    small = fabric.transmit(0, 0, 4, "send")
+    run(sim)
+    assert big < small
+    assert arrived == [("write", big), ("send", small)]
+
+
 def test_duplicate_lid_rejected():
     sim = Simulator()
     fabric = Fabric(sim, IBConfig())

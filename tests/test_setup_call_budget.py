@@ -3,11 +3,12 @@ touch wires, by layer and scheme (DESIGN §6.4).
 
 The set-up twin of ``test_call_budget``'s frames per eager message.
 ``Cluster.launch`` wires nothing; a pair is wired when first touched, by
-one chain — ``Cluster.wire`` and ``wire_pair``, each half's reserved
-numbers, create the QP (and its ``Requester``) and connect it,
-``Connection`` (and its ``ConnStats``), ``add_connection`` →
-``_set_up`` → the scheme's ``setup_connection``, the pre-post through
-``post_setup_buffers`` → ``post_recv``.  An all-to-all job runs it P*(P-1)/2
+one chain — ``Cluster.wire`` and ``Cluster.connect`` (the function that
+builds every pair, on demand too), each half's reserved numbers, create
+the QP (and its ``Requester``) and connect it, ``Connection`` (and its
+``ConnStats``), ``add_connection`` → ``_set_up`` → the scheme's
+``setup_connection``, the pre-post through ``post_setup_buffers`` →
+``post_recv``.  An all-to-all job runs it P*(P-1)/2
 times.  Frame counts are deterministic, so the ceilings are the counts: a
 helper, a property or a scheme override added to the chain fails here, by
 name, before a wall-clock benchmark could resolve it.

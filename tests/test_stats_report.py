@@ -11,7 +11,6 @@ from repro.sim.trace import Tracer
 
 class _EndpointWithNoConnections:
     connections: dict = {}
-    _engaged: set = set()
     mesh = False
 
 

@@ -286,6 +286,31 @@ def test_one_site_builds_a_requester_and_arming_builds_none():
         assert not re.search(rf"\.{counter}\b", _src("core/stats.py")), counter
 
 
+def test_a_pair_comes_into_being_in_one_place():
+    """``Cluster.connect`` wires a pair under either wiring and registers it
+    with an armed auditor — DESIGN §6.4.  The connection manager keeps the
+    handshake and only the exchanges in flight; the auditor binds a pair's
+    rows when it is wired, never on a lookup miss."""
+    from repro.check.auditor import Auditor
+    from repro.cluster import Cluster
+    from repro.cluster import on_demand
+
+    connect = inspect.getsource(Cluster.connect)
+    for built in (r"create_qp\(", r"\bConnection\("):
+        in_cluster = {m for m in _modules_matching(built) if m.startswith("cluster/")}
+        assert in_cluster <= {"cluster/builder.py"}, built
+        assert len(re.findall(built, _src("cluster/builder.py"))) == len(
+            re.findall(built, connect)) > 0, built
+    assert not [name for name, obj in vars(on_demand).items()
+                if getattr(obj, "__module__", None) == "repro.cluster.builder"]
+    assert "__missing__" not in _src("check/auditor.py")
+    assert ".connections" not in inspect.getsource(Auditor._bind)
+    assert _modules_matching(r"\.on_wired\(") == {"cluster/builder.py", "check/auditor.py"}
+    assert "invalidated" not in _src("cluster/on_demand.py")
+    # the CM's in-flight exchanges are its own: ft fails them through a method
+    assert not _modules_matching(r"(?<!self)\._pending\b")
+
+
 # ----------------------------------------------------------------------
 # a subsystem arms, disarms and reports itself (DESIGN §6.7): run_job
 # loops over the armed tuple, a finished job is read through report(), and

@@ -7,9 +7,14 @@ difference between the two is the simulated time that exchange takes, so
 what each rank receives from each peer — the sequence of ``(tag, size)``
 its completed receives carry, collectives' own traffic included — must be
 identical, exactly.
+
+The placement relation is its twin: a program run with one rank an adapter
+and with two (``nodes = nranks // 2``, so ranks r and r + nodes share one
+and talk over its loopback path) delivers the same sequences too.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -23,15 +28,23 @@ from tests.test_quiescence import _ring
 
 SCHEMES = ["hardware", "static", "dynamic", "rdma-eager"]
 
+#: name -> (ranks, run(scheme, on_demand, nodes))
 PROGRAMS = {
-    "ring": lambda scheme, on_demand: run_job(_ring, 6, scheme, 2, on_demand=on_demand),
-    "lu2": lambda scheme, on_demand: run_job(
-        KERNELS["lu"].build(timesteps=2), 8, scheme, 4, on_demand=on_demand),
-    "fan-in": lambda scheme, on_demand: run_job(
-        _fan_in, 6, scheme, 4, config=TestbedConfig(nodes=6), on_demand=on_demand),
-    "incast": lambda scheme, on_demand: run_job(
-        scheme=scheme, **scenario_job("incast-n1", on_demand=on_demand)),
+    "ring": (6, lambda scheme, on_demand, nodes: run_job(
+        _ring, 6, scheme, 2, config=TestbedConfig(nodes=nodes), on_demand=on_demand)),
+    "lu2": (8, lambda scheme, on_demand, nodes: run_job(
+        KERNELS["lu"].build(timesteps=2), 8, scheme, 4,
+        config=TestbedConfig(nodes=nodes), on_demand=on_demand)),
+    "fan-in": (6, lambda scheme, on_demand, nodes: run_job(
+        _fan_in, 6, scheme, 4, config=TestbedConfig(nodes=nodes), on_demand=on_demand)),
+    "incast": (10, lambda scheme, on_demand, nodes: _placed(
+        scenario_job("incast-n1", on_demand=on_demand), scheme, nodes)),
 }
+
+
+def _placed(job, scheme, nodes):
+    """Run a scenario's job with its testbed on ``nodes`` adapters."""
+    return run_job(scheme=scheme, **{**job, "config": replace(job["config"], nodes=nodes)})
 
 
 def _deliveries(monkeypatch, run):
@@ -51,11 +64,26 @@ def _deliveries(monkeypatch, run):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("program", PROGRAMS.values(), ids=PROGRAMS.keys())
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_a_program_delivers_the_same_per_pair_sequences_on_a_mesh_and_on_demand(
-        monkeypatch, program, scheme):
-    mesh, on_mesh = _deliveries(monkeypatch, lambda: program(scheme, False))
-    lazy, on_demand = _deliveries(monkeypatch, lambda: program(scheme, True))
+        monkeypatch, name, scheme):
+    nranks, program = PROGRAMS[name]
+    mesh, on_mesh = _deliveries(monkeypatch, lambda: program(scheme, False, nranks))
+    lazy, on_demand = _deliveries(monkeypatch, lambda: program(scheme, True, nranks))
     assert sum(map(len, mesh.values())) > 0
     assert mesh == lazy
     assert on_demand.connections_established > 0 and on_mesh.connections_established is None
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_a_program_delivers_the_same_per_pair_sequences_with_two_ranks_an_adapter(
+        monkeypatch, name, scheme, on_demand):
+    """The placement relation: ranks r and r + P/2 sharing an adapter talk
+    over its loopback path, which changes when messages arrive but not
+    which arrive from whom, in what order."""
+    nranks, program = PROGRAMS[name]
+    alone, _ = _deliveries(monkeypatch, lambda: program(scheme, on_demand, nranks))
+    shared, _ = _deliveries(monkeypatch, lambda: program(scheme, on_demand, nranks // 2))
+    assert alone == shared

@@ -105,6 +105,17 @@ def test_every_kernel_runs_and_terminates(name):
     assert r.fc.total_msgs > 0
 
 
+@pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
+@pytest.mark.parametrize("scheme", ["hardware", "static", "dynamic", "rdma-eager"])
+def test_lu_completes_with_two_ranks_an_adapter(scheme, on_demand):
+    """Ranks r and r + 4 share an adapter, so their pair takes the
+    loopback path, where an RDMA write and the small SEND behind it on one
+    QP once arrived out of order and every rank deadlocked."""
+    r = run_job(KERNELS["lu"].build(timesteps=2), 8, scheme, prepost=4,
+                config=TestbedConfig(nodes=4), on_demand=on_demand)
+    assert r.completed and all(res is not None for res in r.rank_results)
+
+
 def test_bt_sp_require_square_rank_counts():
     with pytest.raises(ValueError):
         run_job(KERNELS["bt"].build(timesteps=1), 8, "static", prepost=10)

@@ -68,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
     from repro.mpi.protocol import Header
 
+from repro.core.credit import grow
 from repro.mpi.protocol import MsgKind
 
 #: watchdog granularity: how often the pending-work probe runs
@@ -473,13 +474,13 @@ class Auditor:
 
     def observe_recv_header(self, scheme, conn: "Connection",
                             header: "Header") -> int:
-        """Wrap ``scheme.on_recv_header`` so target changes are audited:
+        """Wrap :func:`repro.core.credit.grow` so target changes are audited:
         dynamic *growth* mints matching credits atomically (nothing to
         track), a decay *contraction* leaves excess credits circulating —
         they become swallow debt, repaid as they die at the receiver."""
         self.hook_calls += 1
         before = conn.prepost_target
-        grown = scheme.on_recv_header(conn, header)
+        grown = grow(scheme, conn, header)
         if self._uses_credits:
             row = self._rows[conn].back
             if conn.prepost_target < before:

@@ -13,7 +13,9 @@ A scheme decides, per connection:
 
 Schemes are *stateless policy objects*: all mutable state lives on
 :class:`repro.mpi.connection.Connection`, so one scheme instance is shared
-by every endpoint of a job and can be interrogated afterwards.
+by every endpoint of a job and can be interrogated afterwards.  The
+transitions that read these policies and move that state are
+:mod:`repro.core.credit`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.config import MPIConfig
     from repro.mpi.connection import Connection
-    from repro.mpi.protocol import Header
 
 
 class SchemeName(enum.Enum):
@@ -54,12 +55,10 @@ class FlowControlScheme:
     #: alongside the CQ wait.
     uses_ring: bool = False
 
-    #: May a credit-starved sender push the head of its backlog through the
-    #: rendezvous protocol without a credit?  (paper §4.2: "when there are
-    #: no credits, only Rendezvous protocol is used")
-    allows_rndv_fallback: bool = True
-
-    #: How many optimistic fallback handshakes may be in flight at once per
+    #: A credit-starved sender pushes the head of its backlog through the
+    #: rendezvous protocol without a credit (paper §4.2: "when there are no
+    #: credits, only Rendezvous protocol is used"): how many of these
+    #: optimistic fallback handshakes may be in flight at once per
     #: connection.  Deep enough to pipeline the handshake latency behind the
     #: receiver's compute, shallow enough that the unpaid RTS traffic cannot
     #: swamp a one-buffer receiver with RNR storms.
@@ -75,46 +74,23 @@ class FlowControlScheme:
     #: buffers, which is what Table 2 and the benches report.
     optimistic_headroom: int = 3
 
-    # ------------------------------------------------------------------
-    # connection lifecycle
-    # ------------------------------------------------------------------
+    #: the dynamic scheme's growth ceiling and decay switch
+    #: (:func:`repro.core.credit.grow`): 0 — the target never grows
+    max_prepost: int = 0
+    decay_enabled: bool = False
+
     def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
         """Initialise credit/prepost state at MPI_Init time: the receive
         budget (``prepost_target + headroom``) whoever wires the connection
-        then posts — :meth:`setup_budget` buffers."""
-        raise NotImplementedError
+        then posts — :meth:`setup_budget` buffers — and as many credits."""
+        conn.prepost_target = requested_prepost
+        conn.headroom = self.optimistic_headroom
+        conn.credits = requested_prepost
 
     def setup_budget(self, prepost: int, mpi: "MPIConfig") -> int:
         """Receive WQEs one connection posts at set-up, at pre-post
         ``prepost``: what ``Cluster.launch`` checks against ``rq_depth``."""
         return prepost + self.optimistic_headroom
-
-    # ------------------------------------------------------------------
-    # sender-side hooks
-    # ------------------------------------------------------------------
-    def try_consume_credit(self, conn: "Connection") -> bool:
-        """Gate for credit-consuming (unexpected) messages.  True → the
-        caller may post now; False → the send joins the backlog."""
-        raise NotImplementedError
-
-    def on_credits_received(self, conn: "Connection", n: int) -> None:
-        """Piggybacked or explicit credits arrived from the peer."""
-        if n:
-            conn.credits += n
-
-    # ------------------------------------------------------------------
-    # receiver-side hooks
-    # ------------------------------------------------------------------
-    def on_recv_header(self, conn: "Connection", header: "Header") -> int:
-        """Inspect an arrived header (feedback bit etc.).  Returns the
-        number of *newly posted* receive buffers so the caller can charge
-        posting time (only the dynamic scheme ever returns non-zero)."""
-        return 0
-
-    def should_send_ecm(self, conn: "Connection") -> bool:
-        """Called after a vbuf is re-posted; True → the endpoint emits an
-        explicit credit message carrying ``pending_credit_return``."""
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__}>"

@@ -46,7 +46,6 @@ class HardwareScheme(FlowControlScheme):
 
     name = SchemeName.HARDWARE
     uses_credits = False
-    allows_rndv_fallback = False  # nothing is ever backlogged
     optimistic_headroom = 0  # no optimistic traffic, no extra machinery
 
     def __init__(self, arm_e2e_gate: bool = False):
@@ -56,12 +55,3 @@ class HardwareScheme(FlowControlScheme):
         conn.prepost_target = requested_prepost  # headroom: 0, as built
         if self.arm_e2e_gate:
             conn.qp.set_initial_credit_estimate(requested_prepost)
-
-    def try_consume_credit(self, conn: "Connection") -> bool:
-        return True  # always post immediately
-
-    def on_credits_received(self, conn: "Connection", n: int) -> None:
-        pass  # there is no credit state to update
-
-    def should_send_ecm(self, conn: "Connection") -> bool:
-        return False

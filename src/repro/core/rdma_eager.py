@@ -55,7 +55,6 @@ class RdmaEagerScheme(FlowControlScheme):
     name = SchemeName.RDMA_EAGER
     uses_credits = True
     uses_ring = True
-    allows_rndv_fallback = True
     #: Control traffic rides the fixed ``rdma_control_bufs`` reserve that
     #: every ring connection posts (:meth:`setup_budget`), not an extra
     #: per-scheme headroom.
@@ -78,18 +77,3 @@ class RdmaEagerScheme(FlowControlScheme):
         conn.headroom = self.setup_budget(
             requested_prepost, conn.endpoint.config) - requested_prepost
         conn.credits = requested_prepost
-
-    def try_consume_credit(self, conn: "Connection") -> bool:
-        if conn.credits > 0:
-            conn.credits -= 1
-            return True
-        return False
-
-    def should_send_ecm(self, conn: "Connection") -> bool:
-        # Low-watermark fallback: pending_credit_return slots have been
-        # reclaimed but not yet reported, so the sender may believe as few
-        # as (ring size - pending) slots are free.  Report explicitly only
-        # when that pessimistic view reaches the watermark; piggybacking
-        # handles everything before then.
-        floor = max(1, conn.prepost_target - self.reclaim_watermark)
-        return conn.pending_credit_return >= floor

@@ -25,12 +25,7 @@ Figures 5–6).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.base import FlowControlScheme, SchemeName
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.connection import Connection
 
 #: The paper: "we use a relatively small threshold value of 5".
 DEFAULT_ECM_THRESHOLD = 5
@@ -41,30 +36,10 @@ class StaticScheme(FlowControlScheme):
 
     name = SchemeName.STATIC
     uses_credits = True
-    allows_rndv_fallback = True
 
     def __init__(self, ecm_threshold: int = DEFAULT_ECM_THRESHOLD):
         if ecm_threshold < 1:
             raise ValueError("ecm_threshold must be >= 1")
+        #: below it credits are never shipped explicitly (the paper's
+        #: suppression rule; :func:`repro.core.credit.grant`)
         self.ecm_threshold = ecm_threshold
-
-    def setup_connection(self, conn: "Connection", requested_prepost: int) -> None:
-        conn.prepost_target = requested_prepost
-        conn.headroom = self.optimistic_headroom
-        conn.credits = requested_prepost
-
-    def try_consume_credit(self, conn: "Connection") -> bool:
-        if conn.credits > 0:
-            conn.credits -= 1
-            return True
-        return False
-
-    def should_send_ecm(self, conn: "Connection") -> bool:
-        # Faithful to the paper: credits below the threshold are never
-        # shipped explicitly ("a threshold credit value ... suppresses any
-        # explicit credit messages if the number of credits to be
-        # transferred is below the threshold").  With prepost < threshold
-        # the sender therefore relies entirely on piggybacking and the
-        # rendezvous fallback's handshake (§4.2) — which is why the
-        # fallback must pipeline (see Endpoint._drain).
-        return conn.pending_credit_return >= self.ecm_threshold

@@ -15,8 +15,9 @@ posted for the peer; *the* scalability quantity the paper studies),
 ``recv_posted``, and ``pending_credit_return`` (credits accumulated for the
 peer, shipped by piggyback or explicit credit message).
 
-The flow-control schemes in :mod:`repro.core` manipulate exactly these
-fields; the endpoint and progress engine are scheme-agnostic.
+The credit protocol, :mod:`repro.core.credit`, moves exactly these fields
+under the schemes' policies; the endpoint and progress engine execute what
+it returns and are scheme-agnostic.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Connection:
         #: with (set by ``Endpoint._set_up``; never mutated, so all
         #: posted WQEs share it)
         self.recv_wr: Optional[RecvWR] = None
-        #: receiver-half state owned by ``DynamicScheme`` (only a fresh
+        #: receiver-half state of dynamic growth, ``credit.grow`` (only a fresh
         #: connection is set up, so not reset there): quiet-streak length for
         #: the optional decay, and the sequence number growth feedback is
         #: ignored up to (the rate limit)
@@ -130,13 +131,6 @@ class Connection:
     # ------------------------------------------------------------------
     # receiver-half helpers
     # ------------------------------------------------------------------
-    def set_prepost_target(self, n: int) -> None:
-        """Dynamic growth.  Set-up assigns the target instead: ``stats``
-        start with the rank's pre-post as the high-water mark."""
-        self.prepost_target = n
-        if n > self.stats.max_prepost:
-            self.stats.max_prepost = n
-
     def reset_stats(self) -> None:
         """Fresh counters for a new job on a reused cluster."""
         self.stats = ConnStats(max_prepost=self.prepost_target)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
+from repro.core import credit
 from repro.core.base import FlowControlScheme
 from repro.ib.hca import HCA
 from repro.ib.mr import MemoryRegion
@@ -281,6 +282,8 @@ class Endpoint:
             self._check_peer(dest)
         if size < 0:
             raise MPIError(f"negative message size {size}")
+        if tag < 0:
+            raise MPIError(f"MPI_ERR_TAG: a send's tag is >= 0, not {tag}")
         req = Request("send")
         if self._ft is not None:
             if self._ft.fail_if_dead(self, req, dest):
@@ -350,15 +353,13 @@ class Endpoint:
                 sreq_id=ref.sreq_id,
                 paid=True,
             )
-        # A non-empty backlog forces FIFO (MPI non-overtaking): new sends
-        # may not jump the queue even if a credit is available.  A
-        # recovering connection parks everything in the backlog too — its
-        # credit state is stale until the resync.
-        if not conn.backlog and not conn.recovering and self._take_credit(conn):
+        # Behind a backlog, or on a recovering connection, the send joins
+        # the backlog (credit.take: the FIFO rule).
+        if self._take_credit(conn):
             # Everything but an eager ring write is staged in a pool vbuf.
             ring = conn.ring is not None and header.kind is MsgKind.EAGER
-            if not ring and not self._pool_ok(control=False):
-                yield from self._progress_until(lambda: self._pool_ok(control=False))
+            if not ring and self.pool.free <= CONTROL_RESERVE:
+                yield from self._progress_until(lambda: self.pool.free > CONTROL_RESERVE)
                 if req.done:  # dest declared dead during the pool wait
                     return req
             yield TIMEOUTS[self._emit(conn, header, ref)]
@@ -391,6 +392,10 @@ class Endpoint:
         """Non-blocking receive; returns a :class:`Request`."""
         if source != ANY_SOURCE and source not in self.connections:
             self._check_peer(source)
+        if capacity < 0:
+            raise MPIError(f"negative receive capacity {capacity}")
+        if tag < 0 and tag != ANY_TAG:
+            raise MPIError(f"MPI_ERR_TAG: a receive's tag is >= 0 or ANY_TAG, not {tag}")
         req = Request("recv")
         if (
             self._ft is not None
@@ -826,7 +831,7 @@ class Endpoint:
             # liveness piggyback: any delivery proves the peer is alive
             self._ft.on_heard(self.rank, conn.peer)
         if h.credits:
-            self.scheme.on_credits_received(conn, h.credits)
+            credit.receive(self.scheme, conn, h.credits)
         if self._audit is not None:
             self._audit.on_deliver(conn, h)
 
@@ -840,16 +845,19 @@ class Endpoint:
         if handled is not None:
             cost += handled + self._release(conn, h)
 
-        # Feedback hook (dynamic growth).
+        # Feedback (dynamic growth): the new credits are pending already,
+        # the new buffers are posted here.
         if self._audit is not None:
             grown = self._audit.observe_recv_header(self.scheme, conn, h)
         else:
-            grown = self.scheme.on_recv_header(conn, h)
+            grown = credit.grow(self.scheme, conn, h)
         if grown:
-            # growing a WQE population charges posting of the new buffers
-            cost += grown * self.config.post_overhead_ns
-            if self.scheme.should_send_ecm(conn):
-                cost += self._emit_ecm(conn)
+            posted = conn.refill_recv_buffers()
+            if posted:
+                # growing a WQE population charges posting of the new buffers
+                cost += posted * self.config.post_overhead_ns
+                if credit.grant(self.scheme, conn, 0):  # the ECM decision
+                    cost += self._emit_ecm(conn)
 
         if conn.backlog:
             cost += self._drain(conn)
@@ -884,45 +892,27 @@ class Endpoint:
 
     def _release(self, conn: Connection, h: Header) -> int:
         """Release the buffer of a fully processed message — a ring slot
-        or a receive vbuf — and grant the credit back for paid messages
-        (unpaid traffic occupies the non-credited headroom — see
-        protocol.Header.paid).
-
-        The grant is decoupled from the physical repost: if dynamic growth
-        already refilled the population while this message's vbuf was
-        pinned in the unexpected queue, the buffer was replaced but the
-        paid credit must still return.  Only an *over*-full population
-        (decay contraction) swallows the credit.  In ring mode the WQE
-        population is the fixed control reserve, disjoint from the credit
-        population (ring slots): it never decay-contracts, so a paid
-        credit that rode a control-channel message (a rendezvous RTS
-        borrowing a slot token) always returns.
-
-        During a fault-injected receiver stall a vbuf stays consumed and
-        the paid credit is withheld; :meth:`fault_release_stall` settles
-        both once the window closes.
-        """
+        or a receive vbuf — and settle its credit (:func:`credit.release`:
+        repost, grant, swallow, or hold while a fault-injected receiver
+        stall is open; :meth:`fault_release_stall` settles the held ones)."""
         stalled = self._stall_until > self.sim.now
         if stalled:
             self.tracer.count("faults.stall_deferred", conn.peer)
+        if h.via_ring and self._audit is not None:
+            # the slot is free the moment the copy-out lands
+            self._audit.on_ring_free(conn.ring, h)
+        act = credit.release(conn, h.paid, h.via_ring, stalled)
         cost = 0
-        paid = h.paid
-        if h.via_ring:
-            # The slot itself is free the moment the copy-out lands (even
-            # when a fault stall withholds the *credit* below).
-            if self._audit is not None:
-                self._audit.on_ring_free(conn.ring, h)
-        elif not stalled:
-            budget = conn.prepost_target + conn.headroom
-            if conn.recv_posted < budget:
-                self._post_recv_vbuf(conn)
-                cost = self.config.post_overhead_ns
-            elif paid and conn.recv_posted > budget:
-                paid = False  # swallowed (see the docstring above)
-                if self._audit is not None:
-                    self._audit.on_swallow(conn)
-        if paid:
+        if act & credit.REPOST:
+            self._post_recv_vbuf(conn)
+            cost = self.config.post_overhead_ns
+        if act & credit.GRANT:
             cost += self._grant(conn, 1)
+        elif act & credit.SWALLOW:
+            if self._audit is not None:
+                self._audit.on_swallow(conn)
+        elif act & credit.HOLD:
+            self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
         # Drains here, ahead of :meth:`_deliver`'s growth feedback (a late
         # match in :meth:`irecv` has no other drain).
         if conn.backlog:
@@ -930,19 +920,13 @@ class Endpoint:
         return cost
 
     def _grant(self, conn: Connection, n: int) -> int:
-        """Return ``n`` paid credits to the peer (they ride the next
-        outgoing header, or an explicit credit message when the scheme
-        asks for one) — or withhold them while a fault stall is open.
-        Returns the CPU cost."""
-        if self._stall_until > self.sim.now:
-            self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + n
-            return 0
-        conn.pending_credit_return += n
+        """Return ``n`` paid credits to the peer (:func:`credit.grant`),
+        with an explicit credit message when one is due.  Returns the CPU
+        cost."""
+        ecm = credit.grant(self.scheme, conn, n)
         if self._audit is not None:
             self._audit.on_grant(conn, n)
-        if self.scheme.should_send_ecm(conn):
-            return self._emit_ecm(conn)
-        return 0
+        return self._emit_ecm(conn) if ecm else 0
 
     def _handle_cts(self, conn: Connection, h: Header) -> int:
         op = self._rndv_send.get(h.sreq_id)
@@ -952,7 +936,7 @@ class Endpoint:
         op.cts_remote_addr = h.remote_addr
         op.cts_rkey = h.rkey
         if op.fallback:
-            conn.fallback_inflight -= 1
+            credit.end_fallback(conn)
         cost = self._emit_data(conn, op)
         if op.bounce:
             cost += self.config.copy_ns(op.size)  # stage into pinned scratch
@@ -1010,19 +994,14 @@ class Endpoint:
     # ------------------------------------------------------------------
     # emission paths
     # ------------------------------------------------------------------
-    def _pool_ok(self, control: bool) -> bool:
-        floor = 0 if control else CONTROL_RESERVE
-        return self.pool.free > floor
-
-    def _take_credit(self, conn: Connection) -> bool:
-        """Consume one credit toward ``conn.peer`` if the scheme has one
-        to give; the paid header it buys may be emitted later (a vbuf
-        wait can sit in between)."""
-        if not self.scheme.try_consume_credit(conn):
-            return False
-        if self._audit is not None:
+    def _take_credit(self, conn: Connection, head: bool = False) -> int:
+        """:func:`credit.take` for a new send (or the backlog's ``head``);
+        the paid header it buys may be emitted later (a vbuf wait can sit
+        in between)."""
+        taken = credit.take(self.scheme, conn, head)
+        if taken and self._audit is not None:
             self._audit.on_consume(conn)
-        return True
+        return taken
 
     def _post(self, conn: Connection, record: Any, opcode: Opcode, length: int,
               payload: Any, remote_addr: int = 0, rkey: int = 0) -> None:
@@ -1041,7 +1020,7 @@ class Endpoint:
         replay: bool = False,
     ) -> int:
         """Emit one protocol message: staged into a pool vbuf and SENT —
-        the caller must have verified pool availability (``_pool_ok``) —
+        the caller must have verified pool availability (``CONTROL_RESERVE``) —
         or, for eager data on a ring connection, RDMA-written into the
         peer's ring (no vbuf, no remote WQE).  ``ref`` is what the message
         belongs to: the :class:`Request` of an eager send, the
@@ -1056,9 +1035,7 @@ class Endpoint:
         in the fresh ring, re-established empty at slot 0, in its
         original order.
         """
-        if replay:
-            header.credits = 0
-        else:
+        if not replay:
             if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
                 # A dead rank emits nothing; toward a dead peer there is no
                 # one to emit to (the QP is in ERROR — post_send would
@@ -1074,12 +1051,11 @@ class Endpoint:
                     conn.deferred = deque()
                 conn.deferred.append((header, ref))
                 return 0
-            # all pending return-credits ride this message
-            piggy = conn.pending_credit_return
-            conn.pending_credit_return = 0
-            header.credits += piggy
             header.seq = conn.seq_out
             conn.seq_out += 1
+        # all pending return-credits ride this message
+        piggy = (credit.piggyback(conn, header, replay)
+                 if conn.pending_credit_return or replay else 0)
         cfg = self.config
         eager = header.kind is MsgKind.EAGER
         ring = eager and conn.ring is not None
@@ -1180,43 +1156,32 @@ class Endpoint:
         return cost
 
     def _drain(self, conn: Connection) -> int:
-        """Process the backlog FIFO: send while credits allow; with zero
-        credits, push the head through the rendezvous fallback (one
-        handshake at a time per connection)."""
-        if conn.recovering:
-            return 0  # stale credit state; the resync re-drains
+        """Process the backlog FIFO one :func:`credit.drain_step` at a
+        time: send while credits allow; with none, push the head through
+        the rendezvous fallback."""
         if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
             return 0  # dead rank / dead peer: nothing drains (see _emit)
         cost = 0
-        # Credit-less schemes only ever backlog while a connection is
-        # recovering; their drain gate is the vbuf pool alone (there are
-        # no credits to wait for, and no fallback to convert to).
-        while (
-            conn.backlog
-            and (conn.credits > 0 or not self.scheme.uses_credits)
-            and self._pool_ok(control=False)
-        ):
-            if not self._take_credit(conn):  # pragma: no cover
+        while conn.backlog:
+            free = self.pool.free
+            act = credit.drain_step(self.scheme, conn, (
+                2 if free > CONTROL_RESERVE else 1 if free else 0))
+            if not act:
                 break
             p = conn.backlog.popleft()
-            if self._audit is not None:
-                self._audit.on_backlog_dequeue(conn, p.header)
-            p.header.went_backlog = True
             conn.stats.credit_stalled_ns += self.sim.now - p.enqueue_ns
-            cost += self._emit(conn, p.header, p.request)
-        while (
-            conn.backlog
-            and conn.credits == 0
-            and self.scheme.allows_rndv_fallback
-            and conn.fallback_inflight < self.scheme.fallback_window
-            and self._pool_ok(control=True)
-        ):
-            p = conn.backlog.popleft()
-            if self._audit is not None:
-                # the fallback mints a fresh unpaid RTS; the dequeued
-                # header itself is never emitted
-                self._audit.on_backlog_dequeue(conn, p.header, reemitted=False)
-            cost += self._start_fallback(conn, p)
+            if act == credit.SEND:
+                self._take_credit(conn, head=True)
+                if self._audit is not None:
+                    self._audit.on_backlog_dequeue(conn, p.header)
+                p.header.went_backlog = True
+                cost += self._emit(conn, p.header, p.request)
+            else:
+                if self._audit is not None:
+                    # the fallback mints a fresh unpaid RTS; the dequeued
+                    # header itself is never emitted
+                    self._audit.on_backlog_dequeue(conn, p.header, reemitted=False)
+                cost += self._start_fallback(conn, p)
         if not conn.backlog:
             self._backlogged.discard(conn.peer)
         return cost
@@ -1225,9 +1190,7 @@ class Endpoint:
         """Convert the head of the backlog to an optimistic rendezvous
         (paper §4.2: with no credits, only Rendezvous is used — its
         handshake refreshes credit state via piggybacking)."""
-        conn.fallback_inflight += 1
         conn.stats.rndv_fallbacks += 1
-        conn.stats.credit_stalled_ns += self.sim.now - p.enqueue_ns
         h = p.header
         if h.kind is MsgKind.EAGER:
             op = RndvSendOp(
@@ -1339,11 +1302,7 @@ class Endpoint:
                 self._grant(conn, paid)
                 released += paid
                 self.tracer.count("faults.stall_released", peer, paid)
-            if (
-                conn.pending_credit_return
-                and self.scheme.uses_credits
-                and self._pool_ok(control=True)
-            ):
+            if conn.pending_credit_return and self.scheme.uses_credits and self.pool.free:
                 self._emit_ecm(conn)
         return released
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core import credit
 from repro.mpi.protocol import Header, MsgKind
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.recovery.policy import RecoveryPolicy, pair_rng
@@ -305,12 +306,8 @@ class RecoveryManager:
                     parked_credits += wc.data.credits
             aud = ep_s._audit
             swallow = aud.pending_swallow(ep_s.rank, ep_r.rank) if aud is not None else 0
-            conn_sr.credits = max(
-                0,
-                conn_rs.prepost_target + swallow
-                - replayed_paid - parked_paid - ungranted
-                - conn_rs.pending_credit_return - parked_credits,
-            )
+            credit.resync(conn_sr, conn_rs, swallow,
+                          replayed_paid + parked_paid + ungranted + parked_credits)
             if aud is not None:
                 aud.on_recovery_resync(
                     ep_s.rank, ep_r.rank,

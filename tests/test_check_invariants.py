@@ -22,7 +22,7 @@ import pytest
 from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
 from repro.cluster import Cluster, TestbedConfig, run_job
-from repro.core import DynamicScheme, StaticScheme, make_scheme
+from repro.core import DynamicScheme, credit, make_scheme
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.protocol import MsgKind
 from repro.recovery import RecoveryPolicy
@@ -106,26 +106,22 @@ def test_qp_check_invariants_clean_and_dirty():
 # ----------------------------------------------------------------------
 # the credit-leak mutation test (ISSUE acceptance criterion)
 # ----------------------------------------------------------------------
-def _leaky_on_credits_received(self, conn, n):
-    """Mutant: silently drop the first received credit (a classic
-    bookkeeping bug — e.g. folding piggyback credits before the ECM
-    path, losing one)."""
-    if n and not getattr(self, "_leaked", False):
-        self._leaked = True
+def _leaky_receive(scheme, conn, n, real_receive=credit.receive):
+    """Mutant ``credit.receive``: silently drop a job's first received
+    credit (a classic bookkeeping bug — e.g. folding piggyback credits
+    before the ECM path, losing one)."""
+    if n and not getattr(scheme, "_leaked", False):
+        scheme._leaked = True
         n -= 1
-    if n:
-        conn.credits += n
+    real_receive(scheme, conn, n)
 
 
 def _grant_without_return(self, conn, n):
     """Mutant ``Endpoint._grant``: the grant is announced but never lands
     in ``pending_credit_return`` (the credit vanishes at the receiver)."""
-    if self._stall_until > self.sim.now:
-        self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + n
-        return 0
     if self._audit is not None:
         self._audit.on_grant(conn, n)
-    if self.scheme.should_send_ecm(conn):
+    if credit.grant(self.scheme, conn, 0):  # the ECM decision alone
         return self._emit_ecm(conn)
     return 0
 
@@ -148,9 +144,7 @@ def _first_violation(ecm_threshold):
 
 
 def test_credit_leak_is_caught_inline(monkeypatch):
-    monkeypatch.setattr(
-        StaticScheme, "on_credits_received", _leaky_on_credits_received
-    )
+    monkeypatch.setattr(credit, "receive", _leaky_receive)
     # at the delivery whose credits the scheme short-changed
     assert _first_violation(1) == ("credit-conservation", (0, 1), 69540)
 
@@ -273,9 +267,7 @@ def test_arming_binds_the_pairs_an_earlier_job_wired():
 
 
 def test_credit_leak_yields_minimized_replay_artifact(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        StaticScheme, "on_credits_received", _leaky_on_credits_received
-    )
+    monkeypatch.setattr(credit, "receive", _leaky_receive)
     out = tmp_path / "fuzz-failures"
     summary = fuzz.run_fuzz(
         seed=31, runs=1, schemes=("static",), scenarios=(None,),

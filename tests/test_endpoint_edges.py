@@ -226,19 +226,26 @@ def test_compute_integral_float_ns_is_accepted():
     (99, "rank 99 outside the world of 2"),
     (-2, "rank -2 outside the world of 2"),
     ("unconnected", "rank 0 has no connection to 1"),
+    # a valid peer, but a negative tag (a send's -1 once reached only an
+    # ANY_TAG receive; -1 *is* ANY_TAG to a receive) ...
+    ("tag", "MPI_ERR_TAG: .* not -[12]"),
+    # ... or a negative size: rejected at the call, not when a message lands
+    ("size", "negative (message size|receive capacity) -5"),
 ])
 def test_invalid_peers_are_rejected_by_isend_and_irecv(call, peer, message):
     """The peer check runs only for a peer with no connection — which is
-    every invalid one."""
+    every invalid one.  A bad tag or size is rejected at the call too."""
     def prog(mpi):
         if mpi.rank == 0:
-            target = {"self": 0, "unconnected": 1}.get(peer, peer)
+            target = {"self": 0, "unconnected": 1, "tag": 1, "size": 1}.get(peer, peer)
             if peer == "unconnected":
                 mpi._connector = None  # a hand-built table without rank 1
+            tag = (-1 if call == "isend" else -2) if peer == "tag" else 0
+            size = -5 if peer == "size" else 4
             if call == "isend":
-                yield from mpi.isend(target, size=4)
+                yield from mpi.isend(target, size=size, tag=tag)
             else:
-                yield from mpi.irecv(source=target, capacity=4)
+                yield from mpi.irecv(source=target, capacity=size, tag=tag)
 
     with pytest.raises(MPIError, match=message):
         run2(prog, finalize=False)

@@ -1,4 +1,5 @@
-"""Direct unit tests of the scheme policy objects (no cluster involved)."""
+"""Direct unit tests of the scheme policy objects and the credit
+transitions that read them (no cluster involved)."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core import (
     StaticScheme,
     make_scheme,
 )
+from repro.core import credit
 from repro.core.base import FlowControlScheme
 from repro.mpi.protocol import Header, MsgKind
 
@@ -18,18 +20,18 @@ class FakeEndpoint:
     class config:
         rdma_control_bufs = 8
 
-    def _post_recv_vbuf(self, conn):
-        conn.recv_posted += 1
-
 
 class FakeConn:
-    """Just enough Connection surface for the policy hooks: what
-    ``Connection.__init__`` sets, on an endpoint at pre-post ``prepost``
-    (an idle connection's high-water mark is the rank's pre-post)."""
+    """Just enough Connection surface for set-up and the credit
+    transitions: what ``Connection.__init__`` sets, on an endpoint at
+    pre-post ``prepost`` (an idle connection's high-water mark is the
+    rank's pre-post)."""
 
     def __init__(self, prepost=0):
         self.endpoint = FakeEndpoint()
         self.credits = 0
+        self.backlog = ()
+        self.recovering = False
         self.prepost_target = 0
         self.headroom = 0
         self.recv_posted = 0
@@ -39,17 +41,6 @@ class FakeConn:
         self.ring = None
         self.stats = type("S", (), {"max_prepost": prepost})()
         self.qp = type("Q", (), {"set_initial_credit_estimate": lambda *_: None})()
-
-    def set_prepost_target(self, n):
-        self.prepost_target = n
-        self.stats.max_prepost = max(self.stats.max_prepost, n)
-
-    def refill_recv_buffers(self):
-        posted = 0
-        while self.recv_posted < self.prepost_target + self.headroom:
-            self.recv_posted += 1
-            posted += 1
-        return posted
 
 
 def header(seq, backlog=False):
@@ -73,12 +64,16 @@ def test_static_credit_gate():
     # the receive budget; whoever wires the connection posts it
     assert conn.prepost_target + conn.headroom == 3 + s.optimistic_headroom
     assert conn.recv_posted == 0
-    assert s.try_consume_credit(conn)
-    assert s.try_consume_credit(conn)
-    assert s.try_consume_credit(conn)
-    assert not s.try_consume_credit(conn)  # exhausted
-    s.on_credits_received(conn, 2)
+    assert credit.take(s, conn)
+    assert credit.take(s, conn)
+    assert credit.take(s, conn)
+    assert not credit.take(s, conn)  # exhausted
+    credit.receive(s, conn, 2)
     assert conn.credits == 2
+    conn.backlog = ("queued",)
+    assert not credit.take(s, conn)  # FIFO: no overtaking the backlog
+    assert credit.take(s, conn, head=True)
+    assert conn.credits == 1
 
 
 def test_static_ecm_threshold_exact():
@@ -86,9 +81,9 @@ def test_static_ecm_threshold_exact():
     conn = FakeConn()
     s.setup_connection(conn, 10)
     conn.pending_credit_return = 4
-    assert not s.should_send_ecm(conn)
-    conn.pending_credit_return = 5
-    assert s.should_send_ecm(conn)
+    assert not credit.grant(s, conn, 0)
+    assert credit.grant(s, conn, 1)
+    assert conn.pending_credit_return == 5
 
 
 def test_hardware_never_gates():
@@ -96,9 +91,9 @@ def test_hardware_never_gates():
     conn = FakeConn()
     h.setup_connection(conn, 2)
     for _ in range(100):
-        assert h.try_consume_credit(conn)
-    assert not h.should_send_ecm(conn)
-    h.on_credits_received(conn, 5)
+        assert credit.take(h, conn)
+    assert not credit.grant(h, conn, 100)
+    credit.receive(h, conn, 5)
     assert conn.credits == 0  # no credit state at all
 
 
@@ -106,21 +101,21 @@ def test_dynamic_doubles_on_feedback():
     d = DynamicScheme()
     conn = FakeConn()
     d.setup_connection(conn, 1)
-    conn.refill_recv_buffers()  # the set-up budget, posted by the wiring
-    grown = d.on_recv_header(conn, header(seq=0, backlog=True))
+    grown = credit.grow(d, conn, header(seq=0, backlog=True))
     assert conn.prepost_target == 2
-    assert grown == 1
+    assert grown == 1  # the caller posts it
     assert conn.pending_credit_return == 1  # new buffer -> new credit
+    assert conn.stats.max_prepost == 2
 
 
 def test_dynamic_rate_limit_skips_stale_flags():
     d = DynamicScheme()  # rate_limited=True by default
     conn = FakeConn()
     d.setup_connection(conn, 1)
-    d.on_recv_header(conn, header(seq=0, backlog=True))  # -> 2, barrier=seq 2
-    d.on_recv_header(conn, header(seq=1, backlog=True))  # stale: ignored
+    credit.grow(d, conn, header(seq=0, backlog=True))  # -> 2, barrier=seq 2
+    credit.grow(d, conn, header(seq=1, backlog=True))  # stale: ignored
     assert conn.prepost_target == 2
-    d.on_recv_header(conn, header(seq=5, backlog=True))  # past barrier -> 4
+    credit.grow(d, conn, header(seq=5, backlog=True))  # past barrier -> 4
     assert conn.prepost_target == 4
 
 
@@ -129,7 +124,7 @@ def test_dynamic_without_rate_limit_compounds():
     conn = FakeConn()
     d.setup_connection(conn, 1)
     for seq in range(4):
-        d.on_recv_header(conn, header(seq=seq, backlog=True))
+        credit.grow(d, conn, header(seq=seq, backlog=True))
     assert conn.prepost_target == 16  # 1 -> 2 -> 4 -> 8 -> 16
 
 
@@ -137,7 +132,7 @@ def test_dynamic_linear_policy():
     d = DynamicScheme(exponential=False, growth_step=3, rate_limited=False)
     conn = FakeConn()
     d.setup_connection(conn, 2)
-    d.on_recv_header(conn, header(seq=0, backlog=True))
+    credit.grow(d, conn, header(seq=0, backlog=True))
     assert conn.prepost_target == 5
 
 
@@ -146,7 +141,7 @@ def test_dynamic_capped_at_max():
     conn = FakeConn()
     d.setup_connection(conn, 1)
     for seq in range(10):
-        d.on_recv_header(conn, header(seq=seq, backlog=True))
+        credit.grow(d, conn, header(seq=seq, backlog=True))
     assert conn.prepost_target == 4
 
 
@@ -155,7 +150,7 @@ def test_dynamic_no_growth_without_flag():
     conn = FakeConn()
     d.setup_connection(conn, 1)
     for seq in range(20):
-        assert d.on_recv_header(conn, header(seq=seq, backlog=False)) == 0
+        assert credit.grow(d, conn, header(seq=seq, backlog=False)) == 0
     assert conn.prepost_target == 1
 
 
@@ -165,7 +160,7 @@ def test_dynamic_decay_halves_after_quiet_streak():
     conn = FakeConn(8)
     d.setup_connection(conn, 8)
     for seq in range(10):
-        d.on_recv_header(conn, header(seq=seq, backlog=False))
+        credit.grow(d, conn, header(seq=seq, backlog=False))
     assert conn.prepost_target == 4
     # max_prepost statistic keeps the high-water mark
     assert conn.stats.max_prepost == 8

@@ -1,5 +1,6 @@
 """One implementation of each thing: pins that duplicate paths stay gone."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -158,6 +159,61 @@ def test_the_send_record_rides_the_work_request():
     # ... and no walk over the connection table for an errored completion
     conn_of = inspect.getsource(Endpoint._conn_of)
     assert not re.search(r"^\s*(for|while)\b", conn_of, re.M)
+
+
+# ----------------------------------------------------------------------
+# the credit protocol is one sim-free module; the endpoint and the recovery
+# manager only execute it
+# ----------------------------------------------------------------------
+CREDIT_FIELDS = {"credits", "pending_credit_return", "fallback_inflight",
+                 "prepost_target"}
+
+
+def _assigned_attributes(rel):
+    """``(attribute, line)`` for every ``x.attribute`` an assignment or an
+    augmented assignment in module ``rel`` writes."""
+    def attrs(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [a for elt in target.elts for a in attrs(elt)]
+        return [target.attr] if isinstance(target, ast.Attribute) else []
+
+    found = []
+    for node in ast.walk(ast.parse(_src(rel))):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [(a, node.lineno) for t in targets for a in attrs(t)]
+    return found
+
+
+@pytest.mark.parametrize("module", ["mpi/endpoint.py", "recovery/manager.py"])
+def test_the_executors_hold_no_credit_arithmetic(module):
+    assert [(attr, line) for attr, line in _assigned_attributes(module)
+            if attr in CREDIT_FIELDS] == []
+
+
+def test_the_credit_protocol_imports_no_simulator_verbs_or_endpoint():
+    imported = set()
+    for node in ast.walk(ast.parse(_src("core/credit.py"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    banned = ("repro.sim", "repro.ib", "repro.mpi.endpoint")
+    assert [m for m in imported
+            if any(m == b or m.startswith(b + ".") for b in banned)] == []
+
+
+@pytest.mark.parametrize("hook", ["try_consume_credit", "on_credits_received",
+                                  "on_recv_header", "should_send_ecm"])
+def test_the_schemes_keep_policy_and_no_transition(hook):
+    from repro.core import EXTENDED_SCHEMES, make_scheme
+
+    for name in EXTENDED_SCHEMES:
+        assert not hasattr(make_scheme(name), hook), (name, hook)
 
 
 # ----------------------------------------------------------------------

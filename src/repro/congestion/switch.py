@@ -127,10 +127,7 @@ class PortQueue:
             tr.record(state.sim.now, "cong.drop", self.key, item.dst)
             # tail drop: the requester's ACK-timeout retry recovers it
             msg = item.message
-            if msg.is_read_response:  # the requester is the one waiting
-                qp = state.fabric.hca_at(msg.dst_lid).qp(msg.dst_qpn)
-            else:
-                qp = state.fabric.hca_at(msg.src_lid).qp(msg.src_qpn)
+            qp = state.fabric.hca_at(msg.src_lid).qp(msg.src_qpn)
             qp.on_wire_loss(DROP_RETRY_TIMEOUT_NS)
             aud = state.audit
             if aud is not None:

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.ft.config import FTConfig
 from repro.ft.failures import PROC_FAILED, RankFailedError, RankFailure
+from repro.mpi import rendezvous
 from repro.mpi.request import Status
 from repro.recovery.policy import pair_rng
 
@@ -299,10 +300,7 @@ class FTManager:
             for wc in ep.cq.remove_errors(conn.qp.qp_num):
                 ep._reclaim_error_wc(wc)
             for pending in conn.backlog:
-                ref = pending.request
-                req = getattr(ref, "request", ref)  # RndvSendOp carries .request
-                if req is not None:
-                    self.fail_request(ep, req, rank)
+                self.fail_request(ep, pending.request, rank)
             conn.backlog = ()
             conn.deferred = ()
             if conn.ring is not None:
@@ -314,7 +312,7 @@ class FTManager:
                 ep.pindown.release(op.buffer_id, op.mr)
             self.fail_request(ep, op.request, rank)
         for rreq_id in [k for k, op in ep._rndv_recv.items() if op.src == rank]:
-            op = ep._rndv_recv.pop(rreq_id)
+            op = rendezvous.finish(ep._rndv_recv, ep.bounce, rreq_id)  # frees its slot
             if not op.bounce:
                 ep.pindown.release(op.buffer_id, op.mr)
             self.fail_request(ep, op.request, rank)

@@ -227,7 +227,7 @@ class HCA:
         if self.dead:
             return  # dead adapter: the packet vanishes, nothing answers
         start = max(self.sim.now, self._recv_busy)
-        if msg.opcode is Opcode.RDMA_WRITE or msg.is_read_response:
+        if msg.opcode is Opcode.RDMA_WRITE:
             cost = self.config.hca_rdma_rx_ns  # no WQE consume, no CQE
         else:
             cost = self.config.hca_recv_wqe_ns
@@ -257,31 +257,6 @@ class HCA:
         if qp is None:
             return  # packet to a destroyed QP: silently dropped
         qp._receive(msg)
-
-    def _respond_read(self, qp: QueuePair, msg: _Message, mr) -> None:
-        """Stream RDMA-read data back to the requester."""
-        if self.dead:
-            return
-        response = _Message.__new__(_Message)
-        response.src_lid = self.lid
-        response.src_qpn = qp.qp_num
-        response.dst_lid = msg.src_lid
-        response.dst_qpn = msg.src_qpn
-        response.opcode = Opcode.RDMA_READ
-        response.msn = -1
-        response.length = msg.length
-        response.payload = mr.load(msg.remote_addr)
-        response.remote_addr = 0
-        response.rkey = 0
-        response.is_read_response = True
-        response.read_wr_msn = msg.msn
-        response.epoch = msg.epoch  # stale-epoch requests get stale responses
-        start = max(self.sim.now, self._send_busy)
-        cost = self._send_wqe_cost
-        self._send_busy = start + cost
-        self.sim.call_at(
-            start + cost, self.fabric.transmit, self.lid, msg.src_lid, msg.length, response
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HCA lid={self.lid} qps={len(self._qps)}>"

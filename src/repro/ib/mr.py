@@ -62,7 +62,7 @@ class MemoryRegion:
             self.on_write(addr, payload)
 
     def load(self, addr: int) -> Any:
-        """Fetch whatever was stored at ``addr`` (RDMA read source)."""
+        """Fetch whatever was stored at ``addr`` (a rendezvous FIN reads its landing)."""
         return self._data.get(addr - self.addr)
 
     def __repr__(self) -> str:  # pragma: no cover

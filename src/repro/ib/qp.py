@@ -108,8 +108,6 @@ class _Message:
         "payload",
         "remote_addr",
         "rkey",
-        "is_read_response",
-        "read_wr_msn",
         "epoch",
     )
 
@@ -124,8 +122,6 @@ class _Message:
         self.payload = wr.payload
         self.remote_addr = wr.remote_addr
         self.rkey = wr.rkey
-        self.is_read_response = False
-        self.read_wr_msn = -1
         self.epoch = qp.epoch
 
 
@@ -353,7 +349,7 @@ class QueuePair:
                 # still-inflight sends.
                 req._credit_est = advertised - req._sends_inflight
         wr.rnr_tries = 0
-        if wr.signaled and wr.opcode is not Opcode.RDMA_READ:
+        if wr.signaled:
             # per message: positional, in WC's field order
             self.send_cq.push(
                 WC(wr.wr_id, WCStatus.SUCCESS, wr.opcode, wr.length, None,
@@ -489,27 +485,6 @@ class QueuePair:
         )
         self.hca._kick(self)
 
-    def _on_read_response(self, msg: _Message) -> None:
-        req = self._req
-        wr = req._inflight.get(msg.read_wr_msn)
-        if wr is None:
-            return
-        del req._inflight[msg.read_wr_msn]
-        req._xport_acks += 1
-        if wr.signaled:
-            self.send_cq.push(
-                WC(
-                    wr_id=wr.wr_id,
-                    status=WCStatus.SUCCESS,
-                    opcode=Opcode.RDMA_READ,
-                    byte_len=msg.length,
-                    data=msg.payload,
-                    qp_num=self.qp_num,
-                    peer=self.remote_lid,
-                )
-            )
-        self.hca._kick(self)
-
     def _on_remote_error(self, msn: int, status: WCStatus, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return
@@ -572,9 +547,6 @@ class QueuePair:
             return  # drops on dead QPs
         if msg.epoch != self.epoch:
             return  # in-flight data from a pre-recovery incarnation
-        if msg.is_read_response:
-            self._on_read_response(msg)
-            return
         if msg.msn != self._expected_msn:
             # Stale duplicate from a replay era (msn < expected) or an
             # out-of-order packet after a NAK (msn > expected): discard.
@@ -582,16 +554,7 @@ class QueuePair:
             # lost on the wire — re-acknowledge it, or the requester's
             # transport timer replays forever.
             if self.reack_stale and msg.msn < self._expected_msn:
-                if msg.opcode is Opcode.RDMA_READ:
-                    try:
-                        mr = self.hca.mrs.check_remote(
-                            msg.rkey, msg.remote_addr, msg.length
-                        )
-                    except RemoteAccessError:
-                        return
-                    self.hca._respond_read(self, msg, mr)
-                else:
-                    self._ack(msg)
+                self._ack(msg)
             return
 
         if msg.opcode is Opcode.SEND:
@@ -659,22 +622,6 @@ class QueuePair:
             self._expected_msn += 1
             self.messages_delivered += 1
             self._ack(msg)
-        elif msg.opcode is Opcode.RDMA_READ:
-            try:
-                mr = self.hca.mrs.check_remote(msg.rkey, msg.remote_addr, msg.length)
-            except RemoteAccessError:
-                self._expected_msn += 1
-                self.hca.fabric.send_control(
-                    self.hca.lid,
-                    msg.src_lid,
-                    self._peer()._on_remote_error,
-                    msg.msn,
-                    WCStatus.REMOTE_ACCESS_ERROR,
-                    self.epoch,
-                )
-                return
-            self._expected_msn += 1
-            self.hca._respond_read(self, msg, mr)
         else:  # pragma: no cover - exhaustive enum
             raise QPError(f"unknown opcode {msg.opcode}")
 

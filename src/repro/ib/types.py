@@ -19,7 +19,6 @@ class Opcode(enum.Enum):
 
     SEND = "send"
     RDMA_WRITE = "rdma_write"
-    RDMA_READ = "rdma_read"
 
 
 class WCStatus(enum.Enum):

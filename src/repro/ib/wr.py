@@ -30,7 +30,7 @@ class SendWR:
     wr_id:
         Caller cookie returned in the matching completion.
     opcode:
-        SEND consumes a remote receive WQE; RDMA_WRITE/RDMA_READ do not.
+        SEND consumes a remote receive WQE; RDMA_WRITE does not.
     length:
         Payload bytes.
     payload:
@@ -70,7 +70,7 @@ class SendWR:
     ):
         if length < 0:
             raise ValueError(f"negative WR length {length}")
-        if rkey == 0 and (opcode is Opcode.RDMA_WRITE or opcode is Opcode.RDMA_READ):
+        if rkey == 0 and opcode is Opcode.RDMA_WRITE:
             raise ValueError(f"{opcode.value} requires an rkey")
         self.wr_id = wr_id
         self.opcode = opcode

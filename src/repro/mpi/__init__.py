@@ -12,10 +12,10 @@ from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
 from repro.mpi.connection import Connection, ConnStats, PendingSend
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, TAG_UB, WORLD_CONTEXT
-from repro.mpi.endpoint import Endpoint, MPIError, TruncationError
+from repro.mpi.endpoint import Endpoint
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
-from repro.mpi.protocol import Header, MsgKind
+from repro.mpi.protocol import Header, MPIError, MsgKind, TruncationError
 from repro.mpi.request import PROC_FAILED, Request, Status
 
 __all__ = [

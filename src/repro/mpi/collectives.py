@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.mpi.constants import COLL_TAG_BASE, WORLD_CONTEXT
+from repro.mpi.protocol import MPIError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
@@ -45,6 +46,13 @@ def _coll_envelope(ep: "Endpoint") -> Tuple[int, int]:
     seq = ep._coll_seq.get(context, 0)
     ep._coll_seq[context] = seq + 1
     return COLL_TAG_BASE + seq, ~context
+
+
+def _check_root(ep: "Endpoint", root: int) -> None:
+    """A rooted collective names a member as its root, before anything
+    is sent (MPI_ERR_ROOT)."""
+    if not 0 <= root < ep.world_size:
+        raise MPIError(f"MPI_ERR_ROOT: root {root} outside a group of {ep.world_size}")
 
 
 def _hypercube_rounds(size: int) -> int:
@@ -77,6 +85,7 @@ def barrier(ep: "Endpoint") -> Generator:
 # ----------------------------------------------------------------------
 def bcast(ep: "Endpoint", root: int, size: int, payload: Any = None) -> Generator:
     """Binomial-tree broadcast; returns the payload at every rank."""
+    _check_root(ep, root)
     P, rank = ep.world_size, ep.rank
     if P == 1:
         return payload
@@ -119,6 +128,7 @@ def reduce(
     """Binomial reduction; returns the combined value at the root (None
     elsewhere).  ``op`` defaults to a pairing placeholder when values are
     supplied, making data-flow verifiable in tests."""
+    _check_root(ep, root)
     P, rank = ep.world_size, ep.rank
     if P == 1:
         return value
@@ -280,6 +290,7 @@ def alltoallv(
 # ----------------------------------------------------------------------
 def gather(ep: "Endpoint", root: int, size: int, value: Any = None) -> Generator:
     """Linear gather; returns the list at the root, None elsewhere."""
+    _check_root(ep, root)
     P, rank = ep.world_size, ep.rank
     tag, ctx = _coll_envelope(ep)
     if rank != root:
@@ -302,6 +313,7 @@ def scatter(
     ep: "Endpoint", root: int, size: int, values: Optional[List[Any]] = None
 ) -> Generator:
     """Linear scatter; returns this rank's piece."""
+    _check_root(ep, root)
     P, rank = ep.world_size, ep.rank
     tag, ctx = _coll_envelope(ep)
     if rank == root:

@@ -39,7 +39,7 @@ class PendingSend:
     """A backlogged send operation (paper §4.2: the backlog queue)."""
 
     header: Header
-    request: Any = None  # Request for eager; RndvSendOp for RTS
+    request: Any = None  # the send's Request
     enqueue_ns: int = 0
 
 

@@ -1,9 +1,12 @@
 """The MPI endpoint: one per rank, the ADI2-style device of this MPI.
 
 An :class:`Endpoint` owns the rank's verbs resources (one CQ for every
-connection, exactly like the paper's design), the pre-pinned vbuf pool, the
-matching engine, the pin-down cache, the rendezvous bookkeeping and — via
-:class:`~repro.mpi.connection.Connection` — all flow-control state.
+connection, as in the paper's design), the pre-pinned vbuf pool, the
+matching engine, the pin-down cache and the rendezvous op tables.  It
+*executes* the protocol — the credit transitions of :mod:`repro.core.credit`
+and the message decisions of :mod:`repro.mpi.protocol` and
+:mod:`repro.mpi.rendezvous` (DESIGN §5.3-5.4) — against the verbs layer,
+and runs the progress engine and the subsystem hooks.
 
 All public operations are *generators* driven by the simulation kernel;
 application programs call them with ``yield from``::
@@ -13,10 +16,8 @@ application programs call them with ``yield from``::
         yield from mpi.send(1, size=4)
         status = yield from mpi.wait(req)
 
-Progress happens only inside MPI calls (the paper's user-level schemes
-explicitly depend on this; the hardware scheme's "application bypass"
-advantage shows up as the HCA needing no software help to *deliver*, though
-buffer re-posting is always software).
+Progress happens only inside MPI calls, which the paper's user-level
+schemes depend on.
 """
 
 from __future__ import annotations
@@ -31,28 +32,20 @@ from repro.ib.mr import MemoryRegion
 from repro.ib.qp import QueuePair
 from repro.ib.types import Opcode, QPState, WCStatus
 from repro.ib.wr import SendWR, WC, shared_recv_wr
-from repro.mpi import collectives
+from repro.mpi import collectives, protocol, rendezvous
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
 from repro.mpi.connection import Connection, PendingSend
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
-from repro.mpi.protocol import Header, MsgKind
-from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp, next_op_id
+from repro.mpi.protocol import Header, MPIError, MsgKind
+from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
 from repro.sim import TIMEOUTS, AnyOf, Signal, Simulator
 from repro.sim.trace import Tracer
-
-
-class MPIError(RuntimeError):
-    pass
-
-
-class TruncationError(MPIError):
-    """A message arrived larger than the posted receive buffer."""
 
 
 #: the ring channel class, bound by the first endpoint whose scheme uses a
@@ -67,9 +60,7 @@ CONTROL_RESERVE = 32
 class Endpoint:
     """One MPI process endpoint."""
 
-    # Past 30 attributes CPython stops keeping an instance's values inline
-    # and gives it a dict of its own; every attribute is assigned in
-    # __init__ (the three subsystem hooks included), so they are declared.
+    # declared: past 30 attributes an instance dict stops being inline
     __slots__ = (
         "sim", "hca", "rank", "world_size", "config", "scheme",
         "requested_prepost", "tracer", "_ring_mode", "mesh",
@@ -83,24 +74,14 @@ class Endpoint:
         "bytes_sent", "bytes_received", "wait_ns",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        hca: HCA,
-        rank: int,
-        world_size: int,
-        config: MPIConfig,
-        scheme: FlowControlScheme,
-        requested_prepost: int,
-        tracer: Optional[Tracer] = None,
-        connector: Optional[Callable] = None,
-        mesh: bool = False,
-    ):
+    def __init__(self, sim: Simulator, hca: HCA, rank: int, world_size: int,
+                 config: MPIConfig, scheme: FlowControlScheme, requested_prepost: int,
+                 tracer: Optional[Tracer] = None, connector: Optional[Callable] = None,
+                 mesh: bool = False):
         if requested_prepost < 1:
             raise MPIError("requested_prepost must be >= 1")
         if scheme.uses_ring and not scheme.uses_credits:
-            # only a slot token per write keeps a sender from overrunning
-            # the ring, and the model cannot represent an overrun
+            # only a slot token per write keeps a sender off a full ring
             raise MPIError(f"{type(scheme).__name__}: uses_ring needs uses_credits")
         self.sim = sim
         self.hca = hca
@@ -110,9 +91,7 @@ class Endpoint:
         self.scheme = scheme
         self.requested_prepost = requested_prepost
         self.tracer = tracer or Tracer(enabled=False)
-        #: eager traffic travels by RDMA-write ring (the scheme owns one):
-        #: gates ring allocation at connect time and the ring-dirty arm of
-        #: the progress waits
+        #: eager traffic travels by RDMA-write ring (the scheme owns one)
         self._ring_mode = scheme.uses_ring
         if self._ring_mode:
             global RDMAChannel
@@ -123,7 +102,7 @@ class Endpoint:
         self.matching = MatchingEngine()
         self.pindown = PinDownCache(hca)
         bounce_mr = hca.reg_mr(config.vbuf_bytes * 64)
-        self.bounce = BounceRegion(bounce_mr, config.vbuf_bytes, 64)
+        self.bounce = BounceRegion(bounce_mr, config.vbuf_bytes, 64, config.eager_max())
 
         self.connections: Dict[int, Connection] = {}
         self._backlogged: Set[int] = set()  # peers with non-empty backlog
@@ -131,14 +110,12 @@ class Endpoint:
         #: touch (``connections`` holds those wired so far)
         self.mesh = mesh
         self._standin: Optional[Connection] = None  # see idle_connection()
-        #: peers whose RDMA ring holds arrived-but-unprocessed messages
-        #: (dirty-flag wakeups: the progress engine only looks at these
-        #: instead of scanning every connection per poll)
+        #: peers whose ring holds unprocessed arrivals: all a poll looks at
         self._ring_dirty: Set[int] = set()
         #: sends posted, completion not polled yet (each holds a vbuf or a pin)
         self._sends_open = 0
-        self._rndv_send: Dict[int, RndvSendOp] = {}
-        self._rndv_recv: Dict[int, RndvRecvOp] = {}
+        self._rndv_send: Dict[int, RndvSendOp] = {}  # sreq_id -> op
+        self._rndv_recv: Dict[int, RndvRecvOp] = {}  # rreq_id -> op
         self._coll_seq: Dict[int, int] = {}  # context -> collective sequence
         #: wires the pair of a first send: ``Cluster.wire`` on a static mesh
         #: (wired on the spot, returns None), ``ConnectionManager.request`` on
@@ -147,9 +124,8 @@ class Endpoint:
         #: armed waiter for RDMA-ring arrivals (the spin-loop stand-in)
         self._ring_notify = None
         self.finalized = False
-        # --- fault injection (repro.faults): slow-consumer throttling ---
-        #: while ``sim.now < _stall_until`` this rank neither re-posts vbufs
-        #: nor returns paid credits — the starved-receiver model.
+        #: fault injection: until then this rank neither re-posts vbufs nor
+        #: returns paid credits — the starved-receiver model
         self._stall_until = 0
         #: peer -> paid credits withheld during the stall window
         self._stall_held: Dict[int, int] = {}
@@ -158,19 +134,13 @@ class Endpoint:
         self._t_poll = TIMEOUTS[config.poll_overhead_ns]
         #: largest eager payload; anything bigger goes through rendezvous
         self._eager_max = config.eager_max()
-        #: runtime invariant auditor (repro.check); None = disabled, and
-        #: every hook site below is guarded so the disabled cost is one
-        #: attribute load + None test.
+        #: the subsystem hooks — auditor (repro.check), recovery manager,
+        #: ft manager; None = disarmed, so a hook site costs one test
         self._audit = None
-        #: connection recovery manager (repro.recovery); None = disabled,
-        #: same zero-cost hook pattern as the auditor.
         self._recovery = None
-        #: rank-failure tolerance manager (repro.ft); None = disabled,
-        #: same zero-cost hook pattern as the auditor.
         self._ft = None
-        #: rank-death fault: once halted, every MPI entry point and the
-        #: progress engine park forever (the process is dead; its state
-        #: must stop mutating even as flushed completions hit the CQ).
+        #: rank death: every entry point and the progress engine park for
+        #: good, and no state mutates as flushed completions arrive
         self._halted = False
         self._halt_signal = None
 
@@ -198,11 +168,9 @@ class Endpoint:
         self.scheme.setup_connection(conn, self.requested_prepost)
 
     def idle_connection(self) -> Connection:
-        """What a pair is as the wiring built it: the stand-in a per-job
-        report counts every static-mesh pair not wired yet as.  Built once,
-        as ``Cluster.wire`` builds a half, but off the table and off the
-        adapter: a QP no HCA numbers or holds, a ring region registered
-        nowhere and pointed at itself."""
+        """The stand-in a per-job report counts every static-mesh pair not
+        wired yet as: built once as ``Cluster.wire`` builds a half, but off
+        the table and the adapter (its ring region points at itself)."""
         conn = self._standin
         if conn is None:
             conn = Connection(self, -1, QueuePair(self.hca, -1, self.cq, self.cq))
@@ -216,22 +184,17 @@ class Endpoint:
 
     @staticmethod
     def wire_rdma_rings(conn_ab: Connection, conn_ba: Connection) -> None:
-        """Exchange ring coordinates between the two halves of a freshly
-        (re-)established connection (part of connection setup in RDMA
-        mode, and of recovery after both sides allocated fresh rings)."""
+        """Point each half of a (re-)established pair at the other's ring."""
         for tx, rx in ((conn_ab, conn_ba), (conn_ba, conn_ab)):
             ring = rx.ring.ring
             tx.ring.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
 
     def _post_recv_vbuf(self, conn: Connection, n: int = 1) -> int:
         """Post ``n`` receive vbufs on ``conn``; returns how many were
-        posted (``n``, or 0 while the QP cannot take them)."""
+        posted (``n``, or 0 while the QP cannot take them: a recovery
+        window, whose resync refill restores the population)."""
         qp = conn.qp
         if qp.state is not QPState.READY:
-            # Recovery window: the QP cannot accept WQEs (post_recv raises
-            # in ERROR state).  The credit for a paid message processed in
-            # this window is still granted by the caller; the physical
-            # buffer population is restored by the resync refill.
             return 0
         qp.post_recv(conn.recv_wr, n)
         audit = self._audit
@@ -250,30 +213,16 @@ class Endpoint:
     # ------------------------------------------------------------------
     # public API: point-to-point
     # ------------------------------------------------------------------
-    def isend(
-        self,
-        dest: int,
-        size: int,
-        tag: int = 0,
-        payload: Any = None,
-        buffer_id: Optional[object] = None,
-        context: int = WORLD_CONTEXT,
-        mode: str = "standard",
-    ) -> Generator:
-        """Non-blocking send; returns a :class:`Request`.
-
-        ``mode`` selects the MPI communication mode (paper §3.1: "MPI
-        defines four different communication modes: Standard, Synchronous,
-        Buffered, and Ready"):
-
-        * ``"standard"`` / ``"buffered"`` — eager below the rendezvous
-          threshold (this device buffers through the vbuf pool, so the two
-          behave identically), rendezvous above;
-        * ``"sync"`` — always rendezvous: the request cannot complete until
-          the handshake proves a matching receive exists (MPI_Ssend);
-        * ``"ready"`` — like standard, but the receiver *errors* if the
-          message arrives unexpected (MPI_Rsend's contract).
-        """
+    def isend(self, dest: int, size: int, tag: int = 0, payload: Any = None,
+              buffer_id: Optional[object] = None, context: int = WORLD_CONTEXT,
+              mode: str = "standard") -> Generator:
+        """Non-blocking send; returns a :class:`Request`.  ``mode`` is the
+        MPI communication mode (paper §3.1): ``"standard"`` and
+        ``"buffered"`` (one behaviour: this device buffers through the vbuf
+        pool), ``"sync"`` (MPI_Ssend: always the rendezvous handshake, which
+        proves the receive matched) and ``"ready"`` (MPI_Rsend: arriving
+        unexpected is an error).  :func:`rendezvous.choose` picks eager or
+        rendezvous."""
         if mode not in ("standard", "buffered", "sync", "ready"):
             raise MPIError(f"unknown send mode {mode!r}")
         # A connected peer is a valid one (and almost always is connected).
@@ -304,74 +253,40 @@ class Endpoint:
         if req.done:  # dest declared dead while this call was parked
             return req
 
-        if mode != "sync" and size <= self._eager_max:
-            ref = req  # an eager send completes at emission
-            # Per message, so positional, in Header's field order: kind,
-            # src, dst, tag, context, size, seq, credits, went_backlog,
-            # paid, ready, via_ring, sreq_id, rreq_id, remote_addr, rkey,
-            # payload.
-            header = Header(
-                MsgKind.EAGER, self.rank, dest, tag, context, size, -1,
-                0, False, True, mode == "ready", False,
-                -1, -1, 0, 0, payload,
-            )
-        else:
-            # Rendezvous path (large messages, and every "sync" send —
-            # the CTS proves the receive is matched).  Small synchronous
-            # payloads ride the pre-registered bounce region instead of
-            # paying a pin.
-            bounce = size <= self._eager_max
-            if bounce:
-                mr, pin_cost = None, 0
-            else:
-                mr, pin_cost = self.pindown.acquire(buffer_id, size)
+        # Per message, so positional, in Header's field order: kind, src,
+        # dst, tag, context, size, seq, credits, went_backlog, paid, ready,
+        # via_ring, sreq_id, rreq_id, remote_addr, rkey, payload.
+        header = Header(
+            MsgKind.EAGER, self.rank, dest, tag, context, size, -1,
+            0, False, True, mode == "ready", False,
+            -1, -1, 0, 0, payload,
+        )
+        how = rendezvous.choose(mode, size, self._eager_max)
+        if how:
+            mr, pin_cost = (self.pindown.acquire(buffer_id, size)
+                            if how == rendezvous.PIN else (None, 0))
             yield TIMEOUTS[pin_cost]
             if req.done:  # dest declared dead while pinning
                 if mr is not None:
                     self.pindown.release(buffer_id, mr)
                 return req
-            ref = RndvSendOp(
-                sreq_id=next_op_id(),
-                request=req,
-                dst=dest,
-                tag=tag,
-                context=context,
-                size=size,
-                payload=payload,
-                buffer_id=buffer_id,
-                mr=mr,
-                bounce=bounce,
-            )
-            self._rndv_send[ref.sreq_id] = ref
-            header = Header(
-                kind=MsgKind.RNDV_RTS,
-                src=self.rank,
-                dst=dest,
-                tag=tag,
-                context=context,
-                size=size,
-                sreq_id=ref.sreq_id,
-                paid=True,
-            )
-        # Behind a backlog, or on a recovering connection, the send joins
-        # the backlog (credit.take: the FIFO rule).
+            header = rendezvous.rts(self._rndv_send, header, req, mr, buffer_id)
+        # no credit, a backlog ahead or a recovering connection: the send
+        # joins the backlog (credit.take)
         if self._take_credit(conn):
-            # Everything but an eager ring write is staged in a pool vbuf.
+            # everything but an eager ring write is staged in a pool vbuf
             ring = conn.ring is not None and header.kind is MsgKind.EAGER
             if not ring and self.pool.free <= CONTROL_RESERVE:
                 yield from self._progress_until(lambda: self.pool.free > CONTROL_RESERVE)
                 if req.done:  # dest declared dead during the pool wait
                     return req
-            yield TIMEOUTS[self._emit(conn, header, ref)]
+            yield TIMEOUTS[self._emit(conn, header, req)]
         else:
-            self._enqueue_backlog(conn, PendingSend(header, ref, self.sim.now))
+            self._enqueue_backlog(conn, PendingSend(header, req, self.sim.now))
             yield TIMEOUTS[self._drain(conn)]
-        # Opportunistic progress poke: every MPI call advances the engine
-        # (as MPICH's ADI does) — without it, a rank that only isends would
-        # never see CTSs or credit updates (user-level flow control "relies
-        # on communication progress", paper §4.2).  The idle case of
-        # ``_poll_once`` is open-coded (same yield sequence) to skip a
-        # sub-generator per send.
+        # Every MPI call pokes the progress engine (as MPICH's ADI does), or
+        # a rank that only isends would never see a CTS or a credit (paper
+        # §4.2).  _poll_once, open-coded: the same yields, one frame less.
         yield self._t_poll
         if self.cq._entries or self._ring_dirty:
             yield from self._poll_busy()
@@ -381,14 +296,8 @@ class Endpoint:
                 yield TIMEOUTS[cost]
         return req
 
-    def irecv(
-        self,
-        source: int = ANY_SOURCE,
-        capacity: int = 0,
-        tag: int = ANY_TAG,
-        buffer_id: Optional[object] = None,
-        context: int = WORLD_CONTEXT,
-    ) -> Generator:
+    def irecv(self, source: int = ANY_SOURCE, capacity: int = 0, tag: int = ANY_TAG,
+              buffer_id: Optional[object] = None, context: int = WORLD_CONTEXT) -> Generator:
         """Non-blocking receive; returns a :class:`Request`."""
         if source != ANY_SOURCE and source not in self.connections:
             self._check_peer(source)
@@ -397,37 +306,32 @@ class Endpoint:
         if tag < 0 and tag != ANY_TAG:
             raise MPIError(f"MPI_ERR_TAG: a receive's tag is >= 0 or ANY_TAG, not {tag}")
         req = Request("recv")
-        if (
-            self._ft is not None
-            and source != ANY_SOURCE
-            and self._ft.fail_if_dead(self, req, source)
-        ):
+        if (self._ft is not None and source != ANY_SOURCE
+                and self._ft.fail_if_dead(self, req, source)):
             yield self._t_call
             return req
         yield self._t_call
         posted = PostedRecv(source, tag, context, capacity, req, buffer_id)
         unexpected = self.matching.post_recv(posted)
         if unexpected is not None:
+            # the late match: protocol.match as at arrival, one yield a step
             h = unexpected.header
+            act = protocol.match(h, posted, late=True)
             if self._audit is not None:
                 self._audit.on_match(h)
-            self._check_capacity(h, capacity)
-            if h.kind is MsgKind.EAGER:
+            conn = self.connections[h.src]
+            if act & protocol.LAND:
+                yield TIMEOUTS[self._land(conn, h, posted)]
+            else:  # eager: COPY | COMPLETE, and FREE for a parked vbuf
                 yield TIMEOUTS[self.config.copy_ns(h.size)]
                 self._complete_recv(req, h.src, h.tag, h.size, h.payload)
-                if not h.via_ring:
-                    # The message's vbuf was pinned while it sat unexpected;
-                    # copy-out releases it now (ring slots were already
-                    # freed at arrival).
-                    yield TIMEOUTS[self._release(self.connections[h.src], h)]
-            else:  # RNDV_RTS
-                yield TIMEOUTS[self._rndv_recv_start(h, posted)]
+                if act & protocol.FREE:
+                    yield TIMEOUTS[self._release(conn, h)]
         elif self._ft is not None and source != ANY_SOURCE:
             # nothing arrived yet: the peer's liveness now gates this
             # request, so the failure detector watches it
             self._ft.watch(self, req, source)
-        # Open-coded idle _poll_once, as in isend.
-        yield self._t_poll
+        yield self._t_poll  # _poll_once, open-coded as in isend
         if self.cq._entries or self._ring_dirty:
             yield from self._poll_busy()
         elif self._backlogged:
@@ -437,9 +341,8 @@ class Endpoint:
         return req
 
     def send(self, dest: int, size: int, **kwargs) -> Generator:
-        """Blocking send (MPI_Send): returns once the operation finished
-        locally — for eager sends that is the moment the payload is staged
-        (buffered semantics); for rendezvous, the end of the handshake."""
+        """Blocking send (MPI_Send): eager returns once staged, rendezvous
+        at the end of the handshake."""
         req = yield from self.isend(dest, size, **kwargs)
         yield from self.wait(req)
 
@@ -459,13 +362,8 @@ class Endpoint:
         req = yield from self.isend(dest, size, mode="ready", **kwargs)
         yield from self.wait(req)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        capacity: int = 0,
-        tag: int = ANY_TAG,
-        **kwargs,
-    ) -> Generator:
+    def recv(self, source: int = ANY_SOURCE, capacity: int = 0, tag: int = ANY_TAG,
+             **kwargs) -> Generator:
         """Blocking receive; returns the :class:`Status`."""
         req = yield from self.irecv(source, capacity, tag, **kwargs)
         status = yield from self.wait(req)
@@ -475,15 +373,12 @@ class Endpoint:
         """Block until ``request`` completes; returns its status."""
         sim = self.sim
         t0 = sim.now
-        # Open-coded _progress_until(lambda: request.done): this is the
-        # single hottest progress loop and the closure + predicate calls
-        # are measurable.  Keep the yield sequence identical to the
-        # generic loop — determinism depends on it.
+        # _progress_until(lambda: request.done) and _poll_once, open-coded
+        # in the hottest loop: the same yields, without the frames
         cq = self.cq
         while not request.done:
             if self._halted:
                 yield self._halt_signal  # never fires: this rank is dead
-            # Inline idle _poll_once (same yield sequence).
             yield self._t_poll
             if cq._entries or self._ring_dirty:
                 yield from self._poll_busy()
@@ -504,12 +399,8 @@ class Endpoint:
     def waitall(self, requests: List[Request]) -> Generator:
         """Block until every request completes; returns their statuses."""
         t0 = self.now
-        # The completion predicate runs after every progress step; a plain
-        # ``all(r.done ...)`` rescans the whole window each time, which is
-        # O(n²) over a window of n requests (the dominant cost of the
-        # non-blocking bandwidth benchmark).  Requests only ever go from
-        # pending to done, so tracking the done-prefix makes the total
-        # predicate work O(n) without changing its value at any instant.
+        # requests only ever complete, so the predicate keeps the done
+        # prefix: O(n) over the window, not an O(n²) rescan per step
         n = len(requests)
         prefix = 0
 
@@ -545,9 +436,7 @@ class Endpoint:
             yield TIMEOUTS[ns]
 
     # ------------------------------------------------------------------
-    # public API: collectives — the algorithms in repro.mpi.collectives
-    # take the endpoint (or a Communicator) as their first argument, so
-    # binding them as methods is the whole delegation
+    # public API: collectives (repro.mpi.collectives, bound as methods)
     # ------------------------------------------------------------------
     barrier = collectives.barrier
     bcast = collectives.bcast
@@ -563,16 +452,13 @@ class Endpoint:
     # finalize
     # ------------------------------------------------------------------
     def finalize(self) -> Generator:
-        """Quiesce: wait for all local sends to complete and backlogs to
-        drain, then synchronise with every rank.  After finalize, stray
-        inbound control traffic parks in posted vbufs without needing this
-        rank's attention (no RNR livelock)."""
+        """Quiesce locally (sends completed, backlogs drained), then
+        synchronise with every rank; stray control traffic afterwards parks
+        in posted vbufs."""
         yield from self._progress_until(self._locally_quiescent)
         if self._ft is not None:
-            # With the failure detector armed, finalize must not world-
-            # synchronize: a rank can enter the barrier before a death is
-            # declared while another skips it after — an asymmetric hang.
-            # ULFM semantics: quiesce locally, never wait on membership.
+            # ULFM: quiesce locally, never wait on membership (a barrier
+            # could hang on a death one rank saw declared and another not)
             self.finalized = True
             return
         yield from self.barrier()
@@ -581,21 +467,13 @@ class Endpoint:
 
     def _locally_quiescent(self) -> bool:
         dead = self._ft.dead if self._ft is not None else ()
-        return (
-            all(
-                not c.backlog
-                and not c.recovering
-                and not c.deferred
-                and c.qp.outstanding_sends == 0
-                # severed state toward dead peers is frozen; a torn-down
-                # on-demand pair has left the table
-                for p, c in self.connections.items()
-                if p not in dead
-            )
-            and not self._rndv_send
-            and not self._sends_open  # every completion polled (pool released)
-            and len(self.cq) == 0
-        )
+        # severed state toward dead peers is frozen; a torn-down on-demand
+        # pair has left the table
+        return all(
+            not c.backlog and not c.recovering and not c.deferred
+            and c.qp.outstanding_sends == 0
+            for p, c in self.connections.items() if p not in dead
+        ) and not self._rndv_send and not self._sends_open and len(self.cq) == 0
 
     # ------------------------------------------------------------------
     # progress engine
@@ -632,15 +510,11 @@ class Endpoint:
                     yield self.cq.wait_nonempty()
 
     def _poll_once(self) -> Generator:
-        """Drain the CQ and the RDMA rings, handling each completion (and
-        charging its CPU cost); drains backlogs afterwards.  Idle
-        connections cost nothing: only rings flagged dirty by an RDMA
-        deposit are examined."""
+        """Drain the CQ and the dirty rings, charging each completion's CPU
+        cost, then the backlogs."""
         if self._halted:
             return  # dead rank: resumed mid-loop by a stale wakeup
         yield self._t_poll
-        # Idle fast path: nothing completed, no ring flagged dirty — the
-        # common case for the opportunistic poke every MPI call performs.
         if not self.cq._entries and not self._ring_dirty:
             if self._backlogged:
                 cost = self._drain_backlogged()
@@ -653,18 +527,11 @@ class Endpoint:
         """The non-idle tail of :meth:`_poll_once` (poll overhead already
         charged by the caller)."""
         if self._halted:
-            # A dead rank processes nothing: flushed completions from its
-            # errored QPs must not mutate its (frozen) protocol state.
-            return
+            return  # a dead rank's flushed completions change nothing
         if self._stall_until > self.sim.now:
-            # Fault model: a stalled (descheduled) consumer handles no
-            # completions at all — arrivals pile up in the CQ, posted
-            # vbufs are consumed and never replenished, and no credits
-            # or rendezvous replies leave this rank until the window
-            # closes.  This is the paper's slow-receiver stressor: the
-            # hardware scheme's sender keeps pushing into the shrinking
-            # receive queue and degenerates into RNR timeout storms,
-            # while user-level senders park the overflow in the backlog.
+            # A stalled consumer handles nothing: arrivals pile up, vbufs
+            # are not replenished, no credit or CTS leaves — the paper's
+            # slow receiver (RNR storms under hardware, backlogs above it).
             return
         cq = self.cq
         while True:
@@ -689,7 +556,7 @@ class Endpoint:
                     conn = self.connections[peer]
                     ch = conn.ring
                     while True:
-                        h = ch.poll(conn.seq_in_expected)
+                        h = protocol.ring_next(conn)
                         if h is None:
                             if not ch.has_arrivals:
                                 # fully drained; a blocked head (waiting on
@@ -699,9 +566,9 @@ class Endpoint:
                             break
                         progressed = True
                         cost = self.config.rdma_poll_ns + self._deliver(conn, h)
-                        if ch.cq_stash:
-                            # ring progress may unpark overtaking CQ headers
-                            cost += self._drain_cq_stash(conn)
+                        # ring progress may unpark overtaking CQ headers
+                        while ch.cq_stash and (h := protocol.unpark(conn)):
+                            cost += self._deliver(conn, h)
                         if cost:
                             yield TIMEOUTS[cost]
             if not progressed:
@@ -713,21 +580,26 @@ class Endpoint:
 
     def _handle_wc(self, wc: WC) -> int:
         if self._halted:
-            # A Timeout scheduled before this rank died can resume its
-            # generator mid-CQ-drain, past _poll_busy's entry guard; the
-            # remaining completions (now flushes) must not be processed.
-            return 0
+            return 0  # died mid-drain (a Timeout resumed it past the guard)
         if wc.status is not WCStatus.SUCCESS:
             return self._handle_error_wc(wc)
-        if wc.is_recv:
-            return self._handle_recv(wc)
-        return self._handle_send_done(wc)
+        if not wc.is_recv:
+            return self._handle_send_done(wc)
+        h: Header = wc.data
+        conn = self.connections[h.src]
+        conn.recv_posted -= 1
+        if not protocol.in_order(conn, h):
+            return self.config.header_proc_ns  # parked behind a ring write
+        cost = self._deliver(conn, h)
+        ch = conn.ring
+        while ch is not None and ch.cq_stash and (h := protocol.unpark(conn)):
+            cost += self._deliver(conn, h)
+        return cost
 
     # --- errored completions ---------------------------------------------
     def _conn_of(self, wc: WC) -> Optional[Connection]:
-        """The connection an errored or flushed completion belongs to (a
-        receive descriptor's ``wr_id`` is its peer, a send's is the record
-        :meth:`_post` attached, which names its ``dst``) — None unless
+        """The connection an errored or flushed completion belongs to, by
+        its ``wr_id`` (a receive's peer, or the send record's ``dst``), if
         that peer's QP is the one that completed."""
         conn = self.connections.get(wc.wr_id if wc.is_recv else wc.wr_id.dst)
         if conn is not None and conn.qp.qp_num == wc.qp_num:
@@ -735,11 +607,9 @@ class Endpoint:
         return None
 
     def _reclaim_error_wc(self, wc: WC) -> Any:
-        """Undo the local bookkeeping an errored/flushed completion
-        invalidates: release the send-pool vbuf for eager/control sends
-        and drop the posted-recv count for flushed receives.  Returns the
-        send's record (None for a receive), so the recovery manager can
-        decide what to replay."""
+        """Undo what an errored or flushed completion invalidates (a send's
+        vbuf, a receive's ``recv_posted``); returns the send's record for
+        the recovery manager to replay (None for a receive)."""
         if wc.is_recv:
             conn = self._conn_of(wc)
             if conn is not None:
@@ -754,15 +624,11 @@ class Endpoint:
         return record
 
     def _handle_error_wc(self, wc: WC) -> int:
-        """A completion with non-success status.  With a recovery manager
-        installed this begins (or feeds) a QP-pair re-establishment;
-        without one, the job fails promptly with a structured record —
-        the pre-recovery behaviour was to leak the vbuf and hang until
-        the progress watchdog tripped."""
+        """A completion with non-success status: absorbed by ft when a dead
+        peer explains it (it may be the detection), else the start of a
+        recovery; with neither armed, the job fails with a structured
+        record."""
         if self._ft is not None:
-            # Rank death first: an error completion explained by a dead
-            # peer is absorbed (and may *be* the detection — transport
-            # retry exhaustion against a dead HCA confirms the failure).
             cost = self._ft.on_error_wc(self, wc)
             if cost is not None:
                 return cost
@@ -771,62 +637,18 @@ class Endpoint:
         self._reclaim_error_wc(wc)
         conn = self._conn_of(wc)
         peer = conn.peer if conn is not None else wc.peer
-        raise ConnectionFailedError(
-            ConnectionFailure(
-                rank=self.rank,
-                peer=peer,
-                scheme=self.scheme.name.value,
-                epoch=conn.qp.epoch if conn is not None else 0,
-                cause=wc.status.value,
-                elapsed_ns=self.sim.now,
-                attempts=0,
-            )
-        )
+        raise ConnectionFailedError(ConnectionFailure(
+            rank=self.rank, peer=peer, scheme=self.scheme.name.value,
+            epoch=conn.qp.epoch if conn is not None else 0,
+            cause=wc.status.value, elapsed_ns=self.sim.now, attempts=0))
 
     # --- inbound ---------------------------------------------------------
-    def _handle_recv(self, wc: WC) -> int:
-        h: Header = wc.data
-        conn = self.connections[h.src]
-        conn.recv_posted -= 1
-        ch = conn.ring
-        if h.seq != conn.seq_in_expected:
-            if ch is not None and h.seq > conn.seq_in_expected:
-                # Cross-channel skew: the CQ (send/recv) channel and the
-                # RDMA ring share one per-connection sequence space but
-                # not one wire, so a control message can overtake an
-                # eager write still in flight toward the ring.  Park the
-                # header; the ring drain re-dispatches it the moment the
-                # gap closes.  The QP itself is FIFO, so appends keep the
-                # stash in sequence order.
-                if type(ch.cq_stash) is tuple:  # first use
-                    ch.cq_stash = []
-                ch.cq_stash.append(h)
-                return self.config.header_proc_ns
-            raise MPIError(
-                f"rank {self.rank}: out-of-order delivery from {h.src}: "
-                f"seq {h.seq} != expected {conn.seq_in_expected}"
-            )
-        cost = self._deliver(conn, h)
-        if ch is not None and ch.cq_stash:
-            cost += self._drain_cq_stash(conn)
-        return cost
-
-    def _drain_cq_stash(self, conn: Connection) -> int:
-        """Deliver parked CQ headers made in-sequence by ring progress."""
-        cost = 0
-        ch = conn.ring
-        while ch.cq_stash and ch.cq_stash[0].seq == conn.seq_in_expected:
-            cost += self._deliver(conn, ch.cq_stash.pop(0))
-        return cost
-
     def _deliver(self, conn: Connection, h: Header) -> int:
-        """Process one in-sequence arrival, whichever channel carried it:
-        a SEND polled from the CQ (its vbuf's ``recv_posted`` decrement
-        already happened at poll time) or an eager write drained from the
-        RDMA ring (``h.via_ring``; the caller charges the ring poll)."""
+        """Process one in-sequence arrival, a SEND from the CQ or an eager
+        write from the ring: the protocol decides (:func:`protocol.match`,
+        :mod:`rendezvous`), this executes — pins, copies, emits, completes
+        and releases."""
         cost = self.config.header_proc_ns
-        conn.seq_in_expected += 1
-
         if self._ft is not None:
             # liveness piggyback: any delivery proves the peer is alive
             self._ft.on_heard(self.rank, conn.peer)
@@ -835,18 +657,40 @@ class Endpoint:
         if self._audit is not None:
             self._audit.on_deliver(conn, h)
 
-        # Dispatch.  A handler returns None only for unexpected eager data
-        # on the send/recv channel: its payload stays parked in the vbuf
-        # until the application posts the matching receive (the vbuf IS
-        # the storage — MVICH design), so that buffer cannot be released
-        # yet.  This is precisely how a fast sender exhausts a slow
-        # receiver (paper §3.2).
-        handled = self._HANDLERS[h.kind](self, conn, h)
-        if handled is not None:
-            cost += handled + self._release(conn, h)
+        kind = h.kind
+        if kind is MsgKind.EAGER or kind is MsgKind.RNDV_RTS:
+            posted = self.matching.arrived(h, self.sim.now)
+            act = protocol.match(h, posted)
+            if posted is not None:
+                if self._audit is not None:
+                    self._audit.on_match(h)
+                if act & protocol.LAND:
+                    cost += self._land(conn, h, posted)
+                elif act & protocol.COMPLETE:
+                    self._complete_recv(posted.request, h.src, h.tag, h.size, h.payload)
+            if act & protocol.COPY:
+                cost += self.config.copy_ns(h.size)  # vbuf / slot -> user buffer
+            if act:  # 0: parked in its vbuf until matched
+                cost += self._release(conn, h)
+        else:
+            if kind is MsgKind.RNDV_CTS:
+                op = rendezvous.cts(self._rndv_send, conn, h)
+                cost += self._emit_data(conn, op)
+                if op.bounce:
+                    cost += self.config.copy_ns(op.size)  # stage into pinned scratch
+            elif kind is MsgKind.RNDV_FIN:
+                op = rendezvous.finish(self._rndv_recv, self.bounce, h.rreq_id)
+                payload = op.mr.load(op.landing_addr)
+                if op.bounce:
+                    cost += self.config.copy_ns(op.size)  # bounce slot -> user buffer
+                else:
+                    cost += self.pindown.release(op.buffer_id, op.mr)
+                self._complete_recv(op.request, op.src, op.tag, op.size, payload)
+            # MsgKind.CREDIT, an explicit credit message, is all prologue:
+            # its credits were folded in above
+            cost += self._release(conn, h)
 
-        # Feedback (dynamic growth): the new credits are pending already,
-        # the new buffers are posted here.
+        # dynamic growth: its credits are pending already, its buffers go here
         if self._audit is not None:
             grown = self._audit.observe_recv_header(self.scheme, conn, h)
         else:
@@ -863,38 +707,10 @@ class Endpoint:
             cost += self._drain(conn)
         return cost
 
-    def _handle_data(self, conn: Connection, h: Header) -> Optional[int]:
-        """EAGER and RNDV_RTS, the kinds a sender pushes unasked: match
-        against the posted receives, or queue as unexpected."""
-        posted = self.matching.arrived(h, self.sim.now)
-        if posted is None:
-            if h.kind is MsgKind.RNDV_RTS:
-                return 0  # fully parsed here; its vbuf is reusable
-            if h.ready:
-                raise MPIError(
-                    f"rank {self.rank}: ready-mode message from {h.src} "
-                    f"(tag {h.tag}) arrived with no matching receive "
-                    "posted — MPI_Rsend contract violated"
-                )
-            if h.via_ring:
-                # Unlike a vbuf, a ring slot cannot hold an unexpected
-                # message (the [13] design — rings must free in order):
-                # it is copied out to a temporary buffer immediately.
-                return self.config.copy_ns(h.size)
-            return None  # vbuf pinned until matched
-        if self._audit is not None:
-            self._audit.on_match(h)
-        self._check_capacity(h, posted.capacity)
-        if h.kind is MsgKind.RNDV_RTS:
-            return self._rndv_recv_start(h, posted)
-        self._complete_recv(posted.request, h.src, h.tag, h.size, h.payload)
-        return self.config.copy_ns(h.size)  # vbuf / slot -> user buffer
-
     def _release(self, conn: Connection, h: Header) -> int:
-        """Release the buffer of a fully processed message — a ring slot
-        or a receive vbuf — and settle its credit (:func:`credit.release`:
-        repost, grant, swallow, or hold while a fault-injected receiver
-        stall is open; :meth:`fault_release_stall` settles the held ones)."""
+        """Free a processed message's ring slot or vbuf and settle its
+        credit as :func:`credit.release` says (a stall's holds settle in
+        :meth:`fault_release_stall`)."""
         stalled = self._stall_until > self.sim.now
         if stalled:
             self.tracer.count("faults.stall_deferred", conn.peer)
@@ -913,8 +729,7 @@ class Endpoint:
                 self._audit.on_swallow(conn)
         elif act & credit.HOLD:
             self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
-        # Drains here, ahead of :meth:`_deliver`'s growth feedback (a late
-        # match in :meth:`irecv` has no other drain).
+        # drains here, ahead of _deliver's growth (a late match has no other)
         if conn.backlog:
             cost += self._drain(conn)
         return cost
@@ -928,44 +743,6 @@ class Endpoint:
             self._audit.on_grant(conn, n)
         return self._emit_ecm(conn) if ecm else 0
 
-    def _handle_cts(self, conn: Connection, h: Header) -> int:
-        op = self._rndv_send.get(h.sreq_id)
-        if op is None:
-            raise MPIError(f"rank {self.rank}: CTS for unknown sreq {h.sreq_id}")
-        op.fin_rreq_id = h.rreq_id
-        op.cts_remote_addr = h.remote_addr
-        op.cts_rkey = h.rkey
-        if op.fallback:
-            credit.end_fallback(conn)
-        cost = self._emit_data(conn, op)
-        if op.bounce:
-            cost += self.config.copy_ns(op.size)  # stage into pinned scratch
-        return cost
-
-    def _handle_fin(self, conn: Connection, h: Header) -> int:
-        op = self._rndv_recv.pop(h.rreq_id, None)
-        if op is None:
-            raise MPIError(f"rank {self.rank}: FIN for unknown rreq {h.rreq_id}")
-        payload = op.mr.load(op.landing_addr)
-        if op.bounce:
-            cost = self.config.copy_ns(op.size)  # bounce slot -> user buffer
-        else:
-            cost = self.pindown.release(op.buffer_id, op.mr)
-        self._complete_recv(op.request, op.src, op.tag, op.size, payload)
-        return cost
-
-    #: arrival dispatch of :meth:`_deliver`: ``handler(self, conn, h)``
-    #: returns its CPU cost (None: the message still occupies its vbuf)
-    _HANDLERS = {
-        MsgKind.EAGER: _handle_data,
-        MsgKind.RNDV_RTS: _handle_data,
-        MsgKind.RNDV_CTS: _handle_cts,
-        MsgKind.RNDV_FIN: _handle_fin,
-        # an explicit credit message is all prologue: its credits were
-        # folded in before the dispatch
-        MsgKind.CREDIT: lambda self, conn, h: 0,
-    }
-
     # --- outbound completions --------------------------------------------
     def _handle_send_done(self, wc: WC) -> int:
         self._sends_open -= 1
@@ -977,10 +754,10 @@ class Endpoint:
                 self._release_send_vbuf()
             return 0
         op: RndvSendOp = record  # the rendezvous payload landed
-        cost = self._emit_fin(self.connections[op.dst], op)
+        cost = self._emit(self.connections[op.dst],
+                          rendezvous.fin(self._rndv_send, op, self.rank))
         if op.mr is not None:
             cost += self.pindown.release(op.buffer_id, op.mr)
-        del self._rndv_send[op.sreq_id]
         op.request.complete(Status())
         return cost
 
@@ -995,9 +772,7 @@ class Endpoint:
     # emission paths
     # ------------------------------------------------------------------
     def _take_credit(self, conn: Connection, head: bool = False) -> int:
-        """:func:`credit.take` for a new send (or the backlog's ``head``);
-        the paid header it buys may be emitted later (a vbuf wait can sit
-        in between)."""
+        """:func:`credit.take` for a new send (or the backlog's ``head``)."""
         taken = credit.take(self.scheme, conn, head)
         if taken and self._audit is not None:
             self._audit.on_consume(conn)
@@ -1005,51 +780,30 @@ class Endpoint:
 
     def _post(self, conn: Connection, record: Any, opcode: Opcode, length: int,
               payload: Any, remote_addr: int = 0, rkey: int = 0) -> None:
-        """Post one send work request.  ``record`` — the :class:`Header`
-        of a SEND or ring write, the :class:`RndvSendOp` of a payload write
-        — is its ``wr_id``, the cookie the verbs hand back in the completion:
-        to :meth:`_handle_send_done`, or :meth:`_reclaim_error_wc` on a flush."""
+        """Post one send work request whose ``wr_id`` is ``record`` (the
+        :class:`Header` of a SEND or ring write, the :class:`RndvSendOp` of a
+        payload write), handed back to :meth:`_handle_send_done`."""
         self._sends_open += 1
         conn.qp.post_send(SendWR(record, opcode, length, payload, remote_addr, rkey))
 
-    def _emit(
-        self,
-        conn: Connection,
-        header: Header,
-        ref: Any = None,
-        replay: bool = False,
-    ) -> int:
-        """Emit one protocol message: staged into a pool vbuf and SENT —
-        the caller must have verified pool availability (``CONTROL_RESERVE``) —
-        or, for eager data on a ring connection, RDMA-written into the
-        peer's ring (no vbuf, no remote WQE).  ``ref`` is what the message
-        belongs to: the :class:`Request` of an eager send, the
-        :class:`RndvSendOp` of an RTS.  Returns CPU cost.
-
-        ``replay=True`` (recovery manager only) re-posts an un-acked
-        message after QP re-establishment: the header keeps its original
-        sequence number (the receiver never consumed it), carries no
-        credits (pre-fault piggybacked grants are re-minted by the
-        resync), and neither the stats nor the request are touched —
-        eager requests completed at first emission.  A ring replay lands
-        in the fresh ring, re-established empty at slot 0, in its
-        original order.
-        """
+    def _emit(self, conn: Connection, header: Header, req: Optional[Request] = None,
+              replay: bool = False) -> int:
+        """Emit one protocol message: staged into a pool vbuf and SENT (the
+        caller checked the pool against ``CONTROL_RESERVE``) or, for eager
+        data on a ring connection, RDMA-written into the peer's ring.
+        ``req`` is the send's :class:`Request`, completed here for eager
+        data.  Returns CPU cost.  ``replay=True`` (recovery only) re-posts
+        an un-acked message on a re-established QP: original sequence
+        number, no credits (the resync mints them again), stats and
+        request untouched; a ring replay lands in the fresh ring, in order."""
         if not replay:
             if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
-                # A dead rank emits nothing; toward a dead peer there is no
-                # one to emit to (the QP is in ERROR — post_send would
-                # raise).  Any request this message carried was already
-                # completed with PROC_FAILED by the failure manager.
-                return 0
+                return 0  # nothing to emit from or to: ft failed the request
             if conn.recovering:
-                # QP pair mid-re-establishment: park the emission (no vbuf,
-                # no ring slot, no sequence number) — the manager re-emits
-                # deferred messages FIFO after the un-acked replays once
-                # the QP re-arms (and the fresh ring is wired).
+                # parked, unnumbered: re-emitted FIFO after the replays
                 if type(conn.deferred) is tuple:  # first use
                     conn.deferred = deque()
-                conn.deferred.append((header, ref))
+                conn.deferred.append((header, req))
                 return 0
             header.seq = conn.seq_out
             conn.seq_out += 1
@@ -1077,35 +831,24 @@ class Endpoint:
             stats.msgs_sent += 1
             if eager:
                 stats.data_msgs_sent += 1
-                if ref is not None:
-                    # Buffered-send semantics: the user buffer is reusable
-                    # the moment the payload is staged into the vbuf (or
-                    # ring slot), so the send request completes at emission
-                    # (not at the ACK).  A send that had to wait in the
-                    # backlog therefore blocks its MPI_Send until
-                    # credits/handshake let it out — which is exactly how
-                    # blocking tests "get more credits through the
-                    # handshaking procedure" (paper §6.2.2).
-                    ref.complete(Status())
+                if req is not None:
+                    # buffered semantics: staged is done, so a backlogged
+                    # MPI_Send waits for its credit (paper §6.2.2)
+                    req.complete(Status())
             if header.kind is MsgKind.CREDIT:
                 stats.ecm_sent += 1
                 stats.ecm_credits += header.credits
             else:
                 stats.piggybacked_credits += piggy
-                if not eager:
-                    # Control-plane send (RTS/CTS/FIN): counted apart from
-                    # data so the Figure-8 control-overhead split doesn't
-                    # attribute handshake traffic to data messages.
+                if not eager:  # RTS/CTS/FIN: Figure 8's control share
                     stats.ctl_msgs_sent += 1
         if self._audit is not None:
             self._audit.on_emit(conn, header, replay)
         return cost
 
     def _emit_data(self, conn: Connection, op: RndvSendOp, replay: bool = False) -> int:
-        """RDMA-write a rendezvous payload to the landing coordinates its
-        CTS announced.  Idempotent at the receiver — the coordinates are
-        stable and ``mr.store`` overwrites in place — so recovery re-runs
-        a flushed write (``replay=True``: stats untouched)."""
+        """RDMA-write a rendezvous payload where its CTS said; idempotent,
+        so recovery re-runs a flushed write (``replay``: stats untouched)."""
         self._post(conn, op, Opcode.RDMA_WRITE, op.size,
                    op.payload, op.cts_remote_addr, op.cts_rkey)
         if not replay:
@@ -1116,20 +859,7 @@ class Endpoint:
     def _emit_ecm(self, conn: Connection) -> int:
         """Explicit credit message — optimistic, never flow-controlled
         (the paper's deadlock-avoidance scheme)."""
-        ecm = Header(
-            kind=MsgKind.CREDIT, src=self.rank, dst=conn.peer, paid=False
-        )
-        return self._emit(conn, ecm)
-
-    def _emit_fin(self, conn: Connection, op: RndvSendOp) -> int:
-        fin = Header(
-            kind=MsgKind.RNDV_FIN,
-            src=self.rank,
-            dst=conn.peer,
-            rreq_id=op.fin_rreq_id,
-            paid=False,
-        )
-        return self._emit(conn, fin)
+        return self._emit(conn, Header(MsgKind.CREDIT, self.rank, conn.peer, paid=False))
 
     # ------------------------------------------------------------------
     # backlog / flow-control plumbing
@@ -1177,119 +907,48 @@ class Endpoint:
                 p.header.went_backlog = True
                 cost += self._emit(conn, p.header, p.request)
             else:
-                if self._audit is not None:
-                    # the fallback mints a fresh unpaid RTS; the dequeued
-                    # header itself is never emitted
+                if self._audit is not None:  # an unpaid RTS goes in its place
                     self._audit.on_backlog_dequeue(conn, p.header, reemitted=False)
-                cost += self._start_fallback(conn, p)
+                # paper §4.2: without credits only the rendezvous goes, and
+                # its handshake piggybacks fresh ones
+                conn.stats.rndv_fallbacks += 1
+                cost += self._emit(conn, rendezvous.rts(
+                    self._rndv_send, p.header, p.request, fallback=True))
         if not conn.backlog:
             self._backlogged.discard(conn.peer)
         return cost
 
-    def _start_fallback(self, conn: Connection, p: PendingSend) -> int:
-        """Convert the head of the backlog to an optimistic rendezvous
-        (paper §4.2: with no credits, only Rendezvous is used — its
-        handshake refreshes credit state via piggybacking)."""
-        conn.stats.rndv_fallbacks += 1
-        h = p.header
-        if h.kind is MsgKind.EAGER:
-            op = RndvSendOp(
-                sreq_id=next_op_id(),
-                request=p.request,
-                dst=h.dst,
-                tag=h.tag,
-                context=h.context,
-                size=h.size,
-                payload=h.payload,
-                buffer_id=None,
-                mr=None,
-                bounce=True,
-                fallback=True,
-            )
-            self._rndv_send[op.sreq_id] = op
-        else:  # an RTS that was itself backlogged: send it unpaid
-            op = p.request
-            op.fallback = True
-        rts = Header(
-            kind=MsgKind.RNDV_RTS,
-            src=self.rank,
-            dst=conn.peer,
-            tag=h.tag,
-            context=h.context,
-            size=h.size,
-            sreq_id=op.sreq_id,
-            paid=False,
-            went_backlog=True,
-        )
-        return self._emit(conn, rts)
-
-    # ------------------------------------------------------------------
-    # rendezvous receiver side
-    # ------------------------------------------------------------------
-    def _rndv_recv_start(self, h: Header, posted: PostedRecv) -> int:
-        conn = self.connections[h.src]
-        bounce = h.size <= self._eager_max
+    def _land(self, conn: Connection, h: Header, posted: PostedRecv) -> int:
+        """Answer a matched RTS with the CTS :func:`rendezvous.land` builds,
+        pinning the user buffer first when no bounce slot takes it."""
+        cts = rendezvous.land(self._rndv_recv, self.bounce, h, posted)
         cost = 0
-        if bounce:
-            mr = self.bounce.mr
-            addr = self.bounce.next_slot()
-        else:
-            mr, pin_cost = self.pindown.acquire(posted.buffer_id, h.size)
-            addr = mr.addr
-            cost += pin_cost
-        op = RndvRecvOp(
-            rreq_id=next_op_id(),
-            request=posted.request,
-            src=h.src,
-            tag=h.tag,
-            context=h.context,
-            size=h.size,
-            buffer_id=posted.buffer_id,
-            mr=mr,
-            landing_addr=addr,
-            bounce=bounce,
-        )
-        self._rndv_recv[op.rreq_id] = op
-        cts = Header(
-            kind=MsgKind.RNDV_CTS,
-            src=self.rank,
-            dst=h.src,
-            size=h.size,
-            sreq_id=h.sreq_id,
-            rreq_id=op.rreq_id,
-            remote_addr=addr,
-            rkey=mr.rkey,
-            paid=False,
-        )
+        if cts is None:
+            mr, cost = self.pindown.acquire(posted.buffer_id, h.size)
+            cts = rendezvous.land(self._rndv_recv, self.bounce, h, posted, mr)
         return cost + self._emit(conn, cts)
 
     # ------------------------------------------------------------------
     # fault-injection hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
     def halt(self) -> None:
-        """Fault hook (rank death): freeze this rank's program for good.
-        The progress loops park on a signal that never fires, stray
-        timer-driven resumptions fall through emission guards, and no
-        state mutates after this point — the rank is simply gone."""
+        """Rank death: the progress loops park on a signal that never
+        fires and stray resumptions fall through the emission guards."""
         self._halted = True
         if self._halt_signal is None:
             self._halt_signal = Signal(f"halted.{self.rank}")
 
     def fault_stall(self, duration_ns: int) -> None:
-        """Start (or extend) a receiver-stall window: the rank stops
-        re-posting vbufs and withholds paid credit returns, modelling a
-        slow consumer that starves the sender (paper §3.2 / Figure 10)."""
+        """Start (or extend) a receiver stall: no reposts, no paid credit
+        returns — a slow consumer starving its sender (paper §3.2)."""
         until = self.sim.now + int(duration_ns)
         if until > self._stall_until:
             self._stall_until = until
 
     def fault_release_stall(self) -> int:
-        """End of a stall window: refill every connection's buffer
-        population and return the withheld credits, announcing them with an
-        ECM so credit-blocked senders wake promptly.  Returns the number of
-        credits released (0 if a longer overlapping stall is still open).
-        A static-mesh pair not wired yet is full and holds nothing back:
-        nothing to do for it."""
+        """End of a stall: refill every wired connection and return the
+        withheld credits, with an ECM so blocked senders wake.  Returns
+        how many (0 while a longer overlapping stall is open)."""
         if self._stall_until > self.sim.now:
             return 0
         held, self._stall_held = self._stall_held, {}
@@ -1332,13 +991,6 @@ class Endpoint:
         if sig is not None and not sig.fired:
             yield sig
         return self.connections[dest]
-
-    @staticmethod
-    def _check_capacity(h: Header, capacity: int) -> None:
-        if capacity and h.size > capacity:
-            raise TruncationError(
-                f"message of {h.size} bytes into a {capacity}-byte receive"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint rank={self.rank}/{self.world_size}>"

@@ -124,7 +124,7 @@ class RDMAChannel:
         #: CQ headers polled ahead of a ring write that precedes them (one
         #: sequence space, and the CQ is polled first); parked in seq order
         #: until the ring drain closes the gap; a ``list`` from the first
-        #: park in ``Endpoint._handle_recv`` on
+        #: park in ``protocol.in_order`` on
         self.cq_stash: Union[List["Header"], Tuple[()]] = ()
         # sender half (set by point_tx_ring at wiring)
         self.tx_addr = 0
@@ -160,15 +160,8 @@ class RDMAChannel:
         self.endpoint._ring_dirty.add(self.peer)
         self.endpoint._ring_signal_fire()
 
-    def poll(self, expected_seq: int) -> Optional["Header"]:
-        """Next in-sequence arrived header, if visible."""
-        arrived = self._arrived
-        if arrived and arrived[0].seq == expected_seq:
-            return arrived.pop(0)
-        return None
-
     def poll_peek(self, expected_seq: int) -> bool:
-        """Would :meth:`poll` return a header right now?"""
+        """Would :func:`repro.mpi.protocol.ring_next` take a header now?"""
         return bool(self._arrived) and self._arrived[0].seq == expected_seq
 
     @property

@@ -181,3 +181,27 @@ def test_a_derived_communicators_collectives_keep_out_of_its_receives(derive):
         yield from comm.barrier()
 
     runN(prog, 12)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["world", "split"])
+@pytest.mark.parametrize("root", ["-1", "P"])
+@pytest.mark.parametrize("name", ["bcast", "reduce", "gather", "scatter"])
+def test_a_rooted_collective_rejects_a_root_outside_the_group(name, root, split):
+    """MPI_ERR_ROOT before anything is sent: ``bcast(root=9)`` on 8 ranks
+    once returned rank 1's payload everywhere, ``reduce(root=-1)`` on 4
+    delivered the result to rank 3."""
+
+    def prog(mpi):
+        comm = world(mpi)
+        if split:
+            comm = yield from comm.split(color=mpi.rank % 2, key=mpi.rank)
+        sent = mpi.bytes_sent
+        with pytest.raises(MPIError, match="MPI_ERR_ROOT"):
+            yield from getattr(comm, name)(-1 if root == "-1" else comm.size, 8)
+        assert mpi.bytes_sent == sent
+        # the group is intact: no collective sequence number was spent
+        total = yield from comm.allreduce(size=8, value=1, op=lambda a, b: a + b)
+        return total
+
+    r = runN(prog, 8)
+    assert r.rank_results == [4 if split else 8] * 8

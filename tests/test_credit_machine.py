@@ -1,20 +1,25 @@
-"""The credit protocol as a state machine, with no simulator.
+"""The message protocol as a state machine, with no simulator.
 
-A ``hypothesis.stateful`` machine drives :mod:`repro.core.credit` — the
-transitions the simulator runs — over the two connections of one rank pair,
-under random interleavings of the application's sends and receives, message
-deliveries (FIFO each way), backlog drains and receiver stalls.  What the
-endpoint does with each transition's result (emit, post, grant, back up,
-fall back, hold) is mirrored here in a few lines per action, and every
-ledger movement goes through the runtime auditor's hooks, so its
-conservation ledger (swallow debt included) and backlog-FIFO shadow are
-checked at every step.  ``quiesce`` runs the pair until nothing moves: every
-backlog must then be empty, every fallback handshake over.
+A ``hypothesis.stateful`` machine drives the shipped protocol — the credit
+transitions of :mod:`repro.core.credit`, arrival order and matching in
+:mod:`repro.mpi.protocol`, the rendezvous states of
+:mod:`repro.mpi.rendezvous` — over the two connections of one rank pair,
+under random interleavings of the application's sends (eager, synchronous
+or large) and receives, message deliveries (FIFO each way), payload-write
+completions, backlog drains and receiver stalls.  What the endpoint does
+with each decision (emit, post, pin, write, grant, complete) is executed
+here in a line or two, and every ledger movement goes through the runtime
+auditor's hooks, so its conservation ledger (swallow debt included), its
+backlog-FIFO shadow and its matching order are checked at every step.
+``quiesce`` runs the pair until nothing moves: every backlog must then be
+empty, every handshake over and every bounce slot free, and the receives
+must hold, in order, the payloads the peer sent.
 
-Two mutants of the transitions must fail the machine: a paid RTS that
-swallows its credit (the ring scheme's release weighing a control message
-against the ring's slots), and ECMs gated by user-level credits (the
-flow-controlled credit messages the paper's optimistic ECMs replace).
+Three mutants must fail the machine: a paid RTS that swallows its credit
+(the ring scheme's release weighing a control message against the ring's
+slots), ECMs gated by user-level credits (the flow-controlled credit
+messages the paper's optimistic ECMs replace), and a fallback's CTS that
+keeps its window slot.
 """
 
 from collections import deque
@@ -35,9 +40,14 @@ from hypothesis.stateful import (  # noqa: E402
 
 from repro.check.auditor import Auditor, InvariantViolation  # noqa: E402
 from repro.core import EXTENDED_SCHEME_NAMES, credit, make_scheme  # noqa: E402
+from repro.ib.mr import MemoryRegion  # noqa: E402
+from repro.mpi import protocol, rendezvous  # noqa: E402
 from repro.mpi.config import MPIConfig  # noqa: E402
 from repro.mpi.connection import Connection, PendingSend  # noqa: E402
+from repro.mpi.constants import ANY_TAG  # noqa: E402
+from repro.mpi.matching import MatchingEngine, PostedRecv  # noqa: E402
 from repro.mpi.protocol import Header, MsgKind  # noqa: E402
+from repro.mpi.request import Request, Status  # noqa: E402
 
 PREPOSTS = (1, 2, 3, 4)
 #: every scheme, and the dynamic one with its decay on (the only source of
@@ -45,6 +55,12 @@ PREPOSTS = (1, 2, 3, 4)
 SCHEMES = {**{name: {} for name in EXTENDED_SCHEME_NAMES},
            "dynamic-decay": {"decay_enabled": True, "decay_idle_messages": 3}}
 RUNS = settings(max_examples=15, stateful_step_count=50)
+CONFIG = MPIConfig()
+#: a send's mode and size: eager, synchronous (through bounce slots), and
+#: too big for a vbuf (pinned at both ends)
+SENDS = {"eager": ("standard", 4), "sync": ("sync", 4),
+         "large": ("standard", CONFIG.eager_max() + 1)}
+SLOTS = 2  # bounce slots a rank: few, so small landings pin too
 
 
 class _Pool:
@@ -67,34 +83,48 @@ def machine(scheme_name, prepost):
     """A state machine over one rank pair under ``scheme_name`` (a key of
     ``SCHEMES``) at pre-post ``prepost``."""
 
-    class CreditMachine(RuleBasedStateMachine):
+    class ProtocolMachine(RuleBasedStateMachine):
         def __init__(self):
             super().__init__()
             self.scheme = scheme = make_scheme(
                 scheme_name.split("-decay")[0], **SCHEMES[scheme_name])
             self.audit = aud = Auditor()
             aud._sim = SimpleNamespace(now=0)
+            aud._wd_armed = True  # no simulator to run a watchdog on
             aud._uses_credits = scheme.uses_credits
             aud._lease = [0, 0]
-            self.conn = []
+            self.rkeys = 0
+            self.mrs = [{}, {}]  # rank -> rkey -> its landing regions
+            self.conn, self.bounce = [], []
             for rank in (0, 1):
                 ep = SimpleNamespace(rank=rank, requested_prepost=prepost,
-                                     config=MPIConfig(), pool=_Pool(aud, rank))
+                                     config=CONFIG, pool=_Pool(aud, rank))
                 conn = Connection(ep, 1 - rank, None)
                 scheme.setup_connection(conn, prepost)
                 conn.recv_posted = conn.prepost_target + conn.headroom
                 self.conn.append(conn)
+                self.bounce.append(rendezvous.BounceRegion(
+                    self.register(rank, SLOTS * CONFIG.vbuf_bytes),
+                    CONFIG.vbuf_bytes, SLOTS, CONFIG.eager_max()))
             aud.on_wired(*self.conn)
-            self.wire = [deque(), deque()]  # rank -> headers in flight from it
-            self.unexpected = [[], []]  # arrived, unmatched EAGER / RTS
-            self.posted = [0, 0]  # receives posted, nothing matched yet
+            self.matching = [MatchingEngine(), MatchingEngine()]
+            self.sends = [{}, {}]  # the endpoints' _rndv_send ...
+            self.recvs = [{}, {}]  # ... and _rndv_recv
+            self.wire = [deque(), deque()]  # rank -> in flight from it
+            self.written = [deque(), deque()]  # rank -> payload writes landed
             self.stalled = [False, False]
             self.held = [0, 0]  # paid credits a stall holds back
-            self.ops = {}  # sreq_id -> rendezvous send op
-            self.sreq = 0
+            self.sent = [[], []]  # rank -> payloads it sent, in order
+            self.received = [[], []]  # rank -> its receives, in post order
 
-        # --- what the endpoint does with a transition's result ---------
-        def emit(self, rank, h):
+        # --- what the endpoint does with a decision --------------------
+        def register(self, rank, nbytes):
+            self.rkeys += 1
+            mr = MemoryRegion(self.rkeys << 20, nbytes, 0, self.rkeys)
+            self.mrs[rank][mr.rkey] = mr
+            return mr
+
+        def emit(self, rank, h, req=None):
             conn = self.conn[rank]
             h.seq = conn.seq_out
             conn.seq_out += 1
@@ -102,6 +132,8 @@ def machine(scheme_name, prepost):
             h.via_ring = h.kind is MsgKind.EAGER and self.scheme.uses_ring
             self.audit.on_emit(conn, h)
             self.wire[rank].append(h)
+            if req is not None and h.kind is MsgKind.EAGER:
+                req.complete(Status())  # staged: buffered-send semantics
 
         def emit_ecm(self, rank):
             self.emit(rank, Header(MsgKind.CREDIT, rank, 1 - rank, paid=False))
@@ -148,59 +180,70 @@ def machine(scheme_name, prepost):
                     self.take(rank, head=True)
                     self.audit.on_backlog_dequeue(conn, p.header)
                     p.header.went_backlog = True
-                    self.emit(rank, p.header)
+                    self.emit(rank, p.header, p.request)
                 else:
                     self.audit.on_backlog_dequeue(conn, p.header, reemitted=False)
-                    op = p.request or self.new_op()
-                    op.fallback = True
-                    self.emit(rank, Header(MsgKind.RNDV_RTS, rank, 1 - rank,
-                                           sreq_id=op.sreq_id, paid=False,
-                                           went_backlog=True))
+                    self.emit(rank, rendezvous.rts(
+                        self.sends[rank], p.header, p.request, fallback=True))
 
-        def new_op(self):
-            self.sreq += 1
-            self.ops[self.sreq] = op = SimpleNamespace(sreq_id=self.sreq, fallback=False)
-            return op
+        def land(self, rank, h, posted):
+            cts = rendezvous.land(self.recvs[rank], self.bounce[rank], h, posted)
+            if cts is None:  # pin the user buffer
+                mr = self.register(rank, h.size)
+                cts = rendezvous.land(self.recvs[rank], self.bounce[rank], h, posted, mr)
+            self.emit(rank, cts)
 
-        def matched(self, rank, h):
-            """``h`` met its receive: an eager payload is copied out (its
-            vbuf released), an RTS is answered with a CTS."""
-            if h.kind is MsgKind.RNDV_RTS:
-                self.emit(rank, Header(MsgKind.RNDV_CTS, rank, 1 - rank,
-                                       sreq_id=h.sreq_id, paid=False))
-            elif not h.via_ring:
-                self.release(rank, h)
+        def matched(self, rank, h, posted, act):
+            """Execute :func:`protocol.match` for a message and its receive
+            (the release, at arrival, is the caller's)."""
+            self.audit.on_match(h)
+            if act & protocol.LAND:
+                self.land(rank, h, posted)
+            else:
+                posted.request.complete(Status(h.src, h.tag, h.size, h.payload))
 
         def deliverable(self, rank):
             """The head of the wire toward ``rank`` can land: the receiver
-            is not stalled and, off the ring, has a receive vbuf posted."""
+            is not stalled and, off the ring, has a receive vbuf posted (a
+            payload write needs neither a vbuf nor software)."""
             wire = self.wire[1 - rank]
-            return bool(wire) and not self.stalled[rank] and (
-                wire[0].via_ring or self.conn[rank].recv_posted > 0)
+            if not wire:
+                return False
+            h = wire[0]
+            return type(h) is tuple or not self.stalled[rank] and (
+                h.via_ring or self.conn[rank].recv_posted > 0)
 
         def deliver(self, rank):
             conn = self.conn[rank]
             h = self.wire[1 - rank].popleft()
+            if type(h) is tuple:  # a payload write lands; its ACK returns
+                _, op = h
+                self.mrs[rank][op.cts_rkey].store(op.cts_remote_addr, op.payload)
+                self.written[1 - rank].append(op)
+                return
             if not h.via_ring:
                 conn.recv_posted -= 1
+            assert protocol.in_order(conn, h)  # one FIFO wire each way
             if h.credits:
                 credit.receive(self.scheme, conn, h.credits)
             self.audit.on_deliver(conn, h)
-            if h.kind in (MsgKind.EAGER, MsgKind.RNDV_RTS):
-                if self.posted[rank]:
-                    self.posted[rank] -= 1
-                    self.matched(rank, h)
-                else:
-                    self.unexpected[rank].append(h)
-                if h.kind is MsgKind.RNDV_RTS or h.via_ring:
-                    # parsed, or copied out of the ring slot, at once
+            if h.kind in protocol.UNEXPECTED_KINDS:
+                posted = self.matching[rank].arrived(h, 0)
+                act = protocol.match(h, posted)
+                if posted is not None:
+                    self.matched(rank, h, posted, act)
+                if act:
                     self.release(rank, h)
             else:
                 if h.kind is MsgKind.RNDV_CTS:
-                    op = self.ops.pop(h.sreq_id)
-                    if op.fallback:
-                        credit.end_fallback(conn)
-                    self.emit(rank, Header(MsgKind.RNDV_FIN, rank, 1 - rank, paid=False))
+                    op = rendezvous.cts(self.sends[rank], conn, h)
+                    self.wire[rank].append(("write", op))
+                elif h.kind is MsgKind.RNDV_FIN:
+                    op = rendezvous.finish(self.recvs[rank], self.bounce[rank], h.rreq_id)
+                    if not op.bounce:
+                        del self.mrs[rank][op.mr.rkey]  # unpinned
+                    op.request.complete(Status(op.src, op.tag, op.size,
+                                               op.mr.load(op.landing_addr)))
                 self.release(rank, h)
             grown = self.audit.observe_recv_header(self.scheme, conn, h)
             if grown:
@@ -211,6 +254,21 @@ def machine(scheme_name, prepost):
                         self.emit_ecm(rank)
             if conn.backlog:
                 self.drain(rank, 2)
+
+        def write_done(self, rank):
+            op = self.written[rank].popleft()
+            self.emit(rank, rendezvous.fin(self.sends[rank], op, rank))
+            op.request.complete(Status())
+
+        def post_receive(self, rank):
+            posted = PostedRecv(1 - rank, ANY_TAG, 0, 0, Request("recv"))
+            self.received[rank].append(posted.request)
+            u = self.matching[rank].post_recv(posted)
+            if u is not None:
+                act = protocol.match(u.header, posted, late=True)
+                self.matched(rank, u.header, posted, act)
+                if act & protocol.FREE:
+                    self.release(rank, u.header)
 
         def end_stall(self, rank):
             conn = self.conn[rank]
@@ -224,20 +282,25 @@ def machine(scheme_name, prepost):
                 self.emit_ecm(rank)
 
         # --- rules ------------------------------------------------------
-        @rule(rank=st.sampled_from((0, 1)), rendezvous=st.booleans())
-        def send(self, rank, rendezvous):
-            if rendezvous:
-                op = self.new_op()
-                h = Header(MsgKind.RNDV_RTS, rank, 1 - rank, sreq_id=op.sreq_id)
-            else:
-                op, h = None, Header(MsgKind.EAGER, rank, 1 - rank, size=4)
+        @rule(rank=st.sampled_from((0, 1)), kind=st.sampled_from(sorted(SENDS)))
+        def send(self, rank, kind):
+            mode, size = SENDS[kind]
+            payload = (rank, len(self.sent[rank]))
+            self.sent[rank].append(payload)
+            self.audit.on_app_send(rank, 1 - rank, 0, 0, size)
+            req = Request("send")
+            h = Header(MsgKind.EAGER, rank, 1 - rank, size=size, payload=payload)
+            how = rendezvous.choose(mode, size, CONFIG.eager_max())
+            if how:
+                mr = MemoryRegion(0, size, 0, 0) if how == rendezvous.PIN else None
+                h = rendezvous.rts(self.sends[rank], h, req, mr)
             conn = self.conn[rank]
             if self.take(rank):
-                self.emit(rank, h)
+                self.emit(rank, h, req)
                 return
             if type(conn.backlog) is tuple:
                 conn.backlog = deque()
-            conn.backlog.append(PendingSend(h, op))
+            conn.backlog.append(PendingSend(h, req))
             self.audit.on_backlog_enqueue(conn, h)
             self.drain(rank, 2)
 
@@ -248,12 +311,17 @@ def machine(scheme_name, prepost):
                 rank = 1 - rank
             self.deliver(rank)
 
+        @precondition(lambda self: any(self.written[r] and not self.stalled[r]
+                                       for r in (0, 1)))
+        @rule(rank=st.sampled_from((0, 1)))
+        def complete_write(self, rank):
+            if not self.written[rank] or self.stalled[rank]:
+                rank = 1 - rank
+            self.write_done(rank)
+
         @rule(rank=st.sampled_from((0, 1)))
         def receive(self, rank):
-            if self.unexpected[rank]:
-                self.matched(rank, self.unexpected[rank].pop(0))
-            else:
-                self.posted[rank] += 1
+            self.post_receive(rank)
 
         @rule(rank=st.sampled_from((0, 1)), room=st.sampled_from((0, 1, 2)))
         def drain_backlog(self, rank, room):
@@ -278,16 +346,24 @@ def machine(scheme_name, prepost):
                     while self.deliverable(rank):
                         self.deliver(rank)
                         moved = True
-                    while self.unexpected[rank]:
-                        self.matched(rank, self.unexpected[rank].pop(0))
+                    while self.written[rank]:
+                        self.write_done(rank)
+                        moved = True
+                    while self.matching[rank].unexpected_count:
+                        self.post_receive(rank)
                         moved = True
                     before = len(self.conn[rank].backlog)
                     self.drain(rank, 2)
                     moved |= len(self.conn[rank].backlog) != before
             for conn in self.conn:
                 assert not conn.backlog, f"{conn!r} wedged with a backlog"
-                assert conn.fallback_inflight == 0
+                assert conn.fallback_inflight == 0, f"{conn!r}: a fallback never ended"
             assert not self.wire[0] and not self.wire[1]
+            for rank in (0, 1):
+                assert not self.recvs[rank] and self.bounce[rank]._busy == 0
+                done = [r for r in self.received[rank] if r.done]
+                assert done == self.received[rank][:len(done)]
+                assert [r.status.payload for r in done] == self.sent[1 - rank][:len(done)]
 
         @invariant()
         def ledger_balances(self):
@@ -295,7 +371,7 @@ def machine(scheme_name, prepost):
                 for conn in self.conn:
                     self.audit._check(self.audit._rows[conn])
 
-    return CreditMachine
+    return ProtocolMachine
 
 
 @pytest.mark.parametrize("prepost", PREPOSTS)
@@ -323,12 +399,27 @@ def _ecm_gated_by_credits(scheme, conn, n, real=credit.grant):
     return True
 
 
-@pytest.mark.parametrize("transition, mutant", [
-    ("release", _release_weighing_the_ring),
-    ("grant", _ecm_gated_by_credits),
-])
-def test_the_machine_catches_each_mutant(monkeypatch, transition, mutant):
-    monkeypatch.setattr(credit, transition, mutant)
+def _cts_keeping_its_window_slot(sends, conn, h, real=rendezvous.cts):
+    """Mutant ``rendezvous.cts``: a fallback's CTS leaves its slot of the
+    fallback window taken."""
+    op = real(sends, conn, h)
+    if op.fallback:
+        conn.fallback_inflight += 1
+    return op
+
+
+@pytest.mark.parametrize("module, transition, mutant, scheme, prepost, caught, match", [
+    (credit, "release", _release_weighing_the_ring, "rdma-eager", 4,
+     InvariantViolation, "credit-conservation"),
+    (credit, "grant", _ecm_gated_by_credits, "rdma-eager", 4,
+     InvariantViolation, "credit-conservation"),
+    (rendezvous, "cts", _cts_keeping_its_window_slot, "static", 1,
+     AssertionError, "wedged|a fallback never ended"),
+], ids=["release-_release_weighing_the_ring", "grant-_ecm_gated_by_credits",
+        "cts-_cts_keeping_its_window_slot"])
+def test_the_machine_catches_each_mutant(monkeypatch, module, transition, mutant,
+                                         scheme, prepost, caught, match):
+    monkeypatch.setattr(module, transition, mutant)
     first_failure = settings(RUNS, phases=[Phase.generate])  # no shrinking
-    with pytest.raises(InvariantViolation, match="credit-conservation"):
-        run_state_machine_as_test(machine("rdma-eager", 4), settings=first_failure)
+    with pytest.raises(caught, match=match):
+        run_state_machine_as_test(machine(scheme, prepost), settings=first_failure)

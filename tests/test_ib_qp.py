@@ -83,7 +83,7 @@ def test_every_send_wr_field_reaches_the_wire_message():
             "dst_lid": hcas[1].lid, "dst_qpn": qp1.qp_num,
             "opcode": opcode, "msn": msn, "length": length, "payload": payload,
             "remote_addr": addr, "rkey": rkey,
-            "is_read_response": False, "read_wr_msn": -1, "epoch": 0,
+            "epoch": 0,
         }
     assert qp0.messages_sent == 2 and mr.load(mr.addr + 64) is payload
     assert [wc.wr_id for wc in cq0.poll()] == ["s", "w"]

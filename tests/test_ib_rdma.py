@@ -1,4 +1,4 @@
-"""Tests for memory semantics: RDMA write / read and protection checks."""
+"""Tests for memory semantics: RDMA write and protection checks."""
 
 import pytest
 
@@ -62,36 +62,6 @@ def test_rdma_write_out_of_bounds_rejected():
             remote_addr=mr.addr + 600,  # 600+500 > 1000
             rkey=mr.rkey,
         )
-    )
-    run(sim)
-    assert cq0.poll()[0].status is WCStatus.REMOTE_ACCESS_ERROR
-
-
-def test_rdma_read_fetches_remote_data():
-    sim, _, hcas, qp0, qp1, cq0, cq1 = build_pair()
-    mr = hcas[1].reg_mr(4096)
-    mr.store(mr.addr, "remote-data")
-    qp0.post_send(
-        SendWR(
-            wr_id="rd",
-            opcode=Opcode.RDMA_READ,
-            length=2048,
-            remote_addr=mr.addr,
-            rkey=mr.rkey,
-        )
-    )
-    run(sim)
-    wc = cq0.poll()[0]
-    assert wc.ok
-    assert wc.opcode is Opcode.RDMA_READ
-    assert wc.data == "remote-data"
-    assert wc.byte_len == 2048
-
-
-def test_rdma_read_bad_rkey_errors():
-    sim, _, hcas, qp0, qp1, cq0, cq1 = build_pair()
-    qp0.post_send(
-        SendWR(wr_id="rd", opcode=Opcode.RDMA_READ, length=8, remote_addr=1, rkey=42)
     )
     run(sim)
     assert cq0.poll()[0].status is WCStatus.REMOTE_ACCESS_ERROR

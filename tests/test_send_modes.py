@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import EXTENDED_SCHEME_NAMES
 from repro.mpi import MPIError
 from tests.mpi_helpers import run2
 
@@ -73,6 +74,32 @@ def test_ssend_small_message_pays_no_pin():
     r = run2(prog)
     # small sync sends bounce — no registrations beyond the fixed setup
     assert r.endpoints[0].pindown.misses == 0
+
+
+@pytest.mark.parametrize("scheme", EXTENDED_SCHEME_NAMES)
+@pytest.mark.parametrize("n", [80, 200])
+def test_more_sync_sends_in_flight_than_bounce_slots_keep_their_payloads(scheme, n):
+    """Every small synchronous send lands in a bounce slot, busy from its
+    CTS to its FIN (DESIGN §5.4).  With more landings in flight than the
+    64 slots, the receiver pins the user buffer for the rest — no slot is
+    reused while a transfer still lands in it (200 outstanding ``issend``s
+    once completed 104 receives with another message's payload)."""
+
+    def prog(mpi):
+        reqs = []
+        for i in range(n):
+            if mpi.rank == 0:
+                req = yield from mpi.issend(1, size=8, tag=i, payload=("msg", i))
+            else:
+                req = yield from mpi.irecv(source=0, capacity=8, tag=i)
+            reqs.append(req)
+        statuses = yield from mpi.waitall(reqs)
+        return [st.payload for st in statuses]
+
+    r = run2(prog, scheme, 100)
+    assert r.rank_results[1] == [("msg", i) for i in range(n)]
+    pinned = r.endpoints[1].pindown.misses
+    assert (pinned > 0) == (n > 64)  # overflow landings pinned, the rest bounced
 
 
 def test_rsend_with_posted_receive_succeeds():

@@ -137,13 +137,15 @@ def test_five_message_kinds_five_handlers_one_growth_tail():
     from repro.mpi.protocol import MsgKind
     from repro.mpi.rdma_channel import RDMAChannel, RingBuffer
 
-    assert len(MsgKind) == 5 == len(Endpoint._HANDLERS)
-    assert set(Endpoint._HANDLERS) == set(MsgKind)
+    # one dispatch in _deliver, over the kinds the protocol decides
+    assert len(MsgKind) == 5
+    deliver = inspect.getsource(Endpoint._deliver)
+    assert all(f"MsgKind.{k.name}" in deliver for k in MsgKind)
+    assert not hasattr(Endpoint, "_HANDLERS")
     # nothing grows a ring: the arrival path acts on ``grown`` alone, and
     # the release step drains whichever channel carried the message
     assert not hasattr(RDMAChannel, "grow")
     assert "generation" not in RingBuffer.__slots__ + RDMAChannel.__slots__
-    deliver = inspect.getsource(Endpoint._deliver)
     assert deliver.count("if grown:") == 1 and "if h.via_ring" not in deliver
     release = inspect.getsource(Endpoint._release)
     assert "if conn.backlog:\n" in release and "conn.backlog and" not in release
@@ -195,16 +197,43 @@ def test_the_executors_hold_no_credit_arithmetic(module):
             if attr in CREDIT_FIELDS] == []
 
 
-def test_the_credit_protocol_imports_no_simulator_verbs_or_endpoint():
+def _banned_imports(rel, banned):
+    """What module ``rel`` imports (``from m import n`` counts as ``m`` and
+    ``m.n``) from under any of the ``banned`` packages."""
     imported = set()
-    for node in ast.walk(ast.parse(_src("core/credit.py"))):
+    for node in ast.walk(ast.parse(_src(rel))):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module)
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return [m for m in imported if any(m == b or m.startswith(b + ".") for b in banned)]
+
+
+def test_the_credit_protocol_imports_no_simulator_verbs_or_endpoint():
     banned = ("repro.sim", "repro.ib", "repro.mpi.endpoint")
-    assert [m for m in imported
-            if any(m == b or m.startswith(b + ".") for b in banned)] == []
+    assert _banned_imports("core/credit.py", banned) == []
+
+
+def test_the_message_protocol_is_sim_free_and_the_endpoint_only_executes_it():
+    """DESIGN §5.4: arrival order, matching and the rendezvous states are
+    functions of ``mpi/protocol.py`` and ``mpi/rendezvous.py`` that read no
+    simulator, verbs object or endpoint; the endpoint builds no rendezvous
+    op and moves no arrival sequence of its own."""
+    from repro.mpi import protocol, rendezvous
+
+    for module, names in ((protocol, ("in_order", "unpark", "ring_next", "match")),
+                          (rendezvous, ("choose", "rts", "cts", "fin", "land", "finish"))):
+        assert all(inspect.isfunction(getattr(module, n, None)) for n in names)
+    banned = ("repro.sim", "repro.ib.qp", "repro.ib.hca", "repro.ib.fabric",
+              "repro.ib.cq", "repro.mpi.endpoint")
+    for rel in ("mpi/protocol.py", "mpi/rendezvous.py"):
+        assert _banned_imports(rel, banned) == [], rel
+    built = {node.func.id for node in ast.walk(ast.parse(_src("mpi/endpoint.py")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not built & {"RndvSendOp", "RndvRecvOp"}
+    assert [line for attr, line in _assigned_attributes("mpi/endpoint.py")
+            if attr == "seq_in_expected"] == []
 
 
 @pytest.mark.parametrize("hook", ["try_consume_credit", "on_credits_received",

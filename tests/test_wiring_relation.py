@@ -15,6 +15,7 @@ and talk over its loopback path) delivers the same sequences too.
 
 from collections import defaultdict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,29 +48,40 @@ def _placed(job, scheme, nodes):
     return run_job(scheme=scheme, **{**job, "config": replace(job["config"], nodes=nodes)})
 
 
-def _deliveries(monkeypatch, run):
-    """``(receiver, sender) -> [(tag, size), ...]`` in completion order."""
-    seen = defaultdict(list)
-    complete = Endpoint._complete_recv
+#: (program, scheme, on_demand, nodes) -> what one run delivered: the
+#: placement relation's one-rank-an-adapter runs are the wiring relation's
+_RUNS = {}
 
-    def recording(ep, req, src, tag, size, payload):
-        seen[ep.rank, src].append((tag, size))
-        complete(ep, req, src, tag, size, payload)
 
-    with monkeypatch.context() as m:
-        m.setattr(Endpoint, "_complete_recv", recording)
-        r = run()
-    assert r.completed and not r.failures
-    return dict(seen), r
+def _deliveries(monkeypatch, name, scheme, on_demand, nodes):
+    """``(receiver, sender) -> [(tag, size), ...]`` in completion order, a
+    copy, and the run's ``connections_established``."""
+    key = (name, scheme, on_demand, nodes)
+    if key not in _RUNS:
+        seen = defaultdict(list)
+        complete = Endpoint._complete_recv
+
+        def recording(ep, req, src, tag, size, payload):
+            seen[ep.rank, src].append((tag, size))
+            complete(ep, req, src, tag, size, payload)
+
+        with monkeypatch.context() as m:
+            m.setattr(Endpoint, "_complete_recv", recording)
+            r = PROGRAMS[name][1](scheme, on_demand, nodes)
+        assert r.completed and not r.failures
+        _RUNS[key] = dict(seen), SimpleNamespace(
+            connections_established=r.connections_established)
+    seen, r = _RUNS[key]
+    return {pair: list(got) for pair, got in seen.items()}, r
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_a_program_delivers_the_same_per_pair_sequences_on_a_mesh_and_on_demand(
         monkeypatch, name, scheme):
-    nranks, program = PROGRAMS[name]
-    mesh, on_mesh = _deliveries(monkeypatch, lambda: program(scheme, False, nranks))
-    lazy, on_demand = _deliveries(monkeypatch, lambda: program(scheme, True, nranks))
+    nranks = PROGRAMS[name][0]
+    mesh, on_mesh = _deliveries(monkeypatch, name, scheme, False, nranks)
+    lazy, on_demand = _deliveries(monkeypatch, name, scheme, True, nranks)
     assert sum(map(len, mesh.values())) > 0
     assert mesh == lazy
     assert on_demand.connections_established > 0 and on_mesh.connections_established is None
@@ -83,7 +95,7 @@ def test_a_program_delivers_the_same_per_pair_sequences_with_two_ranks_an_adapte
     """The placement relation: ranks r and r + P/2 sharing an adapter talk
     over its loopback path, which changes when messages arrive but not
     which arrive from whom, in what order."""
-    nranks, program = PROGRAMS[name]
-    alone, _ = _deliveries(monkeypatch, lambda: program(scheme, on_demand, nranks))
-    shared, _ = _deliveries(monkeypatch, lambda: program(scheme, on_demand, nranks // 2))
+    nranks = PROGRAMS[name][0]
+    alone, _ = _deliveries(monkeypatch, name, scheme, on_demand, nranks)
+    shared, _ = _deliveries(monkeypatch, name, scheme, on_demand, nranks // 2)
     assert alone == shared

@@ -1,33 +1,24 @@
 """Runtime invariant auditor (the executable spec of the paper's §3-§4).
 
-The :class:`Auditor` subscribes to guarded hooks in the MPI endpoint, the
-buffer pool and the flow-control schemes and validates, *while a job runs*:
+The :class:`Auditor` answers every event of the observer seam
+(:data:`repro.cluster.builder.EVENTS`: the endpoint's protocol events, the
+cluster's, the switch model's) and validates, *while a job runs*:
 
-(a) **credit conservation** per directed rank pair — every pair
-    ``s -> r`` under a credit-based scheme has one ledger row
-    (:class:`_Row`), and the tokens governing its paid traffic are
-    conserved::
+(a) **credit conservation** per directed rank pair ``s -> r`` under a
+    credit-based scheme, over its ledger row (:class:`_Row`; ``row.snd`` /
+    ``row.rcv`` are the connections ``s -> r`` / ``r -> s``)::
 
-        row.snd.credits                 # available at the sender
-      + row.consumed_unsent             # consumed, emission pending (isend
-                                        #   may yield for a vbuf in between)
-      + row.inflight_paid               # paid headers posted, not delivered
-      + row.ungranted                   # delivered, grant still pending
-                                        #   (unexpected vbuf pinned / receiver
-                                        #   stalled by fault injection)
-      + row.rcv.pending_credit_return   # granted, waiting to ride a message
-      + row.inflight_credits            # riding an r -> s header back to s
-      ==
-        row.rcv.prepost_target          # the configured pool (grows under
-                                        #   the dynamic scheme, which mints
-                                        #   matching credits atomically)
-      + row.swallow                     # decay debt: target was lowered, the
-                                        #   excess credits die on their next
-                                        #   pass through the receiver
+        row.snd.credits + row.consumed_unsent + row.inflight_paid
+      + row.ungranted + row.rcv.pending_credit_return + row.inflight_credits
+      == row.rcv.prepost_target + row.rcv.swallow_debt
 
-    ``row.snd`` / ``row.rcv`` are the connections ``s -> r`` / ``r -> s``,
-    ``row.back`` the row of ``r -> s``; ``row.off`` mutes the check while
-    the pair is mid-recovery, severed by a rank death or not connected;
+    — available at the sender; consumed, emission pending (isend may yield
+    for a vbuf); paid headers in flight; delivered, grant pending (pinned
+    unexpected, or a stalled receiver); granted, waiting to ride; riding
+    back to ``s`` — against the pool (growth mints matching credits
+    atomically) and the decay debt :mod:`repro.core.credit` keeps.
+    ``row.off`` mutes the check while the pair is mid-recovery, severed by
+    a rank death or not connected;
 
 (b) **buffer-lease tracking** — every send vbuf acquired by an emission is
     released by exactly one completion (no leak, no double release), and
@@ -48,14 +39,13 @@ buffer pool and the flow-control schemes and validates, *while a job runs*:
     fire within ``quiet_bound_ns`` of simulated time, else the job is
     flagged as deadlocked/starved (fault windows extend the bound).
 
-The auditor is *pluggable and zero-cost when disabled*: every hook site is
-guarded by ``if self._audit is not None`` and the default is ``None``
-(verified by ``tests/test_inertness.py``).  Enable
-it with ``run_job(..., audit=True)`` or attach an instance for custom
-settings.  Watchdog ticks are ordinary agenda events: they shift sequence
-numbers but mutate no simulation state, so an audited run computes the
-same results — only the golden *event counts* differ, which is why the
-auditor defaults to off.
+It is *pluggable and zero-cost when disabled*: it joins the seam in
+:meth:`Auditor.arm`, and while nothing observes an event site is one
+``None`` test (``tests/test_inertness.py``); it decides nothing.  Enable it
+with ``run_job(..., audit=True)`` or attach an instance for custom
+settings.  Watchdog ticks are agenda events that mutate no simulation
+state, so an audited run computes the same results — only the golden
+*event counts* differ, which is why the auditor defaults to off.
 """
 
 from __future__ import annotations
@@ -68,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
     from repro.mpi.protocol import Header
 
-from repro.core.credit import grow
 from repro.mpi.protocol import MsgKind
 
 #: watchdog granularity: how often the pending-work probe runs
@@ -103,7 +92,7 @@ class _Row:
 
     __slots__ = ("pair", "snd", "rcv", "back", "off", "suspended",
                  "consumed_unsent", "inflight_paid", "ungranted",
-                 "inflight_credits", "swallow", "shadow", "ring_held",
+                 "inflight_credits", "shadow", "ring_held",
                  "ring_deposited", "ring_freed")
 
     def __init__(self, pair: Tuple[int, int]):
@@ -115,7 +104,7 @@ class _Row:
         self.off = True  # conservation not checkable (see the module doc)
         self.suspended = False  # between recovery teardown and resync
         self.consumed_unsent = self.inflight_paid = self.ungranted = 0
-        self.inflight_credits = self.swallow = self.ring_held = 0
+        self.inflight_credits = self.ring_held = 0
         self.shadow: Deque[int] = deque()  # ids of backlogged headers
         #: last sequence number deposited / freed (both strictly increase)
         self.ring_deposited: Optional[int] = None
@@ -126,7 +115,7 @@ class _Row:
 
 
 class Auditor:
-    """Validates flow-control invariants during a run via endpoint hooks.
+    """Validates flow-control invariants during a run, as an observer.
 
     Parameters
     ----------
@@ -172,7 +161,6 @@ class Auditor:
         #: credit/backlog state is exempt from every liveness check
         self._dead: Set[int] = set()
         # --- (f) switch-congestion invariants (repro.congestion) ---
-        self._congestion = None  # the fabric's CongestionState, when armed
         self._xoff_open: Dict[tuple, int] = defaultdict(int)
         self.xoff_total = 0
         self.xon_total = 0
@@ -186,8 +174,8 @@ class Auditor:
     failures = ()  # a violation raises; the auditor loses no pair or rank
 
     def arm(self, cluster) -> None:
-        """Subscribe to every endpoint of a launched cluster and bind the
-        pairs an earlier job wired.  An auditor audits one job (like every
+        """Observe a launched cluster and bind the pairs an earlier job
+        wired.  An auditor audits one job (like every
         subsystem object: what it observed stays that job's record), so it
         arms once."""
         if self._cluster is not None:
@@ -200,32 +188,23 @@ class Auditor:
         self._lease = [0] * len(self._endpoints)
         self._uses_credits = self._endpoints[0].scheme.uses_credits
         self._last_progress_ns = cluster.sim.now
+        cluster.observe(self)
         for ep in self._endpoints:
-            ep._audit = self
             for peer, conn in ep.connections.items():
                 if peer > ep.rank:
                     self.on_wired(conn, self._endpoints[peer].connections[ep.rank])
-        self._congestion = cluster.fabric.congestion
-        if self._congestion is not None:
-            self._congestion.audit = self
-        cluster.auditor = self
 
     def disarm(self) -> None:
-        """Undo :meth:`arm`: no endpoint, switch or cluster hook points here."""
-        for ep in self._endpoints:
-            ep._audit = None
-        if self._congestion is not None:
-            self._congestion.audit = None
-        self._cluster.auditor = None
+        """Undo :meth:`arm`: leave the seam."""
+        self._cluster.unobserve(self)
 
-    def extend_grace(self, until_ns: int) -> None:
-        """Fault windows (receiver stalls, link flaps) and recovery backoff
-        windows legitimately suppress progress; the injector and the
-        managers push the watchdog's tolerance past them."""
+    def on_quiet(self, until_ns: int) -> None:
+        """Progress may legitimately stop until ``until_ns`` (a fault plan,
+        a recovery backoff, a detection budget): the watchdog waits."""
         if until_ns + self.quiet_bound_ns > self._fault_grace_until:
             self._fault_grace_until = until_ns + self.quiet_bound_ns
 
-    def note_rank_dead(self, rank: int) -> None:
+    def on_rank_dead(self, rank: int) -> None:
         """The failure detector declared ``rank`` dead: its connections'
         frozen state (unmatched sends, severed backlogs, flushed QPs) is
         permanent and must not read as pending work or a stuck pair."""
@@ -243,7 +222,7 @@ class Auditor:
         self._rows[conn_ba] = row.back
         self._bind(row, conn_ab, conn_ba)
 
-    def note_teardown(self, a: int, b: int) -> None:
+    def on_teardown(self, a: int, b: int) -> None:
         """``ConnectionManager.teardown`` dropped the pair's connections:
         the rows let go of them and keep their ledger, which the pair's
         next connections are bound to when they are wired."""
@@ -291,19 +270,12 @@ class Auditor:
         seed the ledger to match and resume checking the direction."""
         self.hook_calls += 1
         row = self._row(s, r)
-        row.consumed_unsent = consumed_unsent
-        row.inflight_paid = inflight_paid
-        row.ungranted = ungranted
-        row.inflight_credits = inflight_credits
+        row.consumed_unsent, row.inflight_paid = consumed_unsent, inflight_paid
+        row.ungranted, row.inflight_credits = ungranted, inflight_credits
         row.suspended = False
         self._bind(row, row.snd, row.rcv)  # un-mutes it (the reverse resyncs alone)
         if self._uses_credits:
             self._check(row)
-
-    def pending_swallow(self, s: int, r: int) -> int:
-        """Outstanding decay-contraction debt for ``s -> r`` (the resync
-        formula must mint that many fewer credits)."""
-        return self._row(s, r).swallow
 
     # ------------------------------------------------------------------
     # violation plumbing
@@ -330,7 +302,7 @@ class Auditor:
         lhs = (snd.credits + row.consumed_unsent + row.inflight_paid
                + row.ungranted + rcv.pending_credit_return
                + row.inflight_credits)
-        rhs = rcv.prepost_target + row.swallow
+        rhs = rcv.prepost_target + rcv.swallow_debt
         if lhs != rhs:
             self._violate(
                 "credit-conservation",
@@ -339,7 +311,7 @@ class Auditor:
                 f"inflight_paid={row.inflight_paid} ungranted={row.ungranted} "
                 f"pending_return={rcv.pending_credit_return} "
                 f"inflight_credits={row.inflight_credits} "
-                f"target={rcv.prepost_target} swallow_debt={row.swallow})",
+                f"target={rcv.prepost_target} swallow_debt={rcv.swallow_debt})",
                 pair=row.pair,
             )
 
@@ -351,7 +323,7 @@ class Auditor:
                 self._check(self._rows[conn])
 
     # ------------------------------------------------------------------
-    # hooks called from Endpoint (guarded: only when the auditor is on)
+    # the endpoint's events (DESIGN §5's event map)
     # ------------------------------------------------------------------
     def on_consume(self, conn: "Connection") -> None:
         """A credit was consumed at the sender; its paid header may not be
@@ -464,34 +436,24 @@ class Auditor:
             return
         row = self._rows[conn].back
         row.ungranted -= 1
-        row.swallow -= 1
-        if row.ungranted < 0 or row.swallow < 0:
+        if row.ungranted < 0 or conn.swallow_debt < 0:
             self._violate_on(row, "credit-conservation",
                              "credit swallowed without decay debt "
                              f"(ungranted={row.ungranted + 1} "
-                             f"swallow_debt={row.swallow + 1})")
+                             f"swallow_debt={conn.swallow_debt + 1})")
         self._check(row)
 
-    def observe_recv_header(self, scheme, conn: "Connection",
-                            header: "Header") -> int:
-        """Wrap :func:`repro.core.credit.grow` so target changes are audited:
-        dynamic *growth* mints matching credits atomically (nothing to
-        track), a decay *contraction* leaves excess credits circulating —
-        they become swallow debt, repaid as they die at the receiver."""
+    def on_grow(self, conn: "Connection") -> None:
+        """:func:`repro.core.credit.grow` ran: growth mints its credits, a
+        decay moves the excess into ``swallow_debt`` — the pool balances."""
         self.hook_calls += 1
-        before = conn.prepost_target
-        grown = grow(scheme, conn, header)
         if self._uses_credits:
-            row = self._rows[conn].back
-            if conn.prepost_target < before:
-                row.swallow += before - conn.prepost_target
-            self._check(row)
-        return grown
+            self._check(self._rows[conn].back)
 
-    def on_post_recv(self, conn: "Connection") -> None:
-        """A receive vbuf was posted (``recv_posted`` already incremented);
+    def on_post_recv(self, conn: "Connection", n: int) -> None:
+        """``n`` receive vbufs were posted (``recv_posted`` already raised);
         the population must never exceed its budget (no double-post)."""
-        self.hook_calls += 1
+        self.hook_calls += n  # one per buffer
         budget = conn.prepost_target + conn.headroom
         if conn.recv_posted > budget:
             rank = conn.endpoint.rank
@@ -581,8 +543,7 @@ class Auditor:
             )
 
     # ------------------------------------------------------------------
-    # (f) switch-congestion hooks (repro.congestion; guarded the same
-    # way as the endpoint hooks — only called when the auditor is on)
+    # (f) the switch model's events (repro.congestion)
     # ------------------------------------------------------------------
     def on_xoff(self, port_key: tuple) -> None:
         """A port crossed its XOFF threshold and paused its feeders.
@@ -707,12 +668,6 @@ class Auditor:
         if now < self._fault_grace_until:
             self._last_progress_ns = now  # faults legitimately stall
             return True
-        rec = self._endpoints[0]._recovery if self._endpoints else None
-        if rec is not None and rec._active:
-            # a connection-recovery backoff window is open: the stall is
-            # the policy's own schedule, not a deadlock — keep waiting
-            self._last_progress_ns = now
-            return True
         if now - self._last_progress_ns > self.quiet_bound_ns:
             self._wd_armed = False
             self._violate(
@@ -727,7 +682,7 @@ class Auditor:
     # ------------------------------------------------------------------
     # end-of-job audit
     # ------------------------------------------------------------------
-    def final_check(self, expect_quiescent: bool = True) -> None:
+    def on_job_end(self, expect_quiescent: bool = True) -> None:
         """Full sweep after a run.  Conservation and lease balance must
         hold at any agenda drain; completeness, pool-fullness and the
         receive-population reconciliation additionally require the job to
@@ -750,7 +705,7 @@ class Auditor:
                     )
         if not expect_quiescent:
             return
-        cong = self._congestion
+        cong = self._cluster.fabric.congestion
         if cong is not None:
             # Pause-frame conservation + drain: a finalized job left no
             # traffic in flight, so every port queue must have emptied,
@@ -795,10 +750,7 @@ class Auditor:
         parked_credits: Dict[tuple, int] = defaultdict(int)
         parked_paid: Dict[tuple, int] = defaultdict(int)
         for ep in self._endpoints:
-            for wc in ep.cq._entries:
-                h = wc.data if wc.is_recv else None
-                if h is None or not hasattr(h, "went_backlog"):
-                    continue  # not an MPI header
+            for h in ep.unpolled():
                 if h.credits:
                     parked_credits[(ep.rank, h.src)] += h.credits
                 if h.paid:

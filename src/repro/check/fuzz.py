@@ -151,7 +151,10 @@ def generate_spec(seed: int, scenario: Optional[str] = None,
         raise ValueError(
             f"unknown fuzz scenario {scenario!r} (know {FUZZ_SCENARIOS})"
         )
-    return {
+    # the dynamic scheme's decay, drawn after everything else so a seed's
+    # messages and faults stay as they were; a spec without it has none
+    decay = rng.choice((0, 0, 0, 4, 16))
+    spec = {
         "version": SPEC_VERSION,
         "seed": seed,
         "nranks": nranks,
@@ -165,6 +168,9 @@ def generate_spec(seed: int, scenario: Optional[str] = None,
         "faults": faults,
         "messages": messages,
     }
+    if decay:
+        spec["decay_idle_messages"] = decay
+    return spec
 
 
 def build_program(spec: Dict[str, Any]):
@@ -249,6 +255,8 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {}
     if scheme_name in (SchemeName.STATIC.value, SchemeName.DYNAMIC.value):
         kwargs["ecm_threshold"] = int(spec.get("ecm_threshold", 5))
+    if scheme_name == SchemeName.DYNAMIC.value and spec.get("decay_idle_messages"):
+        kwargs.update(decay_enabled=True, decay_idle_messages=int(spec["decay_idle_messages"]))
     scheme = make_scheme(scheme_name, **kwargs)
     auditor = Auditor()
     nranks = int(spec["nranks"])

@@ -49,8 +49,8 @@ class Arming:
     def subsystems(self) -> Tuple[Any, ...]:
         """One job's subsystem objects, in arming order.  The auditor and
         the failure detector come before the fault injector: arming a plan
-        tells ``cluster.auditor`` about its windows, and a ``rank_death``
-        event tells ``cluster.ft`` — both must be attached by then."""
+        announces its windows to the observers, and a ``rank_death`` event
+        tells ``cluster.ft`` — both must be attached by then."""
         out = []
         if self.audit is not False:
             from repro.check import Auditor

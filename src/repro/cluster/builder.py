@@ -10,6 +10,7 @@ over nodes: with 16 ranks on 8 nodes, ranks *r* and *r + 8* share a node
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.cluster.config import TestbedConfig
@@ -20,6 +21,45 @@ from repro.mpi.connection import Connection
 from repro.mpi.endpoint import Endpoint
 from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
+
+#: the observer seam's interface (DESIGN §5): the endpoint event map's, then
+#: pair wired / torn down, rank dead, quiet window, recovery begun / resynced,
+#: ring deposit, port XOFF / XON / depth, job end
+EVENTS = (
+    "on_app_send", "on_consume", "on_emit", "on_deliver", "on_match",
+    "on_grow", "on_ring_free", "on_post_recv", "on_swallow", "on_grant",
+    "on_backlog_enqueue", "on_backlog_dequeue", "on_send_done",
+    "on_wired", "on_teardown", "on_rank_dead", "on_quiet",
+    "on_recovery_begin", "on_recovery_resync", "on_ring_deposit",
+    "on_xoff", "on_xon", "on_queue_depth", "on_job_end",
+)
+
+#: an event nobody answers: a C function taking any arguments, so no frame
+_IGNORED = "".format
+
+
+def observer_slot(observers: tuple):
+    """The slot a layer fires events on: ``None`` while nothing observes,
+    the lone observer answering every event, else a fan-out holding per
+    event the one answering bound method, a loop over several (in joining
+    order), or :data:`_IGNORED`.  Observers decide nothing."""
+    if not observers:
+        return None
+    if len(observers) == 1 and all(hasattr(observers[0], e) for e in EVENTS):
+        return observers[0]
+    fanout = {}
+    for event in EVENTS:
+        fns = [getattr(o, event) for o in observers if hasattr(o, event)]
+        fanout[event] = _fan(fns) if len(fns) > 1 else fns[0] if fns else _IGNORED
+    return SimpleNamespace(**fanout)
+
+
+def _fan(fns: list):
+    def fan(*args):
+        for fn in fns:
+            fn(*args)
+    return fan
+
 
 def check_setup_budget(scheme: FlowControlScheme, prepost: int,
                        config: TestbedConfig) -> None:
@@ -68,8 +108,9 @@ class Cluster:
         #: launched as a static mesh: per rank, the first of the P-1 QPNs
         #: and (ring schemes) ring regions set aside for its halves
         self._mesh: Optional[List[tuple]] = None
-        self.auditor = None  # repro.check.Auditor, while armed
-        self.recovery = None  # repro.recovery.RecoveryManager, while armed
+        #: the observer seam: who joined, and the slot every layer reads
+        self._observers: tuple = ()
+        self.observer = None
         self.ft = None  # repro.ft.FTManager, while armed
         #: the subsystems the latest job armed, in arming order; the next
         #: ``run_job`` on this cluster disarms them before arming its own
@@ -157,8 +198,8 @@ class Cluster:
         """Wire ``a`` <-> ``b``, the one place a pair comes into being: a QP
         each, connected to the other; a ``Connection`` each in its
         endpoint's table, set up by the scheme; the rings pointed at each
-        other; both receive budgets posted; the pair registered with an
-        armed auditor.  A static mesh's halves take the numbers
+        other; both receive budgets posted; the pair announced to the
+        observers.  A static mesh's halves take the numbers
         :meth:`launch` set aside and post ungated, as MPI_Init did; on
         demand, the adapters' next numbers and the refill a stall gates."""
         ep_a, ep_b = self.endpoints[a], self.endpoints[b]
@@ -181,8 +222,23 @@ class Cluster:
                 half.refill_recv_buffers()
             else:
                 half.post_setup_buffers()
-        if self.auditor is not None:
-            self.auditor.on_wired(conn_ab, conn_ba)
+        if self.observer is not None:
+            self.observer.on_wired(conn_ab, conn_ba)
+
+    def observe(self, obs) -> None:
+        """Join the observer seam (in a subsystem's ``arm``): ``obs``
+        answers events of :data:`EVENTS` by name."""
+        self._rebind(self._observers + (obs,))
+
+    def unobserve(self, obs) -> None:
+        """Leave it (the same subsystem's ``disarm``)."""
+        self._rebind(tuple(o for o in self._observers if o is not obs))
+
+    def _rebind(self, observers: tuple) -> None:
+        self._observers, self.observer = observers, observer_slot(observers)
+        for layer in (*self.endpoints, self.fabric.congestion):
+            if layer is not None:
+                layer.observer = self.observer
 
     def wire(self, ep: Endpoint, peer: int) -> None:
         """Wire the static-mesh pair ``ep`` <-> ``peer`` as MPI_Init did,

@@ -288,8 +288,8 @@ def run_job(
                 f"deadlock: ranks {[p.name for p in hung]} never finished "
                 f"(sim time {cluster.sim.now} ns)"
             )
-        if cluster.auditor is not None and not failures:
-            cluster.auditor.final_check(expect_quiescent=finalize)
+        if cluster.observer is not None and not failures:
+            cluster.observer.on_job_end(finalize)
 
     cong_state = cluster.fabric.congestion
     handles = {sub.name: sub for sub in subsystems}

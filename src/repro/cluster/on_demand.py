@@ -186,13 +186,12 @@ class ConnectionManager:
             # now — once the Connection is gone nobody can account for them.
             qp = conn.qp
             qp.force_error()  # idempotent
-            for wc in ep.cq.remove_errors(qp.qp_num):
-                ep._reclaim_error_wc(wc)
+            ep.reclaim_flushed(qp)
             ep.hca.destroy_qp(qp)
         if had is not None:
             self.torn_down += 1
-        if self.cluster.auditor is not None:
-            self.cluster.auditor.note_teardown(*pair)
+        if self.cluster.observer is not None:
+            self.cluster.observer.on_teardown(*pair)
 
     def fail_toward(self, rank: int, exc: BaseException) -> None:
         """Fail every exchange in flight with ``rank`` (the failure detector

@@ -129,19 +129,17 @@ class PortQueue:
             msg = item.message
             qp = state.fabric.hca_at(msg.src_lid).qp(msg.src_qpn)
             qp.on_wire_loss(DROP_RETRY_TIMEOUT_NS)
-            aud = state.audit
-            if aud is not None:
+            if state.observer is not None:
                 # the replay comes at the first ACK-less timer period,
                 # at most two periods away: not a hang until then
-                aud.extend_grace(state.sim.now + 2 * DROP_RETRY_TIMEOUT_NS)
+                state.observer.on_quiet(state.sim.now + 2 * DROP_RETRY_TIMEOUT_NS)
             return
         depth = self.depth = self.depth + wire
         if depth > self.peak_depth:
             self.peak_depth = depth
-        aud = state.audit
-        if aud is not None:
-            aud.on_queue_depth(self.key, depth,
-                               cfg.buffer_bytes if self.finite else None)
+        if state.observer is not None:
+            state.observer.on_queue_depth(self.key, depth,
+                                          cfg.buffer_bytes if self.finite else None)
         if (state.ecn_on and self.finite and not item.marked
                 and depth >= cfg.ecn_mark_bytes):
             item.marked = True
@@ -168,9 +166,8 @@ class PortQueue:
         tr = state.tracer
         tr.count("cong.xoff", self.key)
         tr.record(state.sim.now, "cong.xoff", self.key)
-        aud = state.audit
-        if aud is not None:
-            aud.on_xoff(self.key)
+        if state.observer is not None:
+            state.observer.on_xoff(self.key)
         for item in self.q:
             fp = item.from_port
             if fp is not None and fp.key not in self._feeder_keys:
@@ -191,9 +188,8 @@ class PortQueue:
         now = state.sim.now
         tr.count("cong.xon", self.key)
         tr.record(now, "cong.xon", self.key)
-        aud = state.audit
-        if aud is not None:
-            aud.on_xon(self.key)
+        if state.observer is not None:
+            state.observer.on_xon(self.key)
         resume_at = now + state.cfg.pause_frame_ns
         sim = state.sim
         for feeder in self._feeders:
@@ -275,8 +271,8 @@ class CongestionState:
         self.ports: Dict[PortKey, PortQueue] = {}
         self._paths: Dict[tuple, tuple] = {}
         self.flows: Dict[tuple, _Flow] = {}
-        #: the auditor, when one is attached (repro.check wires this)
-        self.audit = None
+        #: the observer slot (``Cluster.observe`` resolves it)
+        self.observer = None
 
     # ------------------------------------------------------------------
     # topology

@@ -4,7 +4,7 @@ transition, in one module that reads no simulator, queue pair or endpoint.
 Each function mutates the :class:`~repro.mpi.connection.Connection` fields
 it names and returns an int — a count, or one of the action codes below.
 The endpoint acts on it against the verbs layer (posting, the vbuf pool,
-emission) and runs the auditor, fault and recovery hooks; the recovery
+emission) and fires the observer events; the recovery
 manager calls :func:`resync`.  The schemes in this package are the policies
 read here.  ``tests/test_credit_machine.py`` drives these functions over two
 connections with no simulator (DESIGN §5.3 lists each transition: the
@@ -71,8 +71,8 @@ def grow(scheme: "FlowControlScheme", conn: "Connection", h: "Header") -> int:
     asks :func:`grant` for the ECM decision).  Flags
     up to about one credit budget of sequence numbers past a growth are
     stale (``rate_limited``).  The optional decay halves the target after
-    ``decay_idle_messages`` unflagged headers; the population then shrinks
-    as :func:`release` stops reposting and swallows."""
+    ``decay_idle_messages`` unflagged headers (``swallow_debt`` grows); the
+    population then shrinks as :func:`release` stops reposting and swallows."""
     target = conn.prepost_target
     if (
         h.went_backlog
@@ -95,6 +95,7 @@ def grow(scheme: "FlowControlScheme", conn: "Connection", h: "Header") -> int:
         if conn._decay_quiet_msgs >= scheme.decay_idle_messages:
             conn._decay_quiet_msgs = 0
             conn.prepost_target = max(1, target // 2)
+            conn.swallow_debt += target - conn.prepost_target
     return 0
 
 
@@ -114,6 +115,7 @@ def release(conn: "Connection", paid: bool, ring: bool, stalled: bool) -> int:
         if conn.recv_posted < budget:
             act = REPOST
         elif paid and conn.recv_posted > budget:
+            conn.swallow_debt -= 1
             return SWALLOW
     return act | GRANT if paid else act
 
@@ -157,11 +159,13 @@ def end_fallback(conn: "Connection") -> None:
     conn.fallback_inflight -= 1
 
 
-def resync(conn: "Connection", back: "Connection", swallow: int, held: int) -> int:
+def resync(conn: "Connection", back: "Connection", held: int) -> int:
     """Recovery: the sender's fresh balance is what is left of the
-    receiver's target (``back`` is the reverse connection) plus its swallow
-    debt, after the ``held`` paid tokens found elsewhere and the grants
-    still pending there.  Returns the credits."""
-    conn.credits = max(
-        0, back.prepost_target + swallow - held - back.pending_credit_return)
+    receiver's target (``back`` is the reverse connection) after the
+    ``held`` paid tokens found elsewhere and the grants still pending
+    there; the refill stops at the target, so the decay debt is now what
+    the target cannot cover.  Returns the credits."""
+    fresh = back.prepost_target - held - back.pending_credit_return
+    conn.credits = max(0, fresh)
+    back.swallow_debt = max(0, -fresh)
     return conn.credits

@@ -139,9 +139,9 @@ class FaultInjector:
                 qp.adopt_fault_transport()
         sim = cluster.sim
         t0 = sim.now  # non-zero on a reused cluster
-        if cluster.auditor is not None:
-            # the progress watchdog must not flag fault-induced stalls
-            cluster.auditor.extend_grace(t0 + plan.end_ns)
+        if cluster.observer is not None:
+            # the plan's windows stall progress legitimately
+            cluster.observer.on_quiet(t0 + plan.end_ns)
         for ev in plan.events:
             sim.schedule_at(t0 + ev.at_ns, self._begin, ev)
             sim.schedule_at(t0 + ev.end_ns, self._end, ev)

@@ -20,13 +20,13 @@ live ranks), :class:`FTManager` handles whole-*rank* death:
   sends, in-flight rendezvous handshakes, posted receives, and programs
   parked on an on-demand connection setup are all resumed.  The
   structured :class:`~repro.ft.failures.RankFailure` record lands on
-  ``JobResult.failures`` with detection-latency stats, and the invariant
-  auditor is told to exempt the dead rank from credit-conservation and
-  watchdog accounting.
+  ``JobResult.failures`` with detection-latency stats, and the death is
+  announced to the observers (the auditor exempts the dead rank from
+  credit-conservation and watchdog accounting).
 
-Zero-cost when not installed: every hook in the endpoint hot path is
-guarded by ``if self._ft is not None`` and no detector event is ever
-scheduled, so disabled runs stay bit-identical.
+Zero-cost when not installed: it hears deliveries as an observer, its
+endpoint decision sites are guarded by ``if self._ft is not None`` and no
+detector event is ever scheduled, so disabled runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -84,15 +84,24 @@ class FTManager:
         cluster.ft = self
         for ep in cluster.endpoints:
             ep._ft = self
+        cluster.observe(self)
 
     def disarm(self) -> None:
         """Undo :meth:`arm`: nobody watches peers or fails requests."""
         self.cluster.ft = None
         for ep in self.cluster.endpoints:
             ep._ft = None
+        self.cluster.unobserve(self)
+
+    def on_deliver(self, conn, h) -> None:
+        """Observer event: any delivery proves its sender alive."""
+        key = (conn.endpoint.rank, conn.peer)
+        self._last_heard[key] = self.sim.now
+        if self._rounds:
+            self._rounds.pop(key, None)
 
     # ------------------------------------------------------------------
-    # hooks from the endpoint (all gated on ``ep._ft is not None``)
+    # decision sites in the endpoint (all gated on ``ep._ft is not None``)
     # ------------------------------------------------------------------
     def fail_if_dead(self, ep: "Endpoint", req: "Request", peer: int) -> bool:
         """Complete ``req`` with PROC_FAILED when ``peer`` is already
@@ -110,12 +119,6 @@ class FTManager:
         if not self._armed:
             self._armed = True
             self.sim.every(self.config.heartbeat_interval_ns, self._tick)
-
-    def on_heard(self, observer: int, peer: int) -> None:
-        """Traffic from ``peer`` reached ``observer``: refresh liveness."""
-        self._last_heard[(observer, peer)] = self.sim.now
-        if self._rounds:
-            self._rounds.pop((observer, peer), None)
 
     def fail_request(self, ep: "Endpoint", req: "Request", peer: int) -> None:
         """Complete a request against a dead peer (idempotent)."""
@@ -166,11 +169,10 @@ class FTManager:
         never reads this: it only sees silence and transport errors)."""
         self.injected.add(rank)
         self._died_ns.setdefault(rank, now)
-        aud = self.cluster.auditor
-        if aud is not None:
+        if self.cluster.observer is not None:
             # the detector needs up to detection_budget_ns of silence
             # before it can turn the hang into a structured failure
-            aud.extend_grace(now + self.config.detection_budget_ns)
+            self.cluster.observer.on_quiet(now + self.config.detection_budget_ns)
 
     # ------------------------------------------------------------------
     # the detector
@@ -205,10 +207,10 @@ class FTManager:
                 self.suspicions += 1
             self._rounds[key] = rounds + 1
             self._send_ping(obs, peer, rounds)
-            aud = self.cluster.auditor
-            if aud is not None:
-                # hold the watchdog off while confirmation rounds run
-                aud.extend_grace(now + (bound << 1) + cfg.heartbeat_interval_ns)
+            if self.cluster.observer is not None:
+                # confirmation rounds stall the watched requests
+                self.cluster.observer.on_quiet(
+                    now + (bound << 1) + cfg.heartbeat_interval_ns)
         if not active:
             self._armed = False  # agenda drains; re-armed by the next watch()
         return active
@@ -246,7 +248,8 @@ class FTManager:
         if self.cluster.endpoints[obs].hca.dead:
             return
         self.pongs_received += 1
-        self.on_heard(obs, peer)
+        self._last_heard[(obs, peer)] = self.sim.now
+        self._rounds.pop((obs, peer), None)
 
     # ------------------------------------------------------------------
     # declaration + ULFM-style propagation
@@ -268,9 +271,8 @@ class FTManager:
         )
         self.failures.append(failure)
         self.cluster.tracer.count("ft.rank_dead", rank)
-        aud = self.cluster.auditor
-        if aud is not None:
-            aud.note_rank_dead(rank)
+        if self.cluster.observer is not None:
+            self.cluster.observer.on_rank_dead(rank)
         # Resume programs parked on an on-demand setup toward the dead
         # rank: the connection exchange will never complete.
         cm = self.cluster.cm
@@ -297,8 +299,7 @@ class FTManager:
             conn.qp.force_error()  # idempotent
             # un-polled flushes of the dead QP: reclaim their vbuf /
             # posted-recv bookkeeping now (same contract as recovery)
-            for wc in ep.cq.remove_errors(conn.qp.qp_num):
-                ep._reclaim_error_wc(wc)
+            ep.reclaim_flushed(conn.qp)
             for pending in conn.backlog:
                 self.fail_request(ep, pending.request, rank)
             conn.backlog = ()

@@ -71,7 +71,7 @@ class Connection:
         "endpoint", "peer", "qp",
         "credits", "backlog", "fallback_inflight", "seq_out",
         "prepost_target", "headroom", "recv_wr", "recv_posted",
-        "pending_credit_return", "seq_in_expected",
+        "pending_credit_return", "swallow_debt", "seq_in_expected",
         "_decay_quiet_msgs", "_grow_barrier_seq",
         "ring",
         "recovering", "deferred", "stats",
@@ -110,6 +110,8 @@ class Connection:
 
         self.recv_posted = 0
         self.pending_credit_return = 0
+        #: credits a decay took off the target that still circulate
+        self.swallow_debt = 0
         self.seq_in_expected = 0
 
         #: the RDMA eager channel, both halves — set by

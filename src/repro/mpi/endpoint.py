@@ -6,7 +6,9 @@ matching engine, the pin-down cache and the rendezvous op tables.  It
 *executes* the protocol — the credit transitions of :mod:`repro.core.credit`
 and the message decisions of :mod:`repro.mpi.protocol` and
 :mod:`repro.mpi.rendezvous` (DESIGN §5.3-5.4) — against the verbs layer,
-and runs the progress engine and the subsystem hooks.
+and runs the progress engine; the subsystems watch it through the
+observer seam (``Cluster.observe``), and ft and recovery decide at their
+own few sites.
 
 All public operations are *generators* driven by the simulation kernel;
 application programs call them with ``yield from``::
@@ -70,7 +72,7 @@ class Endpoint:
         "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
         "_ring_notify", "finalized", "_stall_until", "_stall_held",
         "_t_call", "_t_poll", "_eager_max",
-        "_audit", "_recovery", "_ft", "_halted", "_halt_signal",
+        "observer", "_recovery", "_ft", "_halted", "_halt_signal",
         "bytes_sent", "bytes_received", "wait_ns",
     )
 
@@ -134,9 +136,9 @@ class Endpoint:
         self._t_poll = TIMEOUTS[config.poll_overhead_ns]
         #: largest eager payload; anything bigger goes through rendezvous
         self._eager_max = config.eager_max()
-        #: the subsystem hooks — auditor (repro.check), recovery manager,
-        #: ft manager; None = disarmed, so a hook site costs one test
-        self._audit = None
+        #: the observer slot (``Cluster.observe``), and the recovery and ft
+        #: managers' decision sites; None = disarmed, so a site costs one test
+        self.observer = None
         self._recovery = None
         self._ft = None
         #: rank death: every entry point and the progress engine park for
@@ -197,13 +199,9 @@ class Endpoint:
         if qp.state is not QPState.READY:
             return 0
         qp.post_recv(conn.recv_wr, n)
-        audit = self._audit
-        if audit is None:
-            conn.recv_posted += n
-        else:
-            for _ in range(n):  # the auditor observes every buffer
-                conn.recv_posted += 1
-                audit.on_post_recv(conn)
+        conn.recv_posted += n
+        if self.observer is not None:
+            self.observer.on_post_recv(conn, n)
         return n
 
     @property
@@ -247,8 +245,8 @@ class Endpoint:
                 self._ft.fail_request(self, req, dest)
                 return req
         self.bytes_sent += size
-        if self._audit is not None:
-            self._audit.on_app_send(self.rank, dest, tag, context, size)
+        if self.observer is not None:
+            self.observer.on_app_send(self.rank, dest, tag, context, size)
         yield self._t_call
         if req.done:  # dest declared dead while this call was parked
             return req
@@ -317,8 +315,8 @@ class Endpoint:
             # the late match: protocol.match as at arrival, one yield a step
             h = unexpected.header
             act = protocol.match(h, posted, late=True)
-            if self._audit is not None:
-                self._audit.on_match(h)
+            if self.observer is not None:
+                self.observer.on_match(h)
             conn = self.connections[h.src]
             if act & protocol.LAND:
                 yield TIMEOUTS[self._land(conn, h, posted)]
@@ -623,6 +621,18 @@ class Endpoint:
             self._release_send_vbuf()
         return record
 
+    def unpolled(self, qp: Optional[QueuePair] = None) -> List[Header]:
+        """The headers delivered (by ``qp``, or any) that wait unpolled in
+        the CQ: what recovery and the end-of-job checks count as parked."""
+        return [wc.data for wc in self.cq._entries if wc.is_recv and wc.ok
+                and (qp is None or wc.qp_num == qp.qp_num)]
+
+    def reclaim_flushed(self, qp: QueuePair) -> List[Any]:
+        """Take ``qp``'s unpolled errored completions off the CQ, each
+        reclaimed; returns the sends' records, in flush order."""
+        records = [self._reclaim_error_wc(wc) for wc in self.cq.remove_errors(qp.qp_num)]
+        return [r for r in records if r is not None]
+
     def _handle_error_wc(self, wc: WC) -> int:
         """A completion with non-success status: absorbed by ft when a dead
         peer explains it (it may be the detection), else the start of a
@@ -649,21 +659,18 @@ class Endpoint:
         :mod:`rendezvous`), this executes — pins, copies, emits, completes
         and releases."""
         cost = self.config.header_proc_ns
-        if self._ft is not None:
-            # liveness piggyback: any delivery proves the peer is alive
-            self._ft.on_heard(self.rank, conn.peer)
         if h.credits:
             credit.receive(self.scheme, conn, h.credits)
-        if self._audit is not None:
-            self._audit.on_deliver(conn, h)
+        if self.observer is not None:
+            self.observer.on_deliver(conn, h)
 
         kind = h.kind
         if kind is MsgKind.EAGER or kind is MsgKind.RNDV_RTS:
             posted = self.matching.arrived(h, self.sim.now)
             act = protocol.match(h, posted)
             if posted is not None:
-                if self._audit is not None:
-                    self._audit.on_match(h)
+                if self.observer is not None:
+                    self.observer.on_match(h)
                 if act & protocol.LAND:
                     cost += self._land(conn, h, posted)
                 elif act & protocol.COMPLETE:
@@ -691,10 +698,9 @@ class Endpoint:
             cost += self._release(conn, h)
 
         # dynamic growth: its credits are pending already, its buffers go here
-        if self._audit is not None:
-            grown = self._audit.observe_recv_header(self.scheme, conn, h)
-        else:
-            grown = credit.grow(self.scheme, conn, h)
+        grown = credit.grow(self.scheme, conn, h)
+        if self.observer is not None:
+            self.observer.on_grow(conn)
         if grown:
             posted = conn.refill_recv_buffers()
             if posted:
@@ -714,9 +720,9 @@ class Endpoint:
         stalled = self._stall_until > self.sim.now
         if stalled:
             self.tracer.count("faults.stall_deferred", conn.peer)
-        if h.via_ring and self._audit is not None:
+        if h.via_ring and self.observer is not None:
             # the slot is free the moment the copy-out lands
-            self._audit.on_ring_free(conn.ring, h)
+            self.observer.on_ring_free(conn.ring, h)
         act = credit.release(conn, h.paid, h.via_ring, stalled)
         cost = 0
         if act & credit.REPOST:
@@ -725,8 +731,8 @@ class Endpoint:
         if act & credit.GRANT:
             cost += self._grant(conn, 1)
         elif act & credit.SWALLOW:
-            if self._audit is not None:
-                self._audit.on_swallow(conn)
+            if self.observer is not None:
+                self.observer.on_swallow(conn)
         elif act & credit.HOLD:
             self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
         # drains here, ahead of _deliver's growth (a late match has no other)
@@ -739,8 +745,8 @@ class Endpoint:
         with an explicit credit message when one is due.  Returns the CPU
         cost."""
         ecm = credit.grant(self.scheme, conn, n)
-        if self._audit is not None:
-            self._audit.on_grant(conn, n)
+        if self.observer is not None:
+            self.observer.on_grant(conn, n)
         return self._emit_ecm(conn) if ecm else 0
 
     # --- outbound completions --------------------------------------------
@@ -765,8 +771,8 @@ class Endpoint:
         """An eager/control SEND is over — completed, flushed or errored:
         its vbuf returns to the pool."""
         self.pool.release()
-        if self._audit is not None:
-            self._audit.on_send_done(self)
+        if self.observer is not None:
+            self.observer.on_send_done(self)
 
     # ------------------------------------------------------------------
     # emission paths
@@ -774,8 +780,8 @@ class Endpoint:
     def _take_credit(self, conn: Connection, head: bool = False) -> int:
         """:func:`credit.take` for a new send (or the backlog's ``head``)."""
         taken = credit.take(self.scheme, conn, head)
-        if taken and self._audit is not None:
-            self._audit.on_consume(conn)
+        if taken and self.observer is not None:
+            self.observer.on_consume(conn)
         return taken
 
     def _post(self, conn: Connection, record: Any, opcode: Opcode, length: int,
@@ -842,8 +848,8 @@ class Endpoint:
                 stats.piggybacked_credits += piggy
                 if not eager:  # RTS/CTS/FIN: Figure 8's control share
                     stats.ctl_msgs_sent += 1
-        if self._audit is not None:
-            self._audit.on_emit(conn, header, replay)
+        if self.observer is not None:
+            self.observer.on_emit(conn, header, replay)
         return cost
 
     def _emit_data(self, conn: Connection, op: RndvSendOp, replay: bool = False) -> int:
@@ -869,8 +875,8 @@ class Endpoint:
         if type(backlog) is tuple:  # first use
             backlog = conn.backlog = deque()
         backlog.append(pending)
-        if self._audit is not None:
-            self._audit.on_backlog_enqueue(conn, pending.header)
+        if self.observer is not None:
+            self.observer.on_backlog_enqueue(conn, pending.header)
         conn.stats.backlogged += 1
         if pending.header.kind is not MsgKind.EAGER:
             conn.stats.ctl_backlogged += 1
@@ -902,13 +908,13 @@ class Endpoint:
             conn.stats.credit_stalled_ns += self.sim.now - p.enqueue_ns
             if act == credit.SEND:
                 self._take_credit(conn, head=True)
-                if self._audit is not None:
-                    self._audit.on_backlog_dequeue(conn, p.header)
+                if self.observer is not None:
+                    self.observer.on_backlog_dequeue(conn, p.header)
                 p.header.went_backlog = True
                 cost += self._emit(conn, p.header, p.request)
             else:
-                if self._audit is not None:  # an unpaid RTS goes in its place
-                    self._audit.on_backlog_dequeue(conn, p.header, reemitted=False)
+                if self.observer is not None:  # an unpaid RTS goes in its place
+                    self.observer.on_backlog_dequeue(conn, p.header, False)
                 # paper §4.2: without credits only the rendezvous goes, and
                 # its handshake piggybacks fresh ones
                 conn.stats.rndv_fallbacks += 1

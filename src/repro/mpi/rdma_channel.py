@@ -154,9 +154,8 @@ class RDMAChannel:
             raise RuntimeError(f"ring slot arrival not detectable: {header!r}")
         self._arrived.append(header)
         self.messages += 1
-        aud = self.endpoint._audit
-        if aud is not None:
-            aud.on_ring_deposit(self, header)
+        if self.endpoint.observer is not None:
+            self.endpoint.observer.on_ring_deposit(self, header)
         self.endpoint._ring_dirty.add(self.peer)
         self.endpoint._ring_signal_fire()
 

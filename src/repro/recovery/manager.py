@@ -39,13 +39,15 @@ population is authoritative.  Every paid token is, at re-arm time, in
 exactly one of six places, so the sender's fresh balance is what is left
 of the target after all of them::
 
-    credits(s→r) = prepost_target(r) + swallow_debt
+    credits(s→r) = prepost_target(r)
                    - replayed_paid          # un-acked, about to be re-sent
                    - parked_paid            # delivered at r, not yet polled
                    - ungranted              # polled at r, grant still pending
                                             #   (unexpected queue + stall hold)
                    - pending_credit_return  # granted at r, not yet shipped
                    - parked_credits         # shipped by r, not yet polled at s
+
+(never below zero: what the target cannot cover is decay debt).
 
 Pre-fault credits that died on flushed headers are deliberately *not*
 counted — zeroing ``header.credits`` on replay re-mints them here, which is
@@ -86,7 +88,7 @@ class _PairRecovery:
 
 class RecoveryManager:
     """One job's recovery driver, armed on every endpoint's ``_recovery``
-    hook (zero-cost-when-absent, like the auditor)."""
+    decision site (zero-cost when absent: one test there)."""
 
     name = "recovery"
 
@@ -109,13 +111,11 @@ class RecoveryManager:
         self.sim = cluster.sim
         for ep in cluster.endpoints:
             ep._recovery = self
-        cluster.recovery = self
 
     def disarm(self) -> None:
         """Undo :meth:`arm`: a fatal completion is a failure record again."""
         for ep in self.cluster.endpoints:
             ep._recovery = None
-        self.cluster.recovery = None
 
     # ------------------------------------------------------------------
     # detection (called from Endpoint._handle_error_wc)
@@ -155,10 +155,10 @@ class RecoveryManager:
         if self.policy.jitter_ns > 0:
             rng = pair_rng(self.policy.seed, a, b, attempt)
             delay += rng.randrange(self.policy.jitter_ns)
-        aud = ep_a._audit
-        if aud is not None:
-            aud.on_recovery_begin(a, b)
-            aud.extend_grace(self.sim.now + delay)
+        obs = self.cluster.observer
+        if obs is not None:
+            obs.on_recovery_begin(a, b)
+            obs.on_quiet(self.sim.now + delay)
         ep_a.tracer.count("recovery.begin", f"{a}-{b}")
         self.sim.schedule(delay, self._rearm, pair)
         return rec
@@ -190,8 +190,8 @@ class RecoveryManager:
         ep_a, ep_b = self._ep(a), self._ep(b)
         conn_ab, conn_ba = ep_a.connections[b], ep_b.connections[a]
         # 1. collect straggler error WCs the owners have not polled yet
-        self._drain_error_wcs(ep_a, conn_ab, rec)
-        self._drain_error_wcs(ep_b, conn_ba, rec)
+        rec.replays[a] += ep_a.reclaim_flushed(conn_ab.qp)
+        rec.replays[b] += ep_b.reclaim_flushed(conn_ba.qp)
         # 2. ERROR -> RESET -> READY; reset() bumps the epoch so stale
         #    in-flight control from the dead incarnation is discarded
         qp_ab, qp_ba = conn_ab.qp, conn_ba.qp
@@ -235,14 +235,6 @@ class RecoveryManager:
             self.reconnect_ns_max = dt
         ep_a.tracer.count("recovery.rearm", f"{a}-{b}")
 
-    def _drain_error_wcs(self, ep: "Endpoint", conn: "Connection", rec) -> None:
-        """Remove this QP's un-polled error completions from the owner's
-        CQ, reclaiming their bookkeeping and collecting replay candidates."""
-        for wc in ep.cq.remove_errors(conn.qp.qp_num):
-            record = ep._reclaim_error_wc(wc)
-            if record is not None:
-                rec.replays[ep.rank].append(record)
-
     # ------------------------------------------------------------------
     # credit-state resynchronization (one direction)
     # ------------------------------------------------------------------
@@ -264,21 +256,14 @@ class RecoveryManager:
         # ``cq_stash`` behind a ring write that was lost in flight — so
         # the horizon is the *contiguous* received prefix, and anything
         # received beyond a gap is pruned by membership instead.
-        received = {}
-        qpn_rs = conn_rs.qp.qp_num
-        for wc in ep_r.cq._entries:
-            if wc.is_recv and wc.ok and wc.qp_num == qpn_rs:
-                received[wc.data.seq] = wc.data
+        received = {h.seq: h for h in ep_r.unpolled(conn_rs.qp)}
         ch_rs = conn_rs.ring
         if ch_rs is not None:
             # Ring arrivals captured in slot memory but not yet processed:
             # they advance the horizon and pin paid tokens exactly like
             # unpolled CQ deliveries (one shared per-connection sequence
             # space, delivered in order by the RC transport).
-            for h in ch_rs._arrived:
-                received[h.seq] = h
-            for h in ch_rs.cq_stash:
-                received[h.seq] = h
+            received.update((h.seq, h) for h in (*ch_rs._arrived, *ch_rs.cq_stash))
         parked_paid = sum(1 for h in received.values() if h.paid)
         b_next = conn_rs.seq_in_expected
         while b_next in received:
@@ -299,23 +284,12 @@ class RecoveryManager:
                         and h.kind is MsgKind.EAGER):
                     ungranted += 1
             # granted and shipped by r, parked unpolled at s
-            parked_credits = 0
-            qpn_sr = conn_sr.qp.qp_num
-            for wc in ep_s.cq._entries:
-                if wc.is_recv and wc.ok and wc.qp_num == qpn_sr:
-                    parked_credits += wc.data.credits
-            aud = ep_s._audit
-            swallow = aud.pending_swallow(ep_s.rank, ep_r.rank) if aud is not None else 0
-            credit.resync(conn_sr, conn_rs, swallow,
+            parked_credits = sum(h.credits for h in ep_s.unpolled(conn_sr.qp))
+            credit.resync(conn_sr, conn_rs,
                           replayed_paid + parked_paid + ungranted + parked_credits)
-            if aud is not None:
-                aud.on_recovery_resync(
-                    ep_s.rank, ep_r.rank,
-                    consumed_unsent=replayed_paid,
-                    inflight_paid=parked_paid,
-                    ungranted=ungranted,
-                    inflight_credits=parked_credits,
-                )
+            if self.cluster.observer is not None:
+                self.cluster.observer.on_recovery_resync(
+                    ep_s.rank, ep_r.rank, replayed_paid, parked_paid, ungranted, parked_credits)
         return live, rdmas
 
     def _apply(self, ep: "Endpoint", conn: "Connection", plan: tuple) -> int:

@@ -119,8 +119,8 @@ def _leaky_receive(scheme, conn, n, real_receive=credit.receive):
 def _grant_without_return(self, conn, n):
     """Mutant ``Endpoint._grant``: the grant is announced but never lands
     in ``pending_credit_return`` (the credit vanishes at the receiver)."""
-    if self._audit is not None:
-        self._audit.on_grant(conn, n)
+    if self.observer is not None:
+        self.observer.on_grant(conn, n)
     if credit.grant(self.scheme, conn, 0):  # the ECM decision alone
         return self._emit_ecm(conn)
     return 0

@@ -145,9 +145,8 @@ def machine(scheme_name, prepost):
             return taken
 
         def post(self, conn, n):
-            for _ in range(n):
-                conn.recv_posted += 1
-                self.audit.on_post_recv(conn)
+            conn.recv_posted += n
+            self.audit.on_post_recv(conn, n)
 
         def release(self, rank, h):
             conn = self.conn[rank]
@@ -245,7 +244,8 @@ def machine(scheme_name, prepost):
                     op.request.complete(Status(op.src, op.tag, op.size,
                                                op.mr.load(op.landing_addr)))
                 self.release(rank, h)
-            grown = self.audit.observe_recv_header(self.scheme, conn, h)
+            grown = credit.grow(self.scheme, conn, h)
+            self.audit.on_grow(conn)
             if grown:
                 missing = conn.prepost_target + conn.headroom - conn.recv_posted
                 if missing > 0:
@@ -274,7 +274,8 @@ def machine(scheme_name, prepost):
             conn = self.conn[rank]
             self.stalled[rank] = False
             missing = conn.prepost_target + conn.headroom - conn.recv_posted
-            self.post(conn, max(0, missing))
+            if missing > 0:
+                self.post(conn, missing)
             held, self.held[rank] = self.held[rank], 0
             if held:
                 self.grant(rank, held)

@@ -8,16 +8,21 @@ show no trace of the subsystem, and the armed run must show that the
 subsystem really engaged, or the sandwich proves nothing.  Where arming
 is itself meant to be free on a clean run (an empty fault plan, the
 auditor, recovery), the armed run must reproduce the plain timeline too.
+The auditor also stays inert where recovery meets the dynamic scheme's
+decay: the resync reads the decay debt from the connection, never from an
+observer.
 """
 
 import pytest
 
 from repro.cluster import TestbedConfig, run_job
 from repro.congestion import make_congestion_config
-from repro.core import EXTENDED_SCHEMES
+from repro.core import EXTENDED_SCHEMES, DynamicScheme
 from repro.faults import FaultPlan, scenario_job
+from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
 from repro.workloads import manyflows_program
+from tests.test_check_invariants import _burst_then_quiet
 
 
 def _flood():
@@ -56,7 +61,7 @@ SUBSYSTEMS = {
     ),
     "audit": (
         _flood, {}, lambda cfg: {"audit": True},
-        lambda r: r.audit is None and all(ep._audit is None for ep in r.endpoints),
+        lambda r: r.audit is None and all(ep.observer is None for ep in r.endpoints),
         lambda armed, plain: armed.audit.hook_calls > 0 and not armed.audit.violations,
         True,
     ),
@@ -115,3 +120,26 @@ def test_disabled_subsystem_is_bit_identity_inert(subsystem, scheme):
     assert _fabric(after).sim.events_executed == _fabric(before).sim.events_executed
     if free_when_clean:
         assert _timeline(armed) == _timeline(before)
+
+
+@pytest.mark.parametrize("flap_ns", [590_514, 763_938, 1_105_990])
+def test_the_auditor_is_inert_on_a_recovering_decay_run(flap_ns):
+    """The decay program (a burst grows the target, ping-pongs decay it)
+    under a link flap that recovery repairs: plain, audited, plain."""
+    def run(**armed):
+        plan = FaultPlan(seed=1, transport_timeout_ns=us(40), transport_retry_limit=2)
+        return run_job(
+            _burst_then_quiet, 2,
+            DynamicScheme(decay_enabled=True, decay_idle_messages=64),
+            prepost=1, config=TestbedConfig(nodes=2),
+            faults=plan.link_flap(lid=1, at_ns=flap_ns, duration_ns=us(400)),
+            recovery=RecoveryPolicy(max_attempts=12, seed=1), **armed)
+
+    def state(r):
+        return _timeline(r), [c.credits for ep in r.endpoints
+                              for c in ep.connections.values()]
+
+    before, armed, after = run(), run(audit=True), run()
+    assert armed.recovery.summary()["recoveries"] > 0
+    assert armed.audit.hook_calls > 0 and not armed.audit.violations  # strict
+    assert state(armed) == state(before) == state(after)

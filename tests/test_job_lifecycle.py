@@ -96,10 +96,10 @@ def _attachments(cluster):
     cong = cluster.fabric.congestion
     qps = [qp for hca in cluster.hcas for qp in hca._qps.values()]
     return {
-        "cluster": (cluster.auditor, cluster.recovery, cluster.ft, cluster.armed),
-        "endpoints": {(ep._audit, ep._recovery, ep._ft) for ep in cluster.endpoints},
+        "cluster": (cluster.observer, cluster._observers, cluster.ft, cluster.armed),
+        "endpoints": {(ep.observer, ep._recovery, ep._ft) for ep in cluster.endpoints},
         "fabric.fault": cluster.fabric.fault,
-        "congestion.audit": cong.audit if cong is not None else None,
+        "congestion.observer": cong.observer if cong is not None else None,
         "hca.fault_transport": {hca.fault_transport for hca in cluster.hcas},
         "qp transport retry": {
             (qp._req._xport_enabled, qp._req._xport_timeout_ns, qp._req._xport_limit,
@@ -161,10 +161,54 @@ def test_disarming_the_auditor_unhooks_the_switch_model_too():
     cluster = _launch("static", on_demand=False,
                       congestion=make_congestion_config("pfc"))
     audited, _ = _job(cluster, audit=True)
-    assert cluster.fabric.congestion.audit is audited.audit
+    assert cluster.fabric.congestion.observer is audited.audit
     plain, _ = _job(cluster)
-    assert cluster.fabric.congestion.audit is None
+    assert cluster.fabric.congestion.observer is None
     assert plain.report()["congestion_mode"] == "pfc" and "audit" not in plain.report()
+
+
+def test_each_layer_reads_one_slot_none_the_observer_or_a_fanout():
+    """``Cluster.observe`` resolves the slot every endpoint, the switch
+    model and the cluster read: None, the lone observer answering every
+    event (called directly), else per event the one answering bound
+    method, a loop in joining order, or a no-op that is no Python frame."""
+    from repro.cluster.builder import EVENTS
+
+    calls = []
+
+    Full = type("Full", (), {  # answers every event
+        e: lambda self, *args, e=e: calls.append(("full", e)) for e in EVENTS})
+
+    class Deliveries:  # answers one
+        def on_deliver(self, conn, h):
+            calls.append(("deliveries", "on_deliver"))
+
+    cluster = _launch("static", on_demand=False,
+                      congestion=make_congestion_config("pfc"))
+
+    def the_slot():  # the one object every layer reads
+        layers = [cluster.observer, cluster.fabric.congestion.observer,
+                  *(ep.observer for ep in cluster.endpoints)]
+        assert all(layer is layers[0] for layer in layers)
+        return layers[0]
+
+    assert the_slot() is None
+    full, deliveries = Full(), Deliveries()
+    cluster.observe(full)
+    assert the_slot() is full
+    cluster.observe(deliveries)
+    slot = the_slot()
+    assert slot.on_emit == full.on_emit  # a bound method: no wrapper frame
+    slot.on_deliver(None, None)
+    assert calls == [("full", "on_deliver"), ("deliveries", "on_deliver")]
+    cluster.unobserve(full)
+    slot = the_slot()
+    assert slot.on_deliver == deliveries.on_deliver
+    assert not hasattr(slot.on_emit, "__code__")  # ignored: a C function
+    slot.on_emit(None, None, False)
+    assert len(calls) == 2
+    cluster.unobserve(deliveries)
+    assert the_slot() is None
 
 
 # ----------------------------------------------------------------------

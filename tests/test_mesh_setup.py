@@ -182,7 +182,7 @@ def test_auditor_final_check_walks_idle_connections(monkeypatch):
     assert idle.backlog == () and idle.deferred == () and idle.seq_out == 0
     checked.clear()
     wire_all(cluster)
-    r.audit.final_check()
+    r.audit.on_job_end()
     assert sorted(map(id, checked)) == sorted(id(c.qp) for c in _conns(cluster))
     assert len(checked) == 56 and not r.audit.violations
 
@@ -361,17 +361,18 @@ def test_sever_returns_a_used_cq_stash_to_empty():
 # one batch posts what the per-buffer loop posted
 # ----------------------------------------------------------------------
 class _TallyingAuditor(Auditor):
-    """Records what ``on_post_recv`` saw, per directed connection."""
+    """Records what ``on_post_recv`` saw, per directed connection: the
+    batch's count and ``recv_posted`` after it."""
 
     def __init__(self):
         super().__init__()
         self.seen = {}
 
-    def on_post_recv(self, conn):
+    def on_post_recv(self, conn, n):
         self.seen.setdefault((conn.endpoint.rank, conn.peer), []).append(
-            conn.recv_posted
+            (n, conn.recv_posted)
         )
-        super().on_post_recv(conn)
+        super().on_post_recv(conn, n)
 
 
 def _expected_wqes(cluster, scheme, prepost):
@@ -410,8 +411,9 @@ def test_batched_preposting_matches_the_closed_forms(scheme, prepost):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_armed_auditor_observes_every_buffer_of_a_batch(scheme, prepost):
     """The auditor attaches to a launched cluster, so the armed batch is
-    an on-demand connection's: one ``on_post_recv`` per buffer, each
-    seeing ``recv_posted`` one higher, exactly as the per-buffer loop."""
+    an on-demand connection's: one ``on_post_recv`` for the batch, carrying
+    its count and seeing ``recv_posted`` raised by all of it, and one hook
+    call counted per buffer."""
     nranks = 3
     cluster = Cluster(TestbedConfig(nodes=nranks))
     cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=True)
@@ -425,16 +427,17 @@ def test_armed_auditor_observes_every_buffer_of_a_batch(scheme, prepost):
     pairs = {(a, b) for a in range(nranks) for b in range(nranks) if a != b}
     assert set(audit.seen) == pairs
     for seen in audit.seen.values():
-        assert seen == list(range(1, want + 1))
+        assert seen == [(want, want)]
     assert audit.hook_calls == len(pairs) * want
     assert not audit.violations
     for conn in _conns(cluster):
         assert conn.recv_posted == conn.qp.posted_recvs == want
 
-    # a double post is still caught, buffer by buffer
+    # a double post is still caught, naming the population over budget
     conn = cluster.endpoints[0].connections[1]
     conn.recv_posted -= 1  # pretend one was consumed; the QP still holds it
     if want + 1 <= cluster.config.ib.rq_depth:
         audit.strict = False
         cluster.endpoints[0]._post_recv_vbuf(conn, 2)
         assert [v.invariant for v in audit.violations] == ["buffer-lease"]
+        assert f"{want + 1} receive vbufs posted" in audit.violations[0].detail

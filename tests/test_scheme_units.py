@@ -36,6 +36,7 @@ class FakeConn:
         self.headroom = 0
         self.recv_posted = 0
         self.pending_credit_return = 0
+        self.swallow_debt = 0
         self._decay_quiet_msgs = 0
         self._grow_barrier_seq = -1
         self.ring = None

@@ -113,8 +113,8 @@ def test_audited_then_unaudited_reuse_disarms_hooks():
 
     plain = run_job(pingpong(), 2, scheme, prepost=1, cluster=cluster)
     assert plain.audit is None
-    assert cluster.auditor is None
-    assert all(ep._audit is None for ep in cluster.endpoints)
+    assert cluster.observer is None and cluster._observers == ()
+    assert all(ep.observer is None for ep in cluster.endpoints)
 
 
 def test_report_objects_reset():

@@ -92,12 +92,54 @@ def test_one_post_site_and_no_replay_twins():
 
 @pytest.mark.parametrize("hook, sites", [
     ("on_emit", 1), ("on_deliver", 1), ("on_grant", 1),
-    ("observe_recv_header", 1), ("on_consume", 1), ("on_send_done", 1),
+    ("on_grow", 1), ("on_consume", 1), ("on_send_done", 1),
+    ("on_app_send", 1), ("on_post_recv", 1), ("on_ring_free", 1),
+    ("on_swallow", 1), ("on_backlog_enqueue", 1),
     # distinct events: arrival vs. late irecv; drained vs. converted to fallback
     ("on_match", 2), ("on_backlog_dequeue", 2),
 ])
 def test_each_audit_hook_fires_from_one_place_per_event(hook, sites):
-    assert _src("mpi/endpoint.py").count(f"_audit.{hook}(") == sites
+    assert _src("mpi/endpoint.py").count(f"observer.{hook}(") == sites
+
+
+#: seam events DESIGN §5 fires from more than one site: arrival vs. late
+#: irecv; drained vs. converted to the fallback; the five sources of a
+#: legitimate stall (a fault plan, an injected death, a detector round, a
+#: recovery backoff, a dropped packet's retry)
+SEAM_SITES = {"on_match": 2, "on_backlog_dequeue": 2, "on_quiet": 5}
+
+
+def _is_slot(node):
+    """The receiver of a seam event: a layer's slot, or a local bound to it."""
+    return (isinstance(node, ast.Name) and node.id == "obs"
+            or isinstance(node, ast.Attribute) and node.attr == "observer")
+
+
+def test_the_observer_seam_is_the_one_way_to_the_auditor():
+    """DESIGN §5: the event table (``repro.cluster.builder.EVENTS``) is the
+    interface, every event fires from its sites and through a layer's slot,
+    and outside ``repro.check`` only arming names the auditor."""
+    from repro.cluster.builder import EVENTS
+
+    outside = sorted(p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
+                     if not p.relative_to(SRC).as_posix().startswith("check/"))
+    fired = dict.fromkeys(EVENTS, 0)
+    for rel in outside:
+        for node in ast.walk(ast.parse(_src(rel))):
+            if isinstance(node, ast.Attribute):
+                # the three hand-threaded attachment fields are gone
+                assert node.attr not in ("auditor", "_audit"), (rel, node.lineno)
+                assert node.attr != "Auditor" or rel == "cluster/arming.py", rel
+                if node.attr in fired:
+                    fired[node.attr] += 1
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in EVENTS:
+                assert _is_slot(node.func.value), (rel, node.lineno)
+            elif isinstance(node, (ast.Name, ast.alias)):
+                name = node.id if isinstance(node, ast.Name) else node.name
+                assert name != "Auditor" or rel == "cluster/arming.py", rel
+    assert fired == {event: SEAM_SITES.get(event, 1) for event in EVENTS}
+    assert not re.search(r"\.audit\b", _src("congestion/switch.py"))
 
 
 @pytest.mark.parametrize("pattern, owners", [
@@ -168,7 +210,7 @@ def test_the_send_record_rides_the_work_request():
 # manager only execute it
 # ----------------------------------------------------------------------
 CREDIT_FIELDS = {"credits", "pending_credit_return", "fallback_inflight",
-                 "prepost_target"}
+                 "prepost_target", "swallow_debt"}
 
 
 def _assigned_attributes(rel):
@@ -372,8 +414,8 @@ def test_one_site_builds_a_requester_and_arming_builds_none():
 
 
 def test_a_pair_comes_into_being_in_one_place():
-    """``Cluster.connect`` wires a pair under either wiring and registers it
-    with an armed auditor — DESIGN §6.4.  The connection manager keeps the
+    """``Cluster.connect`` wires a pair under either wiring and announces it
+    to the observers — DESIGN §6.4.  The connection manager keeps the
     handshake and only the exchanges in flight; the auditor binds a pair's
     rows when it is wired, never on a lookup miss."""
     from repro.check.auditor import Auditor
@@ -403,14 +445,13 @@ def test_a_pair_comes_into_being_in_one_place():
 # ----------------------------------------------------------------------
 def test_run_job_names_no_subsystems_private_fields_or_classes():
     src = _src("cluster/job.py")
-    for clause in ("._audit", "._recovery", "._ft", "fabric.fault",
+    for clause in ("._recovery", "._ft", "fabric.fault",
                    "configure_chaos", "Auditor(", "RecoveryManager(",
                    "FTManager(", "FaultInjector(", "SetupChaos("):
         assert clause not in src, clause
     # each subsystem's arm and disarm live side by side in its own module,
     # and nothing else points an attachment field anywhere
     owners = {
-        r"\._audit = ": "check/auditor.py",
         r"\._recovery = ": "recovery/manager.py",
         r"\._ft = ": "ft/manager.py",
         r"fabric\.fault = ": "faults/injector.py",
@@ -422,6 +463,13 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
         assert _modules_matching(pattern) - built_by == {owner}, pattern
         assert {"def arm(", "def disarm("} <= set(re.findall(r"def \w+\(", _src(owner)))
     assert _modules_matching(r"\.adopt_fault_transport\(") == {"faults/injector.py"}
+    # the observer slots are resolved where observers join and leave
+    assert _modules_matching(r"\.observer = ") - {"congestion/switch.py", "mpi/endpoint.py"} == {
+        "cluster/builder.py"}
+    assert {"def observe(", "def unobserve("} <= set(
+        re.findall(r"def \w+\(", _src("cluster/builder.py")))
+    assert _modules_matching(r"cluster\.(?:un)?observe\(") == {
+        "check/auditor.py", "ft/manager.py"}
 
 
 def test_only_arming_imports_the_subsystem_managers():

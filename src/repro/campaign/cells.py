@@ -120,6 +120,14 @@ def _chaos_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     return chaos_cell(**p)  # the axes, then whatever arming the grid keyed
 
 
+@cell_kind("fuzz")
+def _fuzz_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
+    """One fuzz spec under one scheme, auditor armed (``repro.check.fuzz``)."""
+    from repro.check.fuzz import run_spec
+
+    return run_spec(p["spec"], p["scheme"])
+
+
 @cell_kind("ring")
 def _ring_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     """The scaling experiment's ring exchange on a fat-tree cluster.

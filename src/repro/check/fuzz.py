@@ -9,7 +9,11 @@ run under every scheme with the runtime :class:`~repro.check.Auditor`
 armed, and the runs must produce **identical delivered-message multisets
 with zero invariant violations**.
 
-Everything is deterministic given the spec: workloads are generated from
+A spec is an entry of the chaos scenario schema
+(:mod:`repro.faults.scenarios`) whose workload is the seeded ``"fuzz"``
+program, so :func:`~repro.faults.scenarios.scenario_job` builds its jobs;
+each (spec, scheme) pair is one ``"fuzz"`` campaign cell.  Everything is
+deterministic given the spec: workloads are generated from
 ``random.Random(seed)``, fault plans carry their own seed, and the DES
 kernel is deterministic — so any failure replays exactly from its spec.
 On failure the driver shrinks the workload (ddmin over the message list,
@@ -21,19 +25,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.runner import run_cells
+from repro.campaign.spec import JobSpec
 from repro.check.auditor import Auditor, InvariantViolation
-from repro.cluster.arming import Arming
-from repro.cluster.config import TestbedConfig
+from repro.cluster.builder import check_setup_budget
 from repro.cluster.job import run_job
 from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, SchemeName, make_scheme
 from repro.faults import FaultPlan
-from repro.mpi.protocol import ANY_TAG
+from repro.faults.scenarios import scenario_job
 from repro.sim.units import us
 
-SPEC_VERSION = 1
+#: 2: the spec is a scenario entry (version 1 was a flat record)
+SPEC_VERSION = 2
 
 #: evaluation order — every workload runs under all three
 DEFAULT_SCHEMES = SCHEME_NAMES
@@ -90,43 +97,22 @@ def generate_spec(seed: int, scenario: Optional[str] = None,
         if dst >= src:
             dst += 1  # never self-send
         messages.append([src, dst, rng.randrange(4), rng.choice(_SIZES)])
-    faults = None
-    victim = None
+    plan = FaultPlan(seed=seed)
+    arming: Dict[str, Any] = {"on_demand": on_demand}
     if scenario == "receiver-stall":
-        faults = (
-            FaultPlan(seed=seed)
-            .receiver_stall(
-                rank=rng.randrange(nranks),
-                at_ns=us(5),
-                duration_ns=us(rng.randrange(200, 1001)),
-            )
-            .to_spec()
-        )
+        plan.receiver_stall(rank=rng.randrange(nranks), at_ns=us(5),
+                            duration_ns=us(rng.randrange(200, 1001)))
     elif scenario == "lossy-window":
-        faults = (
-            FaultPlan(seed=seed)
-            .drop_window(
-                at_ns=us(20),
-                duration_ns=us(rng.randrange(100, 301)),
-                probability=rng.uniform(0.05, 0.2),
-            )
-            .to_spec()
-        )
+        plan.drop_window(at_ns=us(20), duration_ns=us(rng.randrange(100, 301)),
+                         probability=rng.uniform(0.05, 0.2))
     elif scenario == "link-down":
         # An outage longer than the finite go-back-N budget (40 us timeout,
         # 3 retries): every QP pair crossing the link goes fatal and must
         # be re-established by the recovery subsystem.
-        faults = (
-            FaultPlan(
-                seed=seed, transport_timeout_ns=us(40), transport_retry_limit=3
-            )
-            .link_flap(
-                lid=rng.randrange(nranks),
-                at_ns=us(30),
-                duration_ns=us(rng.randrange(300, 801)),
-            )
-            .to_spec()
-        )
+        plan = FaultPlan(seed=seed, transport_timeout_ns=us(40), transport_retry_limit=3)
+        plan.link_flap(lid=rng.randrange(nranks), at_ns=us(30),
+                       duration_ns=us(rng.randrange(300, 801)))
+        arming["recovery"] = True
     elif scenario == "rank-death":
         # The victim must send nothing: a message in flight *from* a
         # dying rank is delivered or lost depending on scheme-specific
@@ -142,11 +128,8 @@ def generate_spec(seed: int, scenario: Optional[str] = None,
                 )
         src = rng.choice([r for r in range(nranks) if r != victim])
         messages.append([src, victim, rng.randrange(4), 50_000])
-        faults = (
-            FaultPlan(seed=seed)
-            .rank_death(rank=victim, at_ns=us(40))
-            .to_spec()
-        )
+        plan.rank_death(rank=victim, at_ns=us(40))
+        arming["ft"] = True
     elif scenario is not None:
         raise ValueError(
             f"unknown fuzz scenario {scenario!r} (know {FUZZ_SCENARIOS})"
@@ -157,146 +140,64 @@ def generate_spec(seed: int, scenario: Optional[str] = None,
     spec = {
         "version": SPEC_VERSION,
         "seed": seed,
+        "scenario": scenario,
         "nranks": nranks,
         "prepost": prepost,
         "ecm_threshold": ecm_threshold,
-        "scenario": scenario,
-        "recovery": scenario == "link-down",
-        "ft": scenario == "rank-death",
-        "victim": victim,
-        "on_demand": on_demand,
-        "faults": faults,
-        "messages": messages,
+        "workload": {"name": "fuzz", "seed": seed, "messages": messages},
+        "faults": plan.to_spec() if plan.events else None,
+        "arming": arming,
+        "testbed": {"nodes": nranks},
     }
     if decay:
         spec["decay_idle_messages"] = decay
     return spec
 
 
-def build_program(spec: Dict[str, Any]):
-    """Turn a spec into a per-rank generator program.
-
-    Every rank posts receives for its inbound messages (in a seeded
-    shuffled order, one quarter of them *deferred* until after the sends
-    to exercise the unexpected queue), issues its sends in spec order,
-    and waits for everything.  Each rank returns its delivered tuples
-    ``(source, tag, size, uid)``.
-
-    Tag discipline: per (src, dst) pair the receives are either *all*
-    wildcard or *all* specific-tag — mixing the two on one pair can
-    strand a specific-tag receive behind a wildcard that stole its
-    message (legal MPI, but then delivery depends on arrival order and
-    the program may deadlock; the fuzzer wants scheme differences, not
-    program races).
-    """
-    messages: List[list] = [list(m) for m in spec["messages"]]
-    spec_seed = int(spec["seed"])
-
-    # capacity: a posted recv must fit whichever same-pair message the
-    # matcher hands it, so budget for the pair's largest
-    pair_max: Dict[Tuple[int, int], int] = {}
-    for src, dst, _tag, size in messages:
-        key = (src, dst)
-        if size > pair_max.get(key, 0):
-            pair_max[key] = size
-
-    def program(ep) -> Generator:
-        rank = ep.rank
-        rng = random.Random(spec_seed * 1_000_003 + rank)
-        inbound = [
-            (uid, m) for uid, m in enumerate(messages) if m[1] == rank
-        ]
-        rng.shuffle(inbound)
-        wildcard_sources = {
-            src
-            for src in sorted({m[0] for _, m in inbound})
-            if rng.random() < 0.25
-        }
-        recv_plan = []
-        for uid, (src, _dst, tag, _size) in inbound:
-            use_any = src in wildcard_sources
-            recv_plan.append((src, ANY_TAG if use_any else tag, pair_max[(src, rank)]))
-        n_defer = len(recv_plan) // 4
-        early, late = recv_plan[: len(recv_plan) - n_defer], recv_plan[len(recv_plan) - n_defer:]
-
-        requests = []
-        recv_reqs = []
-        for src, tag, cap in early:
-            r = yield from ep.irecv(source=src, capacity=cap, tag=tag)
-            recv_reqs.append(r)
-        for uid, m in enumerate(messages):
-            if m[0] == rank:
-                r = yield from ep.isend(
-                    m[1], m[3], tag=m[2], payload=("uid", uid)
-                )
-                requests.append(r)
-        for src, tag, cap in late:
-            r = yield from ep.irecv(source=src, capacity=cap, tag=tag)
-            recv_reqs.append(r)
-        statuses = yield from ep.waitall(requests + recv_reqs)
-
-        delivered = []
-        for st in statuses[len(requests):]:
-            uid = st.payload[1] if isinstance(st.payload, tuple) else None
-            delivered.append((st.source, st.tag, st.size, uid))
-        return delivered
-
-    return program
-
-
 # ----------------------------------------------------------------------
 # running one spec under one scheme
 # ----------------------------------------------------------------------
-def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
-    """Run the spec's workload under ``scheme_name`` with the auditor
-    armed.  Returns ``{"ok": True, "delivered": [...]}`` or a structured
-    failure record (``kind`` is ``"violation"`` for auditor hits, else
-    the exception type name)."""
+def _scheme(spec: Dict[str, Any], scheme_name: str):
     kwargs: Dict[str, Any] = {}
     if scheme_name in (SchemeName.STATIC.value, SchemeName.DYNAMIC.value):
         kwargs["ecm_threshold"] = int(spec.get("ecm_threshold", 5))
     if scheme_name == SchemeName.DYNAMIC.value and spec.get("decay_idle_messages"):
         kwargs.update(decay_enabled=True, decay_idle_messages=int(spec["decay_idle_messages"]))
-    scheme = make_scheme(scheme_name, **kwargs)
+    return make_scheme(scheme_name, **kwargs)
+
+
+def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
+    """Run the spec's workload under ``scheme_name`` with the auditor
+    armed.  Returns ``{"ok": True, "delivered": [...]}`` or a structured
+    failure record (``kind`` is ``"violation"`` for auditor hits, else
+    the exception type name)."""
+    scheme = _scheme(spec, scheme_name)
     auditor = Auditor()
-    nranks = int(spec["nranks"])
-    recovery: Any = False
-    if spec.get("recovery"):
+    armed = spec.get("arming", {})
+    overrides: Dict[str, Any] = {"audit": auditor}
+    if armed.get("recovery"):
         from repro.recovery import RecoveryPolicy
 
         # generous attempt budget: the fuzzer probes resync correctness,
         # not budget exhaustion (tests/test_recovery.py covers that)
-        recovery = RecoveryPolicy(max_attempts=12, seed=int(spec["seed"]))
-    # validated out here: a spec that arms something ill-typed raises, it
-    # is not a finding about the scheme
-    arming = Arming(
-        on_demand=bool(spec.get("on_demand", False)),
-        faults=spec.get("faults") or None,
-        audit=auditor,
-        recovery=recovery,
-        ft=bool(spec.get("ft", False)),
-    )
+        overrides["recovery"] = RecoveryPolicy(max_attempts=12, seed=spec["seed"])
+    # built out here: a spec that arms something ill-typed raises, it is
+    # not a finding about the scheme
+    job = scenario_job(spec, spec["seed"], **overrides)
 
     def failed(kind: str, what: Any, **more: Any) -> Dict[str, Any]:
         return {"ok": False, "kind": kind, **more, "detail": str(what),
                 "audit": auditor.summary()}
 
     try:
-        result = run_job(
-            build_program(spec),
-            nranks,
-            scheme,
-            prepost=int(spec["prepost"]),
-            config=TestbedConfig(nodes=nranks),
-            **vars(arming),
-        )
+        result = run_job(scheme=scheme, **job)
     except InvariantViolation as v:
         return failed("violation", v, invariant=v.invariant)
     except Exception as exc:  # deadlock, QP error, livelock ceiling, ...
         return failed(type(exc).__name__, exc)
     unexpected = [
         f for f in result.failures
-        if not (spec.get("ft") and f.dedup_key()[0] == "rank")
+        if not (armed.get("ft") and f.dedup_key()[0] == "rank")
     ]
     if unexpected:
         # a QP pair was lost for good (recovery attempt budget exhausted)
@@ -318,42 +219,36 @@ def run_spec(spec: Dict[str, Any], scheme_name: str) -> Dict[str, Any]:
     }
 
 
-def compare_schemes(
-    spec: Dict[str, Any], schemes: Sequence[str] = DEFAULT_SCHEMES
-) -> Dict[str, Any]:
-    """Run the spec under every scheme; failure = any non-ok run, or any
-    delivered-multiset divergence from the first scheme's."""
-    results = {name: run_spec(spec, name) for name in schemes}
-    failure = None
+def _failure(results: Dict[str, Dict[str, Any]],
+             schemes: Sequence[str]) -> Optional[Dict[str, Any]]:
+    """The first non-ok run, else the first delivered multiset that
+    differs from the first scheme's; ``None`` when the schemes agree."""
     for name in schemes:
         r = results[name]
         if not r["ok"]:
-            failure = {"kind": r["kind"], "scheme": name, "detail": r["detail"]}
-            break
-    if failure is None:
-        base = results[schemes[0]]["delivered"]
-        for name in schemes[1:]:
-            if results[name]["delivered"] != base:
-                failure = {
-                    "kind": "delivery-mismatch",
-                    "scheme": name,
-                    "detail": (
-                        f"{name} delivered {len(results[name]['delivered'])} "
-                        f"messages, {schemes[0]} delivered {len(base)} "
-                        "(or same count, different multiset)"
-                    ),
-                }
-                break
-    return {"results": results, "failure": failure}
+            return {"kind": r["kind"], "scheme": name, "detail": r["detail"]}
+    base = results[schemes[0]]["delivered"]
+    for name in schemes[1:]:
+        got = results[name]["delivered"]
+        if got != base:
+            return {"kind": "delivery-mismatch", "scheme": name,
+                    "detail": f"{name} delivered {len(got)} messages, {schemes[0]} "
+                              f"delivered {len(base)} (or same count, different multiset)"}
+    return None
 
 
-def delivered_digest(comparison: Dict[str, Any]) -> str:
-    """Canonical hash of every scheme's outcome — the determinism token
-    the ``--check`` rerun compares."""
-    canon = {
-        name: (r["delivered"] if r["ok"] else [r["kind"], r["detail"]])
-        for name, r in comparison["results"].items()
-    }
+def compare_schemes(
+    spec: Dict[str, Any], schemes: Sequence[str] = DEFAULT_SCHEMES
+) -> Dict[str, Any]:
+    """Run the spec under every scheme, in this process, and judge them."""
+    results = {name: run_spec(spec, name) for name in schemes}
+    return {"results": results, "failure": _failure(results, schemes)}
+
+
+def delivered_digest(results: Dict[str, Dict[str, Any]]) -> str:
+    """Canonical hash of every scheme's outcome, printed per run."""
+    canon = {name: (r["delivered"] if r["ok"] else [r["kind"], r["detail"]])
+             for name, r in results.items()}
     blob = json.dumps(canon, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -361,70 +256,59 @@ def delivered_digest(comparison: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # shrinking
 # ----------------------------------------------------------------------
-def _same_failure(spec: Dict[str, Any], schemes: Sequence[str], kind: str) -> bool:
-    failure = compare_schemes(spec, schemes)["failure"]
-    return failure is not None and failure["kind"] == kind
-
-
 def shrink(
     spec: Dict[str, Any],
     schemes: Sequence[str],
     kind: str,
     max_reruns: int = 200,
 ) -> Tuple[Dict[str, Any], int]:
-    """Minimize ``spec["messages"]`` while the same failure ``kind``
+    """Minimize the spec's messages while the same failure ``kind``
     reproduces: ddmin-style chunk removal, then single-message removal,
     then stepping each message down the size ladder.  Returns the
     minimized spec and the number of reruns spent."""
     reruns = 0
-    best = dict(spec)
+    best = spec
+
+    def messages() -> List[list]:
+        return best["workload"]["messages"]
 
     def attempt(candidate_msgs: List[list]) -> bool:
         nonlocal reruns, best
         if reruns >= max_reruns or not candidate_msgs:
             return False
-        trial = dict(best)
-        trial["messages"] = candidate_msgs
+        trial = {**best, "workload": {**best["workload"], "messages": candidate_msgs}}
         reruns += 1
-        if _same_failure(trial, schemes, kind):
+        failure = compare_schemes(trial, schemes)["failure"]
+        if failure is not None and failure["kind"] == kind:
             best = trial
             return True
         return False
 
-    # 1. chunk halving
-    chunk = max(1, len(best["messages"]) // 2)
-    while chunk >= 1 and reruns < max_reruns:
-        msgs = best["messages"]
+    # 1. chunk halving, down to single messages while any goes
+    chunk = max(1, len(messages()) // 2)
+    while reruns < max_reruns:
         i, removed_any = 0, False
-        while i < len(best["messages"]) and reruns < max_reruns:
-            msgs = best["messages"]
-            candidate = msgs[:i] + msgs[i + chunk:]
-            if candidate and attempt(candidate):
+        while i < len(messages()) and reruns < max_reruns:
+            msgs = messages()
+            if attempt(msgs[:i] + msgs[i + chunk:]):
                 removed_any = True  # same index now holds the next chunk
             else:
                 i += chunk
-        chunk = chunk // 2 if (chunk > 1 or not removed_any) else chunk
-        if chunk == 0:
-            break
+        if chunk > 1:
+            chunk //= 2
         if not removed_any and chunk == 1:
             break
 
     # 2. size-ladder minimization per surviving message
-    ladder = sorted(set(_SIZES))
     i = 0
-    while i < len(best["messages"]) and reruns < max_reruns:
-        msgs = [list(m) for m in best["messages"]]
-        size = msgs[i][3]
-        shrunk = False
-        for smaller in ladder:
-            if smaller >= size:
-                break
-            candidate = [list(m) for m in msgs]
+    while i < len(messages()) and reruns < max_reruns:
+        size = messages()[i][3]
+        for smaller in (s for s in sorted(set(_SIZES)) if s < size):
+            candidate = [list(m) for m in messages()]
             candidate[i][3] = smaller
             if attempt(candidate):
-                shrunk = True
                 break
-        if not shrunk:
+        else:
             i += 1
     return best, reruns
 
@@ -432,6 +316,21 @@ def shrink(
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
+def fuzz_grid(
+    seed: int,
+    runs: int,
+    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    scenarios: Sequence[Optional[str]] = SCENARIOS,
+    on_demand: bool = False,
+) -> List[JobSpec]:
+    """The sweep's campaign cells: run ``k`` (seed ``seed + k``, the
+    scenarios cycled) under each scheme, run by run."""
+    specs = (generate_spec(seed + k, scenarios[k % len(scenarios)] if scenarios else None,
+                           on_demand=on_demand) for k in range(runs))
+    return [JobSpec("fuzz", {"scheme": name, "spec": spec})
+            for spec in specs for name in schemes]
+
+
 def run_fuzz(
     seed: int,
     runs: int,
@@ -441,81 +340,77 @@ def run_fuzz(
     max_shrink: int = 200,
     on_demand: bool = False,
     log=print,
+    cache: Any = None,
 ) -> Dict[str, Any]:
-    """``runs`` seeded workloads, each run under every scheme.  Failures
-    are shrunk and written to ``out_dir`` as replay artifacts.  With
-    ``on_demand`` every workload runs under lazy connection setup."""
-    summary: Dict[str, Any] = {
-        "seed": seed,
-        "runs": runs,
-        "schemes": list(schemes),
-        "digests": [],
-        "failures": [],
-    }
+    """``runs`` seeded workloads, each run under every scheme — the
+    :func:`fuzz_grid` cells, through :func:`repro.campaign.run_cells` and
+    ``cache``.  Failures are shrunk in this process and written to
+    ``out_dir`` as replay artifacts.  With ``on_demand`` every workload
+    runs under lazy connection setup."""
+    summary: Dict[str, Any] = {"seed": seed, "runs": runs, "schemes": list(schemes),
+                               "digests": [], "failures": []}
+    cells = run_cells(fuzz_grid(seed, runs, schemes, scenarios, on_demand),
+                      cache=cache).outcomes
     for k in range(runs):
-        scenario = scenarios[k % len(scenarios)] if scenarios else None
-        spec = generate_spec(seed + k, scenario, on_demand=on_demand)
-        comparison = compare_schemes(spec, schemes)
-        digest = delivered_digest(comparison)
+        outcomes = cells[k * len(schemes):(k + 1) * len(schemes)]
+        spec = outcomes[0].spec.params["spec"]
+        results = {out.spec.params["scheme"]: out.metrics for out in outcomes}
+        digest = delivered_digest(results)
         summary["digests"].append(digest)
-        failure = comparison["failure"]
+        failure = _failure(results, schemes)
         if failure is None:
             if log:
-                log(
-                    f"run {k}: seed={seed + k} scenario={scenario or 'none'} "
+                log(f"run {k}: seed={seed + k} scenario={spec['scenario'] or 'none'} "
                     f"nranks={spec['nranks']} prepost={spec['prepost']} "
-                    f"msgs={len(spec['messages'])} ok digest={digest}"
-                )
+                    f"msgs={len(spec['workload']['messages'])} ok digest={digest}")
             continue
         if log:
-            log(
-                f"run {k}: seed={seed + k} FAILED "
-                f"[{failure['kind']} under {failure['scheme']}] — shrinking"
-            )
+            log(f"run {k}: seed={seed + k} FAILED "
+                f"[{failure['kind']} under {failure['scheme']}] — shrinking")
         minimized, reruns = shrink(spec, schemes, failure["kind"], max_shrink)
-        artifact = {
-            "version": SPEC_VERSION,
-            "schemes": list(schemes),
-            "failure": failure,
-            "spec": minimized,
-            "original_message_count": len(spec["messages"]),
-            "shrink_reruns": reruns,
-        }
+        kept = len(minimized["workload"]["messages"])
+        artifact = {"version": SPEC_VERSION, "schemes": list(schemes),
+                    "failure": failure, "spec": minimized, "shrink_reruns": reruns,
+                    "original_message_count": len(spec["workload"]["messages"])}
         path = None
         if out_dir:
-            import os
-
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"fuzz-seed{seed + k}.json")
             with open(path, "w") as fh:
                 json.dump(artifact, fh, indent=2, sort_keys=True)
-        summary["failures"].append(
-            {
-                "run": k,
-                "seed": seed + k,
-                "kind": failure["kind"],
-                "scheme": failure["scheme"],
-                "minimized_messages": len(minimized["messages"]),
-                "artifact": path,
-            }
-        )
+        summary["failures"].append({"run": k, "seed": seed + k, "kind": failure["kind"],
+                                    "scheme": failure["scheme"],
+                                    "minimized_messages": kept, "artifact": path})
         if log:
-            log(
-                f"run {k}: minimized to {len(minimized['messages'])} "
-                f"message(s) in {reruns} rerun(s)"
-                + (f", artifact {path}" if path else "")
-            )
+            log(f"run {k}: minimized to {kept} message(s) in {reruns} rerun(s)"
+                + (f", artifact {path}" if path else ""))
     return summary
+
+
+def _int(doc: Dict[str, Any], key: str, least: Optional[int] = None) -> int:
+    value = doc[key]
+    if type(value) is not int or (least is not None and value < least):
+        raise ValueError(f"replay spec {key} must be an integer"
+                         + ("" if least is None else f" >= {least}")
+                         + f", got {value!r}")
+    return value
 
 
 def replay(artifact: Dict[str, Any], log=print) -> Dict[str, Any]:
     """Re-run a failure artifact's spec; returns the fresh comparison.  A
     document that is no artifact — no spec of :func:`generate_spec`'s
-    shape, a scheme nobody knows — is a ``ValueError`` before any job runs."""
+    shape, another version's, a scheme nobody knows, a message outside its
+    world — is a ``ValueError`` or ``TypeError`` before any job runs."""
     spec = artifact.get("spec") if isinstance(artifact, dict) else None
     if not isinstance(spec, dict):
         raise ValueError("not a replay artifact: no 'spec' object")
-    missing = [k for k in ("seed", "nranks", "prepost", "messages") if k not in spec]
+    version = artifact.get("version", SPEC_VERSION)
+    if version != SPEC_VERSION:
+        raise ValueError(f"artifact version {version!r}: this build replays "
+                         f"version {SPEC_VERSION} (regenerate it from its seed)")
+    missing = [k for k in ("seed", "nranks", "prepost") if k not in spec]
+    if not (isinstance(spec.get("workload"), dict) and "messages" in spec["workload"]):
+        missing.append("messages")
     if missing:
         raise ValueError(f"replay spec lacks {', '.join(missing)}")
     schemes = artifact.get("schemes", DEFAULT_SCHEMES)
@@ -523,14 +418,31 @@ def replay(artifact: Dict[str, Any], log=print) -> Dict[str, Any]:
             and all(s in EXTENDED_SCHEMES for s in schemes)):
         raise ValueError(f"replay schemes must be a list of {EXTENDED_SCHEMES}, "
                          f"got {schemes!r}")
+    # what a generated spec is by construction
+    workload = spec["workload"]
+    if workload.get("name") != "fuzz":
+        raise ValueError(f"replay spec workload must be the fuzz program, "
+                         f"got {workload.get('name')!r}")
+    _int(spec, "seed")
+    _int(workload, "seed")
+    _int(spec, "prepost", 1)
+    nranks = _int(spec, "nranks", 1)
+    for m in workload["messages"]:
+        if not (isinstance(m, list) and len(m) == 4 and all(type(v) is int for v in m)):
+            raise ValueError(f"replay message {m!r} is not [src, dst, tag, size]")
+        if not (0 <= m[0] < nranks and 0 <= m[1] < nranks) or m[0] == m[1]:
+            raise ValueError(f"replay message {m!r}: src and dst must be two "
+                             f"ranks of the world of {nranks}")
+        if m[2] < 0 or m[3] < 0:
+            raise ValueError(f"replay message {m!r}: tag and size must be >= 0")
+    job = scenario_job(spec, spec["seed"])  # the faults, arming and testbed
+    for name in schemes:
+        check_setup_budget(_scheme(spec, name), spec["prepost"], job["config"])
+
     comparison = compare_schemes(spec, schemes)
     failure = comparison["failure"]
     if log:
-        if failure is None:
-            log("replay: workload now passes under every scheme")
-        else:
-            log(
-                f"replay: reproduced [{failure['kind']} under "
-                f"{failure['scheme']}]: {failure['detail']}"
-            )
+        log("replay: workload now passes under every scheme" if failure is None
+            else f"replay: reproduced [{failure['kind']} under "
+                 f"{failure['scheme']}]: {failure['detail']}")
     return comparison

@@ -33,6 +33,7 @@ from repro.analysis import Table, scheme_figure, scheme_table
 from repro.campaign import GRIDS, build_grid, grids
 from repro.campaign.cache import MemoryCache, ResultCache
 from repro.campaign.runner import run_cells
+from repro.check import fuzz
 from repro.cluster import TestbedConfig
 from repro.cluster.builder import check_setup_budget
 from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, make_scheme
@@ -92,7 +93,7 @@ def _progress(out, done, total) -> None:
 
 def _run(args: argparse.Namespace, specs, cache=None, **options):
     """Run ``specs``; ``None`` when ``--check`` found drift (reported).  The
-    one ``--check`` of ``sweep``, ``scaling`` and ``chaos``: the cells run
+    one ``--check`` of ``sweep``, ``scaling``, ``chaos`` and ``fuzz``: the cells run
     through ``cache`` (the sweep's disk cache, else a fresh one), then again
     over it with ``check=True`` — every record against an in-process run."""
     cache = MemoryCache() if cache is None else cache
@@ -296,8 +297,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.check import fuzz
-
     if args.replay:
         try:
             with open(args.replay) as fh:
@@ -313,24 +312,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             return 2
         return 1 if comparison["failure"] is not None else 0
 
-    sweep = dict(
-        seed=args.seed,
-        runs=args.runs,
-        schemes=tuple(args.schemes),
-        scenarios=[None if s == "none" else s for s in args.scenarios],
-        max_shrink=args.max_shrink,
-        on_demand=args.on_demand,
-    )
-    summary = fuzz.run_fuzz(out_dir=args.out_dir, **sweep)
-    if args.check:
-        # artifacts from the first pass suffice
-        rerun = fuzz.run_fuzz(out_dir="", log=None, **sweep)
-        if summary["digests"] != rerun["digests"]:
-            print("DETERMINISM DRIFT: two identical fuzz runs disagree",
-                  file=sys.stderr)
-            return 1
-        print("determinism check passed (two runs bit-identical)",
-              file=sys.stderr)
+    sweep = dict(seed=args.seed, runs=args.runs, schemes=tuple(args.schemes),
+                 scenarios=[None if s == "none" else s for s in args.scenarios],
+                 on_demand=args.on_demand)
+    cache = MemoryCache()  # after --check, run_fuzz is served from it
+    if args.check and _run(args, fuzz.fuzz_grid(**sweep), cache) is None:
+        return 1
+    summary = fuzz.run_fuzz(out_dir=args.out_dir, max_shrink=args.max_shrink,
+                            cache=cache, **sweep)
     if summary["failures"]:
         print(f"{len(summary['failures'])}/{args.runs} runs failed; replay "
               f"artifacts in {args.out_dir}/", file=sys.stderr)
@@ -491,11 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
                    choices=EXTENDED_SCHEME_NAMES,
                    help="schemes every workload runs under")
+    scenario_names = ["none" if s is None else s for s in fuzz.FUZZ_SCENARIOS]
     p.add_argument("--scenarios", nargs="+",
-                   default=["none", "receiver-stall", "lossy-window",
-                            "link-down"],
-                   choices=["none", "receiver-stall", "lossy-window",
-                            "link-down", "rank-death"],
+                   default=scenario_names[:len(fuzz.SCENARIOS)],
+                   choices=scenario_names,
                    help="fault scenarios cycled across runs (link-down "
                         "runs under the connection recovery subsystem; "
                         "rank-death under the failure detector, comparing "
@@ -510,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rerun budget for minimizing a failing workload")
     p.add_argument("--replay", default=None, metavar="FILE",
                    help="re-run a failure artifact; exit 1 if it reproduces")
-    p.add_argument("--check", action="store_true",
-                   help="run the sweep twice and exit 1 unless bit-identical")
-    p.set_defaults(fn=cmd_fuzz)
+    p.add_argument("--check", action="store_true", help=CHECK_HELP)
+    p.set_defaults(fn=cmd_fuzz, workers=1)
 
     return parser
 

@@ -15,7 +15,8 @@ per-scheme outcomes; ``tests/golden/chaos_golden.json`` pins the reports.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+import random
+from typing import Any, Callable, Dict, Generator, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.cluster.arming import Arming
 from repro.cluster.config import TestbedConfig
@@ -24,6 +25,7 @@ from repro.congestion.config import DROP_RETRY_TIMEOUT_NS, make_congestion_confi
 from repro.core import SCHEME_NAMES
 from repro.faults.plan import FaultPlan
 from repro.ib.types import IBConfig
+from repro.mpi.protocol import ANY_TAG
 from repro.sim.units import to_us, us
 from repro.workloads.microbench import manyflows_program
 
@@ -94,6 +96,54 @@ def _rank_death_program(victim: int) -> Callable:
     return program
 
 
+def _fuzz_program(seed: int, messages: List[list]) -> Callable:
+    """The differential fuzzer's program (:mod:`repro.check.fuzz`): the
+    ``[src, dst, tag, size]`` messages, each rank returning what it was
+    delivered as ``[source, tag, size, uid]`` (``uid``: the message's index).
+
+    Every rank posts receives for its inbound messages in a seeded shuffled
+    order, a quarter of them *deferred* until after its sends (exercising
+    the unexpected queue), issues its sends in list order and waits for
+    everything.  A posted receive fits the pair's largest message, since
+    the matcher may hand it any of them.  Per (src, dst) pair the receives
+    are either all wildcard-tag or all specific-tag: mixing the two can
+    strand a specific-tag receive behind a wildcard that stole its message
+    (legal MPI, but then delivery depends on arrival order and the program
+    may deadlock; the fuzzer wants scheme differences, not program races).
+    """
+    pair_max: Dict[Tuple[int, int], int] = {}
+    for src, dst, _tag, size in messages:
+        pair_max[src, dst] = max(size, pair_max.get((src, dst), 0))
+
+    def program(ep) -> Generator:
+        rank = ep.rank
+        rng = random.Random(seed * 1_000_003 + rank)
+        inbound = [(uid, m) for uid, m in enumerate(messages) if m[1] == rank]
+        rng.shuffle(inbound)
+        wildcard_sources = {src for src in sorted({m[0] for _, m in inbound})
+                            if rng.random() < 0.25}
+        recv_plan = [(src, ANY_TAG if src in wildcard_sources else tag,
+                      pair_max[src, rank]) for _, (src, _dst, tag, _size) in inbound]
+        n_early = len(recv_plan) - len(recv_plan) // 4
+
+        recv_reqs = []
+        for src, tag, cap in recv_plan[:n_early]:
+            recv_reqs.append((yield from ep.irecv(source=src, capacity=cap, tag=tag)))
+        requests = []
+        for uid, (src, dst, tag, size) in enumerate(messages):
+            if src == rank:
+                requests.append((yield from ep.isend(dst, size, tag=tag,
+                                                     payload=("uid", uid))))
+        for src, tag, cap in recv_plan[n_early:]:
+            recv_reqs.append((yield from ep.irecv(source=src, capacity=cap, tag=tag)))
+        statuses = yield from ep.waitall(requests + recv_reqs)
+        return [(st.source, st.tag, st.size,
+                 st.payload[1] if isinstance(st.payload, tuple) else None)
+                for st in statuses[len(requests):]]
+
+    return program
+
+
 #: a scenario's ``workload["name"]`` -> its program builder
 WORKLOADS: Dict[str, Callable[..., Callable]] = {
     "flood": _flood_program,
@@ -101,6 +151,7 @@ WORKLOADS: Dict[str, Callable[..., Callable]] = {
     # flows are ``[src, dst, msgs, msg_bytes]``
     "manyflows": manyflows_program,
     "rank-death": _rank_death_program,
+    "fuzz": _fuzz_program,
 }
 
 
@@ -245,23 +296,27 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
 
 
 def scenario_job(
-    name: str,
+    scenario: Union[str, Mapping[str, Any]],
     seed: int = 7,
     prepost: Optional[int] = None,
     congestion: Optional[str] = None,
     **arming: Any,
 ) -> Dict[str, Any]:
-    """The named scenario as every ``run_job`` keyword but the scheme:
+    """The scenario — a :data:`SCENARIOS` name, or an entry of that shape
+    such as a fuzz spec — as every ``run_job`` keyword but the scheme:
     ``run_job(scheme=..., **scenario_job(name))``.  ``congestion``
     (``"pfc" | "ecn" | "both"``) arms the switch model in the testbed;
     ``arming`` is merged over the scenario's own and validated here, so a
     bad one raises before any job runs."""
-    try:
-        sc = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r} (know {sorted(SCENARIOS)})"
-        ) from None
+    if isinstance(scenario, str):
+        try:
+            sc = SCENARIOS[scenario]
+        except KeyError:
+            raise ValueError(
+                f"unknown scenario {scenario!r} (know {sorted(SCENARIOS)})"
+            ) from None
+    else:
+        sc = scenario
     params = dict(sc["workload"])
     program = WORKLOADS[params.pop("name")](**params)
     testbed = dict(sc.get("testbed", {}))
@@ -272,8 +327,9 @@ def scenario_job(
     if "cm_chaos" in own:
         own["cm_chaos"] = {**own["cm_chaos"], "seed": seed}
     faults = sc["faults"]
-    plan = None if faults is None else FaultPlan.from_spec({**faults, "seed": seed})
-    armed = Arming(faults=plan, **{**own, **arming})
+    if isinstance(faults, dict):  # anything else is Arming's to refuse
+        faults = FaultPlan.from_spec({**faults, "seed": seed})
+    armed = Arming(faults=faults, **{**own, **arming})
     return {
         "program": program,
         "nranks": sc["nranks"],

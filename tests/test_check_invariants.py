@@ -15,7 +15,10 @@ first violation is pinned to the event that caused it — invariant, pair
 and simulated time — and so is the hook accounting fuzz artifacts embed.
 """
 
+import __future__
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
 from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import DynamicScheme, credit, make_scheme
+from repro.faults import scenario_job
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.protocol import MsgKind
 from repro.recovery import RecoveryPolicy
@@ -37,22 +41,13 @@ def _run_audited(seed, scheme_name, ecm_threshold, scenario=None):
     """One seeded random workload under a strict auditor (and the recovery
     manager, when the scenario asks for it, as the fuzzer arms it)."""
     spec = fuzz.generate_spec(seed, scenario)
-    spec["ecm_threshold"] = ecm_threshold
     kwargs = ({"ecm_threshold": ecm_threshold}
               if scheme_name in ("static", "dynamic") else {})
     recovery = (RecoveryPolicy(max_attempts=12, seed=spec["seed"])
-                if spec.get("recovery") else False)
+                if spec["arming"].get("recovery") else False)
     auditor = Auditor()
-    run_job(
-        fuzz.build_program(spec),
-        spec["nranks"],
-        make_scheme(scheme_name, **kwargs),
-        prepost=spec["prepost"],
-        config=TestbedConfig(nodes=spec["nranks"]),
-        faults=spec["faults"],
-        audit=auditor,
-        recovery=recovery,
-    )
+    run_job(scheme=make_scheme(scheme_name, **kwargs),
+            **scenario_job(spec, spec["seed"], audit=auditor, recovery=recovery))
     return auditor
 
 
@@ -74,29 +69,14 @@ def test_invariants_hold_under_receiver_stall(scheme_name):
 
 
 def test_pool_release_counter_balances():
-    spec = fuzz.generate_spec(6, None)
-    r = run_job(
-        fuzz.build_program(spec),
-        spec["nranks"],
-        "dynamic",
-        prepost=spec["prepost"],
-        config=TestbedConfig(nodes=spec["nranks"]),
-        audit=True,
-    )
+    r = run_job(scheme="dynamic", **scenario_job(fuzz.generate_spec(6, None), 6, audit=True))
     for ep in r.endpoints:
         assert ep.pool.releases == ep.pool.acquisitions
         assert ep.pool.waiting == 0
 
 
 def test_qp_check_invariants_clean_and_dirty():
-    spec = fuzz.generate_spec(8, None)
-    r = run_job(
-        fuzz.build_program(spec),
-        spec["nranks"],
-        "static",
-        prepost=spec["prepost"],
-        config=TestbedConfig(nodes=spec["nranks"]),
-    )
+    r = run_job(scheme="static", **scenario_job(fuzz.generate_spec(8, None), 8))
     qp = next(iter(r.endpoints[0].connections.values())).qp
     assert qp.check_invariants() == []
     qp._req._sends_inflight += 1  # corrupt the counter
@@ -169,6 +149,60 @@ def test_hook_accounting_is_pinned(scheme_name, hook_calls):
     s = _run_audited(3, scheme_name, 5, scenario="link-down").summary()
     assert (s["violations"], s["hook_calls"], s["messages_sent"],
             s["messages_matched"]) == ([], hook_calls, 36, 36)
+
+
+# ----------------------------------------------------------------------
+# backlog mutants: the endpoint's own source with one edit each
+# ----------------------------------------------------------------------
+def _mutant(cls, name, old, new):
+    """``cls.name`` recompiled from its shipped source with ``old`` -> ``new``."""
+    fn = getattr(cls, name)
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    scope = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True),
+         vars(inspect.getmodule(fn)), scope)
+    return scope[name]
+
+
+def _burst(mpi):
+    """Eight eager sends against one pre-posted buffer: all but the first
+    wait in the backlog for the credits the receives return."""
+    if mpi.rank == 0:
+        reqs = []
+        for _ in range(8):
+            reqs.append((yield from mpi.isend(1, size=4)))
+        yield from mpi.waitall(reqs)
+    else:
+        for _ in range(8):
+            yield from mpi.recv(source=0, capacity=64)
+
+
+@pytest.mark.parametrize("method, old, new, first", [
+    # the drain sends the backlog's tail, not its head
+    ("_drain", "conn.backlog.popleft()", "conn.backlog.pop()",
+     ("backlog-fifo", (0, 1), 16232)),
+    # every send claims it went through the backlog, queued or not
+    ("isend", "0, False, True, mode", "0, True, True, mode",
+     ("backlog-feedback-bit", (0, 1), 550)),
+    # a send joins the backlog unannounced, so the drain's dequeue finds
+    # the auditor's shadow of it empty
+    ("_enqueue_backlog", "self.observer.on_backlog_enqueue(conn, pending.header)", "pass",
+     ("backlog-fifo", (0, 1), 1752)),
+], ids=["backlog-fifo", "backlog-feedback-bit", "backlog-fifo-unannounced"])
+def test_a_backlog_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method, old, new,
+                                                            first):
+    monkeypatch.setattr(Endpoint, method, _mutant(Endpoint, method, old, new))
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == first, v
+
+
+def test_the_backlog_program_runs_clean_on_the_shipped_endpoint():
+    r = run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
+    assert r.report()["fc"]["backlog_max"] > 1  # the drain had a head to choose
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +316,8 @@ def test_credit_leak_yields_minimized_replay_artifact(monkeypatch, tmp_path):
     with open(artifact_path) as fh:
         artifact = json.load(fh)
     # minimized: the shrinker removed messages from the original workload
-    assert 1 <= len(artifact["spec"]["messages"]) <= artifact["original_message_count"]
+    kept = len(artifact["spec"]["workload"]["messages"])
+    assert 1 <= kept <= artifact["original_message_count"]
     assert artifact["failure"]["kind"] == "violation"
     assert "credit-conservation" in artifact["failure"]["detail"]
 

@@ -211,16 +211,38 @@ def test_a_prepost_the_receive_queue_cannot_hold_is_a_usage_error(argv, capsys):
         in captured.err
 
 
+#: a valid replay spec: a fuzz entry of the scenario schema
+_SPEC = {"version": 2, "seed": 1, "scenario": None, "nranks": 2, "prepost": 4,
+         "ecm_threshold": 5, "faults": None, "arming": {"on_demand": False},
+         "testbed": {"nodes": 2},
+         "workload": {"name": "fuzz", "seed": 1, "messages": [[0, 1, 0, 4]]}}
+
+
+def _with_message(message):
+    return {**_SPEC, "workload": {**_SPEC["workload"], "messages": [message]}}
+
+
 @pytest.mark.parametrize("doc, says", [
     ({}, "not a replay artifact: no 'spec' object"),  # was a KeyError traceback
     ([1], "not a replay artifact: no 'spec' object"),  # an AttributeError one
     # was "replay: reproduced [KeyError under hardware]: 'messages'", exit 1
     ({"spec": {"nranks": 2}}, "replay spec lacks seed, prepost, messages"),
     # was a ValueError traceback from make_scheme, after hardware had run
-    ({"spec": {"seed": 1, "nranks": 2, "prepost": 4, "messages": []},
-      "schemes": ["hardware", "credit"]},
+    ({"spec": _SPEC, "schemes": ["hardware", "credit"]},
      "replay schemes must be a list of ('hardware', 'static', 'dynamic', "
      "'rdma-eager'), got ['hardware', 'credit']"),
+    # each of these was "replay: reproduced [<Error> under hardware]", exit 1
+    ({"spec": {**_SPEC, "nranks": 0}}, "replay spec nranks must be an integer >= 1, got 0"),
+    ({"spec": {**_SPEC, "prepost": 0}}, "replay spec prepost must be an integer >= 1, got 0"),
+    ({"spec": _with_message([0, 5, 0, 4])},
+     "replay message [0, 5, 0, 4]: src and dst must be two ranks of the world of 2"),
+    ({"spec": {**_SPEC, "seed": "x"}}, "replay spec seed must be an integer, got 'x'"),
+    ({"spec": _with_message([0, 1, -1, 4])},
+     "replay message [0, 1, -1, 4]: tag and size must be >= 0"),
+    # a flat version-1 spec: refused by its version, not run
+    ({"version": 1, "spec": {"version": 1, "seed": 1, "nranks": 2, "prepost": 4,
+                             "messages": [[0, 1, 0, 4]]}},
+     "artifact version 1: this build replays version 2 (regenerate it from its seed)"),
 ])
 def test_replaying_a_json_file_that_is_no_artifact_is_a_usage_error(
         doc, says, tmp_path, monkeypatch, capsys):
@@ -258,6 +280,18 @@ def test_sweep_check_without_a_cache_runs_every_cell_twice(tmp_path, monkeypatch
     assert "determinism check passed" in capsys.readouterr().err
 
 
+def test_fuzz_check_runs_the_sweep_once_and_every_cell_twice(monkeypatch, capsys):
+    calls = []
+    real = CELL_KINDS["fuzz"]
+    monkeypatch.setitem(CELL_KINDS, "fuzz", lambda p: calls.append(p) or real(p))
+    assert main(["fuzz", "--runs", "2", "--schemes", "static", "dynamic",
+                 "--out-dir", "", "--check"]) == 0
+    assert len(calls) == 2 * 2 * 2  # runs x schemes, then the in-process re-run
+    captured = capsys.readouterr()
+    assert "determinism check passed" in captured.err
+    assert captured.out.count(" ok digest=") == 2
+
+
 def test_sweep_check_covers_records_resumed_from_the_artifact(tmp_path, capsys):
     argv = _fig3_smoke(tmp_path, "--windows", "1", "--repetitions", "1",
                        "--schemes", "static")
@@ -277,7 +311,8 @@ def test_sweep_check_covers_records_resumed_from_the_artifact(tmp_path, capsys):
     ("ring", ["scaling", "--nodes", "4", "--schemes", "static", "--check"]),
     ("chaos", ["chaos", "--scenario", "receiver-stall", "--schemes", "static",
                "--check"]),
-], ids=["sweep", "scaling", "chaos"])
+    ("fuzz", ["fuzz", "--runs", "2", "--schemes", "static", "--check"]),
+], ids=["sweep", "scaling", "chaos", "fuzz"])
 def test_a_nondeterministic_cell_fails_every_check(kind, argv, tmp_path, monkeypatch,
                                                    capsys):
     counter = itertools.count()

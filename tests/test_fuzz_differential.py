@@ -23,7 +23,7 @@ def test_schemes_agree_under_faults(k):
     assert comparison["failure"] is None, comparison["failure"]
     results = comparison["results"]
     base = results["hardware"]["delivered"]
-    assert len(base) == len(spec["messages"])
+    assert len(base) == len(spec["workload"]["messages"])
     for name in ("static", "dynamic"):
         assert results[name]["delivered"] == base
         assert results[name]["violations"] == 0

@@ -24,7 +24,7 @@ from repro.core.memory import (
     predicted_connection_bytes,
     qp_state_bytes,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, scenario_job
 from repro.mpi import MPIError
 from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.rdma_channel import (
@@ -310,11 +310,9 @@ def test_the_retired_knobs_are_unknown_fields():
 # ----------------------------------------------------------------------
 def test_audited_rdma_eager_runs_clean():
     for seed in (11, 12, 13):
-        spec = fuzz.generate_spec(seed)
         auditor = Auditor()
-        run_job(fuzz.build_program(spec), spec["nranks"], "rdma-eager",
-                prepost=spec["prepost"],
-                config=TestbedConfig(nodes=spec["nranks"]), audit=auditor)
+        run_job(scheme="rdma-eager",
+                **scenario_job(fuzz.generate_spec(seed), seed, audit=auditor))
         assert auditor.violations == []
         assert auditor.hook_calls > 0
 
@@ -474,10 +472,8 @@ def test_link_down_recovery_reestablishes_rings():
 def test_link_down_recovery_matches_fault_free_delivery(seed):
     spec = fuzz.generate_spec(seed, "link-down")
     faulty = fuzz.run_spec(spec, "rdma-eager")
-    clean_spec = dict(spec)
-    clean_spec["faults"] = None
-    clean_spec["recovery"] = False
-    clean = fuzz.run_spec(clean_spec, "rdma-eager")
+    clean = fuzz.run_spec({**spec, "faults": None,
+                           "arming": {**spec["arming"], "recovery": False}}, "rdma-eager")
     assert clean["ok"], clean
     assert faulty["ok"], faulty
     assert faulty["violations"] == 0

@@ -58,10 +58,7 @@ def _on_own_nodes(scenario: str, **arming) -> dict:
 
 
 def _fault_free(spec: dict) -> dict:
-    clean = dict(spec)
-    clean["faults"] = None
-    clean["recovery"] = False
-    return clean
+    return {**spec, "faults": None, "arming": {**spec["arming"], "recovery": False}}
 
 
 # ----------------------------------------------------------------------

@@ -574,7 +574,7 @@ def test_the_cli_has_one_check_path_and_one_chaos_assembler():
     assert checks == [
         re.search(r"\brun_cells\([^)]*\bcheck=\w+", inspect.getsource(cli._run))[0]]
     assert checks[0].endswith("check=True")
-    for cmd in (cli.cmd_sweep, cli.cmd_scaling, cli.cmd_chaos):
+    for cmd in (cli.cmd_sweep, cli.cmd_scaling, cli.cmd_chaos, cli.cmd_fuzz):
         body = inspect.getsource(cmd)
         assert "_run(args" in body and "DETERMINISM" not in body, cmd.__name__
     # repro chaos renders what run_chaos assembles; nothing else builds a header
@@ -582,6 +582,27 @@ def test_the_cli_has_one_check_path_and_one_chaos_assembler():
     assert not hasattr(scenarios, "chaos_report_header")
     assert "run_chaos(" in inspect.getsource(cli.cmd_chaos)
     assert "run_cells(" in inspect.getsource(scenarios.run_chaos)
+
+
+def test_the_fuzzer_builds_its_jobs_from_the_scenario_schema():
+    # a fuzz spec is a scenario entry: scenario_job arms and configures
+    # its job, and the fuzzer passes only its overrides
+    src = _src("check/fuzz.py")
+    assert "Arming(" not in src and "TestbedConfig(" not in src
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    tree = ast.parse(src)
+    built = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and calls(node.value, "scenario_job") for target in node.targets}
+    (run,) = [node for node in ast.walk(tree) if calls(node, "run_job")]
+    assert not run.args  # no positional job shape of its own
+    (job,) = [kw.value for kw in run.keywords if kw.arg is None]
+    assert calls(job, "scenario_job") or getattr(job, "id", None) in built
+    assert [kw.arg for kw in run.keywords if kw.arg] == ["scheme"]
+    # one sweep a command: --check re-runs the cells, not the fuzzer
+    assert len(re.findall(r"\brun_fuzz\(", _src("cli.py"))) == 1
 
 
 def test_a_chaos_scenario_is_data():

@@ -4,9 +4,10 @@ The scaling layer every experiment runs on:
 
 * :class:`JobSpec` — one declarative sweep cell (kind + params), keyed by
   a stable hash of its spec and the ``repro`` source fingerprint;
-* :func:`run_cells` — the orchestrator: cache lookups, JSONL
-  checkpoint/resume, in-process or ``ProcessPoolExecutor`` execution,
-  and the ``check=True`` bit-identical determinism gate;
+* :func:`run_cells` — the orchestrator: cache lookups (the cache is the
+  checkpoint a rerun picks an interrupted campaign up from), in-process
+  or ``ProcessPoolExecutor`` execution, and the ``check=True``
+  bit-identical determinism gate;
 * :mod:`~repro.campaign.grids` — the named figure/table campaigns behind
   ``python -m repro sweep``.
 

@@ -1,35 +1,38 @@
 """The sweep orchestrator: fan independent cells across worker processes.
 
 ``run_cells`` takes a list of :class:`JobSpec` cells and completes every
-one of them, in one of three ways:
+one of them, in one of two ways:
 
 * served from the content-addressed result cache (``cache=``),
-* served from a previous campaign's JSONL checkpoint (``resume=``),
 * executed — in-process when ``workers <= 1`` (exactly the sequential
   CLI path), or on a ``ProcessPoolExecutor`` otherwise.
 
-Executed records are checkpointed as they complete (cache + JSONL
-append), so an interrupted or crashed campaign resumes without redoing
-finished cells.  ``check=True`` re-runs every cell that was *not* freshly
-computed in this process and fails unless the stored record is
+The cache is the campaign's checkpoint: every executed record is put
+into it as it completes, so rerunning an interrupted or crashed campaign
+serves its finished cells from the cache and executes only the rest.
+The JSONL artifact is written once, atomically and in input order, when
+the campaign completes.  ``check=True`` re-runs every cell that was *not*
+freshly computed in this process and fails unless the stored record is
 bit-identical — the determinism gate that lets cached/parallel results
 stand in for the sequential path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.cells import run_cell
 from repro.campaign.spec import JobSpec, canonical_json, make_record
 
 #: How a cell's record was obtained this campaign.
-SOURCES = ("run", "worker", "cache", "resume", "failed", "skipped")
+SOURCES = ("run", "worker", "cache", "failed", "skipped")
 
 
 class CampaignError(RuntimeError):
@@ -102,7 +105,7 @@ class CampaignResult:
 
     @property
     def hits(self) -> int:
-        return self._count("cache", "resume")
+        return self._count("cache")
 
     @property
     def failures(self) -> List[CellOutcome]:
@@ -126,24 +129,40 @@ def _worker_execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     return make_record(spec, run_cell(spec))
 
 
-def _load_checkpoint(path: pathlib.Path) -> Dict[str, Dict[str, Any]]:
-    """Read a JSONL artifact, tolerating a torn trailing line."""
-    records: Dict[str, Dict[str, Any]] = {}
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return records
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # interrupted mid-append; the cell just re-runs
-        if isinstance(rec, dict) and "key" in rec and "metrics" in rec:
-            records[rec["key"]] = rec
-    return records
+def _execute(pending: Sequence[CellOutcome],
+             workers: int) -> Iterator[Tuple[CellOutcome, Any, float]]:
+    """Execute ``pending``, yielding ``(outcome, record or error, wall_s)``
+    as each cell finishes: in this process and in input order when
+    ``workers <= 1``, else from a pool that keeps at most ``2 * workers``
+    cells in flight and submits none once the consumer stops."""
+    if workers <= 1 or not pending:
+        for out in pending:
+            t0 = time.monotonic()
+            try:
+                got = make_record(out.spec, run_cell(out.spec))
+            except Exception as err:
+                got = err
+            yield out, got, time.monotonic() - t0
+        return
+    # here, and only with cells to run: it loads multiprocessing and ~30
+    # modules more, which an in-process or all-cached campaign never uses
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    queue = iter(pending)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        inflight: Dict[Any, Tuple[CellOutcome, float]] = {}
+        while True:
+            for out in itertools.islice(queue, 2 * workers - len(inflight)):
+                fut = pool.submit(_worker_execute,
+                                  {"kind": out.spec.kind, "params": out.spec.params})
+                inflight[fut] = (out, time.monotonic())
+            if not inflight:
+                return
+            finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                out, t0 = inflight.pop(fut)
+                err = fut.exception()
+                yield out, fut.result() if err is None else err, time.monotonic() - t0
 
 
 def run_cells(
@@ -152,7 +171,6 @@ def run_cells(
     workers: int = 1,
     cache: Any = None,
     jsonl_path: Optional[os.PathLike] = None,
-    resume: bool = False,
     check: bool = False,
     strict: bool = True,
     progress: Optional[Progress] = None,
@@ -168,30 +186,25 @@ def run_cells(
     cache:
         A :class:`~repro.campaign.cache.ResultCache` /
         :class:`~repro.campaign.cache.MemoryCache`; completed records are
-        written back as they arrive.
+        written back as they arrive, so it is the campaign's checkpoint.
     jsonl_path:
-        Campaign artifact.  Executed records are appended live (the
-        checkpoint); on completion the file is atomically rewritten with
-        every record in input order.
-    resume:
-        Serve cells recorded in an existing ``jsonl_path`` instead of
-        re-running them.
+        Campaign artifact: on completion it is atomically rewritten with
+        every record in input order (an interrupted campaign leaves it
+        as it was).
     check:
-        After completion, re-run every cached/resumed/worker-produced
-        record in-process and require bit-identical results.
+        After completion, re-run every cached or worker-produced record
+        in-process and require bit-identical results.
     strict:
         Raise on the first failed cell (and on check mismatches) instead
-        of collecting them on the result.
+        of collecting them on the result; no cell starts after it.
     stop_after:
-        Stop launching new cells after this many executions — an
-        interruption hook for checkpoint/resume tests.
+        Execute only the first this many cache misses and skip the rest
+        — an interruption hook for tests.
     """
     t_start = time.monotonic()
     result = CampaignResult()
-    jsonl = pathlib.Path(jsonl_path) if jsonl_path is not None else None
-    checkpoint = _load_checkpoint(jsonl) if (resume and jsonl) else {}
 
-    outcomes: List[CellOutcome] = []
+    outcomes = result.outcomes
     by_key: Dict[str, CellOutcome] = {}
     pending: List[CellOutcome] = []
     for spec in specs:
@@ -199,107 +212,41 @@ def run_cells(
         if key in by_key:  # duplicate cell in the grid: one execution
             outcomes.append(by_key[key])
             continue
-        record = checkpoint.get(key)
-        source = "resume"
-        if record is None and cache is not None:
-            record = cache.get(key)
-            source = "cache"
-        out = CellOutcome(spec=spec, source=source if record else "pending",
+        record = cache.get(key) if cache is not None else None
+        out = CellOutcome(spec=spec, source="cache" if record else "pending",
                           record=record)
         by_key[key] = out
         outcomes.append(out)
         if record is None:
             pending.append(out)
-    result.outcomes = outcomes
+    if stop_after is not None and stop_after < len(pending):
+        for out in pending[stop_after:]:
+            out.source = "skipped"
+        pending = pending[:stop_after]
+        result.interrupted = True
 
-    total = len(pending)
-    done = 0
-    append_fh = None
-    if jsonl is not None:
-        jsonl.parent.mkdir(parents=True, exist_ok=True)
-        append_fh = open(jsonl, "a" if resume else "w")
-
-    def commit(out: CellOutcome, record: Dict[str, Any], wall: float,
-               source: str) -> None:
-        nonlocal done
-        out.record = record
-        out.source = source
-        out.wall_s = wall
-        done += 1
-        if cache is not None:
-            cache.put(out.key, record)
-        if append_fh is not None:
-            append_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            append_fh.flush()
-        if progress is not None:
-            progress(out, done, total)
-
-    def fail(out: CellOutcome, err: BaseException) -> None:
-        nonlocal done
-        out.source = "failed"
-        out.error = f"{type(err).__name__}: {err}"
-        done += 1
-        if progress is not None:
-            progress(out, done, total)
-        if strict:
-            if append_fh is not None:
-                append_fh.close()
-            raise CampaignError(
-                f"cell {out.spec.label()} failed: {out.error}"
-            ) from err
-
-    try:
-        if workers <= 1:
-            for out in pending:
-                if stop_after is not None and done >= stop_after:
-                    out.source = "skipped"
-                    result.interrupted = True
-                    continue
-                t0 = time.monotonic()
-                try:
-                    record = make_record(out.spec, run_cell(out.spec))
-                except Exception as err:
-                    fail(out, err)
-                    continue
-                commit(out, record, time.monotonic() - t0, "run")
-        elif pending:
-            # here, not at module top: it loads multiprocessing and ~30
-            # modules more, which an in-process campaign never uses
-            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                launched: Dict[Any, tuple] = {}
-                for out in pending:
-                    if stop_after is not None and len(launched) >= stop_after:
-                        out.source = "skipped"
-                        result.interrupted = True
-                        continue
-                    fut = pool.submit(
-                        _worker_execute,
-                        {"kind": out.spec.kind, "params": out.spec.params},
-                    )
-                    launched[fut] = (out, time.monotonic())
-                not_done = set(launched)
-                while not_done:
-                    finished, not_done = wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        out, t0 = launched[fut]
-                        err = fut.exception()
-                        if err is not None:
-                            fail(out, err)
-                            continue
-                        commit(out, fut.result(),
-                               time.monotonic() - t0, "worker")
-    finally:
-        if append_fh is not None:
-            append_fh.close()
+    source = "run" if workers <= 1 else "worker"
+    with contextlib.closing(_execute(pending, workers)) as runs:
+        for done, (out, got, wall) in enumerate(runs, 1):
+            out.wall_s = wall
+            if isinstance(got, BaseException):
+                out.source = "failed"
+                out.error = f"{type(got).__name__}: {got}"
+            else:
+                out.source, out.record = source, got
+                if cache is not None:
+                    cache.put(out.key, got)
+            if progress is not None:
+                progress(out, done, len(pending))
+            if strict and out.error is not None:
+                raise CampaignError(
+                    f"cell {out.spec.label()} failed: {out.error}"
+                ) from got
 
     if check:
         mismatches = []
         for out in result.outcomes:
-            if out.source not in ("cache", "resume", "worker"):
+            if out.source not in ("cache", "worker"):
                 continue
             expected = make_record(out.spec, run_cell(out.spec))
             if canonical_json(expected) != canonical_json(out.record):
@@ -318,13 +265,15 @@ def run_cells(
         if mismatches and strict:
             raise CheckFailure(mismatches)
 
-    # Final artifact: deterministic input order, one record per line.
-    if jsonl is not None and not result.interrupted:
-        complete = [o.record for o in result.outcomes if o.record is not None]
+    # The artifact: deterministic input order, one record per line.
+    if jsonl_path is not None and not result.interrupted:
+        jsonl = pathlib.Path(jsonl_path)
+        jsonl.parent.mkdir(parents=True, exist_ok=True)
         tmp = jsonl.with_suffix(jsonl.suffix + f".tmp.{os.getpid()}")
         with open(tmp, "w") as fh:
-            for rec in complete:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for out in result.outcomes:
+                if out.record is not None:
+                    fh.write(json.dumps(out.record, sort_keys=True) + "\n")
         os.replace(tmp, jsonl)
 
     result.wall_s = time.monotonic() - t_start

@@ -100,9 +100,6 @@ def _run(args: argparse.Namespace, specs, cache=None, **options):
     res = run_cells(specs, workers=args.workers, cache=cache, **options)
     if not args.check or res.failures:
         return res
-    for out in res.outcomes:  # resumed from the artifact, not the cache
-        if out.record is not None and out.key not in cache:
-            cache.put(out.key, out.record)
     drift = run_cells(specs, cache=cache, check=True, strict=False).check_failures
     for m in drift:
         print(f"CHECK MISMATCH ({m['source']}): {m['label']}", file=sys.stderr)
@@ -276,8 +273,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweep '{args.grid}': {len(specs)} cells, "
           f"workers={args.workers}, cache="
           f"{'off' if cache is None else args.cache_dir}", file=sys.stderr)
-    res = _run(args, specs, cache, jsonl_path=out_path, resume=args.resume,
-               strict=False, progress=_progress)
+    res = _run(args, specs, cache, jsonl_path=out_path, strict=False,
+               progress=_progress)
     if res is None:
         return 1
 
@@ -409,12 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign artifact "
                         "(default benchmarks/results/sweep_<grid>.jsonl)")
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help="content-addressed result cache directory")
+                   help="content-addressed result cache directory (the "
+                        "checkpoint: a rerun executes only the cells it lacks)")
     p.add_argument("--no-cache", action="store_true",
-                   help="bypass the result cache entirely")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse records already in the --out artifact "
-                        "(checkpoint of an interrupted campaign)")
+                   help="bypass the result cache, and with it the checkpoint")
     p.add_argument("--check", action="store_true", help=CHECK_HELP)
     p.add_argument("--require-all-cached", action="store_true",
                    help="exit 1 if any cell had to execute (warm-cache "

@@ -1,15 +1,16 @@
 """Tests for the parallel sweep orchestrator (``repro.campaign``).
 
-Covers the cache-hit/miss paths, JSONL checkpoint/resume after a
-simulated worker crash, the ``check=True`` determinism gate catching an
-injected nondeterministic result, and the worker-pool path producing
-records bit-identical to the in-process reference path.
+Covers the cache-hit/miss paths, the cache as the checkpoint a rerun
+picks an interrupted campaign up from, the ``check=True`` determinism
+gate catching an injected nondeterministic result, and the worker-pool
+path producing records bit-identical to the in-process reference path.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -167,39 +168,62 @@ def test_metrics_accessor_raises_without_record():
 
 
 # ----------------------------------------------------------------------
-# checkpoint / resume after an interrupted campaign
+# the cache is the checkpoint of an interrupted campaign
 # ----------------------------------------------------------------------
 def test_resume_after_simulated_crash(tmp_path):
     specs = tiny_grid()
+    cache = ResultCache(tmp_path / "cache")
     jsonl = tmp_path / "campaign.jsonl"
 
     # The campaign "crashes" after two cells: stop_after models the
-    # process dying mid-sweep with the JSONL checkpoint already flushed.
-    first = run_cells(specs, jsonl_path=jsonl, stop_after=2)
+    # process dying mid-sweep with two records already in the cache.
+    first = run_cells(specs, cache=cache, jsonl_path=jsonl, stop_after=2)
     assert first.interrupted and first.executed == 2
-    checkpointed = jsonl.read_text().splitlines()
-    assert len(checkpointed) == 2
+    assert len(cache) == 2
+    assert not jsonl.exists()  # the artifact is written on completion only
 
-    resumed = run_cells(specs, jsonl_path=jsonl, resume=True)
+    resumed = run_cells(specs, cache=cache, jsonl_path=jsonl)
     assert not resumed.interrupted
     assert resumed.hits == 2  # served from the checkpoint, not re-run
     assert resumed.executed == len(specs) - 2
-    assert [o.source for o in resumed.outcomes[:2]] == ["resume", "resume"]
+    assert [o.source for o in resumed.outcomes[:2]] == ["cache", "cache"]
 
     # The final artifact holds every record, in input-spec order.
     records = [json.loads(l) for l in jsonl.read_text().splitlines()]
     assert [r["key"] for r in records] == [s.key for s in specs]
 
 
-def test_resume_tolerates_torn_trailing_line(tmp_path):
-    specs = tiny_grid()[:2]
+def test_sigint_mid_sweep_keeps_the_artifact_and_the_rerun_finishes(tmp_path):
+    specs = [JobSpec("test-interruptible", {"n": n}) for n in range(6)]
+    cache = ResultCache(tmp_path / "cache")
     jsonl = tmp_path / "campaign.jsonl"
-    run_cells([specs[0]], jsonl_path=jsonl)
-    with open(jsonl, "a") as fh:
-        fh.write('{"key": "torn-mid-append')  # crash mid-write
+    interrupt = set()
+    ran = []
 
-    res = run_cells(specs, jsonl_path=jsonl, resume=True)
-    assert res.hits == 1 and res.executed == 1
+    @cell_kind("test-interruptible")
+    def _cell(params):
+        if params["n"] in interrupt:
+            raise KeyboardInterrupt  # what SIGINT raises in the main thread
+        ran.append(params["n"])
+        return {"n": params["n"]}
+
+    try:
+        run_cells(specs, jsonl_path=jsonl)  # a previous complete campaign
+        before = jsonl.read_bytes()
+        interrupt.add(3)  # the 4th cell is running when SIGINT arrives
+        ran.clear()
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(specs, cache=cache, jsonl_path=jsonl)
+        assert ran == [0, 1, 2] and len(cache) == 3
+        assert jsonl.read_bytes() == before  # the last complete artifact stands
+
+        interrupt.clear()
+        ran.clear()
+        rerun = run_cells(specs, cache=cache, jsonl_path=jsonl)
+    finally:
+        del CELL_KINDS["test-interruptible"]
+    assert ran == [3, 4, 5]
+    assert (rerun.executed, rerun.hits) == (3, 3)
     records = [json.loads(l) for l in jsonl.read_text().splitlines()]
     assert [r["key"] for r in records] == [s.key for s in specs]
 
@@ -254,7 +278,7 @@ def test_check_collects_mismatches_when_not_strict(tmp_path):
 
 def test_fresh_in_process_runs_are_not_rechecked():
     # check re-runs only records of *unverified* provenance (cache,
-    # resume, worker) — a cell freshly executed in this process would be
+    # worker) — a cell freshly executed in this process would be
     # compared against itself, wasted work the runner skips.
     specs = tiny_grid()[:1]
     res = run_cells(specs, check=True)
@@ -307,6 +331,30 @@ def test_worker_pool_failure_is_reported(tmp_path):
     res = run_cells([bad, tiny_grid()[0]], workers=2, strict=False)
     assert len(res.failures) == 1
     assert "no-such-scheme" in res.failures[0].error
+
+
+def test_a_strict_failure_stops_the_worker_pool(tmp_path):
+    """No cell is submitted once a strict failure is seen: at most the
+    cells already in flight beside it (2 x workers in all) start."""
+    started = tmp_path / "started"
+    started.mkdir()
+
+    @cell_kind("test-logged")  # registered before the fork: workers inherit it
+    def _cell(params):
+        (started / str(params["n"])).touch()
+        if params["n"] == 0:
+            raise RuntimeError("cell 0 fails")
+        time.sleep(0.2)
+        return {"n": params["n"]}
+
+    specs = [JobSpec("test-logged", {"n": n}) for n in range(9)]
+    try:
+        with pytest.raises(CampaignError, match="cell 0 fails"):
+            run_cells(specs, workers=2)
+    finally:
+        del CELL_KINDS["test-logged"]
+    others = {p.name for p in started.iterdir()} - {"0"}
+    assert len(others) <= 3, sorted(others)
 
 
 def test_only_a_worker_pool_campaign_loads_multiprocessing():

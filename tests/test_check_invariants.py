@@ -19,12 +19,15 @@ import __future__
 import inspect
 import json
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 from repro.check import Auditor, InvariantViolation
 from repro.check import fuzz
 from repro.cluster import Cluster, TestbedConfig, run_job
+from repro.congestion import CongestionConfig
+from repro.congestion.switch import PortQueue
 from repro.core import DynamicScheme, credit, make_scheme
 from repro.faults import scenario_job
 from repro.mpi.endpoint import Endpoint
@@ -203,6 +206,51 @@ def test_a_backlog_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method,
 def test_the_backlog_program_runs_clean_on_the_shipped_endpoint():
     r = run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
     assert r.report()["fc"]["backlog_max"] > 1  # the drain had a head to choose
+
+
+# ----------------------------------------------------------------------
+# switch-model mutants: the port queue's own source with one edit each
+# ----------------------------------------------------------------------
+PFC_ONLY = CongestionConfig(pfc=True, ecn=False)
+TAIL_DROP = CongestionConfig(pfc=False, ecn=False, buffer_bytes=4096)
+
+
+def _incast(scheme, congestion):
+    """The 8-to-1 incast chaos scenario under ``congestion``, audited."""
+    job = scenario_job("incast-n1", 7, audit=True)
+    job["config"] = replace(job["config"], ib=replace(job["config"].ib,
+                                                      congestion=congestion))
+    return run_job(scheme=scheme, **job)
+
+
+@pytest.mark.parametrize("method, old, new, congestion, first, detail", [
+    # a draining port announces its XON twice
+    ("_lower_xoff", "state.observer.on_xon(self.key)",
+     "state.observer.on_xon(self.key); state.observer.on_xon(self.key)", PFC_ONLY,
+     ("pause-conservation", None, 25966),
+     "port ('down', 0): XON without a standing XOFF"),
+    # admission tail-drops only past twice the configured buffer
+    ("admit", "self.depth + wire > cfg.buffer_bytes",
+     "self.depth + wire > 2 * cfg.buffer_bytes", TAIL_DROP,
+     ("congestion-buffer", None, 5198),
+     "queue depth 4672 B exceeds the configured 4096 B buffer"),
+], ids=["pause-conservation", "congestion-buffer"])
+def test_a_switch_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method, old, new,
+                                                           congestion, first, detail):
+    monkeypatch.setattr(PortQueue, method, _mutant(PortQueue, method, old, new))
+    with pytest.raises(InvariantViolation) as exc:
+        _incast("static", congestion)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == first, v
+    assert detail in str(v)
+
+
+@pytest.mark.parametrize("scheme_name, drops", [
+    ("hardware", 215), ("static", 66), ("dynamic", 66), ("rdma-eager", 66),
+])
+def test_the_incast_runs_clean_on_the_shipped_switch(scheme_name, drops):
+    assert _incast(scheme_name, PFC_ONLY).report()["congestion"]["pause_frames"] > 0
+    assert _incast(scheme_name, TAIL_DROP).report()["congestion"]["drops"] == drops
 
 
 # ----------------------------------------------------------------------

@@ -293,17 +293,22 @@ def test_fuzz_check_runs_the_sweep_once_and_every_cell_twice(monkeypatch, capsys
 
 
 def test_sweep_check_covers_records_resumed_from_the_artifact(tmp_path, capsys):
-    argv = _fig3_smoke(tmp_path, "--windows", "1", "--repetitions", "1",
-                       "--schemes", "static")
-    assert main(argv) == 0
-    artifact = tmp_path / "sweep.jsonl"
-    record = json.loads(artifact.read_text())
+    # an interrupted campaign's finished cell, checkpointed in the cache
+    argv = ["sweep", "--grid", "fig3-smoke", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "sweep.jsonl"), "--repetitions", "1",
+            "--schemes", "static", "--windows"]
+    assert main(argv + ["1"]) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    record = json.loads(entry.read_text())
     record["metrics"]["mbps"] += 1.0  # a checkpoint no run would write
-    artifact.write_text(json.dumps(record) + "\n")
+    entry.write_text(json.dumps(record))
     capsys.readouterr()
 
-    assert main(argv + ["--resume", "--check"]) == 1
-    assert "CHECK MISMATCH" in capsys.readouterr().err
+    # the rerun picks the campaign up from it and executes the rest
+    assert main(argv + ["1", "4", "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "[1/1] run" in err and "window=4" in err  # one cell executed
+    assert "CHECK MISMATCH" in err
 
 
 @pytest.mark.parametrize("kind, argv", [

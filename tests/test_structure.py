@@ -584,6 +584,29 @@ def test_the_cli_has_one_check_path_and_one_chaos_assembler():
     assert "run_cells(" in inspect.getsource(scenarios.run_chaos)
 
 
+# ----------------------------------------------------------------------
+# the cache is a campaign's one checkpoint; the artifact is written once
+# ----------------------------------------------------------------------
+def test_run_cells_takes_no_resume():
+    from repro.campaign import runner
+
+    assert "resume" not in inspect.signature(runner.run_cells).parameters
+    assert "resume" not in runner.SOURCES
+
+
+def test_the_runner_opens_only_the_completed_artifact():
+    from repro.campaign import runner
+
+    assert not hasattr(runner, "_load_checkpoint")
+    src = _src("campaign/runner.py")
+    assert re.findall(r"\bopen\([^)]*\)", src) == ['open(tmp, "w")']
+
+
+def test_sweep_resume_is_a_usage_error(capsys):
+    assert main(["sweep", "--grid", "fig3-smoke", "--resume"]) == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
 def test_the_fuzzer_builds_its_jobs_from_the_scenario_schema():
     # a fuzz spec is a scenario entry: scenario_job arms and configures
     # its job, and the fuzzer passes only its overrides

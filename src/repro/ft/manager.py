@@ -320,16 +320,9 @@ class FTManager:
         for req in self._watch.pop((ep.rank, rank), ()):
             self.fail_request(ep, req, rank)
         self._rounds.pop((ep.rank, rank), None)
-        self._wake(ep)
-
-    def _wake(self, ep: "Endpoint") -> None:
-        """Fire the survivor's progress-wait signals so a program parked
-        in wait()/waitall() observes its PROC_FAILED completions."""
-        cq = ep.cq
-        if cq._notify is not None:
-            sig, cq._notify = cq._notify, None
-            sig.fire(self.sim, None)
-        ep._ring_signal_fire()
+        # a survivor parked in wait()/waitall() wakes to observe its
+        # PROC_FAILED completions
+        ep.cq.wake()
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

@@ -45,6 +45,13 @@ class CompletionQueue:
             sig, self._notify = self._notify, None
             sig.fire(self.sim, None)
 
+    def wake(self) -> None:
+        """Fire the armed wait without a completion: an arrival the CQ
+        does not hold (an RDMA-ring deposit) or a failure to observe."""
+        if self._notify is not None:
+            sig, self._notify = self._notify, None
+            sig.fire(self.sim, None)
+
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------

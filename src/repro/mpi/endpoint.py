@@ -46,7 +46,7 @@ from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
 from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
-from repro.sim import TIMEOUTS, AnyOf, Signal, Simulator
+from repro.sim import TIMEOUTS, Signal, Simulator
 from repro.sim.trace import Tracer
 
 
@@ -70,7 +70,7 @@ class Endpoint:
         "connections", "_backlogged", "_standin",
         "_ring_dirty",
         "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
-        "_ring_notify", "finalized", "_stall_until", "_stall_held",
+        "finalized", "_stall_until", "_stall_held",
         "_t_call", "_t_poll", "_eager_max",
         "observer", "_recovery", "_ft", "_halted", "_halt_signal",
         "bytes_sent", "bytes_received", "wait_ns",
@@ -123,8 +123,6 @@ class Endpoint:
         #: (wired on the spot, returns None), ``ConnectionManager.request`` on
         #: demand (returns the signal to wait for); None: the table is all
         self._connector = connector
-        #: armed waiter for RDMA-ring arrivals (the spin-loop stand-in)
-        self._ring_notify = None
         self.finalized = False
         #: fault injection: until then this rank neither re-posts vbufs nor
         #: returns paid credits — the starved-receiver model
@@ -387,10 +385,7 @@ class Endpoint:
             if request.done:
                 break
             if not cq._entries and not (self._ring_dirty and self._ring_ready()):
-                if self._ring_mode:
-                    yield AnyOf([cq.wait_nonempty(), self._ring_wait()])
-                else:
-                    yield cq.wait_nonempty()
+                yield cq.wait_nonempty()
         self.wait_ns += sim.now - t0
         return request.status
 
@@ -476,16 +471,6 @@ class Endpoint:
     # ------------------------------------------------------------------
     # progress engine
     # ------------------------------------------------------------------
-    def _ring_signal_fire(self) -> None:
-        if self._ring_notify is not None:
-            sig, self._ring_notify = self._ring_notify, None
-            sig.fire(self.sim, None)
-
-    def _ring_wait(self):
-        if self._ring_notify is None:
-            self._ring_notify = Signal(f"ring.{self.rank}")
-        return self._ring_notify
-
     def _ring_ready(self) -> bool:
         """Any RDMA-ring arrival that is next in its connection's sequence?"""
         for peer in self._ring_dirty:
@@ -502,10 +487,7 @@ class Endpoint:
             if pred():
                 return
             if not self.cq._entries and not (self._ring_dirty and self._ring_ready()):
-                if self._ring_mode:
-                    yield AnyOf([self.cq.wait_nonempty(), self._ring_wait()])
-                else:
-                    yield self.cq.wait_nonempty()
+                yield self.cq.wait_nonempty()
 
     def _poll_once(self) -> Generator:
         """Drain the CQ and the dirty rings, charging each completion's CPU

@@ -17,10 +17,10 @@ message out.  The ring is fixed-size and owned by the flow-control scheme
 that growing one "is more complicated because cooperation between both the
 sender and the receiver is necessary" stays a remark: nothing grows a ring.
 
-Simulation note: the receiver's memory polling is modelled by a one-shot
-signal (owned by the endpoint) fired when an RDMA-written message becomes
-visible — equivalent to a sub-microsecond spin loop without flooding the
-event queue.
+Simulation note: the receiver's memory polling is modelled by waking the
+CQ's armed wait (:meth:`~repro.ib.cq.CompletionQueue.wake`) when an
+RDMA-written message becomes visible — equivalent to a sub-microsecond spin
+loop without flooding the event queue.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class RDMAChannel:
         if self.endpoint.observer is not None:
             self.endpoint.observer.on_ring_deposit(self, header)
         self.endpoint._ring_dirty.add(self.peer)
-        self.endpoint._ring_signal_fire()
+        self.endpoint.cq.wake()  # the blocked rank waits on its CQ alone
 
     def poll_peek(self, expected_seq: int) -> bool:
         """Would :func:`repro.mpi.protocol.ring_next` take a header now?"""

@@ -6,8 +6,7 @@ this reproduction:
 * the clock is an **integer nanosecond** counter — event ordering is exact
   and runs are bit-reproducible;
 * simulated actors are plain Python generators ("processes") that ``yield``
-  *waitables* (:class:`Timeout`, :class:`Signal`, another :class:`Process`,
-  :class:`AllOf`, :class:`AnyOf`);
+  *waitables* (:class:`Timeout`, :class:`Signal`, another :class:`Process`);
 * ties are broken by a monotonically increasing sequence number, so two runs
   of the same program produce identical event orders.
 
@@ -27,11 +26,9 @@ Example
 from repro.sim.engine import ScheduledEvent, Simulator, gc_paused
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.trace import Counter, Tracer
-from repro.sim.waitables import TIMEOUTS, AllOf, AnyOf, Signal, Timeout, Waitable
+from repro.sim.waitables import TIMEOUTS, Signal, Timeout, Waitable
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Counter",
     "Process",
     "ProcessKilled",

@@ -9,7 +9,7 @@ notification (CQ arrivals, request completion, credit arrival, ...).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.sim.engine import _as_int_ns
 
@@ -123,67 +123,3 @@ class Signal(Waitable):
     def __repr__(self) -> str:  # pragma: no cover
         state = "fired" if self.fired else f"{len(self._waiters)} waiting"
         return f"<Signal {self.name!r} {state}>"
-
-
-class AllOf(Waitable):
-    """Wait until *all* child signals have fired; value is the list of child
-    values in the order given."""
-
-    def __init__(self, children: Sequence[Signal]):
-        self.children = list(children)
-
-    def _block(self, sim: "Simulator", process: "Process") -> None:
-        remaining = [c for c in self.children if not c.fired]
-        state = {"count": len(remaining)}
-        if state["count"] == 0:
-            sim.call_soon(process._resume, [c.value for c in self.children], None)
-            return
-
-        def on_child(value: Any, parent: "Process" = process) -> None:
-            state["count"] -= 1
-            if state["count"] == 0:
-                parent._resume([c.value for c in self.children], None)
-
-        for child in remaining:
-            child._waiters.append(_CallbackWaiter(on_child))
-
-
-class AnyOf(Waitable):
-    """Wait until *any* child signal fires; value is ``(index, value)`` of
-    the first child to fire.  Late children are ignored (their resume hits a
-    dead callback waiter)."""
-
-    def __init__(self, children: Sequence[Signal]):
-        self.children = list(children)
-
-    def _block(self, sim: "Simulator", process: "Process") -> None:
-        for i, child in enumerate(self.children):
-            if child.fired:
-                sim.call_soon(process._resume, (i, child.value), None)
-                return
-        state = {"done": False}
-
-        def make_cb(index: int):
-            def on_child(value: Any, parent: "Process" = process) -> None:
-                if not state["done"]:
-                    state["done"] = True
-                    parent._resume((index, value), None)
-
-            return on_child
-
-        for i, child in enumerate(self.children):
-            child._waiters.append(_CallbackWaiter(make_cb(i)))
-
-
-class _CallbackWaiter:
-    """Adapter letting plain callbacks sit in a Signal's waiter list."""
-
-    __slots__ = ("_cb",)
-
-    def __init__(self, cb):
-        self._cb = cb
-
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if exc is not None:
-            raise exc
-        self._cb(value)

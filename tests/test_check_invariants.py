@@ -31,6 +31,7 @@ from repro.congestion.switch import PortQueue
 from repro.core import DynamicScheme, credit, make_scheme
 from repro.faults import scenario_job
 from repro.mpi.endpoint import Endpoint
+from repro.mpi.matching import MatchingEngine
 from repro.mpi.protocol import MsgKind
 from repro.recovery import RecoveryPolicy
 
@@ -206,6 +207,47 @@ def test_a_backlog_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method,
 def test_the_backlog_program_runs_clean_on_the_shipped_endpoint():
     r = run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
     assert r.report()["fc"]["backlog_max"] > 1  # the drain had a head to choose
+
+
+# ----------------------------------------------------------------------
+# matching mutant: the engine's own source with one edit
+# ----------------------------------------------------------------------
+def _three_sizes(mpi):
+    """Three blocking eager sends of growing size on one tag reach a
+    receiver busy computing: all three wait unexpected for its receives,
+    which must take them oldest first."""
+    if mpi.rank == 0:
+        for size in (4, 8, 16):
+            yield from mpi.send(1, size=size, tag=3)
+    else:
+        yield from mpi.compute(50_000)
+        for _ in range(3):
+            yield from mpi.recv(source=0, capacity=64, tag=3)
+
+
+def _run_three_sizes(scheme_name):
+    return run_job(_three_sizes, 2, scheme_name, prepost=10, config=TestbedConfig(nodes=2),
+                   audit=True)
+
+
+@pytest.mark.parametrize("scheme_name, time_ns", [("static", 52352), ("rdma-eager", 54766)])
+def test_a_matching_mutant_is_caught_at_its_first_wrong_match(monkeypatch, scheme_name,
+                                                              time_ns):
+    # a late receive scans the unexpected queue from its tail
+    monkeypatch.setattr(MatchingEngine, "post_recv", _mutant(
+        MatchingEngine, "post_recv", "enumerate(self._unexpected)",
+        "reversed(list(enumerate(self._unexpected)))"))
+    with pytest.raises(InvariantViolation) as exc:
+        _run_three_sizes(scheme_name)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == ("matching-order", (0, 1), time_ns), v
+    assert "match #1 is 16 bytes, send #1 was 8 bytes" in str(v)
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES + ("rdma-eager",))
+def test_the_matching_program_runs_clean_on_the_shipped_engine(scheme_name):
+    r = _run_three_sizes(scheme_name)
+    assert r.endpoints[1].matching.total_unexpected == 3  # every match was a late one
 
 
 # ----------------------------------------------------------------------

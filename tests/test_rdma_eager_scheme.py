@@ -34,8 +34,9 @@ from repro.mpi.rdma_channel import (
     slot_message_ready,
 )
 from repro.recovery import RecoveryPolicy
+from repro.sim import Signal
 from repro.sim.units import to_us, us
-from repro.workloads import latency_program
+from repro.workloads import bandwidth_program, latency_program
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +515,29 @@ def test_mesh_model_is_ring_aware():
     assert ring == 64 * 63 * (mpi.rdma_control_bufs + 2) * mpi.vbuf_bytes
     assert plain == 64 * 63 * mpi.vbuf_bytes
     assert qp_state_bytes(TestbedConfig().ib) > 0
+
+
+# ----------------------------------------------------------------------
+# a blocked rank waits on one signal, its CQ's: a ring deposit wakes it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("blocking, elapsed_ns", [(False, 6_730_202), (True, 5_769_838)])
+def test_a_blocked_rank_leaves_no_dead_waiter(monkeypatch, blocking, elapsed_ns):
+    """A wait on two signals leaves a waiter on the one that lost, and
+    every later wait piles another onto it: each fire would then dispatch
+    dead wakeups.  One signal a wait, so no fire ever has two waiters."""
+    most = 0
+    real_fire = Signal.fire
+
+    def fire(self, sim, value=None):
+        nonlocal most
+        most = max(most, len(self._waiters))
+        real_fire(self, sim, value)
+
+    monkeypatch.setattr(Signal, "fire", fire)
+    r = run_job(bandwidth_program(4, 100, repetitions=10, blocking=blocking),
+                2, "rdma-eager", prepost=10, config=TestbedConfig(nodes=2))
+    assert r.elapsed_ns == elapsed_ns
+    assert most == 1
 
 
 # ----------------------------------------------------------------------

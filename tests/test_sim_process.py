@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import TIMEOUTS, AllOf, AnyOf, Signal, Simulator, Timeout
+from repro.sim import TIMEOUTS, Signal, Simulator, Timeout
 from repro.sim.engine import SimulationError
 from repro.sim.process import ProcessFailed
 
@@ -243,52 +243,6 @@ def test_kill_can_be_caught_for_cleanup():
     sim.schedule(5, v.kill)
     sim.run()
     assert cleaned == [True]
-
-
-def test_allof_waits_for_every_signal():
-    sim = Simulator()
-    sigs = [Signal(str(i)) for i in range(3)]
-
-    def waiter():
-        values = yield AllOf(sigs)
-        return (sim.now, values)
-
-    w = sim.spawn(waiter())
-    sim.schedule(10, sigs[1].fire, sim, "b")
-    sim.schedule(20, sigs[0].fire, sim, "a")
-    sim.schedule(30, sigs[2].fire, sim, "c")
-    sim.run()
-    assert w.result == (30, ["a", "b", "c"])
-
-
-def test_allof_all_already_fired():
-    sim = Simulator()
-    sigs = [Signal(), Signal()]
-    sigs[0].fire(sim, 1)
-    sigs[1].fire(sim, 2)
-
-    def waiter():
-        values = yield AllOf(sigs)
-        return values
-
-    w = sim.spawn(waiter())
-    sim.run()
-    assert w.result == [1, 2]
-
-
-def test_anyof_returns_first_to_fire():
-    sim = Simulator()
-    sigs = [Signal(), Signal(), Signal()]
-
-    def waiter():
-        idx, value = yield AnyOf(sigs)
-        return (sim.now, idx, value)
-
-    w = sim.spawn(waiter())
-    sim.schedule(25, sigs[2].fire, sim, "late2")
-    sim.schedule(15, sigs[1].fire, sim, "first")
-    sim.run()
-    assert w.result == (15, 1, "first")
 
 
 def test_on_exit_callback_runs():

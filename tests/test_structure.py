@@ -147,9 +147,15 @@ def test_the_observer_seam_is_the_one_way_to_the_auditor():
     (r"\.on_write = ", {"ib/mr.py", "mpi/rdma_channel.py"}),
     (r"tx_addr = ", {"mpi/rdma_channel.py"}),
     (r"cq\._entries = ", set()),  # CompletionQueue rebinds its own self._entries
-], ids=["on_write", "tx_ring", "cq_entries"])
+    (r"cq\._notify = ", set()),  # only the CQ arms and fires its wait
+], ids=["on_write", "tx_ring", "cq_entries", "cq_notify"])
 def test_managers_do_not_open_code_internals(pattern, owners):
     assert _modules_matching(pattern) <= owners
+
+
+def test_a_blocked_rank_waits_only_on_its_cq():
+    # a ring deposit and an ft declaration wake it through CompletionQueue.wake
+    assert not re.search(r"\bAnyOf\b|_ring_notify", _src("mpi/endpoint.py"))
 
 
 # ----------------------------------------------------------------------

@@ -236,8 +236,8 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
         # up on the dead peer, so detection is purely the heartbeat detector's
         # doing (with ft) — and without ft the run goes quiet until the
         # progress watchdog declares it, the pre-ft failure mode.  The
-        # detector's _sever force-errors the victim-facing QPs, which stops
-        # the retry timers and lets the agenda drain.
+        # declaration's Endpoint.sever force-errors the victim-facing QPs,
+        # which stops the retry timers and lets the agenda drain.
         "faults": {"events": [{"kind": "rank_death", "rank": 2, "at_ns": us(40),
                                "duration_ns": 1}]},
         # the auditor's watchdog is the no-ft contrast arm, its dead-rank

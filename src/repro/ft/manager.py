@@ -12,13 +12,16 @@ live ranks), :class:`FTManager` handles whole-*rank* death:
   tolerated silence (exponential confirmation) before the peer is
   declared dead.  A transport-retry-exceeded completion against a dead
   HCA short-circuits the heartbeat: unreachability reported by the RC
-  transport is accepted as immediate confirmation.
+  transport is accepted as immediate confirmation (the DECLARE row of
+  :func:`repro.recovery.failures.classify`, which the endpoint executes
+  by calling :meth:`FTManager.declare`).
 
 * **Propagation.**  Declaring a rank dead completes every pending
   request targeting it with ``Status.error == PROC_FAILED`` (ULFM's
-  MPI_ERR_PROC_FAILED) instead of letting the program hang: backlogged
-  sends, in-flight rendezvous handshakes, posted receives, and programs
-  parked on an on-demand connection setup are all resumed.  The
+  MPI_ERR_PROC_FAILED) instead of letting the program hang: what
+  ``Endpoint.sever`` drops on each survivor (backlogged sends, in-flight
+  rendezvous handshakes), posted receives, and programs parked on an
+  on-demand connection setup are all resumed.  The
   structured :class:`~repro.ft.failures.RankFailure` record lands on
   ``JobResult.failures`` with detection-latency stats, and the death is
   announced to the observers (the auditor exempts the dead rank from
@@ -35,13 +38,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.ft.config import FTConfig
 from repro.ft.failures import PROC_FAILED, RankFailedError, RankFailure
-from repro.mpi import rendezvous
 from repro.mpi.request import Status
 from repro.recovery.policy import pair_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
-    from repro.ib.cq import WC
     from repro.mpi.endpoint import Endpoint
     from repro.mpi.request import Request
 
@@ -129,38 +130,6 @@ class FTManager:
             Status(source=peer, tag=-1, size=0, payload=None, error=PROC_FAILED)
         )
 
-    def on_error_wc(self, ep: "Endpoint", wc: "WC") -> Optional[int]:
-        """Absorb error completions explained by rank death.
-
-        Transport retry exhaustion toward a dead HCA is *detection*: the
-        RC transport declaring the peer unreachable confirms the failure
-        faster than the heartbeat's exponential rounds would.  Error
-        completions for already-declared peers are reclaimed quietly.
-        Returns a CPU cost to absorb the completion, or None to let the
-        normal (recovery / structured-connection-failure) path run.
-        """
-        if ep._halted or ep.rank in self.injected:
-            # The victim's own flushed completions: frozen state, absorb.
-            ep._reclaim_error_wc(wc)
-            return 0
-        conn = ep._conn_of(wc)
-        if conn is None:
-            return None
-        peer = conn.peer
-        if peer in self.dead:
-            ep._reclaim_error_wc(wc)
-            return 0
-        if peer in self.injected or self.cluster.endpoints[peer].hca.dead:
-            ep._reclaim_error_wc(wc)
-            self._declare(
-                peer,
-                detected_by=ep.rank,
-                rounds=self._rounds.get((ep.rank, peer), 0),
-                cause="transport-retry-exceeded",
-            )
-            return 0
-        return None
-
     # ------------------------------------------------------------------
     # hook from the fault injector
     # ------------------------------------------------------------------
@@ -188,7 +157,7 @@ class FTManager:
                 continue
             obs, peer = key
             reqs = [r for r in reqs if not r.done]
-            if not reqs or obs in self.dead or peer in self.dead or eps[obs]._halted:
+            if not reqs or obs in self.dead or peer in self.dead or eps[obs].hca.dead:
                 del self._watch[key]
                 self._rounds.pop(key, None)
                 continue
@@ -199,9 +168,7 @@ class FTManager:
             if now - self._last_heard[key] < bound:
                 continue
             if rounds >= cfg.confirmations:
-                self._declare(
-                    peer, detected_by=obs, rounds=rounds, cause="heartbeat-timeout"
-                )
+                self.declare(peer, detected_by=obs, cause="heartbeat-timeout")
                 continue
             if rounds == 0:
                 self.suspicions += 1
@@ -227,7 +194,7 @@ class FTManager:
             return
         eps = self.cluster.endpoints
         src = eps[obs]
-        if src.hca.dead or src._halted:
+        if src.hca.dead:
             return
         self.pings_sent += 1
         self.cluster.fabric.send_control(
@@ -237,7 +204,7 @@ class FTManager:
     def _ping_arrive(self, obs: int, peer: int) -> None:
         eps = self.cluster.endpoints
         target = eps[peer]
-        if peer in self.dead or target.hca.dead or target._halted:
+        if peer in self.dead or target.hca.dead:
             return  # a dead rank answers nothing: silence IS the signal
         self.pongs_sent += 1
         self.cluster.fabric.send_control(
@@ -254,7 +221,8 @@ class FTManager:
     # ------------------------------------------------------------------
     # declaration + ULFM-style propagation
     # ------------------------------------------------------------------
-    def _declare(self, rank: int, detected_by: int, rounds: int, cause: str) -> None:
+    def declare(self, rank: int, detected_by: int, cause: str) -> None:
+        """``detected_by`` found ``rank`` dead: record it, fail all toward it."""
         if rank in self.dead:
             return
         now = self.sim.now
@@ -267,7 +235,7 @@ class FTManager:
             cause=cause,
             died_ns=self._died_ns.get(rank, now),
             detected_ns=now,
-            suspect_rounds=rounds,
+            suspect_rounds=self._rounds.get((detected_by, rank), 0),
         )
         self.failures.append(failure)
         self.cluster.tracer.count("ft.rank_dead", rank)
@@ -278,51 +246,18 @@ class FTManager:
         cm = self.cluster.cm
         if cm is not None:
             cm.fail_toward(rank, RankFailedError(failure))
+        # cut every survivor loose (a static-mesh pair never touched is
+        # severed as built) and fail what it dropped or watched the rank for
         for ep in eps:
             if ep.rank != rank and ep.rank not in self.dead:
-                self._sever(ep, rank)
-        # Drop remaining detector state involving the dead rank (its own
-        # observations, plus pairs cleared by _sever).
+                self.cluster.wire(ep, rank)
+                for req in (*ep.sever(rank), *self._watch.pop((ep.rank, rank), ())):
+                    self.fail_request(ep, req, rank)
+                self._rounds.pop((ep.rank, rank), None)
+        # Drop remaining detector state involving the dead rank.
         for key in [k for k in self._watch if rank in k]:
             del self._watch[key]
             self._rounds.pop(key, None)
-
-    def _sever(self, ep: "Endpoint", rank: int) -> None:
-        """Cut one survivor loose from the dead rank: error the QP, drain
-        its flushed completions, fail every pending operation toward the
-        peer, and wake the survivor's progress loop so it observes the
-        PROC_FAILED completions."""
-        # a static-mesh pair the two never touched is severed as built
-        self.cluster.wire(ep, rank)
-        conn = ep.connections.get(rank)
-        if conn is not None:
-            conn.qp.force_error()  # idempotent
-            # un-polled flushes of the dead QP: reclaim their vbuf /
-            # posted-recv bookkeeping now (same contract as recovery)
-            ep.reclaim_flushed(conn.qp)
-            for pending in conn.backlog:
-                self.fail_request(ep, pending.request, rank)
-            conn.backlog = ()
-            conn.deferred = ()
-            if conn.ring is not None:
-                conn.ring.cq_stash = ()
-            ep._backlogged.discard(rank)
-        for sreq_id in [k for k, op in ep._rndv_send.items() if op.dst == rank]:
-            op = ep._rndv_send.pop(sreq_id)
-            if op.mr is not None and not op.bounce:
-                ep.pindown.release(op.buffer_id, op.mr)
-            self.fail_request(ep, op.request, rank)
-        for rreq_id in [k for k, op in ep._rndv_recv.items() if op.src == rank]:
-            op = rendezvous.finish(ep._rndv_recv, ep.bounce, rreq_id)  # frees its slot
-            if not op.bounce:
-                ep.pindown.release(op.buffer_id, op.mr)
-            self.fail_request(ep, op.request, rank)
-        for req in self._watch.pop((ep.rank, rank), ()):
-            self.fail_request(ep, req, rank)
-        self._rounds.pop((ep.rank, rank), None)
-        # a survivor parked in wait()/waitall() wakes to observe its
-        # PROC_FAILED completions
-        ep.cq.wake()
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

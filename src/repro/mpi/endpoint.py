@@ -7,8 +7,9 @@ matching engine, the pin-down cache and the rendezvous op tables.  It
 and the message decisions of :mod:`repro.mpi.protocol` and
 :mod:`repro.mpi.rendezvous` (DESIGN §5.3-5.4) — against the verbs layer,
 and runs the progress engine; the subsystems watch it through the
-observer seam (``Cluster.observe``), and ft and recovery decide at their
-own few sites.
+observer seam (``Cluster.observe``), ft and recovery decide at their own
+few sites, and an errored completion's verdict is one sim-free table
+(:func:`repro.recovery.failures.classify`) that the endpoint executes.
 
 All public operations are *generators* driven by the simulation kernel;
 application programs call them with ``yield from``::
@@ -45,7 +46,9 @@ from repro.mpi.protocol import Header, MPIError, MsgKind
 from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
-from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
+from repro.recovery.failures import (
+    DECLARE, FAIL, JOIN, RECOVER, ConnectionFailedError, ConnectionFailure, classify,
+)
 from repro.sim import TIMEOUTS, Signal, Simulator
 from repro.sim.trace import Tracer
 
@@ -616,23 +619,64 @@ class Endpoint:
         return [r for r in records if r is not None]
 
     def _handle_error_wc(self, wc: WC) -> int:
-        """A completion with non-success status: absorbed by ft when a dead
-        peer explains it (it may be the detection), else the start of a
-        recovery; with neither armed, the job fails with a structured
-        record."""
-        if self._ft is not None:
-            cost = self._ft.on_error_wc(self, wc)
-            if cost is not None:
-                return cost
-        if self._recovery is not None:
-            return self._recovery.on_error_wc(self, wc)
-        self._reclaim_error_wc(wc)
+        """A completion with non-success status: reclaimed, then the verdict
+        of :func:`~repro.recovery.failures.classify` executed."""
+        record = self._reclaim_error_wc(wc)
         conn = self._conn_of(wc)
-        peer = conn.peer if conn is not None else wc.peer
-        raise ConnectionFailedError(ConnectionFailure(
-            rank=self.rank, peer=peer, scheme=self.scheme.name.value,
-            epoch=conn.qp.epoch if conn is not None else 0,
-            cause=wc.status.value, elapsed_ns=self.sim.now, attempts=0))
+        ft, rec = self._ft, self._recovery
+        peer = wc.peer if conn is None else conn.peer
+        cause = wc.status.value
+        kind, *args = classify(
+            cause, conn is not None, peer,
+            dead=None if ft is None else ft.dead,
+            adapter_dead=conn is not None and self.hca.fabric.hca_at(conn.qp.remote_lid).dead,
+            recovery=rec is not None, recovering=conn is not None and conn.recovering,
+            attempts=0 if rec is None else rec.attempts(self.rank, peer),
+            max_attempts=0 if rec is None else rec.policy.max_attempts)
+        if kind == DECLARE:
+            ft.declare(peer, detected_by=self.rank, cause="transport-retry-exceeded")
+        elif kind == RECOVER:
+            rec.begin(self.rank, peer, args[0], cause)
+        elif kind == FAIL:
+            _, attempts, teardown = args
+            failure = ConnectionFailure(
+                rank=self.rank, peer=peer, scheme=self.scheme.name.value,
+                epoch=0 if conn is None else conn.qp.epoch, cause=cause,
+                elapsed_ns=self.sim.now, attempts=attempts)
+            if teardown:
+                rec.give_up(failure)
+            raise ConnectionFailedError(failure)
+        if kind == RECOVER or kind == JOIN:
+            rec.keep(self.rank, peer, record)
+        return 0
+
+    def sever(self, peer: int) -> List[Request]:
+        """Cut this rank loose from a dead ``peer``: error the QP, drop every
+        pending operation toward it and wake a parked progress loop;
+        returns the dropped requests, for ft to fail PROC_FAILED."""
+        dropped = []
+        conn = self.connections.get(peer)
+        if conn is not None:
+            conn.qp.force_error()  # idempotent
+            self.reclaim_flushed(conn.qp)
+            dropped += [pending.request for pending in conn.backlog]
+            conn.backlog = ()
+            conn.deferred = ()
+            if conn.ring is not None:
+                conn.ring.cq_stash = ()
+            self._backlogged.discard(peer)
+        for sreq_id in [k for k, op in self._rndv_send.items() if op.dst == peer]:
+            op = self._rndv_send.pop(sreq_id)
+            if op.mr is not None and not op.bounce:
+                self.pindown.release(op.buffer_id, op.mr)
+            dropped.append(op.request)
+        for rreq_id in [k for k, op in self._rndv_recv.items() if op.src == peer]:
+            op = rendezvous.finish(self._rndv_recv, self.bounce, rreq_id)  # frees its slot
+            if not op.bounce:
+                self.pindown.release(op.buffer_id, op.mr)
+            dropped.append(op.request)
+        self.cq.wake()
+        return dropped
 
     # --- inbound ---------------------------------------------------------
     def _deliver(self, conn: Connection, h: Header) -> int:

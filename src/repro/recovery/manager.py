@@ -9,7 +9,9 @@ headers, some are pinned under unexpected messages at the receiver.
 
 The manager drives one state machine per rank pair:
 
-1. **detect** — the first non-success WC for a pair begins recovery: both
+1. **detect** — :func:`~repro.recovery.failures.classify` decides and the
+   endpoint executes: the first non-success WC for a pair begins recovery
+   (:meth:`RecoveryManager.begin`), later ones join it; both
    connections freeze (``conn.recovering``), the surviving QP half is
    forced to ERROR so its queued WRs flush too, and what every flushed
    send carried as its ``wr_id`` (its header, or its rendezvous op) is
@@ -17,8 +19,8 @@ The manager drives one state machine per rank pair:
    in order, so the flushed sends are exactly the un-acked suffix).
 
 2. **backoff** — re-arm is scheduled ``min(max_delay, base * factor^(k-1))``
-   plus deterministic per-(pair, attempt) jitter after the fault.  The
-   cumulative attempt budget exceeded turns the pair's loss into a
+   plus deterministic per-(pair, attempt) jitter after the fault.  Once
+   the cumulative attempt budget is spent, the pair's next loss is a
    structured :class:`~repro.recovery.failures.ConnectionFailure` instead
    of an unbounded reconnect storm.
 
@@ -61,12 +63,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core import credit
 from repro.mpi.protocol import Header, MsgKind
-from repro.recovery.failures import ConnectionFailedError, ConnectionFailure
+from repro.recovery.failures import ConnectionFailure
 from repro.recovery.policy import RecoveryPolicy, pair_rng
 from repro.sim.units import to_us
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ib.wr import WC
     from repro.mpi.connection import Connection
     from repro.mpi.endpoint import Endpoint
 
@@ -118,32 +119,20 @@ class RecoveryManager:
             ep._recovery = None
 
     # ------------------------------------------------------------------
-    # detection (called from Endpoint._handle_error_wc)
+    # the verdicts of classify, as Endpoint._handle_error_wc executes them
     # ------------------------------------------------------------------
-    def on_error_wc(self, ep: "Endpoint", wc: "WC") -> int:
-        conn = ep._conn_of(wc)
-        record = ep._reclaim_error_wc(wc)
-        if conn is None:
-            return 0  # completion for a QP we no longer track
-        pair = self._pair(ep.rank, conn.peer)
-        rec = self._active.get(pair)
-        if rec is None:
-            rec = self._begin(pair, ep, conn, wc)  # may raise (budget)
-        if record is not None:
-            rec.replays[ep.rank].append(record)
-        return 0
+    def attempts(self, a: int, b: int) -> int:
+        """The recoveries the pair ``a``-``b`` has begun."""
+        return self._attempts.get(self._pair(a, b), 0)
 
-    def _begin(self, pair, ep: "Endpoint", conn: "Connection", wc: "WC") -> _PairRecovery:
-        attempt = self._attempts.get(pair, 0) + 1
+    def begin(self, rank: int, peer: int, attempt: int, cause: str) -> None:
+        """RECOVER: freeze the pair and schedule its re-arm."""
+        pair = self._pair(rank, peer)
         self._attempts[pair] = attempt
-        cause = wc.status.value
-        if attempt > self.policy.max_attempts:
-            self._fail(pair, ep.rank, conn.peer, ep, conn, cause, attempt - 1)
         a, b = pair
         ep_a, ep_b = self._ep(a), self._ep(b)
         conn_ab, conn_ba = ep_a.connections[b], ep_b.connections[a]
-        rec = _PairRecovery(pair, attempt, self.sim.now, cause)
-        self._active[pair] = rec
+        self._active[pair] = _PairRecovery(pair, attempt, self.sim.now, cause)
         self.recoveries_started += 1
         conn_ab.recovering = True
         conn_ba.recovering = True
@@ -161,23 +150,21 @@ class RecoveryManager:
             obs.on_quiet(self.sim.now + delay)
         ep_a.tracer.count("recovery.begin", f"{a}-{b}")
         self.sim.schedule(delay, self._rearm, pair)
-        return rec
 
-    def _fail(self, pair, rank, peer, ep: "Endpoint", conn: "Connection",
-              cause: str, attempts: int) -> None:
-        failure = ConnectionFailure(
-            rank=rank, peer=peer, scheme=ep.scheme.name.value,
-            epoch=conn.qp.epoch, cause=cause,
-            elapsed_ns=self.sim.now, attempts=attempts,
-        )
+    def keep(self, rank: int, peer: int, record: object) -> None:
+        """RECOVER or JOIN: ``rank``'s flushed send carried ``record``
+        (None for a receive), a replay candidate."""
+        if record is not None:
+            self._active[self._pair(rank, peer)].replays[rank].append(record)
+
+    def give_up(self, failure: ConnectionFailure) -> None:
+        """FAIL, the budget spent: record the loss.  An on-demand cluster
+        dismantles the pair, so a later request() re-runs the CM exchange
+        on fresh QPs."""
         self.failures.append(failure)
-        self._active.pop(pair, None)
-        cm = getattr(self.cluster, "cm", None)
+        cm = self.cluster.cm
         if cm is not None:
-            # On-demand clusters: dismantle the dead pair, so a later
-            # request() re-runs the CM exchange on fresh QPs.
-            cm.teardown(*pair)
-        raise ConnectionFailedError(failure)
+            cm.teardown(failure.rank, failure.peer)
 
     # ------------------------------------------------------------------
     # re-arm (manager callback after the backoff delay)

@@ -87,6 +87,16 @@ def test_finite_retry_detects_via_transport_exhaustion_and_faster():
     assert fast.detected_ns < slow.detected_ns
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_with_recovery_armed_too_a_dead_peer_is_declared_not_recovered(scheme):
+    """ft's row of the failure table comes first: a finite retry against
+    the dead adapter is the detection, and no recovery ever begins."""
+    r = _run_death(scheme, plan=_death_plan(transport_retry_limit=3), recovery=True)
+    (f,) = r.failures
+    assert isinstance(f, RankFailure) and f.cause == "transport-retry-exceeded"
+    assert r.recovery.summary()["recoveries"] == 0
+
+
 def test_heartbeat_only_detection_when_transport_is_silent():
     """Survivors only *receive* from the victim: no transport traffic
     toward the corpse, so explicit pings are the only liveness probe."""

@@ -25,6 +25,7 @@ from repro.core import make_scheme
 from repro.faults import FaultPlan, scenario_job
 from repro.ib import IBConfig, Opcode, QPState, SendWR, WCStatus
 from repro.recovery import ConnectionFailure, RecoveryPolicy
+from repro.recovery.failures import ABSORB, DECLARE, FAIL, JOIN, RECOVER, classify
 from repro.recovery.policy import pair_rng
 from repro.sim.units import us
 from tests.ib_helpers import build_pair
@@ -148,6 +149,69 @@ def test_permanent_link_down_fuzz_spec_reports_connection_failure(scheme):
     res = fuzz.run_spec(_link_down_spec(7, heal=False), scheme)
     assert not res["ok"]
     assert res["kind"] == "connection-failure", res
+
+
+def test_a_refused_attempt_is_not_counted():
+    # the budget is checked before an attempt is counted: the pair began
+    # max_attempts recoveries, and the one it was refused is none of them
+    policy = RecoveryPolicy(max_attempts=2)
+    r = run_job(scheme="static", **scenario_job("link-down-permanent", recovery=policy))
+    (f,) = r.failures
+    stats = r.recovery.summary()
+    assert stats["attempts_max"] == f.attempts == policy.max_attempts
+    assert stats["recoveries"] == policy.max_attempts and stats["failed_pairs"] == 1
+
+
+# ----------------------------------------------------------------------
+# the failure table: one verdict per error completion, no simulator
+# ----------------------------------------------------------------------
+CAUSE = WCStatus.RETRY_EXCEEDED.value
+
+
+@pytest.mark.parametrize("kw, verdict", [
+    # ft declared the peer dead already
+    (dict(owned=True, dead={1}, recovery=True), (ABSORB,)),
+    # ft armed and the peer's adapter dead: the transport's give-up is the
+    # detection, ahead of any recovery
+    (dict(owned=True, dead=set(), adapter_dead=True, recovery=True), (DECLARE, 1)),
+    # a later completion of a pair already recovering keeps its record
+    (dict(owned=True, recovery=True, recovering=True, attempts=5, max_attempts=5), (JOIN,)),
+    (dict(owned=True, dead=set(), recovery=True, attempts=1, max_attempts=3), (RECOVER, 2)),
+    # the budget spent: refused, not counted, and the pair torn down
+    (dict(owned=True, recovery=True, attempts=3, max_attempts=3), (FAIL, CAUSE, 3, True)),
+    # no recovery: lost at once (ft without a dead adapter explains nothing)
+    (dict(owned=True), (FAIL, CAUSE, 0, False)),
+    (dict(owned=True, dead=set()), (FAIL, CAUSE, 0, False)),
+    # no live connection owns it: recovery drops it, else the pair is lost
+    (dict(owned=False, dead=set(), recovery=True), (ABSORB,)),
+    (dict(owned=False, dead={1}, adapter_dead=True), (FAIL, CAUSE, 0, False)),
+    (dict(owned=False), (FAIL, CAUSE, 0, False)),
+], ids=["declared", "declare", "join", "recover", "budget", "plain", "ft-alive",
+        "unowned-recovery", "unowned-ft", "unowned-plain"])
+def test_classify_gives_one_verdict(kw, verdict):
+    assert classify(CAUSE, peer=1, **kw) == verdict
+
+
+def test_an_unowned_error_completion_fails_toward_its_wc_peer():
+    from repro.ib import WC
+    from repro.recovery import ConnectionFailedError
+    from repro.recovery.manager import RecoveryManager
+
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, make_scheme("static"), prepost=5)
+    ep = cluster.endpoints[0]
+    cluster.wire(ep, 1)
+    posted = ep.connections[1].recv_posted
+    # a receive flushed on a QP the pair no longer uses
+    wc = WC(wr_id=1, status=WCStatus.WR_FLUSH_ERROR, opcode=Opcode.SEND,
+            qp_num=ep.connections[1].qp.qp_num + 1, peer=1, is_recv=True)
+    with pytest.raises(ConnectionFailedError) as err:
+        ep._handle_error_wc(wc)
+    f = err.value.failure
+    assert (f.peer, f.epoch, f.attempts) == (1, 0, 0)
+    RecoveryManager().arm(cluster)
+    assert ep._handle_error_wc(wc) == 0  # dropped under recovery
+    assert ep.connections[1].recv_posted == posted  # and nobody's receive
 
 
 # ----------------------------------------------------------------------

@@ -148,7 +148,13 @@ def test_the_observer_seam_is_the_one_way_to_the_auditor():
     (r"tx_addr = ", {"mpi/rdma_channel.py"}),
     (r"cq\._entries = ", set()),  # CompletionQueue rebinds its own self._entries
     (r"cq\._notify = ", set()),  # only the CQ arms and fires its wait
-], ids=["on_write", "tx_ring", "cq_entries", "cq_notify"])
+    # the endpoint executes an errored completion's verdict (classify) and
+    # severs a dead peer itself: ft and recovery read none of its privates
+    (r"\b(_reclaim_error_wc|_conn_of|_halted|_backlogged)\b", {"mpi/endpoint.py"}),
+    (r"\b_rndv_(send|recv)\b", {"mpi/endpoint.py", "check/auditor.py"}),
+    (r"on_error_wc", set()),
+], ids=["on_write", "tx_ring", "cq_entries", "cq_notify",
+        "error_wc_internals", "rndv_tables", "on_error_wc"])
 def test_managers_do_not_open_code_internals(pattern, owners):
     assert _modules_matching(pattern) <= owners
 

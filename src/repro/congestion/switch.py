@@ -39,6 +39,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.congestion.config import DROP_RETRY_TIMEOUT_NS, CongestionConfig
+from repro.ib.types import INFINITE_RETRY
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
 
@@ -125,10 +126,12 @@ class PortQueue:
             tr = state.tracer
             tr.count("cong.drop", self.key)
             tr.record(state.sim.now, "cong.drop", self.key, item.dst)
-            # tail drop: the requester's ACK-timeout retry recovers it
+            # tail drop: the requester's ACK-timeout retry recovers it —
+            # a fault plan's, when one is armed, else an unlimited one
             msg = item.message
-            qp = state.fabric.hca_at(msg.src_lid).qp(msg.src_qpn)
-            qp.on_wire_loss(DROP_RETRY_TIMEOUT_NS)
+            hca = state.fabric.hca_at(msg.src_lid)
+            hca.qp(msg.src_qpn).arm_transport(
+                hca.fault_transport or (DROP_RETRY_TIMEOUT_NS, INFINITE_RETRY))
             if state.observer is not None:
                 # the replay comes at the first ACK-less timer period,
                 # at most two periods away: not a hang until then

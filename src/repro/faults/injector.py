@@ -13,7 +13,7 @@ the deterministic kernel.
 
 :class:`FaultInjector` — arms the state onto the fabric and the
 transport ACK-timeout retry on every QP (the recovery mechanism for wire
-loss; see ``QueuePair.adopt_fault_transport``), applies receiver-stall /
+loss; see ``QueuePair.arm_transport``), applies receiver-stall /
 HCA-pause events to endpoints and adapters, emits ``faults.*`` counters
 for the robustness report, and disarms all of it again.
 """
@@ -136,7 +136,7 @@ class FaultInjector:
         for hca in cluster.hcas:
             hca.fault_transport = arm  # what requesters built from now on get
             for qp in hca._qps.values():
-                qp.adopt_fault_transport()
+                qp.arm_transport(arm)
         sim = cluster.sim
         t0 = sim.now  # non-zero on a reused cluster
         if cluster.observer is not None:
@@ -154,7 +154,7 @@ class FaultInjector:
         for hca in self.cluster.hcas:
             hca.fault_transport = None
             for qp in hca._qps.values():
-                qp.adopt_fault_transport()
+                qp.arm_transport(None)
 
     def summary(self) -> Dict[str, int]:
         """The job's ``faults.*`` counter totals: events, losses, ACK timeouts."""

@@ -13,14 +13,15 @@ node, and models the two serialised engines of an InfiniHost-class adapter:
 
 The HCA is where channel semantics (SEND consumes a receive WQE, payload
 copied to the posted buffer) and memory semantics (RDMA bypasses the
-receive queue entirely) diverge — see ``QueuePair._receive`` for the
-protocol side.
+receive queue entirely) diverge — see :func:`repro.ib.transport.respond`
+for the protocol side.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.ib import transport
 from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
 from repro.ib.mr import MemoryRegion, RegistrationTable
@@ -115,7 +116,7 @@ class HCA:
     def destroy_qp(self, qp: QueuePair) -> None:
         """Release a dead QP (``ERROR`` or ``RESET``: its work queues are
         already flushed).  Packets still in flight to its number are
-        dropped on arrival (:meth:`_rx_process`).  Idempotent."""
+        dropped on arrival (:meth:`_rx_service`).  Idempotent."""
         if qp.state is QPState.READY:
             raise QPError(f"QP {qp.qp_num}: destroy_qp in state {qp.state}")
         self._qps.pop(qp.qp_num, None)
@@ -166,7 +167,7 @@ class HCA:
         if (
             qp._req._sq
             and qp.qp_num not in self._in_ready
-            and qp._next_injectable() is not None
+            and transport.injectable(qp._req, self._max_inflight) is not None
         ):
             self._ready.append(qp)
             self._in_ready.add(qp.qp_num)
@@ -194,10 +195,17 @@ class HCA:
         for _ in range(len(self._ready)):
             qp = self._ready.pop(0)
             self._in_ready.discard(qp.qp_num)
-            wr = qp._take_injectable()
+            req = qp._req
+            wr = transport.injectable(req, self._max_inflight)
             if wr is None:
                 continue  # re-kicked when it becomes eligible again
-            if qp._req._sq and qp._next_injectable() is not None:
+            act = transport.take(req, wr)
+            if act:
+                if act & transport.RESEND:
+                    self.tracer.count("ib.retransmission", (self.lid, qp.remote_lid))
+                if act & transport.WATCH:
+                    qp._watch()
+            if req._sq and transport.injectable(req, self._max_inflight) is not None:
                 self._ready.append(qp)
                 self._in_ready.add(qp.qp_num)
             cost = self._send_wqe_cost
@@ -205,7 +213,6 @@ class HCA:
             # Build the message now (the WR is final once taken) and put
             # the fabric hand-off itself on the agenda — one event, no
             # intermediate _inject frame.
-            qp._req.messages_sent += 1
             self.sim.call_later(
                 cost, self.fabric.transmit, self.lid, qp.remote_lid, wr.length,
                 _Message(qp, wr),
@@ -248,15 +255,11 @@ class HCA:
             self.sim.call_at(self._rx_fifo[0][0], self._rx_service)
         else:
             self._rx_armed = False
-        self._rx_process(msg)
-
-    def _rx_process(self, msg: _Message) -> None:
         if self.dead:
             return  # packets queued before death are never serviced
         qp = self._qps.get(msg.dst_qpn)
-        if qp is None:
-            return  # packet to a destroyed QP: silently dropped
-        qp._receive(msg)
+        if qp is not None:  # a packet to a destroyed QP is dropped
+            qp._receive(msg)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HCA lid={self.lid} qps={len(self._qps)}>"

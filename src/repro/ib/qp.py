@@ -1,33 +1,15 @@
-"""Reliable Connection queue pairs.
-
-This module is the transport heart of the substrate.  Each QP implements
-both halves of the IBA RC protocol at message granularity:
-
-**Requester** — WQEs posted to the send queue are injected in order by the
-HCA send engine, up to a pipelining window.  Each message carries a message
-sequence number (MSN).  A send completes (CQE) when its acknowledgement
-returns.  If the responder had no receive WQE, the requester receives an
-RNR NAK, freezes the QP for the configured RNR timer, then *replays* every
-unacknowledged message from the NAK point — exactly the
-timeout-and-retransmit behaviour the paper's hardware-based flow control
-scheme leans on.
-
-**Responder** — accepts only the expected MSN (late/duplicate packets from
-a replay era are dropped), consumes a receive WQE per SEND, never consumes
-one for RDMA, and acknowledges with a piggybacked advertisement of its
-remaining receive-WQE count (the IBA end-to-end flow-control credit field).
-
-The requester uses the advertised credits to gate SEND injection: with zero
-known credits it keeps at most one probe message outstanding rather than
-blasting the full window into a NAK storm.
-"""
+"""Reliable Connection queue pairs: the verbs surface of one end of an RC
+connection, executing what :mod:`repro.ib.transport` decides — it starts
+or cancels a timer, pushes a WC, sends a control packet or kicks the
+adapter's send engine (DESIGN §5.5)."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.ib.mr import RemoteAccessError
-from repro.ib.types import INFINITE_RETRY, Opcode, QPState, WCStatus
+from repro.ib import transport
+from repro.ib.transport import Requester
+from repro.ib.types import Opcode, QPState, WCStatus
 from repro.ib.wr import WC, RecvWR, SendWR
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,61 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class QPError(RuntimeError):
     pass
-
-
-class Requester:
-    """The send half of a queue pair: what is queued and in flight, the
-    per-incarnation transport state around it, and what it counted.  Each
-    QP builds its own when it is created."""
-
-    __slots__ = (
-        "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
-        "_credit_est", "_credit_est_msn", "_sends_inflight",
-        "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
-        "_xport_acks", "_xport_seen",
-        "rnr_naks_received", "retransmissions", "messages_sent",
-    )
-
-    def __init__(self, xport: Optional[Tuple[int, int]]):
-        self._rnr_timer_ev = self._xport_timer = None
-        self.set_transport(xport)
-        self.rnr_naks_received = self.retransmissions = self.messages_sent = 0
-        self.rewind()
-
-    def set_transport(self, xport: Optional[Tuple[int, int]]) -> None:
-        """Fault-mode transport reliability.  An ideal fabric never loses a
-        message, so the seed transport has no ACK-timeout machinery
-        (``None``); with ``(timeout_ns, retry_limit)`` the requester runs a
-        real RC local-ACK-timeout timer: no progress for a full period means
-        the oldest unacked message was lost, so replay from it."""
-        self._xport_enabled = xport is not None
-        self._xport_timeout_ns, self._xport_limit = xport or (0, INFINITE_RETRY)
-        if xport is None and self._xport_timer is not None:
-            self._xport_timer.cancel()
-            self._xport_timer = None
-
-    def cancel_timers(self) -> None:
-        for ev in (self._rnr_timer_ev, self._xport_timer):
-            if ev is not None:
-                ev.cancel()
-        self._rnr_timer_ev = self._xport_timer = None
-
-    def rewind(self) -> None:
-        """A new incarnation: every per-connection transport artifact back
-        to what a fresh requester has.  The transport settings (static QP
-        attributes) and the job's counters are not per incarnation."""
-        self.cancel_timers()
-        #: waiting to inject (incl. replays), and msn -> WR awaiting its
-        #: ACK.  ``sq_depth`` bounds the queue: a list, not a deque
-        self._sq: List[SendWR] = []
-        self._inflight: Dict[int, SendWR] = {}
-        self._next_msn = 0
-        self._rnr_waiting = False
-        self._credit_est: Optional[int] = None  # None = unknown/unlimited
-        self._credit_est_msn = -1  # freshness of the estimate
-        self._sends_inflight = 0
-        self._xport_acks = 0  # requester progress marker (ACKs absorbed)
-        self._xport_seen = 0  # progress at the last timer expiry
 
 
 class _Message:
@@ -139,7 +66,7 @@ class QueuePair:
         "hca", "qp_num", "send_cq", "recv_cq",
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
         "_req",
-        "_rq", "_expected_msn", "reack_stale",
+        "_rq", "_expected_msn",
         "rnr_naks_sent", "messages_delivered",
     )
 
@@ -174,9 +101,6 @@ class QueuePair:
         #: four, and a deque's first block is 760 B
         self._rq: List[RecvWR] = []
         self._expected_msn = 0
-        #: fault mode: re-acknowledge stale duplicates (their ACK was lost
-        #: on the wire) instead of dropping them silently
-        self.reack_stale = hca.fault_transport is not None
 
         # --- observability (the requester keeps its own three) ---
         self.rnr_naks_sent = 0
@@ -215,10 +139,8 @@ class QueuePair:
         already errored out (and flushed) is left alone, so the recovery
         manager can call this on both ends of a pair without caring which
         one detected the fault."""
-        if self.state is QPState.ERROR:
-            return
-        self.state = QPState.ERROR
-        self._flush()
+        if self.state is not QPState.ERROR:
+            self._flush()
 
     def reset(self) -> None:
         """ERROR → RESET (the verbs modify-QP step that precedes
@@ -226,7 +148,7 @@ class QueuePair:
         artifact — MSN counters, credit estimate, RNR/ACK-timeout timers —
         and bumps :attr:`epoch` so anything still in flight from the old
         incarnation is dropped by the epoch guards.  Fault-mode transport
-        settings (:meth:`enable_transport_retry`) survive, as they model
+        settings (:meth:`arm_transport`) survive, as they model
         static QP attributes."""
         if self.state is not QPState.ERROR:
             raise QPError(f"QP {self.qp_num}: reset() in state {self.state}")
@@ -284,71 +206,32 @@ class QueuePair:
         return len(req._sq) + len(req._inflight)
 
     # ------------------------------------------------------------------
-    # requester: injection (driven by the HCA send engine)
+    # executing the transport's decisions (repro.ib.transport)
     # ------------------------------------------------------------------
-    def _next_injectable(self) -> Optional[SendWR]:
-        """Return the WR the HCA engine may inject now, or None.
+    def arm_transport(self, xport: Optional[Tuple[int, int]]) -> None:
+        """Arm this QP's RC local-ACK-timeout retry with ``(timeout_ns,
+        retry_limit)``, or disarm it (``None``): :func:`transport.arm`.  A
+        fault plan arms and disarms every QP of an adapter; a congestion
+        drop arms the QP whose request it dropped."""
+        act = transport.arm(self._req, xport)
+        if act == transport.WATCH:
+            self._watch()
+        elif act == transport.CANCEL:
+            self._req._xport_timer.cancel()
+            self._req._xport_timer = None
 
-        Honours: QP state, RNR freeze, the pipelining window and the
-        end-to-end credit gate for SEND opcodes.
-        """
+    def _watch(self) -> None:
+        """Start the ACK timer (a transition returned ``WATCH``)."""
         req = self._req
-        if self.state is not QPState.READY or req._rnr_waiting or not req._sq:
-            return None
-        if len(req._inflight) >= self.hca._max_inflight:
-            return None
-        wr = req._sq[0]
-        if wr.opcode is Opcode.SEND and req._credit_est is not None:
-            if req._credit_est <= 0 and req._sends_inflight >= 1:
-                return None  # one probe at a time when starved
-        return wr
+        req._xport_timer = self.hca.sim.schedule(req._xport_timeout_ns, self._xport_expire)
 
-    def _take_injectable(self) -> Optional[SendWR]:
-        wr = self._next_injectable()
-        if wr is None:
-            return None
-        req = self._req
-        del req._sq[0]
-        if wr.msn < 0:
-            wr.msn = req._next_msn
-            req._next_msn += 1
-        else:
-            req.retransmissions += 1
-            self.hca.tracer.count("ib.retransmission", (self.hca.lid, self.remote_lid))
-        req._inflight[wr.msn] = wr
-        if wr.opcode is Opcode.SEND:
-            req._sends_inflight += 1
-            if req._credit_est is not None:
-                req._credit_est -= 1
-        if req._xport_enabled and req._xport_timer is None:
-            req._xport_seen = req._xport_acks
-            req._xport_timer = self.hca.sim.schedule(
-                req._xport_timeout_ns, self._xport_expire
-            )
-        return wr
-
-    # ------------------------------------------------------------------
-    # requester: acknowledgement handling
-    # ------------------------------------------------------------------
     def _on_ack(self, msn: int, advertised: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return  # ACK from a pre-recovery incarnation (MSNs restarted)
         req = self._req
-        wr = req._inflight.get(msn)
+        wr = transport.retire(req, msn, advertised)
         if wr is None:
-            return  # duplicate / stale ACK from a replay era
-        del req._inflight[msn]
-        req._xport_acks += 1
-        if wr.opcode is Opcode.SEND:
-            req._sends_inflight -= 1
-        if msn > req._credit_est_msn:
-            req._credit_est_msn = msn
-            if req._credit_est is not None:
-                # The gate is opt-in (hardware-based flow control sets an
-                # initial estimate); credits advertised net of our own
-                # still-inflight sends.
-                req._credit_est = advertised - req._sends_inflight
-        wr.rnr_tries = 0
+            return
         if wr.signaled:
             # per message: positional, in WC's field order
             self.send_cq.push(
@@ -360,319 +243,106 @@ class QueuePair:
     def _on_rnr_nak(self, msn: int, epoch: int = 0) -> None:
         if epoch != self.epoch:
             return
-        req = self._req
-        if msn not in req._inflight or req._rnr_waiting:
-            return  # duplicate NAK for a message already being replayed
-        req.rnr_naks_received += 1
-        self.hca.tracer.count("ib.rnr_nak", (self.hca.lid, self.remote_lid))
-        if req._credit_est is not None:
-            req._credit_est = 0
-            req._credit_est_msn = max(req._credit_est_msn, msn - 1)
-
-        wr = req._inflight[msn]
-        tries = wr.rnr_tries = wr.rnr_tries + 1
-        cfg = self.hca.config
-        if cfg.rnr_retry_count != INFINITE_RETRY and tries > cfg.rnr_retry_count:
-            del req._inflight[msn]
-            if wr.opcode is Opcode.SEND:
-                req._sends_inflight -= 1
-            self._fatal(wr, WCStatus.RNR_RETRY_EXCEEDED)
+        wait = transport.rnr_nak(self._req, msn, self.hca.config)
+        if wait == transport.DROP:
             return
-
-        delay = cfg.rnr_timer_ns
-        if cfg.rnr_backoff_factor != 1.0 and tries > 1:
-            # Exponential backoff on consecutive NAKs for the same message;
-            # rnr_tries resets to 0 on any ACK, so one delivered message
-            # snaps the wait back to the base timer.
-            delay = min(
-                int(delay * cfg.rnr_backoff_factor ** (tries - 1)),
-                cfg.rnr_backoff_max_ns,
-            )
-        req._rnr_waiting = True
-        req._rnr_timer_ev = self.hca.sim.schedule(delay, self._rnr_expire, msn)
+        self.hca.tracer.count("ib.rnr_nak", (self.hca.lid, self.remote_lid))
+        if wait == transport.FATAL:
+            self._fail(msn, WCStatus.RNR_RETRY_EXCEEDED)
+        else:
+            self._req._rnr_timer_ev = self.hca.sim.schedule(wait, self._rnr_expire, msn)
 
     def _rnr_expire(self, nak_msn: int) -> None:
-        req = self._req
-        req._rnr_waiting = False
-        req._rnr_timer_ev = None
-        self._requeue_unacked(nak_msn)
-        # Allow one probe even with zero estimated credits (handled by the
-        # injection gate).
+        self._req._rnr_timer_ev = None
+        transport.rnr_expire(self._req, nak_msn)
         self.hca._kick(self)
-
-    def _requeue_unacked(self, first_msn: int) -> None:
-        """Move every unacked message from ``first_msn`` on back to the
-        head of the send queue, in MSN order (go-back-N: later messages
-        were discarded by the responder's in-order filter)."""
-        req = self._req
-        inflight = req._inflight
-        sq = req._sq
-        for msn in sorted((m for m in inflight if m >= first_msn), reverse=True):
-            wr = inflight.pop(msn)
-            if wr.opcode is Opcode.SEND:
-                req._sends_inflight -= 1
-                if req._credit_est is not None:
-                    req._credit_est += 1
-            sq.insert(0, wr)
-
-    # ------------------------------------------------------------------
-    # requester: transport (ACK timeout) retries — armed by a fault plan or
-    # by the first congestion drop
-    # ------------------------------------------------------------------
-    def enable_transport_retry(self, timeout_ns: int, retry_limit: int) -> None:
-        """Arm this QP's RC local-ACK-timeout timer
-        (:meth:`Requester.set_transport`).  With ``retry_limit =
-        INFINITE_RETRY`` the QP replays forever; otherwise the oldest
-        message errors out with ``WCStatus.RETRY_EXCEEDED`` after
-        ``retry_limit`` fruitless timeout periods."""
-        self._req.set_transport((int(timeout_ns), retry_limit))
-        self.reack_stale = True
-
-    def adopt_fault_transport(self) -> None:
-        """``hca.fault_transport`` changed (``repro.faults`` armed or
-        disarmed a plan; ``None`` is the ideal fabric's transport, whatever
-        armed this QP before): follow it."""
-        xport = self.hca.fault_transport
-        self.reack_stale = xport is not None
-        self._req.set_transport(xport)
-
-    def on_wire_loss(self, timeout_ns: int) -> None:
-        """The fabric dropped one of this QP's requests (congestion tail
-        drop): nothing will ever acknowledge it, so the ACK timeout must
-        be running.  A QP some fault plan already armed keeps its own
-        settings; otherwise arm with ``timeout_ns`` and no retry limit."""
-        req = self._req
-        if not req._xport_enabled:
-            self.enable_transport_retry(timeout_ns, INFINITE_RETRY)
-        if req._xport_timer is None and req._inflight:
-            req._xport_seen = req._xport_acks
-            req._xport_timer = self.hca.sim.schedule(
-                req._xport_timeout_ns, self._xport_expire
-            )
 
     def _xport_expire(self) -> None:
         req = self._req
         req._xport_timer = None
-        if self.state is not QPState.READY or not req._inflight:
-            return  # re-armed on the next injection
-        if req._rnr_waiting or req._xport_acks != req._xport_seen:
-            # RNR recovery is already driving a replay, or ACKs arrived
-            # during the period — keep watching, don't retransmit.
-            req._xport_seen = req._xport_acks
-            req._xport_timer = self.hca.sim.schedule(
-                req._xport_timeout_ns, self._xport_expire
-            )
+        act = transport.expire(req)
+        if act == transport.DROP:
             return
-        # A full timeout with zero progress: the oldest unacked message (or
-        # its ACK) was lost on the wire.  Retry accounting is per-WR.
-        oldest = min(req._inflight)
-        wr = req._inflight[oldest]
-        tries = wr.xport_tries + 1
-        wr.xport_tries = tries
-        self.hca.tracer.count(
-            "faults.transport_timeout", (self.hca.lid, self.remote_lid)
-        )
-        if req._xport_limit != INFINITE_RETRY and tries > req._xport_limit:
-            del req._inflight[oldest]
-            if wr.opcode is Opcode.SEND:
-                req._sends_inflight -= 1
-            self._fatal(wr, WCStatus.RETRY_EXCEEDED)
+        if act != transport.WATCH:
+            self.hca.tracer.count("faults.transport_timeout", (self.hca.lid, self.remote_lid))
+        if act == transport.FATAL:
+            self._fail(min(req._inflight), WCStatus.RETRY_EXCEEDED)
             return
-        self._requeue_unacked(oldest)
-        req._xport_seen = req._xport_acks
-        req._xport_timer = self.hca.sim.schedule(
-            req._xport_timeout_ns, self._xport_expire
-        )
-        self.hca._kick(self)
+        self._watch()
+        if act == transport.REPLAY:
+            self.hca._kick(self)
 
     def _on_remote_error(self, msn: int, status: WCStatus, epoch: int = 0) -> None:
-        if epoch != self.epoch:
-            return
-        inflight = self._req._inflight
-        wr = inflight.get(msn)
-        if wr is None:
-            return
-        del inflight[msn]
-        self._fatal(wr, status)
+        if epoch == self.epoch and transport.remote_error(self._req, msn) == transport.FATAL:
+            self._fail(msn, status)
 
-    def _fatal(self, wr: SendWR, status: WCStatus) -> None:
-        """Complete ``wr`` with an error and flush the QP."""
-        self.state = QPState.ERROR
-        self.send_cq.push(
-            WC(
-                wr_id=wr.wr_id,
-                status=status,
-                opcode=wr.opcode,
-                qp_num=self.qp_num,
-                peer=self.remote_lid,
-            )
-        )
+    def _fail(self, msn: int, status: WCStatus) -> None:
+        """``msn`` completes with ``status``; the QP enters ERROR."""
+        wr = transport.retire(self._req, msn)
+        self._error(wr.wr_id, wr.opcode, status)
         self._flush()
 
     def _flush(self) -> None:
-        """Cancel timers and flush both work queues with WR_FLUSH_ERROR
-        completions (the QP is already in ERROR state)."""
+        """Enter ERROR — every way in comes here: stop both timers and
+        complete every queued, in-flight and posted WR with
+        ``WR_FLUSH_ERROR``."""
+        self.state = QPState.ERROR
         req = self._req
-        for pending in list(req._inflight.values()) + list(req._sq):
-            self.send_cq.push(
-                WC(
-                    wr_id=pending.wr_id,
-                    status=WCStatus.WR_FLUSH_ERROR,
-                    opcode=pending.opcode,
-                    qp_num=self.qp_num,
-                    peer=self.remote_lid,
-                )
-            )
-        req.cancel_timers()
-        req._inflight.clear()
-        req._sq.clear()
+        for wr in transport.flush(req):
+            self._error(wr.wr_id, wr.opcode, WCStatus.WR_FLUSH_ERROR)
+        for ev in (req._rnr_timer_ev, req._xport_timer):
+            if ev is not None:
+                ev.cancel()
+        req._rnr_timer_ev = req._xport_timer = None
         for rwr in self._rq:
-            self.recv_cq.push(
-                WC(
-                    wr_id=rwr.wr_id,
-                    status=WCStatus.WR_FLUSH_ERROR,
-                    opcode=Opcode.SEND,
-                    qp_num=self.qp_num,
-                    peer=self.remote_lid,
-                    is_recv=True,
-                )
-            )
+            self._error(rwr.wr_id, Opcode.SEND, WCStatus.WR_FLUSH_ERROR, True)
         self._rq.clear()
 
-    # ------------------------------------------------------------------
-    # responder: inbound message handling (called by the HCA)
-    # ------------------------------------------------------------------
-    def _receive(self, msg: _Message) -> None:
-        if self.state is not QPState.READY:
-            return  # drops on dead QPs
-        if msg.epoch != self.epoch:
-            return  # in-flight data from a pre-recovery incarnation
-        if msg.msn != self._expected_msn:
-            # Stale duplicate from a replay era (msn < expected) or an
-            # out-of-order packet after a NAK (msn > expected): discard.
-            # In fault mode a stale duplicate means the original *ACK* was
-            # lost on the wire — re-acknowledge it, or the requester's
-            # transport timer replays forever.
-            if self.reack_stale and msg.msn < self._expected_msn:
-                self._ack(msg)
-            return
+    def _error(self, wr_id, opcode: Opcode, status: WCStatus, recv: bool = False,
+               byte_len: int = 0) -> None:
+        """An error completion of this QP, on its receive CQ (``recv``) or
+        its send CQ."""
+        (self.recv_cq if recv else self.send_cq).push(
+            WC(wr_id, status, opcode, byte_len, None, self.qp_num, self.remote_lid, recv))
 
-        if msg.opcode is Opcode.SEND:
-            if not self._rq:
-                self.rnr_naks_sent += 1
-                self.hca.tracer.count("ib.rnr_nak_sent", (self.hca.lid, msg.src_lid))
-                self.hca.fabric.send_control(
-                    self.hca.lid,
-                    msg.src_lid,
-                    self._peer()._on_rnr_nak,
-                    msg.msn,
-                    self.epoch,
-                )
-                return
-            rwr = self._rq[0]
-            if msg.length > rwr.capacity:
-                del self._rq[0]
-                self._expected_msn += 1
-                self.recv_cq.push(
-                    WC(
-                        wr_id=rwr.wr_id,
-                        status=WCStatus.LOCAL_LENGTH_ERROR,
-                        opcode=Opcode.SEND,
-                        byte_len=msg.length,
-                        qp_num=self.qp_num,
-                        peer=msg.src_lid,
-                        is_recv=True,
-                    )
-                )
-                self.state = QPState.ERROR
-                self.hca.fabric.send_control(
-                    self.hca.lid,
-                    msg.src_lid,
-                    self._peer()._on_remote_error,
-                    msg.msn,
-                    WCStatus.REMOTE_ACCESS_ERROR,
-                    self.epoch,
-                )
-                return
-            # Accepted: engine time is already paid, complete now (per
-            # message: positional, in WC's field order).
-            del self._rq[0]
-            self._expected_msn += 1
-            self.messages_delivered += 1
+    def _receive(self, msg: _Message) -> None:
+        """An inbound message at receive-engine service time (the HCA)."""
+        act = transport.respond(self, msg, self.hca.mrs)
+        if act == transport.DROP:
+            return
+        hca = self.hca
+        rq = self._rq
+        if act == transport.DELIVER:
+            # engine time is already paid: complete now (per message:
+            # positional, in WC's field order).  ``del``, not ``pop(0)``: a
+            # queue emptied by ``del`` frees its array
+            rwr = rq[0]
+            del rq[0]
             self.recv_cq.push(
                 WC(rwr.wr_id, WCStatus.SUCCESS, Opcode.SEND, msg.length,
                    msg.payload, self.qp_num, msg.src_lid, True)
             )
-            self._ack(msg)
-        elif msg.opcode is Opcode.RDMA_WRITE:
-            try:
-                mr = self.hca.mrs.check_remote(msg.rkey, msg.remote_addr, msg.length)
-            except RemoteAccessError:
-                self._expected_msn += 1
-                self.hca.fabric.send_control(
-                    self.hca.lid,
-                    msg.src_lid,
-                    self._peer()._on_remote_error,
-                    msg.msn,
-                    WCStatus.REMOTE_ACCESS_ERROR,
-                    self.epoch,
-                )
-                return
-            mr.store(msg.remote_addr, msg.payload)
-            self._expected_msn += 1
-            self.messages_delivered += 1
-            self._ack(msg)
-        else:  # pragma: no cover - exhaustive enum
-            raise QPError(f"unknown opcode {msg.opcode}")
+        elif act == transport.RNR_NAK:
+            hca.tracer.count("ib.rnr_nak_sent", (hca.lid, msg.src_lid))
+            hca.fabric.send_control(hca.lid, msg.src_lid, self._peer()._on_rnr_nak,
+                                    msg.msn, self.epoch)
+            return
+        elif act != transport.ACK:  # a length or an RDMA access error
+            if act == transport.LENGTH_ERROR:
+                rwr = rq[0]
+                del rq[0]
+                self._error(rwr.wr_id, Opcode.SEND, WCStatus.LOCAL_LENGTH_ERROR, True,
+                            msg.length)
+            hca.fabric.send_control(hca.lid, msg.src_lid, self._peer()._on_remote_error,
+                                    msg.msn, WCStatus.REMOTE_ACCESS_ERROR, self.epoch)
+            if act == transport.LENGTH_ERROR:
+                self._flush()
+            return
+        # the e2e credit field: the receive WQEs left
+        hca.fabric.send_control(hca.lid, msg.src_lid, (self._peer_qp or self._peer())._on_ack,
+                                msg.msn, len(rq), self.epoch)
 
-    # ------------------------------------------------------------------
-    # introspection (used by repro.check)
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> list:
-        """Structural self-audit; returns a list of problem strings
-        (empty when healthy).  Cheap — called at end of audited runs."""
-        problems = []
-        if self.outstanding_sends > self.hca.sq_depth:
-            problems.append(
-                f"QP {self.qp_num}: {self.outstanding_sends} outstanding "
-                f"sends exceed sq_depth {self.hca.sq_depth}"
-            )
-        req = self._req
-        for msn in req._inflight:
-            if msn >= req._next_msn:
-                problems.append(
-                    f"QP {self.qp_num}: inflight msn {msn} >= next_msn "
-                    f"{req._next_msn}"
-                )
-        sends = sum(
-            1 for wr in req._inflight.values() if wr.opcode is Opcode.SEND
-        )
-        if req._sends_inflight != sends:
-            problems.append(
-                f"QP {self.qp_num}: _sends_inflight={req._sends_inflight} "
-                f"but {sends} SEND WRs are inflight"
-            )
-        if len(self._rq) > self.hca.rq_depth:
-            problems.append(
-                f"QP {self.qp_num}: {len(self._rq)} posted recvs exceed "
-                f"rq_depth {self.hca.rq_depth}"
-            )
-        if self.state is QPState.ERROR and self.outstanding_sends:
-            problems.append(
-                f"QP {self.qp_num}: ERROR state with unflushed work queues"
-            )
-        return problems
-
-    def _ack(self, msg: _Message) -> None:
-        hca = self.hca
-        hca.fabric.send_control(
-            hca.lid,
-            msg.src_lid,
-            (self._peer_qp or self._peer())._on_ack,
-            msg.msn,
-            len(self._rq),  # the e2e credit field: receive WQEs left
-            self.epoch,
-        )
+    check_invariants = transport.check_invariants
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -30,6 +30,7 @@ from repro.congestion import CongestionConfig
 from repro.congestion.switch import PortQueue
 from repro.core import DynamicScheme, credit, make_scheme
 from repro.faults import scenario_job
+from repro.ib import transport
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.protocol import MsgKind
@@ -207,6 +208,22 @@ def test_a_backlog_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method,
 def test_the_backlog_program_runs_clean_on_the_shipped_endpoint():
     r = run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
     assert r.report()["fc"]["backlog_max"] > 1  # the drain had a head to choose
+
+
+# ----------------------------------------------------------------------
+# transport mutant: the RC transport's own source with one edit
+# ----------------------------------------------------------------------
+def test_a_transport_mutant_is_caught_by_the_job_end_sweep(monkeypatch):
+    # the ACK retire forgets the SEND it retired: the requester's count of
+    # SENDs in flight only grows, which the static scheme never reads, so
+    # the job completes and only the queue pairs' own audit can tell
+    monkeypatch.setattr(transport, "retire", _mutant(
+        transport, "retire", "req._sends_inflight -= 1", "pass"))
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(_burst, 2, "static", prepost=1, config=TestbedConfig(nodes=2), audit=True)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == ("qp-state", (0, 1), 1_000_000), v
+    assert "_sends_inflight=15 but 0 SEND WRs are inflight" in str(v)  # all it sent
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ class _ScriptedLoss:
 def test_transport_timeout_recovers_a_dropped_message():
     sim, fabric, _, qp0, qp1, cq0, cq1 = build_pair()
     fabric.fault = _ScriptedLoss(data=1)
-    qp0.enable_transport_retry(us(50), INFINITE_RETRY)
+    qp0.arm_transport((us(50), INFINITE_RETRY))
     qp1.post_recv(RecvWR(wr_id="r", capacity=2048))
     qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=64, payload="lost?"))
     sim.run(max_events=2_000_000)
@@ -61,8 +61,8 @@ def test_lost_ack_recovered_by_stale_reack():
     fabric.fault = _ScriptedLoss(control=1)  # kills the first ACK
     # Both ends are armed (as FaultInjector does): the requester needs the
     # timeout timer, the responder needs stale-duplicate re-ACKing.
-    qp0.enable_transport_retry(us(50), INFINITE_RETRY)
-    qp1.enable_transport_retry(us(50), INFINITE_RETRY)
+    qp0.arm_transport((us(50), INFINITE_RETRY))
+    qp1.arm_transport((us(50), INFINITE_RETRY))
     qp1.post_recv(RecvWR(wr_id="r", capacity=2048))
     qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=64, payload="once"))
     sim.run(max_events=2_000_000)
@@ -74,7 +74,7 @@ def test_lost_ack_recovered_by_stale_reack():
 def test_bounded_transport_retry_errors_out():
     sim, fabric, _, qp0, qp1, cq0, cq1 = build_pair()
     fabric.fault = _ScriptedLoss(data=10**9)  # black hole
-    qp0.enable_transport_retry(us(50), retry_limit=2)
+    qp0.arm_transport((us(50), 2))
     qp1.post_recv(RecvWR(wr_id="r", capacity=2048))
     qp0.post_send(SendWR(wr_id="dead", opcode=Opcode.SEND, length=64, payload="x"))
     sim.run(max_events=2_000_000)
@@ -88,7 +88,7 @@ def test_bounded_transport_retry_errors_out():
 def test_go_back_n_replay_preserves_order_exactly_once():
     sim, fabric, _, qp0, qp1, cq0, cq1 = build_pair()
     fabric.fault = _ScriptedLoss(data=3)  # first three messages vanish
-    qp0.enable_transport_retry(us(50), INFINITE_RETRY)
+    qp0.arm_transport((us(50), INFINITE_RETRY))
     for i in range(8):
         qp1.post_recv(RecvWR(wr_id=i, capacity=2048))
     for i in range(8):

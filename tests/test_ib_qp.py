@@ -421,7 +421,7 @@ def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
     assert (qp0.messages_sent, req._next_msn, qp1.messages_sent) == (1, 1, 0)
     # a requester lasts: a flush drains it, a reset rewinds it, and neither
     # forgets what the job counted or how the QP was configured
-    qp0.enable_transport_retry(50_000, retry_limit=3)
+    qp0.arm_transport((50_000, 3))
     qp0.force_error()
     qp0.reset()
     qp0.connect(1, qp1.qp_num)
@@ -432,3 +432,49 @@ def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
     assert qp0.messages_sent == 0
     with pytest.raises(AttributeError):
         qp0.messages_sent = 1  # a QP's requester counters are read-only views
+
+
+# ----------------------------------------------------------------------
+# every entry into ERROR flushes, and a flush retires what it completes
+# ----------------------------------------------------------------------
+def test_a_length_error_flushes_the_responder():
+    """The responder's length error is an entry into ERROR like any other:
+    its other posted receive and its own sends complete, flushed."""
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    qp1.post_recv(RecvWR(wr_id="r0", capacity=4))
+    qp1.post_recv(RecvWR(wr_id="r1", capacity=4))
+    for i in range(2):
+        qp1.post_send(SendWR(wr_id=f"s{i}", opcode=Opcode.SEND, length=8, payload=i))
+    qp0.post_send(SendWR(wr_id="big", opcode=Opcode.SEND, length=64, payload="x"))
+    run(sim)
+    got = {(wc.wr_id, wc.is_recv): wc.status for wc in cq1.poll()}
+    assert got == {("r0", True): WCStatus.LOCAL_LENGTH_ERROR,
+                   ("r1", True): WCStatus.WR_FLUSH_ERROR,
+                   ("s0", False): WCStatus.WR_FLUSH_ERROR,
+                   ("s1", False): WCStatus.WR_FLUSH_ERROR}
+    assert [(wc.wr_id, wc.status) for wc in cq0.poll()] == [
+        ("big", WCStatus.REMOTE_ACCESS_ERROR)]
+    assert (qp1.posted_recvs, qp1.outstanding_sends) == (0, 0)
+    assert qp0.check_invariants() == [] and qp1.check_invariants() == []
+
+
+def test_force_error_retires_the_send_in_flight():
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="x"))
+    sim.run(until=IBConfig().rnr_timer_ns // 2)  # NAKed: in flight, frozen
+    assert qp0._req._sends_inflight == 1
+    qp0.force_error()
+    assert [(wc.wr_id, wc.status) for wc in cq0.poll()] == [("s", WCStatus.WR_FLUSH_ERROR)]
+    assert qp0._req._sends_inflight == 0 and qp0.check_invariants() == []
+
+
+def test_a_remote_error_retires_every_send_in_flight():
+    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
+    qp1.post_recv(RecvWR(wr_id="small", capacity=4))
+    for i in range(3):
+        qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=64, payload=i))
+    run(sim)
+    assert [(wc.wr_id, wc.status) for wc in cq0.poll()] == [
+        (0, WCStatus.REMOTE_ACCESS_ERROR), (1, WCStatus.WR_FLUSH_ERROR),
+        (2, WCStatus.WR_FLUSH_ERROR)]
+    assert qp0._req._sends_inflight == 0 and qp0.check_invariants() == []

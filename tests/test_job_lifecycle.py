@@ -103,7 +103,7 @@ def _attachments(cluster):
         "hca.fault_transport": {hca.fault_transport for hca in cluster.hcas},
         "qp transport retry": {
             (qp._req._xport_enabled, qp._req._xport_timeout_ns, qp._req._xport_limit,
-             qp._req._xport_timer, qp.reack_stale) for qp in qps
+             qp._req._xport_timer) for qp in qps
         },
         "cm._chaos": cluster.cm._chaos if cluster.cm is not None else None,
     }
@@ -135,7 +135,7 @@ def test_an_armed_job_leaves_nothing_behind(armable, on_demand, scheme):
     fresh = _attachments(wire_all(_launch(scheme, on_demand=False)))  # has QPs
     got = _attachments(cluster)
     pristine_qp = fresh.pop("qp transport retry")
-    assert pristine_qp == {(False, 0, INFINITE_RETRY, None, False)}
+    assert pristine_qp == {(False, 0, INFINITE_RETRY, None)}
     assert got.pop("qp transport retry") == pristine_qp
     assert got == fresh
 
@@ -325,7 +325,7 @@ def test_a_fault_plans_clock_is_the_jobs_clock():
 def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
     cluster, jobs = _three_jobs("static", False, faults=_drop_plan())
     assert {hca.fault_transport for hca in cluster.hcas} == {None}
-    assert not any(qp._req._xport_enabled or qp.reack_stale
+    assert not any(qp._req._xport_enabled
                    for hca in cluster.hcas for qp in hca._qps.values())
     # an empty plan arms every QP's ACK timeout and changes nothing else:
     # the job after it takes the never-faulted number of events
@@ -336,8 +336,8 @@ def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
 
 def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
     """The ACK timeout is adapter-wide while a plan is armed
-    (``hca.fault_transport``): the injector turns each wired QP's responder
-    flag and requester settings in place, a pair wired during the faulted
+    (``hca.fault_transport``): the injector turns each wired QP's transport
+    settings in place, a pair wired during the faulted
     job reads the adapter's settings, and the rest of the mesh stays
     unwired."""
     nranks = 32
@@ -355,13 +355,13 @@ def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
     def program(mpi):  # ... and wires more while armed (stride 3)
         if mpi.rank == 0:
             seen.append({(qp._req._xport_enabled, qp._req._xport_timeout_ns,
-                          qp._req._xport_limit, qp.reack_stale) for qp in before})
+                          qp._req._xport_limit) for qp in before})
             seen.append(len(built))
         yield from _ring(3, rounds=40)(mpi)
 
     r = run_job(program, nranks, "static", 2, cluster=cluster, faults=plan)
     assert r.completed and r.report()["faults"]["faults.wire_drop"] > 0
-    assert seen == [{(True, *armed, True)}, 0]  # arming built no requester
+    assert seen == [{(True, *armed)}, 0]  # arming built no requester
     during = [qp for hca in cluster.hcas for qp in hca._qps.values() if qp not in before]
     assert during and all(qp._req._xport_timeout_ns == armed[0] for qp in during)
     assert len(built) == len(during)  # one a QP, wired while armed

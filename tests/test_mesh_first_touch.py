@@ -156,7 +156,7 @@ def test_a_pair_wired_at_first_touch_is_its_eager_twin(scheme, eager):
     for a, b in pairs[third:2 * third]:
         lazy.wire(lazy.endpoints[b], a)  # from the other end this time
         assert_twins(lazy, twin, a, b)
-        assert lazy.endpoints[a].connections[b].qp.reack_stale  # the plan's transport
+        assert lazy.endpoints[a].connections[b].qp._req._xport_enabled  # the plan's transport
     assert armed[0][1].hook_calls == 0  # the auditor saw none of it
 
     for cluster, subs in zip((lazy, twin), armed):

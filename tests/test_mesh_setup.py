@@ -24,6 +24,7 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan
+from repro.ib import transport
 from repro.ib.qp import QueuePair
 from repro.ib.types import IBConfig, Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR
@@ -151,7 +152,7 @@ def test_idle_connection_holds_no_queue_objects():
             assert q == () and not isinstance(q, deque)
             assert len(q) == 0 and not q and list(q) == []
         assert conn.qp._req._sq == [] and conn.qp.outstanding_sends == 0
-        assert conn.qp._next_injectable() is None
+        assert transport.injectable(conn.qp._req, conn.qp.hca._max_inflight) is None
         assert conn.qp.check_invariants() == []
         assert "backlog=0" in repr(conn) and "sq=0" in repr(conn.qp)
     assert all(ep._locally_quiescent() for ep in cluster.endpoints)

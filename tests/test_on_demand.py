@@ -239,7 +239,8 @@ def test_teardown_destroys_both_qps():
     late.msn = 0
     msg = _Message(qp01, late)
     delivered = qp10.messages_delivered
-    hca1._rx_process(msg)  # silently dropped
+    hca1._deliver(msg)
+    cluster.sim.run(until=cluster.sim.now + us(10))  # serviced, silently dropped
     assert qp10.messages_delivered == delivered and len(hca1._qps) == before[1]
 
     again = run_job(_pair_program(2), 4, "static", prepost=4, cluster=cluster,

@@ -72,10 +72,10 @@ def _layer(per_connection, sub=""):
                if path.startswith(SRC + sub))
 
 
-#: (ib, mpi, core, cluster, everything under src/repro) per connection.  Four
+#: (ib, mpi, core, cluster, everything under src/repro) per connection.  Three
 #: of the ib frames build the QP's ``Requester`` (its ``__init__``,
-#: ``set_transport``, ``rewind``, ``cancel_timers``); ib was 4 while a QP
-#: that had not sent shared one idle requester
+#: ``rewind`` and ``transport.arm``); ib was 4 while a QP that had not sent
+#: shared one idle requester
 CEILINGS = {
     "hardware": (8, 4, 1, 2, 15),
     "static": (8, 4, 1, 2, 15),

@@ -379,6 +379,28 @@ def test_one_collector_pause_and_one_recv_descriptor_site():
     assert not re.search(r"^\s*(for|while)\b", set_up, re.M)
 
 
+def test_the_rc_transport_is_one_sim_free_module():
+    """Every RC transition is a function of ``repro.ib.transport`` (DESIGN
+    §5.5): it imports no simulator, adapter or fabric; only the queue pair
+    and the adapter call it; and a queue pair's transport is armed through
+    one method, which the fault injector and the congestion drop call."""
+    imported = set()
+    for node in ast.walk(ast.parse(_src("ib/transport.py"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [m for m in imported
+                if m.startswith(("repro.sim", "repro.ib.hca", "repro.ib.fabric"))]
+    importers = r"(?m)^\s*(?:from repro\.ib\.transport import|from repro\.ib import .*\btransport\b)"
+    assert _modules_matching(importers) == {"ib/qp.py", "ib/hca.py"}
+    assert _modules_matching(r"\.arm_transport\(") == {"faults/injector.py",
+                                                       "congestion/switch.py"}
+    for gone in (r"\bset_transport\(", r"enable_transport_retry", r"adopt_fault_transport",
+                 r"on_wire_loss", r"reack_stale"):
+        assert not _modules_matching(gone), gone
+
+
 # ----------------------------------------------------------------------
 # a job costs what it touched: nothing a job runs every time walks a static
 # mesh's whole table, every peer of every rank (tests/test_job_bookkeeping.py
@@ -418,7 +440,9 @@ def test_one_site_builds_a_requester_and_arming_builds_none():
     assert len(re.findall(built, _src("ib/qp.py"))) == 1
     assert re.search(built, inspect.getsource(QueuePair.__init__))
     assert len(re.findall(r"\._req\s*=(?!=)", _src("ib/qp.py"))) == 1  # never replaced
-    assert not _modules_matching(r"\._req\b") - {"ib/qp.py", "ib/hca.py"}
+    # read by its queue pair, the adapter's send engine and the transport
+    # machine's responder filter and audit (DESIGN §5.5)
+    assert not _modules_matching(r"\._req\b") - {"ib/qp.py", "ib/hca.py", "ib/transport.py"}
     # the report and the reset go through the verbs layer's own two calls
     for counter in ("rnr_naks_received", "rnr_naks_sent", "retransmissions",
                     "messages_sent", "messages_delivered"):
@@ -474,7 +498,6 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
         built_by = {"mpi/endpoint.py", "ib/hca.py"}  # ... = None, once, at birth
         assert _modules_matching(pattern) - built_by == {owner}, pattern
         assert {"def arm(", "def disarm("} <= set(re.findall(r"def \w+\(", _src(owner)))
-    assert _modules_matching(r"\.adopt_fault_transport\(") == {"faults/injector.py"}
     # the observer slots are resolved where observers join and leave
     assert _modules_matching(r"\.observer = ") - {"congestion/switch.py", "mpi/endpoint.py"} == {
         "cluster/builder.py"}

@@ -30,10 +30,11 @@ cluster's, the switch model's) and validates, *while a job runs*:
     passed through the backlog (or the unpaid RTS minted by the rendezvous
     fallback for one);
 
-(d) **matching order and completeness** per (src, dst, context, tag) — MPI
-    non-overtaking governs the *matching* order, so the sequence of
-    matched message sizes must be a prefix of the sent sizes (completion
-    order may legally invert for mixed eager/rendezvous traffic);
+(d) **matching order** per (src, dst, context, tag) — MPI non-overtaking
+    governs the *matching* order, so the sequence of matched message sizes
+    must be a prefix of the sent sizes (completion order may legally
+    invert for mixed eager/rendezvous traffic); a send never matched is
+    pending work, which (e) reports;
 
 (e) a **progress watchdog** — while MPI work is pending, some hook must
     fire within ``quiet_bound_ns`` of simulated time, else the job is
@@ -502,7 +503,7 @@ class Auditor:
             self._dequeued.add(id(header))
 
     # ------------------------------------------------------------------
-    # (d) matching order / completeness
+    # (d) matching order
     # ------------------------------------------------------------------
     def on_app_send(self, src: int, dst: int, tag: int, context: int,
                     size: int) -> None:
@@ -684,9 +685,9 @@ class Auditor:
     # ------------------------------------------------------------------
     def on_job_end(self, expect_quiescent: bool = True) -> None:
         """Full sweep after a run.  Conservation and lease balance must
-        hold at any agenda drain; completeness, pool-fullness and the
-        receive-population reconciliation additionally require the job to
-        have finalized (``expect_quiescent``)."""
+        hold at any agenda drain; pool-fullness and the receive-population
+        reconciliation additionally require the job to have finalized
+        (``expect_quiescent``)."""
         self.check_all_pairs()
         dead = self._dead
         for ep in self._endpoints:
@@ -732,17 +733,6 @@ class Auditor:
                         f"port {key}: still paused by "
                         f"{sorted(port.paused_by)} at quiescence",
                     )
-        for key, (sent, matched) in self._streams.items():
-            if key[0] in dead or key[1] in dead:
-                continue  # traffic to/from a dead rank legally unmatched
-            if matched != sent:
-                self._violate(
-                    "matching-completeness",
-                    f"key (src={key[0]}, dst={key[1]}, ctx={key[2]}, "
-                    f"tag={key[3]}): {len(sent)} sent, {len(matched)} "
-                    f"matched",
-                    pair=(key[0], key[1]),
-                )
         # Control traffic that arrived *after* its destination finalized
         # parks in a posted vbuf with its completion unpolled — the
         # carried credits die there legitimately (the rank is done), so
@@ -784,12 +774,6 @@ class Auditor:
                     f"{self._lease[ep.rank]} leases open, pool "
                     f"{pool.free}/{pool.capacity} free",
                 )
-            if pool.waiting:
-                self._violate(
-                    "buffer-lease",
-                    f"rank {ep.rank}: {pool.waiting} sender(s) still "
-                    "parked on the vbuf pool",
-                )
             # Receive-population reconciliation: every posted vbuf is
             # either a live WQE or an arrival still unpolled in the CQ.
             unpolled: Dict[int, int] = {}
@@ -810,8 +794,8 @@ class Auditor:
                 if conn.ring is not None:
                     # Ring slots, not WQEs, back the credits — and at
                     # quiescence every deposited slot must have been
-                    # reclaimed (copy-out frees in order, matching
-                    # completeness already forced every eager through).
+                    # reclaimed (copy-out frees in order, and the
+                    # watchdog already forced every eager through).
                     if row.back.ring_held:
                         self._violate(
                             "ring-slot-leak",

@@ -117,7 +117,7 @@ class ConnectionManager:
         sig = Signal(f"cm.{pair}")
         self._pending[pair] = sig
         if self._chaos is None:
-            self.cluster.sim.schedule(self.setup_ns, self._establish, pair, sig)
+            self.cluster.sim.call_later(self.setup_ns, self._establish, pair, sig)
         else:
             self._attempt(pair, sig, 1)
         return sig
@@ -135,7 +135,7 @@ class ConnectionManager:
         if lost:
             tracer.count("cm.setup_lost", pair)
         else:
-            sim.schedule(self.setup_ns + extra, self._establish, pair, sig)
+            sim.call_later(self.setup_ns + extra, self._establish, pair, sig)
         # The timeout covers the worst-case chaotic exchange plus the
         # attempt's backoff share, so an establish in flight always wins
         # the race against its own timer.
@@ -143,7 +143,7 @@ class ConnectionManager:
         backoff = pol.backoff_ns(attempt)
         if pol.jitter_ns:
             backoff += rng.randrange(pol.jitter_ns)
-        sim.schedule(
+        sim.call_later(
             self.setup_ns + chaos.delay_ns + backoff,
             self._setup_timeout, pair, sig, attempt,
         )

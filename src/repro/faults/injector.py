@@ -143,8 +143,8 @@ class FaultInjector:
             # the plan's windows stall progress legitimately
             cluster.observer.on_quiet(t0 + plan.end_ns)
         for ev in plan.events:
-            sim.schedule_at(t0 + ev.at_ns, self._begin, ev)
-            sim.schedule_at(t0 + ev.end_ns, self._end, ev)
+            sim.call_at(t0 + ev.at_ns, self._begin, ev)
+            sim.call_at(t0 + ev.end_ns, self._end, ev)
 
     def disarm(self) -> None:
         """Undo :meth:`arm`: a healthy fabric, and every adapter and QP back

@@ -187,7 +187,7 @@ class FTManager:
         delay = 0
         if cfg.jitter_ns:
             delay = pair_rng(cfg.seed, obs, peer, attempt).randrange(cfg.jitter_ns)
-        self.sim.schedule(delay, self._ping_depart, obs, peer)
+        self.sim.call_later(delay, self._ping_depart, obs, peer)
 
     def _ping_depart(self, obs: int, peer: int) -> None:
         if peer in self.dead or obs in self.dead:

@@ -103,7 +103,7 @@ class Endpoint:
             from repro.mpi.rdma_channel import RDMAChannel
 
         self.cq = hca.create_cq(f"mpi.cq.{rank}")
-        self.pool = SendBufferPool(sim, config.send_pool_buffers, config.vbuf_bytes)
+        self.pool = SendBufferPool(config.send_pool_buffers, config.vbuf_bytes)
         self.matching = MatchingEngine()
         self.pindown = PinDownCache(hca)
         bounce_mr = hca.reg_mr(config.vbuf_bytes * 64)

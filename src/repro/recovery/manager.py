@@ -149,7 +149,7 @@ class RecoveryManager:
             obs.on_recovery_begin(a, b)
             obs.on_quiet(self.sim.now + delay)
         ep_a.tracer.count("recovery.begin", f"{a}-{b}")
-        self.sim.schedule(delay, self._rearm, pair)
+        self.sim.call_later(delay, self._rearm, pair)
 
     def keep(self, rank: int, peer: int, record: object) -> None:
         """RECOVER or JOIN: ``rank``'s flushed send carried ``record``

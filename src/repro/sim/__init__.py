@@ -6,7 +6,7 @@ this reproduction:
 * the clock is an **integer nanosecond** counter — event ordering is exact
   and runs are bit-reproducible;
 * simulated actors are plain Python generators ("processes") that ``yield``
-  *waitables* (:class:`Timeout`, :class:`Signal`, another :class:`Process`);
+  *waitables* (:class:`Timeout`, :class:`Signal`);
 * ties are broken by a monotonically increasing sequence number, so two runs
   of the same program produce identical event orders.
 

@@ -10,13 +10,12 @@ is the exact ``(time, seq)`` execution order and the value of
 :attr:`Simulator.events_executed` — nothing else about the agenda is
 observable, and nothing outside ``repro.sim`` knows its layout.
 
-* **Entry shapes.**  ``seq`` is unique, so a comparison never reaches past
-  the two leading ints — which permits *mixed* shapes on one heap:
-  fire-and-forget events (``call_soon``/``call_later``/``call_at``, every
-  ``Timeout`` wakeup) are bare ``(time, seq, callback, args)`` 4-tuples with
-  no event object at all; cancellable ones (``schedule``/``schedule_at``)
-  are ``(time, seq, ScheduledEvent)`` 3-tuples, told apart at dispatch by
-  ``len``.
+* **One entry shape.**  Every heap entry is a ``(time, seq, callback,
+  args)`` 4-tuple; ``seq`` is unique, so a comparison never reaches past the
+  two leading ints.  A cancellable event (``schedule``) is the same tuple
+  with its handle's ``_fire`` as the callback, and ``cancel()`` removes it
+  from the heap at once — O(n), but only the queue pair's RNR and ACK
+  timers are ever cancelled, and only when a QP enters ERROR.
 * **Same-instant FIFO.**  A fire-and-forget event due at the current instant
   (``call_soon``, ``call_later(0, ...)``, ``call_at(now, ...)``) skips the
   heap: it is appended to a deque of ``(seq, callback, args)`` that
@@ -27,12 +26,6 @@ observable, and nothing outside ``repro.sim`` knows its layout.
   a same-instant entry climbs to the heap's root on the push and the pop
   sifts the root back down.  Only this module knows it exists; an entry at
   the current instant is just as correct on the heap.
-* **Lazy cancellation.**  ``cancel()`` only marks the handle; the entry is
-  dropped when it reaches the head (by ``run`` or ``peek``).  When cancelled
-  entries outnumber live ones the heap is rebuilt without them
-  (:meth:`Simulator._compact`), which keeps the agenda bounded under
-  schedule/cancel churn.  Each cancelled entry is physically discarded — and
-  counted off — exactly once, so the counter can never go negative.
 * **``run(max_events=...)``** checks the budget *before* consuming an entry:
   when it raises, every counted event actually ran and the would-be-next
   entry is still on the agenda, so post-mortem state tells the truth.
@@ -104,38 +97,39 @@ def gc_paused(settle: bool = False) -> Iterator[None]:
 class ScheduledEvent:
     """A cancellable entry on the simulator agenda.
 
-    Instances are returned by :meth:`Simulator.schedule`; calling
-    :meth:`cancel` before the event fires removes its effect (the agenda
-    entry is lazily discarded).
+    Returned by :meth:`Simulator.schedule`; its agenda entry is the plain
+    ``(time, seq, self._fire, ())``, and :meth:`cancel` before the event
+    fires takes that entry off the agenda.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "callback", "args", "_sim")
 
-    def __init__(self, time: int, seq: int, callback: Callable, args: tuple):
+    def __init__(self, sim: "Simulator", time: int, seq: int, callback: Callable,
+                 args: tuple):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = False
-        #: back-ref for cancellation accounting; cleared once discarded
-        self._sim: Optional["Simulator"] = None
+        #: the simulator whose agenda holds the entry; None once it fired
+        #: or was cancelled
+        self._sim: Optional["Simulator"] = sim
+
+    def _fire(self) -> None:
+        self._sim = None
+        self.callback(*self.args)
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancel()
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            q = sim._q  # in place: run() holds a binding to the list
+            q.remove((self.time, self.seq, self._fire, ()))
+            heapify(q)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
+        state = "" if self._sim is not None else " done"
         return f"<ScheduledEvent t={self.time} seq={self.seq}{state}>"
-
-
-#: compact the agenda once at least this many cancelled entries accumulate
-#: *and* they outnumber the live ones
-_COMPACT_MIN = 64
 
 
 class Simulator:
@@ -146,24 +140,19 @@ class Simulator:
     one instant are first-scheduled-first-run.  :attr:`events_executed`
     counts the callbacks that ran (cancelled entries never count).  The
     agenda is one heap behind a same-instant FIFO (see the module docstring
-    for both, the entry shapes, lazy cancellation and the ``max_events``
-    budget).
+    for both, the entry shape and the ``max_events`` budget).
     """
 
-    __slots__ = (
-        "now", "_q", "_now_q", "_seq", "_running", "_cancelled_pending", "events_executed",
-    )
+    __slots__ = ("now", "_q", "_now_q", "_seq", "_running", "events_executed")
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: the agenda: a heap of (time, seq, ScheduledEvent) and
-        #: (time, seq, callback, args) tuples
+        #: the agenda: a heap of (time, seq, callback, args) tuples
         self._q: List[tuple] = []
         #: same-instant FIFO of (seq, callback, args), all due at ``now``
         self._now_q: Deque[tuple] = deque()
         self._seq: int = 0
         self._running = False
-        self._cancelled_pending = 0  # cancelled entries still on the agenda
         #: number of events executed so far (cancelled events excluded)
         self.events_executed: int = 0
 
@@ -171,46 +160,32 @@ class Simulator:
     # scheduling primitives
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``callback(*args)`` ``delay`` nanoseconds from now.
+        """``call_later(delay, ...)`` that returns a cancellable handle.
 
-        ``delay`` must be a non-negative integer; fractional delays are
-        rejected with :class:`SimulationError` to protect determinism.
-        Returns a cancellable handle.
+        The handle's entry always goes on the heap, a zero ``delay``
+        included, so :meth:`ScheduledEvent.cancel` finds it there.
         """
         if type(delay) is not int:
             delay = _as_int_ns(delay, "delay")
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self._push_handle(self.now + delay, callback, args)
-
-    def schedule_at(self, time: int, callback: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``callback(*args)`` at absolute simulated ``time`` (an
-        integer; fractional times raise :class:`SimulationError`)."""
-        if type(time) is not int:
-            time = _as_int_ns(time, "time")
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} (now is {self.now})"
-            )
-        return self._push_handle(time, callback, args)
-
-    def _push_handle(self, time: int, callback: Callable, args: tuple) -> ScheduledEvent:
         seq = self._seq = self._seq + 1
-        ev = ScheduledEvent(time, seq, callback, args)
-        ev._sim = self
-        heappush(self._q, (time, seq, ev))
+        ev = ScheduledEvent(self, self.now + delay, seq, callback, args)
+        heappush(self._q, (ev.time, seq, ev._fire, ()))
         return ev
 
-    # --- fire-and-forget: a bare 4-tuple entry, no event object -------
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current instant, after every event
-        already scheduled for it.  Equivalent to ``schedule(0, ...)`` minus
-        the cancellation handle and the heap traffic."""
+        already scheduled for it."""
         self._seq += 1
         self._now_q.append((self._seq, callback, args))
 
     def call_later(self, delay: int, callback: Callable, *args: Any) -> None:
-        """``schedule(delay, ...)`` without a cancellation handle."""
+        """Run ``callback(*args)`` ``delay`` nanoseconds from now.
+
+        ``delay`` must be a non-negative integer; fractional delays are
+        rejected with :class:`SimulationError` to protect determinism.
+        """
         if type(delay) is not int:
             delay = _as_int_ns(delay, "delay")
         if delay < 0:
@@ -222,7 +197,8 @@ class Simulator:
         heappush(self._q, (self.now + delay, seq, callback, args))
 
     def call_at(self, time: int, callback: Callable, *args: Any) -> None:
-        """``schedule_at(time, ...)`` without a cancellation handle."""
+        """Run ``callback(*args)`` at absolute simulated ``time`` (an
+        integer; fractional times raise :class:`SimulationError`)."""
         if type(time) is not int:
             time = _as_int_ns(time, "time")
         if time < self.now:
@@ -234,42 +210,6 @@ class Simulator:
             self._now_q.append((seq, callback, args))
             return
         heappush(self._q, (time, seq, callback, args))
-
-    # --- cancellation accounting --------------------------------------
-    def _note_cancel(self) -> None:
-        """A pending handle was cancelled; compact the agenda when
-        cancelled entries dominate (lazy-cancel would otherwise let
-        pathological schedule/cancel churn grow the agenda without
-        bound)."""
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= _COMPACT_MIN
-            and self._cancelled_pending * 2 > len(self._q)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Remove every cancelled entry from the agenda in one pass.
-
-        Zeroes ``_cancelled_pending`` from what is actually present, so it
-        is idempotent and safe to call at any instant — including between
-        ``peek()`` discards, which share the same per-entry accounting (one
-        decrement where an entry is physically dropped, never anywhere
-        else).  The list is rebuilt in place: ``run()`` holds a local
-        binding to it across callbacks.
-        """
-        q = self._q
-        live = []
-        append = live.append
-        for e in q:
-            if len(e) == 3 and e[2].cancelled:
-                e[2]._sim = None
-            else:
-                append(e)
-        if len(live) != len(q):
-            q[:] = live
-            heapify(q)
-        self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
     # process management
@@ -342,37 +282,16 @@ class Simulator:
                 else:
                     break
                 time = e[0]
-                if len(e) == 3:
-                    ev = e[2]
-                    if ev.cancelled:
-                        heappop(q)
-                        self._cancelled_pending -= 1
-                        ev._sim = None
-                        continue
-                    if time > stop:
-                        break
-                    if executed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
-                    heappop(q)
-                    self.now = now = time
-                    executed += 1
-                    ev.callback(*ev.args)
-                    # Drop the back-ref so a late cancel() cannot corrupt
-                    # the cancellation accounting.
-                    ev._sim = None
-                else:
-                    if time > stop:
-                        break
-                    if executed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
-                    heappop(q)
-                    self.now = now = time
-                    executed += 1
-                    e[2](*e[3])
+                if time > stop:
+                    break
+                if executed >= limit:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely livelock"
+                    )
+                heappop(q)
+                self.now = now = time
+                executed += 1
+                e[2](*e[3])
             if until is not None:
                 self.now = until
         finally:
@@ -401,19 +320,10 @@ class Simulator:
         self.call_later(interval_ns, tick)
 
     def peek(self) -> Optional[int]:
-        """Time of the next non-cancelled event, or ``None`` if idle."""
+        """Time of the next event, or ``None`` if idle."""
         if self._now_q:
             return self.now
-        q = self._q
-        while q:
-            e = q[0]
-            if len(e) == 3 and e[2].cancelled:
-                heappop(q)
-                self._cancelled_pending -= 1
-                e[2]._sim = None
-                continue
-            return e[0]
-        return None
+        return self._q[0][0] if self._q else None
 
     @property
     def _pending(self) -> int:

@@ -3,15 +3,15 @@
 A process wraps a Python generator.  Each ``yield`` hands a
 :class:`~repro.sim.waitables.Waitable` to the kernel; when it fires, the
 generator is resumed with the waitable's value.  ``return value`` inside the
-generator becomes :attr:`Process.result`, and a finished process is itself a
-waitable (join semantics), so programs compose with ``yield from`` for
-sub-routines and ``yield other_process`` for fork/join.
+generator becomes :attr:`Process.result`.  Programs compose with ``yield
+from`` for sub-routines; an exception that escapes a generator is raised
+out of :meth:`Simulator.run <repro.sim.engine.Simulator.run>`.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.waitables import Timeout, Waitable
 
@@ -26,16 +26,7 @@ class ProcessKilled(Exception):
     """Injected into a generator by :meth:`Process.kill`."""
 
 
-class ProcessFailed(RuntimeError):
-    """Raised in a joiner when the joined process died with an exception."""
-
-    def __init__(self, process: "Process", cause: BaseException):
-        super().__init__(f"process {process.name!r} failed: {cause!r}")
-        self.process = process
-        self.cause = cause
-
-
-class Process(Waitable):
+class Process:
     """A running simulated activity.
 
     Attributes
@@ -45,10 +36,9 @@ class Process(Waitable):
     result:
         The generator's return value once finished.
     failure:
-        The exception that terminated the generator, if any.  Unhandled
-        process failures are re-raised from :meth:`Simulator.run` via the
-        joiners; a process nobody joins re-raises immediately so errors are
-        never silently dropped.
+        The exception that terminated the generator, if any; it is also
+        raised out of :meth:`Simulator.run` at once, so an error is never
+        silently dropped.
     """
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
@@ -58,8 +48,6 @@ class Process(Waitable):
         self.alive = True
         self.result: Any = None
         self.failure: Optional[BaseException] = None
-        self._joiners: List[Process] = []
-        self._join_cbs: List[Any] = []
         # Hot path: bind once.  ``_resume`` is scheduled tens of thousands
         # of times per run; shadowing the methods with instance attributes
         # avoids a bound-method allocation per wakeup, and ``_send`` skips
@@ -117,38 +105,8 @@ class Process(Waitable):
         self.alive = False
         self.result = result
         self.failure = failure
-        joiners, self._joiners = self._joiners, []
-        cbs, self._join_cbs = self._join_cbs, []
-        if failure is not None and not joiners and not cbs:
-            # Nobody is listening: surface the error now rather than letting
-            # the simulation silently continue in a corrupt state.
+        if failure is not None:
             raise failure
-        for joiner in joiners:
-            if failure is not None:
-                self.sim.call_soon(joiner._resume, None, ProcessFailed(self, failure))
-            else:
-                self.sim.call_soon(joiner._resume, result, None)
-        for cb in cbs:
-            self.sim.call_soon(cb, self)
-
-    # ------------------------------------------------------------------
-    # waitable interface (join)
-    # ------------------------------------------------------------------
-    def _block(self, sim: "Simulator", process: "Process") -> None:
-        if not self.alive:
-            if self.failure is not None:
-                sim.call_soon(process._resume, None, ProcessFailed(self, self.failure))
-            else:
-                sim.call_soon(process._resume, self.result, None)
-        else:
-            self._joiners.append(process)
-
-    def on_exit(self, callback) -> None:
-        """Register ``callback(process)`` to run when this process ends."""
-        if not self.alive:
-            self.sim.call_soon(callback, self)
-        else:
-            self._join_cbs.append(callback)
 
     # ------------------------------------------------------------------
     # control

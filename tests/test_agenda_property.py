@@ -5,12 +5,13 @@ seq)`` order, a zero-delay event merges by seq with whatever else is due at
 that instant, cancellation suppresses callbacks, and ``run(until=)`` parks
 the clock without losing future events.  These tests drive the real
 :class:`Simulator` and a deliberately naive reference (one heap of
-``(time, seq, handle, callback, args)``, no fast paths, no lazy-cancel
-accounting) with the same seeded-random scripts — zero delays, ties on the
-same nanosecond, near-future bursts and far-future timers, through every
-scheduling entry point — and assert identical callback order.  The same
-reference checks the one agenda push that lives outside ``engine.py``
-(``Process._resume``'s ``Timeout`` wakeup) and the fabric's delivery order.
+``(time, seq, handle, callback, args)``, no fast paths, cancellation by a
+flag checked at the head) with the same seeded-random scripts — zero
+delays, ties on the same nanosecond, near-future bursts and far-future
+timers, through every scheduling entry point — and assert identical
+callback order.  The same reference checks the one agenda push that lives
+outside ``engine.py`` (``Process._resume``'s ``Timeout`` wakeup) and the
+fabric's delivery order.
 """
 
 import random
@@ -19,7 +20,7 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.sim import Simulator, Timeout
-from repro.sim.engine import SimulationError, _COMPACT_MIN
+from repro.sim.engine import SimulationError
 
 #: two magnitudes, in ns, the delay mix is drawn around: the few-µs scale of
 #: fabric/HCA delays and the ms scale of RNR backoff and watchdog timers
@@ -58,9 +59,6 @@ class RefSim:
         self._seq += 1
         heappush(self._q, (self.now + delay, self._seq, h, callback, args))
         return h
-
-    def schedule_at(self, time, callback, *args):
-        return self.schedule(time - self.now, callback, *args)
 
     def call_soon(self, callback, *args):
         self.schedule(0, callback, *args)
@@ -178,8 +176,8 @@ def _drive(sim, seed):
             sim.call_later(_delay(rng), make_cb(("later", op), 0))
         elif r < 0.75:
             sim.call_at(sim.now + _delay(rng), make_cb(("at", op), 0))
-        elif r < 0.78:
-            handles.append(sim.schedule_at(sim.now + _delay(rng), make_cb(("h_at", op), 0)))
+        elif r < 0.78:  # a handle due now merges by seq with the FIFO
+            handles.append(sim.schedule(0, make_cb(("h0", op), 0)))
         elif r < 0.80:
             log.append(("peek", op, sim.peek()))
         elif r < 0.84 and handles:
@@ -298,50 +296,38 @@ def test_fabric_deliveries_to_one_lid_fire_in_arrival_then_transmit_order():
 
 
 # ----------------------------------------------------------------------
-# satellite: cancellation accounting under cancel/peek/schedule churn
+# satellite: cancel() takes the entry off the agenda at once
 # ----------------------------------------------------------------------
 def test_cancel_peek_schedule_churn_accounting():
-    """Interleave cancel/peek/schedule so lazy discards (run loop and
-    ``peek``) race the compaction threshold; the cancelled-entry counter
-    must stay exact and non-negative throughout."""
+    """Interleave schedule/cancel/peek/run(until=): after every step the
+    agenda holds exactly the live handles, ``peek`` reads the earliest of
+    them, and cancelling a handle that already fired changes nothing."""
     rng = random.Random(1234)
     sim = Simulator()
-    fired = []
-    live = []
+    fired, cancelled = [], set()
+    live, done = [], []
     for round_ in range(40):
-        for i in range(3 * _COMPACT_MIN):
-            h = sim.schedule(rng.randrange(0, 4 * _BUCKET), fired.append, (round_, i))
-            live.append(h)
+        for i in range(192):
+            live.append(sim.schedule(rng.randrange(0, 4 * _BUCKET), fired.append, (round_, i)))
         rng.shuffle(live)
-        # cancel enough to cross the compaction threshold repeatedly
         for _ in range(len(live) * 2 // 3):
-            live.pop().cancel()
-            assert sim._cancelled_pending >= 0
-        sim.peek()  # discards cancelled heads, shares the same accounting
-        assert sim._cancelled_pending >= 0
-        sim.run(until=sim.now + rng.randrange(0, 2 * _BUCKET))
-        assert sim._cancelled_pending >= 0
-    sim.run()
-    assert sim._cancelled_pending == 0
-    assert sim._pending == 0
-    # every non-cancelled schedule fired exactly once
-    assert len(fired) == sim.events_executed
-
-
-def test_compaction_is_idempotent():
-    sim = Simulator()
-    keep = []
-    for i in range(200):
-        h = sim.schedule(1 + i * 37, keep.append, i)
-        if i % 3:
+            h = live.pop()
             h.cancel()
-    sim._compact()
-    state1 = (sim._cancelled_pending, sim._pending)
-    sim._compact()  # second pass must be a no-op
-    assert (sim._cancelled_pending, sim._pending) == state1
-    assert sim._cancelled_pending == 0
+            cancelled.add(h.args[0])
+        for h in rng.sample(done, min(len(done), 20)):
+            h.cancel()  # already fired: a no-op
+        assert sim._pending == len(live)
+        assert sim.peek() == min(h.time for h in live)
+        sim.run(until=sim.now + rng.randrange(0, 2 * _BUCKET))
+        done += [h for h in live if h.time <= sim.now]
+        live = [h for h in live if h.time > sim.now]
+        assert sim._pending == len(live)
     sim.run()
-    assert sorted(keep) == [i for i in range(200) if not i % 3]
+    assert sim._pending == 0
+    # every handle not cancelled fired exactly once
+    assert len(fired) == sim.events_executed == len(set(fired))
+    assert cancelled.isdisjoint(fired)
+    assert len(fired) + len(cancelled) == 40 * 192
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,6 @@ def test_pool_release_counter_balances():
     r = run_job(scheme="dynamic", **scenario_job(fuzz.generate_spec(6, None), 6, audit=True))
     for ep in r.endpoints:
         assert ep.pool.releases == ep.pool.acquisitions
-        assert ep.pool.waiting == 0
 
 
 def test_qp_check_invariants_clean_and_dirty():
@@ -267,6 +266,28 @@ def test_the_matching_program_runs_clean_on_the_shipped_engine(scheme_name):
     assert r.endpoints[1].matching.total_unexpected == 3  # every match was a late one
 
 
+def _one_late_send(mpi):
+    """One eager send that waits unexpected for its receive."""
+    if mpi.rank == 0:
+        yield from mpi.send(1, size=4)
+    else:
+        yield from mpi.compute(50_000)
+        yield from mpi.recv(source=0, capacity=64)
+
+
+def test_an_unannounced_match_is_pending_work_for_the_watchdog(monkeypatch):
+    # a late receive matches without telling the auditor: the send is
+    # never matched as far as it knows, which keeps the watchdog armed, so
+    # the watchdog — not a job-end completeness sweep — reports it
+    monkeypatch.setattr(Endpoint, "irecv", _mutant(
+        Endpoint, "irecv", "self.observer.on_match(h)", "pass"))
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(_one_late_send, 2, "static", prepost=4, config=TestbedConfig(nodes=2),
+                audit=True)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == ("progress-watchdog", None, 6_000_000), v
+
+
 # ----------------------------------------------------------------------
 # switch-model mutants: the port queue's own source with one edit each
 # ----------------------------------------------------------------------
@@ -302,6 +323,23 @@ def test_a_switch_mutant_is_caught_at_its_first_wrong_step(monkeypatch, method, 
     v = exc.value
     assert (v.invariant, v.pair, v.time_ns) == first, v
     assert detail in str(v)
+
+
+def test_a_port_that_keeps_its_depth_is_caught_at_the_job_end_drain(monkeypatch):
+    # a served message leaves its bytes counted in the port's depth: one
+    # eager send stays under every threshold, so only the job-end drain
+    # check sees the port that never emptied
+    config = TestbedConfig(nodes=2)
+    config = replace(config, ib=replace(config.ib, congestion=TAIL_DROP))
+    shipped = run_job(_one_late_send, 2, "static", prepost=4, config=config, audit=True)
+    assert shipped.report()["congestion"]["depth_peak_bytes"] == 108
+    monkeypatch.setattr(PortQueue, "_complete", _mutant(
+        PortQueue, "_complete", "self.depth -= item.wire", "pass"))
+    with pytest.raises(InvariantViolation) as exc:
+        run_job(_one_late_send, 2, "static", prepost=4, config=config, audit=True)
+    v = exc.value
+    assert (v.invariant, v.pair, v.time_ns) == ("congestion-drain", None, 1_000_000), v
+    assert "port ('down', 0): 108 B (0 message(s)) still queued" in str(v)
 
 
 @pytest.mark.parametrize("scheme_name, drops", [

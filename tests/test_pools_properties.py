@@ -18,8 +18,7 @@ from repro.sim import Simulator
     ops=st.lists(st.sampled_from(["acquire", "release"]), max_size=200),
 )
 def test_pool_accounting_never_corrupts(capacity, ops):
-    sim = Simulator()
-    pool = SendBufferPool(sim, capacity, 2048)
+    pool = SendBufferPool(capacity, 2048)
     held = 0
     for op in ops:
         if op == "acquire":
@@ -37,74 +36,9 @@ def test_pool_accounting_never_corrupts(capacity, ops):
     assert pool.min_free <= pool.free
 
 
-def test_pool_waiter_woken_on_release():
-    sim = Simulator()
-    pool = SendBufferPool(sim, 1, 2048)
-    assert pool.try_acquire()
-    woken = []
-
-    def waiter():
-        yield pool.wait_available()
-        woken.append(sim.now)
-        assert pool.try_acquire()
-
-    sim.spawn(waiter())
-    sim.schedule(500, pool.release)
-    sim.run()
-    assert woken == [500]
-
-
-def test_release_wakes_exactly_one_of_many_waiters():
-    # Thundering-herd regression: one freed buffer must wake one parked
-    # sender, not the whole wait-list (the losers would re-park at the
-    # same instant and scramble the FIFO).
-    sim = Simulator()
-    pool = SendBufferPool(sim, 2, 2048)
-    assert pool.try_acquire() and pool.try_acquire()
-    woken = []
-
-    def waiter(i):
-        yield pool.wait_available()
-        woken.append(i)
-        assert pool.try_acquire()
-
-    for i in range(5):
-        sim.spawn(waiter(i))
-    sim.schedule(100, pool.release)
-    sim.run()
-    assert woken == [0]
-    assert pool.free == 0
-
-
-def test_waiters_drain_fifo_one_per_release():
-    sim = Simulator()
-    pool = SendBufferPool(sim, 2, 2048)
-    assert pool.try_acquire() and pool.try_acquire()
-    woken = []
-
-    def waiter(i):
-        yield pool.wait_available()
-        woken.append((i, sim.now))
-        assert pool.try_acquire()
-
-    for i in range(5):
-        sim.spawn(waiter(i))
-    for k in range(5):
-        sim.schedule(100 * (k + 1), pool.release)
-    sim.run()
-    assert woken == [(0, 100), (1, 200), (2, 300), (3, 400), (4, 500)]
-
-
-def test_pool_wait_when_free_fires_immediately():
-    sim = Simulator()
-    pool = SendBufferPool(sim, 2, 2048)
-    sig = pool.wait_available()
-    assert sig.fired
-
-
 def test_pool_rejects_zero_capacity():
     with pytest.raises(BufferPoolError):
-        SendBufferPool(Simulator(), 0, 2048)
+        SendBufferPool(0, 2048)
 
 
 # ----------------------------------------------------------------------

@@ -69,8 +69,6 @@ def test_fractional_delay_rejected():
     with pytest.raises(SimulationError):
         sim.schedule(2.5, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_at(2.5, lambda: None)
-    with pytest.raises(SimulationError):
         sim.call_later(0.25, lambda: None)
     with pytest.raises(SimulationError):
         sim.call_at(0.25, lambda: None)
@@ -83,7 +81,7 @@ def test_integral_float_delay_coerced_exactly():
     sim = Simulator()
     fired = []
     sim.schedule(3.0, fired.append, "a")
-    sim.schedule_at(5.0, fired.append, "b")
+    sim.call_at(5.0, fired.append, "b")
     sim.run()
     assert fired == ["a", "b"]
     assert sim.now == 5 and type(sim.now) is int
@@ -94,7 +92,7 @@ def test_schedule_at_in_past_rejected():
     sim.schedule(100, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_at(50, lambda: None)
+        sim.call_at(50, lambda: None)
 
 
 def test_cancel_prevents_callback():
@@ -112,6 +110,19 @@ def test_cancel_is_idempotent():
     ev.cancel()
     ev.cancel()
     sim.run()
+
+
+def test_cancel_removes_the_entry_and_a_fired_handle_is_inert():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(5, fired.append, "first")
+    later = sim.schedule(9, fired.append, "later")
+    assert sim._pending == 2
+    later.cancel()
+    assert sim._pending == 1  # off the agenda at once
+    sim.run()
+    first.cancel()  # after it fired: nothing to remove
+    assert fired == ["first"] and sim._pending == 0
 
 
 def test_run_until_stops_clock_at_until():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import TIMEOUTS, Signal, Simulator, Timeout
 from repro.sim.engine import SimulationError
-from repro.sim.process import ProcessFailed
 
 
 def test_timeout_advances_clock():
@@ -78,18 +77,13 @@ def test_signal_already_fired_resumes_immediately():
     sig.fire(sim, 42)
 
     def waiter():
+        yield Timeout(10)
         value = yield sig
         return (sim.now, value)
 
-    def prog():
-        yield Timeout(10)
-        w = sim.spawn(waiter())
-        result = yield w
-        return result
-
-    p = sim.spawn(prog())
+    w = sim.spawn(waiter())
     sim.run()
-    assert p.result == (10, 42)
+    assert w.result == (10, 42)
 
 
 def test_signal_broadcast_to_many_waiters():
@@ -133,60 +127,6 @@ def test_signal_fail_raises_in_waiter():
     sim.schedule(5, sig.fail, sim, Boom())
     sim.run()
     assert w.result == "caught"
-
-
-def test_join_returns_child_result():
-    sim = Simulator()
-
-    def child():
-        yield Timeout(30)
-        return "done"
-
-    def parent():
-        c = sim.spawn(child())
-        result = yield c
-        return (sim.now, result)
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == (30, "done")
-
-
-def test_join_already_finished_child():
-    sim = Simulator()
-
-    def child():
-        yield Timeout(1)
-        return 7
-
-    c = sim.spawn(child())
-
-    def parent():
-        yield Timeout(100)
-        result = yield c
-        return result
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == 7
-
-
-def test_child_failure_propagates_to_joiner():
-    sim = Simulator()
-
-    def child():
-        yield Timeout(1)
-        raise ValueError("child blew up")
-
-    def parent():
-        c = sim.spawn(child())
-        with pytest.raises(ProcessFailed):
-            yield c
-        return "survived"
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == "survived"
 
 
 def test_unjoined_failure_surfaces_from_run():
@@ -243,20 +183,6 @@ def test_kill_can_be_caught_for_cleanup():
     sim.schedule(5, v.kill)
     sim.run()
     assert cleaned == [True]
-
-
-def test_on_exit_callback_runs():
-    sim = Simulator()
-    seen = []
-
-    def prog():
-        yield Timeout(10)
-        return "r"
-
-    p = sim.spawn(prog())
-    p.on_exit(lambda proc: seen.append(proc.result))
-    sim.run()
-    assert seen == ["r"]
 
 
 def test_determinism_two_identical_runs():

@@ -72,6 +72,18 @@ def test_kernel_internals_stay_in_the_kernel():
     assert _modules_matching(gone) == set()
 
 
+def test_the_agenda_has_one_entry_shape_and_only_the_qp_keeps_handles():
+    """Every agenda entry is a ``(time, seq, callback, args)`` tuple and
+    ``cancel()`` removes a handle's entry at once: the lazy-cancel and
+    compaction machinery stays gone, and the only handles the simulator
+    builds are the queue pair's RNR and ACK timers."""
+    assert _modules_matching(r"\.schedule\(") == {"ib/qp.py"}
+    gone = r"\bschedule_at\b|\b_compact\b|\b_cancelled_pending\b|len\(e\) == 3"
+    assert _modules_matching(gone) == set()
+    assert _modules_matching(r"\bScheduledEvent\b") <= {
+        "sim/engine.py", "sim/__init__.py"}
+
+
 def test_legacy_perf_harness_is_gone(capsys):
     legacy = "perf"  # superseded by benchmarks/ledger/bench.py
     with pytest.raises(ModuleNotFoundError):

@@ -271,3 +271,30 @@ def test_replays_out_of_msn_order_are_named():
     assert len(qp.check_invariants()) == 1
     req._sq[:] = sorted(req._sq, key=lambda wr: wr.msn % 3)
     assert qp.check_invariants() == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "open: the model's ACKs are per message, not cumulative as the IBA's, "
+    "so the ACK after a lost one completes its message first"))
+def test_a_lost_ack_keeps_send_completions_in_msn_order():
+    """Two SENDs from end 1, the first one's ACK lost: the second ACK
+    retires its message, the ACK timer replays the first and its stale
+    duplicate is re-ACKed.  The sender's completions must still come in
+    MSN order."""
+    m = machine(*ARMS["armed"])()
+    m.qp[0].post_recv(RecvWR("r", 64), 2)
+    m.post_send(1)
+    m.post_send(1)
+    assert m.inject(1) and m.inject(1)
+    m.deliver(1)
+    m.deliver(1)  # both land: two ACKs on the wire back to end 1
+    m.wire[0].popleft()  # the first ACK is lost
+    m.deliver(0)  # the second retires its message
+    for _ in range(4):  # the timer sees that progress, then replays
+        m.ack_timeout(1)
+        while m.inject(1):
+            m.deliver(1)
+        while m.wire[0]:
+            m.deliver(0)
+    assert m.qp[1].outstanding_sends == 0
+    assert m.completed[1] == [(1, 0), (1, 1)]

@@ -150,8 +150,8 @@ class Auditor:
         self._lease: List[int] = []
         # --- (c) headers dequeued from a backlog, owed their emission ---
         self._dequeued: Set[int] = set()
-        # --- (d) per (src, dst, context, tag): (sent sizes, matched sizes) ---
-        self._streams: Dict[tuple, tuple] = defaultdict(lambda: ([], []))
+        # --- (d) per (src, dst, context, tag): [sent sizes, matched count] ---
+        self._streams: Dict[tuple, list] = defaultdict(lambda: [[], 0])
         self._total_sent = 0
         self._total_matched = 0
         # --- (e) watchdog ---
@@ -522,9 +522,9 @@ class Auditor:
         self.hook_calls += 1
         self._last_progress_ns = self._sim.now
         key = (header.src, header.dst, header.context, header.tag)
-        sent, matched = self._streams[key]
-        i = len(matched)
-        matched.append(header.size)
+        stream = self._streams[key]
+        sent, i = stream
+        stream[1] = i + 1
         self._total_matched += 1
         if i >= len(sent):
             self._violate(
@@ -643,7 +643,7 @@ class Auditor:
             for key, (sent, matched) in self._streams.items():
                 if key[0] in dead or key[1] in dead:
                     continue
-                if len(sent) > len(matched):
+                if len(sent) > matched:
                     return True
         for ep in self._endpoints:
             if ep.finalized or ep.rank in dead:

@@ -115,6 +115,8 @@ class Cluster:
         #: the subsystems the latest job armed, in arming order; the next
         #: ``run_job`` on this cluster disarms them before arming its own
         self.armed: tuple = ()
+        #: the latest job's rank processes, by rank (a rank death kills one)
+        self.procs: list = []
 
     # ------------------------------------------------------------------
     def node_of_rank(self, rank: int) -> int:

@@ -32,9 +32,6 @@ class TestbedConfig:
         Hardware timing model.
     mpi:
         MPI software timing model.
-    seed:
-        Seed for any stochastic workload elements (compute jitter).  The
-        simulator itself is deterministic; this seeds workload RNGs.
     """
 
     #: keep pytest from collecting this dataclass as a test class
@@ -43,7 +40,6 @@ class TestbedConfig:
     nodes: int = 8
     ib: IBConfig = field(default_factory=IBConfig)
     mpi: MPIConfig = field(default_factory=MPIConfig)
-    seed: int = 20040426  # IPPS 2004 conference date
 
     #: "crossbar" = the testbed's single InfiniScale switch;
     #: "fat-tree" = multi-level leaf/spine(/core) for larger clusters.

@@ -247,7 +247,8 @@ def run_job(
         finish_ns[ep.rank] = cluster.sim.now - t0
         return result
 
-    procs = [cluster.sim.spawn(wrap(ep), name=f"rank{ep.rank}") for ep in endpoints]
+    procs = cluster.procs = [cluster.sim.spawn(wrap(ep), name=f"rank{ep.rank}")
+                             for ep in endpoints]
     expected = (ConnectionFailedError, RankFailedError)
     # Both ends of a lost pair (and every survivor of a rank death) report
     # the same event: keyed by the record's stable identity, first seen wins.
@@ -258,17 +259,13 @@ def run_job(
         failures[exc.failure.dedup_key()] = exc.failure
 
     if cluster.ft is not None and not failures:
-        # Dead ranks' programs are parked on a never-firing signal, not
-        # hung — terminate them so the liveness check below covers the
-        # *survivors* (the acceptance criterion: zero hung ranks).  A run a
-        # failure stopped is not drained: the job ends where it stopped.
-        dead_ranks = cluster.ft.dead | cluster.ft.injected
-        if any(procs[r].alive for r in dead_ranks):
-            for r in sorted(dead_ranks):
-                procs[r].kill()
-            cluster.sim.run(
-                max_events=cluster.sim.events_executed + 4 * len(dead_ranks) + 4
-            )
+        # A rank declared dead while still running (the fault plan killed
+        # the ones it took down) is no hang — terminate it so the liveness
+        # check below covers the *survivors* (the acceptance criterion:
+        # zero hung ranks).  A run a failure stopped is not drained: the
+        # job ends where it stopped.
+        for r in sorted(cluster.ft.dead):
+            procs[r].kill()
 
     harvest = [p.failure.failure for p in procs if isinstance(p.failure, expected)]
     for sub in subsystems:
@@ -282,7 +279,9 @@ def run_job(
         raise failed[0].failure
     rank_only = bool(failures) and all(key[0] == "rank" for key in failures)
     if not failures or rank_only:
-        hung = [p for p in procs if p.alive]
+        # a program the fault plan killed did not finish either, unless ft
+        # stands for the rank (its death is reported as a failure)
+        hung = [p for p in procs if p.alive or (p.killed and cluster.ft is None)]
         if hung:
             raise RuntimeError(
                 f"deadlock: ranks {[p.name for p in hung]} never finished "

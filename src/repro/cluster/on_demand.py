@@ -175,21 +175,19 @@ class ConnectionManager:
         ``Connection`` objects and their QPs, so the next ``request()``
         for the pair starts a fresh CM exchange."""
         pair = (min(rank_a, rank_b), max(rank_a, rank_b))
-        a = self.cluster.endpoints[pair[0]]
-        b = self.cluster.endpoints[pair[1]]
-        had = a.connections.pop(pair[1], None)
-        for ep, conn in ((a, had), (b, b.connections.pop(pair[0], None))):
-            if conn is None:
-                continue
-            # Release both QPs.  The end that did not detect the loss may
-            # still be READY: error it, and reclaim the flushed completions
-            # now — once the Connection is gone nobody can account for them.
-            qp = conn.qp
-            qp.force_error()  # idempotent
-            ep.reclaim_flushed(qp)
-            ep.hca.destroy_qp(qp)
-        if had is not None:
+        a, b = (self.cluster.endpoints[r] for r in pair)
+        if pair[1] in a.connections:
             self.torn_down += 1
+        for ep, peer in ((a, pair[1]), (b, pair[0])):
+            # The end that did not detect the loss may still be READY:
+            # sever errors it and reclaims the flushed completions, and
+            # drops every operation toward the peer — once the Connection
+            # is gone nobody can account for them.  The dropped requests
+            # are discarded: the failure that lost the pair ends the job.
+            ep.sever(peer)
+            conn = ep.connections.pop(peer, None)
+            if conn is not None:
+                ep.hca.destroy_qp(conn.qp)
         if self.cluster.observer is not None:
             self.cluster.observer.on_teardown(*pair)
 

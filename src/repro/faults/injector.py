@@ -194,16 +194,20 @@ class FaultInjector:
         elif ev.kind == "hca_pause":
             self.cluster.hcas[ev.lid].pause(ev.duration_ns)
         elif ev.kind == "rank_death":
-            ep = self.cluster.endpoints[ev.rank]
-            ep.halt()  # park the program before the flush WCs could wake it
-            self.cluster.wire_adapter(ep.hca)  # a mesh's: kill flushes them all
-            ep.hca.kill()
-            ft = getattr(self.cluster, "ft", None)
-            if ft is not None:  # a rank sharing the adapter is cut off with it
-                for other in self.cluster.endpoints:
-                    if other.hca is ep.hca:
-                        other.halt()
-                        ft.note_injected_death(other.rank, self.cluster.sim.now)
+            cluster = self.cluster
+            ft = cluster.ft
+            hca = cluster.endpoints[ev.rank].hca
+            # the victim's program ends before the flush WCs could wake it;
+            # under ft every rank its adapter serves is cut off with it
+            dying = [ep.rank for ep in cluster.endpoints
+                     if ep.rank == ev.rank or (ft is not None and ep.hca is hca)]
+            for rank in dying:
+                cluster.procs[rank].kill()
+            cluster.wire_adapter(hca)  # a mesh's: kill flushes them all
+            hca.kill()
+            if ft is not None:
+                for rank in dying:
+                    ft.note_injected_death(rank, cluster.sim.now)
 
     def _end(self, ev: FaultEvent) -> None:
         state = self.state

@@ -57,8 +57,8 @@ class FaultEvent:
     ``receiver_stall`` — rank ``rank`` stops re-posting vbufs / returning
                          credits (slow-consumer model)
     ``hca_pause``      — both engines of the HCA at ``lid`` freeze
-    ``rank_death``     — rank ``rank`` dies outright at ``at_ns``: its HCA
-                         stops answering, its progress engine halts, and it
+    ``rank_death``     — rank ``rank`` dies outright at ``at_ns``: its
+                         process is killed, its HCA stops answering, and it
                          never comes back (``duration_ns`` is nominal)
     """
 
@@ -197,10 +197,10 @@ class FaultPlan:
         return self.add(FaultEvent("hca_pause", at_ns, duration_ns, lid=lid))
 
     def rank_death(self, rank: int, at_ns: int) -> "FaultPlan":
-        """Kill ``rank`` outright at ``at_ns``: its HCA's engines stop,
-        its QPs flush to ERROR, inbound packets vanish unanswered, and
-        its program halts — permanently (the event's ``duration_ns`` is
-        a nominal 1 ns; death does not end).
+        """Kill ``rank`` outright at ``at_ns``: its simulated process is
+        killed, its HCA's engines stop, its QPs flush to ERROR and inbound
+        packets vanish unanswered — permanently (the event's
+        ``duration_ns`` is a nominal 1 ns; death does not end).
 
         Retry policy shapes *how* the detector notices: with the default
         infinite ``transport_retry_limit`` detection is purely the
@@ -208,8 +208,10 @@ class FaultPlan:
         victim-facing QPs, stopping the retry timers so the agenda
         drains); with a finite limit, transport retry exhaustion against
         the dead HCA confirms the death earlier.  On multi-rank nodes
-        the whole adapter dies, so co-located ranks die with it; the
-        stock rank-death scenario keeps one rank per node.  Requires
+        the whole adapter dies: under ft the co-located ranks' processes
+        are killed with it, without ft they run on over a dead adapter
+        until a flushed connection stops the job; the stock rank-death
+        scenario keeps one rank per node.  Requires
         ``run_job(..., ft=True)`` for structured detection — without
         the failure-tolerance layer the job hangs until the auditor
         watchdog trips (that contrast is scenario arm 2).

@@ -58,7 +58,6 @@ class FTManager:
         self.cluster = self.sim = None  # set by arm()
 
         self.dead: Set[int] = set()  # declared dead (detector verdicts)
-        self.injected: Set[int] = set()  # ground truth from the fault plan
         self.failures: List[RankFailure] = []
 
         # (observer, peer) -> undone requests whose progress needs the peer
@@ -136,7 +135,6 @@ class FTManager:
     def note_injected_death(self, rank: int, now: int) -> None:
         """Ground truth for detection-latency stats (the detector itself
         never reads this: it only sees silence and transport errors)."""
-        self.injected.add(rank)
         self._died_ns.setdefault(rank, now)
         if self.cluster.observer is not None:
             # the detector needs up to detection_budget_ns of silence

@@ -232,12 +232,11 @@ class QueuePair:
         wr = transport.retire(req, msn, advertised)
         if wr is None:
             return
-        if wr.signaled:
-            # per message: positional, in WC's field order
-            self.send_cq.push(
-                WC(wr.wr_id, WCStatus.SUCCESS, wr.opcode, wr.length, None,
-                   self.qp_num, self.remote_lid)
-            )
+        # per message: positional, in WC's field order
+        self.send_cq.push(
+            WC(wr.wr_id, WCStatus.SUCCESS, wr.opcode, wr.length, None,
+               self.qp_num, self.remote_lid)
+        )
         self.hca._kick(self)
 
     def _on_rnr_nak(self, msn: int, epoch: int = 0) -> None:

@@ -2,13 +2,13 @@
 interface).
 
 A :class:`SendWR` describes an outbound operation (channel-semantics SEND or
-memory-semantics RDMA write/read); a :class:`RecvWR` describes where an
+memory-semantics RDMA write); a :class:`RecvWR` describes where an
 inbound SEND's payload may land.  Completions are reported as :class:`WC`
 entries on a completion queue.  ``context`` fields are opaque to the IB
 layer — the MPI implementation stores its protocol headers there.
 
 These are hand-written ``__slots__`` classes rather than dataclasses: a WC
-is allocated for every signalled completion and a SendWR for every posted
+is allocated for every completion and a SendWR for every posted
 send, so the dataclass ``__init__``/``__post_init__`` indirection was
 measurable on the hot path.  Construction stays keyword-compatible with
 the previous dataclass signatures.
@@ -39,10 +39,9 @@ class SendWR:
     remote_addr, rkey:
         Target region for RDMA operations (must be within a registered MR
         at the responder or the op completes with REMOTE_ACCESS_ERROR).
-    signaled:
-        When False, no completion entry is generated on success (errors
-        always complete).  MPI uses unsignalled sends for some control
-        traffic to cut CQ pressure.
+
+    Every send completes: its completion releases what the poster holds
+    for it (an MPI send's vbuf or pin).
     """
 
     __slots__ = (
@@ -52,7 +51,6 @@ class SendWR:
         "payload",
         "remote_addr",
         "rkey",
-        "signaled",
         "msn",
         "rnr_tries",
         "xport_tries",
@@ -66,7 +64,6 @@ class SendWR:
         payload: Any = None,
         remote_addr: int = 0,
         rkey: int = 0,
-        signaled: bool = True,
     ):
         if length < 0:
             raise ValueError(f"negative WR length {length}")
@@ -78,7 +75,6 @@ class SendWR:
         self.payload = payload
         self.remote_addr = remote_addr
         self.rkey = rkey
-        self.signaled = signaled
         # transport bookkeeping (assigned by the QP; not caller-visible)
         self.msn = -1
         self.rnr_tries = 0
@@ -88,8 +84,7 @@ class SendWR:
         return (
             f"SendWR(wr_id={self.wr_id!r}, opcode={self.opcode!r}, "
             f"length={self.length!r}, payload={self.payload!r}, "
-            f"remote_addr={self.remote_addr!r}, rkey={self.rkey!r}, "
-            f"signaled={self.signaled!r})"
+            f"remote_addr={self.remote_addr!r}, rkey={self.rkey!r})"
         )
 
 

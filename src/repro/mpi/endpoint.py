@@ -49,7 +49,7 @@ from repro.ft.failures import RankFailedError
 from repro.recovery.failures import (
     DECLARE, FAIL, JOIN, RECOVER, ConnectionFailedError, ConnectionFailure, classify,
 )
-from repro.sim import TIMEOUTS, Signal, Simulator
+from repro.sim import TIMEOUTS, Simulator
 from repro.sim.trace import Tracer
 
 
@@ -75,7 +75,7 @@ class Endpoint:
         "_sends_open", "_rndv_send", "_rndv_recv", "_coll_seq", "_connector",
         "finalized", "_stall_until", "_stall_held",
         "_t_call", "_t_poll", "_eager_max",
-        "observer", "_recovery", "_ft", "_halted", "_halt_signal",
+        "observer", "_recovery", "_ft",
         "bytes_sent", "bytes_received", "wait_ns",
     )
 
@@ -142,10 +142,6 @@ class Endpoint:
         self.observer = None
         self._recovery = None
         self._ft = None
-        #: rank death: every entry point and the progress engine park for
-        #: good, and no state mutates as flushed completions arrive
-        self._halted = False
-        self._halt_signal = None
 
         # observability
         self.bytes_sent = 0
@@ -376,8 +372,6 @@ class Endpoint:
         # in the hottest loop: the same yields, without the frames
         cq = self.cq
         while not request.done:
-            if self._halted:
-                yield self._halt_signal  # never fires: this rank is dead
             yield self._t_poll
             if cq._entries or self._ring_dirty:
                 yield from self._poll_busy()
@@ -484,8 +478,6 @@ class Endpoint:
 
     def _progress_until(self, pred: Callable[[], bool]) -> Generator:
         while not pred():
-            if self._halted:
-                yield self._halt_signal  # never fires: this rank is dead
             yield from self._poll_once()
             if pred():
                 return
@@ -495,8 +487,6 @@ class Endpoint:
     def _poll_once(self) -> Generator:
         """Drain the CQ and the dirty rings, charging each completion's CPU
         cost, then the backlogs."""
-        if self._halted:
-            return  # dead rank: resumed mid-loop by a stale wakeup
         yield self._t_poll
         if not self.cq._entries and not self._ring_dirty:
             if self._backlogged:
@@ -509,8 +499,6 @@ class Endpoint:
     def _poll_busy(self) -> Generator:
         """The non-idle tail of :meth:`_poll_once` (poll overhead already
         charged by the caller)."""
-        if self._halted:
-            return  # a dead rank's flushed completions change nothing
         if self._stall_until > self.sim.now:
             # A stalled consumer handles nothing: arrivals pile up, vbufs
             # are not replenished, no credit or CTS leaves — the paper's
@@ -562,8 +550,6 @@ class Endpoint:
                 yield TIMEOUTS[cost]
 
     def _handle_wc(self, wc: WC) -> int:
-        if self._halted:
-            return 0  # died mid-drain (a Timeout resumed it past the guard)
         if wc.status is not WCStatus.SUCCESS:
             return self._handle_error_wc(wc)
         if not wc.is_recv:
@@ -651,9 +637,11 @@ class Endpoint:
         return 0
 
     def sever(self, peer: int) -> List[Request]:
-        """Cut this rank loose from a dead ``peer``: error the QP, drop every
+        """Cut this rank loose from ``peer``: error the QP, drop every
         pending operation toward it and wake a parked progress loop;
-        returns the dropped requests, for ft to fail PROC_FAILED."""
+        returns the dropped requests.  ft fails them PROC_FAILED (a dead
+        peer); the connection manager's teardown of a lost on-demand pair
+        discards them, as the failure that lost the pair ends the job."""
         dropped = []
         conn = self.connections.get(peer)
         if conn is not None:
@@ -829,8 +817,12 @@ class Endpoint:
         number, no credits (the resync mints them again), stats and
         request untouched; a ring replay lands in the fresh ring, in order."""
         if not replay:
-            if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
-                return 0  # nothing to emit from or to: ft failed the request
+            if self.hca.dead or (self._ft is not None and conn.peer in self._ft.dead):
+                # nothing to emit from or to.  Under ft the request fails
+                # PROC_FAILED; without it a rank left running on a dead
+                # adapter has its sends dropped until its next poll meets
+                # the flushed completions, which stop the job
+                return 0
             if conn.recovering:
                 # parked, unnumbered: re-emitted FIFO after the replays
                 if type(conn.deferred) is tuple:  # first use
@@ -921,8 +913,8 @@ class Endpoint:
         """Process the backlog FIFO one :func:`credit.drain_step` at a
         time: send while credits allow; with none, push the head through
         the rendezvous fallback."""
-        if self._halted or (self._ft is not None and conn.peer in self._ft.dead):
-            return 0  # dead rank / dead peer: nothing drains (see _emit)
+        if self.hca.dead or (self._ft is not None and conn.peer in self._ft.dead):
+            return 0  # dead adapter / dead peer: nothing drains (see _emit)
         cost = 0
         while conn.backlog:
             free = self.pool.free
@@ -963,13 +955,6 @@ class Endpoint:
     # ------------------------------------------------------------------
     # fault-injection hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
-    def halt(self) -> None:
-        """Rank death: the progress loops park on a signal that never
-        fires and stray resumptions fall through the emission guards."""
-        self._halted = True
-        if self._halt_signal is None:
-            self._halt_signal = Signal(f"halted.{self.rank}")
-
     def fault_stall(self, duration_ns: int) -> None:
         """Start (or extend) a receiver stall: no reposts, no paid credit
         returns — a slow consumer starving its sender (paper §3.2)."""

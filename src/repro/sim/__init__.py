@@ -24,14 +24,13 @@ Example
 """
 
 from repro.sim.engine import ScheduledEvent, Simulator, gc_paused
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.process import Process
 from repro.sim.trace import Counter, Tracer
 from repro.sim.waitables import TIMEOUTS, Signal, Timeout, Waitable
 
 __all__ = [
     "Counter",
     "Process",
-    "ProcessKilled",
     "ScheduledEvent",
     "Signal",
     "Simulator",

@@ -22,10 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class ProcessKilled(Exception):
-    """Injected into a generator by :meth:`Process.kill`."""
-
-
 class Process:
     """A running simulated activity.
 
@@ -33,6 +29,8 @@ class Process:
     ----------
     alive:
         True until the generator returns, raises, or is killed.
+    killed:
+        True once :meth:`kill` ended it.
     result:
         The generator's return value once finished.
     failure:
@@ -46,6 +44,7 @@ class Process:
         self.gen = generator
         self.name = name or getattr(generator, "__name__", "proc")
         self.alive = True
+        self.killed = False
         self.result: Any = None
         self.failure: Optional[BaseException] = None
         # Hot path: bind once.  ``_resume`` is scheduled tens of thousands
@@ -71,9 +70,6 @@ class Process:
                 item = self.gen.throw(exc)
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None), None)
-            return
-        except ProcessKilled:
-            self._finish(None, None)
             return
         except BaseException as err:  # noqa: BLE001 - must capture any failure
             self._finish(None, err)
@@ -112,9 +108,13 @@ class Process:
     # control
     # ------------------------------------------------------------------
     def kill(self) -> None:
-        """Terminate the process at its next resumption point."""
+        """Terminate the process now, from outside it: the generator is
+        closed where it is parked (its ``finally`` blocks run), and a
+        wakeup still on the agenda finds it dead and is dropped."""
         if self.alive:
-            self.sim.call_soon(self._resume, None, ProcessKilled())
+            self.alive = False
+            self.killed = True
+            self.gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "done"

@@ -165,6 +165,66 @@ def test_a_death_on_a_shared_adapter_cuts_off_the_rank_beside_it(scheme, on_dema
         rank not in (2, 6) for rank in range(8)]
 
 
+@pytest.mark.parametrize("ft", [False, True], ids=["no-ft", "ft"])
+def test_the_victims_process_is_finished_from_the_death_on(ft):
+    """A rank death kills the rank's process at the death event: from then
+    on it is finished, not parked, and no flushed completion resumes it.
+    Under ft rank 6, on the same adapter, goes with it; without ft it runs
+    on until its flushed connection ends the job."""
+    cluster = Cluster(TestbedConfig(nodes=4))
+    cluster.launch(8, make_scheme("static"), 2)
+    seen = []
+    cluster.sim.call_at(us(30) + 1, lambda: seen.extend(
+        (p.alive, p.killed) for p in cluster.procs))
+    r = run_job(_ring, 8, "static", 2, cluster=cluster, ft=ft,
+                faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(30)))
+    dead = (2, 6) if ft else (2,)
+    assert seen == [(False, True) if rank in dead else (True, False)
+                    for rank in range(8)]
+    assert [rank for rank, p in enumerate(cluster.procs) if p.killed] == list(dead)
+    assert r.rank_results[2] is None and r.rank_finish_ns[2] == 0
+
+
+def _victim_polls_at_30us(ep):
+    """Rank 2 is in ``wait`` with its poll landing on 30 µs exactly, after
+    the fault plan's event at that instant; ranks 0 and 1 ping-pong."""
+    if ep.rank == 2:
+        req = yield from ep.irecv(source=1, capacity=64)
+        yield from ep.compute(us(30) - ep._t_poll.delay - ep.sim.now)
+        yield from ep.wait(req)
+    elif ep.rank in (0, 1):
+        for _ in range(5):
+            if ep.rank == 0:
+                yield from ep.send(1, 64)
+                yield from ep.recv(source=1, capacity=64)
+            else:
+                yield from ep.recv(source=0, capacity=64)
+                yield from ep.send(0, 64)
+    return ep.rank
+
+
+@pytest.mark.parametrize("arm", [{}, {"recovery": True}, {"ft": True},
+                                 {"ft": True, "recovery": True}],
+                         ids=["plain", "recovery", "ft", "ft+recovery"])
+def test_a_wakeup_due_at_the_death_instant_does_not_resume_the_victim(arm):
+    """The kill takes effect inside the death event: a wakeup of the victim
+    due at the same nanosecond is dropped, so it never polls its flushed
+    completions and reports no connection failure (nor starts a recovery)
+    toward a live peer.  Without ft the victim simply never finishes."""
+    cluster = Cluster(TestbedConfig(nodes=4))
+    cluster.launch(4, make_scheme("static"), 2)
+    job = dict(cluster=cluster, finalize=False,
+               faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(30)), **arm)
+    if "ft" not in arm:
+        with pytest.raises(RuntimeError, match=r"\['rank2'\] never finished"):
+            run_job(_victim_polls_at_30us, 4, "static", 2, **job)
+    else:
+        r = run_job(_victim_polls_at_30us, 4, "static", 2, **job)
+        assert r.failures == []
+        assert r.rank_results == [0, 1, None, 3]
+    assert [p.killed for p in cluster.procs] == [False, False, True, False]
+
+
 @pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
 def test_a_connection_failure_after_a_death_ends_the_job_there(on_demand):
     """Rank 2 dies, then rank 5's link stays down past a finite retry

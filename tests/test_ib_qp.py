@@ -125,17 +125,6 @@ def test_recv_wqes_consumed_fifo():
     assert [(wc.wr_id, wc.data) for wc in wcs] == [("first", "a"), ("second", "b")]
 
 
-def test_unsignaled_send_generates_no_cqe():
-    sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
-    qp1.post_recv(RecvWR(wr_id="r", capacity=2048))
-    qp0.post_send(
-        SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="x", signaled=False)
-    )
-    run(sim)
-    assert cq1.poll()[0].ok
-    assert cq0.poll() == []
-
-
 def test_rnr_nak_then_retry_delivers_after_timer():
     cfg = IBConfig()
     sim, _, _, qp0, qp1, cq0, cq1 = build_pair(cfg)

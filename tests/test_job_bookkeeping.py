@@ -172,7 +172,7 @@ def assert_untouched_pairs_are_the_stand_in(cluster, touched):
     reports counted it as."""
     untouched = 0
     for ep in cluster.endpoints:
-        queues = not ep._halted  # a dead rank's queues froze mid-flight, never polled
+        queues = not ep.hca.dead  # a dead rank's queues froze mid-flight, never polled
         stand_in = _state(ep.idle_connection(), queues)
         for peer, conn in ep.connections.items():
             if (ep.rank, peer) not in touched:
@@ -187,7 +187,7 @@ def _connection_counters(endpoints):
     return {
         (ep.rank, peer): (astuple(conn.stats),
                           [getattr(conn.qp, name) for name in QP_COUNTERS
-                           if not ep._halted])
+                           if not ep.hca.dead])
         for ep in endpoints for peer, conn in ep.connections.items()
     }
 
@@ -349,7 +349,7 @@ def test_the_scaling_cell_reads_its_posted_buffers_off_the_report(monkeypatch, o
 def test_a_second_job_keeps_idle_shared_and_reports_what_the_scans_report(job):
     cluster, _ = job()  # job 1: the first test of this file, through the same helper
     eps = cluster.endpoints
-    if any(ep._halted for ep in eps):
+    if any(ep.hca.dead for ep in eps):
         return  # a dead rank stays dead: nothing runs on this cluster again
     ep = eps[0]
     r = run_job(_ring, len(eps), ep.scheme.name, ep.requested_prepost,

@@ -19,12 +19,13 @@ from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES, make_scheme
 from repro.faults import FaultPlan, chaos_cell, scenario_job
 from repro.ft import FTConfig
-from repro.ib.qp import Requester
+from repro.ib.qp import QPError, Requester
 from repro.ib.types import INFINITE_RETRY
 from repro.recovery import RecoveryPolicy
 from repro.sim.units import us
 
 from tests.mpi_helpers import wire_all
+from tests.test_faults_injection import _flood
 
 SCHEMES = [s.value for s in EXTENDED_SCHEMES]
 NRANKS = 8
@@ -332,6 +333,40 @@ def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
     _, after_empty = _three_jobs("static", False, faults=FaultPlan(seed=7))
     _, never = _three_jobs("static", False)
     assert after_empty[2][1] == never[2][1]
+
+
+def _second_job_xfail(raises, what):
+    return pytest.mark.xfail(strict=True, raises=raises,
+                             reason=f"open (ROADMAP 4(c)): {what}")
+
+
+@pytest.mark.parametrize("scheme, prepost, on_demand", [
+    pytest.param("static", 2, True, id="static-on-demand", marks=_second_job_xfail(
+        RuntimeError, "on demand the second job deadlocks: the poll batch the "
+        "first job's raised failure interrupted lost its completions (rank 0 "
+        "keeps _sends_open == 5), and the killed program's posted receive "
+        "stays in rank 1's matching queue")),
+    pytest.param("static", 2, False, id="static-mesh", marks=_second_job_xfail(
+        AssertionError, "on a mesh the pair stays in ERROR, and the second job "
+        "reports the first one's loss again from unpolled error completions")),
+    pytest.param("dynamic", 8, False, id="dynamic-mesh", marks=_second_job_xfail(
+        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
+    pytest.param("rdma-eager", 8, False, id="rdma-eager-mesh", marks=_second_job_xfail(
+        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
+])
+def test_a_job_after_a_lost_pair_runs_clean(scheme, prepost, on_demand):
+    """The first job loses its one pair for good: a link outage outlives
+    the transport retries and the one recovery attempt.  A plain job on
+    the same cluster should then run as on a fresh one."""
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, make_scheme(scheme), prepost, on_demand=on_demand)
+    plan = (FaultPlan(seed=7, transport_timeout_ns=us(40), transport_retry_limit=4)
+            .link_flap(lid=1, at_ns=us(100), duration_ns=us(1_500)))
+    lost = run_job(_flood(30), 2, scheme, prepost, cluster=cluster, faults=plan,
+                   recovery=RecoveryPolicy(max_attempts=1))
+    assert [f.cause for f in lost.failures] == ["retry_exceeded"]
+    again = run_job(_flood(30), 2, scheme, prepost, cluster=cluster)
+    assert again.completed and not again.failures
 
 
 def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):

@@ -162,7 +162,7 @@ def test_the_observer_seam_is_the_one_way_to_the_auditor():
     (r"cq\._notify = ", set()),  # only the CQ arms and fires its wait
     # the endpoint executes an errored completion's verdict (classify) and
     # severs a dead peer itself: ft and recovery read none of its privates
-    (r"\b(_reclaim_error_wc|_conn_of|_halted|_backlogged)\b", {"mpi/endpoint.py"}),
+    (r"\b(_reclaim_error_wc|_conn_of|_backlogged)\b", {"mpi/endpoint.py"}),
     (r"\b_rndv_(send|recv)\b", {"mpi/endpoint.py", "check/auditor.py"}),
     (r"on_error_wc", set()),
 ], ids=["on_write", "tx_ring", "cq_entries", "cq_notify",
@@ -484,6 +484,20 @@ def test_a_pair_comes_into_being_in_one_place():
     assert "invalidated" not in _src("cluster/on_demand.py")
     # the CM's in-flight exchanges are its own: ft fails them through a method
     assert not _modules_matching(r"(?<!self)\._pending\b")
+
+
+def test_a_dead_rank_is_a_killed_process_and_a_lost_pair_is_severed():
+    """A rank goes away as its process: the fault injector kills it at the
+    death, ``run_job`` at job end one ft declared dead while it ran, and the
+    endpoint keeps no halt flag or parking signal.  A lost on-demand pair
+    goes away through ``Endpoint.sever``, which errors the QP and reclaims
+    its flushed completions — DESIGN §6.6."""
+    assert not re.search(r"\b_halted\b|\bhalt\(|\bSignal\(", _src("mpi/endpoint.py"))
+    assert _modules_matching(r"(?<!hca)\.kill\(\)") == {"cluster/job.py",
+                                                         "faults/injector.py"}
+    teardown = _src("cluster/on_demand.py")
+    assert not re.search(r"force_error|reclaim_flushed", teardown)
+    assert ".sever(" in teardown
 
 
 # ----------------------------------------------------------------------

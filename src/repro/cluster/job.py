@@ -227,6 +227,10 @@ def run_job(
                                  f"{launched!r}, job wants {wanted!r}")
         scheme = ep.scheme  # the live policy object, not a clone
         cluster.reset_stats()
+        # a previous job that a failure stopped left its ranks where they
+        # stood: they end with it, or two programs would drive one rank
+        for proc in cluster.procs:
+            proc.kill()
 
     # One lifecycle for every subsystem: what the cluster's previous job
     # left armed is disarmed, then this job's armed, in subsystems()' order.

@@ -3,33 +3,43 @@
 A CQ collects :class:`~repro.ib.wr.WC` entries from any number of QPs
 (the paper's MPI associates *all* of a process's send and receive queues
 with a single CQ, and so does ``repro.mpi``).  Consumers poll; a blocked
-consumer can wait on :meth:`wait_nonempty`, which hands out a one-shot
-:class:`~repro.sim.waitables.Signal` re-armed on each wait — the simulation
-analogue of the verbs completion-channel / ``ibv_req_notify_cq`` pattern.
+consumer yields the CQ itself, which resumes it once the CQ holds an entry
+(at once if it already does) — the simulation analogue of the verbs
+completion-channel / ``ibv_req_notify_cq`` pattern.  Like a completion
+channel, a CQ has one consumer: one process at a time may wait on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.ib.wr import WC
-from repro.sim import Signal, Simulator
+from repro.sim import Simulator, Waitable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim import Process
 
 
 class CQOverflow(RuntimeError):
     """The CQ filled up — a fatal programming error in the consumer."""
 
 
-class CompletionQueue:
-    """A FIFO of work completions with blocking-wait support."""
+class CompletionQueue(Waitable):
+    """A FIFO of work completions; ``yield cq`` blocks until it is non-empty::
+
+        while not done:
+            for wc in cq.poll():
+                handle(wc)
+            if not done:
+                yield cq
+    """
 
     def __init__(self, sim: Simulator, depth: int = 65536, name: str = "cq"):
         self.sim = sim
         self.depth = depth
         self.name = name
-        self._notify_name = f"{name}.notify"  # one per blocking wait
         self._entries: List[WC] = []  # ``depth`` bounds it: a list, DESIGN §6.4
-        self._notify: Optional[Signal] = None
+        self._waiter: Optional["Process"] = None  # the parked consumer
         #: total completions ever pushed (observability)
         self.total_completions = 0
 
@@ -41,16 +51,28 @@ class CompletionQueue:
             raise CQOverflow(f"{self.name}: more than {self.depth} outstanding CQEs")
         self._entries.append(wc)
         self.total_completions += 1
-        if self._notify is not None:
-            sig, self._notify = self._notify, None
-            sig.fire(self.sim, None)
+        proc = self._waiter
+        if proc is not None:  # wake(), open-coded on the per-completion path
+            self._waiter = None
+            self.sim.call_soon(proc._resume, None, None)
 
     def wake(self) -> None:
-        """Fire the armed wait without a completion: an arrival the CQ
-        does not hold (an RDMA-ring deposit) or a failure to observe."""
-        if self._notify is not None:
-            sig, self._notify = self._notify, None
-            sig.fire(self.sim, None)
+        """Resume the parked consumer without a completion: an arrival the
+        CQ does not hold (an RDMA-ring deposit) or a failure to observe."""
+        proc = self._waiter
+        if proc is not None:
+            self._waiter = None
+            self.sim.call_soon(proc._resume, None, None)
+
+    def _block(self, sim: Simulator, process: "Process") -> None:
+        if self._entries:
+            sim.call_soon(process._resume, None, None)
+        elif self._waiter is not None and self._waiter.alive:
+            raise RuntimeError(
+                f"{self.name}: {process.name!r} waits while {self._waiter.name!r} "
+                "is parked (one consumer per CQ)")
+        else:
+            self._waiter = process
 
     # ------------------------------------------------------------------
     # consumer side
@@ -79,26 +101,6 @@ class CompletionQueue:
                 kept.append(wc)
         self._entries = kept
         return removed
-
-    def wait_nonempty(self) -> Signal:
-        """Return a signal that fires when the CQ has (or already has) an
-        entry.  Each call arms a fresh signal, so the usual loop is::
-
-            while not done:
-                for wc in cq.poll():
-                    handle(wc)
-                if not done:
-                    yield cq.wait_nonempty()
-        """
-        sig = Signal(self._notify_name)
-        if self._entries:
-            sig.fire(self.sim, None)
-        else:
-            if self._notify is not None:
-                # Coalesce: chain onto the existing armed signal.
-                return self._notify
-            self._notify = sig
-        return sig
 
     def __len__(self) -> int:
         return len(self._entries)

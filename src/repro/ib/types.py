@@ -61,11 +61,6 @@ _LINK_BYTES_PER_NS = {rate: gbps_to_bytes_per_ns(rate.value) for rate in LinkRat
 #: sets to guarantee reliability under the hardware-based scheme).
 INFINITE_RETRY = -1
 
-#: (payload_bytes, mtu_bytes) → packet count.  Shared across configs; the
-#: cap guards against unbounded growth under adversarial size sweeps.
-_SEG_PLAN_CACHE: dict = {}
-_SEG_PLAN_CACHE_MAX = 1 << 16
-
 
 @dataclass(slots=True)
 class IBConfig:
@@ -151,18 +146,12 @@ class IBConfig:
         """Payload size → on-the-wire size including per-MTU-packet headers.
 
         A zero-length message (pure header, e.g. a credit probe) still costs
-        one packet header.  Segmentation plans are memoized per
-        ``(size, mtu)`` — real workloads reuse a handful of message sizes
-        thousands of times, so the hot path is one dict hit.
+        one packet header.  The fabric caches the resulting serialisation
+        time per size, so this runs once per size and path.
         """
         if payload_bytes <= 0:
             return self.pkt_header_bytes
-        key = (payload_bytes, self.mtu_bytes)
-        packets = _SEG_PLAN_CACHE.get(key)
-        if packets is None:
-            if len(_SEG_PLAN_CACHE) >= _SEG_PLAN_CACHE_MAX:
-                _SEG_PLAN_CACHE.clear()
-            packets = _SEG_PLAN_CACHE[key] = -(-payload_bytes // self.mtu_bytes)
+        packets = -(-payload_bytes // self.mtu_bytes)
         return payload_bytes + packets * self.pkt_header_bytes
 
     def effective_bytes_per_ns(self) -> float:

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: (memcpy_bytes_per_ns, nbytes) → ns.  Workloads reuse a handful of
-#: message sizes; the cap guards adversarial size sweeps.
-_COPY_NS_CACHE: dict = {}
-_COPY_NS_CACHE_MAX = 1 << 16
-
 
 @dataclass
 class MPIConfig:
@@ -70,14 +65,7 @@ class MPIConfig:
         return self.vbuf_bytes - self.header_bytes
 
     def copy_ns(self, nbytes: int) -> int:
-        """Duration of one host memcpy of ``nbytes`` (memoized — this sits
-        on the per-message eager copy path)."""
+        """Duration of one host memcpy of ``nbytes``."""
         if nbytes <= 0:
             return 0
-        key = (self.memcpy_bytes_per_ns, nbytes)
-        ns = _COPY_NS_CACHE.get(key)
-        if ns is None:
-            if len(_COPY_NS_CACHE) >= _COPY_NS_CACHE_MAX:
-                _COPY_NS_CACHE.clear()
-            ns = _COPY_NS_CACHE[key] = max(1, int(round(nbytes / self.memcpy_bytes_per_ns)))
-        return ns
+        return max(1, int(round(nbytes / self.memcpy_bytes_per_ns)))

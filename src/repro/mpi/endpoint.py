@@ -382,7 +382,7 @@ class Endpoint:
             if request.done:
                 break
             if not cq._entries and not (self._ring_dirty and self._ring_ready()):
-                yield cq.wait_nonempty()
+                yield cq
         self.wait_ns += sim.now - t0
         return request.status
 
@@ -482,7 +482,7 @@ class Endpoint:
             if pred():
                 return
             if not self.cq._entries and not (self._ring_dirty and self._ring_ready()):
-                yield self.cq.wait_nonempty()
+                yield self.cq
 
     def _poll_once(self) -> Generator:
         """Drain the CQ and the dirty rings, charging each completion's CPU

@@ -2,9 +2,11 @@
 
 A *waitable* implements ``_block(sim, process)``: the kernel calls it when a
 process yields the object, and the waitable later resumes the process via
-``process._resume(value, exc)``.  Besides :class:`Timeout`, the workhorse is
-:class:`Signal` — a one-shot event used throughout the stack for completion
-notification (CQ arrivals, request completion, credit arrival, ...).
+``process._resume(value, exc)``.  A :class:`Timeout` is the exception: the
+kernel schedules its wakeup itself (``Process._resume``).  Besides it there
+are :class:`Signal` — a one-shot event (the connection manager's handshake)
+— and the completion queue (:class:`repro.ib.cq.CompletionQueue`), which a
+blocked rank yields.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class Timeout(Waitable):
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
         self.delay = delay
-
-    def _block(self, sim: "Simulator", process: "Process") -> None:
-        sim.call_later(self.delay, process._resume, None, None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Timeout({self.delay})"

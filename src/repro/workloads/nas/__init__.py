@@ -13,9 +13,11 @@ from importlib import import_module
 from repro.workloads.nas.common import ComputeModel, NASKernel
 
 
-def _build(module: str):
-    """``module``'s ``build``, the module loaded at the first call."""
-    return lambda *args, **kwargs: import_module(f"{__name__}.{module}").build(*args, **kwargs)
+def _build(module: str, *head):
+    """``module``'s ``build`` (given ``head`` first), the module loaded at
+    the first call."""
+    return lambda *args, **kwargs: import_module(f"{__name__}.{module}").build(
+        *head, *args, **kwargs)
 
 
 KERNELS = {
@@ -24,8 +26,8 @@ KERNELS = {
     "lu": NASKernel("lu", 8, _build("lu"), "SSOR wavefront: deep eager pipelines"),
     "cg": NASKernel("cg", 8, _build("cg"), "conjugate gradient: symmetric exchanges"),
     "mg": NASKernel("mg", 8, _build("mg"), "multigrid: multi-scale halo exchanges"),
-    "bt": NASKernel("bt", 16, _build("bt"), "block-tridiagonal ADI, 16 ranks"),
-    "sp": NASKernel("sp", 16, _build("sp"), "scalar-pentadiagonal ADI, 16 ranks"),
+    "bt": NASKernel("bt", 16, _build("adi", "bt"), "block-tridiagonal ADI, 16 ranks"),
+    "sp": NASKernel("sp", 16, _build("adi", "sp"), "scalar-pentadiagonal ADI, 16 ranks"),
 }
 
 #: The paper's presentation order (Figures 9-10, Tables 1-2).

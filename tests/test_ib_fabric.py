@@ -197,13 +197,13 @@ def test_fabric_counters():
     assert fabric.control_msgs >= 1  # the ACK
 
 
-def test_cq_wait_nonempty_blocks_until_completion():
+def test_cq_wait_blocks_until_completion():
     sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
     qp1.post_recv(RecvWR(wr_id="r", capacity=64))
     events = []
 
     def receiver():
-        yield cq1.wait_nonempty()
+        yield cq1
         events.append(("recv", sim.now))
         wcs = cq1.poll()
         assert len(wcs) == 1
@@ -218,7 +218,7 @@ def test_cq_wait_nonempty_blocks_until_completion():
     assert events and events[0][1] > 10_000
 
 
-def test_cq_wait_nonempty_immediate_when_pending():
+def test_cq_wait_immediate_when_pending():
     sim, _, _, qp0, qp1, cq0, cq1 = build_pair()
     qp1.post_recv(RecvWR(wr_id="r", capacity=64))
     qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=4, payload="x"))
@@ -227,9 +227,21 @@ def test_cq_wait_nonempty_immediate_when_pending():
     got = []
 
     def late_poller():
-        yield cq1.wait_nonempty()
+        yield cq1
         got.extend(cq1.poll())
 
     sim.spawn(late_poller())
     run(sim)
     assert len(got) == 1
+
+
+def test_a_cq_parks_one_consumer():
+    sim, _, _, _, _, _, cq1 = build_pair()
+
+    def waiter():
+        yield cq1
+
+    sim.spawn(waiter(), name="first")
+    sim.spawn(waiter(), name="second")
+    with pytest.raises(RuntimeError, match="'second' waits while 'first' is parked"):
+        run(sim)

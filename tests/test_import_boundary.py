@@ -16,7 +16,7 @@ UNUSED = [
     "repro.ft.manager", "repro.recovery.manager", "repro.check", "repro.faults",
     "repro.congestion", "repro.ib.fattree", "repro.mpi.rdma_channel", "repro.mpi.comm",
     "repro.campaign.runner", "repro.campaign.cache", "repro.workloads.microbench",
-    *(f"repro.workloads.nas.{kernel}" for kernel in ("is_", "ft", "cg", "mg", "bt", "sp")),
+    *(f"repro.workloads.nas.{kernel}" for kernel in ("is_", "ft", "cg", "mg", "adi")),
 ]
 
 PRELUDE = f"""

@@ -347,8 +347,7 @@ def _second_job_xfail(raises, what):
         "keeps _sends_open == 5), and the killed program's posted receive "
         "stays in rank 1's matching queue")),
     pytest.param("static", 2, False, id="static-mesh", marks=_second_job_xfail(
-        AssertionError, "on a mesh the pair stays in ERROR, and the second job "
-        "reports the first one's loss again from unpolled error completions")),
+        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
     pytest.param("dynamic", 8, False, id="dynamic-mesh", marks=_second_job_xfail(
         QPError, "on a mesh the pair stays in ERROR: post_send raises")),
     pytest.param("rdma-eager", 8, False, id="rdma-eager-mesh", marks=_second_job_xfail(

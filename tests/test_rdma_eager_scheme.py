@@ -25,6 +25,7 @@ from repro.core.memory import (
     qp_state_bytes,
 )
 from repro.faults import FaultPlan, scenario_job
+from repro.ib import CompletionQueue
 from repro.mpi import MPIError
 from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.rdma_channel import (
@@ -34,7 +35,6 @@ from repro.mpi.rdma_channel import (
     slot_message_ready,
 )
 from repro.recovery import RecoveryPolicy
-from repro.sim import Signal
 from repro.sim.units import to_us, us
 from repro.workloads import bandwidth_program, latency_program
 
@@ -518,22 +518,23 @@ def test_mesh_model_is_ring_aware():
 
 
 # ----------------------------------------------------------------------
-# a blocked rank waits on one signal, its CQ's: a ring deposit wakes it
+# a blocked rank waits on one thing, its CQ: a ring deposit wakes it
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("blocking, elapsed_ns", [(False, 6_730_202), (True, 5_769_838)])
 def test_a_blocked_rank_leaves_no_dead_waiter(monkeypatch, blocking, elapsed_ns):
-    """A wait on two signals leaves a waiter on the one that lost, and
-    every later wait piles another onto it: each fire would then dispatch
-    dead wakeups.  One signal a wait, so no fire ever has two waiters."""
+    """A wait on two waitables leaves the process parked on the one that
+    lost, and every later wait parks it again beside the stale entry: each
+    wakeup would then dispatch dead ones.  One waitable a wait, so no CQ
+    ever holds more than one parked process."""
     most = 0
-    real_fire = Signal.fire
+    real_block = CompletionQueue._block
 
-    def fire(self, sim, value=None):
+    def block(self, sim, process):
         nonlocal most
-        most = max(most, len(self._waiters))
-        real_fire(self, sim, value)
+        most = max(most, (self._waiter is not None) + (not self._entries))
+        real_block(self, sim, process)
 
-    monkeypatch.setattr(Signal, "fire", fire)
+    monkeypatch.setattr(CompletionQueue, "_block", block)
     r = run_job(bandwidth_program(4, 100, repetitions=10, blocking=blocking),
                 2, "rdma-eager", prepost=10, config=TestbedConfig(nodes=2))
     assert r.elapsed_ns == elapsed_ns

@@ -159,7 +159,7 @@ def test_the_observer_seam_is_the_one_way_to_the_auditor():
     (r"\.on_write = ", {"ib/mr.py", "mpi/rdma_channel.py"}),
     (r"tx_addr = ", {"mpi/rdma_channel.py"}),
     (r"cq\._entries = ", set()),  # CompletionQueue rebinds its own self._entries
-    (r"cq\._notify = ", set()),  # only the CQ arms and fires its wait
+    (r"\._waiter = ", {"ib/cq.py"}),  # only the CQ parks and wakes its consumer
     # the endpoint executes an errored completion's verdict (classify) and
     # severs a dead peer itself: ft and recovery read none of its privates
     (r"\b(_reclaim_error_wc|_conn_of|_backlogged)\b", {"mpi/endpoint.py"}),

@@ -117,8 +117,19 @@ def test_lu_completes_with_two_ranks_an_adapter(scheme, on_demand):
 
 
 def test_bt_sp_require_square_rank_counts():
-    with pytest.raises(ValueError):
-        run_job(KERNELS["bt"].build(timesteps=1), 8, "static", prepost=10)
+    for name in ("bt", "sp"):
+        with pytest.raises(ValueError, match=f"{name.upper()} needs a square rank count, got 8"):
+            run_job(KERNELS[name].build(timesteps=1), 8, "static", prepost=10)
+
+
+@pytest.mark.parametrize("name, elapsed_ns, events", [
+    ("bt", 99_942_327, 17_300), ("sp", 32_819_868, 17_307)])
+def test_bt_and_sp_keep_their_shapes_on_the_adi_skeleton(name, elapsed_ns, events):
+    """One ADI program, two rows of constants: a timestep of each runs
+    exactly as the two separate programs it replaced did."""
+    r = run_job(KERNELS[name].build(timesteps=1), 16, "static", prepost=10)
+    assert (r.elapsed_ns, r.endpoints[0].sim.events_executed) == (elapsed_ns, events)
+    assert r.rank_results == [1] * 16
 
 
 def test_lu_is_eager_dominated_and_ft_rendezvous_dominated():

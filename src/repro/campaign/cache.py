@@ -30,16 +30,19 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The record stored for ``key``, or None.  Absent, torn by an
+        interrupted campaign, or anything but a record of this key with
+        its metrics is a miss, not an error: the cell re-runs and
+        overwrites it."""
         path = self._path(key)  # malformed keys raise, outside the net below
         try:
             with open(path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
+                record = json.load(fh)
         except (OSError, ValueError):
-            # A torn write from an interrupted campaign is a miss, not an
-            # error — the cell simply re-runs and overwrites it.
             return None
+        if isinstance(record, dict) and record.get("key") == key and "metrics" in record:
+            return record
+        return None
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

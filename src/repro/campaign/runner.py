@@ -213,7 +213,7 @@ def run_cells(
             outcomes.append(by_key[key])
             continue
         record = cache.get(key) if cache is not None else None
-        out = CellOutcome(spec=spec, source="cache" if record else "pending",
+        out = CellOutcome(spec=spec, source="pending" if record is None else "cache",
                           record=record)
         by_key[key] = out
         outcomes.append(out)

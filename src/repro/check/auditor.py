@@ -776,10 +776,10 @@ class Auditor:
                 )
             # Receive-population reconciliation: every posted vbuf is
             # either a live WQE or an arrival still unpolled in the CQ.
-            unpolled: Dict[int, int] = {}
+            unpolled: Dict[int, int] = {}  # by peer (a receive's wr_id)
             for wc in ep.cq._entries:
                 if wc.is_recv:
-                    unpolled[wc.qp_num] = unpolled.get(wc.qp_num, 0) + 1
+                    unpolled[wc.wr_id] = unpolled.get(wc.wr_id, 0) + 1
             for conn in ep.connections.values():
                 if conn.peer in dead:
                     continue  # severed: shadow/population frozen mid-flight
@@ -806,7 +806,7 @@ class Auditor:
                         )
                     continue
                 accounted = (conn.qp.posted_recvs
-                             + unpolled.get(conn.qp.qp_num, 0))
+                             + unpolled.get(conn.peer, 0))
                 if conn.recv_posted != accounted:
                     self._violate(
                         "buffer-lease",

@@ -198,34 +198,56 @@ class Cluster:
 
     def connect(self, a: int, b: int) -> None:
         """Wire ``a`` <-> ``b``, the one place a pair comes into being: a QP
-        each, connected to the other; a ``Connection`` each in its
-        endpoint's table, set up by the scheme; the rings pointed at each
-        other; both receive budgets posted; the pair announced to the
-        observers.  A static mesh's halves take the numbers
-        :meth:`launch` set aside and post ungated, as MPI_Init did; on
-        demand, the adapters' next numbers and the refill a stall gates."""
+        each; a ``Connection`` each in its endpoint's table, set up by the
+        scheme; :meth:`_bring_up`; the pair announced to the observers.  A
+        static mesh's halves take the QPN and ring region :meth:`launch` set
+        aside for their place among the other ranks, and post ungated, as
+        MPI_Init did; on demand, the adapters' next numbers and the refill a
+        stall gates."""
+        ends = []
+        for ep, peer in ((self.endpoints[a], b), (self.endpoints[b], a)):
+            qpn = ring = None
+            if self._mesh is not None:
+                i = peer - (peer > ep.rank)
+                qpn, block = self._mesh[ep.rank]
+                qpn += i
+                if block is not None:
+                    length, addr, lkey, stride = block
+                    ring = ep.hca.reg_mr(length, at=(addr + i * stride, lkey + i))
+            conn = Connection(ep, peer, ep.hca.create_qp(ep.cq, qpn=qpn))
+            ep.add_connection(peer, conn, ring)
+            ends.append(conn)
+        self._bring_up(*ends, self._mesh is not None)
+        if self.observer is not None:
+            self.observer.on_wired(*ends)
+
+    def reset_pair(self, a: int, b: int) -> tuple:
+        """Bring the lost pair ``a`` <-> ``b`` back up on successor QPs, as
+        :meth:`connect` brings up a new one (recovery's re-arm), once each
+        end's unpolled flushed completions are reclaimed.  Returns those of
+        ``a``'s and of ``b``'s that were sends, as their records in flush
+        order: the replay candidates."""
         ep_a, ep_b = self.endpoints[a], self.endpoints[b]
-        if self._mesh is None:
-            qpn_a = qpn_b = ring_a = ring_b = None
-        else:
-            qpn_a, ring_a = self._numbers(ep_a, b)
-            qpn_b, ring_b = self._numbers(ep_b, a)
-        qp_ab = ep_a.hca.create_qp(ep_a.cq, qpn=qpn_a)
-        qp_ba = ep_b.hca.create_qp(ep_b.cq, qpn=qpn_b)
-        qp_ab.connect(ep_b.hca.lid, qp_ba.qp_num)
-        qp_ba.connect(ep_a.hca.lid, qp_ab.qp_num)
-        conn_ab, conn_ba = Connection(ep_a, b, qp_ab), Connection(ep_b, a, qp_ba)
-        ep_a.add_connection(b, conn_ab, ring_a)
-        ep_b.add_connection(a, conn_ba, ring_b)
-        if ep_a._ring_mode:
+        conn_ab, conn_ba = ep_a.connections[b], ep_b.connections[a]
+        flushed = ep_a.reclaim_flushed(conn_ab.qp), ep_b.reclaim_flushed(conn_ba.qp)
+        conn_ab.qp, conn_ba.qp = conn_ab.qp.successor(), conn_ba.qp.successor()
+        self._bring_up(conn_ab, conn_ba, False)
+        return flushed
+
+    @staticmethod
+    def _bring_up(conn_ab: Connection, conn_ba: Connection, init: bool) -> None:
+        """Connect the pair's QPs, point each ring cursor at the other's
+        ring and post both receive budgets (``init``: as MPI_Init did,
+        ungated; else the refill)."""
+        conn_ab.qp.connect(conn_ba.endpoint.hca.lid, conn_ba.qp.qp_num)
+        conn_ba.qp.connect(conn_ab.endpoint.hca.lid, conn_ab.qp.qp_num)
+        if conn_ab.ring is not None:
             Endpoint.wire_rdma_rings(conn_ab, conn_ba)
         for half in (conn_ab, conn_ba):
-            if self._mesh is None:
-                half.refill_recv_buffers()
-            else:
+            if init:
                 half.post_setup_buffers()
-        if self.observer is not None:
-            self.observer.on_wired(conn_ab, conn_ba)
+            else:
+                half.refill_recv_buffers()
 
     def observe(self, obs) -> None:
         """Join the observer seam (in a subsystem's ``arm``): ``obs``
@@ -259,16 +281,6 @@ class Cluster:
                 for peer in range(len(self.endpoints)):
                     if peer != ep.rank:
                         self.wire(ep, peer)
-
-    def _numbers(self, ep: Endpoint, peer: int) -> tuple:
-        """``ep``'s half toward ``peer``: the QPN and the registered ring
-        region its place among the other ranks gets from ``ep``'s blocks."""
-        i = peer - (peer > ep.rank)
-        qpn, ring = self._mesh[ep.rank]
-        if ring is None:
-            return qpn + i, None
-        length, addr, lkey, stride = ring
-        return qpn + i, ep.hca.reg_mr(length, at=(addr + i * stride, lkey + i))
 
     def reset_stats(self) -> None:
         """Zero the observability counters between jobs on a reused

@@ -127,15 +127,17 @@ class PortQueue:
             tr.count("cong.drop", self.key)
             tr.record(state.sim.now, "cong.drop", self.key, item.dst)
             # tail drop: the requester's ACK-timeout retry recovers it —
-            # a fault plan's, when one is armed, else an unlimited one
+            # a fault plan's, when one is armed, else an unlimited one.  A
+            # dead incarnation's message (its QP destroyed) is owed nothing.
             msg = item.message
             hca = state.fabric.hca_at(msg.src_lid)
-            hca.qp(msg.src_qpn).arm_transport(
-                hca.fault_transport or (DROP_RETRY_TIMEOUT_NS, INFINITE_RETRY))
-            if state.observer is not None:
-                # the replay comes at the first ACK-less timer period,
-                # at most two periods away: not a hang until then
-                state.observer.on_quiet(state.sim.now + 2 * DROP_RETRY_TIMEOUT_NS)
+            qp = hca.qp(msg.src_qpn)
+            if qp is not None:
+                qp.arm_transport(hca.fault_transport or (DROP_RETRY_TIMEOUT_NS, INFINITE_RETRY))
+                if state.observer is not None:
+                    # the replay comes at the first ACK-less timer period,
+                    # at most two periods away: not a hang until then
+                    state.observer.on_quiet(state.sim.now + 2 * DROP_RETRY_TIMEOUT_NS)
             return
         depth = self.depth = self.depth + wire
         if depth > self.peak_depth:

@@ -110,8 +110,9 @@ class HCA:
         self._next_qpn += n
         return qpn
 
-    def qp(self, qpn: int) -> QueuePair:
-        return self._qps[qpn]
+    def qp(self, qpn: int) -> Optional[QueuePair]:
+        """The QP numbered ``qpn``; None once it is destroyed."""
+        return self._qps.get(qpn)
 
     def destroy_qp(self, qp: QueuePair) -> None:
         """Release a dead QP (``ERROR`` or ``RESET``: its work queues are
@@ -151,8 +152,8 @@ class HCA:
         if self.dead:
             return
         self.dead = True
-        # in QPN order, whatever order the QPs were created in: the flushes
-        # land in the CQs as they did when every QP was numbered in order
+        # in QPN order, whatever the creation order: flushes land in wiring
+        # order, a recovered pair's successors (the newest numbers) last
         for qpn in sorted(self._qps):
             self._qps[qpn].force_error()
 

@@ -35,7 +35,6 @@ class _Message:
         "payload",
         "remote_addr",
         "rkey",
-        "epoch",
     )
 
     def __init__(self, qp: "QueuePair", wr: SendWR):
@@ -49,14 +48,14 @@ class _Message:
         self.payload = wr.payload
         self.remote_addr = wr.remote_addr
         self.rkey = wr.rkey
-        self.epoch = qp.epoch
 
 
 class QueuePair:
     """One end of a reliable connection.
 
     Created via :meth:`repro.ib.hca.HCA.create_qp`; wire up with
-    :meth:`connect` before posting.
+    :meth:`connect` before posting.  A QP that entered ERROR is never
+    revived: :meth:`successor` replaces it with a new one.
     """
 
     # Slots instead of a per-instance dict, and what is constant per adapter
@@ -85,10 +84,9 @@ class QueuePair:
         self.remote_lid = -1
         self.remote_qpn = -1
         self._peer_qp: Optional["QueuePair"] = None  # resolved lazily
-        #: connection incarnation — bumped by :meth:`reset` so in-flight
-        #: messages and control callbacks from a pre-fault era are
-        #: recognisably stale (MSNs restart at 0 per epoch, so without the
-        #: stamp an old ACK could acknowledge a new message)
+        #: connection incarnation, a label: :meth:`successor` counts it up
+        #: (what was in flight to or from a dead incarnation names its
+        #: destroyed number or its flushed object, and goes nowhere)
         self.epoch = 0
 
         #: the send half, built with the adapter's fault-plan transport
@@ -130,7 +128,6 @@ class QueuePair:
             raise QPError(f"QP {self.qp_num}: connect() in state {self.state}")
         self.remote_lid = remote_lid
         self.remote_qpn = remote_qpn
-        self._peer_qp = None
         self.state = QPState.READY
 
     def force_error(self) -> None:
@@ -142,31 +139,34 @@ class QueuePair:
         if self.state is not QPState.ERROR:
             self._flush()
 
-    def reset(self) -> None:
-        """ERROR → RESET (the verbs modify-QP step that precedes
-        re-establishment).  Clears every per-incarnation transport
-        artifact — MSN counters, credit estimate, RNR/ACK-timeout timers —
-        and bumps :attr:`epoch` so anything still in flight from the old
-        incarnation is dropped by the epoch guards.  Fault-mode transport
-        settings (:meth:`arm_transport`) survive, as they model
-        static QP attributes."""
-        if self.state is not QPState.ERROR:
-            raise QPError(f"QP {self.qp_num}: reset() in state {self.state}")
-        self.state = QPState.RESET
-        self.epoch += 1
-        self._req.rewind()
-        self._rq.clear()
-        self._expected_msn = 0
+    def successor(self) -> "QueuePair":
+        """The new QP (RESET, the adapter's next number) that takes over
+        from this dead one, which is destroyed: packets still in flight to
+        its number are dropped, and control bound to this object finds its
+        queues flushed.  It keeps what was set on this one (the armed
+        transport retry, the e2e credit seed), the job's counters and the
+        next :attr:`epoch`."""
+        hca, req = self.hca, self._req
+        hca.destroy_qp(self)
+        qp = hca.create_qp(self.send_cq, self.recv_cq)
+        qp.arm_transport((req._xport_timeout_ns, req._xport_limit)
+                         if req._xport_enabled else None)
+        qp.set_initial_credit_estimate(req._credit_seed)
+        for counter in ("rnr_naks_received", "retransmissions", "messages_sent"):
+            setattr(qp._req, counter, getattr(req, counter))
+        qp.rnr_naks_sent, qp.messages_delivered = self.rnr_naks_sent, self.messages_delivered
+        qp.epoch = self.epoch + 1
+        return qp
 
     def set_initial_credit_estimate(self, credits: Optional[int]) -> None:
         """Seed the requester's view of remote receive WQEs (the consumer
         knows how many buffers it pre-posted on the other side)."""
-        self._req._credit_est = credits
+        self._req._credit_est = self._req._credit_seed = credits
 
     def _peer(self) -> "QueuePair":
         # Resolved once and cached: the remote end of an RC connection
-        # never changes after connect() (which resets the cache).  The
-        # two-dict chase sat on the per-message ACK path.
+        # never changes after connect().  The two-dict chase sat on the
+        # per-message ACK path.
         peer = self._peer_qp
         if peer is None:
             peer = self._peer_qp = self.hca.fabric.hca_at(self.remote_lid).qp(
@@ -225,9 +225,7 @@ class QueuePair:
         req = self._req
         req._xport_timer = self.hca.sim.schedule(req._xport_timeout_ns, self._xport_expire)
 
-    def _on_ack(self, msn: int, advertised: int, epoch: int = 0) -> None:
-        if epoch != self.epoch:
-            return  # ACK from a pre-recovery incarnation (MSNs restarted)
+    def _on_ack(self, msn: int, advertised: int) -> None:
         req = self._req
         wr = transport.retire(req, msn, advertised)
         if wr is None:
@@ -239,9 +237,7 @@ class QueuePair:
         )
         self.hca._kick(self)
 
-    def _on_rnr_nak(self, msn: int, epoch: int = 0) -> None:
-        if epoch != self.epoch:
-            return
+    def _on_rnr_nak(self, msn: int) -> None:
         wait = transport.rnr_nak(self._req, msn, self.hca.config)
         if wait == transport.DROP:
             return
@@ -271,8 +267,8 @@ class QueuePair:
         if act == transport.REPLAY:
             self.hca._kick(self)
 
-    def _on_remote_error(self, msn: int, status: WCStatus, epoch: int = 0) -> None:
-        if epoch == self.epoch and transport.remote_error(self._req, msn) == transport.FATAL:
+    def _on_remote_error(self, msn: int, status: WCStatus) -> None:
+        if transport.remote_error(self._req, msn) == transport.FATAL:
             self._fail(msn, status)
 
     def _fail(self, msn: int, status: WCStatus) -> None:
@@ -323,8 +319,7 @@ class QueuePair:
             )
         elif act == transport.RNR_NAK:
             hca.tracer.count("ib.rnr_nak_sent", (hca.lid, msg.src_lid))
-            hca.fabric.send_control(hca.lid, msg.src_lid, self._peer()._on_rnr_nak,
-                                    msg.msn, self.epoch)
+            hca.fabric.send_control(hca.lid, msg.src_lid, self._peer()._on_rnr_nak, msg.msn)
             return
         elif act != transport.ACK:  # a length or an RDMA access error
             if act == transport.LENGTH_ERROR:
@@ -333,13 +328,13 @@ class QueuePair:
                 self._error(rwr.wr_id, Opcode.SEND, WCStatus.LOCAL_LENGTH_ERROR, True,
                             msg.length)
             hca.fabric.send_control(hca.lid, msg.src_lid, self._peer()._on_remote_error,
-                                    msg.msn, WCStatus.REMOTE_ACCESS_ERROR, self.epoch)
+                                    msg.msn, WCStatus.REMOTE_ACCESS_ERROR)
             if act == transport.LENGTH_ERROR:
                 self._flush()
             return
         # the e2e credit field: the receive WQEs left
         hca.fabric.send_control(hca.lid, msg.src_lid, (self._peer_qp or self._peer())._on_ack,
-                                msg.msn, len(rq), self.epoch)
+                                msg.msn, len(rq))
 
     check_invariants = transport.check_invariants
 

@@ -56,14 +56,13 @@ DELIVER, ACK, RNR_NAK, LENGTH_ERROR, ACCESS_ERROR = 1, 2, 3, 4, 5
 
 class Requester:
     """The send half of a queue pair: what is queued and in flight, the
-    per-incarnation transport state around it, and what it counted.  Each
-    QP builds its own when it is created.  The two timer slots hold the
-    queue pair's scheduled events; a transition only asks whether one is
-    running."""
+    transport state around it, and what it counted.  Each QP builds its
+    own when it is created.  The two timer slots hold the queue pair's
+    scheduled events; a transition only asks whether one is running."""
 
     __slots__ = (
         "_sq", "_inflight", "_next_msn", "_rnr_waiting", "_rnr_timer_ev",
-        "_credit_est", "_credit_est_msn", "_sends_inflight",
+        "_credit_est", "_credit_seed", "_credit_est_msn", "_sends_inflight",
         "_xport_enabled", "_xport_timeout_ns", "_xport_limit", "_xport_timer",
         "_xport_acks", "_xport_seen",
         "rnr_naks_received", "retransmissions", "messages_sent",
@@ -72,14 +71,6 @@ class Requester:
     def __init__(self, xport: Optional[Tuple[int, int]]):
         self._rnr_timer_ev = self._xport_timer = None
         self.rnr_naks_received = self.retransmissions = self.messages_sent = 0
-        self.rewind()
-        arm(self, xport)
-
-    def rewind(self) -> None:
-        """A new incarnation: every per-connection transport artifact back
-        to what a fresh requester has (the flush that preceded it stopped
-        the timers).  The transport settings (static QP attributes) and the
-        job's counters are not per incarnation."""
         #: waiting to inject (incl. replays), and msn -> WR awaiting its
         #: ACK.  ``sq_depth`` bounds the queue: a list, not a deque
         self._sq: List[SendWR] = []
@@ -87,10 +78,12 @@ class Requester:
         self._next_msn = 0
         self._rnr_waiting = False
         self._credit_est: Optional[int] = None  # None = unknown/unlimited
+        self._credit_seed: Optional[int] = None  # what the consumer seeded
         self._credit_est_msn = -1  # freshness of the estimate
         self._sends_inflight = 0
         self._xport_acks = 0  # requester progress marker (ACKs absorbed)
         self._xport_seen = 0  # progress at the last timer expiry
+        arm(self, xport)
 
 
 # ----------------------------------------------------------------------
@@ -261,13 +254,13 @@ def _requeue(req: Requester, first_msn: int) -> None:
 # ----------------------------------------------------------------------
 def respond(qp: "QueuePair", msg: "_Message", mrs: "RegistrationTable") -> int:
     """The in-order filter, at receive-engine service time.  Only the
-    expected MSN of the current incarnation on a READY queue pair goes on:
-    anything else is ``DROP`` — but armed, a stale duplicate means its ACK
-    was lost, so ``ACK`` it again.  A SEND with no receive WQE posted is
+    expected MSN on a READY queue pair goes on: anything else is ``DROP``
+    — but armed, a stale duplicate means its ACK was lost, so ``ACK`` it
+    again.  A SEND with no receive WQE posted is
     ``RNR_NAK``; one longer than the head WQE is ``LENGTH_ERROR``; else
     ``DELIVER``.  An RDMA write outside a registered region of ``mrs`` is
     ``ACCESS_ERROR``; else its payload is placed and it is ``ACK``."""
-    if qp.state is not QPState.READY or msg.epoch != qp.epoch:
+    if qp.state is not QPState.READY:
         return DROP
     if msg.msn != qp._expected_msn:
         if qp._req._xport_enabled and msg.msn < qp._expected_msn:

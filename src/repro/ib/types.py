@@ -34,8 +34,8 @@ class WCStatus(enum.Enum):
 
 
 class QPState(enum.Enum):
-    """Simplified queue-pair state machine (RESET→RTS as one step here;
-    connection management is done at cluster build time)."""
+    """Simplified queue-pair state machine: RESET→RTS is one step
+    (``QueuePair.connect``), and a QP in ERROR is replaced, never reset."""
 
     RESET = "reset"
     READY = "ready"  # RTR+RTS combined

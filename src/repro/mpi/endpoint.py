@@ -183,7 +183,7 @@ class Endpoint:
 
     @staticmethod
     def wire_rdma_rings(conn_ab: Connection, conn_ba: Connection) -> None:
-        """Point each half of a (re-)established pair at the other's ring."""
+        """Point each half of a pair being brought up at the other's ring."""
         for tx, rx in ((conn_ab, conn_ba), (conn_ba, conn_ab)):
             ring = rx.ring.ring
             tx.ring.point_tx_ring(ring.mr.addr, ring.mr.rkey, ring.slots)
@@ -592,11 +592,12 @@ class Endpoint:
             self._release_send_vbuf()
         return record
 
-    def unpolled(self, qp: Optional[QueuePair] = None) -> List[Header]:
-        """The headers delivered (by ``qp``, or any) that wait unpolled in
-        the CQ: what recovery and the end-of-job checks count as parked."""
+    def unpolled(self, peer: Optional[int] = None) -> List[Header]:
+        """The headers delivered (from ``peer``, by any of the pair's QPs,
+        or from anyone) that wait unpolled in the CQ: what recovery and the
+        end-of-job checks count as parked."""
         return [wc.data for wc in self.cq._entries if wc.is_recv and wc.ok
-                and (qp is None or wc.qp_num == qp.qp_num)]
+                and (peer is None or wc.wr_id == peer)]
 
     def reclaim_flushed(self, qp: QueuePair) -> List[Any]:
         """Take ``qp``'s unpolled errored completions off the CQ, each

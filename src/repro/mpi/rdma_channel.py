@@ -108,7 +108,7 @@ class RDMAChannel:
     __slots__ = (
         "endpoint", "peer", "slot_bytes", "ring", "_arrived", "cq_stash",
         "tx_addr", "tx_rkey", "tx_slots", "tx_next",
-        "messages", "reestablishments",
+        "messages",
     )
 
     def __init__(self, endpoint: "Endpoint", peer: int, slots: int,
@@ -116,7 +116,11 @@ class RDMAChannel:
         self.endpoint = endpoint
         self.peer = peer
         self.slot_bytes = endpoint.config.vbuf_bytes  # a slot is a vbuf
-        self.ring = self._allocate(slots, mr)
+        if mr is None:
+            mr = endpoint.hca.reg_mr(slots * self.slot_bytes)
+        # the simulator routes an RDMA write's landing to deposit()
+        mr.on_write = lambda addr, payload: self.deposit(payload)
+        self.ring = RingBuffer(mr, slots)
         #: arrived-but-unprocessed headers, FIFO: both channels ride one
         #: RC QP, which accepts in MSN order, so deposits come in sequence
         #: order (the auditor checks it), at most a ringful of them
@@ -133,15 +137,6 @@ class RDMAChannel:
         self.tx_next = 0
         # observability
         self.messages = 0
-        self.reestablishments = 0
-
-    def _allocate(self, slots: int, mr: Optional[MemoryRegion] = None) -> RingBuffer:
-        """A ring of ``slots`` in ``mr`` — by default a region registered now."""
-        if mr is None:
-            mr = self.endpoint.hca.reg_mr(slots * self.slot_bytes)
-        # the simulator routes an RDMA write's landing to deposit()
-        mr.on_write = lambda addr, payload: self.deposit(payload)
-        return RingBuffer(mr, slots)
 
     # ------------------------------------------------------------------
     # receiver side
@@ -167,22 +162,12 @@ class RDMAChannel:
     def has_arrivals(self) -> bool:
         return bool(self._arrived)
 
-    def reestablish(self) -> None:
-        """Recovery: allocate a fresh ring after the QP incarnation
-        backing the old one died.  The transport's epoch guard already
-        drops in-flight writes from the dead era, so the new ring starts
-        empty at slot 0; arrivals already captured in :attr:`_arrived`
-        stay queued — they were delivered and will be processed (and
-        their slots reported reclaimed) after resync."""
-        self.ring = self._allocate(self.ring.slots)
-        self.reestablishments += 1
-
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
     def point_tx_ring(self, addr: int, rkey: int, slots: int) -> None:
-        """Aim at the peer's current ring (coordinates from connection
-        setup or a recovery re-establishment), cursor at slot 0."""
+        """Aim at the peer's ring, cursor at slot 0 (every bring-up of the
+        pair: a recovered one keeps its rings, and its captured arrivals)."""
         self.tx_addr = addr
         self.tx_rkey = rkey
         self.tx_slots = slots

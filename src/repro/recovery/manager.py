@@ -24,11 +24,11 @@ The manager drives one state machine per rank pair:
    structured :class:`~repro.recovery.failures.ConnectionFailure` instead
    of an unbounded reconnect storm.
 
-3. **re-arm** — straggler error WCs are drained from both CQs, both QPs go
-   ERROR→RESET→READY (``reset()`` bumps the epoch, so stale in-flight
-   ACKs/NAKs from the dead incarnation are discarded by the epoch
-   guards), receive populations are refilled, and per-direction credit
-   state is recomputed from first principles (below).
+3. **re-arm** — ``Cluster.reset_pair`` reclaims the straggler error WCs
+   from both CQs (more replay candidates) and brings the pair up as a new
+   one on successor QPs (what is still in flight to or from the dead ones
+   goes nowhere); then per-direction credit state is recomputed from
+   first principles (below).
 
 4. **replay** — un-acked messages are re-posted with their original
    sequence numbers (pruned of the delivered-but-ack-lost prefix, which the
@@ -176,39 +176,15 @@ class RecoveryManager:
         a, b = pair
         ep_a, ep_b = self._ep(a), self._ep(b)
         conn_ab, conn_ba = ep_a.connections[b], ep_b.connections[a]
-        # 1. collect straggler error WCs the owners have not polled yet
-        rec.replays[a] += ep_a.reclaim_flushed(conn_ab.qp)
-        rec.replays[b] += ep_b.reclaim_flushed(conn_ba.qp)
-        # 2. ERROR -> RESET -> READY; reset() bumps the epoch so stale
-        #    in-flight control from the dead incarnation is discarded
-        qp_ab, qp_ba = conn_ab.qp, conn_ba.qp
-        qp_ab.reset()
-        qp_ba.reset()
-        qp_ab.connect(ep_b.hca.lid, qp_ba.qp_num)
-        qp_ba.connect(ep_a.hca.lid, qp_ab.qp_num)
-        # 3. hardware scheme: re-seed the e2e advertised-credit gate the
-        #    same way connection setup did
-        if getattr(ep_a.scheme, "arm_e2e_gate", False):
-            qp_ab.set_initial_credit_estimate(ep_a.requested_prepost)
-            qp_ba.set_initial_credit_estimate(ep_b.requested_prepost)
-        # 4. restore the receive populations (dynamic-scheme growth that
-        #    happened pre-fault carries over: prepost_target persists on
-        #    the Connection, so the refill tops up to the grown target)
-        conn_ab.refill_recv_buffers()
-        conn_ba.refill_recv_buffers()
-        # 4b. RDMA-ring mode: epoch-fenced ring re-establishment — the old
-        #     ring's cursor state died with the QP incarnation (the epoch
-        #     guard drops any write still in flight to it), so each side
-        #     allocates a fresh ring and re-advertises its coordinates;
-        #     replays then land from slot 0 in their original order.
-        if conn_ab.ring is not None:
-            conn_ba.ring.reestablish()
-            conn_ab.ring.reestablish()
-            ep_a.wire_rdma_rings(conn_ab, conn_ba)
-        # 5. per-direction credit resynchronization + replay planning
+        # the pair back up on successor QPs (dynamic-scheme growth carries
+        # over: prepost_target persists on the Connection, so the refill
+        # tops up to the grown target); the stragglers join the replays
+        for rank, flushed in zip(pair, self.cluster.reset_pair(a, b)):
+            rec.replays[rank] += flushed
+        # per-direction credit resynchronization + replay planning
         plan_ab = self._resync(ep_a, conn_ab, ep_b, conn_ba, rec)
         plan_ba = self._resync(ep_b, conn_ba, ep_a, conn_ab, rec)
-        # 6. unfreeze, replay, re-emit deferred control, re-drain backlogs
+        # unfreeze, replay, re-emit deferred control, re-drain backlogs
         conn_ab.recovering = False
         conn_ba.recovering = False
         replayed = self._apply(ep_a, conn_ab, plan_ab)
@@ -243,7 +219,7 @@ class RecoveryManager:
         # ``cq_stash`` behind a ring write that was lost in flight — so
         # the horizon is the *contiguous* received prefix, and anything
         # received beyond a gap is pruned by membership instead.
-        received = {h.seq: h for h in ep_r.unpolled(conn_rs.qp)}
+        received = {h.seq: h for h in ep_r.unpolled(ep_s.rank)}
         ch_rs = conn_rs.ring
         if ch_rs is not None:
             # Ring arrivals captured in slot memory but not yet processed:
@@ -271,7 +247,7 @@ class RecoveryManager:
                         and h.kind is MsgKind.EAGER):
                     ungranted += 1
             # granted and shipped by r, parked unpolled at s
-            parked_credits = sum(h.credits for h in ep_s.unpolled(conn_sr.qp))
+            parked_credits = sum(h.credits for h in ep_s.unpolled(ep_r.rank))
             credit.resync(conn_sr, conn_rs,
                           replayed_paid + parked_paid + ungranted + parked_credits)
             if self.cluster.observer is not None:

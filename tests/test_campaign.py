@@ -100,9 +100,26 @@ def test_result_cache_roundtrip(tmp_path):
 def test_result_cache_torn_write_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     key = "cd" * 32
-    cache.put(key, {"metrics": {}})
+    cache.put(key, {"key": key, "metrics": {}})
+    assert cache.get(key) == {"key": key, "metrics": {}}
     (tmp_path / f"{key}.json").write_text('{"metrics": {"trunc')
     assert cache.get(key) is None  # re-runs rather than erroring
+    # parseable but not a record of this key with metrics: a miss too
+    for corrupt in ({}, [], 0, {"key": key}, {"key": "ab" * 32, "metrics": {}}):
+        cache.put(key, corrupt)
+        assert cache.get(key) is None, corrupt
+
+
+@pytest.mark.parametrize("corrupt", [{}, [], 0, {"metrics": {}}])
+def test_a_corrupt_cached_record_is_rerun_and_overwritten(tmp_path, corrupt):
+    spec = tiny_grid()[0]
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(spec.key, corrupt)
+    res = run_cells([spec], cache=cache)
+    assert res.executed == 1 and res.hits == 0
+    assert res.outcomes[0].source == "run" and res.outcomes[0].metrics
+    assert cache.get(spec.key) == res.outcomes[0].record
+    assert run_cells([spec], cache=cache).hits == 1
 
 
 def test_result_cache_rejects_malformed_keys(tmp_path):

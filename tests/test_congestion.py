@@ -121,6 +121,44 @@ def test_tiny_buffer_tail_drops_and_transport_retry_recovers():
     assert r.fc.retransmissions >= r.congestion.drops
 
 
+def test_a_dead_incarnations_tail_drop_arms_nothing():
+    """A message still crossing the switch when its QP was replaced (a
+    recovered pair) names a destroyed QP number: its drop is owed no
+    replay, so it neither raises nor arms a transport retry."""
+    from repro.cluster import Cluster
+    from repro.congestion.switch import _Transit
+    from repro.core import make_scheme
+    from repro.ib import Opcode, SendWR
+    from repro.ib.qp import _Message
+
+    cfg = TestbedConfig(nodes=2)
+    cfg.ib.congestion = CongestionConfig(pfc=False, ecn=False, buffer_bytes=4096)
+    cluster = Cluster(cfg)
+    eps = cluster.launch(2, make_scheme("static"), 4)
+    cluster.wire(eps[0], 1)
+    cong = cluster.fabric.congestion
+    quiet = []
+    cong.observer = type("Obs", (), {"on_quiet": lambda self, t: quiet.append(t)})()
+    port = cong._build_path(0, 1)[-1]
+    port.depth = cong.cfg.buffer_bytes  # full: the next message is tail-dropped
+
+    def drop(qp):
+        msg = _Message(qp, SendWR(wr_id=0, opcode=Opcode.SEND, length=64))
+        port.admit(_Transit(msg, 1, 64, 0, 0, ()))
+
+    conns = [eps[0].connections[1], eps[1].connections[0]]
+    dead = conns[0].qp
+    for conn in conns:
+        conn.qp.force_error()
+    cluster.reset_pair(0, 1)
+    drop(dead)
+    assert port.drops == 1 and quiet == []
+    assert not any(qp._req._xport_enabled for qp in eps[0].hca._qps.values())
+    drop(conns[0].qp)  # the live incarnation's drop arms its retry
+    assert port.drops == 2 and len(quiet) == 1
+    assert conns[0].qp._req._xport_enabled
+
+
 @pytest.mark.parametrize("mode", ["pfc", "both"])
 def test_lu_drops_recover_without_a_fault_plan(mode):
     """8-rank LU's 85 KB planes overflow the 64 KB PFC buffer.  No fault

@@ -83,7 +83,6 @@ def test_every_send_wr_field_reaches_the_wire_message():
             "dst_lid": hcas[1].lid, "dst_qpn": qp1.qp_num,
             "opcode": opcode, "msn": msn, "length": length, "payload": payload,
             "remote_addr": addr, "rkey": rkey,
-            "epoch": 0,
         }
     assert qp0.messages_sent == 2 and mr.load(mr.addr + 64) is payload
     assert [wc.wr_id for wc in cq0.poll()] == ["s", "w"]
@@ -339,10 +338,8 @@ def test_flush_completes_every_posted_recv_in_order_and_the_queue_is_reusable():
     assert qp1.posted_recvs == 0 and not qp1._rq
     with pytest.raises(QPError):
         qp1.post_recv(RecvWR(wr_id="z", capacity=64))  # ERROR state
-    for qp, peer in ((qp0, qp1), (qp1, qp0)):
-        qp.force_error()
-        qp.reset()
-        qp.connect(peer.hca.lid, peer.qp_num)
+    qp0.force_error()
+    qp0, qp1 = _successors(qp0, qp1)  # the pair comes back on new QPs
     cq0.poll(), cq1.poll()
     qp1.post_recv(RecvWR(wr_id="again", capacity=64), 2)
     qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8, payload="p"))
@@ -371,6 +368,14 @@ def test_ack_advertises_the_posted_count_after_the_consume():
     assert qp1.posted_recvs == 0
 
 
+def _successors(qp0, qp1):
+    """Both (dead) ends replaced by successors connected to each other."""
+    new0, new1 = qp0.successor(), qp1.successor()
+    new0.connect(new1.hca.lid, new1.qp_num)
+    new1.connect(new0.hca.lid, new0.qp_num)
+    return new0, new1
+
+
 # ----------------------------------------------------------------------
 # a QP that never sent: the error paths touch only its own requester
 # ----------------------------------------------------------------------
@@ -381,23 +386,26 @@ def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
     req, req1 = qp0._req, qp1._req  # each QP's own, built with it
     assert type(req) is Requester and req is not req1
     qp1.post_recv(RecvWR(wr_id="r", capacity=64), 2)  # a responder only
-    qp0._on_ack(0, 5, epoch=qp0.epoch)  # nothing was ever sent: ignored
-    qp0._on_rnr_nak(0, epoch=qp0.epoch)
-    qp0._on_remote_error(0, WCStatus.REMOTE_ACCESS_ERROR, epoch=qp0.epoch)
+    qp0._on_ack(0, 5)  # nothing was ever sent: ignored
+    qp0._on_rnr_nak(0)
+    qp0._on_remote_error(0, WCStatus.REMOTE_ACCESS_ERROR)
     assert qp0.state is QPState.READY and len(cq0) == 0
     assert qp0.check_invariants() == [] and qp0.outstanding_sends == 0
-    for qp, peer in ((qp0, qp1), (qp1, qp0)):
+    for qp in (qp0, qp1):
         qp.force_error()  # _flush on a requester that holds nothing
         assert qp.check_invariants() == []
-        qp.reset()
-        qp.connect(peer.hca.lid, peer.qp_num)
-        assert qp.epoch == 1
+    dead0 = qp0
+    qp0, qp1 = _successors(qp0, qp1)
+    assert dead0._req is req  # the dead QP keeps its flushed requester ...
+    assert qp0._req is not req and qp1._req is not req1  # ... a successor builds its own
+    assert qp0.epoch == qp1.epoch == 1
+    for qp in (qp0, qp1):
         qp.reset_counters()
-    assert (qp0._req, qp1._req) == (req, req1)  # no requester was replaced
     assert len(cq0) == 0 and len(cq1) == 2  # only qp1's two posted receives
     cq1.poll()
-    qp0._on_ack(0, 5, epoch=0)  # stale epoch
-    qp0._on_ack(0, 5, epoch=qp0.epoch)  # current epoch, still nothing sent
+    dead0._on_ack(0, 5)  # the dead incarnation's object: flushed, ignored
+    qp0._on_ack(0, 5)  # the successor: still nothing sent
+    req = qp0._req
     assert (req.messages_sent, req._next_msn, req._inflight, req._sq) == (0, 0, {}, [])
 
     qp1.post_recv(RecvWR(wr_id="r", capacity=64))
@@ -408,19 +416,80 @@ def test_a_qp_that_never_sent_survives_the_error_paths_without_allocating():
     assert [wc.data for wc in cq1.poll()] == ["p"]
     assert qp0.check_invariants() == [] and qp1.check_invariants() == []
     assert (qp0.messages_sent, req._next_msn, qp1.messages_sent) == (1, 1, 0)
-    # a requester lasts: a flush drains it, a reset rewinds it, and neither
-    # forgets what the job counted or how the QP was configured
+    # a successor starts afresh but keeps what the job counted and how the
+    # QP was configured
     qp0.arm_transport((50_000, 3))
     qp0.force_error()
-    qp0.reset()
-    qp0.connect(1, qp1.qp_num)
-    assert qp0._req is req and qp0.epoch == 2 and qp0.outstanding_sends == 0
+    qp1.force_error()
+    qp0, qp1 = _successors(qp0, qp1)
+    req = qp0._req
+    assert qp0.epoch == 2 and qp0.outstanding_sends == 0
     assert (req.messages_sent, req._next_msn, req._credit_est) == (1, 0, None)
     assert (req._xport_enabled, req._xport_timeout_ns, req._xport_limit) == (True, 50_000, 3)
     qp0.reset_counters()
     assert qp0.messages_sent == 0
     with pytest.raises(AttributeError):
         qp0.messages_sent = 1  # a QP's requester counters are read-only views
+
+
+# ----------------------------------------------------------------------
+# a successor QP: the dead incarnation's traffic goes nowhere
+# ----------------------------------------------------------------------
+def test_a_successor_takes_a_new_number_and_keeps_what_was_set_on_the_old_qp():
+    sim, _, hcas, qp0, qp1, cq0, cq1 = build_pair()
+    qp0.set_initial_credit_estimate(4)
+    qp0.arm_transport((50_000, 3))
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64))
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8))
+    run(sim)
+    assert (qp0.messages_sent, qp1.messages_delivered, qp0._req._credit_est) == (1, 1, 0)
+    qp0.force_error()
+    with pytest.raises(QPError):
+        qp1.successor()  # a live QP is not replaced ...
+    assert hcas[1].qp(qp1.qp_num) is qp1 and len(hcas[1]._qps) == 1  # ... nor added to
+    new = qp0.successor()
+    assert new.state is QPState.RESET and new.qp_num > qp0.qp_num
+    assert hcas[0].qp(qp0.qp_num) is None and hcas[0].qp(new.qp_num) is new
+    assert (new.send_cq, new.recv_cq, new.epoch) == (cq0, cq0, 1)
+    req = new._req
+    assert (req._credit_est, req._credit_seed) == (4, 4)  # the e2e seed, not what was left
+    assert (req._xport_enabled, req._xport_timeout_ns, req._xport_limit) == (True, 50_000, 3)
+    assert (new.messages_sent, new.retry_counts()) == (1, (0, 0))
+    assert (req._next_msn, req._inflight, req._sq, new.posted_recvs) == (0, {}, [], 0)
+
+
+def test_the_dead_incarnations_traffic_leaves_the_successor_unchanged():
+    from repro.ib.qp import _Message
+
+    sim, _, hcas, qp0, qp1, cq0, cq1 = build_pair()
+    dead0, dead1 = qp0, qp1
+    qp0.force_error()
+    qp1.force_error()
+    cq0.poll(), cq1.poll()
+    qp0, qp1 = _successors(qp0, qp1)
+    qp1.post_recv(RecvWR(wr_id="r", capacity=64))
+    qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=8))
+    sim.run(until=sim.now + 1)  # MSN 0 injected, not yet ACKed
+    req = qp0._req
+    assert list(req._inflight) == [0] and req._sends_inflight == 1
+
+    # a packet of the old incarnation, addressed to the old QP number
+    stale = SendWR(wr_id="old", opcode=Opcode.SEND, length=8, payload="stale")
+    stale.msn = 0
+    hcas[1]._deliver(_Message(dead0, stale))
+    # control from the old incarnation is bound to the old, flushed objects
+    dead0._on_ack(0, 5)
+    dead0._on_rnr_nak(0)
+    dead0._on_remote_error(0, WCStatus.REMOTE_ACCESS_ERROR)
+    dead1._on_ack(0, 5)
+    assert list(req._inflight) == [0] and len(cq0) == 0
+    assert (qp1._expected_msn, qp1.posted_recvs, len(cq1)) == (0, 1, 0)
+    run(sim)
+    # only the successor's own message was delivered and ACKed
+    assert [(wc.wr_id, wc.ok) for wc in cq0.poll()] == [("s", True)]
+    assert [(wc.wr_id, wc.data) for wc in cq1.poll()] == [("r", None)]
+    assert qp1.messages_delivered == 1 and qp0.state is QPState.READY
+    assert (dead0.state, dead1.state) == (QPState.ERROR, QPState.ERROR)
 
 
 # ----------------------------------------------------------------------

@@ -154,7 +154,7 @@ def _state(conn, queues=True):
             v = astuple(v)
         elif slot == "ring" and v is not None:
             v = (v.slot_bytes, v.ring.slots, list(v._arrived), list(v.cq_stash),
-                 v.tx_slots, v.tx_next, v.messages, v.reestablishments)
+                 v.tx_slots, v.tx_next, v.messages)
         elif slot in ("backlog", "deferred"):
             v = list(v)
         out[slot] = v

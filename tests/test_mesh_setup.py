@@ -253,11 +253,13 @@ def test_qp_reset_returns_the_send_queue_to_empty():
     assert [wr.wr_id for wr in req._sq] == [1, 2] and qp0.outstanding_sends == 2
     qp0.force_error()  # flushes both
     assert req._sq == [] and len(cq0) == 2
-    qp0.reset()
-    assert qp0._req is req and req._sq == [] and req._next_msn == 0
-    assert qp0.outstanding_sends == 0 and qp0.state is QPState.RESET
-    qp0.connect(1, qp1.qp_num)
-    qp0.post_send(SendWR(wr_id=3, opcode=Opcode.SEND, length=4))
+    new = qp0.successor()
+    assert hcas[0].qp(qp0.qp_num) is None and hcas[0].qp(new.qp_num) is new
+    req = new._req  # the successor's own
+    assert req._sq == [] and req._next_msn == 0
+    assert new.outstanding_sends == 0 and new.state is QPState.RESET
+    new.connect(1, qp1.qp_num)
+    new.post_send(SendWR(wr_id=3, opcode=Opcode.SEND, length=4))
     assert [wr.wr_id for wr in req._sq] == [3]
 
 

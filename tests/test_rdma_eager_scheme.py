@@ -436,7 +436,7 @@ def test_rdma_eager_matches_static_delivery(scenario):
 
 
 # ----------------------------------------------------------------------
-# recovery: epoch-fenced ring re-establishment and replay
+# recovery: the rings keep their regions, the cursors restart, replays land
 # ----------------------------------------------------------------------
 def test_link_down_recovery_reestablishes_rings():
     plan = (FaultPlan(seed=5, transport_timeout_ns=us(40),
@@ -457,15 +457,32 @@ def test_link_down_recovery_reestablishes_rings():
                 got.add(st.payload)
             assert got == set(range(n))
 
-    r = run_job(prog, 2, "rdma-eager", prepost=4,
-                config=TestbedConfig(nodes=2), faults=plan,
-                recovery=RecoveryPolicy(max_attempts=12, seed=5),
-                audit=True)
+    cluster = Cluster(TestbedConfig(nodes=2))
+    eps = cluster.launch(2, make_scheme("rdma-eager"), 4)
+    cluster.wire(eps[0], 1)
+    chans = [ep.connections[1 - ep.rank].ring for ep in eps]
+    rings = [ch.ring for ch in chans]
+    qps = [ep.connections[1 - ep.rank].qp for ep in eps]
+    cursors = []
+    reset_pair = cluster.reset_pair
+
+    def spy(a, b):  # each sender's cursor right after the bring-up
+        flushed = reset_pair(a, b)
+        cursors.append([ch.tx_next for ch in chans])
+        return flushed
+
+    cluster.reset_pair = spy
+    r = run_job(prog, 2, "rdma-eager", prepost=4, cluster=cluster, faults=plan,
+                recovery=RecoveryPolicy(max_attempts=12, seed=5), audit=True)
     assert r.completed
     assert r.recovery.recoveries_completed >= 1
-    reest = sum(c.ring.reestablishments
-                for ep in r.endpoints for c in ep.connections.values())
-    assert reest >= 2  # both halves of the pair got fresh rings
+    assert cursors == [[0, 0]] * r.recovery.recoveries_completed
+    for ep, ch, ring, qp in zip(eps, chans, rings, qps):
+        conn = ep.connections[1 - ep.rank]
+        # the same channel polls the same region; only the QP is new
+        assert conn.ring is ch and ch.ring is ring and conn.qp is not qp
+    for tx, rx in ((chans[0], rings[1]), (chans[1], rings[0])):
+        assert (tx.tx_addr, tx.tx_rkey) == (rx.mr.addr, rx.mr.rkey)
     assert r.audit.violations == []
 
 

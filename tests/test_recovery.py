@@ -232,21 +232,14 @@ def test_refill_recv_buffers_tolerates_error_qp():
     # raises in ERROR state; the recovery-aware gate returns 0 instead.
     assert conn01.refill_recv_buffers() == 0
 
-    # Reclaim the flushed completions the way the manager does, then
-    # re-arm the pair: the population comes back to the full budget.
-    for wc in ep0.cq.poll():
-        if not wc.ok:
-            ep0._reclaim_error_wc(wc)
+    # Re-arm the pair the way the manager does: reset_pair reclaims the
+    # flushed completions and refills, so the population comes back to
+    # the full budget on both ends.
     conn10.qp.force_error()
-    for wc in ep1.cq.poll():
-        if not wc.ok:
-            ep1._reclaim_error_wc(wc)
-    for conn, peer_conn in ((conn01, conn10), (conn10, conn01)):
-        conn.qp.reset()
-    conn01.qp.connect(ep1.hca.lid, conn10.qp.qp_num)
-    conn10.qp.connect(ep0.hca.lid, conn01.qp.qp_num)
-    assert conn01.refill_recv_buffers() > 0
-    assert conn01.recv_posted == population
+    assert cluster.reset_pair(0, 1) == ([], [])  # no send was flushed
+    assert conn01.recv_posted == conn10.recv_posted == population
+    assert conn01.qp.posted_recvs == population
+    assert conn01.refill_recv_buffers() == 0  # nothing missing
 
 
 def test_error_wc_without_recovery_reclaims_send_pool():
@@ -364,3 +357,44 @@ def test_backoff_and_pair_rng_are_the_schedule_and_key_they_replaced(seed, a, b,
     old = random.Random(seed * 1_000_003 + a * 1009 + b * 131 + attempt)
     new = pair_rng(seed, a, b, attempt)
     assert [new.random() for _ in range(4)] == [old.random() for _ in range(4)]
+
+
+# ----------------------------------------------------------------------
+# reset_pair: a lost pair comes back on successor QPs
+# ----------------------------------------------------------------------
+def test_reset_pair_brings_the_pair_up_on_successor_qps():
+    cluster = Cluster(TestbedConfig(nodes=2))
+    eps = cluster.launch(2, make_scheme("hardware", arm_e2e_gate=True), prepost=3)
+    cluster.wire(eps[0], 1)
+    conns = [eps[0].connections[1], eps[1].connections[0]]
+    old = [conn.qp for conn in conns]
+    assert [qp._req._credit_est for qp in old] == [3, 3]  # the e2e seed
+    counts = {}
+    for i, qp in enumerate(old):
+        req = qp._req
+        req._credit_est = 0  # what traffic left of the estimate
+        req.rnr_naks_received, req.retransmissions, req.messages_sent = i + 1, i + 2, i + 3
+        qp.rnr_naks_sent, qp.messages_delivered = i + 4, i + 5
+        counts[i] = (i + 1, i + 2, i + 3, i + 4, i + 5)
+    header = object()  # a send queued on one end: reclaimed, returned for replay
+    old[0].post_send(SendWR(wr_id=header, opcode=Opcode.SEND, length=4))
+    eps[0]._sends_open += 1
+    for qp in old:
+        qp.force_error()
+
+    flushed = cluster.reset_pair(0, 1)
+
+    assert flushed == ([header], [])
+    new = [conn.qp for conn in conns]
+    for i, (ep, qp, dead) in enumerate(zip(eps, new, old)):
+        assert qp is not dead and qp.qp_num != dead.qp_num
+        assert ep.hca.qp(dead.qp_num) is None and ep.hca.qp(qp.qp_num) is qp
+        assert qp.state is QPState.READY and qp.epoch == dead.epoch + 1 == 1
+        req = qp._req
+        assert (req.rnr_naks_received, req.retransmissions, req.messages_sent,
+                qp.rnr_naks_sent, qp.messages_delivered) == counts[i]
+        assert req._credit_est == 3  # re-seeded, as set-up seeded it
+        assert qp.posted_recvs == conns[i].recv_posted == 3  # refilled
+        assert not any(not wc.ok for wc in ep.cq._entries)  # flushes reclaimed
+    assert (new[0].remote_qpn, new[1].remote_qpn) == (new[1].qp_num, new[0].qp_num)
+    assert eps[0]._sends_open == 0

@@ -4,11 +4,12 @@ touch wires, by layer and scheme (DESIGN §6.4).
 The set-up twin of ``test_call_budget``'s frames per eager message.
 ``Cluster.launch`` wires nothing; a pair is wired when first touched, by
 one chain — ``Cluster.wire`` and ``Cluster.connect`` (the function that
-builds every pair, on demand too), each half's reserved numbers, create
-the QP (and its ``Requester``) and connect it, ``Connection`` (and its
+builds every pair, on demand too), create each half's QP (and its
+``Requester``) at its reserved number, ``Connection`` (and its
 ``ConnStats``), ``add_connection`` → ``_set_up`` → the scheme's
-``setup_connection``, the pre-post through ``post_setup_buffers`` →
-``post_recv``.  An all-to-all job runs it P*(P-1)/2
+``setup_connection``, then the bring-up ``Cluster._bring_up`` that
+recovery's ``reset_pair`` shares: connect the QPs, the pre-post through
+``post_setup_buffers`` → ``post_recv``.  An all-to-all job runs it P*(P-1)/2
 times.  Frame counts are deterministic, so the ceilings are the counts: a
 helper, a property or a scheme override added to the chain fails here, by
 name, before a wall-clock benchmark could resolve it.
@@ -72,10 +73,11 @@ def _layer(per_connection, sub=""):
                if path.startswith(SRC + sub))
 
 
-#: (ib, mpi, core, cluster, everything under src/repro) per connection.  Three
-#: of the ib frames build the QP's ``Requester`` (its ``__init__``,
-#: ``rewind`` and ``transport.arm``); ib was 4 while a QP that had not sent
-#: shared one idle requester
+#: (ib, mpi, core, cluster, everything under src/repro) per connection.  Two
+#: of the ib frames build the QP's ``Requester`` (its ``__init__`` and
+#: ``transport.arm``); ib was 4 while a QP that had not sent shared one idle
+#: requester.  The counts sit below the ceilings (ib 6, cluster 1.5, total
+#: 12.5; rdma-eager 9, mpi 7.5, total 20)
 CEILINGS = {
     "hardware": (8, 4, 1, 2, 15),
     "static": (8, 4, 1, 2, 15),

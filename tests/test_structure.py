@@ -407,7 +407,8 @@ def test_the_rc_transport_is_one_sim_free_module():
     importers = r"(?m)^\s*(?:from repro\.ib\.transport import|from repro\.ib import .*\btransport\b)"
     assert _modules_matching(importers) == {"ib/qp.py", "ib/hca.py"}
     assert _modules_matching(r"\.arm_transport\(") == {"faults/injector.py",
-                                                       "congestion/switch.py"}
+                                                       "congestion/switch.py",
+                                                       "ib/qp.py"}
     for gone in (r"\bset_transport\(", r"enable_transport_retry", r"adopt_fault_transport",
                  r"on_wire_loss", r"reack_stale"):
         assert not _modules_matching(gone), gone
@@ -443,7 +444,7 @@ def test_no_per_job_pass_scans_the_connection_table():
 
 def test_one_site_builds_a_requester_and_arming_builds_none():
     """A QP builds its own requester half when it is created, and keeps it
-    through every incarnation — DESIGN §6.4.  Arming a subsystem updates
+    for its life (a successor QP builds its own) — DESIGN §6.4.  Arming a subsystem updates
     the requesters that exist."""
     from repro.ib.qp import QueuePair
 
@@ -484,6 +485,36 @@ def test_a_pair_comes_into_being_in_one_place():
     assert "invalidated" not in _src("cluster/on_demand.py")
     # the CM's in-flight exchanges are its own: ft fails them through a method
     assert not _modules_matching(r"(?<!self)\._pending\b")
+
+
+def test_a_lost_pair_comes_back_on_successor_qps_through_one_bring_up():
+    """Recovery re-arms a pair through ``Cluster.reset_pair``, which swaps
+    in successor QPs and runs ``connect``'s bring-up; ``recovery/`` touches
+    no QP verb, ring or hardware-scheme setting, and nothing in flight
+    carries an epoch — DESIGN §6.2."""
+    from repro.cluster import Cluster
+    from repro.ib.qp import QueuePair, _Message
+    from repro.mpi.rdma_channel import RDMAChannel
+
+    ring_methods = [name for name, fn in vars(RDMAChannel).items()
+                    if callable(fn) and not name.startswith("__")] + ["wire_rdma_rings"]
+    for gone in [r"\.connect\(", r"\.reset\(", r"\.successor\(", r"arm_e2e_gate",
+                 r"set_initial_credit_estimate", r"refill_recv_buffers",
+                 *(rf"\.{name}\(" for name in ring_methods)]:
+        assert not [p for p in (SRC / "recovery").rglob("*.py")
+                    if re.search(gone, p.read_text())], gone
+    assert _modules_matching(r"\.successor\(") == {"cluster/builder.py"}
+    assert len(re.findall(r"\.successor\(", _src("cluster/builder.py"))) == len(
+        re.findall(r"\.successor\(", inspect.getsource(Cluster.reset_pair))) == 2
+    assert _modules_matching(r"\._bring_up\(") == {"cluster/builder.py"}
+    for fn in (Cluster.connect, Cluster.reset_pair):
+        assert "self._bring_up(" in inspect.getsource(fn), fn.__name__
+    for gone in ("reset", "reestablish"):
+        assert not hasattr(QueuePair, gone) and not hasattr(RDMAChannel, gone), gone
+    assert "epoch" not in _Message.__slots__
+    for name in ("_on_ack", "_on_rnr_nak", "_on_remote_error"):
+        assert "epoch" not in inspect.signature(getattr(QueuePair, name)).parameters, name
+    assert not re.search(r"epoch", _src("ib/transport.py"))
 
 
 def test_a_dead_rank_is_a_killed_process_and_a_lost_pair_is_severed():

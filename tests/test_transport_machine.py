@@ -79,7 +79,7 @@ def machine(armed, credits):
             if transport.take(req, wr) & transport.WATCH:
                 req._xport_timer = "ack timer"
             self.wire[end].append(("data", SimpleNamespace(
-                msn=wr.msn, epoch=0, opcode=wr.opcode, length=wr.length,
+                msn=wr.msn, opcode=wr.opcode, length=wr.length,
                 payload=wr.payload)))
             return True
 

@@ -42,11 +42,6 @@ def ring(mpi):
         yield from mpi.wait(rreq)
 
 
-def idle(mpi):
-    return
-    yield
-
-
 def run_table() -> Table:
     cfg = TestbedConfig(nodes=NRANKS, **fat_tree_shape(NRANKS))
     vbuf = cfg.mpi.vbuf_bytes
@@ -83,12 +78,6 @@ def run_table() -> Table:
                 # closed form == simulation, to the byte: exactly for a
                 # scheme that never grows, plus the grown buffers otherwise
                 assert mem.vbuf_pinned_bytes == closed + grown * vbuf
-            if scheme == "static" and not on_demand:
-                # MPI_Finalize over the built mesh: every rank quiesces and
-                # barriers looking only at the peers it engaged
-                run_job(idle, NRANKS, scheme, prepost=PREPOST,
-                        cluster=cluster, finalize=True)
-                assert all(ep.finalized for ep in cluster.endpoints)
             label = f"{scheme} " + ("on-demand" if on_demand else "mesh")
             table.add_row(
                 label,
@@ -102,6 +91,14 @@ def run_table() -> Table:
             # free this one before the next is built
             del cluster, r, conns, mem
             gc.collect()
+            if scheme == "static" and not on_demand:
+                # MPI_Finalize over the mesh, a job of its own: every rank
+                # quiesces and barriers looking only at the peers it engaged
+                r = run_job(ring, NRANKS, scheme, prepost=PREPOST, config=cfg,
+                            on_demand=False, finalize=True)
+                assert all(ep.finalized for ep in r.endpoints)
+                del r
+                gc.collect()
     return table
 
 

@@ -41,10 +41,6 @@ class Series:
     def ys(self) -> List:
         return [y for _, y in self.points]
 
-    def reset(self) -> None:
-        """Drop all points (fresh accumulation on a reused figure)."""
-        self.points.clear()
-
 
 class Figure:
     """A collection of series sharing an x-axis, printable as a table."""
@@ -62,11 +58,6 @@ class Figure:
 
     def add(self, label: str, x, y) -> None:
         self.series_named(label).add(x, y)
-
-    def reset(self) -> None:
-        """Drop every series — a reused Figure otherwise accumulates
-        points across jobs and renders stale data."""
-        self.series.clear()
 
     def render(self, fmt: str = "{:>12.2f}") -> str:
         xs: List = []
@@ -124,10 +115,6 @@ class Table:
                 f"expected {len(self.columns)}"
             )
         self.rows.append((name, values))
-
-    def reset(self) -> None:
-        """Drop all rows, keeping the title/columns."""
-        self.rows.clear()
 
     def value(self, row: str, column: str):
         ci = self.columns.index(column)

@@ -88,8 +88,7 @@ class _Row:
     """Everything the auditor tracks for one directed pair ``s -> r``: the
     (a) ledger terms, the (c) backlog shadow of ``s``'s sends to ``r`` and
     the (g) slots ``s`` wrote into ``r``'s ring.  Made with its reverse,
-    bound when the pair is wired; it outlives a teardown, its connections
-    do not."""
+    bound when the pair is wired."""
 
     __slots__ = ("pair", "snd", "rcv", "back", "off", "suspended",
                  "consumed_unsent", "inflight_paid", "ungranted",
@@ -98,7 +97,7 @@ class _Row:
 
     def __init__(self, pair: Tuple[int, int]):
         self.pair = pair
-        #: the connections s -> r and r -> s while both exist, else None
+        #: the connections s -> r and r -> s once wired, else None
         self.snd: Optional["Connection"] = None
         self.rcv: Optional["Connection"] = None
         self.back: Optional["_Row"] = None  # the row of r -> s
@@ -175,8 +174,8 @@ class Auditor:
     failures = ()  # a violation raises; the auditor loses no pair or rank
 
     def arm(self, cluster) -> None:
-        """Observe a launched cluster and bind the pairs an earlier job
-        wired.  An auditor audits one job (like every
+        """Observe a launched cluster and bind the pairs wired before the
+        job (``Cluster.wire``).  An auditor audits one job (like every
         subsystem object: what it observed stays that job's record), so it
         arms once."""
         if self._cluster is not None:
@@ -195,10 +194,6 @@ class Auditor:
                 if peer > ep.rank:
                     self.on_wired(conn, self._endpoints[peer].connections[ep.rank])
 
-    def disarm(self) -> None:
-        """Undo :meth:`arm`: leave the seam."""
-        self._cluster.unobserve(self)
-
     def on_quiet(self, until_ns: int) -> None:
         """Progress may legitimately stop until ``until_ns`` (a fault plan,
         a recovery backoff, a detection budget): the watchdog waits."""
@@ -216,22 +211,12 @@ class Auditor:
 
     def on_wired(self, conn_ab: "Connection", conn_ba: "Connection") -> None:
         """``Cluster.connect`` wired a pair (or :meth:`arm` found it wired):
-        bind its rows, kept from a torn-down incarnation or made now.  A
-        registration, not a hook: no call is counted, no progress noted."""
+        bind its rows.  A registration, not a hook: no call is counted, no
+        progress noted."""
         row = self._row(conn_ab.endpoint.rank, conn_ab.peer)
         self._rows[conn_ab] = row
         self._rows[conn_ba] = row.back
         self._bind(row, conn_ab, conn_ba)
-
-    def on_teardown(self, a: int, b: int) -> None:
-        """``ConnectionManager.teardown`` dropped the pair's connections:
-        the rows let go of them and keep their ledger, which the pair's
-        next connections are bound to when they are wired."""
-        row = self._pairs.get((a, b))
-        if row is not None:
-            self._rows.pop(row.snd, None)
-            self._rows.pop(row.rcv, None)
-            self._bind(row, None, None)
 
     def _row(self, s: int, r: int) -> _Row:
         """The row of ``s -> r``, made with its reverse on first sight."""
@@ -242,16 +227,14 @@ class Auditor:
             self._pairs[(s, r)], self._pairs[(r, s)] = row, back
         return row
 
-    def _bind(self, row: _Row, snd: Optional["Connection"],
-              rcv: Optional["Connection"]) -> None:
+    def _bind(self, row: _Row, snd: "Connection", rcv: "Connection") -> None:
         """Bind ``row`` and its reverse to the pair's connections, muted
-        unless both exist, both ranks live and neither is mid-recovery."""
+        while a rank is dead or a direction is mid-recovery."""
         row.snd = row.back.rcv = snd
         row.rcv = row.back.snd = rcv
-        unbound = (snd is None or rcv is None
-                   or row.pair[0] in self._dead or row.pair[1] in self._dead)
-        row.off = row.suspended or unbound
-        row.back.off = row.back.suspended or unbound
+        dead = row.pair[0] in self._dead or row.pair[1] in self._dead
+        row.off = row.suspended or dead
+        row.back.off = row.back.suspended or dead
 
     # ------------------------------------------------------------------
     # recovery integration (repro.recovery)

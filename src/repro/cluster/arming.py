@@ -2,9 +2,10 @@
 
 Every optional subsystem implements one lifecycle protocol in its own
 module (DESIGN §6.7): ``name`` (its ``run_job`` keyword and report
-section), ``arm(cluster)``, ``disarm()`` — undoes everything ``arm``
-touched — ``failures`` and ``summary()``.  The subsystems' packages import
-``run_job``, so they are imported here only once a field asks for them.
+section), ``arm(cluster)``, ``failures`` and ``summary()``.  A cluster
+runs one job, so nothing armed is ever taken off it.  The subsystems'
+packages import ``run_job``, so they are imported here only once a field
+asks for them.
 """
 
 from __future__ import annotations

@@ -23,13 +23,13 @@ from repro.sim import Simulator, gc_paused
 from repro.sim.trace import Tracer
 
 #: the observer seam's interface (DESIGN §5): the endpoint event map's, then
-#: pair wired / torn down, rank dead, quiet window, recovery begun / resynced,
-#: ring deposit, port XOFF / XON / depth, job end
+#: pair wired, rank dead, quiet window, recovery begun / resynced, ring
+#: deposit, port XOFF / XON / depth, job end
 EVENTS = (
     "on_app_send", "on_consume", "on_emit", "on_deliver", "on_match",
     "on_grow", "on_ring_free", "on_post_recv", "on_swallow", "on_grant",
     "on_backlog_enqueue", "on_backlog_dequeue", "on_send_done",
-    "on_wired", "on_teardown", "on_rank_dead", "on_quiet",
+    "on_wired", "on_rank_dead", "on_quiet",
     "on_recovery_begin", "on_recovery_resync", "on_ring_deposit",
     "on_xoff", "on_xon", "on_queue_depth", "on_job_end",
 )
@@ -76,7 +76,7 @@ def check_setup_budget(scheme: FlowControlScheme, prepost: int,
 
 
 class Cluster:
-    """A simulated cluster ready to run MPI jobs."""
+    """A simulated cluster ready to run one MPI job."""
 
     def __init__(self, config: Optional[TestbedConfig] = None, trace: bool = False):
         self.config = config or TestbedConfig()
@@ -111,11 +111,9 @@ class Cluster:
         #: the observer seam: who joined, and the slot every layer reads
         self._observers: tuple = ()
         self.observer = None
-        self.ft = None  # repro.ft.FTManager, while armed
-        #: the subsystems the latest job armed, in arming order; the next
-        #: ``run_job`` on this cluster disarms them before arming its own
-        self.armed: tuple = ()
-        #: the latest job's rank processes, by rank (a rank death kills one)
+        self.ft = None  # repro.ft.FTManager, when armed
+        #: the job's rank processes, by rank (a rank death kills one); set
+        #: by ``run_job``, which refuses a cluster that has them
         self.procs: list = []
 
     # ------------------------------------------------------------------
@@ -252,14 +250,8 @@ class Cluster:
     def observe(self, obs) -> None:
         """Join the observer seam (in a subsystem's ``arm``): ``obs``
         answers events of :data:`EVENTS` by name."""
-        self._rebind(self._observers + (obs,))
-
-    def unobserve(self, obs) -> None:
-        """Leave it (the same subsystem's ``disarm``)."""
-        self._rebind(tuple(o for o in self._observers if o is not obs))
-
-    def _rebind(self, observers: tuple) -> None:
-        self._observers, self.observer = observers, observer_slot(observers)
+        self._observers += (obs,)
+        self.observer = observer_slot(self._observers)
         for layer in (*self.endpoints, self.fabric.congestion):
             if layer is not None:
                 layer.observer = self.observer
@@ -281,17 +273,6 @@ class Cluster:
                 for peer in range(len(self.endpoints)):
                     if peer != ep.rank:
                         self.wire(ep, peer)
-
-    def reset_stats(self) -> None:
-        """Zero the observability counters between jobs on a reused
-        cluster: the tracer's, the fabric's, and what the reports read off
-        endpoints, QPs and switch ports
-        (:func:`repro.core.stats.reset_counters`)."""
-        from repro.core.stats import reset_counters
-
-        self.tracer.reset()
-        self.fabric.reset_counters()
-        reset_counters(self.endpoints, congestion=self.fabric.congestion)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Cluster nodes={self.config.nodes} ranks={len(self.endpoints)}>"

@@ -65,7 +65,7 @@ class JobResult:
     #: QP / CQ byte accounting (the Table-2 quantity, in bytes)
     memory: Any = field(repr=False, default=None)
     # What :meth:`report` adds to the attributes above, copied when the job
-    # ended (the handles are live: the next job on the cluster resets them).
+    # ended (the handles are live objects of the cluster).
     #: ``"off"`` or the armed switch model's ``CongestionConfig.mode``
     congestion_mode: str = "off"
     #: the tracer's counter totals by name, sorted
@@ -195,11 +195,12 @@ def run_job(
         (``loss_prob`` / ``delay_ns`` / ``policy`` / ``seed``) — lose or
         delay on-demand setup exchanges; requires an on-demand cluster.
     cluster:
-        Reuse an already-launched cluster instead of building a fresh one
+        Run on an already-launched cluster instead of building a fresh one
         (scheme, nranks, prepost and an explicit ``on_demand`` must match
-        what it was launched with).  Its observability counters are reset
-        and whatever the previous job armed is disarmed, so the job runs
-        and reports as on a cluster nothing else had armed.
+        what it was launched with).  A cluster runs one job, as an MPI job
+        owns its connections from ``MPI_Init`` to ``MPI_Finalize``: one
+        that already ran a job is refused with ``RuntimeError`` before
+        anything is armed or spawned.
     """
     arming = Arming(on_demand=on_demand, faults=faults, audit=audit,
                     recovery=recovery, ft=ft, cm_chaos=cm_chaos)
@@ -213,7 +214,9 @@ def run_job(
     else:
         endpoints = cluster.endpoints
         if not endpoints:
-            raise RuntimeError("reused cluster was never launched")
+            raise RuntimeError("cluster was never launched")
+        if cluster.procs:
+            raise RuntimeError("this cluster already ran a job; build a fresh Cluster")
         ep = endpoints[0]
         for what, launched, wanted in (
             ("nranks", len(endpoints), nranks),
@@ -223,26 +226,15 @@ def run_job(
             ("on_demand", not ep.mesh, not ep.mesh if on_demand is None else on_demand),
         ):
             if launched != wanted:
-                raise ValueError(f"reused cluster was launched with {what} "
+                raise ValueError(f"cluster was launched with {what} "
                                  f"{launched!r}, job wants {wanted!r}")
         scheme = ep.scheme  # the live policy object, not a clone
-        cluster.reset_stats()
-        # a previous job that a failure stopped left its ranks where they
-        # stood: they end with it, or two programs would drive one rank
-        for proc in cluster.procs:
-            proc.kill()
 
-    # One lifecycle for every subsystem: what the cluster's previous job
-    # left armed is disarmed, then this job's armed, in subsystems()' order.
-    for sub in reversed(cluster.armed):
-        sub.disarm()
-    cluster.armed = ()
-    for sub in subsystems:
+    for sub in subsystems:  # one lifecycle for every subsystem
         sub.arm(cluster)
-        cluster.armed += (sub,)
 
     finish_ns = [0] * nranks
-    t0 = cluster.sim.now  # non-zero on reused clusters
+    t0 = cluster.sim.now  # the job's clock starts where the cluster's stands
 
     def wrap(ep: Endpoint) -> Generator:
         result = yield from program(ep)

@@ -74,10 +74,6 @@ class SetupChaos:
         self.cluster = cluster
         cluster.cm._chaos = self
 
-    def disarm(self) -> None:
-        """Undo :meth:`arm`: set-up exchanges are reliable again."""
-        self.cluster.cm._chaos = None
-
     def summary(self) -> Dict[str, int]:
         """The job's ``cm.*`` counter totals: exchanges lost, retried, failed."""
         return self.cluster.tracer.summary("cm.")
@@ -92,8 +88,8 @@ class ConnectionManager:
 
     It keeps only the exchanges in flight; one that completes is dropped
     as :meth:`Cluster.connect <repro.cluster.builder.Cluster.connect>`
-    wires the pair, so a pair with no connections — never wired, or
-    dismantled by :meth:`teardown` — starts a fresh exchange.
+    wires the pair, so a pair with no connections starts a fresh exchange.
+    A pair lost for good is not dismantled: the failure ends the job.
     """
 
     def __init__(self, cluster: "Cluster", setup_ns: int = DEFAULT_SETUP_NS):
@@ -104,8 +100,6 @@ class ConnectionManager:
         self._chaos: Optional[SetupChaos] = None  # while one is armed
         #: unordered pairs wired so far (observability)
         self.established = 0
-        #: pairs dismantled after a permanent connection loss
-        self.torn_down = 0
 
     def request(self, endpoint: "Endpoint", peer: int) -> Signal:
         """Start (or join) connection setup between ``endpoint.rank`` and
@@ -168,28 +162,6 @@ class ConnectionManager:
             return
         self.cluster.tracer.count("cm.setup_retry", pair)
         self._attempt(pair, sig, attempt + 1)
-
-    def teardown(self, rank_a: int, rank_b: int) -> None:
-        """Dismantle the pair's connection state after a permanent loss
-        (recovery attempt budget exhausted): drop both directions'
-        ``Connection`` objects and their QPs, so the next ``request()``
-        for the pair starts a fresh CM exchange."""
-        pair = (min(rank_a, rank_b), max(rank_a, rank_b))
-        a, b = (self.cluster.endpoints[r] for r in pair)
-        if pair[1] in a.connections:
-            self.torn_down += 1
-        for ep, peer in ((a, pair[1]), (b, pair[0])):
-            # The end that did not detect the loss may still be READY:
-            # sever errors it and reclaims the flushed completions, and
-            # drops every operation toward the peer — once the Connection
-            # is gone nobody can account for them.  The dropped requests
-            # are discarded: the failure that lost the pair ends the job.
-            ep.sever(peer)
-            conn = ep.connections.pop(peer, None)
-            if conn is not None:
-                ep.hca.destroy_qp(conn.qp)
-        if self.cluster.observer is not None:
-            self.cluster.observer.on_teardown(*pair)
 
     def fail_toward(self, rank: int, exc: BaseException) -> None:
         """Fail every exchange in flight with ``rank`` (the failure detector

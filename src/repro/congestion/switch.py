@@ -385,17 +385,6 @@ class CongestionState:
         return all(p.depth == 0 and not p.busy and not p.xoff_active
                    for p in self.ports.values())
 
-    def reset_counters(self) -> None:
-        """Zero the observability counters between jobs on a reused
-        cluster.  Live state (queue contents, pause state, flow rates)
-        is deliberately untouched — only what the report layer reads."""
-        for port in self.ports.values():
-            port.peak_depth = port.depth
-            port.drops = 0
-            port.pause_frames_rx = 0
-        for flow in self.flows.values():
-            flow.min_rate_seen = flow.rate
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<CongestionState ports={len(self.ports)} "
                 f"flows={len(self.flows)} pfc={self.pfc_on} ecn={self.ecn_on}>")

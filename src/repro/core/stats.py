@@ -10,7 +10,7 @@ here compute both from a finished job's endpoints.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.connection import Connection
@@ -195,42 +195,6 @@ def collect_congestion_report(state: Any) -> CongestionReport:
         min_flow_rate=min_rate,
         per_dest=per_dest,
     )
-
-
-def reset_counters(endpoints: Iterable["Endpoint"],
-                   congestion: Optional[Any] = None) -> None:
-    """Zero every observability counter so a reused cluster starts the
-    next job with a clean slate.
-
-    Reused-cluster runs previously aggregated ConnStats / QP / pool
-    counters across *all* jobs ever run on the builder, so the second
-    ``run_job`` reported inflated tables.  Live protocol state (credits,
-    posted buffers, prepost targets) is deliberately untouched — only
-    the counters that :func:`collect_report` and the analysis layer read.
-    With ``congestion`` (the fabric's :class:`CongestionState`, when
-    armed) its port/flow counters are reset the same way.
-
-    Only wired connections are visited: a static-mesh pair not wired yet
-    has no counters.
-    """
-    if congestion is not None:
-        congestion.reset_counters()
-    for ep in endpoints:
-        ep.bytes_sent = 0
-        ep.bytes_received = 0
-        ep.wait_ns = 0
-        pool = ep.pool
-        pool.min_free = pool.free
-        pool.acquisitions = 0
-        pool.releases = 0
-        pool.exhaustion_events = 0
-        ep.cq.total_completions = 0
-        matching = ep.matching
-        matching.total_unexpected = 0
-        matching.unexpected_peak = matching.unexpected_count
-        for conn in ep.connections.values():
-            conn.reset_stats()
-            conn.qp.reset_counters()
 
 
 def per_connection_max_buffers(endpoints: Iterable["Endpoint"]) -> Dict[tuple, int]:

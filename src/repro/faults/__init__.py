@@ -7,7 +7,7 @@ under adverse conditions.  This package injects them, reproducibly:
 * :class:`FaultPlan` — a seeded schedule of link flaps, link degradation,
   probabilistic drop/corruption windows, receiver stalls and HCA pauses
   (builder API, or declarative dict/JSON specs);
-* :class:`FaultInjector` — arms a plan on a launched cluster, and disarms it
+* :class:`FaultInjector` — arms a plan on a launched cluster
   (``run_job(..., faults=plan)`` does this for you);
 * :data:`SCENARIOS` / :func:`scenario_job` / :func:`run_chaos` — the named
   scenarios as data, the one builder of their jobs, and the per-scheme

@@ -15,7 +15,7 @@ the deterministic kernel.
 transport ACK-timeout retry on every QP (the recovery mechanism for wire
 loss; see ``QueuePair.arm_transport``), applies receiver-stall /
 HCA-pause events to endpoints and adapters, emits ``faults.*`` counters
-for the robustness report, and disarms all of it again.
+for the robustness report.  It arms one job, on the cluster it runs on.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class FabricFaultState:
 
 class FaultInjector:
     """One job's fault plan as an armable subsystem (``run_job``'s
-    lifecycle: ``arm`` / ``disarm`` / ``failures`` / ``summary``)."""
+    lifecycle: ``arm`` / ``failures`` / ``summary``)."""
 
     name = "faults"
     failures = ()  # the losses it causes are recorded by whoever notices
@@ -138,23 +138,13 @@ class FaultInjector:
             for qp in hca._qps.values():
                 qp.arm_transport(arm)
         sim = cluster.sim
-        t0 = sim.now  # non-zero on a reused cluster
+        t0 = sim.now  # the job's clock, as run_job's
         if cluster.observer is not None:
             # the plan's windows stall progress legitimately
             cluster.observer.on_quiet(t0 + plan.end_ns)
         for ev in plan.events:
             sim.call_at(t0 + ev.at_ns, self._begin, ev)
             sim.call_at(t0 + ev.end_ns, self._end, ev)
-
-    def disarm(self) -> None:
-        """Undo :meth:`arm`: a healthy fabric, and every adapter and QP back
-        to the transport it was built with.  (What the plan's *events* did
-        to the cluster — a killed rank — stays done.)"""
-        self.cluster.fabric.fault = None
-        for hca in self.cluster.hcas:
-            hca.fault_transport = None
-            for qp in hca._qps.values():
-                qp.arm_transport(None)
 
     def summary(self) -> Dict[str, int]:
         """The job's ``faults.*`` counter totals: events, losses, ACK timeouts."""

@@ -86,13 +86,6 @@ class FTManager:
             ep._ft = self
         cluster.observe(self)
 
-    def disarm(self) -> None:
-        """Undo :meth:`arm`: nobody watches peers or fails requests."""
-        self.cluster.ft = None
-        for ep in self.cluster.endpoints:
-            ep._ft = None
-        self.cluster.unobserve(self)
-
     def on_deliver(self, conn, h) -> None:
         """Observer event: any delivery proves its sender alive."""
         key = (conn.endpoint.rank, conn.peer)

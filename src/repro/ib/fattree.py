@@ -149,11 +149,6 @@ class FatTreeFabric(Fabric):
             ("sdown", s_dst, dst_leaf),
         )
 
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        for route in self._routes.values():  # the routes are topology
-            route.msgs = 0
-
     @property
     def link_msgs(self) -> Dict[LinkKey, int]:
         """Data messages per traversed link, host links included

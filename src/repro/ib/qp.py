@@ -109,16 +109,10 @@ class QueuePair:
     messages_sent = property(lambda self: self._req.messages_sent)
 
     def retry_counts(self) -> Tuple[int, int]:
-        """``(RNR NAKs received, retransmissions)`` since the last
-        :meth:`reset_counters` — a flow-control report's verbs columns."""
+        """``(RNR NAKs received, retransmissions)`` — a flow-control
+        report's verbs columns."""
         req = self._req
         return req.rnr_naks_received, req.retransmissions
-
-    def reset_counters(self) -> None:
-        self.rnr_naks_sent = 0
-        self.messages_delivered = 0
-        req = self._req
-        req.rnr_naks_received = req.retransmissions = req.messages_sent = 0
 
     # ------------------------------------------------------------------
     # connection management
@@ -210,15 +204,11 @@ class QueuePair:
     # ------------------------------------------------------------------
     def arm_transport(self, xport: Optional[Tuple[int, int]]) -> None:
         """Arm this QP's RC local-ACK-timeout retry with ``(timeout_ns,
-        retry_limit)``, or disarm it (``None``): :func:`transport.arm`.  A
-        fault plan arms and disarms every QP of an adapter; a congestion
-        drop arms the QP whose request it dropped."""
-        act = transport.arm(self._req, xport)
-        if act == transport.WATCH:
+        retry_limit)``, or leave it off (``None``: a successor of a QP never
+        armed): :func:`transport.arm`.  A fault plan arms every QP of an
+        adapter; a congestion drop arms the QP whose request it dropped."""
+        if transport.arm(self._req, xport) == transport.WATCH:
             self._watch()
-        elif act == transport.CANCEL:
-            self._req._xport_timer.cancel()
-            self._req._xport_timer = None
 
     def _watch(self) -> None:
         """Start the ACK timer (a transition returned ``WATCH``)."""

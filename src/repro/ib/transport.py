@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DROP, FATAL = -1, -2
 #: :func:`take`, :func:`arm`, :func:`expire`: (re)start the ACK timer; the
 #: injected message is a replay; go back N from the oldest unacknowledged
-#: message and kick the engine; cancel the ACK timer
-WATCH, RESEND, REPLAY, CANCEL = 1, 2, 4, 8
+#: message and kick the engine
+WATCH, RESEND, REPLAY = 1, 2, 4
 #: :func:`respond`: complete the head receive WQE and ACK; ACK (an RDMA
 #: write placed, or a stale duplicate whose ACK was lost); RNR NAK; the
 #: head receive WQE completes with a length error, the requester hears of
@@ -93,15 +93,12 @@ def arm(req: Requester, xport: Optional[Tuple[int, int]]) -> int:
     """Arm the RC local-ACK-timeout retry with ``(timeout_ns, retry_limit)``
     — no ACK for a full period replays from the oldest unacknowledged
     message, and ``retry_limit`` fruitless periods (``INFINITE_RETRY``:
-    never) fail it — or disarm it (``None``: the ideal fabric loses
+    never) fail it — or leave it off (``None``: the ideal fabric loses
     nothing).  Armed, the responder also re-ACKs stale duplicates.
-    ``WATCH`` when messages are already in flight, ``CANCEL`` when a
-    disarm finds the timer running."""
+    ``WATCH`` when messages are already in flight."""
     req._xport_enabled = xport is not None
     req._xport_timeout_ns, req._xport_limit = xport or (0, INFINITE_RETRY)
-    if xport is None:
-        return CANCEL if req._xport_timer is not None else DROP
-    if req._xport_timer is None and req._inflight:
+    if xport is not None and req._xport_timer is None and req._inflight:
         req._xport_seen = req._xport_acks
         return WATCH
     return DROP

@@ -133,10 +133,6 @@ class Connection:
     # ------------------------------------------------------------------
     # receiver-half helpers
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Fresh counters for a new job on a reused cluster."""
-        self.stats = ConnStats(max_prepost=self.prepost_target)
-
     def post_setup_buffers(self) -> None:
         """Post the receive budget as ``MPI_Init`` does, before any receiver
         stall or auditor can exist: what a static-mesh pair wired at first

@@ -138,7 +138,7 @@ class Endpoint:
         #: largest eager payload; anything bigger goes through rendezvous
         self._eager_max = config.eager_max()
         #: the observer slot (``Cluster.observe``), and the recovery and ft
-        #: managers' decision sites; None = disarmed, so a site costs one test
+        #: managers' decision sites; None = not armed, so a site costs one test
         self.observer = None
         self._recovery = None
         self._ft = None
@@ -457,8 +457,7 @@ class Endpoint:
 
     def _locally_quiescent(self) -> bool:
         dead = self._ft.dead if self._ft is not None else ()
-        # severed state toward dead peers is frozen; a torn-down on-demand
-        # pair has left the table
+        # severed state toward dead peers is frozen
         return all(
             not c.backlog and not c.recovering and not c.deferred
             and c.qp.outstanding_sends == 0
@@ -625,12 +624,12 @@ class Endpoint:
         elif kind == RECOVER:
             rec.begin(self.rank, peer, args[0], cause)
         elif kind == FAIL:
-            _, attempts, teardown = args
+            _, attempts, spent = args
             failure = ConnectionFailure(
                 rank=self.rank, peer=peer, scheme=self.scheme.name.value,
                 epoch=0 if conn is None else conn.qp.epoch, cause=cause,
                 elapsed_ns=self.sim.now, attempts=attempts)
-            if teardown:
+            if spent:
                 rec.give_up(failure)
             raise ConnectionFailedError(failure)
         if kind == RECOVER or kind == JOIN:
@@ -640,9 +639,8 @@ class Endpoint:
     def sever(self, peer: int) -> List[Request]:
         """Cut this rank loose from ``peer``: error the QP, drop every
         pending operation toward it and wake a parked progress loop;
-        returns the dropped requests.  ft fails them PROC_FAILED (a dead
-        peer); the connection manager's teardown of a lost on-demand pair
-        discards them, as the failure that lost the pair ends the job."""
+        returns the dropped requests, which ft fails PROC_FAILED (a dead
+        peer)."""
         dropped = []
         conn = self.connections.get(peer)
         if conn is not None:

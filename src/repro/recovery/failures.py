@@ -20,7 +20,8 @@ from typing import AbstractSet, Optional
 
 #: :func:`classify`'s verdicts: ``(ABSORB,)`` drop it; ``(DECLARE, peer)``;
 #: ``(JOIN,)`` keep the send's record for the pair's recovery; ``(RECOVER,
-#: attempt)``; ``(FAIL, cause, attempts, teardown)`` the connection is lost
+#: attempt)``; ``(FAIL, cause, attempts, spent)`` the connection is lost
+#: (``spent``: recovery's budget, which records the loss)
 ABSORB, DECLARE, JOIN, RECOVER, FAIL = range(5)
 
 

@@ -113,11 +113,6 @@ class RecoveryManager:
         for ep in cluster.endpoints:
             ep._recovery = self
 
-    def disarm(self) -> None:
-        """Undo :meth:`arm`: a fatal completion is a failure record again."""
-        for ep in self.cluster.endpoints:
-            ep._recovery = None
-
     # ------------------------------------------------------------------
     # the verdicts of classify, as Endpoint._handle_error_wc executes them
     # ------------------------------------------------------------------
@@ -158,13 +153,9 @@ class RecoveryManager:
             self._active[self._pair(rank, peer)].replays[rank].append(record)
 
     def give_up(self, failure: ConnectionFailure) -> None:
-        """FAIL, the budget spent: record the loss.  An on-demand cluster
-        dismantles the pair, so a later request() re-runs the CM exchange
-        on fresh QPs."""
+        """FAIL, the budget spent: record the loss (the raised failure
+        ends the job)."""
         self.failures.append(failure)
-        cm = self.cluster.cm
-        if cm is not None:
-            cm.teardown(failure.rank, failure.peer)
 
     # ------------------------------------------------------------------
     # re-arm (manager callback after the backoff delay)

@@ -85,13 +85,6 @@ class Tracer:
         return {name: c.total() for name, c in sorted(self.counters.items())
                 if name.startswith(prefix)}
 
-    def reset(self) -> None:
-        """Forget every counter and record: a reused cluster's next job
-        reports its own counts.  Fresh containers, so a snapshot or record
-        list handed out earlier keeps what it held."""
-        self.counters = {}
-        self.records = []
-
     def __iter__(self):
         """Iterate counters in sorted-name order.
 

@@ -405,40 +405,14 @@ def test_a_swallowed_credit_granted_anyway_is_caught(monkeypatch):
     assert exc.value.invariant == "credit-conservation"
 
 
-def _one_message(mpi):
-    if mpi.rank == 0:
-        yield from mpi.send(1, size=4)
-    else:
-        yield from mpi.recv(source=0, capacity=64)
-
-
-def test_no_stale_rows_after_teardown():
-    """A pair torn down and re-requested is audited on its new connections:
-    the ledger rows must not keep the old ones."""
-    cluster = Cluster(TestbedConfig(nodes=2))
-    cluster.launch(2, make_scheme("static"), prepost=4, on_demand=True)
-    auditor = Auditor()
-    run_job(_one_message, 2, "static", prepost=4, cluster=cluster, audit=auditor)
-    old = cluster.endpoints[0].connections[1]
-    cluster.cm.teardown(0, 1)
-    cluster.cm.request(cluster.endpoints[0], 1)
-    cluster.sim.run(max_events=100_000)
-    new = cluster.endpoints[0].connections[1]
-    assert new is not old
-    auditor.check_all_pairs()  # the fresh pair balances
-    new.credits += 1
-    with pytest.raises(InvariantViolation) as exc:
-        auditor.check_all_pairs()
-    assert (exc.value.invariant, exc.value.pair) == ("credit-conservation", (0, 1))
-
-
 def test_arming_binds_the_pairs_an_earlier_job_wired():
-    """An unaudited job wires a mesh ring; the audited job after it on the
-    same cluster audits those pairs from its first hook, so a credit
-    mutated between the jobs is caught on the pair it was mutated on."""
+    """Pairs wired before the job (``Cluster.wire``, as ``MPI_Init`` would
+    have) are audited from the job's first hook, so a credit mutated
+    before the job is caught on the pair it was mutated on."""
     cluster = Cluster(TestbedConfig(nodes=6))
     cluster.launch(6, make_scheme("static"), prepost=2, on_demand=False)
-    run_job(_ring, 6, "static", prepost=2, cluster=cluster)
+    for ep in cluster.endpoints:  # the ring's pairs
+        cluster.wire(ep, (ep.rank + 1) % 6)
     cluster.endpoints[0].connections[1].credits += 1
     with pytest.raises(InvariantViolation) as exc:
         run_job(_ring, 6, "static", prepost=2, cluster=cluster, audit=True)

@@ -189,26 +189,6 @@ def test_auditor_congestion_invariants_hold_under_incast():
     assert aud.xon_total == aud.xoff_total  # pause conservation held
 
 
-def test_reused_cluster_resets_congestion_counters():
-    from repro.cluster.builder import Cluster
-    from repro.core import make_scheme
-
-    cfg = TestbedConfig(nodes=10)
-    cfg.ib.congestion = make_congestion_config("pfc")
-    cluster = Cluster(cfg)
-    cluster.launch(10, make_scheme("static"), 8)
-    a = run_job(manyflows_program(INCAST_FLOWS), 10, "static", 8,
-                cluster=cluster)
-    b = run_job(manyflows_program(INCAST_FLOWS), 10, "static", 8,
-                cluster=cluster)
-    assert a.congestion.pause_frames > 0
-    # the second job's report covers the second job only — reset_counters
-    # wiped the first job's pause/mark/drop/peak numbers in between
-    # (static flow control is stateless across quiescent jobs, so the
-    # two reports must be identical, not cumulative)
-    assert b.congestion.to_dict() == a.congestion.to_dict()
-
-
 def test_congestion_report_is_deterministic():
     a = _incast(make_congestion_config("both"))
     b = _incast(make_congestion_config("both"))

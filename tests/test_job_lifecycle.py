@@ -1,11 +1,13 @@
-"""One lifecycle for every armable subsystem, one report for every job.
+"""One lifecycle for every armable subsystem, one report for every job,
+one job for every cluster.
 
-``run_job`` disarms what the cluster's previous job armed, arms its own
-``Arming``, and reports the job — this job only — as one document.  The
-matrix below crosses cluster reuse with every armable subsystem: each
-defect the parent had sat where two hand-written per-subsystem clauses
-met (a plan's absolute clock, transport retries and set-up chaos that
-survived their job, a tracer nothing reset, arming nobody validated).
+``run_job`` arms its ``Arming`` on a cluster that has not run a job and
+reports the job as one document.  A cluster owns its connections for one
+job, as an MPI job owns them from ``MPI_Init`` to ``MPI_Finalize``: a
+cluster that ran a job is refused by name, before anything is armed or
+spawned, so nothing armed is ever taken off a cluster and no counter is
+reset.  The matrix below crosses every armable subsystem with a fresh
+cluster built after it and with the used cluster's refusal.
 """
 
 import json
@@ -19,13 +21,13 @@ from repro.congestion import make_congestion_config
 from repro.core import EXTENDED_SCHEMES, make_scheme
 from repro.faults import FaultPlan, chaos_cell, scenario_job
 from repro.ft import FTConfig
-from repro.ib.qp import QPError, Requester
-from repro.ib.types import INFINITE_RETRY
+from repro.ib.qp import Requester
 from repro.recovery import RecoveryPolicy
+from repro.recovery.manager import RecoveryManager
 from repro.sim.units import us
 
-from tests.mpi_helpers import wire_all
 from tests.test_faults_injection import _flood
+from tests.test_quiescence import _ring as _ring_of_four
 
 SCHEMES = [s.value for s in EXTENDED_SCHEMES]
 NRANKS = 8
@@ -44,8 +46,7 @@ def _ring(stride, rounds=4):
 
 
 def _drop_plan():
-    # events (so the plan's clock matters on a reused cluster) and a finite
-    # retry limit (which must not govern the next job's transport)
+    # events (so the plan's clock matters) and a finite retry limit
     return FaultPlan(
         seed=3, transport_timeout_ns=us(40), transport_retry_limit=7
     ).drop_window(at_ns=us(1), duration_ns=us(200), probability=0.1)
@@ -68,9 +69,10 @@ ARMABLE = {
 SECTIONS = {section for _, section, _ in ARMABLE.values()}
 
 
-def _launch(scheme, on_demand, prepost=2, congestion=None, nranks=NRANKS):
-    config = TestbedConfig(nodes=nranks)
-    config.ib.congestion = congestion
+def _launch(scheme, on_demand, prepost=2, congestion=None, nranks=NRANKS, config=None):
+    if config is None:
+        config = TestbedConfig(nodes=nranks)
+        config.ib.congestion = congestion
     cluster = Cluster(config)
     cluster.launch(nranks, make_scheme(scheme), prepost, on_demand=on_demand)
     return cluster
@@ -85,20 +87,13 @@ def _job(cluster, stride=1, rounds=4, **armed):
     return r, cluster.sim.events_executed - before
 
 
-def _three_jobs(scheme, on_demand, **armed):
-    """Plain, ``armed``, plain on one cluster.  The middle job's stride is
-    new, so an on-demand cluster sets up connections while it is armed."""
-    cluster = _launch(scheme, on_demand)
-    return cluster, [_job(cluster, 1), _job(cluster, 3, **armed), _job(cluster, 1)]
-
-
 def _attachments(cluster):
     """Every point a subsystem's ``arm`` attaches to."""
     cong = cluster.fabric.congestion
     qps = [qp for hca in cluster.hcas for qp in hca._qps.values()]
     return {
-        "cluster": (cluster.observer, cluster._observers, cluster.ft, cluster.armed),
-        "endpoints": {(ep.observer, ep._recovery, ep._ft) for ep in cluster.endpoints},
+        "cluster": (cluster.observer, cluster._observers, cluster.ft),
+        "endpoints": [(ep.observer, ep._recovery, ep._ft) for ep in cluster.endpoints],
         "fabric.fault": cluster.fabric.fault,
         "congestion.observer": cong.observer if cong is not None else None,
         "hca.fault_transport": {hca.fault_transport for hca in cluster.hcas},
@@ -110,8 +105,20 @@ def _attachments(cluster):
     }
 
 
+def _as_it_stands(cluster):
+    """What a refused job must leave as it found it: the attachments, the
+    counters, the clock and the rank processes."""
+    fabric = cluster.fabric
+    return (_attachments(cluster), cluster.tracer.summary(),
+            (fabric.messages_sent, fabric.control_msgs, fabric.wire_bytes),
+            [(ep.cq.total_completions, len(ep.cq._entries), ep.matching.total_unexpected)
+             for ep in cluster.endpoints],
+            cluster.sim.now, cluster.sim.events_executed,
+            [(p, p.alive, p.killed, p.result) for p in cluster.procs])
+
+
 # ----------------------------------------------------------------------
-# (a) reuse x arming: job 1 plain, job 2 armed, job 3 plain
+# (a) arming x a fresh cluster: the armed job, then a plain one elsewhere
 # ----------------------------------------------------------------------
 #: set-up chaos needs a connection manager: no mesh arm
 MATRIX = [(armable, on_demand) for armable in ARMABLE
@@ -123,49 +130,30 @@ MATRIX = [(armable, on_demand) for armable in ARMABLE
     "armable, on_demand", MATRIX,
     ids=[f"{a}-{'on-demand' if od else 'mesh'}" for a, od in MATRIX])
 def test_an_armed_job_leaves_nothing_behind(armable, on_demand, scheme):
+    """An armed job arms its own cluster and nothing else: a cluster built
+    afterwards from the same configuration runs a plain job as one that
+    nothing was ever armed beside (no shared configuration, plan or class
+    carries the arming), and the used cluster refuses a second job."""
     make, section, free_when_clean = ARMABLE[armable]
-    cluster, jobs = _three_jobs(scheme, on_demand, **make())
-    (r1, _), (r2, _), (r3, events3) = jobs
-    assert r1.completed and r2.completed and r3.completed
-    doc2, doc3 = r2.report(), r3.report()
-    assert doc2["armed"] == [section] and section in doc2
+    config = TestbedConfig(nodes=NRANKS)
+    cluster = _launch(scheme, on_demand, config=config)
+    r, _ = _job(cluster, 3, **make())
+    doc = r.report()
+    assert r.completed and doc["armed"] == [section] and section in doc
     if armable in ("drop-plan", "cm_chaos"):
-        assert doc2[section], "the armed job never engaged the subsystem"
+        assert doc[section], "the armed job never engaged the subsystem"
+    with pytest.raises(RuntimeError, match="already ran a job"):
+        _job(cluster, 1)
 
-    # every attachment point is a freshly launched cluster's again ...
-    fresh = _attachments(wire_all(_launch(scheme, on_demand=False)))  # has QPs
-    got = _attachments(cluster)
-    pristine_qp = fresh.pop("qp transport retry")
-    assert pristine_qp == {(False, 0, INFINITE_RETRY, None)}
-    assert got.pop("qp transport retry") == pristine_qp
-    assert got == fresh
-
-    # ... and the third job's document holds the third job only
-    assert doc3["armed"] == [] and not SECTIONS & set(doc3)
-    subsystem_counters = ("faults.", "cm.", "recovery.", "ft.")
-    assert not [n for n in doc3["counters"] if n.startswith(subsystem_counters)]
-    assert doc3["counters"].get("ib.rnr_nak", 0) == doc3["fc"]["rnr_naks"]
-    assert doc3["counters"].get("ib.retransmission", 0) == doc3["fc"]["retransmissions"]
+    after, after_events = _job(_launch(scheme, on_demand, config=config), 1)
+    never, never_events = _job(_launch(scheme, on_demand), 1)
+    assert after_events == never_events and after.report() == never.report()
+    assert after.report()["armed"] == [] and not SECTIONS & set(after.report())
 
     if free_when_clean:
-        # the armed job changed nothing, so job 3 is job 3 of a cluster
-        # nothing was ever armed on (successive plain jobs differ among
-        # themselves: residual credits)
-        _, plain = _three_jobs(scheme, on_demand)
-        r3_plain, events3_plain = plain[2]
-        assert events3 == events3_plain
-        assert r3.elapsed_ns == r3_plain.elapsed_ns
-        assert doc3 == r3_plain.report()
-
-
-def test_disarming_the_auditor_unhooks_the_switch_model_too():
-    cluster = _launch("static", on_demand=False,
-                      congestion=make_congestion_config("pfc"))
-    audited, _ = _job(cluster, audit=True)
-    assert cluster.fabric.congestion.observer is audited.audit
-    plain, _ = _job(cluster)
-    assert cluster.fabric.congestion.observer is None
-    assert plain.report()["congestion_mode"] == "pfc" and "audit" not in plain.report()
+        # the armed job changed nothing: it runs as its plain twin
+        plain, _ = _job(_launch(scheme, on_demand), 3)
+        assert r.elapsed_ns == plain.elapsed_ns and r.fc == plain.fc
 
 
 def test_each_layer_reads_one_slot_none_the_observer_or_a_fanout():
@@ -184,50 +172,56 @@ def test_each_layer_reads_one_slot_none_the_observer_or_a_fanout():
         def on_deliver(self, conn, h):
             calls.append(("deliveries", "on_deliver"))
 
-    cluster = _launch("static", on_demand=False,
-                      congestion=make_congestion_config("pfc"))
+    def launch():
+        return _launch("static", on_demand=False,
+                       congestion=make_congestion_config("pfc"))
 
-    def the_slot():  # the one object every layer reads
+    def the_slot(cluster):  # the one object every layer reads
         layers = [cluster.observer, cluster.fabric.congestion.observer,
                   *(ep.observer for ep in cluster.endpoints)]
         assert all(layer is layers[0] for layer in layers)
         return layers[0]
 
-    assert the_slot() is None
+    cluster = launch()
+    assert the_slot(cluster) is None
     full, deliveries = Full(), Deliveries()
     cluster.observe(full)
-    assert the_slot() is full
+    assert the_slot(cluster) is full
     cluster.observe(deliveries)
-    slot = the_slot()
+    slot = the_slot(cluster)
     assert slot.on_emit == full.on_emit  # a bound method: no wrapper frame
     slot.on_deliver(None, None)
     assert calls == [("full", "on_deliver"), ("deliveries", "on_deliver")]
-    cluster.unobserve(full)
-    slot = the_slot()
+
+    cluster = launch()  # an observer answering one event, alone
+    cluster.observe(deliveries)
+    slot = the_slot(cluster)
     assert slot.on_deliver == deliveries.on_deliver
     assert not hasattr(slot.on_emit, "__code__")  # ignored: a C function
     slot.on_emit(None, None, False)
     assert len(calls) == 2
-    cluster.unobserve(deliveries)
-    assert the_slot() is None
 
 
 # ----------------------------------------------------------------------
-# (b) disarm-then-arm: every ordered pair on one cluster
+# (b) the next arming: every ordered pair, the second on a new cluster
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("second", ARMABLE)
 @pytest.mark.parametrize("first", ARMABLE)
 def test_the_next_arming_replaces_the_previous_one(first, second):
+    """The next job's arming takes a new cluster: the one the previous job
+    ran on refuses it before arming anything and stays as that job left
+    it, and on the new cluster it is the one arming the job reports."""
     cluster = _launch("static", on_demand=True)
     assert _job(cluster, 1, **ARMABLE[first][0]())[0].completed
-    # a FaultInjectorError ("fabric already has a fault state installed")
-    # here was the parent's answer to two faulted jobs in a row
-    r, _ = _job(cluster, 3, **ARMABLE[second][0]())
+    before = _as_it_stands(cluster)
+    with pytest.raises(RuntimeError, match="already ran a job"):
+        _job(cluster, 3, **ARMABLE[second][0]())
+    assert _as_it_stands(cluster) == before
+    r, _ = _job(_launch("static", on_demand=True), 3, **ARMABLE[second][0]())
     doc = r.report()
     assert r.completed
     assert doc["armed"] == [ARMABLE[second][1]]
     assert SECTIONS & set(doc) == {ARMABLE[second][1]}
-    assert [sub.name for sub in cluster.armed] == doc["armed"]
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +279,17 @@ def test_an_unarmed_jobs_document_has_no_sections_and_no_placeholders():
 
 
 def test_a_later_job_does_not_change_an_earlier_document():
-    cluster = _launch("hardware", on_demand=True)
-    first, _ = _job(cluster, 3, faults=_drop_plan(), audit=True, recovery=True,
+    """Neither a refused job on the same cluster nor a later job sharing
+    the fault plan, on a cluster of the same configuration, touches the
+    document of the first."""
+    cluster, plan = _launch("hardware", on_demand=True), _drop_plan()
+    first, _ = _job(cluster, 3, faults=plan, audit=True, recovery=True,
                     ft=True, cm_chaos=CM_CHAOS)
     before = json.dumps(first.report(), sort_keys=True)
-    _job(cluster, 1, faults=_drop_plan(), audit=True)
-    _job(cluster, 3)
+    with pytest.raises(RuntimeError, match="already ran a job"):
+        _job(cluster, 1)
+    _job(_launch("hardware", on_demand=True, config=cluster.config), 3,
+         faults=plan, audit=True)
     assert json.dumps(first.report(), sort_keys=True) == before
 
 
@@ -309,63 +308,19 @@ def test_a_failed_job_reports_its_records_and_what_was_armed():
 # the crossings that went wrong on the parent, one test each
 # ----------------------------------------------------------------------
 def test_a_fault_plans_clock_is_the_jobs_clock():
-    """Plan times were absolute: on a reused cluster (``sim.now`` far past
-    them) arming raised ``SimulationError: cannot schedule at t=...``."""
+    """Plan times count from the job's start: on a cluster whose clock
+    already stands past them, arming raised ``SimulationError: cannot
+    schedule at t=...`` while they were absolute."""
     cluster = _launch("static", on_demand=False)
-    _job(cluster)
-    started = cluster.sim.now
-    assert started > us(1)  # past the plan's first transition
+    cluster.sim.call_later(us(500), int)
+    cluster.sim.run()
+    assert cluster.sim.now > us(1)  # past the plan's first transition
     r, _ = _job(cluster, faults=_drop_plan())
     assert r.completed and r.report()["faults"]["faults.wire_drop"] > 0
     # ... and the same plan does the same thing at t0 = 0
     fresh = run_job(_ring(1), NRANKS, "static", 2, faults=_drop_plan(),
                     config=TestbedConfig(nodes=NRANKS))
-    assert fresh.report()["faults"]["faults.drop_window"] == 1
-
-
-def test_the_job_after_a_faulted_one_runs_on_a_healthy_transport():
-    cluster, jobs = _three_jobs("static", False, faults=_drop_plan())
-    assert {hca.fault_transport for hca in cluster.hcas} == {None}
-    assert not any(qp._req._xport_enabled
-                   for hca in cluster.hcas for qp in hca._qps.values())
-    # an empty plan arms every QP's ACK timeout and changes nothing else:
-    # the job after it takes the never-faulted number of events
-    _, after_empty = _three_jobs("static", False, faults=FaultPlan(seed=7))
-    _, never = _three_jobs("static", False)
-    assert after_empty[2][1] == never[2][1]
-
-
-def _second_job_xfail(raises, what):
-    return pytest.mark.xfail(strict=True, raises=raises,
-                             reason=f"open (ROADMAP 4(c)): {what}")
-
-
-@pytest.mark.parametrize("scheme, prepost, on_demand", [
-    pytest.param("static", 2, True, id="static-on-demand", marks=_second_job_xfail(
-        RuntimeError, "on demand the second job deadlocks: the poll batch the "
-        "first job's raised failure interrupted lost its completions (rank 0 "
-        "keeps _sends_open == 5), and the killed program's posted receive "
-        "stays in rank 1's matching queue")),
-    pytest.param("static", 2, False, id="static-mesh", marks=_second_job_xfail(
-        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
-    pytest.param("dynamic", 8, False, id="dynamic-mesh", marks=_second_job_xfail(
-        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
-    pytest.param("rdma-eager", 8, False, id="rdma-eager-mesh", marks=_second_job_xfail(
-        QPError, "on a mesh the pair stays in ERROR: post_send raises")),
-])
-def test_a_job_after_a_lost_pair_runs_clean(scheme, prepost, on_demand):
-    """The first job loses its one pair for good: a link outage outlives
-    the transport retries and the one recovery attempt.  A plain job on
-    the same cluster should then run as on a fresh one."""
-    cluster = Cluster(TestbedConfig(nodes=2))
-    cluster.launch(2, make_scheme(scheme), prepost, on_demand=on_demand)
-    plan = (FaultPlan(seed=7, transport_timeout_ns=us(40), transport_retry_limit=4)
-            .link_flap(lid=1, at_ns=us(100), duration_ns=us(1_500)))
-    lost = run_job(_flood(30), 2, scheme, prepost, cluster=cluster, faults=plan,
-                   recovery=RecoveryPolicy(max_attempts=1))
-    assert [f.cause for f in lost.failures] == ["retry_exceeded"]
-    again = run_job(_flood(30), 2, scheme, prepost, cluster=cluster)
-    assert again.completed and not again.failures
+    assert fresh.report() == r.report()
 
 
 def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
@@ -376,9 +331,10 @@ def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
     unwired."""
     nranks = 32
     cluster = _launch("static", on_demand=False, nranks=nranks)
-    _job(cluster, 1)  # so that arming finds requesters to update ...
+    for ep in cluster.endpoints:  # so that arming finds requesters to update ...
+        cluster.wire(ep, (ep.rank + 1) % nranks)
+        ep.idle_connection()  # (the reports' stand-in, built once)
     before = [qp for hca in cluster.hcas for qp in hca._qps.values()]
-    pristine = _attachments(cluster)
     plan = scenario_job("lossy-window")["faults"]
     armed = (plan.transport_timeout_ns, plan.transport_retry_limit)
     built, seen = [], []
@@ -401,31 +357,11 @@ def test_arming_a_fault_plan_on_a_mesh_builds_no_requester(monkeypatch):
     assert len(built) == len(during)  # one a QP, wired while armed
     assert r.fc.retransmissions > 0  # their ACK timeouts ran
     assert len(before) + len(during) < nranks * (nranks - 1) // 2  # rings and barriers
-    _job(cluster, 1)  # disarms
-    assert _attachments(cluster) == pristine
-
-
-def test_setup_chaos_ends_with_its_job():
-    cluster = _launch("static", on_demand=True)
-    seen = []
-
-    def watching(program):
-        def wrapped(mpi):
-            seen.append(cluster.cm._chaos)
-            yield from program(mpi)
-        return wrapped
-
-    run_job(watching(_ring(1)), NRANKS, "static", 2, cluster=cluster,
-            cm_chaos=CM_CHAOS)
-    assert all(chaos is not None for chaos in seen)
-    del seen[:]
-    run_job(watching(_ring(3)), NRANKS, "static", 2, cluster=cluster)
-    assert seen == [None] * NRANKS
 
 
 def test_counters_are_per_job_like_the_flow_control_report():
-    """Nothing reset the tracer: ``ib.rnr_nak`` read 7, 14, 21 over three
-    jobs whose ``fc.rnr_naks`` read 7, 7, 7."""
+    """The tracer's counters and the flow-control report count the same
+    job: ``ib.rnr_nak`` reads ``fc.rnr_naks``."""
 
     def flood(mpi):  # overruns two posted buffers: hardware RNR-NAKs
         if mpi.rank == 0:
@@ -438,13 +374,8 @@ def test_counters_are_per_job_like_the_flow_control_report():
             for _ in range(12):
                 yield from mpi.recv(0, capacity=512)
 
-    cluster = _launch("hardware", on_demand=False)
-    naks = []
-    for _ in range(3):
-        r = run_job(flood, NRANKS, "hardware", 2, cluster=cluster)
-        assert r.report()["counters"]["ib.rnr_nak"] == r.fc.rnr_naks > 0
-        naks.append(r.fc.rnr_naks)
-    assert len(set(naks)) == 1
+    r = run_job(flood, NRANKS, "hardware", 2, cluster=_launch("hardware", on_demand=False))
+    assert r.report()["counters"]["ib.rnr_nak"] == r.fc.rnr_naks > 0
 
 
 def _layer_counts(cluster):
@@ -467,11 +398,9 @@ def _layer_counts(cluster):
 
 @pytest.mark.parametrize("on_demand", [False, True], ids=["mesh", "on-demand"])
 def test_the_layers_own_counters_are_per_job_too(on_demand):
-    """Nothing reset the fabric's, the CQs' or the matching engines' own
-    counters either: ``fabric.messages_sent`` read 224, 448, 672 over three
-    identical jobs whose ``fc.total_msgs`` read 224, 224, 224.  Plain →
-    plain → plain on one cluster, each against a fresh cluster's counts
-    (``hardware``: no credit state for an earlier job to leave behind)."""
+    """The fabric's, the CQs' and the matching engines' own counters count
+    the job as the flow-control report does: ``fabric.messages_sent`` reads
+    ``fc.total_msgs``, and a second cluster's job reads alike."""
     nranks = 32
 
     def crossed_ring(mpi):  # tag 0 lands before its receive: unexpected
@@ -499,9 +428,8 @@ def test_the_layers_own_counters_are_per_job_too(on_demand):
     assert set(expected["unexpected_peak"]) == {1}
 
     cluster = launch()
-    for _ in range(3):
-        run_job(crossed_ring, nranks, "hardware", 2, cluster=cluster)
-        assert _layer_counts(cluster) == expected
+    run_job(crossed_ring, nranks, "hardware", 2, cluster=cluster)
+    assert _layer_counts(cluster) == expected
 
 
 def test_a_reused_cluster_keeps_the_prepost_it_was_launched_with():
@@ -520,8 +448,84 @@ def test_a_reused_cluster_keeps_the_wiring_it_was_launched_with(launched):
         run_job(_ring(1), NRANKS, "static", 2, cluster=cluster, on_demand=not launched)
     wiring = "on-demand" if launched else "mesh"
     for on_demand in (None, launched):
+        cluster = _launch("static", on_demand=launched)
         r = run_job(_ring(1), NRANKS, "static", 2, cluster=cluster, on_demand=on_demand)
         assert r.completed and r.report()["wiring"] == wiring
+
+
+def test_reused_cluster_validates_mismatches():
+    scheme = make_scheme("static")
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, scheme, prepost=2)
+    with pytest.raises(ValueError):
+        run_job(_ring(1), 3, scheme, prepost=2, cluster=cluster)
+    with pytest.raises(ValueError):
+        run_job(_ring(1), 2, "hardware", prepost=2, cluster=cluster)
+    with pytest.raises(RuntimeError, match="never launched"):
+        run_job(_ring(1), 2, scheme, prepost=2,
+                cluster=Cluster(TestbedConfig(nodes=2)))
+
+
+def _lost_pair(on_demand):
+    """The first job loses its one pair for good: a link outage outlives
+    the transport retries and the one recovery attempt."""
+    cluster = Cluster(TestbedConfig(nodes=2))
+    cluster.launch(2, make_scheme("static"), 2, on_demand=on_demand)
+    plan = (FaultPlan(seed=7, transport_timeout_ns=us(40), transport_retry_limit=4)
+            .link_flap(lid=1, at_ns=us(100), duration_ns=us(1_500)))
+    r = run_job(_flood(30), 2, "static", 2, cluster=cluster, faults=plan,
+                recovery=RecoveryPolicy(max_attempts=1))
+    assert [f.cause for f in r.failures] == ["retry_exceeded"]
+    return cluster, _flood(30)
+
+
+def _rank_death():
+    """Rank 2 dies mid-ring, and with its adapter rank 6; ft stands for
+    them."""
+    cluster = Cluster(TestbedConfig(nodes=4))
+    cluster.launch(8, make_scheme("static"), 2)
+    r = run_job(_ring_of_four, 8, "static", 2, cluster=cluster, ft=True,
+                faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(30)))
+    assert sorted(f.rank for f in r.failures) == [2, 6]
+    return cluster, _ring_of_four
+
+
+def _completed():
+    cluster = _launch("static", on_demand=False)
+    assert _job(cluster)[0].completed
+    return cluster, _ring(1)
+
+
+FIRST_JOBS = {
+    "completed": _completed,
+    "lost-pair-mesh": lambda: _lost_pair(on_demand=False),
+    "lost-pair-on-demand": lambda: _lost_pair(on_demand=True),
+    "rank-death": _rank_death,
+}
+
+
+@pytest.mark.parametrize("first", FIRST_JOBS)
+def test_a_cluster_that_ran_a_job_refuses_the_next_by_name(first, monkeypatch):
+    """Whatever the first job left — a completed run, a pair lost for good
+    (its QPs in ERROR, its flushed completions and a killed program's
+    receive still posted), a dead rank — the next ``run_job`` on the
+    cluster raises before it arms or spawns anything, and the cluster's
+    counters, observers and processes stay as they were."""
+    cluster, program = FIRST_JOBS[first]()
+    before = _as_it_stands(cluster)
+
+    def must_not(*args, **kwargs):
+        raise AssertionError("armed or spawned on a used cluster")
+
+    monkeypatch.setattr(type(cluster.sim), "spawn", must_not)
+    for cls in (Auditor, RecoveryManager):
+        monkeypatch.setattr(cls, "arm", must_not)
+    ep = cluster.endpoints[0]
+    with pytest.raises(RuntimeError,
+                       match="this cluster already ran a job; build a fresh Cluster"):
+        run_job(program, len(cluster.endpoints), ep.scheme.name.value,
+                ep.requested_prepost, cluster=cluster, audit=True, recovery=True)
+    assert _as_it_stands(cluster) == before
 
 
 # ----------------------------------------------------------------------

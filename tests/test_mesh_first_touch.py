@@ -8,7 +8,7 @@ pointed at each other — kept here as :func:`eager_launch`, the way
 
 * a pair ``Cluster.wire`` builds at its first touch equals its eager twin
   slot for slot — connection, QP, responder queue, ring, requester — under
-  every scheme, whatever was armed, stalled or disarmed since launch;
+  every scheme, whatever was armed or stalled since launch;
 * a job reports the same document (``JobResult.report()``, the
   flow-control and memory reports included), takes the same events and
   returns the same results on either, and the per-connection outputs list
@@ -128,9 +128,8 @@ def _adapters(cluster):
 @pytest.mark.parametrize("scheme", SCHEMES + ["hardware-e2e"])
 def test_a_pair_wired_at_first_touch_is_its_eager_twin(scheme, eager):
     """Six ranks on three adapters (two ranks share each), the pairs wired in
-    a shuffled order: a third plain, a third while a fault plan and an
-    auditor are armed and a receiver stall is open on every rank, a third
-    after all of it was disarmed and closed."""
+    a shuffled order: half plain, half while a fault plan and an auditor
+    are armed and a receiver stall is open on every rank."""
     def launch():
         cluster = Cluster(TestbedConfig(nodes=3))
         kwargs = {"arm_e2e_gate": True} if scheme == "hardware-e2e" else {}
@@ -141,8 +140,8 @@ def test_a_pair_wired_at_first_touch_is_its_eager_twin(scheme, eager):
     lazy, twin = launch(), eager(launch)
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     random.Random(7).shuffle(pairs)
-    third = len(pairs) // 3
-    for a, b in pairs[:third]:
+    half = len(pairs) // 2
+    for a, b in pairs[:half]:
         lazy.wire(lazy.endpoints[a], b)
         assert_twins(lazy, twin, a, b)
 
@@ -153,19 +152,11 @@ def test_a_pair_wired_at_first_touch_is_its_eager_twin(scheme, eager):
             sub.arm(cluster)
         for ep in cluster.endpoints:
             ep.fault_stall(us(100))
-    for a, b in pairs[third:2 * third]:
+    for a, b in pairs[half:]:
         lazy.wire(lazy.endpoints[b], a)  # from the other end this time
         assert_twins(lazy, twin, a, b)
         assert lazy.endpoints[a].connections[b].qp._req._xport_enabled  # the plan's transport
     assert armed[0][1].hook_calls == 0  # the auditor saw none of it
-
-    for cluster, subs in zip((lazy, twin), armed):
-        for sub in reversed(subs):
-            sub.disarm()
-        cluster.sim.run(until=us(200))  # the stalls close
-    for a, b in pairs[2 * third:]:
-        lazy.wire(lazy.endpoints[a], b)
-        assert_twins(lazy, twin, a, b)
 
     # every pair wired: each adapter numbered and registered what the
     # eager launch did, and the stand-in is any idle connection's twin in
@@ -283,18 +274,6 @@ def test_the_fan_in_drains_many_rings_in_one_poll_in_peer_order(monkeypatch):
     assert max(widest) > 1
     assert list(r.endpoints[0].connections)[:2] == [5, 4]  # wired first
     assert r.rank_results[0] == sorted(r.rank_results[0])  # drained rank by rank
-
-
-def test_a_second_job_on_a_reused_mesh_is_the_eager_meshs(eager):
-    def two_jobs():
-        cluster = Cluster(TestbedConfig(nodes=8))
-        cluster.launch(8, make_scheme("static"), 4, on_demand=False)
-        first = run_job(_ring, 8, "static", 4, cluster=cluster, finalize=False)
-        second = run_job(KERNELS["lu"].build(timesteps=1), 8, "static", 4,
-                         cluster=cluster, audit=True)
-        return [first.report(), second.report(), cluster.sim.events_executed]
-
-    assert two_jobs() == eager(two_jobs)
 
 
 def test_the_whole_mesh_is_listed_however_little_was_wired():

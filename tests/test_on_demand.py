@@ -1,13 +1,8 @@
 """Tests for on-demand connection management (the paper's scalability
 combination: dynamic flow control + lazy connection setup)."""
 
-import pytest
-
 from repro.cluster import Cluster, TestbedConfig, run_job
 from repro.core import DynamicScheme, make_scheme
-from repro.faults import FaultPlan
-from repro.recovery import RecoveryPolicy
-from repro.sim.units import us
 
 
 def ring_program(mpi):
@@ -124,139 +119,10 @@ def test_on_demand_auto_threshold():
     assert forced.connections_established is None  # explicit beats auto
 
 
-def _pair_program(tag):
-    """Ranks 0 and 1 ping-pong one tagged message; others just compute.
-    The pong leg keeps rank 0 polling its CQ (a lone buffered-eager send
-    returns before any error completion lands), and distinct tags per run
-    keep reused-cluster runs from cross-matching."""
-
-    def prog(mpi):
-        if mpi.rank == 0:
-            yield from mpi.send(1, size=4, tag=tag, payload=tag)
-            st = yield from mpi.recv(source=1, capacity=64, tag=tag)
-            assert st.payload == tag
-            return "pong"
-        if mpi.rank == 1:
-            st = yield from mpi.recv(source=0, capacity=64, tag=tag)
-            assert st.payload == tag
-            yield from mpi.send(0, size=4, tag=tag, payload=tag)
-            return "ping"
-        yield from mpi.compute(100)
-        return None
-
-    return prog
-
-
-def test_recovery_teardown_then_reestablish_on_demand():
-    """Regression (on-demand x recovery): the CM used to memoize the
-    fired setup signal forever, so after recovery gave a pair up for dead
-    the next send got a fired signal for a connection that no longer
-    existed and hung.  Now ``RecoveryManager._fail`` tears the pair down
-    through the CM and a later send re-runs the whole handshake."""
-    cluster = Cluster(TestbedConfig(nodes=4))
-    cluster.launch(4, make_scheme("static"), prepost=4, on_demand=True)
-    cm = cluster.cm
-    assert cm is not None
-
-    # 1. healthy: first communication wires the pair lazily
-    r1 = run_job(_pair_program(0), 4, "static", prepost=4, cluster=cluster,
-                 finalize=False)
-    assert r1.completed and cm.established == 1
-    assert 1 in cluster.endpoints[0].connections
-
-    # 2. permanent link loss at rank 1: the transport retry budget and
-    #    then the recovery budget exhaust, and the manager dismantles the
-    #    pair via the CM instead of leaving a zombie connection behind
-    plan = (FaultPlan(seed=3, transport_timeout_ns=us(40),
-                      transport_retry_limit=2)
-            .link_flap(lid=1, at_ns=1,
-                       duration_ns=10**12))
-    policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
-                            max_delay_ns=us(100), jitter_ns=us(5))
-    r2 = run_job(_pair_program(1), 4, "static", prepost=4, cluster=cluster,
-                 finalize=False, faults=plan, recovery=policy)
-    assert not r2.completed
-    assert r2.failures[0].attempts == policy.max_attempts
-    assert cm.torn_down == 1
-    assert 1 not in cluster.endpoints[0].connections
-    assert 0 not in cluster.endpoints[1].connections
-    assert (0, 1) not in cm._pending  # no exchange kept once it fired
-
-    # 3. the link is restored (run_job disarms the stale fault state on
-    #    the reused cluster); a fresh-tag exchange re-runs the CM
-    #    handshake end to end instead of trusting the dead memo
-    r3 = run_job(_pair_program(2), 4, "static", prepost=4, cluster=cluster,
-                 finalize=False)
-    assert r3.completed
-    assert r3.rank_results[:2] == ["pong", "ping"]
-    assert cm.established == 2
-    assert 1 in cluster.endpoints[0].connections
-
-
-def test_teardown_destroys_both_qps():
-    """Regression: ``teardown`` dropped the Connections but left both
-    dead QPs in ``HCA._qps`` forever, where ``HCA.kill`` and the fault
-    injector kept walking them — a long chaos campaign grew without
-    bound.  Both ends are destroyed now (the one that never saw the loss
-    is errored and flushed first), stragglers addressed to a destroyed
-    QPN vanish, and the pair comes back on fresh QPs."""
-    from repro.ib.qp import QPError, _Message
-    from repro.ib.types import Opcode
-    from repro.ib.wr import SendWR
-
-    cluster = Cluster(TestbedConfig(nodes=4))
-    cluster.launch(4, make_scheme("static"), prepost=4, on_demand=True)
-    cm = cluster.cm
-    hca0, hca1 = cluster.hcas[0], cluster.hcas[1]
-    before = (len(hca0._qps), len(hca1._qps))
-
-    ok = run_job(_pair_program(0), 4, "static", prepost=4, cluster=cluster,
-                 finalize=False)
-    assert ok.completed
-    qp01 = cluster.endpoints[0].connections[1].qp
-    qp10 = cluster.endpoints[1].connections[0].qp
-    assert (len(hca0._qps), len(hca1._qps)) == (before[0] + 1, before[1] + 1)
-
-    plan = (FaultPlan(seed=3, transport_timeout_ns=us(40),
-                      transport_retry_limit=2)
-            .link_flap(lid=1, at_ns=1,
-                       duration_ns=10**12))
-    policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
-                            max_delay_ns=us(100), jitter_ns=us(5))
-    bad = run_job(_pair_program(1), 4, "static", prepost=4, cluster=cluster,
-                  finalize=False, faults=plan, recovery=policy)
-    assert not bad.completed and cm.torn_down == 1
-    assert (len(hca0._qps), len(hca1._qps)) == before
-    assert qp01.qp_num not in hca0._qps and qp10.qp_num not in hca1._qps
-    hca0.destroy_qp(qp01)  # idempotent
-    # nothing of the dead pair is left for the next job to trip over
-    assert not any(not wc.ok for ep in cluster.endpoints[:2]
-                   for wc in ep.cq._entries)
-    assert all(ep.pool.in_use == 0 for ep in cluster.endpoints[:2])
-
-    # a straggler from the old incarnation reaches the adapter late
-    late = SendWR(wr_id=0, opcode=Opcode.SEND, length=4)
-    late.msn = 0
-    msg = _Message(qp01, late)
-    delivered = qp10.messages_delivered
-    hca1._deliver(msg)
-    cluster.sim.run(until=cluster.sim.now + us(10))  # serviced, silently dropped
-    assert qp10.messages_delivered == delivered and len(hca1._qps) == before[1]
-
-    again = run_job(_pair_program(2), 4, "static", prepost=4, cluster=cluster,
-                    finalize=False)
-    assert again.completed and again.rank_results[:2] == ["pong", "ping"]
-    fresh = cluster.endpoints[0].connections[1].qp
-    assert fresh is not qp01 and fresh.qp_num != qp01.qp_num
-    assert (len(hca0._qps), len(hca1._qps)) == (before[0] + 1, before[1] + 1)
-    with pytest.raises(QPError):
-        hca0.destroy_qp(fresh)  # a live QP is not destroyable
-
-
 def test_stale_fired_memo_self_heals_on_next_request():
-    """A teardown path that bypasses ``cm.teardown`` leaves nothing stale:
-    the CM drops an exchange once it fires, so the next request runs a
-    fresh one (a one-shot Signal cannot re-fire)."""
+    """The CM keeps no fired exchange: a pair whose connections are gone
+    runs a fresh one at its next request (a one-shot Signal cannot
+    re-fire)."""
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("static"), prepost=4, on_demand=True)
     cm = cluster.cm
@@ -265,7 +131,7 @@ def test_stale_fired_memo_self_heals_on_next_request():
     cluster.sim.run(max_events=100_000)
     assert sig.fired and cm.established == 1
 
-    cluster.endpoints[0].connections.pop(1)  # rude teardown, no cm call
+    cluster.endpoints[0].connections.pop(1)
     cluster.endpoints[1].connections.pop(0)
     sig2 = cm.request(ep0, 1)
     assert sig2 is not sig  # not the stale fired memo
@@ -274,41 +140,9 @@ def test_stale_fired_memo_self_heals_on_next_request():
     assert 1 in cluster.endpoints[0].connections
 
 
-def test_repeated_teardown_of_same_pair_counts_each_loss():
-    """The same pair failing permanently twice must tear down twice —
-    the counters accumulate and the memo is fresh each cycle (a stale
-    entry would hand the second failure a fired signal for a corpse)."""
-    cluster = Cluster(TestbedConfig(nodes=4))
-    cluster.launch(4, make_scheme("static"), prepost=4, on_demand=True)
-    cm = cluster.cm
-    policy = RecoveryPolicy(max_attempts=1, base_delay_ns=us(20),
-                            max_delay_ns=us(100), jitter_ns=us(5))
-    tag = 0
-    for cycle in (1, 2):
-        # heal: wire the pair fresh (tags keep runs from cross-matching)
-        ok = run_job(_pair_program(tag), 4, "static", prepost=4,
-                     cluster=cluster, finalize=False)
-        tag += 1
-        assert ok.completed
-        assert cm.established == cycle
-        # break it for good: outage outlives transport + recovery budgets
-        plan = (FaultPlan(seed=cycle, transport_timeout_ns=us(40),
-                          transport_retry_limit=2)
-                .link_flap(lid=1, at_ns=1,
-                           duration_ns=10**12))
-        bad = run_job(_pair_program(tag), 4, "static", prepost=4,
-                      cluster=cluster, finalize=False, faults=plan,
-                      recovery=policy)
-        tag += 1
-        assert not bad.completed
-        assert cm.torn_down == cycle
-        assert 1 not in cluster.endpoints[0].connections
-        assert (0, 1) not in cm._pending
-
-
 def test_repeated_stale_memo_invalidations_accumulate():
-    """Every rude teardown (bypassing ``cm.teardown``) of the same pair
-    is followed by a fresh handshake, however many times it happens."""
+    """Every time the same pair's connections are gone, its next request
+    runs a fresh handshake, however many times it happens."""
     cluster = Cluster(TestbedConfig(nodes=2))
     cluster.launch(2, make_scheme("static"), prepost=4, on_demand=True)
     cm = cluster.cm
@@ -318,7 +152,7 @@ def test_repeated_stale_memo_invalidations_accumulate():
     assert sig.fired and cm.established == 1
 
     for n in (1, 2, 3):
-        cluster.endpoints[0].connections.pop(1)  # no cm.teardown call
+        cluster.endpoints[0].connections.pop(1)
         cluster.endpoints[1].connections.pop(0)
         fresh = cm.request(ep0, 1)
         assert fresh is not sig

@@ -4,7 +4,6 @@ from repro.analysis import congestion_table
 from repro.core.stats import (
     collect_congestion_report,
     collect_report,
-    reset_counters,
 )
 from repro.sim.trace import Tracer
 
@@ -66,16 +65,6 @@ class _FakeState:
         }
         self.flows = {(1, 0): _FakeFlow(rate=0.5, min_seen=0.25)}
 
-    def reset_counters(self):
-        for port in self.ports.values():
-            port.peak_depth = port.depth
-            port.drops = 0
-        for flow in self.flows.values():
-            flow.min_rate_seen = flow.rate
-        counters = self.tracer.counters
-        for name in [n for n in counters if n.startswith("cong.")]:
-            del counters[name]
-
 
 def test_collect_congestion_report_totals_and_per_dest():
     report = collect_congestion_report(_FakeState())
@@ -94,19 +83,6 @@ def test_collect_congestion_report_totals_and_per_dest():
     }
     assert report.per_dest["2"]["drops"] == 1
     assert report.to_dict()["per_dest"]["0"]["marks"] == 5
-
-
-def test_reset_counters_covers_congestion_state():
-    state = _FakeState()
-    reset_counters([], congestion=state)
-    report = collect_congestion_report(state)
-    assert report.pause_frames == 0
-    assert report.xoff_events == 0
-    assert report.drops == 0
-    assert report.depth_peak_bytes == 0
-    assert report.min_flow_rate == 0.5  # re-pinned to the live rate
-    # disarmed clusters keep working: congestion=None is a no-op
-    reset_counters([], congestion=None)
 
 
 def test_congestion_table_sorts_destinations_numerically():

@@ -428,7 +428,7 @@ def test_no_per_job_pass_scans_the_connection_table():
     from repro.core import memory, stats
 
     scan = re.compile(r"connection_table\(|range\([\w.]*world_size")
-    for fn in (stats.weighted_connections, stats.collect_report, stats.reset_counters,
+    for fn in (stats.weighted_connections, stats.collect_report,
                memory.collect_memory_report):
         assert not scan.search(inspect.getsource(fn)), fn.__name__
     assert not scan.search(_src("cluster/job.py"))
@@ -439,7 +439,7 @@ def test_no_per_job_pass_scans_the_connection_table():
         and re.search("collect|reset", name)
     }
     assert passes == {"collect_report", "collect_congestion_report",
-                      "reset_counters", "collect_memory_report"}
+                      "collect_memory_report"}
 
 
 def test_one_site_builds_a_requester_and_arming_builds_none():
@@ -520,21 +520,19 @@ def test_a_lost_pair_comes_back_on_successor_qps_through_one_bring_up():
 def test_a_dead_rank_is_a_killed_process_and_a_lost_pair_is_severed():
     """A rank goes away as its process: the fault injector kills it at the
     death, ``run_job`` at job end one ft declared dead while it ran, and the
-    endpoint keeps no halt flag or parking signal.  A lost on-demand pair
-    goes away through ``Endpoint.sever``, which errors the QP and reclaims
-    its flushed completions — DESIGN §6.6."""
+    endpoint keeps no halt flag or parking signal.  A pair lost with a dead
+    rank goes away through ``Endpoint.sever``, which errors the QP and
+    reclaims its flushed completions — DESIGN §6.6; ft is its one caller."""
     assert not re.search(r"\b_halted\b|\bhalt\(|\bSignal\(", _src("mpi/endpoint.py"))
     assert _modules_matching(r"(?<!hca)\.kill\(\)") == {"cluster/job.py",
                                                          "faults/injector.py"}
-    teardown = _src("cluster/on_demand.py")
-    assert not re.search(r"force_error|reclaim_flushed", teardown)
-    assert ".sever(" in teardown
+    assert _modules_matching(r"\.sever\(") == {"ft/manager.py"}
 
 
 # ----------------------------------------------------------------------
-# a subsystem arms, disarms and reports itself (DESIGN §6.7): run_job
-# loops over the armed tuple, a finished job is read through report(), and
-# the chaos chain passes the caller's arming through as one mapping
+# a subsystem arms and reports itself (DESIGN §6.7): run_job loops over the
+# job's subsystems, a finished job is read through report(), and the chaos
+# chain passes the caller's arming through as one mapping
 # ----------------------------------------------------------------------
 def test_run_job_names_no_subsystems_private_fields_or_classes():
     src = _src("cluster/job.py")
@@ -542,8 +540,8 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
                    "configure_chaos", "Auditor(", "RecoveryManager(",
                    "FTManager(", "FaultInjector(", "SetupChaos("):
         assert clause not in src, clause
-    # each subsystem's arm and disarm live side by side in its own module,
-    # and nothing else points an attachment field anywhere
+    # each subsystem's arm lives in its own module, and nothing else points
+    # an attachment field anywhere
     owners = {
         r"\._recovery = ": "recovery/manager.py",
         r"\._ft = ": "ft/manager.py",
@@ -554,14 +552,28 @@ def test_run_job_names_no_subsystems_private_fields_or_classes():
     for pattern, owner in owners.items():
         built_by = {"mpi/endpoint.py", "ib/hca.py"}  # ... = None, once, at birth
         assert _modules_matching(pattern) - built_by == {owner}, pattern
-        assert {"def arm(", "def disarm("} <= set(re.findall(r"def \w+\(", _src(owner)))
-    # the observer slots are resolved where observers join and leave
+        assert "def arm(" in set(re.findall(r"def \w+\(", _src(owner)))
+    # the observer slots are resolved where observers join
     assert _modules_matching(r"\.observer = ") - {"congestion/switch.py", "mpi/endpoint.py"} == {
         "cluster/builder.py"}
-    assert {"def observe(", "def unobserve("} <= set(
-        re.findall(r"def \w+\(", _src("cluster/builder.py")))
-    assert _modules_matching(r"cluster\.(?:un)?observe\(") == {
+    assert "def observe(" in set(re.findall(r"def \w+\(", _src("cluster/builder.py")))
+    assert _modules_matching(r"cluster\.observe\(") == {
         "check/auditor.py", "ft/manager.py"}
+
+
+def test_a_cluster_runs_one_job():
+    """``MPI_Init`` builds a job's connections and ``MPI_Finalize`` ends
+    them: nothing takes a subsystem off a cluster, resets a counter or
+    tears a pair down between jobs, because ``run_job`` refuses a cluster
+    that ran one — before it arms or spawns anything (DESIGN §6.7)."""
+    from repro.cluster.job import run_job
+
+    gone = r"def (?:disarm|unobserve|reset_counters|reset_stats|teardown|on_teardown)\("
+    assert _modules_matching(gone) == set()
+    src = inspect.getsource(run_job)
+    refusal = src.index("if cluster.procs:")
+    assert "already ran a job" in src[refusal:src.index("\n", src.index("raise", refusal))]
+    assert refusal < min(src.index(call) for call in (".arm(", ".spawn("))
 
 
 def test_only_arming_imports_the_subsystem_managers():

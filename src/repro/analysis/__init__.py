@@ -4,9 +4,8 @@ from repro.analysis.report import (
     Figure,
     Series,
     Table,
-    congestion_table,
-    memory_table,
     pct_change,
+    scaling_report,
     scheme_figure,
     scheme_table,
 )
@@ -22,12 +21,11 @@ __all__ = [
     "PairTraffic",
     "Series",
     "Table",
-    "congestion_table",
     "fabric_utilisation",
     "flow_control_timeline",
-    "memory_table",
     "pct_change",
     "rank_activity",
+    "scaling_report",
     "scheme_figure",
     "scheme_table",
 ]

@@ -11,6 +11,7 @@ clocks — so a worker's record is bit-identical to an in-process run.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Mapping
 
 from repro.campaign.spec import JobSpec
@@ -128,9 +129,19 @@ def _fuzz_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     return run_spec(p["spec"], p["scheme"])
 
 
+def ring(mpi, iterations: int):
+    """The scaling experiment's program: ``iterations`` x 1 KB around the ring."""
+    nxt = (mpi.rank + 1) % mpi.world_size
+    prv = (mpi.rank - 1) % mpi.world_size
+    for i in range(iterations):
+        rreq = yield from mpi.irecv(source=prv, capacity=4096, tag=i)
+        yield from mpi.send(nxt, size=1024, tag=i)
+        yield from mpi.wait(rreq)
+
+
 @cell_kind("ring")
 def _ring_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
-    """The scaling experiment's ring exchange on a fat-tree cluster.
+    """The scaling experiment's :func:`ring` on a fat-tree cluster.
 
     The tree shape comes from :func:`repro.cluster.fat_tree_shape` —
     two-level up to a few hundred ranks, the three-level pod topology at
@@ -140,18 +151,9 @@ def _ring_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.cluster import fat_tree_shape
 
     nodes = p["nodes"]
-    iterations = p["iterations"]
     cfg = TestbedConfig(nodes=nodes, **fat_tree_shape(nodes))
-
-    def ring(mpi):
-        nxt = (mpi.rank + 1) % mpi.world_size
-        prv = (mpi.rank - 1) % mpi.world_size
-        for i in range(iterations):
-            rreq = yield from mpi.irecv(source=prv, capacity=4096, tag=i)
-            yield from mpi.send(nxt, size=1024, tag=i)
-            yield from mpi.wait(rreq)
-
-    r = run_job(ring, nodes, p["scheme"], prepost=p["prepost"], config=cfg,
+    r = run_job(partial(ring, iterations=p["iterations"]), nodes, p["scheme"],
+                prepost=p["prepost"], config=cfg,
                 on_demand=p["on_demand"], finalize=False)
     doc = r.report()
     mem = doc["memory"]

@@ -13,13 +13,14 @@ Commands mirror the paper's experiments:
 * ``sweep``     — run a named figure/table campaign through the parallel
   orchestrator with result caching (``repro.campaign``).
 
-Every experiment command expands its grid into declarative
-:class:`~repro.campaign.JobSpec` cells and feeds them through the same
-:func:`~repro.campaign.run_cells` runner, so ``--workers`` parallelism
-and the sweep cache apply uniformly; ``latency``, ``bandwidth`` and
-``nas`` print through the figure suite's two renderers.  The paper's three
-schemes are the default axis except where the comparison is ours
-(``repro scaling``: all four).
+Every experiment command is one parser row: a ``cells`` function that
+expands its flags into declarative :class:`~repro.campaign.JobSpec` cells
+and a ``render`` function that prints the result, both run by
+:func:`cmd_experiment` through the one ``--workers`` and ``--check`` path,
+:func:`_run`.  ``latency``, ``bandwidth``, ``nas`` and ``scaling`` print
+through the renderers the figure suite saves.  The paper's three schemes
+are the default axis except where the comparison is ours (``repro
+scaling``: all four).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis import Table, scheme_figure, scheme_table
+from repro.analysis import Table, scaling_report, scheme_figure, scheme_table
 from repro.campaign import GRIDS, build_grid, grids
 from repro.campaign.cache import MemoryCache, ResultCache
 from repro.campaign.runner import run_cells
@@ -37,7 +38,7 @@ from repro.check import fuzz
 from repro.cluster import TestbedConfig
 from repro.cluster.builder import check_setup_budget
 from repro.core import EXTENDED_SCHEME_NAMES, SCHEME_NAMES, make_scheme
-from repro.faults import SCENARIOS, run_chaos
+from repro.faults.scenarios import SCENARIOS, chaos_report, chaos_specs
 from repro.workloads.nas import KERNEL_ORDER
 
 DEFAULT_CACHE_DIR = "benchmarks/results/.sweep-cache"
@@ -46,15 +47,20 @@ CHECK_HELP = ("compare every record against a second in-process run and "
               "exit 1 unless bit-identical")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
+def _add_common(p: argparse.ArgumentParser, schemes=SCHEME_NAMES,
+                prepost: Optional[int] = 100, check: bool = False) -> None:
+    """An experiment command's shared flags, with the command's defaults."""
+    p.add_argument("--schemes", nargs="+", default=list(schemes),
                    choices=EXTENDED_SCHEME_NAMES,
                    help="flow control schemes to compare")
-    p.add_argument("--prepost", type=_positive_int, default=100,
-                   help="receive buffers pre-posted per connection")
+    p.add_argument("--prepost", type=_positive_int, default=prepost,
+                   help="receive buffers pre-posted per connection"
+                        + ("" if prepost else " (default: the scenario's)"))
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for independent cells (1 = "
                         "run everything in this process)")
+    if check:
+        p.add_argument("--check", action="store_true", help=CHECK_HELP)
 
 
 def _positive_int(text: str) -> int:
@@ -93,12 +99,12 @@ def _progress(out, done, total) -> None:
 
 def _run(args: argparse.Namespace, specs, cache=None, **options):
     """Run ``specs``; ``None`` when ``--check`` found drift (reported).  The
-    one ``--check`` of ``sweep``, ``scaling``, ``chaos`` and ``fuzz``: the cells run
+    one ``--check``, of every command that declares the flag: the cells run
     through ``cache`` (the sweep's disk cache, else a fresh one), then again
     over it with ``check=True`` — every record against an in-process run."""
     cache = MemoryCache() if cache is None else cache
     res = run_cells(specs, workers=args.workers, cache=cache, **options)
-    if not args.check or res.failures:
+    if not getattr(args, "check", False) or res.failures:
         return res
     drift = run_cells(specs, cache=cache, check=True, strict=False).check_failures
     for m in drift:
@@ -113,9 +119,12 @@ def _run(args: argparse.Namespace, specs, cache=None, **options):
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """``latency``, ``bandwidth`` and ``nas``: run the grid the command's
-    flags select (``args.cells``) and print it (``args.render``)."""
-    print(args.render(run_cells(args.cells(args), workers=args.workers), args))
+    """Every experiment command: run the grid the command's flags select
+    (``args.cells``) and print it (``args.render``); 1 on ``--check`` drift."""
+    res = _run(args, args.cells(args))
+    if res is None:
+        return 1
+    print(args.render(res, args))
     return 0
 
 
@@ -129,60 +138,26 @@ def _nas_table(res, args: argparse.Namespace) -> str:
     return scheme_table(res, f"NAS proxy runtimes (s), pre-post={args.prepost}").render()
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.analysis import memory_table
-
+def _scaling_cells(args: argparse.Namespace):
     # climb the standard ladder up to --nodes (so `--nodes 1024` shows the
     # full 64 -> 256 -> 1024 trajectory), plus the requested count itself
     ladder = sorted({r for r in grids.RANK_LADDER if r < args.nodes}
                     | {args.nodes})
-    res = _run(args, grids.scaling_grid(ranks=ladder, schemes=args.schemes,
-                                        prepost=args.prepost,
-                                        iterations=args.iterations))
-    if res is None:
-        return 1
-    metrics = {}  # (ranks, scheme, mode) -> metrics
-    for out in res.outcomes:
-        p = out.spec.params
-        mode = "on-demand" if p["on_demand"] else "mesh"
-        metrics[(p["nodes"], p["scheme"], mode)] = out.metrics
-
-    for r in ladder:
-        table = Table(f"Ring on {r} ranks (fat-tree)",
-                      ["connections", "posted_buffers", "time_us"])
-        for scheme in args.schemes:
-            for mode in ("mesh", "on-demand"):
-                m = metrics[r, scheme, mode]
-                label = f"{scheme} " + ("on-demand" if mode == "on-demand"
-                                        else "full mesh")
-                table.add_row(label, m["connections"], m["posted_buffers"],
-                              m["elapsed_us"])
-        print(table.render())
-        print()
-
-    cells = [
-        {"ranks": r, "scheme": scheme, "mode": mode,
-         "pinned_bytes": m["pinned_bytes"]}
-        for (r, scheme, mode), m in metrics.items()
-    ]
-    print(memory_table(cells).render())
-    print("\nBuffer memory scales with the communication graph, not P^2 —")
-    print("the paper's conclusion, demonstrated beyond its 8-node testbed.")
-    return 0
+    return grids.scaling_grid(ranks=ladder, schemes=args.schemes,
+                              prepost=args.prepost, iterations=args.iterations)
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    # the axes, and what the flags arm: one mapping down the chaos chain
-    axes = dict(schemes=args.schemes, seed=args.seed, prepost=args.prepost,
+def _chaos_axes(args: argparse.Namespace) -> dict:
+    """The axes but the schemes, and what the flags arm: one mapping down
+    the chaos chain, to the cells and to the report."""
+    return dict(seed=args.seed, prepost=args.prepost,
                 **{k: getattr(args, k) for k in ("recovery", "congestion", "ft")})
-    cache = MemoryCache()  # after --check, run_chaos is served from it
-    if args.check and _run(args, grids.chaos_grid(scenarios=[args.scenario], **axes),
-                           cache) is None:
-        return 1
-    report = run_chaos(args.scenario, workers=args.workers, cache=cache, **axes)
-    print(json.dumps(report, indent=2, sort_keys=True) if args.json
-          else _chaos_table(report).render())
-    return 0
+
+
+def _chaos_render(res, args: argparse.Namespace) -> str:
+    report = chaos_report(args.scenario, res, **_chaos_axes(args))
+    return (json.dumps(report, indent=2, sort_keys=True) if args.json
+            else _chaos_table(report).render())
 
 
 def _chaos_table(report: dict) -> Table:
@@ -205,48 +180,41 @@ def _chaos_table(report: dict) -> Table:
     title += f"(faults end at {report['fault_window_us']:.0f} us)"
     table = Table(title, columns)
     for scheme, entry in report["schemes"].items():
-        rec = entry.get("recovery")
-        reconnects = rec["completed"] if rec else "-"
-        replayed = rec["messages_replayed"] if rec else "-"
-        cong_cells = []
-        if congested:
-            cong = entry.get("congestion")
-            cong_cells = [
-                cong["pause_frames"] if cong else "-",
-                cong["ecn_marks"] if cong else "-",
-                cong["drops"] if cong else "-",
-                entry.get("victim_finish_us", "-"),
-            ]
+        # one column -> value mapping a row; a column it lacks reads "-"
+        row = {}
+        rec, cong = entry.get("recovery"), entry.get("congestion")
+        if rec:
+            row.update(reconnects=rec["completed"],
+                       replayed=rec["messages_replayed"])
+        if cong:
+            row.update(pauses=cong["pause_frames"], marks=cong["ecn_marks"],
+                       drops=cong["drops"])
+        if "victim_finish_us" in entry:
+            row["victim_us"] = entry["victim_finish_us"]
         if entry.get("completed"):
-            table.add_row(scheme, "yes", entry["elapsed_us"],
-                          entry["recovery_us"], entry["retransmissions"],
-                          entry["rnr_naks"], entry["backlog_max"],
-                          entry["ecm_msgs"], entry["rndv_fallbacks"],
-                          reconnects, replayed, *cong_cells)
+            name = scheme
+            row.update(done="yes", time_us=entry["elapsed_us"],
+                       recovery_us=entry["recovery_us"],
+                       retrans=entry["retransmissions"],
+                       rnr_naks=entry["rnr_naks"],
+                       backlog_max=entry["backlog_max"],
+                       ecms=entry["ecm_msgs"], fallbacks=entry["rndv_fallbacks"])
         elif "failures" in entry:
             f = entry["failures"][0]
             if f.get("kind") == "rank-death":
                 # a detected rank failure is the subsystem *working*:
                 # show who died, who noticed, and how fast
-                detail = (
-                    f"rank {f['rank']} dead ({f['cause']}), detected "
-                    f"by {f['detected_by']} in "
-                    f"{f['detection_latency_ns'] / 1000:.0f} us"
-                )
-                status = "DEAD"
+                name = (f"{scheme}: rank {f['rank']} dead ({f['cause']}), "
+                        f"detected by {f['detected_by']} in "
+                        f"{f['detection_latency_ns'] / 1000:.0f} us")
+                row["done"] = "DEAD"
             else:
-                detail = (f"{f['cause']} {f['rank']}<->{f['peer']} "
-                          f"attempts={f['attempts']}")
-                status = "FAILED"
-            # the name column auto-sizes; the value columns do not
-            table.add_row(f"{scheme}: {detail}", status,
-                          "-", "-", "-", "-", "-", "-", "-",
-                          reconnects, replayed,
-                          *(["-"] * len(cong_cells)))
+                name = (f"{scheme}: {f['cause']} {f['rank']}<->{f['peer']} "
+                        f"attempts={f['attempts']}")
+                row["done"] = "FAILED"
         else:
-            table.add_row(f"{scheme}: {entry['error']}", "FAILED",
-                          "-", "-", "-", "-", "-", "-", "-", "-", "-",
-                          *(["-"] * len(cong_cells)))
+            name, row["done"] = f"{scheme}: {entry['error']}", "FAILED"
+        table.add_row(name, *(row.get(c, "-") for c in columns))
     return table
 
 
@@ -377,19 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
         "scaling",
         help="ranks 64-1024 x schemes x {mesh, on-demand} on fat trees, "
              "with the Table-2-at-scale memory table")
+    # all four schemes by default: the memory story is the point here
+    _add_common(p, schemes=EXTENDED_SCHEME_NAMES, prepost=1, check=True)
     p.add_argument("--nodes", type=_ring_size, default=64,
                    help="top of the rank ladder (1024 = the three-level "
                         "pod fat-tree)")
-    p.add_argument("--schemes", nargs="+", default=list(EXTENDED_SCHEME_NAMES),
-                   choices=EXTENDED_SCHEME_NAMES,
-                   help="flow control schemes to compare (all four by "
-                        "default — the memory story is the point here)")
-    p.add_argument("--prepost", type=_positive_int, default=1)
     p.add_argument("--iterations", type=_positive_int, default=3)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for independent cells")
-    p.add_argument("--check", action="store_true", help=CHECK_HELP)
-    p.set_defaults(fn=cmd_scaling)
+    p.set_defaults(fn=cmd_experiment, cells=_scaling_cells,
+                   render=lambda res, a: scaling_report(res))
 
     p = sub.add_parser(
         "sweep",
@@ -422,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=_positive_int, default=None,
                    help="override a bandwidth grid's repetitions per cell")
     p.add_argument("--kernels", nargs="+", default=None,
+                   choices=list(KERNEL_ORDER),
                    help="override the NAS grid's kernel list")
     p.add_argument("--seed", type=int, default=None,
                    help="override the chaos grid's fault-plan seed")
@@ -431,17 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection robustness comparison (repro.faults)",
     )
+    _add_common(p, prepost=None, check=True)
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS),
                    help="named fault scenario (see EXPERIMENTS.md)")
     p.add_argument("--seed", type=int, default=7,
                    help="fault-plan RNG seed (fixed seed -> bit-identical run)")
-    p.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
-                   choices=EXTENDED_SCHEME_NAMES,
-                   help="flow control schemes to compare")
-    p.add_argument("--prepost", type=_positive_int, default=None,
-                   help="receive buffers per connection (default: scenario's)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for the per-scheme cells")
     p.add_argument("--recovery", action="store_true",
                    help="install the connection recovery subsystem "
                         "(repro.recovery): lost QP pairs are re-established "
@@ -460,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "watchdog hang (pair with --scenario rank-death)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as canonical JSON")
-    p.add_argument("--check", action="store_true", help=CHECK_HELP)
-    p.set_defaults(fn=cmd_chaos)
+    p.set_defaults(fn=cmd_experiment, render=_chaos_render,
+                   cells=lambda a: chaos_specs(a.scenario, a.schemes, **_chaos_axes(a)))
 
     p = sub.add_parser(
         "fuzz",

@@ -184,5 +184,5 @@ def mesh_pinned_bytes(nranks: int, scheme_name: str, prepost: int,
     reserve alone and ``ring_bytes`` the two halves, so a simulated mesh's
     ``vbuf_pinned_bytes + ring_bytes`` is this, plus the buffers
     ``dynamic`` grows under traffic (``tests/test_mesh_setup.py``,
-    ``benchmarks/test_ext_mesh1024.py``)."""
+    ``benchmarks/test_ext_scaling.py``)."""
     return nranks * (nranks - 1) * _pinned_per_connection(scheme_name, prepost, mpi)

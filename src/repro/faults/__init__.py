@@ -9,14 +9,14 @@ under adverse conditions.  This package injects them, reproducibly:
   (builder API, or declarative dict/JSON specs);
 * :class:`FaultInjector` — arms a plan on a launched cluster
   (``run_job(..., faults=plan)`` does this for you);
-* :data:`SCENARIOS` / :func:`scenario_job` / :func:`run_chaos` — the named
-  scenarios as data, the one builder of their jobs, and the per-scheme
-  robustness report behind ``python -m repro chaos``.
+* :data:`SCENARIOS` / :func:`scenario_job` / :func:`chaos_report` — the
+  named scenarios as data, the one builder of their jobs, and the
+  per-scheme robustness report behind ``python -m repro chaos``.
 """
 
 from repro.faults.injector import FabricFaultState, FaultInjector, FaultInjectorError
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
-from repro.faults.scenarios import SCENARIOS, chaos_cell, run_chaos, scenario_job
+from repro.faults.scenarios import SCENARIOS, chaos_cell, chaos_report, run_chaos, scenario_job
 
 __all__ = [
     "FabricFaultState",
@@ -27,6 +27,7 @@ __all__ = [
     "FaultPlanError",
     "SCENARIOS",
     "chaos_cell",
+    "chaos_report",
     "run_chaos",
     "scenario_job",
 ]

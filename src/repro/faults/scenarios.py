@@ -295,6 +295,15 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
 }
 
 
+def _entry(scenario: str) -> Mapping[str, Any]:
+    try:
+        return SCENARIOS[scenario]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {scenario!r} (know {sorted(SCENARIOS)})"
+        ) from None
+
+
 def scenario_job(
     scenario: Union[str, Mapping[str, Any]],
     seed: int = 7,
@@ -308,15 +317,7 @@ def scenario_job(
     (``"pfc" | "ecn" | "both"``) arms the switch model in the testbed;
     ``arming`` is merged over the scenario's own and validated here, so a
     bad one raises before any job runs."""
-    if isinstance(scenario, str):
-        try:
-            sc = SCENARIOS[scenario]
-        except KeyError:
-            raise ValueError(
-                f"unknown scenario {scenario!r} (know {sorted(SCENARIOS)})"
-            ) from None
-    else:
-        sc = scenario
+    sc = _entry(scenario) if isinstance(scenario, str) else scenario
     params = dict(sc["workload"])
     program = WORKLOADS[params.pop("name")](**params)
     testbed = dict(sc.get("testbed", {}))
@@ -401,26 +402,20 @@ def chaos_cell(
     return entry
 
 
-def run_chaos(
+def chaos_report(
     scenario: str,
+    result: Any,
     seed: int = 7,
-    schemes: Iterable[str] = SCHEME_NAMES,
     prepost: Optional[int] = None,
-    workers: int = 1,
-    cache: Any = None,
     **arming: Any,
 ) -> Dict:
-    """Run ``schemes`` under the named scenario — its ``chaos_grid`` cells,
-    through :func:`repro.campaign.run_cells` — and return the robustness
-    report as a plain dict (deterministic content for a fixed seed), with
-    ``arming`` — plain-JSON cell parameters — recorded as given."""
-    from repro.campaign import grids, run_cells
-
+    """The robustness report of a campaign ``result`` of the scenario's
+    ``chaos_grid`` cells, as a plain dict (deterministic content for a
+    fixed seed), with ``arming`` — plain-JSON cell parameters — recorded
+    as given: the one assembler, behind :func:`run_chaos` and
+    ``repro chaos``."""
+    sc = _entry(scenario)
     plan = scenario_job(scenario, seed)["faults"]
-    sc = SCENARIOS[scenario]
-    specs = grids.chaos_grid(scenarios=[scenario], schemes=schemes, seed=seed,
-                             prepost=prepost, **arming)
-    res = run_cells(specs, workers=workers, cache=cache)
     return {
         "scenario": scenario,
         "description": sc["description"],
@@ -429,5 +424,26 @@ def run_chaos(
         "prepost": sc["prepost"] if prepost is None else prepost,
         **{"recovery": False, "congestion": None, "ft": False, **arming},
         "fault_window_us": to_us(plan.end_ns) if plan is not None else 0.0,
-        "schemes": {out.spec.params["scheme"]: out.metrics for out in res.outcomes},
+        "schemes": {out.spec.params["scheme"]: out.metrics for out in result.outcomes},
     }
+
+
+def chaos_specs(scenario: str, schemes: Iterable[str] = SCHEME_NAMES, **axes: Any) -> List:
+    """The named scenario's ``chaos_grid`` cells, one a scheme: what
+    :func:`run_chaos` and ``repro chaos`` run.  An unknown name is refused
+    before any cell is built."""
+    from repro.campaign import grids
+
+    _entry(scenario)
+    return grids.chaos_grid(scenarios=[scenario], schemes=schemes, **axes)
+
+
+def run_chaos(scenario: str, seed: int = 7, schemes: Iterable[str] = SCHEME_NAMES,
+              prepost: Optional[int] = None, workers: int = 1, **arming: Any) -> Dict:
+    """Run :func:`chaos_specs` through :func:`repro.campaign.run_cells` and
+    return its :func:`chaos_report`."""
+    from repro.campaign import run_cells
+
+    specs = chaos_specs(scenario, schemes, seed=seed, prepost=prepost, **arming)
+    return chaos_report(scenario, run_cells(specs, workers=workers),
+                        seed, prepost, **arming)

@@ -145,6 +145,16 @@ def test_sweep_check_fails_on_doctored_cache(tmp_path, capsys):
     assert "DETERMINISM DRIFT" in err and "CHECK MISMATCH" in err
 
 
+def test_an_unknown_sweep_kernel_is_a_usage_error_that_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sweep.jsonl"
+    out.write_text("kept\n")
+    assert main(["sweep", "--grid", "nas", "--kernels", "bogus", "--no-cache",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
+    assert out.read_text() == "kept\n"
+
+
 def test_unknown_command_exits_2(capsys):
     # No exception escapes: argparse's error is surfaced as exit code 2
     # with the usage text on stderr.

@@ -115,6 +115,9 @@ def test_cli_chaos_json_is_parseable(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["scenario"] == "receiver-stall"
     assert list(report["schemes"]) == ["static"]
+    # the command runs what the library call runs
+    library = run_chaos("receiver-stall", seed=7, schemes=["static"])
+    assert report == json.loads(json.dumps(library))
 
 
 def test_cli_chaos_check_passes(capsys):

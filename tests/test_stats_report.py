@@ -1,6 +1,5 @@
 """Regression tests for repro.core.stats aggregation edge cases."""
 
-from repro.analysis import congestion_table
 from repro.core.stats import (
     collect_congestion_report,
     collect_report,
@@ -84,12 +83,3 @@ def test_collect_congestion_report_totals_and_per_dest():
     assert report.per_dest["2"]["drops"] == 1
     assert report.to_dict()["per_dest"]["0"]["marks"] == 5
 
-
-def test_congestion_table_sorts_destinations_numerically():
-    report = collect_congestion_report(_FakeState())
-    table = congestion_table(report.per_dest)
-    names = [name for name, _ in table.rows]
-    assert names == ["dst 0", "dst 2", "dst 10"]  # numeric, not lexicographic
-    assert table.value("dst 0", "marks") == 5
-    assert table.value("dst 2", "drops") == 1
-    assert "depth_peak_bytes" in table.render()

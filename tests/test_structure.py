@@ -612,6 +612,7 @@ def test_the_chaos_chain_passes_arming_through_as_one_mapping():
 
     chain = {
         "chaos_cell": scenarios.chaos_cell,
+        "chaos_report": scenarios.chaos_report,
         "run_chaos": scenarios.run_chaos,
         "chaos_grid": grids.chaos_grid,
     }
@@ -622,7 +623,7 @@ def test_the_chaos_chain_passes_arming_through_as_one_mapping():
         # cell, which builds the config, takes the mode out of the mapping
         assert ("congestion" in params) == (name == "chaos_cell"), name
         assert params["arming"].kind is inspect.Parameter.VAR_KEYWORD
-    for src in (inspect.getsource(importlib.import_module("repro.cli").cmd_chaos),
+    for src in (inspect.getsource(importlib.import_module("repro.cli")._chaos_axes),
                 inspect.getsource(importlib.import_module(
                     "repro.campaign.cells")._chaos_cell)):
         assert not re.search(r"\b(recovery|ft|congestion)\s*=", src)
@@ -671,21 +672,47 @@ def test_scheme_figures_and_tables_have_one_renderer_each():
 
 
 def test_the_cli_has_one_check_path_and_one_chaos_assembler():
+    import argparse
+
     from repro import cli
     from repro.faults import scenarios
 
+    # every experiment command is a parser row: cells and a render, run by
+    # cmd_experiment
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name in ("latency", "bandwidth", "nas", "scaling", "chaos"):
+        row = sub.choices[name]
+        assert row.get_default("fn") is cli.cmd_experiment, name
+        assert row.get_default("cells") and row.get_default("render"), name
     checks = re.findall(r"\brun_cells\([^)]*\bcheck=\w+", _src("cli.py"))
     assert checks == [
         re.search(r"\brun_cells\([^)]*\bcheck=\w+", inspect.getsource(cli._run))[0]]
     assert checks[0].endswith("check=True")
-    for cmd in (cli.cmd_sweep, cli.cmd_scaling, cli.cmd_chaos, cli.cmd_fuzz):
+    for cmd in (cli.cmd_experiment, cli.cmd_sweep, cli.cmd_fuzz):
         body = inspect.getsource(cmd)
         assert "_run(args" in body and "DETERMINISM" not in body, cmd.__name__
-    # repro chaos renders what run_chaos assembles; nothing else builds a header
-    assert not hasattr(cli, "_chaos_report")
-    assert not hasattr(scenarios, "chaos_report_header")
-    assert "run_chaos(" in inspect.getsource(cli.cmd_chaos)
+    # repro chaos runs the cells chaos_specs builds and renders what
+    # chaos_report assembles, as run_chaos does; nothing else builds either
+    assert "chaos_report(" in inspect.getsource(cli._chaos_render)
+    assert "chaos_report(" in inspect.getsource(scenarios.run_chaos)
+    assert "chaos_specs(" in inspect.getsource(scenarios.run_chaos)
+    assert _files_matching(r"\bchaos_specs\(") == {CLI, "src/repro/faults/scenarios.py"}
+    assert "chaos_grid(" not in _src("cli.py")
     assert "run_cells(" in inspect.getsource(scenarios.run_chaos)
+    assert _files_matching(r"\bchaos_report\(") == {CLI, "src/repro/faults/scenarios.py"}
+    assert _files_matching(r'"fault_window_us":') == {"src/repro/faults/scenarios.py"}
+
+
+def test_the_scaling_experiment_is_defined_once():
+    # one renderer of a rank-count table, which repro scaling prints and
+    # the scaling bench saves; the ring program lives with the cell (and
+    # the chaos workloads), not in a bench
+    assert _files_matching(r"\bTable\([^)]*\branks\b") == {REPORT}
+    assert _files_matching(r"\bscaling_report\(") == {
+        REPORT, CLI, "benchmarks/test_ext_scaling.py"}
+    ring = r"\(mpi\.rank [+-] 1\) % mpi\.world_size|\bdef ring\("
+    assert not {f for f in _files_matching(ring) if f.startswith("benchmarks/")}
 
 
 # ----------------------------------------------------------------------

@@ -212,9 +212,13 @@ class FaultPlan:
         are killed with it, without ft they run on over a dead adapter
         until a flushed connection stops the job; the stock rank-death
         scenario keeps one rank per node.  Requires
-        ``run_job(..., ft=True)`` for structured detection — without
-        the failure-tolerance layer the job hangs until the auditor
-        watchdog trips (that contrast is scenario arm 2).
+        ``run_job(..., ft=True)`` for structured detection.  Without the
+        failure-tolerance layer an armed auditor's progress watchdog
+        trips (that contrast is scenario arm 2), and a finite retry limit
+        ends the job as a ``retry_exceeded`` failure; with neither, under
+        the infinite default, the survivors retransmit to the dead adapter
+        until ``run_job``'s ``max_events`` (``MAX_JOB_EVENTS`` by default)
+        raises ``SimulationError``.
         """
         return self.add(FaultEvent("rank_death", at_ns, 1, rank=rank))
 

@@ -308,6 +308,19 @@ def test_without_ft_or_audit_the_hung_check_catches_it():
         run_job(prog, 4, "static", 8, faults=plan)
 
 
+@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
+    "open: under the plan's default unlimited transport retry, with neither "
+    "ft nor an auditor armed, the survivors retransmit to the dead adapter "
+    "until the event ceiling; a retry limit of 3 or an auditor ends the "
+    "same job"))
+def test_without_ft_or_audit_a_death_under_unlimited_retry_ends_structurally():
+    for scheme in ALL_SCHEMES:
+        r = run_job(_ring, 8, scheme, 4, config=TestbedConfig(nodes=8),
+                    max_events=100_000,
+                    faults=FaultPlan(seed=7).rank_death(rank=2, at_ns=us(30)))
+        assert not r.completed and r.failures, scheme
+
+
 def _send_after_the_death(ep):
     if ep.rank == 0:
         yield from ep.compute(us(200))

@@ -15,7 +15,7 @@ from benchmarks.conftest import run_grid, run_once, save_result
 
 def run_table() -> Table:
     return scheme_table(run_grid(grids.nas_grid(preposts=[100])),
-                        "Figure 9: NAS runtimes (s), pre-post=100")
+                        "Figure 9: NAS runtimes (ms), pre-post=100")
 
 
 def test_fig9(benchmark):

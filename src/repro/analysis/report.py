@@ -8,7 +8,7 @@ EXPERIMENTS.md raw data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -167,13 +167,15 @@ def scheme_figure(result: Any, title: str) -> Figure:
 
 
 def scheme_table(result: Any, title: str,
-                 metric: Union[str, Callable[[Any], Any]] = "elapsed_s") -> Table:
+                 metric: Optional[Callable[[Any], Any]] = None) -> Table:
     """A campaign result of NAS cells as one row per kernel and one column
     per scheme, both in grid order — Figures 9-10 and ``repro nas``.  A
-    cell's value is its ``metric``, or ``metric(outcome)`` if callable."""
+    cell's value is ``metric(outcome)``; by default the run's simulated
+    time in ms (as seconds to two decimals, LU's 0.8 % Figure 9 gap read
+    as none)."""
     values = {
         (out.spec.params["kernel"], out.spec.params["scheme"]):
-            metric(out) if callable(metric) else out.metrics[metric]
+            out.metrics["elapsed_ns"] / 1e6 if metric is None else metric(out)
         for out in result.outcomes
     }
     schemes = list(dict.fromkeys(scheme for _, scheme in values))

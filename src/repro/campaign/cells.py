@@ -108,7 +108,6 @@ def _nas_cell(p: Mapping[str, Any]) -> Dict[str, Any]:
     r = run_job(kernel.build(), kernel.nranks, p["scheme"], prepost=p["prepost"])
     return {
         "elapsed_ns": r.elapsed_ns,
-        "elapsed_s": r.elapsed_s,
         "nranks": kernel.nranks,
         "fc": r.report()["fc"],
     }

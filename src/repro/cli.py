@@ -135,7 +135,7 @@ def _nas_table(res, args: argparse.Namespace) -> str:
             print(f"  {out.spec.params['kernel']}/{out.spec.params['scheme']}: "
                   f"ecm={fc['ecm_msgs']} maxbuf={fc['max_posted_buffers']} "
                   f"naks={fc['rnr_naks']}", file=sys.stderr)
-    return scheme_table(res, f"NAS proxy runtimes (s), pre-post={args.prepost}").render()
+    return scheme_table(res, f"NAS proxy runtimes (ms), pre-post={args.prepost}").render()
 
 
 def _scaling_cells(args: argparse.Namespace):

@@ -37,7 +37,7 @@ on big simulated clusters unchanged (see
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ib.fabric import Fabric, FabricError
 from repro.ib.types import IBConfig
@@ -94,6 +94,9 @@ class FatTreeFabric(Fabric):
         self.cores = cores
         self._routes: Dict[int, Route] = {}  # paths are static: one record per pair
         self._slot_of: Dict[LinkKey, int] = {}  # interior link -> _link_busy index
+        #: the one key object per interior link, by slot: every route that
+        #: crosses a link holds this key, not a copy of its own
+        self._link_keys: List[LinkKey] = []
 
     # ------------------------------------------------------------------
     # topology arithmetic
@@ -121,11 +124,18 @@ class FatTreeFabric(Fabric):
 
     def _resolve(self, src_lid: int, dst_lid: int) -> Route:
         """Build the pair's record, once; a link no earlier route took
-        gets the next busy-until slot."""
-        links, slot_of = self._build_links(src_lid, dst_lid), self._slot_of
-        slots = tuple([slot_of.setdefault(link, len(slot_of)) for link in links])
-        self._link_busy += [0] * (len(slot_of) - len(self._link_busy))
-        route = self._routes[src_lid << 16 | dst_lid] = Route(links, slots)
+        gets the next busy-until slot and becomes the link's key."""
+        slot_of, keys = self._slot_of, self._link_keys
+        slots = []
+        for link in self._build_links(src_lid, dst_lid):
+            slot = slot_of.get(link)
+            if slot is None:
+                slot = slot_of[link] = len(keys)
+                keys.append(link)
+                self._link_busy.append(0)
+            slots.append(slot)
+        links = tuple([keys[slot] for slot in slots])
+        route = self._routes[src_lid << 16 | dst_lid] = Route(links, tuple(slots))
         route.ctrl_ns = self.control_path_ns(src_lid, dst_lid)  # reads route.links
         return route
 

@@ -51,8 +51,9 @@ class HCA:
         self.mrs = RegistrationTable(lid)
         self._qps: Dict[int, QueuePair] = {}
         self._next_qpn = lid * 10_000 + 1
-        self._ready: List[QueuePair] = []  # round-robin; each QP at most once
-        self._in_ready: set = set()
+        #: round-robin; each QP at most once (``QueuePair._queued`` is set
+        #: while it is in)
+        self._ready: List[QueuePair] = []
         self._send_busy = 0
         #: send-engine time per WQE (IBConfig is frozen once traffic flows)
         self._send_wqe_cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
@@ -167,11 +168,11 @@ class HCA:
         # Most kicks are an ACK landing on a QP with nothing left to send.
         if (
             qp._req._sq
-            and qp.qp_num not in self._in_ready
+            and not qp._queued
             and transport.injectable(qp._req, self._max_inflight) is not None
         ):
             self._ready.append(qp)
-            self._in_ready.add(qp.qp_num)
+            qp._queued = True
         if self._ready and not self._pump_scheduled:
             self._schedule_pump()
 
@@ -195,7 +196,7 @@ class HCA:
         # Round-robin: find the first currently-eligible ready QP.
         for _ in range(len(self._ready)):
             qp = self._ready.pop(0)
-            self._in_ready.discard(qp.qp_num)
+            qp._queued = False
             req = qp._req
             wr = transport.injectable(req, self._max_inflight)
             if wr is None:
@@ -208,7 +209,7 @@ class HCA:
                     qp._watch()
             if req._sq and transport.injectable(req, self._max_inflight) is not None:
                 self._ready.append(qp)
-                self._in_ready.add(qp.qp_num)
+                qp._queued = True
             cost = self._send_wqe_cost
             self._send_busy = now + cost
             # Build the message now (the WR is final once taken) and put

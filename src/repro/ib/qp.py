@@ -64,7 +64,7 @@ class QueuePair:
     __slots__ = (
         "hca", "qp_num", "send_cq", "recv_cq",
         "state", "remote_lid", "remote_qpn", "_peer_qp", "epoch",
-        "_req",
+        "_req", "_queued",
         "_rq", "_expected_msn",
         "rnr_naks_sent", "messages_delivered",
     )
@@ -92,6 +92,8 @@ class QueuePair:
         #: the send half, built with the adapter's fault-plan transport
         #: settings (``hca.fault_transport``)
         self._req = Requester(hca.fault_transport)
+        #: in the adapter's send-engine round-robin (``HCA._ready``)
+        self._queued = False
 
         # --- responder state ---
         #: posted receive WQEs, FIFO.  A list, not a deque (``rq_depth``

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.mpi.constants import COLL_TAG_BASE, WORLD_CONTEXT
+from repro.mpi.constants import COLL_TAG_BASE, NO_ENTRIES, WORLD_CONTEXT
 from repro.mpi.protocol import MPIError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,12 @@ def _coll_envelope(ep: "Endpoint") -> Tuple[int, int]:
     receives, ``dup``/``split`` children included, can name (MPI's separate
     collective context id)."""
     context = getattr(ep, "context", WORLD_CONTEXT)
-    seq = ep._coll_seq.get(context, 0)
-    ep._coll_seq[context] = seq + 1
+    owner = getattr(ep, "endpoint", ep)  # a communicator's are its endpoint's
+    seqs = owner._coll_seq
+    if seqs is NO_ENTRIES:  # the rank's first collective
+        seqs = owner._coll_seq = {}
+    seq = seqs.get(context, 0)
+    seqs[context] = seq + 1
     return COLL_TAG_BASE + seq, ~context
 
 

@@ -46,7 +46,6 @@ class Communicator:
         self.context = context
         self.rank = self.group.index(endpoint.rank)
         self.size = len(self.group)
-        self._coll_seq = endpoint._coll_seq  # shared, keyed by context
         self._next_child = 1
         self._revoked = False
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 #: Wildcard source for receives.
 ANY_SOURCE = -1
 
@@ -16,3 +18,7 @@ WORLD_CONTEXT = 0
 
 #: Internal tag base for collective operations (outside the user range).
 COLL_TAG_BASE = TAG_UB + 1
+
+#: A read-only empty mapping: what a per-rank table that most jobs never
+#: fill holds until its first entry, when its one write site makes a dict.
+NO_ENTRIES = MappingProxyType({})

@@ -39,7 +39,7 @@ from repro.mpi import collectives, protocol, rendezvous
 from repro.mpi.buffer_pool import SendBufferPool
 from repro.mpi.config import MPIConfig
 from repro.mpi.connection import Connection, PendingSend
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, WORLD_CONTEXT
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, NO_ENTRIES, WORLD_CONTEXT
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.pindown_cache import PinDownCache
 from repro.mpi.protocol import Header, MPIError, MsgKind
@@ -116,12 +116,14 @@ class Endpoint:
         self.mesh = mesh
         self._standin: Optional[Connection] = None  # see idle_connection()
         #: peers whose ring holds unprocessed arrivals: all a poll looks at
-        self._ring_dirty: Set[int] = set()
+        #: (only a ring adds to it; without one it stays an empty tuple)
+        self._ring_dirty: Set[int] = set() if self._ring_mode else ()
         #: sends posted, completion not polled yet (each holds a vbuf or a pin)
         self._sends_open = 0
         self._rndv_send: Dict[int, RndvSendOp] = {}  # sreq_id -> op
         self._rndv_recv: Dict[int, RndvRecvOp] = {}  # rreq_id -> op
-        self._coll_seq: Dict[int, int] = {}  # context -> collective sequence
+        #: context -> collective sequence (a dict from the first collective)
+        self._coll_seq: Dict[int, int] = NO_ENTRIES
         #: wires the pair of a first send: ``Cluster.wire`` on a static mesh
         #: (wired on the spot, returns None), ``ConnectionManager.request`` on
         #: demand (returns the signal to wait for); None: the table is all
@@ -131,7 +133,7 @@ class Endpoint:
         #: returns paid credits — the starved-receiver model
         self._stall_until = 0
         #: peer -> paid credits withheld during the stall window
-        self._stall_held: Dict[int, int] = {}
+        self._stall_held: Dict[int, int] = NO_ENTRIES
         # the fixed per-call costs, yielded thousands of times per run
         self._t_call = TIMEOUTS[config.call_overhead_ns]
         self._t_poll = TIMEOUTS[config.poll_overhead_ns]
@@ -260,7 +262,8 @@ class Endpoint:
         if how:
             mr, pin_cost = (self.pindown.acquire(buffer_id, size)
                             if how == rendezvous.PIN else (None, 0))
-            yield TIMEOUTS[pin_cost]
+            if pin_cost:  # a cache hit or a bounce slot pins nothing
+                yield TIMEOUTS[pin_cost]
             if req.done:  # dest declared dead while pinning
                 if mr is not None:
                     self.pindown.release(buffer_id, mr)
@@ -278,7 +281,9 @@ class Endpoint:
             yield TIMEOUTS[self._emit(conn, header, req)]
         else:
             self._enqueue_backlog(conn, PendingSend(header, req, self.sim.now))
-            yield TIMEOUTS[self._drain(conn)]
+            cost = self._drain(conn)
+            if cost:
+                yield TIMEOUTS[cost]
         # Every MPI call pokes the progress engine (as MPICH's ADI does), or
         # a rank that only isends would never see a CTS or a credit (paper
         # §4.2).  _poll_once, open-coded: the same yields, one frame less.
@@ -747,7 +752,10 @@ class Endpoint:
             if self.observer is not None:
                 self.observer.on_swallow(conn)
         elif act & credit.HOLD:
-            self._stall_held[conn.peer] = self._stall_held.get(conn.peer, 0) + 1
+            held = self._stall_held
+            if held is NO_ENTRIES:  # first use
+                held = self._stall_held = {}
+            held[conn.peer] = held.get(conn.peer, 0) + 1
         # drains here, ahead of _deliver's growth (a late match has no other)
         if conn.backlog:
             cost += self._drain(conn)
@@ -967,7 +975,7 @@ class Endpoint:
         how many (0 while a longer overlapping stall is open)."""
         if self._stall_until > self.sim.now:
             return 0
-        held, self._stall_held = self._stall_held, {}
+        held, self._stall_held = self._stall_held, NO_ENTRIES
         released = 0
         for peer in sorted(self.connections):
             conn = self.connections[peer]

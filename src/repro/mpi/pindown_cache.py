@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 from repro.ib.hca import HCA
 from repro.ib.mr import MemoryRegion
 from repro.ib.types import IBConfig
+from repro.mpi.constants import NO_ENTRIES
 
 
 class PinDownCache:
@@ -31,7 +32,8 @@ class PinDownCache:
         self.hca = hca
         self.config: IBConfig = hca.config
         self.capacity_bytes = capacity_bytes
-        self._lru: "OrderedDict[object, MemoryRegion]" = OrderedDict()
+        #: an OrderedDict from the first cached registration on
+        self._lru: "OrderedDict[object, MemoryRegion]" = NO_ENTRIES
         self._pinned_bytes = 0
         # observability
         self.hits = 0
@@ -58,6 +60,8 @@ class PinDownCache:
         cost = self.config.registration_ns(nbytes)
         mr = self.hca.reg_mr(max(1, nbytes))
         if buffer_id is not None:
+            if self._lru is NO_ENTRIES:  # first use
+                self._lru = OrderedDict()
             self._lru[buffer_id] = mr
             self._pinned_bytes += mr.length
             cost += self._enforce_capacity()

@@ -160,3 +160,15 @@ def test_rdma_rx_cheaper_than_send_rx():
     """Inbound RDMA writes skip WQE/CQE processing at the receive engine."""
     cfg = IBConfig()
     assert cfg.hca_rdma_rx_ns < cfg.hca_recv_wqe_ns
+
+
+def test_send_engine_membership_is_a_queue_pair_flag():
+    """A QP is in the round-robin at most once: its own ``_queued`` flag
+    says so, set while it waits there — the adapter keeps no set of them."""
+    sim, hca, qp = _pair()
+    assert not qp._queued
+    qp.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=8))
+    assert qp._queued and list(hca._ready) == [qp]
+    sim.run(until=0)  # pumped: out of the ring, nothing left to send
+    assert not qp._queued and not hca._ready
+    assert not any(isinstance(v, (set, frozenset)) for v in vars(hca).values())

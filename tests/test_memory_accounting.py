@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import Cluster, TestbedConfig, run_job
+from repro.cluster import Cluster, TestbedConfig, fat_tree_shape, run_job
 from repro.core import make_scheme
 from repro.core.memory import (
     CQE_BYTES,
@@ -333,3 +333,61 @@ def test_engaged_connection_host_heap_budget():
         assert grown <= 173, (scheme, grown, "built at first use: 580")
     grown = _host_bytes_idle_to_engaged("rdma-eager")
     assert grown <= 559, (grown, "built at first use: 948")
+
+
+# ----------------------------------------------------------------------
+# ... and what a rank of an on-demand fat-tree job keeps (the 1,024-rank
+# rung, ``scale1024_od``, at a quarter of its size)
+# ----------------------------------------------------------------------
+def _fat_tree_ring(mpi):
+    """Two 1 KB sends to the rank 49 on, every hop off its leaf."""
+    nxt, prv = (mpi.rank + 49) % mpi.world_size, (mpi.rank - 49) % mpi.world_size
+    for i in range(2):
+        rreq = yield from mpi.irecv(source=prv, capacity=4096, tag=i)
+        yield from mpi.send(nxt, size=1024, tag=i)
+        yield from mpi.wait(rreq)
+
+
+def _host_bytes_per_fat_tree_rank(scheme, nranks=256):
+    """Live-heap growth per rank over building, launching and running
+    :func:`_fat_tree_ring` on demand over ``fat_tree_shape(nranks)``: the
+    rank's endpoint and adapter, its one pair's QPs and connections, and
+    its share of the fabric's routes."""
+    gc.collect()
+    with _traced() as live:
+        before = live()
+        cluster = Cluster(TestbedConfig(nodes=nranks, **fat_tree_shape(nranks)))
+        cluster.launch(nranks, make_scheme(scheme), 1, on_demand=True)
+        result = run_job(_fat_tree_ring, nranks, scheme, 1, cluster=cluster,
+                         finalize=False)
+        gc.collect()
+        grown = live() - before
+    assert result.completed
+    return grown / nranks
+
+
+def test_on_demand_fat_tree_rank_host_heap_budget():
+    """A rank of a plain on-demand ring on a fat tree: 7,462 B
+    (``hardware``), 8,896 B (``static``) and 8,926 B (``dynamic``), against
+    8,070, 9,503 and 9,533 B while each route kept copies of its link keys,
+    a ring-less rank an empty ring set and each adapter an empty
+    send-engine membership set.  The bound is the measured value + 2 %."""
+    _host_bytes_per_fat_tree_rank("dynamic")  # first-run caches
+    for scheme, measured in (("hardware", 7_462), ("static", 8_896),
+                             ("dynamic", 8_926)):
+        per_rank = _host_bytes_per_fat_tree_rank(scheme)
+        assert per_rank <= measured * 1.02, (scheme, per_rank)
+
+
+def test_a_ring_less_rank_holds_no_ring_set_and_an_adapter_no_membership_set():
+    """Only a ring marks a peer dirty, so a rank without one keeps an empty
+    tuple there; an adapter's send-engine round-robin is a list, and a QP's
+    membership in it is the QP's own flag."""
+    for scheme in SCHEMES + ("rdma-eager",):
+        cluster = Cluster(TestbedConfig(nodes=4))
+        cluster.launch(4, make_scheme(scheme), 1, on_demand=True)
+        ring = scheme == "rdma-eager"
+        assert all(type(ep._ring_dirty) is (set if ring else tuple)
+                   for ep in cluster.endpoints), scheme
+        assert not any(isinstance(v, (set, frozenset))
+                       for hca in cluster.hcas for v in vars(hca).values()), scheme

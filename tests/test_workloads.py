@@ -123,7 +123,7 @@ def test_bt_sp_require_square_rank_counts():
 
 
 @pytest.mark.parametrize("name, elapsed_ns, events", [
-    ("bt", 99_942_327, 17_300), ("sp", 32_819_868, 17_307)])
+    ("bt", 99_942_327, 17_039), ("sp", 32_819_868, 17_047)])
 def test_bt_and_sp_keep_their_shapes_on_the_adi_skeleton(name, elapsed_ns, events):
     """One ADI program, two rows of constants: a timestep of each runs
     exactly as the two separate programs it replaced did."""

@@ -65,8 +65,8 @@ class Connection:
     """State for one directed rank→rank link (shared by both directions:
     each rank owns its endpoint's Connection object to the peer)."""
 
-    # Slots, and the two queues below are the shared empty tuple until their
-    # first append (DESIGN §6.4).
+    # Slots, and the two queues below are the shared empty tuple until an
+    # append, and again once they drain (DESIGN §6.4).
     __slots__ = (
         "endpoint", "peer", "qp",
         "credits", "backlog", "fallback_inflight", "seq_out",
@@ -84,9 +84,9 @@ class Connection:
 
         # --- sender half ---
         self.credits = 0
-        #: FIFO of sends that found no credit; a ``deque`` from the first
-        #: ``Endpoint._enqueue_backlog`` on (only the application bounds its
-        #: depth, so not a list — DESIGN §6.4)
+        #: FIFO of sends that found no credit; a ``deque`` from an
+        #: ``Endpoint._enqueue_backlog`` until ``Endpoint._drain`` empties it
+        #: (only the application bounds its depth, so not a list — DESIGN §6.4)
         self.backlog: Union[Deque[PendingSend], Tuple[()]] = ()
         self.fallback_inflight = 0  # outstanding optimistic handshakes
         self.seq_out = 0
@@ -125,7 +125,7 @@ class Connection:
         self.recovering = False
         #: ``Endpoint._emit`` arguments ``(header, ref)`` parked during
         #: recovery, re-emitted FIFO (after replays) once the QP re-arms;
-        #: a ``deque`` from the first parked emission on
+        #: a ``deque`` from a parked emission until the re-arm drains it
         self.deferred: Union[Deque[tuple], Tuple[()]] = ()
 
         self.stats = ConnStats(max_prepost=endpoint.requested_prepost)

@@ -26,7 +26,7 @@ schemes depend on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Generator, List, Optional, Set
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, Union
 
 from repro.core import credit
 from repro.core.base import FlowControlScheme
@@ -110,7 +110,8 @@ class Endpoint:
         self.bounce = BounceRegion(bounce_mr, config.vbuf_bytes, 64, config.eager_max())
 
         self.connections: Dict[int, Connection] = {}
-        self._backlogged: Set[int] = set()  # peers with non-empty backlog
+        #: peers with a non-empty backlog (``()`` while there are none)
+        self._backlogged: Union[Set[int], Tuple[()]] = ()
         #: a static mesh: every other rank is a peer, its pair wired at first
         #: touch (``connections`` holds those wired so far)
         self.mesh = mesh
@@ -120,8 +121,9 @@ class Endpoint:
         self._ring_dirty: Set[int] = set() if self._ring_mode else ()
         #: sends posted, completion not polled yet (each holds a vbuf or a pin)
         self._sends_open = 0
-        self._rndv_send: Dict[int, RndvSendOp] = {}  # sreq_id -> op
-        self._rndv_recv: Dict[int, RndvRecvOp] = {}  # rreq_id -> op
+        #: sreq_id / rreq_id -> op in flight (``NO_ENTRIES`` while none is)
+        self._rndv_send: Dict[int, RndvSendOp] = NO_ENTRIES
+        self._rndv_recv: Dict[int, RndvRecvOp] = NO_ENTRIES
         #: context -> collective sequence (a dict from the first collective)
         self._coll_seq: Dict[int, int] = NO_ENTRIES
         #: wires the pair of a first send: ``Cluster.wire`` on a static mesh
@@ -268,6 +270,8 @@ class Endpoint:
                 if mr is not None:
                     self.pindown.release(buffer_id, mr)
                 return req
+            if self._rndv_send is NO_ENTRIES:  # none in flight: build the table
+                self._rndv_send = {}
             header = rendezvous.rts(self._rndv_send, header, req, mr, buffer_id)
         # no credit, a backlog ahead or a recovering connection: the send
         # joins the backlog (credit.take)
@@ -656,7 +660,8 @@ class Endpoint:
             conn.deferred = ()
             if conn.ring is not None:
                 conn.ring.cq_stash = ()
-            self._backlogged.discard(peer)
+            if self._backlogged:
+                self._backlogged.discard(peer)
         for sreq_id in [k for k, op in self._rndv_send.items() if op.dst == peer]:
             op = self._rndv_send.pop(sreq_id)
             if op.mr is not None and not op.bounce:
@@ -667,6 +672,10 @@ class Endpoint:
             if not op.bounce:
                 self.pindown.release(op.buffer_id, op.mr)
             dropped.append(op.request)
+        if not self._rndv_send:
+            self._rndv_send = NO_ENTRIES
+        if not self._rndv_recv:
+            self._rndv_recv = NO_ENTRIES
         self.cq.wake()
         return dropped
 
@@ -705,6 +714,8 @@ class Endpoint:
                     cost += self.config.copy_ns(op.size)  # stage into pinned scratch
             elif kind is MsgKind.RNDV_FIN:
                 op = rendezvous.finish(self._rndv_recv, self.bounce, h.rreq_id)
+                if not self._rndv_recv:  # drained: back to the shared empty
+                    self._rndv_recv = NO_ENTRIES
                 payload = op.mr.load(op.landing_addr)
                 if op.bounce:
                     cost += self.config.copy_ns(op.size)  # bounce slot -> user buffer
@@ -783,6 +794,8 @@ class Endpoint:
         op: RndvSendOp = record  # the rendezvous payload landed
         cost = self._emit(self.connections[op.dst],
                           rendezvous.fin(self._rndv_send, op, self.rank))
+        if not self._rndv_send:  # drained: back to the shared empty
+            self._rndv_send = NO_ENTRIES
         if op.mr is not None:
             cost += self.pindown.release(op.buffer_id, op.mr)
         op.request.complete(Status())
@@ -908,7 +921,10 @@ class Endpoint:
         depth = len(backlog)
         if depth > conn.stats.backlog_max:
             conn.stats.backlog_max = depth
-        self._backlogged.add(conn.peer)
+        backlogged = self._backlogged
+        if type(backlogged) is tuple:  # first backlog since none was left
+            backlogged = self._backlogged = set()
+        backlogged.add(conn.peer)
 
     def _drain_backlogged(self) -> int:
         cost = 0
@@ -943,15 +959,24 @@ class Endpoint:
                 # paper §4.2: without credits only the rendezvous goes, and
                 # its handshake piggybacks fresh ones
                 conn.stats.rndv_fallbacks += 1
+                if self._rndv_send is NO_ENTRIES:  # none in flight: build the table
+                    self._rndv_send = {}
                 cost += self._emit(conn, rendezvous.rts(
                     self._rndv_send, p.header, p.request, fallback=True))
-        if not conn.backlog:
-            self._backlogged.discard(conn.peer)
+        if not conn.backlog:  # drained: both go back to the shared empty
+            conn.backlog = ()
+            backlogged = self._backlogged
+            if backlogged:
+                backlogged.discard(conn.peer)
+                if not backlogged:
+                    self._backlogged = ()
         return cost
 
     def _land(self, conn: Connection, h: Header, posted: PostedRecv) -> int:
         """Answer a matched RTS with the CTS :func:`rendezvous.land` builds,
         pinning the user buffer first when no bounce slot takes it."""
+        if self._rndv_recv is NO_ENTRIES:  # none in flight: build the table
+            self._rndv_recv = {}
         cts = rendezvous.land(self._rndv_recv, self.bounce, h, posted)
         cost = 0
         if cts is None:

@@ -56,7 +56,7 @@ def next_op_id() -> int:
     return next(_op_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class RndvSendOp:
     """Sender-side state of one rendezvous transfer."""
 
@@ -78,7 +78,7 @@ class RndvSendOp:
     cts_rkey: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RndvRecvOp:
     """Receiver-side state of one rendezvous transfer."""
 

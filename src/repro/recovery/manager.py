@@ -258,6 +258,7 @@ class RecoveryManager:
         n = len(headers) + len(rdmas)
         while conn.deferred:
             ep._emit(conn, *conn.deferred.popleft())
+        conn.deferred = ()  # drained: back to the shared empty
         if conn.backlog:
             ep._drain(conn)
         if n:

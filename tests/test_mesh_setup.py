@@ -28,6 +28,8 @@ from repro.ib import transport
 from repro.ib.qp import QueuePair
 from repro.ib.types import IBConfig, Opcode, QPState
 from repro.ib.wr import RecvWR, SendWR
+from repro.mpi.constants import NO_ENTRIES
+from repro.mpi.protocol import MsgKind
 from repro.sim.units import us
 
 from tests.ib_helpers import build_pair
@@ -209,7 +211,7 @@ def test_starved_flood_drains_the_backlog_fifo():
     assert r.rank_results[1] == list(range(n))
     conn = r.endpoints[0].connections[1]
     assert conn.stats.backlogged > 0 and conn.stats.backlog_max > 1
-    assert isinstance(conn.backlog, deque) and not conn.backlog  # used, drained
+    assert conn.backlog == ()  # used, drained: back to the shared empty
     assert r.endpoints[1].connections[0].backlog == ()  # never used
 
 
@@ -241,7 +243,54 @@ def test_a_backlog_is_as_deep_as_the_application_makes_it():
     assert r.rank_results[1] == list(range(n))  # FIFO through the backlog
     conn = r.endpoints[0].connections[1]
     assert conn.stats.backlog_max >= 10_000
-    assert isinstance(conn.backlog, deque) and not conn.backlog
+    assert conn.backlog == ()
+
+
+def test_a_drained_backlog_and_its_tables_return_to_the_shared_empties():
+    """A container that drains goes back to the shared empty it started as
+    (DESIGN §6.4): the connection's backlog to ``()``, the rank's
+    backlogged set to ``()``, its rendezvous tables to ``NO_ENTRIES``.  The
+    next burst builds them again, and drains FIFO with every backlogged
+    send marked, eager or through the rendezvous fallback."""
+    n = 12
+    arrived = []  # (tag, went_backlog) of each EAGER / RTS from rank 0
+
+    class Arrivals:
+        def on_deliver(self, conn, h):
+            if conn.endpoint.rank == 1 and h.kind in (MsgKind.EAGER, MsgKind.RNDV_RTS):
+                arrived.append((h.tag, h.went_backlog))
+
+    def prog(mpi):
+        got = []
+        for burst in (1, 2):
+            if mpi.rank == 0:
+                reqs = []
+                for i in range(n):
+                    reqs.append((yield from mpi.isend(1, size=4, tag=burst, payload=i)))
+                yield from mpi.waitall(reqs)
+                got.append((mpi.connections[1].backlog, mpi._backlogged))
+                yield from mpi.recv(source=1, capacity=64, tag=9)
+            else:
+                yield from mpi.compute(us(200))  # let the sender starve first
+                for _ in range(n):
+                    st = yield from mpi.recv(source=0, capacity=64, tag=burst)
+                    got.append(st.payload)
+                yield from mpi.send(0, size=4, tag=9)
+        return got
+
+    cluster = _mesh(2, "static", 1)
+    cluster.observe(Arrivals())
+    r = run_job(prog, 2, "static", 1, cluster=cluster, audit=True)
+    assert r.completed and not r.audit.violations
+    assert r.rank_results[0] == [((), ())] * 2  # drained after each burst
+    assert r.rank_results[1] == list(range(n)) * 2  # FIFO both times
+    stats = r.endpoints[0].connections[1].stats
+    assert stats.backlogged == 2 * (n - 1) and stats.rndv_fallbacks > 0
+    # the first send of a burst takes the credit, the rest went backlogged
+    assert [w for tag, w in arrived if tag == 2] == [False] + [True] * (n - 1)
+    for ep in r.endpoints:
+        assert ep._backlogged == () and ep.connections[1 - ep.rank].backlog == ()
+        assert ep._rndv_send is NO_ENTRIES and ep._rndv_recv is NO_ENTRIES
 
 
 def test_qp_reset_returns_the_send_queue_to_empty():

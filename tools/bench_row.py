@@ -11,6 +11,7 @@ failed-check count.  Stdlib only::
 
 import argparse
 import datetime
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -32,10 +33,11 @@ def main() -> int:
                "--seed", "7", "--out", out]
         code = subprocess.run(cmd, cwd=args.checkout, stdout=subprocess.DEVNULL).returncode
         ledger = json.loads((pathlib.Path(out) / "ledger.json").read_text())
-    # a tree with uncommitted changes reads "<HEAD>-dirty": the change over HEAD
-    commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                            cwd=args.checkout, check=True, capture_output=True,
-                            text=True).stdout.strip()
+    # a tree with uncommitted changes reads "<HEAD>-dirty+<hash of git diff
+    # HEAD>": two different changes on one parent get different labels
+    commit = _git(args.checkout, "describe", "--always", "--dirty", "--abbrev=40").decode().strip()
+    if commit.endswith("-dirty"):
+        commit += "+" + hashlib.sha256(_git(args.checkout, "diff", "HEAD")).hexdigest()[:12]
     row = {"commit": commit, "date": datetime.date.today().isoformat(),
            "host": ledger["host"], "repeats": REPEATS, "seed": ledger["seed"],
            "workloads": {name: {"end_to_end": {m: e["end_to_end"][m]["value"] for m in METRICS},
@@ -46,6 +48,11 @@ def main() -> int:
     HISTORY.write_text(json.dumps(rows + [row], indent=1) + "\n")
     print(f"appended {commit[:12]} to {HISTORY} (row {len(rows) + 1})")
     return code
+
+
+def _git(checkout: pathlib.Path, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=checkout, check=True,
+                          capture_output=True).stdout
 
 
 if __name__ == "__main__":
